@@ -25,39 +25,170 @@ import (
 // sim-kreq/s, sim-ns/switch); ns/op is the host cost of running the
 // simulation and is not a paper metric.
 
-// --- Fig. 3: iperf throughput across isolation mechanisms ------------
+// --- Paper figures and ablations: one image under one load each -----
 
-func fig3Bench(b *testing.B, cfg build.Config, recvBuf int) {
-	b.Helper()
-	const total = 512 << 10
-	var mbps float64
-	for i := 0; i < b.N; i++ {
-		r, err := harness.RunIperf(cfg, total, recvBuf)
-		if err != nil {
-			b.Fatal(err)
-		}
-		mbps = r.Gbps * 1000
-	}
-	b.ReportMetric(mbps, "sim-Mbps")
+// tcpipThread is the socket mode of the paper's evaluation images.
+var tcpipThread = flexnet.Config{SocketMode: flexnet.TCPIPThreadMode}
+
+// paperCase is one sub-benchmark of the per-figure and ablation
+// sweeps: the image it boots and the load it drives through
+// harness.Run. An iperf case reports sim-Mbps, a redis case sim-kreq/s.
+type paperCase struct {
+	bench, name string
+	cfg         build.Config
+	load        harness.Load
 }
 
-func BenchmarkFig3(b *testing.B) {
-	configs := []build.Config{
+// paperCases lists every case of BenchmarkFig3, BenchmarkTable1,
+// BenchmarkFig4, BenchmarkFig5 and the seal-policy, allocator-policy,
+// delayed-ack and socket-mode ablations.
+func paperCases() []paperCase {
+	iperfAt := func(recvBuf int) harness.Load {
+		return harness.Load{App: harness.Iperf, Bytes: 512 << 10, RecvBuf: recvBuf}
+	}
+	redisOf := func(op harness.RedisOp, payload int) harness.Load {
+		return harness.Load{App: harness.Redis, Op: op, Payload: payload, Ops: 96}
+	}
+	shNet := map[string]flexos.HardeningProfile{"netstack": harness.SHProfile}
+	var cs []paperCase
+
+	// Fig. 3: iperf throughput across isolation mechanisms.
+	for _, cfg := range []build.Config{
 		{Name: "baseline-kvm"},
 		{Name: "mpk-shared", Compartments: build.NWOnly(), Backend: gate.MPKShared, Alloc: build.AllocPerCompartment},
 		{Name: "mpk-switched", Compartments: build.NWOnly(), Backend: gate.MPKSwitched, Alloc: build.AllocPerCompartment},
-		{Name: "sh-netstack", SH: map[string]flexos.HardeningProfile{"netstack": harness.SHProfile}, Alloc: build.AllocPerLibrary},
+		{Name: "sh-netstack", SH: shNet, Alloc: build.AllocPerLibrary},
 		{Name: "baseline-xen", Platform: 1},
 		{Name: "vm-rpc-xen", Compartments: build.NWOnly(), Backend: gate.VMRPC, Platform: 1, Alloc: build.AllocPerCompartment},
-	}
-	for _, cfg := range configs {
+	} {
+		cfg.Net = tcpipThread
 		for _, size := range []int{64, 1024, 32 << 10} {
-			b.Run(fmt.Sprintf("%s/buf=%d", cfg.Name, size), func(b *testing.B) {
-				fig3Bench(b, cfg, size)
-			})
+			cs = append(cs, paperCase{"Fig3", fmt.Sprintf("%s/buf=%d", cfg.Name, size), cfg, iperfAt(size)})
 		}
 	}
+
+	// Table 1: iperf with per-component software hardening.
+	for _, row := range []struct {
+		name string
+		libs []string
+	}{
+		{"none", nil},
+		{"sched", []string{"sched"}},
+		{"netstack", []string{"netstack"}},
+		{"libc", []string{"libc"}},
+		{"rest", []string{"rest", "app", "alloc"}},
+		{"entire", []string{"sched", "netstack", "libc", "rest", "app", "alloc"}},
+	} {
+		sh := make(map[string]flexos.HardeningProfile, len(row.libs))
+		for _, l := range row.libs {
+			sh[l] = harness.SHProfile
+		}
+		cfg := build.Config{Alloc: build.AllocPerLibrary, SH: sh, Net: tcpipThread}
+		cs = append(cs, paperCase{"Table1", "sh=" + row.name, cfg, iperfAt(8 << 10)})
+	}
+
+	// Fig. 4: Redis under SH configs and the verified scheduler.
+	for _, cfg := range []build.Config{
+		{Name: "no-sh"},
+		{Name: "sh-global-alloc", SH: shNet, Alloc: build.AllocGlobal},
+		{Name: "sh-local-alloc", SH: shNet, Alloc: build.AllocPerLibrary},
+		{Name: "verified-sched", Sched: build.SchedVerified},
+	} {
+		cfg.Net = tcpipThread
+		for _, payload := range []int{5, 50, 500} {
+			for _, op := range []harness.RedisOp{harness.OpSET, harness.OpGET} {
+				cs = append(cs, paperCase{"Fig4", fmt.Sprintf("%s/%s/%dB", cfg.Name, op, payload), cfg, redisOf(op, payload)})
+			}
+		}
+	}
+
+	// Fig. 5: Redis under MPK compartmentalization models.
+	for _, m := range []struct {
+		name  string
+		comps []build.Compartment
+	}{
+		{"no-isol", nil},
+		{"nw-only", build.NWOnly()},
+		{"nw-sched-rest", build.NWSchedRest()},
+		{"nw-plus-sched", build.NWPlusSched()},
+	} {
+		for _, backend := range []gate.Backend{gate.MPKShared, gate.MPKSwitched} {
+			if m.comps == nil && backend == gate.MPKSwitched {
+				continue // the baseline has no crossings; one run suffices
+			}
+			name := m.name
+			cfg := build.Config{Compartments: m.comps, Backend: backend, Alloc: build.AllocPerCompartment, Net: tcpipThread}
+			if m.comps == nil {
+				cfg.Alloc = build.AllocGlobal
+			} else {
+				name += "/" + backend.String()
+			}
+			cs = append(cs, paperCase{"Fig5", name, cfg, redisOf(harness.OpGET, 50)})
+		}
+	}
+
+	// Ablations: design choices DESIGN.md calls out. The seal policy is
+	// the MPK backend's PKRU-integrity guard (static analysis, runtime
+	// checks or page-table sealing); the allocator policy isolates the
+	// Fig. 4 mechanism under hardening; delayed acks are RFC 1122's on
+	// the iperf receive path; the socket mode compares direct socket
+	// calls with the tcpip-thread (netconn) handoff.
+	for _, pol := range []mpk.SealPolicy{mpk.SealStatic, mpk.SealRuntime, mpk.SealPageTable} {
+		cfg := build.Config{Compartments: build.NWOnly(), Backend: gate.MPKShared,
+			Alloc: build.AllocPerCompartment, Seal: pol, Net: tcpipThread}
+		cs = append(cs, paperCase{"AblationSealPolicy", pol.String(), cfg, iperfAt(1024)})
+	}
+	for _, pol := range []build.AllocPolicy{build.AllocGlobal, build.AllocPerCompartment, build.AllocPerLibrary} {
+		cfg := build.Config{SH: shNet, Alloc: pol, Net: tcpipThread}
+		cs = append(cs, paperCase{"AblationAllocatorPolicy", pol.String(), cfg, redisOf(harness.OpSET, 50)})
+	}
+	for _, delayed := range []bool{false, true} {
+		cfg := build.Config{Net: tcpipThread}
+		cfg.Net.DelayedAck = delayed
+		name := "ack-per-segment"
+		if delayed {
+			name = "delayed-ack"
+		}
+		cs = append(cs, paperCase{"AblationDelayedAck", name, cfg, iperfAt(8 << 10)})
+	}
+	for _, mode := range []flexnet.SocketMode{flexnet.DirectMode, flexnet.TCPIPThreadMode} {
+		cfg := build.Config{Net: flexnet.Config{SocketMode: mode}}
+		cs = append(cs, paperCase{"AblationSocketMode", mode.String(), cfg, redisOf(harness.OpGET, 50)})
+	}
+	return cs
 }
+
+// benchPaper runs the named sweep's cases as sub-benchmarks.
+func benchPaper(b *testing.B, bench string) {
+	for _, c := range paperCases() {
+		if c.bench != bench {
+			continue
+		}
+		b.Run(c.name, func(b *testing.B) {
+			var r *harness.Result
+			for i := 0; i < b.N; i++ {
+				var err error
+				if r, err = harness.Run(c.cfg, c.load); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if c.load.App == harness.Redis {
+				b.ReportMetric(r.KReqPerSec, "sim-kreq/s")
+			} else {
+				b.ReportMetric(r.Gbps*1000, "sim-Mbps")
+			}
+		})
+	}
+}
+
+func BenchmarkFig3(b *testing.B)                    { benchPaper(b, "Fig3") }
+func BenchmarkTable1(b *testing.B)                  { benchPaper(b, "Table1") }
+func BenchmarkFig4(b *testing.B)                    { benchPaper(b, "Fig4") }
+func BenchmarkFig5(b *testing.B)                    { benchPaper(b, "Fig5") }
+func BenchmarkAblationSealPolicy(b *testing.B)      { benchPaper(b, "AblationSealPolicy") }
+func BenchmarkAblationAllocatorPolicy(b *testing.B) { benchPaper(b, "AblationAllocatorPolicy") }
+func BenchmarkAblationDelayedAck(b *testing.B)      { benchPaper(b, "AblationDelayedAck") }
+func BenchmarkAblationSocketMode(b *testing.B)      { benchPaper(b, "AblationSocketMode") }
 
 // --- Fig. 3 extension: copy vs shared data path ----------------------
 
@@ -65,7 +196,7 @@ func BenchmarkFig3(b *testing.B) {
 // comparison.
 func dataPathConfig(dp flexnet.DataPath) build.Config {
 	return build.Config{Name: "mpk-shared-" + dp.String(), Compartments: build.NWOnly(),
-		Backend: gate.MPKShared, Alloc: build.AllocPerCompartment, DataPath: dp}
+		Backend: gate.MPKShared, Alloc: build.AllocPerCompartment, DataPath: dp, Net: tcpipThread}
 }
 
 func BenchmarkFig3DataPath(b *testing.B) {
@@ -75,7 +206,7 @@ func BenchmarkFig3DataPath(b *testing.B) {
 			var mbps float64
 			var copyCycles uint64
 			for i := 0; i < b.N; i++ {
-				r, err := harness.RunIperf(dataPathConfig(dp), total, recvBuf)
+				r, err := harness.Run(dataPathConfig(dp), harness.Load{App: harness.Iperf, Bytes: total, RecvBuf: recvBuf})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -94,11 +225,12 @@ func BenchmarkFig3DataPath(b *testing.B) {
 // to clock.CompCopy, and the pool leaks nothing on either machine.
 func TestDataPathSpeedup(t *testing.T) {
 	const total, recvBuf = 2 << 20, 16 << 10
-	shared, err := harness.RunIperf(dataPathConfig(flexnet.DataPathShared), total, recvBuf)
+	load := harness.Load{App: harness.Iperf, Bytes: total, RecvBuf: recvBuf}
+	shared, err := harness.Run(dataPathConfig(flexnet.DataPathShared), load)
 	if err != nil {
 		t.Fatal(err)
 	}
-	copied, err := harness.RunIperf(dataPathConfig(flexnet.DataPathCopy), total, recvBuf)
+	copied, err := harness.Run(dataPathConfig(flexnet.DataPathCopy), load)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,105 +266,6 @@ func TestDataPathSpeedup(t *testing.T) {
 	}
 }
 
-// --- Table 1: iperf with per-component software hardening ------------
-
-func BenchmarkTable1(b *testing.B) {
-	rows := map[string][]string{
-		"none":     nil,
-		"sched":    {"sched"},
-		"netstack": {"netstack"},
-		"libc":     {"libc"},
-		"rest":     {"rest", "app", "alloc"},
-		"entire":   {"sched", "netstack", "libc", "rest", "app", "alloc"},
-	}
-	for name, libs := range rows {
-		b.Run("sh="+name, func(b *testing.B) {
-			sh := make(map[string]flexos.HardeningProfile, len(libs))
-			for _, l := range libs {
-				sh[l] = harness.SHProfile
-			}
-			cfg := build.Config{Alloc: build.AllocPerLibrary, SH: sh}
-			var gbps float64
-			for i := 0; i < b.N; i++ {
-				r, err := harness.RunIperf(cfg, 512<<10, 8<<10)
-				if err != nil {
-					b.Fatal(err)
-				}
-				gbps = r.Gbps
-			}
-			b.ReportMetric(gbps*1000, "sim-Mbps")
-		})
-	}
-}
-
-// --- Fig. 4: Redis under SH configs and the verified scheduler -------
-
-func BenchmarkFig4(b *testing.B) {
-	configs := []build.Config{
-		{Name: "no-sh"},
-		{Name: "sh-global-alloc", SH: map[string]flexos.HardeningProfile{"netstack": harness.SHProfile}, Alloc: build.AllocGlobal},
-		{Name: "sh-local-alloc", SH: map[string]flexos.HardeningProfile{"netstack": harness.SHProfile}, Alloc: build.AllocPerLibrary},
-		{Name: "verified-sched", Sched: build.SchedVerified},
-	}
-	for _, cfg := range configs {
-		for _, payload := range []int{5, 50, 500} {
-			for _, op := range []harness.RedisOp{harness.OpSET, harness.OpGET} {
-				b.Run(fmt.Sprintf("%s/%s/%dB", cfg.Name, op, payload), func(b *testing.B) {
-					var kreq float64
-					for i := 0; i < b.N; i++ {
-						r, err := harness.RunRedis(cfg, op, payload, 96)
-						if err != nil {
-							b.Fatal(err)
-						}
-						kreq = r.KReqPerSec
-					}
-					b.ReportMetric(kreq, "sim-kreq/s")
-				})
-			}
-		}
-	}
-}
-
-// --- Fig. 5: Redis under MPK compartmentalization models -------------
-
-func BenchmarkFig5(b *testing.B) {
-	models := []struct {
-		name  string
-		comps []build.Compartment
-	}{
-		{"no-isol", nil},
-		{"nw-only", build.NWOnly()},
-		{"nw-sched-rest", build.NWSchedRest()},
-		{"nw-plus-sched", build.NWPlusSched()},
-	}
-	for _, m := range models {
-		for _, backend := range []gate.Backend{gate.MPKShared, gate.MPKSwitched} {
-			if m.comps == nil && backend == gate.MPKSwitched {
-				continue // the baseline has no crossings; one run suffices
-			}
-			name := m.name
-			if m.comps != nil {
-				name += "/" + backend.String()
-			}
-			b.Run(name, func(b *testing.B) {
-				cfg := build.Config{Compartments: m.comps, Backend: backend, Alloc: build.AllocPerCompartment}
-				if m.comps == nil {
-					cfg.Alloc = build.AllocGlobal
-				}
-				var kreq float64
-				for i := 0; i < b.N; i++ {
-					r, err := harness.RunRedis(cfg, harness.OpGET, 50, 96)
-					if err != nil {
-						b.Fatal(err)
-					}
-					kreq = r.KReqPerSec
-				}
-				b.ReportMetric(kreq, "sim-kreq/s")
-			})
-		}
-	}
-}
-
 // --- §4: context-switch latency ---------------------------------------
 
 func BenchmarkContextSwitch(b *testing.B) {
@@ -263,47 +296,7 @@ func BenchmarkContextSwitch(b *testing.B) {
 	}
 }
 
-// --- Ablations: design choices DESIGN.md calls out --------------------
-
-// BenchmarkAblationSealPolicy compares PKRU-integrity policies (the
-// MPK backend must prevent unauthorized PKRU writes via static
-// analysis, runtime checks or page-table sealing).
-func BenchmarkAblationSealPolicy(b *testing.B) {
-	for _, pol := range []mpk.SealPolicy{mpk.SealStatic, mpk.SealRuntime, mpk.SealPageTable} {
-		b.Run(pol.String(), func(b *testing.B) {
-			cfg := build.Config{Compartments: build.NWOnly(), Backend: gate.MPKShared,
-				Alloc: build.AllocPerCompartment, Seal: pol}
-			var mbps float64
-			for i := 0; i < b.N; i++ {
-				r, err := harness.RunIperf(cfg, 512<<10, 1024)
-				if err != nil {
-					b.Fatal(err)
-				}
-				mbps = r.Gbps * 1000
-			}
-			b.ReportMetric(mbps, "sim-Mbps")
-		})
-	}
-}
-
-// BenchmarkAblationAllocatorPolicy isolates the allocator-granularity
-// choice under hardening (the Fig. 4 mechanism).
-func BenchmarkAblationAllocatorPolicy(b *testing.B) {
-	for _, pol := range []build.AllocPolicy{build.AllocGlobal, build.AllocPerCompartment, build.AllocPerLibrary} {
-		b.Run(pol.String(), func(b *testing.B) {
-			cfg := build.Config{SH: map[string]flexos.HardeningProfile{"netstack": harness.SHProfile}, Alloc: pol}
-			var kreq float64
-			for i := 0; i < b.N; i++ {
-				r, err := harness.RunRedis(cfg, harness.OpSET, 50, 96)
-				if err != nil {
-					b.Fatal(err)
-				}
-				kreq = r.KReqPerSec
-			}
-			b.ReportMetric(kreq, "sim-kreq/s")
-		})
-	}
-}
+// --- Ablation: coloring algorithms -----------------------------------
 
 // BenchmarkAblationColoring compares the coloring algorithms on the
 // default image's conflict graph.
@@ -337,11 +330,10 @@ func BenchmarkAblationColoring(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationGateCost measures the raw cost of one crossing per
-// backend (simulated cycles reported).
+// --- Gate crossing amortization ---------------------------------------
+
 // gateFor builds one standalone gate of the given backend over arena,
-// charging cpu — shared by the gate-cost ablation and the crossing
-// amortization microbenchmarks.
+// charging cpu, for the crossing microbenchmarks.
 func gateFor(b *testing.B, backend gate.Backend, arena *mem.Arena, cpu *clock.CPU) gate.Gate {
 	b.Helper()
 	switch backend {
@@ -374,25 +366,6 @@ func gateFor(b *testing.B, backend gate.Backend, arena *mem.Arena, cpu *clock.CP
 	b.Fatalf("unknown backend %v", backend)
 	return nil
 }
-
-func BenchmarkAblationGateCost(b *testing.B) {
-	arena := mem.NewArena(16 * mem.PageSize)
-	for _, backend := range []gate.Backend{gate.FuncCall, gate.MPKShared, gate.MPKSwitched, gate.VMRPC, gate.CHERI} {
-		b.Run(backend.String(), func(b *testing.B) {
-			cpu := clock.New()
-			g := gateFor(b, backend, arena, cpu)
-			from, to := gate.NewDomain("a", 1), gate.NewDomain("b", 2)
-			for i := 0; i < b.N; i++ {
-				if err := g.Call(from, to, gate.CallFrame{ArgWords: 2, RetWords: 1}, func() error { return nil }); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(cpu.Cycles())/float64(b.N), "sim-cycles/crossing")
-		})
-	}
-}
-
-// --- Gate crossing amortization ---------------------------------------
 
 // gateBenchBackends are the backends the crossing microbenchmarks pin.
 var gateBenchBackends = []gate.Backend{gate.FuncCall, gate.MPKShared, gate.MPKSwitched, gate.VMRPC, gate.CHERI}
@@ -490,7 +463,7 @@ func BenchmarkBatching(b *testing.B) {
 // for by the crossing-bearing components (gate entry, VMM notify, the
 // netstack's per-segment work, the NIC driver) — batching amortizes
 // crossings, it does not skip work. Pool-leak accounting is enforced
-// inside every RunIperf the sweep performs.
+// inside every harness.Run the sweep performs.
 func TestBatchingSpeedup(t *testing.T) {
 	res, err := harness.Batching(true)
 	if err != nil {
@@ -532,48 +505,6 @@ func TestBatchingSpeedup(t *testing.T) {
 		}
 		t.Logf("%s: depth16 +%.1f%% (%d -> %d cycles, %d crossing-cycles saved)",
 			s.Label, d16.SpeedupPct, d1.ServerCycles, d16.ServerCycles, crossSave)
-	}
-}
-
-// BenchmarkAblationDelayedAck measures RFC 1122 delayed
-// acknowledgements on the iperf receive path.
-func BenchmarkAblationDelayedAck(b *testing.B) {
-	for _, delayed := range []bool{false, true} {
-		name := "ack-per-segment"
-		if delayed {
-			name = "delayed-ack"
-		}
-		b.Run(name, func(b *testing.B) {
-			cfg := build.Config{}
-			cfg.Net.DelayedAck = delayed
-			var mbps float64
-			for i := 0; i < b.N; i++ {
-				r, err := harness.RunIperf(cfg, 512<<10, 8<<10)
-				if err != nil {
-					b.Fatal(err)
-				}
-				mbps = r.Gbps * 1000
-			}
-			b.ReportMetric(mbps, "sim-Mbps")
-		})
-	}
-}
-
-// BenchmarkAblationSocketMode compares direct socket calls with the
-// tcpip-thread (netconn) handoff.
-func BenchmarkAblationSocketMode(b *testing.B) {
-	for _, mode := range []flexnet.SocketMode{flexnet.DirectMode, flexnet.TCPIPThreadMode} {
-		b.Run(mode.String(), func(b *testing.B) {
-			var kreq float64
-			for i := 0; i < b.N; i++ {
-				r, err := harness.RunRedisWithMode(build.Config{}, harness.OpGET, 50, 96, mode)
-				if err != nil {
-					b.Fatal(err)
-				}
-				kreq = r.KReqPerSec
-			}
-			b.ReportMetric(kreq, "sim-kreq/s")
-		})
 	}
 }
 

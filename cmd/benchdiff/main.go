@@ -1,7 +1,7 @@
 // Command benchdiff is the CI bench-regression gate: it runs the
-// repo's headline benchmarks (design-space exploration and the
-// zero-copy data path), takes the median of -count runs per metric,
-// and fails if any metric regresses beyond its baseline tolerance.
+// benchmarks the baseline file gates, takes the median of -count runs
+// per metric, and fails if any metric regresses beyond its baseline
+// tolerance.
 //
 // Usage:
 //
@@ -15,11 +15,13 @@
 //
 // Without -input it runs
 //
-//	go test -run=NONE -bench='^(BenchmarkExplore|BenchmarkFig3DataPath|BenchmarkOverload|BenchmarkGateCall|BenchmarkGateCallBatch|BenchmarkBatching|BenchmarkSmp|BenchmarkChaosnet|BenchmarkAutotune)$' -benchtime=1x -count=3 .
+//	go test -run=NONE -bench='^(<benchmarks>)$' -benchtime=1x -count=3 .
 //
-// in the current directory. With -input it checks a saved `go test
-// -bench` output instead — which is also how the gate itself is
-// tested: feeding it a synthetic 2x slowdown must make it exit 1.
+// in the current directory, where <benchmarks> are the top-level
+// benchmark names of the baseline's entries, so the file alone decides
+// what the gate runs. With -input it checks a saved `go test -bench`
+// output instead — which is also how the gate itself is tested
+// (main_test.go).
 //
 // Baselines carry per-entry tolerances: simulator metrics (sim-Mbps,
 // cache-hit-%) are deterministic and get the tight default, while
@@ -98,15 +100,46 @@ func main() {
 		}
 		out = string(b)
 	} else {
-		out, err = runBenches(*count)
+		out, err = runBenches(benchPattern(base), *count)
 		if err != nil {
 			fatal(err)
 		}
 	}
-	medians := parseBenchOutput(out)
-	rep := report{BaselineFile: *baseFile, Protocol: base.Protocol, ThresholdPct: base.ThresholdPct}
+	rep := compare(base, parseBenchOutput(out))
+	rep.BaselineFile = *baseFile
 	fmt.Printf("%-44s %-12s %12s %12s %8s %s\n",
 		"benchmark", "metric", "baseline", "median", "delta", "status")
+	for _, r := range rep.Results {
+		switch r.Status {
+		case "missing":
+			fmt.Printf("%-44s %-12s %12.1f %12s %8s MISSING\n",
+				r.Benchmark, r.Metric, r.Baseline, "-", "-")
+		case "fail":
+			fmt.Printf("%-44s %-12s %12.1f %12.1f %+7.1f%% FAIL (>%g%%)\n",
+				r.Benchmark, r.Metric, r.Baseline, r.Median, r.DeltaPct, r.TolerancePct)
+		default:
+			fmt.Printf("%-44s %-12s %12.1f %12.1f %+7.1f%% ok\n",
+				r.Benchmark, r.Metric, r.Baseline, r.Median, r.DeltaPct)
+		}
+	}
+	if *jsonOut != "" {
+		if err := writeJSON(*jsonOut, &rep); err != nil {
+			fatal(err)
+		}
+	}
+	if err := writeStepSummary(&rep); err != nil {
+		fatal(err)
+	}
+	if rep.Failures > 0 {
+		fmt.Fprintf(os.Stderr, "benchdiff: %d metric(s) regressed beyond tolerance\n", rep.Failures)
+		os.Exit(1)
+	}
+	fmt.Println("benchdiff: all metrics within tolerance")
+}
+
+// compare checks every baseline entry against the measured medians.
+func compare(base *baseline, medians map[string]map[string]float64) report {
+	rep := report{Protocol: base.Protocol, ThresholdPct: base.ThresholdPct}
 	names := make([]string, 0, len(base.Entries))
 	for name := range base.Entries {
 		names = append(names, name)
@@ -124,52 +157,32 @@ func main() {
 			}
 			med, ok := medians[name][c.Metric]
 			if !ok {
-				fmt.Printf("%-44s %-12s %12.1f %12s %8s MISSING\n",
-					name, c.Metric, c.Value, "-", "-")
 				r.Status = "missing"
 				rep.Failures++
 				rep.Results = append(rep.Results, r)
 				continue
 			}
 			r.Median = med
-			var delta float64
 			var regressed bool
 			if c.Value == 0 {
 				// A zero baseline (e.g. copy-cycles on the shared data
 				// path) must stay zero.
 				regressed = med != 0
 			} else {
-				delta = 100 * (med - c.Value) / c.Value
-				regressed = delta > tol // lower-is-better: growth is regression
+				r.DeltaPct = 100 * (med - c.Value) / c.Value
+				regressed = r.DeltaPct > tol // lower-is-better: growth is regression
 				if c.Direction == "higher" {
-					regressed = delta < -tol
+					regressed = r.DeltaPct < -tol
 				}
 			}
-			r.DeltaPct = delta
-			status := "ok"
 			if regressed {
-				status = fmt.Sprintf("FAIL (>%g%%)", tol)
 				r.Status = "fail"
 				rep.Failures++
 			}
-			fmt.Printf("%-44s %-12s %12.1f %12.1f %+7.1f%% %s\n",
-				name, c.Metric, c.Value, med, delta, status)
 			rep.Results = append(rep.Results, r)
 		}
 	}
-	if *jsonOut != "" {
-		if err := writeJSON(*jsonOut, &rep); err != nil {
-			fatal(err)
-		}
-	}
-	if err := writeStepSummary(&rep); err != nil {
-		fatal(err)
-	}
-	if rep.Failures > 0 {
-		fmt.Fprintf(os.Stderr, "benchdiff: %d metric(s) regressed beyond tolerance\n", rep.Failures)
-		os.Exit(1)
-	}
-	fmt.Println("benchdiff: all metrics within tolerance")
+	return rep
 }
 
 // writeJSON writes the machine-readable comparison.
@@ -240,9 +253,24 @@ func loadBaseline(path string) (*baseline, error) {
 	return &base, nil
 }
 
-func runBenches(count int) (string, error) {
-	cmd := exec.Command("go", "test", "-run=NONE",
-		"-bench=^(BenchmarkExplore|BenchmarkFig3DataPath|BenchmarkOverload|BenchmarkGateCall|BenchmarkGateCallBatch|BenchmarkBatching|BenchmarkSmp|BenchmarkChaosnet|BenchmarkAutotune)$",
+// benchPattern is the -bench regex matching exactly the top-level
+// benchmarks the baseline has entries for.
+func benchPattern(base *baseline) string {
+	seen := map[string]bool{}
+	var names []string
+	for entry := range base.Entries {
+		name, _, _ := strings.Cut(entry, "/")
+		if !seen[name] {
+			seen[name] = true
+			names = append(names, name)
+		}
+	}
+	sort.Strings(names)
+	return "^(" + strings.Join(names, "|") + ")$"
+}
+
+func runBenches(pattern string, count int) (string, error) {
+	cmd := exec.Command("go", "test", "-run=NONE", "-bench="+pattern,
 		"-benchtime=1x", fmt.Sprintf("-count=%d", count), ".")
 	out, err := cmd.CombinedOutput()
 	if err != nil {

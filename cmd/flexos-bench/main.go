@@ -2,8 +2,11 @@
 //
 // Usage:
 //
-//	flexos-bench -exp fig3|table1|fig4|fig5|ctxswitch|datapath|blastradius|overload|batching|smp|chaosnet|autotune|all [-quick] [-ops N]
+//	flexos-bench -exp <name>|all [-quick] [-ops N]
 //	            [-metrics] [-profile trace.json] [-metrics-out attribution.json] [-autotune-out report.json]
+//
+// The experiment names, and the order -exp all runs them in, are the
+// entries of harness.Experiments; -help lists them.
 //
 // -metrics prints a per-compartment cycle-attribution table for each
 // image of the selected experiment, reconciled against the machine's
@@ -19,13 +22,18 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"flexos/internal/harness"
 	"flexos/internal/trace"
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment: fig3, table1, fig4, fig5, ctxswitch, datapath, blastradius, overload, batching, smp, chaosnet, autotune, all")
+	var names []string
+	for _, e := range harness.Experiments {
+		names = append(names, e.Name)
+	}
+	exp := flag.String("exp", "all", "experiment: "+strings.Join(append(names, "all"), ", "))
 	quick := flag.Bool("quick", false, "thin sweeps for a faster run")
 	ops := flag.Int("ops", 300, "redis requests per measurement")
 	metricsFlag := flag.Bool("metrics", false, "print per-compartment cycle-attribution tables for the selected experiment")
@@ -34,114 +42,28 @@ func main() {
 	autotuneOut := flag.String("autotune-out", "", "write the autotune model-validation report as JSON to this file")
 	flag.Parse()
 
-	run := func(name string) error {
-		switch name {
-		case "fig3":
-			r, err := harness.Fig3(*quick)
-			if err != nil {
-				return err
-			}
-			fmt.Print(harness.FormatFig3(r))
-		case "table1":
-			r, err := harness.Table1()
-			if err != nil {
-				return err
-			}
-			fmt.Print(harness.FormatTable1(r))
-		case "fig4":
-			r, err := harness.Fig4(*ops)
-			if err != nil {
-				return err
-			}
-			fmt.Print(harness.FormatFig4(r))
-		case "fig5":
-			r, err := harness.Fig5(*ops)
-			if err != nil {
-				return err
-			}
-			fmt.Print(harness.FormatFig5(r))
-		case "ctxswitch":
-			r, err := harness.CtxSwitch()
-			if err != nil {
-				return err
-			}
-			fmt.Print(harness.FormatCtxSwitch(r))
-		case "datapath":
-			r, err := harness.DataPath(*quick)
-			if err != nil {
-				return err
-			}
-			fmt.Print(harness.FormatDataPath(r))
-		case "blastradius":
-			r, err := harness.BlastRadius()
-			if err != nil {
-				return err
-			}
-			fmt.Print(harness.FormatBlastRadius(r))
-		case "overload":
-			r, err := harness.Overload()
-			if err != nil {
-				return err
-			}
-			fmt.Print(harness.FormatOverload(r))
-		case "batching":
-			r, err := harness.Batching(*quick)
-			if err != nil {
-				return err
-			}
-			fmt.Print(harness.FormatBatching(r))
-		case "smp":
-			r, err := harness.Smp(*quick)
-			if err != nil {
-				return err
-			}
-			fmt.Print(harness.FormatSmp(r))
-		case "chaosnet":
-			r, err := harness.Chaosnet(*quick)
-			if err != nil {
-				return err
-			}
-			fmt.Print(harness.FormatChaosnet(r))
-		case "autotune":
-			r, err := harness.Autotune(harness.DefaultAutotuneOpts(*quick))
-			if err != nil {
-				return err
-			}
-			fmt.Print(harness.FormatAutotune(r))
-			if *autotuneOut != "" {
-				b, err := json.MarshalIndent(r, "", "  ")
-				if err != nil {
-					return err
-				}
-				b = append(b, '\n')
-				if err := os.WriteFile(*autotuneOut, b, 0o644); err != nil {
-					return err
-				}
-				fmt.Printf("autotune: wrote model-validation report to %s\n", *autotuneOut)
-			}
-		default:
-			return fmt.Errorf("unknown experiment %q", name)
-		}
-		fmt.Println()
-		return nil
+	opt := harness.Options{Quick: *quick, Ops: *ops, AutotuneOut: *autotuneOut}
+	exps, err := harness.Select(*exp)
+	if err != nil {
+		fail(err)
 	}
-
-	names := []string{*exp}
-	if *exp == "all" {
-		names = []string{"fig3", "table1", "fig4", "fig5", "ctxswitch", "datapath", "blastradius", "overload", "batching", "smp", "chaosnet", "autotune"}
-	}
-	for _, n := range names {
-		if err := run(n); err != nil {
-			fmt.Fprintf(os.Stderr, "flexos-bench: %v\n", err)
-			os.Exit(1)
+	for _, e := range exps {
+		out, err := e.Run(opt)
+		if err != nil {
+			fail(err)
 		}
+		fmt.Println(out)
 	}
 	if *metricsFlag || *profile != "" || *metricsOut != "" {
-		if err := observe(*exp, *quick, *metricsFlag, *profile, *metricsOut); err != nil {
-			fmt.Fprintf(os.Stderr, "flexos-bench: %v\n", err)
-			os.Exit(1)
+		if err := observe(*exp, opt, *metricsFlag, *profile, *metricsOut); err != nil {
+			fail(err)
 		}
 	}
+}
+
+func fail(err error) {
+	fmt.Fprintf(os.Stderr, "flexos-bench: %v\n", err)
+	os.Exit(1)
 }
 
 // observe runs the instrumented observability pass over the selected
@@ -150,8 +72,8 @@ func main() {
 // a table that prints is a table that reconciles with clock elapsed
 // time; the written Chrome trace is schema-validated before the file
 // lands.
-func observe(exp string, quick, printTables bool, profile, metricsOut string) error {
-	obs, err := harness.ObserveFor(exp, quick)
+func observe(exp string, opt harness.Options, printTables bool, profile, metricsOut string) error {
+	obs, err := harness.ObserveFor(exp, opt)
 	if err != nil {
 		return err
 	}

@@ -7,7 +7,9 @@
 //	flexos-run -config image.cfg [-workload iperf|redis] [-payload 50]
 //	           [-ops 400] [-buf 4096] [-total 4194304] [-print-config]
 //
-// Without -config, the no-isolation baseline image runs.
+// Without -config, the no-isolation baseline image runs, with the
+// socket API over the tcpip thread like the paper's evaluation images.
+// A configuration file runs exactly as written, socket-mode included.
 package main
 
 import (
@@ -18,6 +20,7 @@ import (
 	"flexos/internal/clock"
 	"flexos/internal/core/build"
 	"flexos/internal/harness"
+	"flexos/internal/net"
 )
 
 func main() {
@@ -37,7 +40,7 @@ func main() {
 }
 
 func run(configPath, workload string, payload, ops, buf, total int, printCfg bool) error {
-	var cfg build.Config
+	cfg := build.Config{Net: net.Config{SocketMode: net.TCPIPThreadMode}}
 	if configPath != "" {
 		src, err := os.ReadFile(configPath)
 		if err != nil {
@@ -54,21 +57,21 @@ func run(configPath, workload string, payload, ops, buf, total int, printCfg boo
 	}
 	switch workload {
 	case "iperf":
-		r, err := harness.RunIperf(cfg, total, buf)
+		r, err := harness.Run(cfg, harness.Load{App: harness.Iperf, Bytes: total, RecvBuf: buf})
 		if err != nil {
 			return err
 		}
-		fmt.Printf("iperf: %.2f Gb/s over %d bytes (recv buffer %d)\n", r.Gbps, r.Bytes, r.RecvBuf)
+		fmt.Printf("iperf: %.2f Gb/s over %d bytes (recv buffer %d)\n", r.Gbps, r.Bytes, buf)
 		fmt.Printf("  simulated server time: %.2f ms, %d domain crossings\n",
 			clock.Nanoseconds(r.ServerCycles)/1e6, r.Crossings)
 	case "redis":
 		for _, op := range []harness.RedisOp{harness.OpSET, harness.OpGET} {
-			r, err := harness.RunRedis(cfg, op, payload, ops)
+			r, err := harness.Run(cfg, harness.Load{App: harness.Redis, Op: op, Payload: payload, Ops: ops})
 			if err != nil {
 				return err
 			}
 			fmt.Printf("redis %s: %.1f kreq/s (%dB values, %d requests, %.2f crossings/req)\n",
-				op, r.KReqPerSec, r.PayloadBytes, r.Ops, float64(r.Crossings)/float64(r.Ops))
+				op, r.KReqPerSec, payload, r.Ops, float64(r.Crossings)/float64(r.Ops))
 		}
 	default:
 		return fmt.Errorf("unknown workload %q", workload)

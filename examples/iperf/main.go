@@ -27,7 +27,7 @@ func main() {
 	shNet := flag.Bool("sh-netstack", false, "apply software hardening to the network stack")
 	traceN := flag.Int("trace", 0, "print the last N domain crossings (each line shows the vCPU it ran on)")
 	smp := flag.Int("smp", 1, "number of vCPUs (SMP machine with one RSS NIC queue per vCPU)")
-	streams := flag.Int("streams", 1, "parallel connections (iperf -P); forces the multi-stream path when > 1 or -smp > 1")
+	streams := flag.Int("streams", 1, "parallel connections (iperf -P); more than one runs the RSS multi-server")
 	profile := flag.String("profile", "", "write the run's timeline as Chrome trace-event JSON (chrome://tracing, Perfetto) to this file")
 	flag.Parse()
 
@@ -70,49 +70,48 @@ func main() {
 		cfg.Alloc = flexos.AllocPerLibrary
 	}
 
-	if *smp > 1 || *streams > 1 {
+	cfg.Net.SocketMode = flexos.TCPIPThreadMode
+	parallel := *smp > 1 || *streams > 1
+	if parallel {
+		// Parallel streams use direct socket calls: one pinned tcpip
+		// thread would serialize every stream behind one core.
 		cfg.Smp = *smp
-		r, ring, err := flexos.RunIperfParallelTraced(cfg, *streams, *total, *buf, traceCap)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("iperf -P %d: %d bytes, recv buffer %d, backend %v, model %s, %d vCPUs\n",
-			r.Streams, r.Bytes, *buf, backend, *model, r.VCPUs)
-		fmt.Printf("  throughput: %.2f Gb/s (makespan %.2f ms)\n",
-			r.Mbps/1000, clock.Nanoseconds(r.Makespan)/1e6)
-		for i, c := range r.PerCPU {
-			fmt.Printf("  cpu%d: %12d cycles\n", i, c)
-		}
-		fmt.Printf("  steals: %d  ipis: %d", r.Steals, r.IPIs)
-		if r.RPCStalled > 0 {
-			fmt.Printf("  vmm-stall: %d cycles", r.RPCStalled)
-		}
-		fmt.Println()
-		if *traceN > 0 {
-			printRing(ring)
-		}
-		writeProfile(*profile, ring, r.VCPUs)
-		return
+		cfg.Net.SocketMode = flexos.DirectMode
 	}
-
-	res, ring, err := flexos.RunIperfTraced(cfg, *total, *buf, traceCap)
+	res, err := flexos.Run(cfg, flexos.Load{App: flexos.Iperf, Conns: *streams,
+		Bytes: *total, RecvBuf: *buf, TraceCap: traceCap})
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("iperf: %d bytes, recv buffer %d, backend %v, model %s\n",
-		res.Bytes, res.RecvBuf, backend, *model)
-	fmt.Printf("  throughput: %.2f Gb/s (simulated server time %.2f ms)\n",
-		res.Gbps, clock.Nanoseconds(res.ServerCycles)/1e6)
-	fmt.Printf("  domain crossings: %d\n", res.Crossings)
-	fmt.Println("  server cycles by component:")
-	for comp, cyc := range res.ByComponent {
-		fmt.Printf("    %-10s %12d (%5.1f%%)\n", comp, cyc,
-			100*float64(cyc)/float64(res.ServerCycles))
+	if parallel {
+		fmt.Printf("iperf -P %d: %d bytes, recv buffer %d, backend %v, model %s, %d vCPUs\n",
+			*streams, res.Bytes, *buf, backend, *model, res.VCPUs)
+		fmt.Printf("  throughput: %.2f Gb/s (makespan %.2f ms)\n",
+			res.Gbps, clock.Nanoseconds(res.ServerCycles)/1e6)
+		for i, c := range res.PerCPU {
+			fmt.Printf("  cpu%d: %12d cycles\n", i, c)
+		}
+		fmt.Printf("  steals: %d  ipis: %d", res.Steals, res.IPIs)
+		if res.RPCStalled > 0 {
+			fmt.Printf("  vmm-stall: %d cycles", res.RPCStalled)
+		}
+		fmt.Println()
+	} else {
+		fmt.Printf("iperf: %d bytes, recv buffer %d, backend %v, model %s\n",
+			res.Bytes, *buf, backend, *model)
+		fmt.Printf("  throughput: %.2f Gb/s (simulated server time %.2f ms)\n",
+			res.Gbps, clock.Nanoseconds(res.ServerCycles)/1e6)
+		fmt.Printf("  domain crossings: %d\n", res.Crossings)
+		fmt.Println("  server cycles by component:")
+		for comp, cyc := range res.ByComponent {
+			fmt.Printf("    %-10s %12d (%5.1f%%)\n", comp, cyc,
+				100*float64(cyc)/float64(res.ServerCycles))
+		}
 	}
 	if *traceN > 0 {
-		printRing(ring)
+		printRing(res.Trace)
 	}
-	writeProfile(*profile, ring, 1)
+	writeProfile(*profile, res.Trace, res.VCPUs)
 }
 
 // writeProfile exports the ring's events as a Chrome trace-event

@@ -77,10 +77,11 @@ func main() {
 			Backend:      backend,
 			Alloc:        flexos.AllocPerCompartment,
 		}
+		cfg.Net.SocketMode = flexos.TCPIPThreadMode
 		if backend == flexos.FuncCall {
 			cfg.Compartments = flexos.SingleCompartment()
 		}
-		res, err := flexos.RunIperf(cfg, 1<<20, 4096)
+		res, err := flexos.Run(cfg, flexos.Load{App: flexos.Iperf, Bytes: 1 << 20, RecvBuf: 4096})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -29,6 +29,7 @@ func main() {
 		log.Fatal(err)
 	}
 	cfg := flexos.Config{Backend: backend, Alloc: flexos.AllocPerCompartment}
+	cfg.Net.SocketMode = flexos.TCPIPThreadMode
 	switch *model {
 	case "single":
 		cfg.Compartments = flexos.SingleCompartment()
@@ -62,12 +63,12 @@ func main() {
 	if *op == "SET" {
 		kind = flexos.OpSET
 	}
-	res, err := flexos.RunRedis(cfg, kind, *payload, *ops)
+	res, err := flexos.Run(cfg, flexos.Load{App: flexos.Redis, Op: kind, Payload: *payload, Ops: *ops})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("redis: %d x %s, %dB values, backend %v, model %s\n",
-		res.Ops, res.Op, res.PayloadBytes, backend, *model)
+		res.Ops, kind, *payload, backend, *model)
 	fmt.Printf("  throughput: %.1f kreq/s\n", res.KReqPerSec)
 	fmt.Printf("  domain crossings during measurement: %d (%.2f per request)\n",
 		res.Crossings, float64(res.Crossings)/float64(res.Ops))

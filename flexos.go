@@ -208,59 +208,51 @@ type (
 // by a virtual wire and sharing one deterministic event loop.
 func NewWorld(cfg Config) (*World, error) { return build.NewWorld(cfg) }
 
+// SocketMode selects how application threads reach the network stack
+// (Config.Net.SocketMode): direct calls, or the tcpip-thread (netconn)
+// handoff the paper's evaluation images use.
+type SocketMode = net.SocketMode
+
+// Socket modes.
+const (
+	DirectMode      = net.DirectMode
+	TCPIPThreadMode = net.TCPIPThreadMode
+)
+
 // Experiment harness (internal/harness): regenerates the paper's
 // evaluation.
 type (
-	IperfResult = harness.IperfResult
-	RedisResult = harness.RedisResult
-	RedisOp     = harness.RedisOp
-	SmpRun      = harness.SmpRun
+	// Load is the workload Run drives: application, connections and
+	// sizes, plus an optional trace and prep hook.
+	Load = harness.Load
+	// Result is one measured run.
+	Result  = harness.Result
+	RedisOp = harness.RedisOp
+	// ExperimentOptions sizes an experiment's sweep.
+	ExperimentOptions = harness.Options
 )
 
-// Redis operations.
+// Applications and Redis operations.
 const (
+	Iperf = harness.Iperf
+	Redis = harness.Redis
 	OpSET = harness.OpSET
 	OpGET = harness.OpGET
 )
 
-// RunIperf measures server-side iperf throughput for a configuration.
-func RunIperf(cfg Config, totalBytes, recvBuf int) (*IperfResult, error) {
-	return harness.RunIperf(cfg, totalBytes, recvBuf)
-}
-
 // TraceRing holds recorded domain-crossing events.
 type TraceRing = trace.Ring
 
-// RunIperfTraced is RunIperf with a server-side crossing trace of up
-// to traceCap events (0 disables tracing).
-func RunIperfTraced(cfg Config, totalBytes, recvBuf, traceCap int) (*IperfResult, *TraceRing, error) {
-	return harness.RunIperfTraced(cfg, totalBytes, recvBuf, traceCap)
-}
-
-// RunIperfParallel runs a multi-stream iperf transfer (iperf -P) on an
-// SMP machine (cfg.Smp vCPUs) and measures makespan throughput.
-func RunIperfParallel(cfg Config, streams, totalBytes, recvBuf int) (*SmpRun, error) {
-	return harness.RunIperfParallel(cfg, streams, totalBytes, recvBuf)
-}
-
-// RunIperfParallelTraced is RunIperfParallel with a server-side
-// crossing trace of up to traceCap events (0 disables tracing); each
-// event records the vCPU it ran on.
-func RunIperfParallelTraced(cfg Config, streams, totalBytes, recvBuf, traceCap int) (*SmpRun, *TraceRing, error) {
-	return harness.RunIperfParallelTraced(cfg, streams, totalBytes, recvBuf, traceCap)
-}
-
-// RunRedis measures Redis request throughput for a configuration.
-func RunRedis(cfg Config, op RedisOp, payloadBytes, ops int) (*RedisResult, error) {
-	return harness.RunRedis(cfg, op, payloadBytes, ops)
-}
+// Run boots cfg exactly as given and measures load against it: one
+// connection runs the classic server, several the RSS multi-server.
+func Run(cfg Config, load Load) (*Result, error) { return harness.Run(cfg, load) }
 
 // Observability layer: cycle attribution and timeline export.
 type (
 	// Attribution is a complete cycle-attribution breakdown of one
 	// machine's run; Check() enforces that every cycle of capacity
-	// (makespan × vCPUs) is accounted for. IperfResult.Attr and
-	// SmpRun.Attr carry one per measured run.
+	// (makespan × vCPUs) is accounted for. Result.Attr carries one per
+	// measured run.
 	Attribution = metrics.Attribution
 	// AttributionSummary is the compact crossing/compute/stall split.
 	AttributionSummary = metrics.Summary
@@ -274,10 +266,10 @@ type (
 )
 
 // ObserveFor runs one instrumented measurement per image of the named
-// experiment ("smp" or any other) and returns the observability
-// bundles, each conservation-checked.
-func ObserveFor(exp string, quick bool) ([]Observation, error) {
-	return harness.ObserveFor(exp, quick)
+// experiment (or "all") and returns the observability bundles, each
+// conservation-checked.
+func ObserveFor(exp string, o ExperimentOptions) ([]Observation, error) {
+	return harness.ObserveFor(exp, o)
 }
 
 // ExportChrome writes events as a Chrome trace-event JSON document

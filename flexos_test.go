@@ -64,11 +64,11 @@ func TestFacadeWorkflow(t *testing.T) {
 	}
 
 	// 5. Build and run a measurement.
-	res, err := flexos.RunIperf(flexos.Config{
+	res, err := flexos.Run(flexos.Config{
 		Compartments: flexos.NWOnly(),
 		Backend:      flexos.MPKShared,
 		Alloc:        flexos.AllocPerCompartment,
-	}, 128<<10, 4096)
+	}, flexos.Load{App: flexos.Iperf, Bytes: 128 << 10, RecvBuf: 4096})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestFacadeBackendParsing(t *testing.T) {
 }
 
 func TestFacadeRedis(t *testing.T) {
-	res, err := flexos.RunRedis(flexos.Config{}, flexos.OpGET, 50, 64)
+	res, err := flexos.Run(flexos.Config{}, flexos.Load{App: flexos.Redis, Op: flexos.OpGET, Payload: 50, Ops: 64})
 	if err != nil {
 		t.Fatal(err)
 	}

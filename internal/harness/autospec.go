@@ -6,16 +6,23 @@ import (
 	"flexos/internal/core/spec"
 )
 
+// recordRedis runs the baseline image's Redis GET workload with the
+// gate registry's observer tapped.
+func recordRedis(payloadBytes, ops int) (*spec.Recorder, *Result, error) {
+	rec := spec.NewRecorder()
+	r, err := Run(build.Config{Name: "autospec", Net: tcpipThread}, Load{
+		App: Redis, Op: OpGET, Payload: payloadBytes, Ops: ops,
+		Prep: func(w *build.World) { w.Server.Registry.SetObserver(rec.Observe) },
+	})
+	return rec, r, err
+}
+
 // RecordRedisMetadata runs the Redis workload with the gate registry's
 // observer tapped and returns the recorder plus the draft metadata it
 // generates — the paper's §5 semi-automatic metadata generation, fed
 // by a representative workload.
 func RecordRedisMetadata(payloadBytes, ops int) (*spec.Recorder, string, error) {
-	rec := spec.NewRecorder()
-	_, err := runRedis(build.Config{Name: "autospec"}, OpGET, payloadBytes, ops,
-		func(w *build.World) {
-			w.Server.Registry.SetObserver(rec.Observe)
-		})
+	rec, _, err := recordRedis(payloadBytes, ops)
 	if err != nil {
 		return nil, "", err
 	}
@@ -29,11 +36,7 @@ func RecordRedisMetadata(payloadBytes, ops int) (*spec.Recorder, string, error) 
 // calibrated defaults (they come from instrumentation density, which
 // call counting cannot see).
 func MeasureWorkload(payloadBytes, ops int) (explore.Workload, error) {
-	rec := spec.NewRecorder()
-	res, err := runRedis(build.Config{Name: "workload"}, OpGET, payloadBytes, ops,
-		func(w *build.World) {
-			w.Server.Registry.SetObserver(rec.Observe)
-		})
+	rec, res, err := recordRedis(payloadBytes, ops)
 	if err != nil {
 		return explore.Workload{}, err
 	}

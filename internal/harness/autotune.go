@@ -1,13 +1,16 @@
 package harness
 
 import (
+	"encoding/json"
 	"fmt"
+	"os"
 	"runtime"
 	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
 
+	"flexos/internal/core/build"
 	"flexos/internal/core/explore"
 	"flexos/internal/core/gate"
 	"flexos/internal/core/spec"
@@ -153,6 +156,66 @@ func gateSignature(c *explore.Candidate) string {
 	return be + "|" + strings.Join(groups, ";")
 }
 
+// autotuneCandidates lists every backend's static Pareto front, in
+// deterministic front order, followed by the backend's anchors.
+func autotuneCandidates(w explore.Workload) ([]*explore.Candidate, error) {
+	var out []*explore.Candidate
+	for _, be := range AutotuneBackends() {
+		cands, err := explore.Explore(spec.DefaultImage(), be, w)
+		if err != nil {
+			return nil, err
+		}
+		front := explore.ParetoFront(cands)
+		onFront := make(map[*explore.Candidate]bool, len(front))
+		for _, c := range front {
+			onFront[c] = true
+		}
+		out = append(out, front...)
+		// Anchor: the fully consolidated (single-compartment) candidates,
+		// whether or not this backend's front kept them. They never cross
+		// a gate, so their signature drops the backend and the three
+		// backends' anchors collapse to one boot — the memoization the
+		// sweep is built around, and a built-in check that a crossing-free
+		// world measures identically whatever the gate mechanism is.
+		for _, c := range cands {
+			if c.SeparatedPairs == 0 && !onFront[c] {
+				out = append(out, c)
+			}
+		}
+	}
+	return out, nil
+}
+
+// autotuneConfig is the image autotune boots for a candidate.
+func autotuneConfig(c *explore.Candidate) (build.Config, error) {
+	cfg, err := CandidateConfig(c)
+	cfg.Name = fmt.Sprintf("autotune-%s-c%d-h%d", c.Backend, c.Plan.NumCompartments(), c.HardenedLibs)
+	cfg.Net = tcpipThread
+	return cfg, err
+}
+
+// autotuneImages are the sweep's unique boots under its iperf load.
+func autotuneImages(o Options) ([]Image, error) {
+	opt := DefaultAutotuneOpts(o.Quick)
+	cands, err := autotuneCandidates(explore.DefaultWorkload())
+	if err != nil {
+		return nil, err
+	}
+	seen := map[string]bool{}
+	var out []Image
+	for _, c := range cands {
+		if sig := gateSignature(c); !seen[sig] {
+			seen[sig] = true
+			cfg, err := autotuneConfig(c)
+			if err != nil {
+				return nil, err
+			}
+			out = append(out, Image{cfg, Load{App: Iperf, Bytes: opt.IperfBytes, RecvBuf: opt.RecvBuf}})
+		}
+	}
+	return out, nil
+}
+
 // autotuneRun is one unique boot's measurements, shared by every
 // candidate with the same gate-cost signature.
 type autotuneRun struct {
@@ -177,36 +240,21 @@ func Autotune(opt AutotuneOpts) (*AutotuneResult, error) {
 	}
 	w := explore.DefaultWorkload()
 
-	// Static fronts per backend, in deterministic front order.
 	type job struct {
 		cand *explore.Candidate
 		sig  string
 	}
-	var jobs []job
 	res := &AutotuneResult{Workers: workers, TolerancePct: opt.TolerancePct}
 	for _, be := range AutotuneBackends() {
 		res.Backends = append(res.Backends, be.String())
-		cands, err := explore.Explore(spec.DefaultImage(), be, w)
-		if err != nil {
-			return nil, err
-		}
-		front := explore.ParetoFront(cands)
-		onFront := make(map[*explore.Candidate]bool, len(front))
-		for _, c := range front {
-			onFront[c] = true
-			jobs = append(jobs, job{cand: c, sig: gateSignature(c)})
-		}
-		// Anchor: the fully consolidated (single-compartment) candidates,
-		// whether or not this backend's front kept them. They never cross
-		// a gate, so their signature drops the backend and the three
-		// backends' anchors collapse to one boot — the memoization the
-		// sweep is built around, and a built-in check that a crossing-free
-		// world measures identically whatever the gate mechanism is.
-		for _, c := range cands {
-			if c.SeparatedPairs == 0 && !onFront[c] {
-				jobs = append(jobs, job{cand: c, sig: gateSignature(c)})
-			}
-		}
+	}
+	cands, err := autotuneCandidates(w)
+	if err != nil {
+		return nil, err
+	}
+	jobs := make([]job, len(cands))
+	for i, c := range cands {
+		jobs[i] = job{cand: c, sig: gateSignature(c)}
 	}
 
 	// Memoized measurement pool: workers pull job indices from a shared
@@ -377,20 +425,19 @@ func Autotune(opt AutotuneOpts) (*AutotuneResult, error) {
 // shared run entry: redis GET for cycles/op, iperf for throughput and
 // the attribution columns.
 func measureAutotune(run *autotuneRun, c *explore.Candidate, opt AutotuneOpts) {
-	cfg, err := CandidateConfig(c)
+	cfg, err := autotuneConfig(c)
 	if err != nil {
 		run.err = fmt.Errorf("autotune %s: %w", c.Describe(), err)
 		return
 	}
-	cfg.Name = fmt.Sprintf("autotune-%s-c%d-h%d", c.Backend, c.Plan.NumCompartments(), c.HardenedLibs)
-	r, err := RunRedis(cfg, OpGET, opt.Payload, opt.Ops)
+	r, err := Run(cfg, Load{App: Redis, Op: OpGET, Payload: opt.Payload, Ops: opt.Ops})
 	if err != nil {
 		run.err = fmt.Errorf("autotune redis %s: %w", cfg.Name, err)
 		return
 	}
 	run.measured = float64(r.ServerCycles) / float64(r.Ops)
 	run.kreq = r.KReqPerSec
-	ir, err := RunIperf(cfg, opt.IperfBytes, opt.RecvBuf)
+	ir, err := Run(cfg, Load{App: Iperf, Bytes: opt.IperfBytes, RecvBuf: opt.RecvBuf})
 	if err != nil {
 		run.err = fmt.Errorf("autotune iperf %s: %w", cfg.Name, err)
 		return
@@ -401,6 +448,27 @@ func measureAutotune(run *autotuneRun, c *explore.Candidate, opt AutotuneOpts) {
 	run.crossPct = sum.CrossingPct
 	run.compPct = sum.ComputePct
 	run.stallPct = sum.StallPct
+}
+
+// runAutotune is the experiment entry: the sweep's report, plus the
+// JSON report written to o.AutotuneOut when set.
+func runAutotune(o Options) (string, error) {
+	r, err := Autotune(DefaultAutotuneOpts(o.Quick))
+	if err != nil {
+		return "", err
+	}
+	out := FormatAutotune(r)
+	if o.AutotuneOut == "" {
+		return out, nil
+	}
+	b, err := json.MarshalIndent(r, "", "  ")
+	if err != nil {
+		return "", err
+	}
+	if err := os.WriteFile(o.AutotuneOut, append(b, '\n'), 0o644); err != nil {
+		return "", err
+	}
+	return out + fmt.Sprintf("autotune: wrote model-validation report to %s\n", o.AutotuneOut), nil
 }
 
 // FormatAutotune renders the measured-autotuning report.

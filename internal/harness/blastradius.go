@@ -10,7 +10,6 @@ import (
 	"flexos/internal/core/build"
 	"flexos/internal/core/gate"
 	"flexos/internal/fault"
-	"flexos/internal/net"
 	"flexos/internal/sched"
 )
 
@@ -151,6 +150,7 @@ func blastConfig(sc blastScenario) build.Config {
 		Compartments: sc.comps,
 		Backend:      sc.backend,
 		Alloc:        build.AllocPerCompartment,
+		Net:          tcpipThread,
 	}
 	if sc.faultIn != "" && sc.policy != fault.PolicyAbort {
 		cfg.OnFault = map[string]fault.Policy{sc.faultIn: sc.policy}
@@ -169,10 +169,10 @@ func runBlast(sc blastScenario) (*BlastRow, error) {
 	}
 }
 
-// classifyBlast turns a finished (or dead) run into a row. done
-// reports whether the workload completed its full transfer.
-func classifyBlast(sc blastScenario, w *build.World, in *fault.Injector,
-	runErr, appErr error, done bool) *BlastRow {
+// classifyBlast turns a finished (or dead) run into a row. err is what
+// the run failed with, if anything; done reports whether the workload
+// completed its full transfer.
+func classifyBlast(sc blastScenario, w *build.World, in *fault.Injector, err error, done bool) *BlastRow {
 	stats := w.Server.Sup.Stats()
 	row := &BlastRow{
 		Workload:   sc.workload,
@@ -186,19 +186,19 @@ func classifyBlast(sc blastScenario, w *build.World, in *fault.Injector,
 	if sc.faultIn != "" {
 		row.Policy = sc.policy.String()
 	}
+	if err != nil {
+		row.Detail = err.Error()
+	}
 	var crash *sched.ThreadCrash
 	switch {
 	case in.Fired() == 0:
 		row.Outcome = OutcomeNoTrap
-	case errors.As(runErr, &crash):
+	case errors.As(err, &crash):
 		row.Outcome = OutcomeFatal
 		row.Detail = crash.Error()
 	case stats.Degrades > 0:
 		row.Outcome = OutcomeDegraded
-		if appErr != nil {
-			row.Detail = appErr.Error()
-		}
-	case runErr == nil && appErr == nil && done:
+	case err == nil && done:
 		if stats.Recoveries > 0 {
 			row.Outcome = OutcomeRecovered
 		} else {
@@ -208,13 +208,16 @@ func classifyBlast(sc blastScenario, w *build.World, in *fault.Injector,
 		}
 	default:
 		row.Outcome = OutcomeContained
-		if appErr != nil {
-			row.Detail = appErr.Error()
-		} else if runErr != nil {
-			row.Detail = runErr.Error()
-		}
 	}
 	return row
+}
+
+// armBlast arms sc's injection on a freshly built world.
+func armBlast(sc blastScenario, w *build.World) *fault.Injector {
+	in := fault.NewInjector()
+	in.Arm(sc.inject)
+	w.Server.InjectFaults(in)
+	return in
 }
 
 func runBlastIperf(sc blastScenario) (*BlastRow, error) {
@@ -222,32 +225,21 @@ func runBlastIperf(sc blastScenario) (*BlastRow, error) {
 		totalBytes = 256 << 10
 		recvBuf    = 8 << 10
 	)
-	cfg := blastConfig(sc)
-	cfg.Net.SocketMode = net.TCPIPThreadMode
-	w, err := build.NewWorld(cfg)
-	if err != nil {
+	var in *fault.Injector
+	var srv *iperf.Server
+	w, err := runWorld(blastConfig(sc), func(w *build.World, spawn spawnFunc) func() error {
+		in = armBlast(sc, w)
+		srv = iperf.NewServer(w.Server.Env("app"), w.Server.LibC, w.Server.Stack, 5001, recvBuf)
+		cli := iperf.NewClient(w.Client.Env("app"), w.Client.LibC, w.Client.Stack,
+			w.Server.Stack.IP(), 5001, totalBytes, 32<<10)
+		spawn("iperf-server", w.Server.CPU, srv.Run)
+		spawn("iperf-client", w.Client.CPU, cli.Run)
+		return nil
+	})
+	if w == nil {
 		return nil, err
 	}
-	in := fault.NewInjector()
-	in.Arm(sc.inject)
-	w.Server.InjectFaults(in)
-	srv := iperf.NewServer(w.Server.Env("app"), w.Server.LibC, w.Server.Stack, 5001, recvBuf)
-	cli := iperf.NewClient(w.Client.Env("app"), w.Client.LibC, w.Client.Stack,
-		w.Server.Stack.IP(), 5001, totalBytes, 32<<10)
-	var srvErr, cliErr error
-	w.Sched.Spawn("iperf-server", w.Server.CPU, func(th *sched.Thread) {
-		srvErr = srv.Run(th)
-	})
-	w.Sched.Spawn("iperf-client", w.Client.CPU, func(th *sched.Thread) {
-		cliErr = cli.Run(th)
-	})
-	runErr := w.Sched.Run()
-	appErr := srvErr
-	if appErr == nil {
-		appErr = cliErr
-	}
-	done := srv.BytesReceived == uint64(totalBytes)
-	return classifyBlast(sc, w, in, runErr, appErr, done), nil
+	return classifyBlast(sc, w, in, err, srv.BytesReceived == uint64(totalBytes)), nil
 }
 
 func runBlastRedis(sc blastScenario) (*BlastRow, error) {
@@ -255,49 +247,38 @@ func runBlastRedis(sc blastScenario) (*BlastRow, error) {
 		ops     = 40
 		payload = 256
 	)
-	cfg := blastConfig(sc)
-	cfg.Net.SocketMode = net.TCPIPThreadMode
-	w, err := build.NewWorld(cfg)
-	if err != nil {
+	var in *fault.Injector
+	completed := 0
+	w, err := runWorld(blastConfig(sc), func(w *build.World, spawn spawnFunc) func() error {
+		in = armBlast(sc, w)
+		srv := redis.NewServer(w.Server.Env("app"), w.Server.LibC, w.Server.Stack, 6379)
+		value := redisPayload(payload)
+		spawn("redis-server", w.Server.CPU, srv.Run)
+		spawn("redis-client", w.Client.CPU, func(th *sched.Thread) error {
+			c := redis.NewClient(w.Client.Env("app"), w.Client.LibC, w.Client.Stack,
+				w.Server.Stack.IP(), 6379)
+			if err := c.Connect(th); err != nil {
+				return err
+			}
+			for i := 0; i < ops; i++ {
+				key := fmt.Sprintf("key:%d", i%8)
+				var err error
+				if i%2 == 0 {
+					err = c.Set(th, key, value)
+				} else {
+					_, _, err = c.Get(th, key)
+				}
+				if err != nil {
+					return err
+				}
+				completed++
+			}
+			return c.Close(th)
+		})
+		return nil
+	})
+	if w == nil {
 		return nil, err
 	}
-	in := fault.NewInjector()
-	in.Arm(sc.inject)
-	w.Server.InjectFaults(in)
-	srv := redis.NewServer(w.Server.Env("app"), w.Server.LibC, w.Server.Stack, 6379)
-	var srvErr, cliErr error
-	completed := 0
-	value := make([]byte, payload)
-	for i := range value {
-		value[i] = 'a' + byte(i%26)
-	}
-	w.Sched.Spawn("redis-server", w.Server.CPU, func(th *sched.Thread) {
-		srvErr = srv.Run(th)
-	})
-	w.Sched.Spawn("redis-client", w.Client.CPU, func(th *sched.Thread) {
-		c := redis.NewClient(w.Client.Env("app"), w.Client.LibC, w.Client.Stack,
-			w.Server.Stack.IP(), 6379)
-		if cliErr = c.Connect(th); cliErr != nil {
-			return
-		}
-		for i := 0; i < ops; i++ {
-			key := fmt.Sprintf("key:%d", i%8)
-			if i%2 == 0 {
-				cliErr = c.Set(th, key, value)
-			} else {
-				_, _, cliErr = c.Get(th, key)
-			}
-			if cliErr != nil {
-				return
-			}
-			completed++
-		}
-		cliErr = c.Close(th)
-	})
-	runErr := w.Sched.Run()
-	appErr := cliErr
-	if appErr == nil {
-		appErr = srvErr
-	}
-	return classifyBlast(sc, w, in, runErr, appErr, completed == ops), nil
+	return classifyBlast(sc, w, in, err, completed == ops), nil
 }

@@ -3,13 +3,8 @@ package harness
 import (
 	"fmt"
 
-	"flexos/internal/app/iperf"
-	"flexos/internal/app/retry"
-	"flexos/internal/clock"
 	"flexos/internal/core/build"
 	"flexos/internal/core/gate"
-	"flexos/internal/net"
-	"flexos/internal/sched"
 )
 
 // --- Chaosnet: goodput retention under adversarial link faults --------
@@ -65,116 +60,54 @@ func ChaosnetLosses(quick bool) []float64 {
 	return []float64{0, 0.001, 0.01, 0.05}
 }
 
-// chaosnetConfigs are the swept images: the no-gate baseline and the
-// two backends whose crossing costs bracket the rest.
-func chaosnetConfigs() []build.Config {
-	return []build.Config{
-		{Name: "Direct NW-only", Compartments: build.NWOnly(),
-			Backend: gate.FuncCall, Alloc: build.AllocPerCompartment},
-		{Name: "MPK-Sha. NW-only", Compartments: build.NWOnly(),
-			Backend: gate.MPKShared, Alloc: build.AllocPerCompartment},
-		{Name: "VM RPC NW-only", Compartments: build.NWOnly(), Platform: net.Xen,
-			Backend: gate.VMRPC, Alloc: build.AllocPerCompartment},
+// chaosnetConfigs are the SMP sweep's images — the no-gate baseline
+// and the two backends whose crossing costs bracket the rest — over the
+// tcpip thread. quick keeps the MPK-shared image, which carries the
+// gate.
+func chaosnetConfigs(quick bool) []build.Config {
+	configs := smpConfigs()
+	for i := range configs {
+		configs[i].Net = tcpipThread
 	}
+	if quick {
+		return configs[1:2]
+	}
+	return configs
 }
 
 // chaosnetSeed keeps every run of the sweep on one fault schedule.
 const chaosnetSeed = 42
 
-// RunChaosnetIperf runs one iperf transfer over a lossy wire and
-// reports goodput plus the transport's repair counters. The client
-// retries its connect with jittered exponential backoff — on a lossy
-// link even the handshake can die for real.
-func RunChaosnetIperf(cfg build.Config, totalBytes, recvBuf int, loss float64, seed uint64) (*IperfResult, net.Stats, *net.Wire, error) {
-	cfg.Net.SocketMode = net.TCPIPThreadMode
-	// Merge rather than overwrite: the lossy soak pre-sets reorder and
-	// corruption rates on top of the swept drop rate.
-	cfg.Link.Drop = loss
-	cfg.Link.Seed = seed
-	w, err := build.NewWorld(cfg)
-	if err != nil {
-		return nil, net.Stats{}, nil, err
-	}
-	srv := iperf.NewServer(w.Server.Env("app"), w.Server.LibC, w.Server.Stack, 5001, recvBuf)
-	cli := iperf.NewClient(w.Client.Env("app"), w.Client.LibC, w.Client.Stack,
-		w.Server.Stack.IP(), 5001, totalBytes, 32<<10)
-	cli.Retry = retry.Policy{Attempts: 5, Seed: seed}
-	var srvErr, cliErr error
-	w.Sched.Spawn("iperf-server", w.Server.CPU, func(th *sched.Thread) {
-		srvErr = srv.Run(th)
-	})
-	w.Sched.Spawn("iperf-client", w.Client.CPU, func(th *sched.Thread) {
-		cliErr = cli.Run(th)
-	})
-	if err := w.Sched.Run(); err != nil {
-		return nil, net.Stats{}, nil, fmt.Errorf("chaosnet iperf: %w", err)
-	}
-	if srvErr != nil {
-		return nil, net.Stats{}, nil, fmt.Errorf("chaosnet iperf server: %w", srvErr)
-	}
-	if cliErr != nil {
-		return nil, net.Stats{}, nil, fmt.Errorf("chaosnet iperf client: %w", cliErr)
-	}
-	if srv.BytesReceived != uint64(totalBytes) {
-		return nil, net.Stats{}, nil, fmt.Errorf("chaosnet iperf: received %d of %d bytes", srv.BytesReceived, totalBytes)
-	}
-	if err := checkPoolLeaks(w); err != nil {
-		return nil, net.Stats{}, nil, err
-	}
-	cycles := w.Server.CPU.Cycles()
-	res := &IperfResult{
-		Label:        cfg.Name,
-		RecvBuf:      recvBuf,
-		Bytes:        srv.BytesReceived,
-		ServerCycles: cycles,
-		Gbps:         clock.GbpsFor(srv.BytesReceived, cycles),
-		Crossings:    w.Server.Registry.TotalCrossings(),
-		ByComponent:  w.Server.CPU.ByComponent(),
-		Attr:         w.Server.Attribution(),
-	}
-	// Both stacks repair losses; the client (sender) side carries the
-	// retransmission story for a server-bound transfer, so sum the two.
-	stats := w.Server.Stack.Stats()
-	cs := w.Client.Stack.Stats()
-	stats.Retransmits += cs.Retransmits
-	stats.FastRetransmits += cs.FastRetransmits
-	stats.ChecksumDrops += cs.ChecksumDrops
-	stats.OOOQueued += cs.OOOQueued
-	stats.ZeroWndProbes += cs.ZeroWndProbes
-	stats.NetDeaths += cs.NetDeaths
-	return res, stats, w.Wire, nil
+// chaosnetLoad is the transfer each sweep point runs.
+var chaosnetLoad = Load{App: Iperf, Bytes: 2 << 20, RecvBuf: 16 << 10}
+
+// withLoss is cfg over a wire that drops loss of the frames in each
+// direction, on the sweep's fault schedule.
+func withLoss(cfg build.Config, loss float64) build.Config {
+	cfg.Link.Drop, cfg.Link.Seed = loss, chaosnetSeed
+	return cfg
 }
 
 // Chaosnet runs the loss × backend sweep. quick thins it for tests.
 func Chaosnet(quick bool) (*ChaosnetResult, error) {
-	const (
-		total   = 2 << 20
-		recvBuf = 16 << 10
-	)
 	losses := ChaosnetLosses(quick)
-	configs := chaosnetConfigs()
-	if quick {
-		configs = configs[1:2] // MPK-shared carries the gate
-	}
 	out := &ChaosnetResult{Losses: losses}
-	for _, cfg := range configs {
+	for _, cfg := range chaosnetConfigs(quick) {
 		s := ChaosnetSeries{Label: cfg.Name, Backend: cfg.Backend}
 		var baseGbps float64
 		var baseCycles uint64
 		for _, loss := range losses {
-			r, stats, wire, err := RunChaosnetIperf(cfg, total, recvBuf, loss, chaosnetSeed)
+			r, err := Run(withLoss(cfg, loss), chaosnetLoad)
 			if err != nil {
 				return nil, fmt.Errorf("chaosnet %s @%.3f: %w", cfg.Name, loss, err)
 			}
 			p := ChaosnetPoint{
 				Loss:            loss,
 				Gbps:            r.Gbps,
-				Retransmits:     stats.Retransmits,
-				FastRetransmits: stats.FastRetransmits,
-				OOOQueued:       stats.OOOQueued,
-			}
-			if wire != nil {
-				p.WireDropped = wire.Dropped
+				Retransmits:     r.Net.Retransmits,
+				FastRetransmits: r.Net.FastRetransmits,
+				OOOQueued:       r.Net.OOOQueued,
+				WireDropped:     r.Wire.Dropped,
 			}
 			if loss == 0 {
 				baseGbps, baseCycles = r.Gbps, r.ServerCycles
@@ -188,6 +121,16 @@ func Chaosnet(quick bool) (*ChaosnetResult, error) {
 			s.Points = append(s.Points, p)
 		}
 		out.Series = append(out.Series, s)
+	}
+	return out, nil
+}
+
+// chaosnetImages are the swept images at the sweep's heaviest loss.
+func chaosnetImages(o Options) ([]Image, error) {
+	losses := ChaosnetLosses(o.Quick)
+	var out []Image
+	for _, cfg := range chaosnetConfigs(o.Quick) {
+		out = append(out, Image{withLoss(cfg, losses[len(losses)-1]), chaosnetLoad})
 	}
 	return out, nil
 }

@@ -23,15 +23,17 @@ func TestChaosnetRecovery(t *testing.T) {
 		total   = 1 << 20
 		recvBuf = 16 << 10
 	)
-	cfg := chaosnetConfigs()[1] // MPK-shared
-	base, _, _, err := RunChaosnetIperf(cfg, total, recvBuf, 0, chaosnetSeed)
+	cfg := chaosnetConfigs(false)[1] // MPK-shared
+	load := Load{App: Iperf, Bytes: total, RecvBuf: recvBuf}
+	base, err := Run(withLoss(cfg, 0), load)
 	if err != nil {
 		t.Fatalf("lossless run: %v", err)
 	}
-	lossy, stats, wire, err := RunChaosnetIperf(cfg, total, recvBuf, 0.01, chaosnetSeed)
+	lossy, err := Run(withLoss(cfg, 0.01), load)
 	if err != nil {
 		t.Fatalf("lossy run: %v", err)
 	}
+	stats, wire := lossy.Net, lossy.Wire
 	if wire.Dropped == 0 {
 		t.Fatal("fault model dropped nothing at 1% loss")
 	}
@@ -55,14 +57,14 @@ func TestChaosnetDeterminism(t *testing.T) {
 		total   = 512 << 10
 		recvBuf = 16 << 10
 	)
-	cfg := chaosnetConfigs()[1]
+	cfg := withLoss(chaosnetConfigs(false)[1], 0.02)
 	cfg.Smp = 2
-	run := func() (*IperfResult, net.Stats, net.Wire) {
-		r, stats, wire, err := RunChaosnetIperf(cfg, total, recvBuf, 0.02, chaosnetSeed)
+	run := func() (*Result, net.Stats, net.Wire) {
+		r, err := Run(cfg, Load{App: Iperf, Bytes: total, RecvBuf: recvBuf})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return r, stats, *wire
+		return r, r.Net, *r.Wire
 	}
 	a, as, aw := run()
 	b, bs, bw := run()
@@ -159,7 +161,7 @@ func TestChaosSoakLossy(t *testing.T) {
 }
 
 func lossySoakOnce(t *testing.T, r *rand.Rand, iter int) {
-	configs := chaosnetConfigs()
+	configs := chaosnetConfigs(false)
 	cfg := configs[r.Intn(len(configs))]
 	loss := []float64{0.001, 0.005, 0.01, 0.02}[r.Intn(4)]
 	if r.Intn(2) == 1 {
@@ -169,7 +171,8 @@ func lossySoakOnce(t *testing.T, r *rand.Rand, iter int) {
 		cfg.Link.Corrupt = 0.002
 	}
 	total := (128 + r.Intn(256)) << 10
-	res, _, wire, err := RunChaosnetIperf(cfg, total, 16<<10, loss, uint64(r.Int63())|1)
+	cfg.Link.Drop, cfg.Link.Seed = loss, uint64(r.Int63())|1
+	res, err := Run(cfg, Load{App: Iperf, Bytes: total, RecvBuf: 16 << 10})
 	if err != nil {
 		t.Errorf("iter %d (%s, loss %v): %v", iter, cfg.Name, loss, err)
 		return
@@ -177,7 +180,7 @@ func lossySoakOnce(t *testing.T, r *rand.Rand, iter int) {
 	if res.Bytes != uint64(total) {
 		t.Errorf("iter %d: received %d bytes, want %d", iter, res.Bytes, total)
 	}
-	if wire.Dropped == 0 && wire.Reordered == 0 && wire.Corrupted == 0 {
+	if wire := res.Wire; wire.Dropped == 0 && wire.Reordered == 0 && wire.Corrupted == 0 {
 		// Statistically possible on tiny transfers at 0.1%, but worth
 		// noticing if it happens on every iteration.
 		t.Logf("iter %d: fault model touched nothing (loss %v, %d bytes)", iter, loss, total)

@@ -11,6 +11,85 @@ import (
 	"flexos/internal/sh"
 )
 
+// Options carries flexos-bench's sizing flags to every experiment.
+type Options struct {
+	// Quick thins the sweeps for tests and CI smoke.
+	Quick bool
+	// Ops is the redis requests per Fig. 4/5 measurement.
+	Ops int
+	// AutotuneOut, when set, receives autotune's JSON report.
+	AutotuneOut string
+}
+
+// Image is one image an experiment boots, with a load it runs there.
+type Image struct {
+	Cfg  build.Config
+	Load Load
+}
+
+// Experiment is one entry of the evaluation.
+type Experiment struct {
+	Name string
+	// Run performs the experiment and renders its report.
+	Run func(Options) (string, error)
+	// Images lists the images the experiment boots through Run, one
+	// per configuration, at one point of its sweep. It is nil when the
+	// experiment boots none: ctxswitch runs no machine, and the
+	// overload and blast-radius loops need per-run budgets, enforcement
+	// and injected faults that Run does not model.
+	Images func(Options) ([]Image, error)
+}
+
+// Experiments is the evaluation, in `flexos-bench -exp all` order.
+// Adding an experiment means adding one entry here.
+var Experiments = []Experiment{
+	{"fig3", func(o Options) (string, error) { return report(FormatFig3)(Fig3(o.Quick)) }, fig3Images},
+	{"table1", func(Options) (string, error) { return report(FormatTable1)(Table1()) }, table1Images},
+	{"fig4", func(o Options) (string, error) { return report(FormatFig4)(Fig4(o.Ops)) }, fig4Images},
+	{"fig5", func(o Options) (string, error) { return report(FormatFig5)(Fig5(o.Ops)) }, fig5Images},
+	{"ctxswitch", func(Options) (string, error) { return report(FormatCtxSwitch)(CtxSwitch()) }, nil},
+	{"datapath", func(o Options) (string, error) { return report(FormatDataPath)(DataPath(o.Quick)) }, dataPathImages},
+	{"blastradius", func(Options) (string, error) { return report(FormatBlastRadius)(BlastRadius()) }, nil},
+	{"overload", func(Options) (string, error) { return report(FormatOverload)(Overload()) }, nil},
+	{"batching", func(o Options) (string, error) { return report(FormatBatching)(Batching(o.Quick)) }, batchingImages},
+	{"smp", func(o Options) (string, error) { return report(FormatSmp)(Smp(o.Quick)) }, smpImages},
+	{"chaosnet", func(o Options) (string, error) { return report(FormatChaosnet)(Chaosnet(o.Quick)) }, chaosnetImages},
+	{"autotune", runAutotune, autotuneImages},
+}
+
+// Select returns the named experiment, or every experiment for "all".
+func Select(name string) ([]Experiment, error) {
+	if name == "all" {
+		return Experiments, nil
+	}
+	for _, e := range Experiments {
+		if e.Name == name {
+			return []Experiment{e}, nil
+		}
+	}
+	return nil, fmt.Errorf("unknown experiment %q", name)
+}
+
+// report adapts an experiment's result and its formatter to
+// Experiment.Run.
+func report[R any](format func(R) string) func(R, error) (string, error) {
+	return func(r R, err error) (string, error) {
+		if err != nil {
+			return "", err
+		}
+		return format(r), nil
+	}
+}
+
+// imagesAt pairs every configuration with one load.
+func imagesAt(load Load, cfgs ...build.Config) []Image {
+	out := make([]Image, len(cfgs))
+	for i, cfg := range cfgs {
+		out[i] = Image{cfg, load}
+	}
+	return out
+}
+
 // SHProfile is the hardening bundle of the paper's prototype under
 // GCC: KASAN + stack protector + UBSAN.
 var SHProfile = sh.Profile{ASAN: true, StackProtector: true, UBSan: true}
@@ -49,16 +128,16 @@ type Fig3Result struct {
 // fig3Configs are the six configurations of the paper's figure.
 func fig3Configs() []build.Config {
 	return []build.Config{
-		{Name: "KVM Baseline"},
-		{Name: "CHERI (KVM)", Compartments: build.NWOnly(),
+		{Name: "KVM Baseline", Net: tcpipThread},
+		{Name: "CHERI (KVM)", Compartments: build.NWOnly(), Net: tcpipThread,
 			Backend: gate.CHERI, Alloc: build.AllocPerCompartment},
-		{Name: "MPK-Sha. (KVM)", Compartments: build.NWOnly(),
+		{Name: "MPK-Sha. (KVM)", Compartments: build.NWOnly(), Net: tcpipThread,
 			Backend: gate.MPKShared, Alloc: build.AllocPerCompartment},
-		{Name: "MPK-Sw. (KVM)", Compartments: build.NWOnly(),
+		{Name: "MPK-Sw. (KVM)", Compartments: build.NWOnly(), Net: tcpipThread,
 			Backend: gate.MPKSwitched, Alloc: build.AllocPerCompartment},
-		{Name: "SH (KVM)", SH: shAll("netstack"), Alloc: build.AllocPerLibrary},
-		{Name: "Xen Baseline", Platform: net.Xen},
-		{Name: "VM RPC (Xen)", Compartments: build.NWOnly(), Platform: net.Xen,
+		{Name: "SH (KVM)", SH: shAll("netstack"), Alloc: build.AllocPerLibrary, Net: tcpipThread},
+		{Name: "Xen Baseline", Platform: net.Xen, Net: tcpipThread},
+		{Name: "VM RPC (Xen)", Compartments: build.NWOnly(), Platform: net.Xen, Net: tcpipThread,
 			Backend: gate.VMRPC, Alloc: build.AllocPerCompartment},
 	}
 }
@@ -76,6 +155,12 @@ func Fig3Sizes(quick bool) []int {
 	return sizes
 }
 
+// bufLoad is the iperf transfer of one recv-buffer sweep point: 16
+// buffers' worth, clamped to [512 KiB, 8 MiB].
+func bufLoad(size int) Load {
+	return Load{App: Iperf, Bytes: min(max(16*size, 512<<10), 8<<20), RecvBuf: size}
+}
+
 // Fig3 runs the sweep. quick thins the sweep for tests.
 func Fig3(quick bool) (*Fig3Result, error) {
 	sizes := Fig3Sizes(quick)
@@ -83,14 +168,7 @@ func Fig3(quick bool) (*Fig3Result, error) {
 	for _, cfg := range fig3Configs() {
 		s := Fig3Series{Label: cfg.Name}
 		for _, size := range sizes {
-			total := 16 * size
-			if total < 512<<10 {
-				total = 512 << 10
-			}
-			if total > 8<<20 {
-				total = 8 << 20
-			}
-			r, err := RunIperf(cfg, total, size)
+			r, err := Run(cfg, bufLoad(size))
 			if err != nil {
 				return nil, fmt.Errorf("fig3 %s @%d: %w", cfg.Name, size, err)
 			}
@@ -99,6 +177,12 @@ func Fig3(quick bool) (*Fig3Result, error) {
 		out.Series = append(out.Series, s)
 	}
 	return out, nil
+}
+
+// fig3Images are the figure's images at its largest buffer.
+func fig3Images(o Options) ([]Image, error) {
+	sizes := Fig3Sizes(o.Quick)
+	return imagesAt(bufLoad(sizes[len(sizes)-1]), fig3Configs()...), nil
 }
 
 // --- Table 1: iperf with SH on individual components ------------------
@@ -134,21 +218,24 @@ var table1Groups = []struct {
 	{"Entire system", []string{"sched", "netstack", "libc", "rest", "app", "alloc"}, 2.94, 0.489},
 }
 
-// table1RecvBuf is the iperf recv-buffer size for Table 1 runs.
-const table1RecvBuf = 8 << 10
+// table1Load is the iperf transfer of every Table 1 run.
+var table1Load = Load{App: Iperf, Bytes: 4 << 20, RecvBuf: 8 << 10}
+
+// table1Image is the default image with SH on shLibs.
+func table1Image(name string, shLibs []string) build.Config {
+	return build.Config{Name: name, Alloc: build.AllocPerLibrary, SH: shAll(shLibs...), Net: tcpipThread}
+}
 
 // Table1 runs every row.
 func Table1() (*Table1Result, error) {
-	const total = 4 << 20
-	run := func(shLibs []string) (float64, error) {
-		cfg := build.Config{Name: "table1", Alloc: build.AllocPerLibrary, SH: shAll(shLibs...)}
-		r, err := RunIperf(cfg, total, table1RecvBuf)
+	run := func(name string, shLibs []string) (float64, error) {
+		r, err := Run(table1Image(name, shLibs), table1Load)
 		if err != nil {
 			return 0, err
 		}
 		return r.Gbps, nil
 	}
-	baseline, err := run(nil)
+	baseline, err := run("No SH", nil)
 	if err != nil {
 		return nil, err
 	}
@@ -168,11 +255,11 @@ func Table1() (*Table1Result, error) {
 				complement = append(complement, l)
 			}
 		}
-		allBut, err := run(complement)
+		allBut, err := run("SH all but "+g.name, complement)
 		if err != nil {
 			return nil, fmt.Errorf("table1 all-but-%s: %w", g.name, err)
 		}
-		only, err := run(g.libs)
+		only, err := run("SH "+g.name+" only", g.libs)
 		if err != nil {
 			return nil, fmt.Errorf("table1 %s-only: %w", g.name, err)
 		}
@@ -185,6 +272,15 @@ func Table1() (*Table1Result, error) {
 		})
 	}
 	return out, nil
+}
+
+// table1Images are the baseline and every component's SH-only image.
+func table1Images(Options) ([]Image, error) {
+	cfgs := []build.Config{table1Image("No SH", nil)}
+	for _, g := range table1Groups {
+		cfgs = append(cfgs, table1Image("SH "+g.name+" only", g.libs))
+	}
+	return imagesAt(table1Load, cfgs...), nil
 }
 
 // --- Fig. 4: Redis under SH configs and the verified scheduler -------
@@ -210,10 +306,10 @@ var Fig4Payloads = []int{5, 50, 500}
 // the verified scheduler.
 func fig4Configs() []build.Config {
 	return []build.Config{
-		{Name: "No SH"},
-		{Name: "SH global alloc", SH: shAll("netstack"), Alloc: build.AllocGlobal},
-		{Name: "SH local alloc", SH: shAll("netstack"), Alloc: build.AllocPerLibrary},
-		{Name: "Verified Sched", Sched: build.SchedVerified},
+		{Name: "No SH", Net: tcpipThread},
+		{Name: "SH global alloc", SH: shAll("netstack"), Alloc: build.AllocGlobal, Net: tcpipThread},
+		{Name: "SH local alloc", SH: shAll("netstack"), Alloc: build.AllocPerLibrary, Net: tcpipThread},
+		{Name: "Verified Sched", Sched: build.SchedVerified, Net: tcpipThread},
 	}
 }
 
@@ -226,7 +322,7 @@ func Fig4(ops int) (*Fig4Result, error) {
 	for _, cfg := range fig4Configs() {
 		for _, payload := range Fig4Payloads {
 			for _, op := range []RedisOp{OpSET, OpGET} {
-				r, err := RunRedis(cfg, op, payload, ops)
+				r, err := Run(cfg, Load{App: Redis, Op: op, Payload: payload, Ops: ops})
 				if err != nil {
 					return nil, fmt.Errorf("fig4 %s %s/%dB: %w", cfg.Name, op, payload, err)
 				}
@@ -238,6 +334,14 @@ func Fig4(ops int) (*Fig4Result, error) {
 	}
 	return out, nil
 }
+
+// redisImages pairs cfgs with GETs of the largest Fig. 4 payload.
+func redisImages(o Options, cfgs ...build.Config) ([]Image, error) {
+	return imagesAt(Load{App: Redis, Op: OpGET, Payload: Fig4Payloads[len(Fig4Payloads)-1], Ops: o.Ops}, cfgs...), nil
+}
+
+// fig4Images are the figure's four bar groups.
+func fig4Images(o Options) ([]Image, error) { return redisImages(o, fig4Configs()...) }
 
 // --- Fig. 5: Redis under MPK compartmentalization models --------------
 
@@ -254,14 +358,38 @@ type Fig5Result struct {
 	Cells []Fig5Cell
 }
 
-// fig5Models are the paper's compartmentalization models.
-var fig5Models = []struct {
-	name  string
-	comps []build.Compartment
-}{
-	{"NW-only", build.NWOnly()},
-	{"NW/Sched/Rest", build.NWSchedRest()},
-	{"NW+Sched/Rest", build.NWPlusSched()},
+// fig5Bar is one bar group of Fig. 5: its labels and image.
+type fig5Bar struct {
+	model, stack string
+	cfg          build.Config
+}
+
+// fig5Bars are the no-isolation baseline, then every compartmentalization
+// model of the paper under both MPK gate flavors.
+func fig5Bars() []fig5Bar {
+	bars := []fig5Bar{{"No Isol.", "-", build.Config{Name: "No Isol.", Net: tcpipThread}}}
+	for _, m := range []struct {
+		name  string
+		comps []build.Compartment
+	}{
+		{"NW-only", build.NWOnly()},
+		{"NW/Sched/Rest", build.NWSchedRest()},
+		{"NW+Sched/Rest", build.NWPlusSched()},
+	} {
+		for _, variant := range []struct {
+			label   string
+			backend gate.Backend
+		}{{"Sh.", gate.MPKShared}, {"Sw.", gate.MPKSwitched}} {
+			bars = append(bars, fig5Bar{m.name, variant.label, build.Config{
+				Name:         m.name + " " + variant.label,
+				Compartments: m.comps,
+				Backend:      variant.backend,
+				Alloc:        build.AllocPerCompartment,
+				Net:          tcpipThread,
+			}})
+		}
+	}
+	return bars
 }
 
 // Fig5 measures GET throughput under each model with both MPK gate
@@ -272,33 +400,26 @@ func Fig5(ops int) (*Fig5Result, error) {
 	}
 	out := &Fig5Result{}
 	for _, payload := range Fig4Payloads {
-		r, err := RunRedis(build.Config{Name: "No Isol."}, OpGET, payload, ops)
-		if err != nil {
-			return nil, fmt.Errorf("fig5 baseline/%dB: %w", payload, err)
-		}
-		out.Cells = append(out.Cells, Fig5Cell{Model: "No Isol.", Stack: "-", Payload: payload, KReqS: r.KReqPerSec})
-		for _, m := range fig5Models {
-			for _, variant := range []struct {
-				label   string
-				backend gate.Backend
-			}{{"Sh.", gate.MPKShared}, {"Sw.", gate.MPKSwitched}} {
-				cfg := build.Config{
-					Name:         m.name + " " + variant.label,
-					Compartments: m.comps,
-					Backend:      variant.backend,
-					Alloc:        build.AllocPerCompartment,
-				}
-				r, err := RunRedis(cfg, OpGET, payload, ops)
-				if err != nil {
-					return nil, fmt.Errorf("fig5 %s/%dB: %w", cfg.Name, payload, err)
-				}
-				out.Cells = append(out.Cells, Fig5Cell{
-					Model: m.name, Stack: variant.label, Payload: payload, KReqS: r.KReqPerSec,
-				})
+		for _, bar := range fig5Bars() {
+			r, err := Run(bar.cfg, Load{App: Redis, Op: OpGET, Payload: payload, Ops: ops})
+			if err != nil {
+				return nil, fmt.Errorf("fig5 %s/%dB: %w", bar.cfg.Name, payload, err)
 			}
+			out.Cells = append(out.Cells, Fig5Cell{
+				Model: bar.model, Stack: bar.stack, Payload: payload, KReqS: r.KReqPerSec,
+			})
 		}
 	}
 	return out, nil
+}
+
+// fig5Images are the figure's seven bar groups.
+func fig5Images(o Options) ([]Image, error) {
+	var cfgs []build.Config
+	for _, bar := range fig5Bars() {
+		cfgs = append(cfgs, bar.cfg)
+	}
+	return redisImages(o, cfgs...)
 }
 
 // --- §4: context-switch latency ---------------------------------------
@@ -369,31 +490,30 @@ func DataPathSizes(quick bool) []int {
 	return []int{4 << 10, 16 << 10, 64 << 10}
 }
 
+// dataPathImage is the MPK-shared NW-only image on data path dp.
+func dataPathImage(dp net.DataPath) build.Config {
+	return build.Config{Name: "MPK-Sha. NW-only " + dp.String(), Compartments: build.NWOnly(),
+		Backend: gate.MPKShared, Alloc: build.AllocPerCompartment, DataPath: dp, Net: tcpipThread}
+}
+
+// dataPathImages are both data paths at the sweep's largest buffer.
+func dataPathImages(o Options) ([]Image, error) {
+	sizes := DataPathSizes(o.Quick)
+	return imagesAt(bufLoad(sizes[len(sizes)-1]),
+		dataPathImage(net.DataPathShared), dataPathImage(net.DataPathCopy)), nil
+}
+
 // DataPath measures the zero-copy win: the same MPK-shared NW-only
 // image run with shared-window descriptors and with per-boundary
 // copies, throughput attributed per component.
 func DataPath(quick bool) (*DataPathResult, error) {
-	base := build.Config{Name: "MPK-Sha. NW-only", Compartments: build.NWOnly(),
-		Backend: gate.MPKShared, Alloc: build.AllocPerCompartment}
-	out := &DataPathResult{Label: base.Name}
+	out := &DataPathResult{Label: "MPK-Sha. NW-only"}
 	for _, size := range DataPathSizes(quick) {
-		total := 16 * size
-		if total < 512<<10 {
-			total = 512 << 10
-		}
-		if total > 8<<20 {
-			total = 8 << 20
-		}
-		run := func(dp net.DataPath) (*IperfResult, error) {
-			cfg := base
-			cfg.DataPath = dp
-			return RunIperf(cfg, total, size)
-		}
-		shared, err := run(net.DataPathShared)
+		shared, err := Run(dataPathImage(net.DataPathShared), bufLoad(size))
 		if err != nil {
 			return nil, fmt.Errorf("datapath shared @%d: %w", size, err)
 		}
-		copied, err := run(net.DataPathCopy)
+		copied, err := Run(dataPathImage(net.DataPathCopy), bufLoad(size))
 		if err != nil {
 			return nil, fmt.Errorf("datapath copy @%d: %w", size, err)
 		}
@@ -454,13 +574,34 @@ func BatchingDepths(quick bool) []int {
 // free gate, the expensive MPK-switched gate, and the VM-RPC gate.
 func batchingConfigs() []build.Config {
 	return []build.Config{
-		{Name: "Direct NW-only", Compartments: build.NWOnly(),
+		{Name: "Direct NW-only", Compartments: build.NWOnly(), Net: tcpipThread,
 			Backend: gate.FuncCall, Alloc: build.AllocPerCompartment},
-		{Name: "MPK-Sw. NW-only", Compartments: build.NWOnly(),
+		{Name: "MPK-Sw. NW-only", Compartments: build.NWOnly(), Net: tcpipThread,
 			Backend: gate.MPKSwitched, Alloc: build.AllocPerCompartment},
-		{Name: "VM RPC NW-only", Compartments: build.NWOnly(), Platform: net.Xen,
+		{Name: "VM RPC NW-only", Compartments: build.NWOnly(), Platform: net.Xen, Net: tcpipThread,
 			Backend: gate.VMRPC, Alloc: build.AllocPerCompartment},
 	}
+}
+
+// batchingLoad is the transfer each depth runs.
+var batchingLoad = Load{App: Iperf, Bytes: 2 << 20, RecvBuf: 16 << 10}
+
+// batched sets the batch directive on both compartments of cfg.
+func batched(cfg build.Config, depth int) build.Config {
+	if depth > 1 {
+		cfg.Batch = map[string]int{"nw": depth, "core": depth}
+	}
+	return cfg
+}
+
+// batchingImages are the swept images at the sweep's deepest batch.
+func batchingImages(o Options) ([]Image, error) {
+	depths := BatchingDepths(o.Quick)
+	var cfgs []build.Config
+	for _, cfg := range batchingConfigs() {
+		cfgs = append(cfgs, batched(cfg, depths[len(depths)-1]))
+	}
+	return imagesAt(batchingLoad, cfgs...), nil
 }
 
 // Batching measures how batched gate calls, NIC coalescing and
@@ -470,19 +611,11 @@ func batchingConfigs() []build.Config {
 // a time, and the core compartment's tx doorbell/rx budget coalesce
 // the NIC path.
 func Batching(quick bool) (*BatchingResult, error) {
-	const (
-		total   = 2 << 20
-		recvBuf = 16 << 10
-	)
 	out := &BatchingResult{Depths: BatchingDepths(quick)}
 	for _, base := range batchingConfigs() {
 		s := BatchingSeries{Label: base.Name, Backend: base.Backend}
 		for _, depth := range out.Depths {
-			cfg := base
-			if depth > 1 {
-				cfg.Batch = map[string]int{"nw": depth, "core": depth}
-			}
-			r, err := RunIperf(cfg, total, recvBuf)
+			r, err := Run(batched(base, depth), batchingLoad)
 			if err != nil {
 				return nil, fmt.Errorf("batching %s @%d: %w", base.Name, depth, err)
 			}

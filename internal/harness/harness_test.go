@@ -256,14 +256,37 @@ func specDefaultImage(t *testing.T) []*spec.Library {
 }
 
 func TestRunIperfValidatesTransfer(t *testing.T) {
-	if _, err := RunIperf(build.Config{Backend: gate.Backend(99)}, 1000, 100); err == nil {
+	if _, err := Run(build.Config{Backend: gate.Backend(99)}, Load{App: Iperf, Bytes: 1000, RecvBuf: 100}); err == nil {
 		t.Fatal("bad backend accepted")
 	}
 }
 
 func TestRunRedisUnknownOp(t *testing.T) {
-	if _, err := RunRedis(build.Config{}, RedisOp("BOGUS"), 5, 8); err == nil {
+	if _, err := Run(build.Config{}, Load{App: Redis, Op: RedisOp("BOGUS"), Payload: 5, Ops: 8}); err == nil {
 		t.Fatal("unknown op accepted")
+	}
+}
+
+// TestRunHonorsSocketMode pins that Run boots the socket mode the
+// config names: two images differing only in their socket-mode
+// directive must spend different server cycles on the same requests.
+func TestRunHonorsSocketMode(t *testing.T) {
+	const image = "backend mpk-switched\ncompartment nw netstack\n" +
+		"compartment core sched alloc libc app rest\n"
+	cycles := map[string]uint64{}
+	for _, mode := range []string{"direct", "tcpip-thread"} {
+		cfg, err := build.ParseConfig(image + "socket-mode " + mode + "\n")
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := Run(cfg, Load{App: Redis, Op: OpGET, Payload: 50, Ops: 64})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cycles[mode] = r.ServerCycles
+	}
+	if cycles["direct"] == cycles["tcpip-thread"] {
+		t.Fatalf("socket mode ignored: both modes spent %d server cycles", cycles["direct"])
 	}
 }
 

@@ -67,7 +67,8 @@ func MeasureCandidates(cands []*explore.Candidate, op RedisOp, payload, ops int)
 		if err != nil {
 			return nil, err
 		}
-		r, err := RunRedis(cfg, op, payload, ops)
+		cfg.Net = tcpipThread
+		r, err := Run(cfg, Load{App: Redis, Op: op, Payload: payload, Ops: ops})
 		if err != nil {
 			return nil, fmt.Errorf("measuring %s: %w", c.Describe(), err)
 		}

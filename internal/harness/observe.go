@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"flexos/internal/core/build"
-	"flexos/internal/core/gate"
 	"flexos/internal/metrics"
 	"flexos/internal/trace"
 )
@@ -36,82 +35,60 @@ type Observation struct {
 // it — which is fine, because nothing numeric is derived from it.
 const observeTraceCap = 8192
 
-// observationOf assembles the exported bundle from a finished world.
-func observationOf(label string, cfg build.Config, w *build.World, ring *trace.Ring, attr *metrics.Attribution) Observation {
-	o := Observation{
-		Label:    label,
-		Backend:  cfg.Backend.String(),
-		VCPUs:    w.Server.Clock.NCPU(),
-		Attr:     attr,
-		Snapshot: w.Server.MetricsSnapshot(),
+// ObserveFor runs one instrumented, traced measurement per image of
+// the named experiment (every experiment's for "all") and returns the
+// observability bundles, each conservation-checked. An experiment that
+// boots no image through Run cannot be observed, and naming one alone
+// is an error.
+func ObserveFor(exp string, o Options) ([]Observation, error) {
+	exps, err := Select(exp)
+	if err != nil {
+		return nil, err
 	}
-	if ring != nil {
-		o.Events = ring.Events()
-		o.TotalEvents = ring.Total()
-		o.DroppedEvents = ring.Dropped()
-	}
-	return o
-}
-
-// ObserveFor runs one instrumented, traced measurement per
-// configuration of the named experiment and returns the observability
-// bundles. "smp" observes the SMP sweep's three images at the sweep's
-// largest vCPU count; every other experiment name observes the five
-// isolation backends on the single-stream iperf workload. Each
-// observation's attribution is conservation-checked before return.
-func ObserveFor(exp string, quick bool) ([]Observation, error) {
 	var out []Observation
-	if exp == "smp" {
-		const (
-			total   = 8 << 20
-			recvBuf = 16 << 10
-		)
-		vcpus := SmpVCPUs(quick)
-		n := vcpus[len(vcpus)-1]
-		for _, base := range smpConfigs() {
-			cfg := base
-			if n > 1 {
-				cfg.Smp = n
+	for _, e := range exps {
+		if e.Images == nil {
+			if len(exps) == 1 {
+				return nil, fmt.Errorf("harness: experiment %q boots no image through Run; nothing to observe", e.Name)
 			}
-			r, ring, w, err := runIperfParallelWorld(cfg, SmpStreams, total, recvBuf, observeTraceCap)
-			if err != nil {
-				return nil, fmt.Errorf("observe smp %s: %w", base.Name, err)
-			}
-			o := observationOf(fmt.Sprintf("%s @%d vCPUs", base.Name, n), cfg, w, ring, r.Attr)
-			if err := o.Attr.Check(); err != nil {
-				return nil, fmt.Errorf("observe smp %s: %w", base.Name, err)
-			}
-			out = append(out, o)
+			continue
 		}
-		return out, nil
-	}
-	// Default: the five backends over the NW-only plan, single stream.
-	configs := []build.Config{
-		{Name: "funccall NW-only", Compartments: build.NWOnly(),
-			Backend: gate.FuncCall, Alloc: build.AllocPerCompartment},
-		{Name: "mpk-shared NW-only", Compartments: build.NWOnly(),
-			Backend: gate.MPKShared, Alloc: build.AllocPerCompartment},
-		{Name: "mpk-switched NW-only", Compartments: build.NWOnly(),
-			Backend: gate.MPKSwitched, Alloc: build.AllocPerCompartment},
-		{Name: "vm-rpc NW-only", Compartments: build.NWOnly(),
-			Backend: gate.VMRPC, Alloc: build.AllocPerCompartment},
-		{Name: "cheri NW-only", Compartments: build.NWOnly(),
-			Backend: gate.CHERI, Alloc: build.AllocPerCompartment},
-	}
-	total := 1 << 20
-	if quick {
-		total = 256 << 10
-	}
-	for _, cfg := range configs {
-		r, ring, w, err := runIperfWorld(cfg, total, 16<<10, observeTraceCap)
+		imgs, err := e.Images(o)
 		if err != nil {
-			return nil, fmt.Errorf("observe %s: %w", cfg.Name, err)
+			return nil, fmt.Errorf("observe %s: %w", e.Name, err)
 		}
-		o := observationOf(cfg.Name, cfg, w, ring, r.Attr)
-		if err := o.Attr.Check(); err != nil {
-			return nil, fmt.Errorf("observe %s: %w", cfg.Name, err)
+		for _, img := range imgs {
+			ob, err := observe(img)
+			if err != nil {
+				return nil, fmt.Errorf("observe %s %s: %w", e.Name, img.Cfg.Name, err)
+			}
+			out = append(out, ob)
 		}
-		out = append(out, o)
 	}
 	return out, nil
+}
+
+// observe runs one image traced and assembles its bundle.
+func observe(img Image) (Observation, error) {
+	var w *build.World
+	load := img.Load
+	load.TraceCap = observeTraceCap
+	load.Prep = func(built *build.World) { w = built }
+	r, err := Run(img.Cfg, load)
+	if err != nil {
+		return Observation{}, err
+	}
+	if err := r.Attr.Check(); err != nil {
+		return Observation{}, err
+	}
+	return Observation{
+		Label:         img.Cfg.Name,
+		Backend:       img.Cfg.Backend.String(),
+		VCPUs:         r.VCPUs,
+		Attr:          r.Attr,
+		Snapshot:      w.Server.MetricsSnapshot(),
+		Events:        r.Trace.Events(),
+		TotalEvents:   r.Trace.Total(),
+		DroppedEvents: r.Trace.Dropped(),
+	}, nil
 }

@@ -30,13 +30,15 @@ func TestAttributionConservation(t *testing.T) {
 				if smp > 1 {
 					cfg.Smp = smp
 				}
-				r, _, w, err := runIperfParallelWorld(cfg, 4, 1<<20, 16<<10, 0)
+				var w *build.World
+				r, err := Run(cfg, Load{App: Iperf, Conns: 4, Bytes: 1 << 20, RecvBuf: 16 << 10,
+					Prep: func(built *build.World) { w = built }})
 				if err != nil {
 					t.Fatal(err)
 				}
 				a := r.Attr
 				if a == nil {
-					t.Fatal("no attribution on SmpRun")
+					t.Fatal("no attribution on Result")
 				}
 				if a.VCPUs != smp {
 					t.Fatalf("attribution covers %d vCPUs, want %d", a.VCPUs, smp)
@@ -70,10 +72,16 @@ func TestAttributionSurvivesSaturatedRing(t *testing.T) {
 		Backend: gate.MPKShared, Alloc: build.AllocPerCompartment, Smp: 4,
 	}
 	const tinyRing = 8
-	r, ring, w, err := runIperfParallelWorld(cfg, 4, 1<<20, 16<<10, tinyRing)
+	var w *build.World
+	load := Load{App: Iperf, Conns: 4, Bytes: 1 << 20, RecvBuf: 16 << 10}
+	traced := load
+	traced.TraceCap = tinyRing
+	traced.Prep = func(built *build.World) { w = built }
+	r, err := Run(cfg, traced)
 	if err != nil {
 		t.Fatal(err)
 	}
+	ring := r.Trace
 	if ring.Dropped() == 0 {
 		t.Fatalf("ring of %d held all %d events; the test needs saturation", tinyRing, ring.Total())
 	}
@@ -90,7 +98,7 @@ func TestAttributionSurvivesSaturatedRing(t *testing.T) {
 	}
 	// The same run untraced attributes identically: tracing is
 	// observation, not perturbation.
-	r2, _, _, err := runIperfParallelWorld(cfg, 4, 1<<20, 16<<10, 0)
+	r2, err := Run(cfg, load)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +112,7 @@ func TestAttributionSurvivesSaturatedRing(t *testing.T) {
 // holds, snapshots carry the live counters, and the trace exports to a
 // valid Chrome trace-event document.
 func TestObserveForSmp(t *testing.T) {
-	obs, err := ObserveFor("smp", true)
+	obs, err := ObserveFor("smp", Options{Quick: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,5 +133,55 @@ func TestObserveForSmp(t *testing.T) {
 		if _, err := trace.ValidateChrome(buf.Bytes()); err != nil {
 			t.Fatalf("%s: exported trace invalid: %v", o.Label, err)
 		}
+	}
+}
+
+// TestObserveForEveryExperiment walks the experiment table in quick
+// mode: an entry either refuses to be observed because it boots no
+// image through Run, or observes images it boots, each one's
+// attribution conserving capacity.
+func TestObserveForEveryExperiment(t *testing.T) {
+	o := Options{Quick: true, Ops: 64}
+	for _, e := range Experiments {
+		obs, err := ObserveFor(e.Name, o)
+		if e.Images == nil {
+			if err == nil {
+				t.Errorf("%s boots no image through Run, yet observed %d", e.Name, len(obs))
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("%s: %v", e.Name, err)
+			continue
+		}
+		imgs, err := e.Images(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		booted := map[string]bool{}
+		for _, img := range imgs {
+			booted[img.Cfg.Name] = true
+		}
+		if len(obs) == 0 {
+			t.Errorf("%s: no observation", e.Name)
+		}
+		for _, ob := range obs {
+			if !booted[ob.Label] {
+				t.Errorf("%s: observed %q, an image it does not boot", e.Name, ob.Label)
+			}
+			if err := ob.Attr.Check(); err != nil {
+				t.Errorf("%s %s: %v", e.Name, ob.Label, err)
+			}
+		}
+	}
+	if _, err := ObserveFor("no-such-experiment", o); err == nil {
+		t.Error("unknown experiment observed")
+	}
+	obs, err := ObserveFor("chaosnet", o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(obs) != 1 || obs[0].Label != "MPK-Sha. NW-only" {
+		t.Errorf("quick chaosnet observed %d images, want only its MPK-Sha. NW-only image", len(obs))
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"flexos/internal/core/build"
 	"flexos/internal/core/gate"
 	"flexos/internal/fault"
-	"flexos/internal/net"
 	"flexos/internal/rt"
 	"flexos/internal/sched"
 )
@@ -118,6 +117,7 @@ func redisOverloadConfig(img overloadImage, shed bool) build.Config {
 		Name:    img.name,
 		Backend: img.backend,
 		Alloc:   build.AllocPerCompartment,
+		Net:     tcpipThread,
 	}
 	if img.backend == gate.FuncCall {
 		cfg.Compartments = build.SingleCompartment()
@@ -137,6 +137,7 @@ func iperfOverloadConfig(img overloadImage, shed bool) build.Config {
 		Name:    img.name,
 		Backend: img.backend,
 		Alloc:   build.AllocPerCompartment,
+		Net:     tcpipThread,
 	}
 	cfg.Net.RecvBuf = iperfOverloadWindow
 	if img.backend == gate.FuncCall {
@@ -164,82 +165,64 @@ type redisOverloadMeasure struct {
 // client tolerates -BUSY replies — that is the point of shedding: the
 // connection survives, only the stale requests are refused.
 func runRedisOverload(cfg build.Config, budget uint64, enforce bool, batch, ops int) (*redisOverloadMeasure, error) {
-	cfg.Net.SocketMode = net.TCPIPThreadMode
-	w, err := build.NewWorld(cfg)
-	if err != nil {
-		return nil, err
-	}
-	srv := redis.NewServer(w.Server.Env("app"), w.Server.LibC, w.Server.Stack, 6379)
-	srv.Budget = budget
-	srv.Enforce = enforce
 	m := &redisOverloadMeasure{}
-	payload := make([]byte, 256)
-	for i := range payload {
-		payload[i] = 'a' + byte(i%26)
-	}
-	var srvErr, cliErr error
-	w.Sched.Spawn("redis-server", w.Server.CPU, func(th *sched.Thread) {
-		srvErr = srv.Run(th)
-	})
-	w.Sched.Spawn("redis-client", w.Client.CPU, func(th *sched.Thread) {
-		c := redis.NewClient(w.Client.Env("app"), w.Client.LibC, w.Client.Stack,
-			w.Server.Stack.IP(), 6379)
-		if cliErr = c.Connect(th); cliErr != nil {
-			return
-		}
-		for i := 0; i < redisOverloadKeys; i++ {
-			if cliErr = c.Set(th, fmt.Sprintf("key:%d", i), payload); cliErr != nil {
-				return
+	_, err := runWorld(cfg, func(w *build.World, spawn spawnFunc) func() error {
+		srv := redis.NewServer(w.Server.Env("app"), w.Server.LibC, w.Server.Stack, 6379)
+		srv.Budget = budget
+		srv.Enforce = enforce
+		payload := redisPayload(256)
+		spawn("redis-server", w.Server.CPU, srv.Run)
+		spawn("redis-client", w.Client.CPU, func(th *sched.Thread) error {
+			c := redis.NewClient(w.Client.Env("app"), w.Client.LibC, w.Client.Stack,
+				w.Server.Stack.IP(), 6379)
+			if err := c.Connect(th); err != nil {
+				return err
 			}
-		}
-		startCycles := w.Server.CPU.Cycles()
-		startGood, startLate, startShed := srv.Good, srv.Late, srv.Shed
-		srv.MaxAge = 0 // exclude warmup SETs from the age calibration
-		stats0 := w.Server.Sup.Stats()
-		issued := 0
-		for issued < ops {
-			b := batch
-			if b > ops-issued {
-				b = ops - issued
-			}
-			cmds := make([][][]byte, 0, b)
-			for i := 0; i < b; i++ {
-				key := []byte(fmt.Sprintf("key:%d", (issued+i)%redisOverloadKeys))
-				cmds = append(cmds, [][]byte{[]byte("GET"), key})
-			}
-			replies, err := c.DoPipelined(th, cmds)
-			if err != nil {
-				cliErr = err
-				return
-			}
-			for _, r := range replies {
-				if len(r) > 0 && r[0] == '-' {
-					m.busy++
+			for i := 0; i < redisOverloadKeys; i++ {
+				if err := c.Set(th, fmt.Sprintf("key:%d", i), payload); err != nil {
+					return err
 				}
 			}
-			issued += b
-		}
-		m.cycles = w.Server.CPU.Cycles() - startCycles
-		m.good = srv.Good - startGood
-		m.late = srv.Late - startLate
-		m.shed = srv.Shed - startShed
-		m.maxAge = srv.MaxAge
-		stats1 := w.Server.Sup.Stats()
-		m.supSheds = stats1.Sheds - stats0.Sheds
-		m.supTraps = stats1.DeadlineTraps - stats0.DeadlineTraps
-		cliErr = c.Close(th)
+			startCycles := w.Server.CPU.Cycles()
+			startGood, startLate, startShed := srv.Good, srv.Late, srv.Shed
+			srv.MaxAge = 0 // exclude warmup SETs from the age calibration
+			stats0 := w.Server.Sup.Stats()
+			issued := 0
+			for issued < ops {
+				b := batch
+				if b > ops-issued {
+					b = ops - issued
+				}
+				cmds := make([][][]byte, 0, b)
+				for i := 0; i < b; i++ {
+					key := []byte(fmt.Sprintf("key:%d", (issued+i)%redisOverloadKeys))
+					cmds = append(cmds, [][]byte{[]byte("GET"), key})
+				}
+				replies, err := c.DoPipelined(th, cmds)
+				if err != nil {
+					return err
+				}
+				for _, r := range replies {
+					if len(r) > 0 && r[0] == '-' {
+						m.busy++
+					}
+				}
+				issued += b
+			}
+			m.cycles = w.Server.CPU.Cycles() - startCycles
+			m.good = srv.Good - startGood
+			m.late = srv.Late - startLate
+			m.shed = srv.Shed - startShed
+			m.maxAge = srv.MaxAge
+			stats1 := w.Server.Sup.Stats()
+			m.supSheds = stats1.Sheds - stats0.Sheds
+			m.supTraps = stats1.DeadlineTraps - stats0.DeadlineTraps
+			return c.Close(th)
+		})
+		return nil
 	})
-	if err := w.Sched.Run(); err != nil {
+	if err != nil {
 		return nil, fmt.Errorf("harness overload redis: %w", err)
-	}
-	if srvErr != nil {
-		return nil, fmt.Errorf("harness overload redis server: %w", srvErr)
-	}
-	if cliErr != nil {
-		return nil, fmt.Errorf("harness overload redis client: %w", cliErr)
-	}
-	if err := checkPoolLeaks(w); err != nil {
-		return nil, err
 	}
 	return m, nil
 }
@@ -260,44 +243,24 @@ type iperfOverloadMeasure struct {
 // thread and one client each, on ports 5001+i) with the given per-drain
 // budget, all sharing the server CPU — offered load scales with conns.
 func runIperfOverload(cfg build.Config, budget uint64, enforce bool, conns int) (*iperfOverloadMeasure, error) {
-	cfg.Net.SocketMode = net.TCPIPThreadMode
-	w, err := build.NewWorld(cfg)
-	if err != nil {
-		return nil, err
-	}
 	srvs := make([]*iperf.Server, conns)
-	var srvErr, cliErr error
-	for i := 0; i < conns; i++ {
-		s := iperf.NewServer(w.Server.Env("app"), w.Server.LibC, w.Server.Stack,
-			uint16(5001+i), iperfOverloadRecv)
-		s.Budget = budget
-		s.Enforce = enforce
-		s.ProcFactor = iperfProcFactor
-		srvs[i] = s
-		w.Sched.Spawn(fmt.Sprintf("iperf-server-%d", i), w.Server.CPU, func(th *sched.Thread) {
-			if err := s.RunOverload(th); err != nil && srvErr == nil {
-				srvErr = err
-			}
-		})
-		c := iperf.NewClient(w.Client.Env("app"), w.Client.LibC, w.Client.Stack,
-			w.Server.Stack.IP(), uint16(5001+i), iperfOverloadBytes, iperfOverloadWrite)
-		w.Sched.Spawn(fmt.Sprintf("iperf-client-%d", i), w.Client.CPU, func(th *sched.Thread) {
-			if err := c.Run(th); err != nil && cliErr == nil {
-				cliErr = err
-			}
-		})
-	}
-	if err := w.Sched.Run(); err != nil {
+	w, err := runWorld(cfg, func(w *build.World, spawn spawnFunc) func() error {
+		for i := 0; i < conns; i++ {
+			s := iperf.NewServer(w.Server.Env("app"), w.Server.LibC, w.Server.Stack,
+				uint16(5001+i), iperfOverloadRecv)
+			s.Budget = budget
+			s.Enforce = enforce
+			s.ProcFactor = iperfProcFactor
+			srvs[i] = s
+			spawn(fmt.Sprintf("iperf-server-%d", i), w.Server.CPU, s.RunOverload)
+			c := iperf.NewClient(w.Client.Env("app"), w.Client.LibC, w.Client.Stack,
+				w.Server.Stack.IP(), uint16(5001+i), iperfOverloadBytes, iperfOverloadWrite)
+			spawn(fmt.Sprintf("iperf-client-%d", i), w.Client.CPU, c.Run)
+		}
+		return nil
+	})
+	if err != nil {
 		return nil, fmt.Errorf("harness overload iperf: %w", err)
-	}
-	if srvErr != nil {
-		return nil, fmt.Errorf("harness overload iperf server: %w", srvErr)
-	}
-	if cliErr != nil {
-		return nil, fmt.Errorf("harness overload iperf client: %w", cliErr)
-	}
-	if err := checkPoolLeaks(w); err != nil {
-		return nil, err
 	}
 	m := &iperfOverloadMeasure{cycles: w.Server.CPU.Cycles()}
 	for _, s := range srvs {

@@ -3,264 +3,11 @@ package harness
 import (
 	"fmt"
 
-	"flexos/internal/app/iperf"
-	"flexos/internal/app/redis"
-	"flexos/internal/clock"
 	"flexos/internal/core/build"
 	"flexos/internal/core/gate"
 	"flexos/internal/metrics"
 	"flexos/internal/net"
-	"flexos/internal/sched"
-	"flexos/internal/trace"
 )
-
-// SmpRun is one parallel-iperf measurement on an n-vCPU machine:
-// Streams connections spread across the NIC's RSS queues, one drain
-// worker per connection on the queue's vCPU, elapsed time taken as the
-// server machine's makespan (the furthest-ahead vCPU).
-type SmpRun struct {
-	VCPUs   int
-	Streams int
-	Bytes   uint64
-	// Makespan is the server machine's elapsed virtual time.
-	Makespan uint64
-	Mbps     float64
-	// PerCPU is each server vCPU's cycle counter at the end of the run
-	// (the balance across them is the RSS spread).
-	PerCPU []uint64
-	// StreamBytes is each connection's byte total, accept order.
-	StreamBytes []uint64
-	// Steals and IPIs are scheduler-level SMP events (both machines).
-	Steals uint64
-	IPIs   uint64
-	// RPCStalled is the cycles callers spent serialized behind the
-	// server's cross gate — nonzero only on VM-RPC, where one VMM
-	// endpoint services every vCPU in turn.
-	RPCStalled uint64
-	// Attr is the server machine's cycle-attribution breakdown: every
-	// cycle of capacity (makespan × vCPUs) assigned to a (vCPU,
-	// component, compartment) row, read from the live clock ledgers.
-	Attr *metrics.Attribution
-}
-
-// RunIperfParallel runs a Streams-way parallel iperf transfer
-// (totalBytes split evenly) over a world built from cfg and measures
-// server-machine makespan throughput. SMP images use the direct socket
-// architecture — per-worker socket calls on the worker's own vCPU, as
-// in lwip's raw API — because a single pinned tcpip thread would
-// serialize every stream behind one core.
-func RunIperfParallel(cfg build.Config, streams, totalBytes, recvBuf int) (*SmpRun, error) {
-	r, _, err := RunIperfParallelTraced(cfg, streams, totalBytes, recvBuf, 0)
-	return r, err
-}
-
-// RunIperfParallelTraced is RunIperfParallel with an optional
-// server-side crossing trace holding the last traceCap events (0
-// disables tracing). The determinism test replays a run and compares
-// the two event streams bit for bit.
-func RunIperfParallelTraced(cfg build.Config, streams, totalBytes, recvBuf, traceCap int) (*SmpRun, *trace.Ring, error) {
-	r, ring, _, err := runIperfParallelWorld(cfg, streams, totalBytes, recvBuf, traceCap)
-	return r, ring, err
-}
-
-// runIperfParallelWorld is the world-returning core of
-// RunIperfParallelTraced, shared with the observability entry points.
-func runIperfParallelWorld(cfg build.Config, streams, totalBytes, recvBuf, traceCap int) (*SmpRun, *trace.Ring, *build.World, error) {
-	if streams < 1 {
-		streams = 1
-	}
-	cfg.Net.SocketMode = net.DirectMode
-	w, err := build.NewWorld(cfg)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	var ring *trace.Ring
-	if traceCap > 0 {
-		ring = w.Server.EnableTracing(traceCap)
-	}
-	perStream := totalBytes / streams
-	srv := iperf.NewMultiServer(w.Server.Env("app"), w.Server.LibC, w.Server.Stack, 5001, recvBuf, streams)
-	var srvErr error
-	w.Sched.Spawn("iperf-accept", w.Server.CPU, func(th *sched.Thread) {
-		srvErr = srv.Run(w.Sched, th)
-	})
-	cliErrs := make([]error, streams)
-	nCli := w.Client.Clock.NCPU()
-	for i := 0; i < streams; i++ {
-		cli := iperf.NewClient(w.Client.Env("app"), w.Client.LibC, w.Client.Stack,
-			w.Server.Stack.IP(), 5001, perStream, 32<<10)
-		i := i
-		w.Sched.Spawn(fmt.Sprintf("iperf-client-%d", i), w.Client.Clock.CPU(i%nCli),
-			func(th *sched.Thread) {
-				cliErrs[i] = cli.Run(th)
-			})
-	}
-	if err := w.Sched.Run(); err != nil {
-		return nil, nil, nil, fmt.Errorf("harness smp iperf: %w", err)
-	}
-	if srvErr != nil {
-		return nil, nil, nil, fmt.Errorf("harness smp iperf server: %w", srvErr)
-	}
-	for i, err := range cliErrs {
-		if err != nil {
-			return nil, nil, nil, fmt.Errorf("harness smp iperf client %d: %w", i, err)
-		}
-	}
-	bytes, _, err := srv.Finish()
-	if err != nil {
-		return nil, nil, nil, fmt.Errorf("harness smp iperf: %w", err)
-	}
-	if bytes != uint64(perStream*streams) {
-		return nil, nil, nil, fmt.Errorf("harness smp iperf: received %d of %d bytes", bytes, perStream*streams)
-	}
-	if err := checkPoolLeaks(w); err != nil {
-		return nil, nil, nil, err
-	}
-	r := &SmpRun{
-		VCPUs:       w.Server.Clock.NCPU(),
-		Streams:     streams,
-		Bytes:       bytes,
-		Makespan:    w.Server.Cycles(),
-		StreamBytes: srv.StreamBytes(),
-		Steals:      w.Sched.Steals(),
-		IPIs:        w.Sched.IPIs(),
-		RPCStalled:  w.Server.Registry.CrossStalled(),
-	}
-	r.Mbps = clock.GbpsFor(bytes, r.Makespan) * 1000
-	for _, cpu := range w.Server.Clock.CPUs() {
-		r.PerCPU = append(r.PerCPU, cpu.Cycles())
-	}
-	r.Attr = w.Server.Attribution()
-	return r, ring, w, nil
-}
-
-// SmpRedisRun is one multi-connection redis measurement on an n-vCPU
-// machine: Conns clients sharded across the NIC's RSS queues, one
-// serve worker per connection on the queue's vCPU, all sharing the
-// server's store.
-type SmpRedisRun struct {
-	VCPUs int
-	Conns int
-	// Ops is the commands the server executed across all connections.
-	Ops uint64
-	// Makespan is the server machine's elapsed virtual time.
-	Makespan uint64
-	// KOpsPerSec is Ops over simulated seconds, in thousands.
-	KOpsPerSec float64
-	// PerCPU is each server vCPU's cycle counter at the end of the run.
-	PerCPU []uint64
-	Steals uint64
-	IPIs   uint64
-}
-
-// RunRedisParallel runs Conns redis clients against one server, each
-// issuing opsPerConn alternating SET/GET commands on its own key, and
-// measures server-machine makespan throughput. Like RunIperfParallel
-// it uses the direct socket architecture, and each connection's serve
-// worker is spawned on the vCPU of the RSS queue the NIC steers the
-// flow to, so independent connections execute commands on different
-// cores against the shared store.
-func RunRedisParallel(cfg build.Config, conns, opsPerConn, payloadBytes int) (*SmpRedisRun, error) {
-	if conns < 1 {
-		conns = 1
-	}
-	cfg.Net.SocketMode = net.DirectMode
-	w, err := build.NewWorld(cfg)
-	if err != nil {
-		return nil, err
-	}
-	srv := redis.NewServer(w.Server.Env("app"), w.Server.LibC, w.Server.Stack, 6379)
-	payload := make([]byte, payloadBytes)
-	for i := range payload {
-		payload[i] = 'a' + byte(i%26)
-	}
-	srvErrs := make([]error, conns)
-	var acceptErr error
-	w.Sched.Spawn("redis-accept", w.Server.CPU, func(th *sched.Thread) {
-		// The backlog must hold every connection: the clients all
-		// connect before the accept loop drains the first handshake.
-		var listener *net.Socket
-		if acceptErr = w.Server.Env("app").CallFn("libc", "listen", 2, func() error {
-			var err error
-			listener, err = w.Server.LibC.Listen(w.Server.Stack, 6379, conns)
-			return err
-		}); acceptErr != nil {
-			return
-		}
-		for i := 0; i < conns; i++ {
-			conn, err := srv.Accept(th, listener)
-			if err != nil {
-				acceptErr = err
-				return
-			}
-			i, conn := i, conn
-			w.Sched.Spawn(fmt.Sprintf("redis-server-%d", i),
-				w.Server.Stack.SpawnCPU(w.Server.Stack.QueueCPUOf(conn)),
-				func(th *sched.Thread) {
-					srvErrs[i] = srv.ServeConn(th, conn)
-				})
-		}
-	})
-	cliErrs := make([]error, conns)
-	nCli := w.Client.Clock.NCPU()
-	for i := 0; i < conns; i++ {
-		i := i
-		w.Sched.Spawn(fmt.Sprintf("redis-client-%d", i), w.Client.Clock.CPU(i%nCli),
-			func(th *sched.Thread) {
-				c := redis.NewClient(w.Client.Env("app"), w.Client.LibC, w.Client.Stack,
-					w.Server.Stack.IP(), 6379)
-				if cliErrs[i] = c.Connect(th); cliErrs[i] != nil {
-					return
-				}
-				key := fmt.Sprintf("key:%d", i)
-				for op := 0; op < opsPerConn; op++ {
-					if op%2 == 0 {
-						cliErrs[i] = c.Set(th, key, payload)
-					} else {
-						_, _, cliErrs[i] = c.Get(th, key)
-					}
-					if cliErrs[i] != nil {
-						return
-					}
-				}
-				cliErrs[i] = c.Close(th)
-			})
-	}
-	if err := w.Sched.Run(); err != nil {
-		return nil, fmt.Errorf("harness smp redis: %w", err)
-	}
-	if acceptErr != nil {
-		return nil, fmt.Errorf("harness smp redis accept: %w", acceptErr)
-	}
-	for i, err := range srvErrs {
-		if err != nil {
-			return nil, fmt.Errorf("harness smp redis server %d: %w", i, err)
-		}
-	}
-	for i, err := range cliErrs {
-		if err != nil {
-			return nil, fmt.Errorf("harness smp redis client %d: %w", i, err)
-		}
-	}
-	if err := checkPoolLeaks(w); err != nil {
-		return nil, err
-	}
-	r := &SmpRedisRun{
-		VCPUs:    w.Server.Clock.NCPU(),
-		Conns:    conns,
-		Ops:      srv.Commands,
-		Makespan: w.Server.Cycles(),
-		Steals:   w.Sched.Steals(),
-		IPIs:     w.Sched.IPIs(),
-	}
-	if secs := clock.Nanoseconds(r.Makespan) / 1e9; secs > 0 {
-		r.KOpsPerSec = float64(r.Ops) / secs / 1e3
-	}
-	for _, cpu := range w.Server.Clock.CPUs() {
-		r.PerCPU = append(r.PerCPU, cpu.Cycles())
-	}
-	return r, nil
-}
 
 // SmpPoint is one (vCPU count, throughput) sample of an SMP series.
 type SmpPoint struct {
@@ -325,12 +72,11 @@ func smpConfigs() []build.Config {
 	}
 }
 
+// smpLoad is the sweep's workload: 8 MiB over SmpStreams connections.
+var smpLoad = Load{App: Iperf, Conns: SmpStreams, Bytes: 8 << 20, RecvBuf: 16 << 10}
+
 // Smp runs the scaling sweep. quick thins the vCPU list.
 func Smp(quick bool) (*SmpResult, error) {
-	const (
-		total   = 8 << 20
-		recvBuf = 16 << 10
-	)
 	out := &SmpResult{Streams: SmpStreams, VCPUs: SmpVCPUs(quick)}
 	for _, base := range smpConfigs() {
 		s := SmpSeries{Label: base.Name, Backend: base.Backend}
@@ -339,13 +85,13 @@ func Smp(quick bool) (*SmpResult, error) {
 			if n > 1 {
 				cfg.Smp = n
 			}
-			r, err := RunIperfParallel(cfg, SmpStreams, total, recvBuf)
+			r, err := Run(cfg, smpLoad)
 			if err != nil {
 				return nil, fmt.Errorf("smp %s @%d vcpus: %w", base.Name, n, err)
 			}
 			p := SmpPoint{
 				VCPUs:  n,
-				Mbps:   r.Mbps,
+				Mbps:   r.Gbps * 1000,
 				Steals: r.Steals,
 				IPIs:   r.IPIs,
 				Attr:   r.Attr.Summary(),
@@ -353,8 +99,8 @@ func Smp(quick bool) (*SmpResult, error) {
 			if err := r.Attr.Check(); err != nil {
 				return nil, fmt.Errorf("smp %s @%d vcpus: %w", base.Name, n, err)
 			}
-			if r.Makespan > 0 {
-				p.StallPct = 100 * float64(r.RPCStalled) / float64(r.Makespan*uint64(n))
+			if r.ServerCycles > 0 {
+				p.StallPct = 100 * float64(r.RPCStalled) / float64(r.ServerCycles*uint64(n))
 			}
 			if len(s.Points) > 0 && s.Points[0].Mbps > 0 {
 				p.SpeedupX = p.Mbps / s.Points[0].Mbps
@@ -364,6 +110,19 @@ func Smp(quick bool) (*SmpResult, error) {
 			s.Points = append(s.Points, p)
 		}
 		out.Series = append(out.Series, s)
+	}
+	return out, nil
+}
+
+// smpImages are the sweep's images at its largest vCPU count.
+func smpImages(o Options) ([]Image, error) {
+	vcpus := SmpVCPUs(o.Quick)
+	n := vcpus[len(vcpus)-1]
+	var out []Image
+	for _, cfg := range smpConfigs() {
+		cfg.Name = fmt.Sprintf("%s @%d vCPUs", cfg.Name, n)
+		cfg.Smp = n
+		out = append(out, Image{cfg, smpLoad})
 	}
 	return out, nil
 }

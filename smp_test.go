@@ -46,7 +46,7 @@ func BenchmarkSmp(b *testing.B) {
 // near-linearly — at least 1.7x at 2 vCPUs and 3x at 4 vCPUs over the
 // 1-vCPU run — and the VM-RPC image shows measurable serialization
 // behind its single VMM endpoint. Pool-leak accounting is enforced
-// inside every RunIperfParallel the sweep performs.
+// inside every harness.Run the sweep performs.
 func TestSmpScaling(t *testing.T) {
 	res, err := harness.Smp(true)
 	if err != nil {
@@ -107,21 +107,21 @@ func TestSmpScaling(t *testing.T) {
 func TestSmpDeterminism(t *testing.T) {
 	cfg := build.Config{Name: "smp-det", Compartments: build.NWOnly(),
 		Backend: gate.MPKShared, Alloc: build.AllocPerCompartment, Smp: 4}
-	run := func() (*harness.SmpRun, []string) {
-		r, ring, err := harness.RunIperfParallelTraced(cfg, 8, 2<<20, 16<<10, 4096)
+	run := func() (*harness.Result, []string) {
+		r, err := harness.Run(cfg, harness.Load{App: harness.Iperf, Conns: 8, Bytes: 2 << 20, RecvBuf: 16 << 10, TraceCap: 4096})
 		if err != nil {
 			t.Fatal(err)
 		}
 		var events []string
-		for _, e := range ring.Events() {
+		for _, e := range r.Trace.Events() {
 			events = append(events, e.String())
 		}
 		return r, events
 	}
 	a, ea := run()
 	b, eb := run()
-	if a.Makespan != b.Makespan {
-		t.Errorf("makespan drifted: %d vs %d", a.Makespan, b.Makespan)
+	if a.ServerCycles != b.ServerCycles {
+		t.Errorf("makespan drifted: %d vs %d", a.ServerCycles, b.ServerCycles)
 	}
 	for i := range a.PerCPU {
 		if a.PerCPU[i] != b.PerCPU[i] {
@@ -153,7 +153,7 @@ func TestSmpDeterminism(t *testing.T) {
 func TestSmpRSSSpread(t *testing.T) {
 	cfg := build.Config{Name: "smp-rss", Compartments: build.NWOnly(),
 		Backend: gate.MPKShared, Alloc: build.AllocPerCompartment, Smp: 4}
-	r, err := harness.RunIperfParallel(cfg, 8, 2<<20, 16<<10)
+	r, err := harness.Run(cfg, harness.Load{App: harness.Iperf, Conns: 8, Bytes: 2 << 20, RecvBuf: 16 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +186,7 @@ func TestSmpConfigfileRun(t *testing.T) {
 	if cfg.Smp != 2 {
 		t.Fatalf("smp directive parsed to %d", cfg.Smp)
 	}
-	r, err := harness.RunIperfParallel(cfg, 4, 1<<20, 16<<10)
+	r, err := harness.Run(cfg, harness.Load{App: harness.Iperf, Conns: 4, Bytes: 1 << 20, RecvBuf: 16 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +206,7 @@ func TestSmpSingleQueueUnchanged(t *testing.T) {
 	cfg := build.Config{Name: "smp-n1", Compartments: build.NWOnly(),
 		Backend: gate.MPKShared, Alloc: build.AllocPerCompartment}
 	cfg.Net.SocketMode = flexnet.DirectMode
-	r, err := harness.RunIperfParallel(cfg, 4, 1<<20, 16<<10)
+	r, err := harness.Run(cfg, harness.Load{App: harness.Iperf, Conns: 4, Bytes: 1 << 20, RecvBuf: 16 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,8 +216,8 @@ func TestSmpSingleQueueUnchanged(t *testing.T) {
 	if r.Steals != 0 || r.IPIs != 0 {
 		t.Fatalf("single-core run recorded %d steals, %d IPIs", r.Steals, r.IPIs)
 	}
-	if len(r.PerCPU) != 1 || r.PerCPU[0] != r.Makespan {
-		t.Fatalf("1-vCPU makespan %d != cpu0 cycles %v", r.Makespan, r.PerCPU)
+	if len(r.PerCPU) != 1 || r.PerCPU[0] != r.ServerCycles {
+		t.Fatalf("1-vCPU makespan %d != cpu0 cycles %v", r.ServerCycles, r.PerCPU)
 	}
 }
 
@@ -237,17 +237,18 @@ func TestSmpRedisParallel(t *testing.T) {
 		Backend:      gate.MPKShared,
 		Alloc:        build.AllocPerCompartment,
 	}
-	uni, err := harness.RunRedisParallel(base, conns, opsPerConn, payload)
+	load := harness.Load{App: harness.Redis, Conns: conns, Ops: opsPerConn, Payload: payload}
+	uni, err := harness.Run(base, load)
 	if err != nil {
 		t.Fatal(err)
 	}
 	smp := base
 	smp.Smp = 4
-	par, err := harness.RunRedisParallel(smp, conns, opsPerConn, payload)
+	par, err := harness.Run(smp, load)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range []*harness.SmpRedisRun{uni, par} {
+	for _, r := range []*harness.Result{uni, par} {
 		if want := uint64(conns * opsPerConn); r.Ops != want {
 			t.Fatalf("%d vCPUs: executed %d commands, want %d", r.VCPUs, r.Ops, want)
 		}
@@ -260,9 +261,9 @@ func TestSmpRedisParallel(t *testing.T) {
 			t.Fatalf("vCPU %d idle: RSS left a queue's core unused (per-cpu %v)", i, par.PerCPU)
 		}
 	}
-	speedup := float64(uni.Makespan) / float64(par.Makespan)
+	speedup := float64(uni.ServerCycles) / float64(par.ServerCycles)
 	if speedup < 1.7 {
 		t.Fatalf("4-vCPU redis speedup = %.2fx (makespan %d -> %d), want >= 1.7x",
-			speedup, uni.Makespan, par.Makespan)
+			speedup, uni.ServerCycles, par.ServerCycles)
 	}
 }
