@@ -134,6 +134,17 @@ func TestObserveForSmp(t *testing.T) {
 			t.Fatalf("%s: exported trace invalid: %v", o.Label, err)
 		}
 	}
+	// The observed images are runs the sweep itself makes: each one's
+	// attribution split equals the sweep's largest-vCPU point.
+	res, err := Smp(true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, s := range res.Series {
+		if want, got := s.Points[len(s.Points)-1].Attr, obs[i].Attr.Summary(); got != want {
+			t.Errorf("%s: observed split %+v, the sweep measured %+v", obs[i].Label, got, want)
+		}
+	}
 }
 
 // TestObserveForEveryExperiment walks the experiment table in quick
