@@ -23,6 +23,7 @@ package clock
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -70,22 +71,36 @@ const Hz = 2_100_000_000
 // stands in for hardware parallelism, which keeps runs reproducible.
 type CPU struct {
 	cycles  uint64
-	byComp  map[Component]uint64
+	ledger  []entry
 	stopped bool
 	id      int
 	mach    *Machine // nil for a standalone CPU
 }
 
-// New returns a standalone CPU with an empty ledger.
-func New() *CPU { return &CPU{byComp: make(map[Component]uint64)} }
+// entry is one row of a CPU's per-component ledger.
+type entry struct {
+	comp   Component
+	cycles uint64
+}
 
-// Charge adds cycles to the counter, attributed to comp.
+// New returns a standalone CPU with an empty ledger.
+func New() *CPU { return &CPU{} }
+
+// Charge adds cycles to the counter, attributed to comp. The ledger
+// is a short slice in first-charge order, scanned by string equality:
+// an image charges about a dozen components, and the canonical ones
+// share their string data, so a steady-state charge is a few compares
+// with no hashing and no allocation. A component's first charge adds
+// its row, even for zero cycles.
 func (c *CPU) Charge(comp Component, cycles uint64) {
-	if c.byComp == nil {
-		c.byComp = make(map[Component]uint64)
-	}
 	c.cycles += cycles
-	c.byComp[comp] += cycles
+	for i := range c.ledger {
+		if c.ledger[i].comp == comp {
+			c.ledger[i].cycles += cycles
+			return
+		}
+	}
+	c.ledger = append(c.ledger, entry{comp, cycles})
 }
 
 // Cycles reports the total number of cycles charged so far.
@@ -130,20 +145,27 @@ func (c *CPU) Steer(int) func() { return func() {} }
 
 // ByComponent returns a copy of the per-component cycle ledger.
 func (c *CPU) ByComponent() map[Component]uint64 {
-	out := make(map[Component]uint64, len(c.byComp))
-	for k, v := range c.byComp {
-		out[k] = v
+	out := make(map[Component]uint64, len(c.ledger))
+	for _, e := range c.ledger {
+		out[e.comp] = e.cycles
 	}
 	return out
 }
 
 // Component reports the cycles attributed to a single component.
-func (c *CPU) Component(comp Component) uint64 { return c.byComp[comp] }
+func (c *CPU) Component(comp Component) uint64 {
+	for _, e := range c.ledger {
+		if e.comp == comp {
+			return e.cycles
+		}
+	}
+	return 0
+}
 
 // Reset zeroes the counter and the ledger.
 func (c *CPU) Reset() {
 	c.cycles = 0
-	c.byComp = make(map[Component]uint64)
+	c.ledger = c.ledger[:0]
 }
 
 // Elapsed converts the cycle counter to simulated time at Hz.
@@ -153,25 +175,18 @@ func (c *CPU) Elapsed() time.Duration {
 
 // String formats the ledger, largest consumer first.
 func (c *CPU) String() string {
-	type row struct {
-		comp Component
-		cyc  uint64
-	}
-	rows := make([]row, 0, len(c.byComp))
-	for k, v := range c.byComp {
-		rows = append(rows, row{k, v})
-	}
+	rows := slices.Clone(c.ledger)
 	sort.Slice(rows, func(i, j int) bool {
-		if rows[i].cyc != rows[j].cyc {
-			return rows[i].cyc > rows[j].cyc
+		if rows[i].cycles != rows[j].cycles {
+			return rows[i].cycles > rows[j].cycles
 		}
 		return rows[i].comp < rows[j].comp
 	})
 	var b strings.Builder
 	fmt.Fprintf(&b, "cpu: %d cycles (%v)", c.cycles, c.Elapsed())
 	for _, r := range rows {
-		fmt.Fprintf(&b, "\n  %-10s %12d (%5.1f%%)", r.comp, r.cyc,
-			100*float64(r.cyc)/float64(max(c.cycles, 1)))
+		fmt.Fprintf(&b, "\n  %-10s %12d (%5.1f%%)", r.comp, r.cycles,
+			100*float64(r.cycles)/float64(max(c.cycles, 1)))
 	}
 	return b.String()
 }

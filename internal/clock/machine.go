@@ -46,7 +46,7 @@ func NewMachine(n int) *Machine {
 	}
 	m := &Machine{cpus: make([]*CPU, n)}
 	for i := range m.cpus {
-		m.cpus[i] = &CPU{byComp: make(map[Component]uint64), id: i, mach: m}
+		m.cpus[i] = &CPU{id: i, mach: m}
 	}
 	m.cur = m.cpus[0]
 	return m
@@ -109,8 +109,8 @@ func (m *Machine) TotalCycles() uint64 {
 func (m *Machine) ByComponent() map[Component]uint64 {
 	out := make(map[Component]uint64)
 	for _, c := range m.cpus {
-		for k, v := range c.byComp {
-			out[k] += v
+		for _, e := range c.ledger {
+			out[e.comp] += e.cycles
 		}
 	}
 	return out
@@ -120,7 +120,7 @@ func (m *Machine) ByComponent() map[Component]uint64 {
 func (m *Machine) Component(comp Component) uint64 {
 	var sum uint64
 	for _, c := range m.cpus {
-		sum += c.byComp[comp]
+		sum += c.Component(comp)
 	}
 	return sum
 }

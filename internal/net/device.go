@@ -338,8 +338,14 @@ func Connect(a, b *Stack) *Wire {
 	return w
 }
 
-// transmit moves one frame across the wire. The frame is copied (the
-// wire owns nothing), filtered, and handed to the peer's input path.
+// transmit moves one frame across the wire to the peer's input path.
+// A clean wire hands over the sender's own slice. That is safe because
+// the peer only reads it, copying it into an rx buffer, and keeps no
+// reference to it, while the sender never writes a frame once it is
+// built (its retransmission queue resends the same bytes). So the rx
+// copy is the only copy. An armed direction delivers conduct's copies
+// instead, because corruption mutates them and a reorder holds one
+// back.
 func (n *NIC) transmit(frame []byte) {
 	n.countTx(n.stack.frameQueue(frame))
 	// TX driver cost on the sending machine.
@@ -353,9 +359,7 @@ func (n *NIC) transmit(frame []byte) {
 		}
 		return
 	}
-	wireCopy := make([]byte, len(frame))
-	copy(wireCopy, frame)
-	n.peer.receive(wireCopy)
+	n.peer.receive(frame)
 }
 
 // chargePacket attributes the driver cost of one frame of a batch:
@@ -387,7 +391,10 @@ func (n *NIC) transmitBatch(frames [][]byte) {
 	}
 	n.doorbells++
 	ls := n.wire.faults[n.wire.dirOf(n)]
-	delivered := make([][]byte, 0, len(frames))
+	delivered := frames // a clean wire delivers the batch as sent
+	if ls != nil {
+		delivered = make([][]byte, 0, len(frames))
+	}
 	for i, frame := range frames {
 		q := n.stack.frameQueue(frame)
 		n.countTx(q)
@@ -397,11 +404,7 @@ func (n *NIC) transmitBatch(frames [][]byte) {
 		}
 		if ls != nil {
 			delivered = append(delivered, n.wire.conduct(ls, n.stack.env.CPU.Cycles(), frame)...)
-			continue
 		}
-		wireCopy := make([]byte, len(frame))
-		copy(wireCopy, frame)
-		delivered = append(delivered, wireCopy)
 	}
 	n.peer.receiveBatch(delivered)
 }

@@ -18,6 +18,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 )
 
 // Header sizes and constants.
@@ -228,44 +229,67 @@ func encodeUDPFrame(buf []byte, h *header, payload []byte) (int, error) {
 	return total, nil
 }
 
-// checksum is the RFC 1071 ones-complement sum.
+// checksum is the RFC 1071 ones-complement checksum of b.
 func checksum(b []byte) uint16 {
-	var sum uint32
-	for i := 0; i+1 < len(b); i += 2 {
-		sum += uint32(binary.BigEndian.Uint16(b[i : i+2]))
-	}
-	if len(b)%2 == 1 {
-		sum += uint32(b[len(b)-1]) << 8
-	}
-	for sum>>16 != 0 {
-		sum = (sum & 0xffff) + (sum >> 16)
-	}
-	return ^uint16(sum)
+	return ^fold(onesSum(0, b))
 }
 
 // transportChecksum covers a TCP segment or UDP datagram with the
-// IPv4 pseudo-header.
+// IPv4 pseudo-header: source, destination, protocol and segment
+// length, added straight into the accumulator (the ones-complement sum
+// may take each address as one 32-bit word, see onesSum).
 func transportChecksum(src, dst IPAddr, proto uint8, seg []byte) uint16 {
-	var pseudo [12]byte
-	binary.BigEndian.PutUint32(pseudo[0:4], uint32(src))
-	binary.BigEndian.PutUint32(pseudo[4:8], uint32(dst))
-	pseudo[9] = proto
-	binary.BigEndian.PutUint16(pseudo[10:12], uint16(len(seg)))
-	var sum uint32
-	add := func(b []byte) {
-		for i := 0; i+1 < len(b); i += 2 {
-			sum += uint32(binary.BigEndian.Uint16(b[i : i+2]))
-		}
-		if len(b)%2 == 1 {
-			sum += uint32(b[len(b)-1]) << 8
-		}
+	pseudo := uint64(src) + uint64(dst) + uint64(proto) + uint64(uint16(len(seg)))
+	return ^fold(onesSum(pseudo, seg))
+}
+
+// onesSum adds b to the ones-complement accumulator sum. RFC 1071 §2:
+// the sum does not depend on the word width as long as carries wrap
+// around, so it adds 64-bit big-endian words (four per iteration while
+// they last) with an end-around carry and leaves the reduction to 16
+// bits to fold. Because 2^16 ≡ 1 modulo 0xffff, a 32-bit tail word
+// counts the same as its two 16-bit halves; every tail word starts at
+// an even offset, and an odd last byte is the high byte of a word
+// padded with zero.
+func onesSum(sum uint64, b []byte) uint64 {
+	var carry uint64
+	for len(b) >= 32 {
+		sum, carry = bits.Add64(sum, binary.BigEndian.Uint64(b[0:8]), carry)
+		sum, carry = bits.Add64(sum, binary.BigEndian.Uint64(b[8:16]), carry)
+		sum, carry = bits.Add64(sum, binary.BigEndian.Uint64(b[16:24]), carry)
+		sum, carry = bits.Add64(sum, binary.BigEndian.Uint64(b[24:32]), carry)
+		b = b[32:]
 	}
-	add(pseudo[:])
-	add(seg)
-	for sum>>16 != 0 {
-		sum = (sum & 0xffff) + (sum >> 16)
+	for len(b) >= 8 {
+		sum, carry = bits.Add64(sum, binary.BigEndian.Uint64(b), carry)
+		b = b[8:]
 	}
-	return ^uint16(sum)
+	var tail uint64
+	if len(b) >= 4 {
+		tail = uint64(binary.BigEndian.Uint32(b))
+		b = b[4:]
+	}
+	if len(b) >= 2 {
+		tail += uint64(binary.BigEndian.Uint16(b))
+		b = b[2:]
+	}
+	if len(b) == 1 {
+		tail += uint64(b[0]) << 8
+	}
+	sum, carry = bits.Add64(sum, tail, carry)
+	sum, carry = bits.Add64(sum, 0, carry)
+	return sum + carry
+}
+
+// fold reduces a 64-bit ones-complement accumulator to 16 bits. Each
+// step adds the high half back into the low half (the end-around
+// carry), so a nonzero sum never folds to zero.
+func fold(sum uint64) uint16 {
+	sum = sum&0xffffffff + sum>>32
+	sum = sum&0xffffffff + sum>>32
+	sum = sum&0xffff + sum>>16
+	sum = sum&0xffff + sum>>16
+	return uint16(sum)
 }
 
 // macFor derives a stable synthetic MAC from an IP.
