@@ -405,13 +405,15 @@ func BenchmarkGateCallBatch(b *testing.B) {
 			from, to := gate.NewDomain("a", 1), gate.NewDomain("b", 2)
 			frames := make([]gate.CallFrame, depth)
 			fns := make([]func() error, depth)
+			errs := make([]error, depth)
 			for i := range frames {
 				frames[i] = gate.CallFrame{ArgWords: 2, RetWords: 1}
 				fns[i] = func() error { return nil }
 			}
 			for i := 0; i < b.N; i++ {
 				if bg, ok := g.(gate.BatchGate); ok {
-					for _, err := range bg.CallBatch(from, to, frames, fns) {
+					bg.CallBatch(from, to, frames, fns, errs)
+					for _, err := range errs {
 						if err != nil {
 							b.Fatal(err)
 						}
@@ -425,6 +427,36 @@ func BenchmarkGateCallBatch(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(cpu.Cycles())/float64(b.N*depth), "sim-cycles/frame")
+		})
+	}
+}
+
+// BenchmarkRegistryCall times one gate call the way the OS issues it:
+// through the registry of a booted NW-only image, from the app into
+// the isolated network stack, per backend. Unlike BenchmarkGateCall it
+// includes the registry's dispatch (library lookup, observation, the
+// crossing ledger), so allocs/op catches a per-call allocation anywhere
+// on that path.
+func BenchmarkRegistryCall(b *testing.B) {
+	for _, backend := range gateBenchBackends {
+		b.Run(backend.String(), func(b *testing.B) {
+			w, err := build.NewWorld(build.Config{Name: "registry-call",
+				Compartments: build.NWOnly(), Backend: backend, Alloc: build.AllocPerCompartment})
+			if err != nil {
+				b.Fatal(err)
+			}
+			reg, clk := w.Server.Registry, w.Server.Clock
+			frame := gate.CallFrame{ArgWords: 3, RetWords: 1}
+			nop := func() error { return nil }
+			start := clk.Cycles()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := reg.CallWithFrame("app", "netstack", "bench", frame, nop); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(clk.Cycles()-start)/float64(b.N), "sim-cycles/call")
 		})
 	}
 }

@@ -1,7 +1,7 @@
 // Command flexos-autospec generates draft library metadata from
 // observed behaviour: it runs the Redis workload on a baseline image
-// with the gate registry's observer tapped, then renders the recorded
-// call graph in the metadata language for developer review — the
+// with a call recorder on the server's observation sink, then renders
+// the recorded call graph in the metadata language for review — the
 // paper's §5 "methods for (semi-)automatically generating [metadata]
 // should be explored", implemented.
 //

@@ -66,11 +66,9 @@ type Machine struct {
 	// Sup applies per-compartment fault policy (Config.OnFault) to
 	// every supervised gate call on this machine.
 	Sup *rt.Supervisor
-	// Metrics is the machine's always-on observability registry: live
-	// crossing counters and per-(pair, vCPU) call-latency histograms
-	// fed from the gate meter. Unlike the bounded trace ring these
-	// never drop, so attribution stays exact under any event rate.
-	Metrics *metrics.Registry
+	// Sink receives every event of the machine's registry, pool, stack
+	// and supervisor; EnableTracing and Sink.Record attach to it.
+	Sink *trace.Sink
 
 	envs   map[string]*rt.Env
 	comps  []Compartment
@@ -159,6 +157,7 @@ func newMachine(cfg Config, comps []Compartment, s sched.Scheduler, ip net.IPAdd
 		comps:  comps,
 	}
 	m.CPU = m.Clock.CPU(0)
+	m.Sink = trace.NewSink(m.Clock)
 
 	// --- memory layout ---------------------------------------------
 	// Page 0 stays unmapped (NilAddr), then the shared window, then
@@ -179,9 +178,9 @@ func newMachine(cfg Config, comps []Compartment, s sched.Scheduler, ip net.IPAdd
 		return nil, err
 	}
 	base += sharedHeapSize
-	m.Pool = mem.NewSharedPool(shared)
+	m.Pool = mem.NewSharedPool(shared, m.Sink)
 
-	m.Sup = rt.NewSupervisor(m.Clock, m.Pool)
+	m.Sup = rt.NewSupervisor(m.Clock, m.Pool, m.Sink)
 	for comp, p := range cfg.OnFault {
 		m.Sup.SetPolicy(comp, p)
 	}
@@ -318,7 +317,7 @@ func newMachine(cfg Config, comps []Compartment, s sched.Scheduler, ip net.IPAdd
 		cross = cg
 	}
 
-	m.Registry = gate.NewRegistry(direct, cross)
+	m.Registry = gate.NewRegistry(m.Clock, direct, cross, m.Sink)
 	for _, d := range domains {
 		m.Registry.AddCompartment(d)
 	}
@@ -330,45 +329,12 @@ func newMachine(cfg Config, comps []Compartment, s sched.Scheduler, ip net.IPAdd
 		}
 	}
 
-	// --- always-on metrics -----------------------------------------
-	// Live crossing counters and call-latency histograms, per
-	// (compartment pair, vCPU). Instruments are resolved once per key
-	// and cached; the meter itself is two counter adds and one
-	// histogram observe — no allocation after the first crossing of a
-	// pair on a vCPU.
-	m.Metrics = metrics.NewRegistry()
 	m.compOf = make(map[clock.Component]string, len(libComponents))
 	for _, c := range comps {
 		for _, l := range c.Libraries {
 			m.compOf[libComponents[l]] = c.Name
 		}
 	}
-	backend := cfg.Backend.String()
-	type meterKey struct {
-		from, to string
-		cpu      int
-	}
-	type meterInst struct {
-		crossings, frames *metrics.Counter
-		cycles            *metrics.Histogram
-	}
-	insts := make(map[meterKey]*meterInst)
-	m.Registry.SetMeter(m.Clock, func(fromComp, toComp string, cpu int, cycles uint64, frames int) {
-		k := meterKey{fromComp, toComp, cpu}
-		in, ok := insts[k]
-		if !ok {
-			l := metrics.Label{Comp: fromComp + "->" + toComp, Backend: backend, CPU: cpu}
-			in = &meterInst{
-				crossings: m.Metrics.Counter("gate_crossings", l),
-				frames:    m.Metrics.Counter("gate_frames", l),
-				cycles:    m.Metrics.Histogram("gate_call_cycles", l),
-			}
-			insts[k] = in
-		}
-		in.crossings.Inc()
-		in.frames.Add(uint64(frames))
-		in.cycles.Observe(cycles)
-	})
 
 	// --- per-library runtime environments --------------------------
 	for _, l := range DefaultLibraries {
@@ -387,6 +353,7 @@ func newMachine(cfg Config, comps []Compartment, s sched.Scheduler, ip net.IPAdd
 			AllocLocal: cfg.Alloc != AllocGlobal || l == "alloc",
 			Pool:       m.Pool,
 			Hard:       hard,
+			Sink:       m.Sink,
 			Sup:        m.Sup,
 			Cur:        s.Current,
 			Batching:   cfg.Batch,
@@ -449,57 +416,12 @@ func (m *Machine) Env(lib string) *rt.Env {
 // Compartments returns the machine's effective compartment list.
 func (m *Machine) Compartments() []Compartment { return m.comps }
 
-// EnableTracing attaches a crossing trace of up to capacity events to
-// the machine's gate registry and returns the ring. Buffer-pool
-// lifecycle events (buf-alloc, buf-ref, buf-release) and data-path
-// boundary copies (buf-copy) land in the same ring.
+// EnableTracing attaches a ring of up to capacity events to the
+// machine's sink and returns it: crossings, buffer lifecycle and copies
+// (buf-*), transport repairs (net-*) and supervisor events.
 func (m *Machine) EnableTracing(capacity int) *trace.Ring {
 	ring := trace.NewRing(capacity)
-	m.Registry.SetTracer(func(fromComp, toComp string) {
-		ring.Emit(trace.Event{
-			Cycles: m.Clock.Cycles(),
-			CPU:    m.Clock.CurID(),
-			Kind:   "crossing",
-			From:   fromComp,
-			To:     toComp,
-		})
-	})
-	m.Pool.SetTracer(func(kind string, addr mem.Addr, n int) {
-		ring.Emit(trace.Event{
-			Cycles: m.Clock.Cycles(),
-			CPU:    m.Clock.CurID(),
-			Kind:   kind,
-			Note:   fmt.Sprintf("%#x+%d", addr, n),
-		})
-	})
-	m.Stack.SetCopyTracer(func(from, to string, n int) {
-		ring.Emit(trace.Event{
-			Cycles: m.Clock.Cycles(),
-			CPU:    m.Clock.CurID(),
-			Kind:   "buf-copy",
-			From:   from,
-			To:     to,
-			Note:   fmt.Sprintf("%d bytes", n),
-		})
-	})
-	m.Sup.SetTracer(func(kind, comp, note string) {
-		ring.Emit(trace.Event{
-			Cycles: m.Clock.Cycles(),
-			CPU:    m.Clock.CurID(),
-			Kind:   kind,
-			From:   comp,
-			Note:   note,
-		})
-	})
-	m.Stack.SetEventTracer(func(kind, note string) {
-		ring.Emit(trace.Event{
-			Cycles: m.Clock.Cycles(),
-			CPU:    m.Clock.CurID(),
-			Kind:   kind,
-			From:   "netstack",
-			Note:   note,
-		})
-	})
+	m.Sink.Attach(ring)
 	return ring
 }
 
@@ -512,13 +434,20 @@ func (m *Machine) Attribution() *metrics.Attribution {
 	return metrics.Attribute(m.Clock, func(c clock.Component) string { return m.compOf[c] })
 }
 
-// MetricsSnapshot copies the live instruments — gate crossing counters
-// and latency histograms from the meter, plus the plain-field counters
-// kept on the NIC, shared pool and supervisor — into one deterministic
-// export-ready snapshot.
+// MetricsSnapshot copies the live counters — the registry's crossing
+// ledger and the plain fields kept on the NIC, stack, shared pool and
+// supervisor — into one deterministic export-ready snapshot.
 func (m *Machine) MetricsSnapshot() *metrics.Snapshot {
-	s := m.Metrics.Snapshot()
+	s := &metrics.Snapshot{}
 	backend := m.Config.Backend.String()
+	for _, row := range m.Registry.Ledger() {
+		// Crossings still in flight have no latency yet: the snapshot
+		// counts the completed ones.
+		l := metrics.Label{Comp: row.From + "->" + row.To, Backend: backend, CPU: row.CPU}
+		s.Add("gate_crossings", l, row.Cycles.Count())
+		s.Add("gate_frames", l, row.Frames)
+		s.AddHistogram("gate_call_cycles", l, &row.Cycles)
+	}
 	mw := func(comp string) metrics.Label {
 		return metrics.Label{Comp: comp, Backend: backend, CPU: -1}
 	}

@@ -189,7 +189,9 @@ func TestBatchCrossingCostMatchesGateCharge(t *testing.T) {
 		cpu.Reset()
 		ran = 0
 		if bg, isBatch := g.(BatchGate); isBatch {
-			for i, err := range bg.CallBatch(a, b, frames, fns) {
+			errs := make([]error, len(frames))
+			bg.CallBatch(a, b, frames, fns, errs)
+			for i, err := range errs {
 				if err != nil {
 					t.Fatalf("%v: frame %d: %v", backend, i, err)
 				}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"flexos/internal/clock"
-	"flexos/internal/fault"
 )
 
 // Batched gate calls: the crossing-amortization ABI.
@@ -25,12 +24,12 @@ import (
 
 // BatchGate is implemented by gates whose crossing cost can be
 // amortized over several frames. CallBatch runs fns[i] under frames[i]
-// in the `to` domain, paying the domain crossing once; the returned
-// slice has one entry per frame (nil for success). frames and fns must
-// have equal length.
+// in the `to` domain, paying the domain crossing once, and stores each
+// frame's outcome in errs[i] (nil for success). frames, fns and errs
+// must have equal length.
 type BatchGate interface {
 	Gate
-	CallBatch(from, to *Domain, frames []CallFrame, fns []func() error) []error
+	CallBatch(from, to *Domain, frames []CallFrame, fns []func() error, errs []error)
 }
 
 // BatchCrossingCost reports the fixed cycle cost of carrying n frames
@@ -51,37 +50,16 @@ func BatchCrossingCost(b Backend, n int) uint64 {
 	}
 }
 
-// batchFrameDeadline refuses one frame's dispatch inside an
-// already-entered batch. The crossing itself is paid by then; what a
-// deadline can still veto is running the frame's work, so the check is
-// against the dispatch cost alone. Refusal charges the same cheap
-// rejection path as a gate-entry refusal and yields the same typed
-// KindDeadline trap, scoped to this frame.
-func batchFrameDeadline(cpu clock.Clock, from, to *Domain, frame CallFrame) error {
-	if frame.Deadline == 0 {
-		return nil
-	}
-	now := cpu.Cycles()
-	if now+clock.CostBatchDispatch <= frame.Deadline {
-		return nil
-	}
-	cpu.Charge(clock.CompGate, clock.CostDeadlineRefuse)
-	pc := from.Name + "->" + to.Name
-	return fault.Classify(to.Name, pc,
-		&fault.DeadlineExceeded{PC: pc, Deadline: frame.Deadline, Now: now})
-}
-
 // CallBatch carries the whole batch through one PKRU round trip. Entry
 // marshals every frame's words at once (switched stacks copy the summed
 // entry+payload words in one go); each frame then dispatches inside its
 // own trap boundary; the return path restores the caller domain once.
-func (g *mpkGate) CallBatch(from, to *Domain, frames []CallFrame, fns []func() error) []error {
-	g.count++
-	errs := make([]error, len(frames))
+func (g *mpkGate) CallBatch(from, to *Domain, frames []CallFrame, fns []func() error, errs []error) {
 	// Frames whose descriptors the callee could not reach are refused
 	// before the crossing, exactly like the single-call path; the rest
-	// of the batch still crosses.
-	live := make([]bool, len(frames))
+	// of the batch still crosses. From here on a nil errs[i] marks a
+	// frame still live.
+	clear(errs)
 	words, any := 0, false
 	for i, f := range frames {
 		if !g.switched {
@@ -90,70 +68,53 @@ func (g *mpkGate) CallBatch(from, to *Domain, frames []CallFrame, fns []func() e
 				continue
 			}
 		}
-		live[i] = true
 		any = true
 		words += f.EntryWords() + f.PayloadWords()
 	}
 	if !any {
-		return errs
+		return
 	}
-	pc := from.Name + "->" + to.Name
-	g.clk.Charge(clock.CompGate, clock.CostRegisterClear)
-	if g.switched {
-		g.clk.Charge(clock.CompGate,
-			clock.CostStackSwitch+uint64(words)*clock.CostParamCopyPerWord)
-	}
-	if err := g.unit.WritePKRU(to.PKRU); err != nil {
-		trap := &fault.Trap{Comp: to.Name, Kind: fault.KindSealedPKRU, PC: pc,
-			Cause: fmt.Errorf("gate %s->%s: %w", from.Name, to.Name, err)}
-		for i := range frames {
-			if live[i] {
-				errs[i] = trap
-			}
-		}
-		return errs
+	if err := g.pass(from, to, to.PKRU, words, "gate %s->%s: %w"); err != nil {
+		trapLive(errs, err)
+		return
 	}
 	retWords := 0
 	for i, fn := range fns {
-		if !live[i] {
+		if errs[i] != nil {
 			continue
 		}
 		// Per-frame deadline: earlier frames' work advances the clock,
 		// so a late frame in the batch can still be refused here.
-		if err := batchFrameDeadline(g.clk, from, to, frames[i]); err != nil {
+		if err := deadlineCheck(g.clk, clock.CostBatchDispatch, from, to, frames[i]); err != nil {
 			errs[i] = err
 			continue
 		}
 		g.clk.Charge(clock.CompGate, clock.CostBatchDispatch)
 		// Each frame gets its own trap boundary: one trapped frame
 		// aborts only itself, the rest of the batch completes.
-		errs[i] = fault.Contain(to.Name, pc, fn)
+		errs[i] = contain(from, to, fn)
 		retWords += frames[i].RetWords
 	}
-	g.clk.Charge(clock.CompGate, clock.CostRegisterClear)
-	if g.switched {
-		g.clk.Charge(clock.CompGate,
-			clock.CostStackSwitch+uint64(retWords)*clock.CostParamCopyPerWord)
+	if err := g.pass(from, to, from.PKRU, retWords, "gate %s<-%s return: %w"); err != nil {
+		trapLive(errs, err)
 	}
-	if err := g.unit.WritePKRU(from.PKRU); err != nil {
-		trap := &fault.Trap{Comp: to.Name, Kind: fault.KindSealedPKRU, PC: pc,
-			Cause: fmt.Errorf("gate %s<-%s return: %w", from.Name, to.Name, err)}
-		for i := range frames {
-			if live[i] && errs[i] == nil {
-				errs[i] = trap
-			}
+}
+
+// trapLive fails every frame of a batch that has not failed yet with
+// trap: a sealed-WRPKRU rejection on entry or return strands them all.
+func trapLive(errs []error, trap error) {
+	for i := range errs {
+		if errs[i] == nil {
+			errs[i] = trap
 		}
 	}
-	return errs
 }
 
 // CallBatch marshals every frame's request into the shared ring under
 // one notification pair: one VM exit carries N requests over, one
 // carries N responses back. This is where batching pays the most —
 // CostVMNotify dwarfs everything else in the RPC crossing.
-func (g *rpcGate) CallBatch(from, to *Domain, frames []CallFrame, fns []func() error) []error {
-	g.count++
-	errs := make([]error, len(frames))
+func (g *rpcGate) CallBatch(from, to *Domain, frames []CallFrame, fns []func() error, errs []error) {
 	words := 0
 	for _, f := range frames {
 		words += f.EntryWords() + f.PayloadWords()
@@ -163,15 +124,14 @@ func (g *rpcGate) CallBatch(from, to *Domain, frames []CallFrame, fns []func() e
 	if g.notify != nil {
 		g.notify(from, to)
 	}
-	pc := from.Name + "->" + to.Name
 	retWords := 0
 	for i, fn := range fns {
-		if err := batchFrameDeadline(g.clk, from, to, frames[i]); err != nil {
+		if err := deadlineCheck(g.clk, clock.CostBatchDispatch, from, to, frames[i]); err != nil {
 			errs[i] = err
 			continue
 		}
 		g.clk.Charge(clock.CompVMM, clock.CostBatchDispatch)
-		errs[i] = fault.Contain(to.Name, pc, fn)
+		errs[i] = contain(from, to, fn)
 		retWords += frames[i].RetWords
 	}
 	g.clk.Charge(clock.CompVMM, clock.CostVMNotify+
@@ -179,5 +139,4 @@ func (g *rpcGate) CallBatch(from, to *Domain, frames []CallFrame, fns []func() e
 	if g.notify != nil {
 		g.notify(to, from)
 	}
-	return errs
 }

@@ -18,7 +18,6 @@ type cheriGate struct {
 	m       *cheri.Machine
 	cpu     clock.Clock
 	entries map[string][2]cheri.Capability // domain -> sealed {code, data}
-	count   uint64
 }
 
 // NewCHERI returns a capability-backend gate over machine m.
@@ -45,40 +44,35 @@ func (g *CHERIGate) RegisterEntry(domain string, code, data cheri.Capability) er
 // Backend implements Gate.
 func (g *CHERIGate) Backend() Backend { return CHERI }
 
-// Crossings implements Gate.
-func (g *CHERIGate) Crossings() uint64 { return g.count }
-
 // Call implements Gate: CInvoke into the target domain, run fn,
 // CInvoke back. Payload buffers cross by reference — the callee
 // receives (bounded) capabilities for them, so only the descriptor
 // words are marshalled.
 func (g *CHERIGate) Call(from, to *Domain, frame CallFrame, fn func() error) error {
-	g.count++
-	if err := deadlineCheck(g.cpu, CHERI, from, to, frame); err != nil {
+	if err := deadlineCheck(g.cpu, CrossingCost(CHERI), from, to, frame); err != nil {
 		return err
 	}
 	g.cpu.Charge(clock.CompGate, clock.CostRegisterClear+
 		uint64(frame.EntryWords())*clock.CostParamCopyPerWord)
-	pc := from.Name + "->" + to.Name
 	pair, ok := g.entries[to.Name]
 	if !ok {
 		return fmt.Errorf("gate: no sealed entry pair for domain %q", to.Name)
 	}
 	if _, _, err := g.m.Invoke(pair[0], pair[1]); err != nil {
-		return fault.Classify(to.Name, pc, fmt.Errorf("gate %s->%s: %w", from.Name, to.Name, err))
+		return fault.Classify(to.Name, pcOf(from, to), fmt.Errorf("gate %s->%s: %w", from.Name, to.Name, err))
 	}
 	// The callee runs behind a trap boundary: capability bounds/tag
 	// violations (and injected corruption) in the target compartment
 	// come back as typed fault.Trap errors, and the return CInvoke
 	// below still reinstalls the caller's domain.
-	callErr := fault.Contain(to.Name, pc, fn)
+	callErr := contain(from, to, fn)
 	g.cpu.Charge(clock.CompGate, clock.CostRegisterClear)
 	ret, ok := g.entries[from.Name]
 	if !ok {
 		return fmt.Errorf("gate: no sealed entry pair for caller domain %q", from.Name)
 	}
 	if _, _, err := g.m.Invoke(ret[0], ret[1]); err != nil {
-		return fault.Classify(to.Name, pc, fmt.Errorf("gate %s<-%s return: %w", from.Name, to.Name, err))
+		return fault.Classify(to.Name, pcOf(from, to), fmt.Errorf("gate %s<-%s return: %w", from.Name, to.Name, err))
 	}
 	return callErr
 }

@@ -164,23 +164,36 @@ type CallFrame struct {
 	Deadline uint64
 }
 
-// deadlineCheck refuses a crossing whose fixed cost cannot complete
-// within the frame's deadline, returning a KindDeadline trap via
-// fault.Classify. Gates call it on entry, before charging any
-// crossing cost: refusing late work must stay far cheaper than doing
-// it.
-func deadlineCheck(clk clock.Clock, b Backend, from, to *Domain, frame CallFrame) error {
+// deadlineCheck refuses work costing cost cycles that cannot complete
+// within the frame's deadline, with a KindDeadline trap. Gates call it
+// with the crossing's fixed cost before charging any of it (refusing
+// late work must stay far cheaper than doing it), and batches again
+// with the dispatch cost at each frame.
+func deadlineCheck(clk clock.Clock, cost uint64, from, to *Domain, frame CallFrame) error {
 	if frame.Deadline == 0 {
 		return nil
 	}
 	now := clk.Cycles()
-	if now+CrossingCost(b) <= frame.Deadline {
+	if now+cost <= frame.Deadline {
 		return nil
 	}
 	clk.Charge(clock.CompGate, clock.CostDeadlineRefuse)
-	pc := from.Name + "->" + to.Name
+	pc := pcOf(from, to)
 	return fault.Classify(to.Name, pc,
 		&fault.DeadlineExceeded{PC: pc, Deadline: frame.Deadline, Now: now})
+}
+
+// pcOf is a crossing's symbolic trap PC. Gates build it only on a trap
+// or refusal path, so a clean crossing allocates nothing.
+func pcOf(from, to *Domain) string { return from.Name + "->" + to.Name }
+
+// contain is fault.Contain with the crossing's PC, built only when fn
+// fails.
+func contain(from, to *Domain, fn func() error) error {
+	if err := fault.Catch(to.Name, fn); err != nil {
+		return fault.Classify(to.Name, pcOf(from, to), err)
+	}
+	return nil
 }
 
 // EntryWords is the number of scalar words marshalled on entry: the
@@ -210,27 +223,19 @@ type Gate interface {
 	// fn's error; gate-internal failures (PKRU sealing violations,
 	// descriptors outside the shared window) are also reported.
 	Call(from, to *Domain, frame CallFrame, fn func() error) error
-	// Crossings reports how many domain crossings the gate performed
-	// (a call and its return are one crossing pair, counted once).
-	Crossings() uint64
 }
 
 // funcGate is the direct-call gate used within a compartment.
 type funcGate struct {
-	clk   clock.Clock
-	count uint64
+	clk clock.Clock
 }
 
 // NewFuncCall returns the direct-call gate.
 func NewFuncCall(clk clock.Clock) Gate { return &funcGate{clk: clk} }
 
 func (g *funcGate) Backend() Backend { return FuncCall }
-func (g *funcGate) Crossings() uint64 {
-	return g.count
-}
 
 func (g *funcGate) Call(from, to *Domain, frame CallFrame, fn func() error) error {
-	g.count++
 	g.clk.Charge(clock.CompGate, clock.CostCall)
 	// Deliberately no trap boundary: a direct call offers no
 	// protection-domain switch, so a fault raised in the callee unwinds
@@ -243,7 +248,6 @@ type mpkGate struct {
 	unit     *mpk.Unit
 	clk      clock.Clock
 	switched bool
-	count    uint64
 }
 
 // NewMPKShared returns the ERIM-like shared-stack gate.
@@ -263,8 +267,6 @@ func (g *mpkGate) Backend() Backend {
 	return MPKShared
 }
 
-func (g *mpkGate) Crossings() uint64 { return g.count }
-
 // checkSharedBufs verifies that every descriptor in the frame points
 // into key-0 pages: a by-reference buffer the callee cannot map would
 // fault on first touch, so the gate rejects it up front.
@@ -278,9 +280,24 @@ func (g *mpkGate) checkSharedBufs(frame CallFrame) error {
 	return nil
 }
 
+// pass is one direction of a crossing: clear registers, switch stacks
+// copying words across (switched only), install pkru. A sealed-WRPKRU
+// rejection is a protection fault of the callee, worded by format.
+func (g *mpkGate) pass(from, to *Domain, pkru mpk.PKRU, words int, format string) error {
+	g.clk.Charge(clock.CompGate, clock.CostRegisterClear)
+	if g.switched {
+		g.clk.Charge(clock.CompGate,
+			clock.CostStackSwitch+uint64(words)*clock.CostParamCopyPerWord)
+	}
+	if err := g.unit.WritePKRU(pkru); err != nil {
+		return &fault.Trap{Comp: to.Name, Kind: fault.KindSealedPKRU, PC: pcOf(from, to),
+			Cause: fmt.Errorf(format, from.Name, to.Name, err)}
+	}
+	return nil
+}
+
 func (g *mpkGate) Call(from, to *Domain, frame CallFrame, fn func() error) error {
-	g.count++
-	if err := deadlineCheck(g.clk, g.Backend(), from, to, frame); err != nil {
+	if err := deadlineCheck(g.clk, CrossingCost(g.Backend()), from, to, frame); err != nil {
 		return err
 	}
 	if !g.switched {
@@ -290,37 +307,20 @@ func (g *mpkGate) Call(from, to *Domain, frame CallFrame, fn func() error) error
 			return fmt.Errorf("gate %s->%s: %w", from.Name, to.Name, err)
 		}
 	}
-	// Entry: clear caller-saved registers, switch PKRU, optionally
-	// switch stacks and copy parameters (and, with copy transfer
-	// semantics, payload bytes) across.
-	g.clk.Charge(clock.CompGate, clock.CostRegisterClear)
-	if g.switched {
-		words := frame.EntryWords() + frame.PayloadWords()
-		g.clk.Charge(clock.CompGate,
-			clock.CostStackSwitch+uint64(words)*clock.CostParamCopyPerWord)
-	}
-	pc := from.Name + "->" + to.Name
-	if err := g.unit.WritePKRU(to.PKRU); err != nil {
-		// A sealed-WRPKRU rejection is a protection fault in its own
-		// right: attempted entry with an unregistered register value.
-		return &fault.Trap{Comp: to.Name, Kind: fault.KindSealedPKRU, PC: pc,
-			Cause: fmt.Errorf("gate %s->%s: %w", from.Name, to.Name, err)}
+	// Entry: switch PKRU and, switched, stacks, copying parameters
+	// (and, with copy transfer semantics, payload bytes) across.
+	if err := g.pass(from, to, to.PKRU, frame.EntryWords()+frame.PayloadWords(), "gate %s->%s: %w"); err != nil {
+		return err
 	}
 	// The callee runs inside a trap boundary: protection faults raised
 	// in its domain (pkey faults, ASAN violations, injected corruption)
 	// come back as typed fault.Trap errors, and the return path below
 	// still restores the caller's PKRU.
-	callErr := fault.Contain(to.Name, pc, fn)
+	callErr := contain(from, to, fn)
 	// Return path: restore caller domain (and stack), copying the
 	// declared return words back.
-	g.clk.Charge(clock.CompGate, clock.CostRegisterClear)
-	if g.switched {
-		g.clk.Charge(clock.CompGate,
-			clock.CostStackSwitch+uint64(frame.RetWords)*clock.CostParamCopyPerWord)
-	}
-	if err := g.unit.WritePKRU(from.PKRU); err != nil {
-		return &fault.Trap{Comp: to.Name, Kind: fault.KindSealedPKRU, PC: pc,
-			Cause: fmt.Errorf("gate %s<-%s return: %w", from.Name, to.Name, err)}
+	if err := g.pass(from, to, from.PKRU, frame.RetWords, "gate %s<-%s return: %w"); err != nil {
+		return err
 	}
 	return callErr
 }
@@ -331,8 +331,7 @@ func (g *mpkGate) Call(from, to *Domain, frame CallFrame, fn func() error) error
 // enforced by construction (the callee VM simply has no mapping of the
 // caller's private memory), so no PKRU is involved.
 type rpcGate struct {
-	clk   clock.Clock
-	count uint64
+	clk clock.Clock
 	// notify, when non-nil, is invoked for each crossing so the vmm
 	// substrate can deliver the event on the peer's event channel.
 	notify func(from, to *Domain)
@@ -352,12 +351,10 @@ func NewVMRPC(clk clock.Clock, notify func(from, to *Domain)) Gate {
 	return &rpcGate{clk: clk, notify: notify}
 }
 
-func (g *rpcGate) Backend() Backend  { return VMRPC }
-func (g *rpcGate) Crossings() uint64 { return g.count }
+func (g *rpcGate) Backend() Backend { return VMRPC }
 
 func (g *rpcGate) Call(from, to *Domain, frame CallFrame, fn func() error) error {
-	g.count++
-	if err := deadlineCheck(g.clk, VMRPC, from, to, frame); err != nil {
+	if err := deadlineCheck(g.clk, CrossingCost(VMRPC), from, to, frame); err != nil {
 		return err
 	}
 	// Request: marshal descriptor + args — and, since the VMs share no
@@ -377,7 +374,7 @@ func (g *rpcGate) Call(from, to *Domain, frame CallFrame, fn func() error) error
 	// The callee VM's work runs inside a trap boundary: a protection
 	// fault in the callee costs that VM, not the caller — the caller
 	// sees a typed error on its response ring.
-	callErr := fault.Contain(to.Name, from.Name+"->"+to.Name, fn)
+	callErr := contain(from, to, fn)
 	// Response: notification back to the caller VM, return words
 	// marshalled through the ring.
 	g.clk.Charge(clock.CompVMM, clock.CostVMNotify+

@@ -6,6 +6,8 @@ import (
 
 	"flexos/internal/clock"
 	"flexos/internal/fault"
+	"flexos/internal/metrics"
+	"flexos/internal/trace"
 )
 
 // Registry is the runtime artifact the builder produces from a
@@ -15,37 +17,27 @@ import (
 // to a direct call or a domain crossing, exactly like the link-time
 // gate instantiation of the paper.
 type Registry struct {
-	domains   map[string]*Domain // compartment -> domain
-	libs      map[string]string  // library -> compartment
-	direct    Gate
-	cross     Gate
-	pairCount map[[2]string]uint64
-	tracer    func(fromComp, toComp string)
-	observer  func(fromLib, toLib, fn string)
-	injector  *fault.Injector
-	meterClk  clock.Clock
-	meter     func(fromComp, toComp string, cpu int, cycles uint64, frames int)
+	domains  map[string]*Domain // compartment -> domain
+	libs     map[string]string  // library -> compartment
+	direct   Gate
+	cross    Gate
+	clk      clock.Clock
+	sink     *trace.Sink
+	injector *fault.Injector
+	ledger   []*LedgerRow // in first-crossing order
 }
 
-// SetTracer installs a callback invoked on every inter-compartment
-// crossing (nil disables tracing).
-func (r *Registry) SetTracer(fn func(fromComp, toComp string)) { r.tracer = fn }
-
-// SetObserver installs a callback invoked on every named cross-library
-// call, including intra-compartment ones — the dynamic-analysis tap
-// the metadata generator records from (nil disables).
-func (r *Registry) SetObserver(fn func(fromLib, toLib, fn string)) { r.observer = fn }
-
-// SetMeter installs the metrics hook invoked after every
-// inter-compartment crossing with the vCPU it started on and the
-// measured cycle cost of the whole call (crossing plus callee work, as
-// seen by that vCPU's counter). frames is 1 for a plain call and the
-// batch size for one amortized CallBatch crossing. Unlike the trace
-// ring, the meter's consumers keep *live counters* — they never drop
-// under load — which is what the attribution path reads. nil disables
-// metering.
-func (r *Registry) SetMeter(clk clock.Clock, fn func(fromComp, toComp string, cpu int, cycles uint64, frames int)) {
-	r.meterClk, r.meter = clk, fn
+// LedgerRow counts the crossings from one compartment into another
+// that started on one vCPU. Crossings counts entries; Frames (a batch
+// carries several) and the whole call's cycle cost are booked on
+// return, so a crossing still in flight when a run ends (a thread
+// parked in the callee) is missing from Cycles.Count().
+type LedgerRow struct {
+	From, To  string
+	CPU       int
+	Crossings uint64
+	Frames    uint64
+	Cycles    metrics.Histogram
 }
 
 // SetInjector installs a deterministic fault injector fired at every
@@ -56,14 +48,17 @@ func (r *Registry) SetMeter(clk clock.Clock, fn func(fromComp, toComp string, cp
 func (r *Registry) SetInjector(in *fault.Injector) { r.injector = in }
 
 // NewRegistry creates a registry using direct for intra-compartment
-// calls and cross for inter-compartment calls.
-func NewRegistry(direct, cross Gate) *Registry {
+// calls and cross for inter-compartment calls, timing crossings on clk.
+// Every crossing and every named call edge is an event on sink, which
+// may be nil.
+func NewRegistry(clk clock.Clock, direct, cross Gate, sink *trace.Sink) *Registry {
 	return &Registry{
-		domains:   make(map[string]*Domain),
-		libs:      make(map[string]string),
-		direct:    direct,
-		cross:     cross,
-		pairCount: make(map[[2]string]uint64),
+		domains: make(map[string]*Domain),
+		libs:    make(map[string]string),
+		direct:  direct,
+		cross:   cross,
+		clk:     clk,
+		sink:    sink,
 	}
 }
 
@@ -127,138 +122,146 @@ func (r *Registry) Call(fromLib, toLib string, argWords int, fn func() error) er
 	return r.CallWithFrame(fromLib, toLib, "", CallFrame{ArgWords: argWords, RetWords: 1}, fn)
 }
 
-// CallNamed is Call with the callee function named, feeding the
-// observer (used to generate draft metadata from observed behaviour).
-func (r *Registry) CallNamed(fromLib, toLib, fnName string, argWords int, fn func() error) error {
-	return r.CallWithFrame(fromLib, toLib, fnName, CallFrame{ArgWords: argWords, RetWords: 1}, fn)
-}
-
 // CallWithFrame is the full-ABI call site: the frame carries argument
 // and return word counts plus any payload buffers attached by
 // descriptor (the zero-copy data path).
 func (r *Registry) CallWithFrame(fromLib, toLib, fnName string, frame CallFrame, fn func() error) error {
-	cf, ok := r.libs[fromLib]
-	if !ok {
-		return fmt.Errorf("gate: caller library %q not assigned", fromLib)
-	}
-	ct, ok := r.libs[toLib]
-	if !ok {
-		return fmt.Errorf("gate: callee library %q not assigned", toLib)
-	}
-	if r.observer != nil && fnName != "" {
-		r.observer(fromLib, toLib, fnName)
-	}
-	inner := fn
-	if r.injector != nil {
-		// The injection point sits on the callee side of the gate:
-		// armed faults fire at call entry, before the callee mutates
-		// state, inside whatever trap boundary the gate provides.
-		inner = func() error {
-			r.injector.OnCall(toLib, ct, fnName)
-			return fn()
-		}
-	}
-	if cf == ct {
-		return r.direct.Call(r.domains[cf], r.domains[ct], frame, inner)
-	}
-	r.pairCount[[2]string{cf, ct}]++
-	if r.tracer != nil {
-		r.tracer(cf, ct)
-	}
-	if r.meter != nil {
-		cpu, start := r.meterClk.CurID(), r.meterClk.Cycles()
-		err := r.cross.Call(r.domains[cf], r.domains[ct], frame, inner)
-		r.meter(cf, ct, cpu, r.meterClk.Cycles()-start, 1)
+	from, to, err := r.route(fromLib, toLib, fnName)
+	if err != nil {
 		return err
 	}
-	return r.cross.Call(r.domains[cf], r.domains[ct], frame, inner)
+	fn = r.inject(toLib, to.Name, fnName, fn)
+	if from == to {
+		return r.direct.Call(from, to, frame, fn)
+	}
+	return r.crossCall(from, to, frame, fn)
 }
 
 // CallBatch routes N cross-library calls to the same callee through
-// one crossing where the backend supports it. Same-compartment batches
-// and non-amortizing backends (direct, CHERI) degenerate to a loop of
+// one crossing where the backend supports it, storing each frame's
+// outcome in errs[i] (nil for success; errs must have one entry per
+// frame) and returning errs. Same-compartment batches and
+// non-amortizing backends (direct, CHERI) degenerate to a loop of
 // single calls; the MPK and VM-RPC gates carry the whole batch through
-// one domain switch. The returned slice has one entry per frame (nil
-// for success) — per-frame semantics (observer, injector, trap
+// one domain switch. Per-frame semantics (call edges, injector, trap
 // containment) are identical to N separate calls.
-func (r *Registry) CallBatch(fromLib, toLib, fnName string, frames []CallFrame, fns []func() error) []error {
-	errs := make([]error, len(frames))
-	fill := func(err error) []error {
-		for i := range errs {
-			errs[i] = err
+func (r *Registry) CallBatch(fromLib, toLib, fnName string, frames []CallFrame, fns []func() error, errs []error) []error {
+	bg, amortized := r.cross.(BatchGate)
+	from, to, err := r.route(fromLib, toLib, "")
+	if err != nil || from == to || !amortized {
+		for i := range frames {
+			errs[i] = r.CallWithFrame(fromLib, toLib, fnName, frames[i], fns[i])
 		}
 		return errs
 	}
+	for range fns {
+		r.observe(fromLib, toLib, fnName)
+	}
+	if r.injector != nil {
+		inners := make([]func() error, len(fns))
+		for i, fn := range fns {
+			inners[i] = r.inject(toLib, to.Name, fnName, fn)
+		}
+		fns = inners
+	}
+	// One physical crossing for the whole batch.
+	row, start := r.enter(from, to)
+	bg.CallBatch(from, to, frames, fns, errs)
+	row.returned(len(frames), r.clk.Cycles()-start)
+	return errs
+}
+
+// route resolves both libraries' compartment domains and emits the
+// named call's edge, intra-compartment calls included.
+func (r *Registry) route(fromLib, toLib, fnName string) (from, to *Domain, err error) {
 	cf, ok := r.libs[fromLib]
 	if !ok {
-		return fill(fmt.Errorf("gate: caller library %q not assigned", fromLib))
+		return nil, nil, fmt.Errorf("gate: caller library %q not assigned", fromLib)
 	}
 	ct, ok := r.libs[toLib]
 	if !ok {
-		return fill(fmt.Errorf("gate: callee library %q not assigned", toLib))
+		return nil, nil, fmt.Errorf("gate: callee library %q not assigned", toLib)
 	}
-	inners := make([]func() error, len(fns))
-	for i, fn := range fns {
-		if r.observer != nil && fnName != "" {
-			r.observer(fromLib, toLib, fnName)
+	r.observe(fromLib, toLib, fnName)
+	return r.domains[cf], r.domains[ct], nil
+}
+
+// observe emits one named call edge for the call recorder.
+func (r *Registry) observe(fromLib, toLib, fnName string) {
+	if fnName != "" && r.sink.On() {
+		r.sink.Emit(trace.Event{Kind: trace.KindCall, From: fromLib, To: toLib, Note: fnName})
+	}
+}
+
+// inject wraps fn so the armed injector fires at call entry, on the
+// callee side of the gate: before the callee mutates state, inside
+// whatever trap boundary the gate provides.
+func (r *Registry) inject(toLib, toComp, fnName string, fn func() error) func() error {
+	if r.injector == nil {
+		return fn
+	}
+	return func() error {
+		r.injector.OnCall(toLib, toComp, fnName)
+		return fn()
+	}
+}
+
+// crossCall carries one frame across the cross gate, on the ledger.
+func (r *Registry) crossCall(from, to *Domain, frame CallFrame, fn func() error) error {
+	row, start := r.enter(from, to)
+	err := r.cross.Call(from, to, frame, fn)
+	row.returned(1, r.clk.Cycles()-start)
+	return err
+}
+
+// enter books one crossing on its ledger row, emits its "crossing"
+// event, and returns the row and the cycle the call started at.
+func (r *Registry) enter(from, to *Domain) (*LedgerRow, uint64) {
+	cpu := r.clk.CurID()
+	var row *LedgerRow
+	for _, l := range r.ledger {
+		if l.CPU == cpu && l.From == from.Name && l.To == to.Name {
+			row = l
+			break
 		}
-		inner := fn
-		if r.injector != nil {
-			inner = func() error {
-				r.injector.OnCall(toLib, ct, fnName)
-				return fn()
-			}
-		}
-		inners[i] = inner
 	}
-	if cf == ct {
-		for i := range frames {
-			errs[i] = r.direct.Call(r.domains[cf], r.domains[ct], frames[i], inners[i])
-		}
-		return errs
+	if row == nil {
+		row = &LedgerRow{From: from.Name, To: to.Name, CPU: cpu}
+		r.ledger = append(r.ledger, row)
 	}
-	bg, amortized := r.cross.(BatchGate)
-	if !amortized {
-		for i := range frames {
-			r.pairCount[[2]string{cf, ct}]++
-			if r.tracer != nil {
-				r.tracer(cf, ct)
-			}
-			if r.meter != nil {
-				cpu, start := r.meterClk.CurID(), r.meterClk.Cycles()
-				errs[i] = r.cross.Call(r.domains[cf], r.domains[ct], frames[i], inners[i])
-				r.meter(cf, ct, cpu, r.meterClk.Cycles()-start, 1)
-				continue
-			}
-			errs[i] = r.cross.Call(r.domains[cf], r.domains[ct], frames[i], inners[i])
-		}
-		return errs
+	row.Crossings++
+	if r.sink.On() {
+		r.sink.Emit(trace.Event{Kind: "crossing", From: from.Name, To: to.Name})
 	}
-	// One physical crossing for the whole batch.
-	r.pairCount[[2]string{cf, ct}]++
-	if r.tracer != nil {
-		r.tracer(cf, ct)
+	return row, r.clk.Cycles()
+}
+
+// returned books a crossing's frames and the cycles the call took.
+func (row *LedgerRow) returned(frames int, cycles uint64) {
+	row.Frames += uint64(frames)
+	row.Cycles.Observe(cycles)
+}
+
+// Ledger returns a copy of the crossing ledger, in first-crossing order.
+func (r *Registry) Ledger() []LedgerRow {
+	out := make([]LedgerRow, len(r.ledger))
+	for i, row := range r.ledger {
+		out[i] = *row
 	}
-	if r.meter != nil {
-		cpu, start := r.meterClk.CurID(), r.meterClk.Cycles()
-		errs = bg.CallBatch(r.domains[cf], r.domains[ct], frames, inners)
-		r.meter(cf, ct, cpu, r.meterClk.Cycles()-start, len(frames))
-		return errs
-	}
-	return bg.CallBatch(r.domains[cf], r.domains[ct], frames, inners)
+	return out
 }
 
 // Crossings reports the number of inter-compartment crossings between
 // the two compartments (directional).
 func (r *Registry) Crossings(fromComp, toComp string) uint64 {
-	return r.pairCount[[2]string{fromComp, toComp}]
+	return r.CrossingMatrix()[[2]string{fromComp, toComp}]
 }
 
 // TotalCrossings reports all inter-compartment crossings.
 func (r *Registry) TotalCrossings() uint64 {
 	var n uint64
-	for _, c := range r.pairCount {
-		n += c
+	for _, row := range r.ledger {
+		n += row.Crossings
 	}
 	return n
 }
@@ -275,11 +278,12 @@ func (r *Registry) CrossStalled() uint64 {
 	return 0
 }
 
-// CrossingMatrix returns a copy of the per-pair crossing counters.
+// CrossingMatrix returns the crossings per directed compartment pair,
+// summed over vCPUs.
 func (r *Registry) CrossingMatrix() map[[2]string]uint64 {
-	out := make(map[[2]string]uint64, len(r.pairCount))
-	for k, v := range r.pairCount {
-		out[k] = v
+	out := make(map[[2]string]uint64)
+	for _, row := range r.ledger {
+		out[[2]string{row.From, row.To}] += row.Crossings
 	}
 	return out
 }

@@ -1,0 +1,84 @@
+package gate
+
+import (
+	"testing"
+
+	"flexos/internal/clock"
+	"flexos/internal/trace"
+)
+
+// TestRegistryLedger pins the registry's one crossing ledger and its
+// events: a row per (from, to, vCPU); a batch is one crossing carrying
+// several frames; frames and call cycles are booked when a call
+// returns, so a call that never returns counts as entered only; the
+// per-pair readers sum over vCPUs. Crossings reach the ring stamped
+// with their vCPU, named call edges (intra-compartment ones included)
+// reach only the recorder.
+func TestRegistryLedger(t *testing.T) {
+	m := clock.NewMachine(2)
+	sink := trace.NewSink(m)
+	ring := trace.NewRing(16)
+	sink.Attach(ring)
+	var edges []string
+	sink.Record(func(from, to, fn string) { edges = append(edges, from+"->"+to+":"+fn) })
+	r := NewRegistry(m, NewFuncCall(m), NewVMRPC(m, nil), sink)
+	r.AddCompartment(NewDomain("a", 1))
+	r.AddCompartment(NewDomain("b", 2))
+	mustNoErr(t, r.Assign("app", "a"))
+	mustNoErr(t, r.Assign("libc", "a"))
+	mustNoErr(t, r.Assign("netstack", "b"))
+	frame := CallFrame{ArgWords: 1, RetWords: 1}
+	nop := func() error { return nil }
+
+	mustNoErr(t, r.CallWithFrame("app", "netstack", "send", frame, nop))
+	mustNoErr(t, r.CallWithFrame("app", "libc", "memcpy", frame, nop))
+	restore := m.Steer(1)
+	mustNoErr(t, r.CallWithFrame("app", "netstack", "send", frame, nop))
+	frames := []CallFrame{frame, frame, frame}
+	for _, err := range r.CallBatch("app", "netstack", "recv", frames, []func() error{nop, nop, nop}, make([]error, 3)) {
+		mustNoErr(t, err)
+	}
+	func() {
+		defer func() { _ = recover() }()
+		_ = r.CallWithFrame("app", "netstack", "", frame, func() error { panic("unwinding thread") })
+	}()
+	restore()
+
+	rows := r.Ledger()
+	if len(rows) != 2 {
+		t.Fatalf("ledger has %d rows, want one per vCPU: %+v", len(rows), rows)
+	}
+	cpu0, cpu1 := rows[0], rows[1]
+	if cpu0.From != "a" || cpu0.To != "b" || cpu0.CPU != 0 ||
+		cpu0.Crossings != 1 || cpu0.Frames != 1 || cpu0.Cycles.Count() != 1 {
+		t.Errorf("vCPU 0 row = %+v", cpu0)
+	}
+	if cpu1.CPU != 1 || cpu1.Crossings != 3 || cpu1.Frames != 4 || cpu1.Cycles.Count() != 2 {
+		t.Errorf("vCPU 1 row: %d crossings, %d frames, %d returned; want 3, 4, 2",
+			cpu1.Crossings, cpu1.Frames, cpu1.Cycles.Count())
+	}
+	if cpu0.Cycles.Sum() < CrossingCost(VMRPC) {
+		t.Errorf("call cycles %d below the crossing cost", cpu0.Cycles.Sum())
+	}
+	if r.TotalCrossings() != 4 || r.Crossings("a", "b") != 4 || r.Crossings("b", "a") != 0 {
+		t.Errorf("readers disagree with the ledger: total %d, matrix %v", r.TotalCrossings(), r.CrossingMatrix())
+	}
+
+	events := ring.Events()
+	if len(events) != 4 || ring.CountKind("crossing") != 4 {
+		t.Fatalf("ring holds %v, want the 4 crossings alone", events)
+	}
+	if events[0].CPU != 0 || events[1].CPU != 1 || events[3].CPU != 1 {
+		t.Errorf("crossings stamped on the wrong vCPU: %v", events)
+	}
+	want := []string{"app->netstack:send", "app->libc:memcpy", "app->netstack:send",
+		"app->netstack:recv", "app->netstack:recv", "app->netstack:recv"}
+	if len(edges) != len(want) {
+		t.Fatalf("recorded edges %v, want %v", edges, want)
+	}
+	for i := range want {
+		if edges[i] != want[i] {
+			t.Fatalf("recorded edges %v, want %v", edges, want)
+		}
+	}
+}

@@ -8,9 +8,9 @@ import (
 
 // The paper's §5: "The process of writing metadata is error prone, and
 // methods for (semi-)automatically generating them should be
-// explored." This file is that method: a Recorder taps the gate
-// registry's observer hook while a representative workload runs, and
-// GenerateDrafts turns the observed call edges into draft library
+// explored." This file is that method: a Recorder collects the call
+// edges of a machine's observation sink while a representative
+// workload runs, and GenerateDrafts turns them into draft library
 // metadata — [Call] lists from outgoing edges, [API] from incoming
 // ones — for the developer to review. Dynamic analysis can only show
 // what code *did*, not what hijacked code *could* do, so the drafts
@@ -23,8 +23,9 @@ type Observation struct {
 	From, To, Fn string
 }
 
-// Recorder accumulates call edges. Wire its Observe method to
-// gate.Registry.SetObserver and run a workload.
+// Recorder accumulates call edges. Attach its Observe method to a
+// machine's observation sink (build.Machine.Sink.Record) and run a
+// workload.
 type Recorder struct {
 	edges map[Observation]uint64
 }
@@ -32,8 +33,8 @@ type Recorder struct {
 // NewRecorder returns an empty recorder.
 func NewRecorder() *Recorder { return &Recorder{edges: make(map[Observation]uint64)} }
 
-// Observe records one call edge. Its signature matches the registry's
-// observer hook.
+// Observe records one call edge. Its signature matches the sink's
+// call-edge recorder (trace.Sink.Record).
 func (r *Recorder) Observe(from, to, fn string) {
 	r.edges[Observation{From: from, To: to, Fn: fn}]++
 }

@@ -161,10 +161,16 @@ func Classify(comp, pc string, err error) error {
 // (raised by an Injector or any simulated protection mechanism) is
 // recovered and returned as an error, and fault-typed error returns
 // are classified into Traps. Non-Trap panics — simulator bugs — keep
-// unwinding. Isolating gates wrap their callee in Contain; the direct
-// (funccall) gate does not, which is what makes the containment story
-// measurable.
-func Contain(comp, pc string, fn func() error) (err error) {
+// unwinding. Isolating gates wrap their callee in this boundary; the
+// direct (funccall) gate does not, which is what makes the containment
+// story measurable.
+func Contain(comp, pc string, fn func() error) error {
+	return Classify(comp, pc, Catch(comp, fn))
+}
+
+// Catch is Contain without the classification: fn's error comes back
+// as is, so a caller can build the PC for Classify only on failure.
+func Catch(comp string, fn func() error) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			t, ok := r.(*Trap)
@@ -177,7 +183,7 @@ func Contain(comp, pc string, fn func() error) (err error) {
 			err = t
 		}
 	}()
-	return Classify(comp, pc, fn())
+	return fn()
 }
 
 // Policy is a compartment's configured reaction to a trap it raised.

@@ -156,7 +156,7 @@ func injectorPool(t *testing.T) *mem.SharedPool {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return mem.NewSharedPool(h)
+	return mem.NewSharedPool(h, nil)
 }
 
 func containedCall(in *Injector, lib, comp, fn string) error {

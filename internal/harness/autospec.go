@@ -6,19 +6,19 @@ import (
 	"flexos/internal/core/spec"
 )
 
-// recordRedis runs the baseline image's Redis GET workload with the
-// gate registry's observer tapped.
+// recordRedis runs the baseline image's Redis GET workload with a call
+// recorder attached to the server's sink.
 func recordRedis(payloadBytes, ops int) (*spec.Recorder, *Result, error) {
 	rec := spec.NewRecorder()
 	r, err := Run(build.Config{Name: "autospec", Net: tcpipThread}, Load{
 		App: Redis, Op: OpGET, Payload: payloadBytes, Ops: ops,
-		Prep: func(w *build.World) { w.Server.Registry.SetObserver(rec.Observe) },
+		Prep: func(w *build.World) { w.Server.Sink.Record(rec.Observe) },
 	})
 	return rec, r, err
 }
 
-// RecordRedisMetadata runs the Redis workload with the gate registry's
-// observer tapped and returns the recorder plus the draft metadata it
+// RecordRedisMetadata runs the Redis workload with a call recorder
+// attached and returns the recorder plus the draft metadata it
 // generates — the paper's §5 semi-automatic metadata generation, fed
 // by a representative workload.
 func RecordRedisMetadata(payloadBytes, ops int) (*spec.Recorder, string, error) {

@@ -76,7 +76,7 @@ type Load struct {
 	// Result.Trace (0 disables tracing).
 	TraceCap int
 	// Prep runs on the built world before the workload starts
-	// (observers, metrics taps).
+	// (recorders, fault injectors).
 	Prep func(*build.World)
 }
 

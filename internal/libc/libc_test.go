@@ -32,7 +32,7 @@ func newFixture(t *testing.T, split bool, profile sh.Profile) *fixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := gate.NewRegistry(gate.NewFuncCall(cpu), gate.NewFuncCall(cpu))
+	reg := gate.NewRegistry(cpu, gate.NewFuncCall(cpu), gate.NewFuncCall(cpu), nil)
 	reg.AddCompartment(gate.NewDomain("comp0"))
 	reg.AddCompartment(gate.NewDomain("comp1"))
 	libs := map[string]string{"libc": "comp0", "alloc": "comp0", "app": "comp0", "netstack": "comp0", "sched": "comp0"}

@@ -3,6 +3,8 @@ package mem
 import (
 	"fmt"
 	"sort"
+
+	"flexos/internal/trace"
 )
 
 // BufRef is a descriptor for a payload buffer living in the key-0 shared
@@ -55,32 +57,30 @@ type poolSlab struct {
 // does leak accounting: Outstanding/OutstandingRefs must both be zero once
 // a workload has drained.
 type SharedPool struct {
-	alloc  Allocator
-	free   map[int][]Addr
-	live   map[Addr]*poolSlab
-	seq    uint64 // next allocation sequence number
-	stats  PoolStats
-	tracer func(kind string, addr Addr, n int)
+	alloc Allocator
+	free  map[int][]Addr
+	live  map[Addr]*poolSlab
+	seq   uint64 // next allocation sequence number
+	stats PoolStats
+	sink  *trace.Sink
 }
 
 // NewSharedPool builds a pool over a, which must allocate from shared
 // (key-0) memory for descriptors to be passable by reference across MPK
-// boundaries.
-func NewSharedPool(a Allocator) *SharedPool {
+// boundaries. Lifecycle events (buf-alloc, buf-ref, buf-release) go to
+// sink, which may be nil.
+func NewSharedPool(a Allocator, sink *trace.Sink) *SharedPool {
 	return &SharedPool{
 		alloc: a,
 		free:  make(map[int][]Addr),
 		live:  make(map[Addr]*poolSlab),
+		sink:  sink,
 	}
 }
 
-// SetTracer installs fn to observe buffer lifecycle events. Kinds are
-// "buf-alloc", "buf-ref", and "buf-release"; n is the slab capacity.
-func (p *SharedPool) SetTracer(fn func(kind string, addr Addr, n int)) { p.tracer = fn }
-
 func (p *SharedPool) emit(kind string, addr Addr, n int) {
-	if p.tracer != nil {
-		p.tracer(kind, addr, n)
+	if p.sink.On() {
+		p.sink.Emit(trace.Event{Kind: kind, Note: fmt.Sprintf("%#x+%d", addr, n)})
 	}
 }
 

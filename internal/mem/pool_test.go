@@ -1,6 +1,11 @@
 package mem
 
-import "testing"
+import (
+	"testing"
+
+	"flexos/internal/clock"
+	"flexos/internal/trace"
+)
 
 func poolArena(t *testing.T) (*SharedPool, *Heap) {
 	t.Helper()
@@ -9,7 +14,7 @@ func poolArena(t *testing.T) (*SharedPool, *Heap) {
 	if err != nil {
 		t.Fatalf("heap: %v", err)
 	}
-	return NewSharedPool(h), h
+	return NewSharedPool(h, nil), h
 }
 
 func TestPoolGetReleaseRecycles(t *testing.T) {
@@ -94,13 +99,19 @@ func TestPoolOversizeReturnsToHeap(t *testing.T) {
 }
 
 func TestPoolTracerSeesLifecycle(t *testing.T) {
-	p, _ := poolArena(t)
-	var kinds []string
-	p.SetTracer(func(kind string, _ Addr, _ int) { kinds = append(kinds, kind) })
+	_, h := poolArena(t)
+	sink := trace.NewSink(clock.New())
+	ring := trace.NewRing(8)
+	sink.Attach(ring)
+	p := NewSharedPool(h, sink)
 	b, _ := p.Get(32)
 	p.Ref(b)
 	p.Release(b)
 	p.Release(b)
+	var kinds []string
+	for _, e := range ring.Events() {
+		kinds = append(kinds, e.Kind)
+	}
 	want := []string{"buf-alloc", "buf-ref", "buf-release", "buf-release"}
 	if len(kinds) != len(want) {
 		t.Fatalf("events: %v", kinds)

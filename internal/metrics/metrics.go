@@ -1,17 +1,15 @@
-// Package metrics is the simulator's always-on observability layer: a
-// registry of counters and fixed-bucket cycle histograms keyed by
-// (compartment, backend, vCPU), fed from the existing charge points —
-// gate crossings, per-vCPU clock ledgers, NIC queue activity, runtime
-// shed/breaker/restart events, shared-pool lifecycle — so a completed
-// run yields a full cycle-attribution breakdown instead of a flat
-// trace dump.
+// Package metrics is the simulator's always-on observability layer:
+// counters and fixed-bucket cycle histograms keyed by (compartment,
+// backend, vCPU), kept live by the components that own them — the gate
+// registry's crossing ledger, per-vCPU clock ledgers, NIC queues, the
+// shared pool and the supervisor — and copied into a Snapshot off the
+// hot path, so a completed run yields a full cycle-attribution
+// breakdown instead of a flat trace dump.
 //
-// The hot path allocates nothing: instruments are resolved once (a map
-// lookup at first sight of a label) and callers hold the returned
-// *Counter / *Histogram, whose Add/Observe are plain arithmetic on
-// fixed storage. Snapshots are taken off the hot path and read the
-// live counters directly, so they stay exact even when the bounded
-// trace ring has dropped events.
+// The hot path allocates nothing: Histogram.Observe is plain
+// arithmetic on fixed storage. Snapshots read the live counters
+// directly, so they stay exact even when the bounded trace ring has
+// dropped events.
 package metrics
 
 import (
@@ -29,21 +27,6 @@ type Label struct {
 	Backend string `json:"backend"`
 	CPU     int    `json:"cpu"`
 }
-
-// Counter is a monotonically increasing event/cycle count. Not safe
-// for concurrent use — the simulator is single-goroutine by design.
-type Counter struct {
-	v uint64
-}
-
-// Inc adds one.
-func (c *Counter) Inc() { c.v++ }
-
-// Add adds n.
-func (c *Counter) Add(n uint64) { c.v += n }
-
-// Value reports the current count.
-func (c *Counter) Value() uint64 { return c.v }
 
 // NumBuckets is the fixed histogram bucket count: log2 buckets
 // [0,1), [1,2), [2,4), ... with the last bucket absorbing overflow.
@@ -111,51 +94,6 @@ func (h *Histogram) Quantile(q float64) uint64 {
 	return 1 << (NumBuckets - 1)
 }
 
-// key identifies one instrument in the registry.
-type key struct {
-	name string
-	l    Label
-}
-
-// Registry holds the instruments of one machine. Resolution
-// (Counter/Histogram) is setup-path: hot paths resolve once and hold
-// the pointer.
-type Registry struct {
-	counters map[key]*Counter
-	hists    map[key]*Histogram
-}
-
-// NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{
-		counters: make(map[key]*Counter),
-		hists:    make(map[key]*Histogram),
-	}
-}
-
-// Counter returns the counter for (name, l), creating it on first use.
-func (r *Registry) Counter(name string, l Label) *Counter {
-	k := key{name, l}
-	c, ok := r.counters[k]
-	if !ok {
-		c = &Counter{}
-		r.counters[k] = c
-	}
-	return c
-}
-
-// Histogram returns the histogram for (name, l), creating it on first
-// use.
-func (r *Registry) Histogram(name string, l Label) *Histogram {
-	k := key{name, l}
-	h, ok := r.hists[k]
-	if !ok {
-		h = &Histogram{}
-		r.hists[k] = h
-	}
-	return h
-}
-
 // CounterSample is one counter's value at snapshot time.
 type CounterSample struct {
 	Name string `json:"name"`
@@ -174,8 +112,8 @@ type HistogramSample struct {
 	P99   uint64  `json:"p99_le"`
 }
 
-// Snapshot is a deterministic, export-ready copy of a registry (plus
-// any snapshot-time counters merged in by the caller).
+// Snapshot is a deterministic, export-ready copy of a machine's live
+// counters and histograms.
 type Snapshot struct {
 	Counters   []CounterSample   `json:"counters"`
 	Histograms []HistogramSample `json:"histograms"`
@@ -198,23 +136,6 @@ func (l Label) String() string {
 		return fmt.Sprintf("%s[%s]", l.Comp, l.Backend)
 	}
 	return fmt.Sprintf("%s[%s,cpu%d]", l.Comp, l.Backend, l.CPU)
-}
-
-// Snapshot copies every instrument into sorted sample slices.
-func (r *Registry) Snapshot() *Snapshot {
-	s := &Snapshot{}
-	for k, c := range r.counters {
-		s.Counters = append(s.Counters, CounterSample{Name: k.name, Label: k.l, Value: c.Value()})
-	}
-	for k, h := range r.hists {
-		s.Histograms = append(s.Histograms, HistogramSample{
-			Name: k.name, Label: k.l,
-			Count: h.Count(), Sum: h.Sum(), Mean: h.Mean(),
-			P50: h.Quantile(0.50), P99: h.Quantile(0.99),
-		})
-	}
-	s.Sort()
-	return s
 }
 
 // Sort orders the samples deterministically (name, then label).
@@ -245,9 +166,18 @@ func (s *Snapshot) Counter(name string) uint64 {
 	return sum
 }
 
-// Add appends a snapshot-time counter sample (for values kept as plain
-// fields on their component — NIC queue counters, pool stats,
-// supervisor stats — which are copied in when the snapshot is taken).
+// Add appends a counter sample, copied from the live count its
+// component keeps (crossing ledger rows, NIC queue counters, pool
+// stats, supervisor stats) when the snapshot is taken.
 func (s *Snapshot) Add(name string, l Label, v uint64) {
 	s.Counters = append(s.Counters, CounterSample{Name: name, Label: l, Value: v})
+}
+
+// AddHistogram appends a sample of h's current state.
+func (s *Snapshot) AddHistogram(name string, l Label, h *Histogram) {
+	s.Histograms = append(s.Histograms, HistogramSample{
+		Name: name, Label: l,
+		Count: h.Count(), Sum: h.Sum(), Mean: h.Mean(),
+		P50: h.Quantile(0.50), P99: h.Quantile(0.99),
+	})
 }

@@ -7,28 +7,6 @@ import (
 	"flexos/internal/clock"
 )
 
-func TestCounterAndRegistryIdentity(t *testing.T) {
-	r := NewRegistry()
-	l := Label{Comp: "comp0->comp1", Backend: "mpk-shared", CPU: 0}
-	c1 := r.Counter("gate_crossings", l)
-	c1.Inc()
-	c1.Add(4)
-	// Resolving the same (name, label) must return the same instrument:
-	// that identity is what lets hot paths resolve once and hold the
-	// pointer.
-	c2 := r.Counter("gate_crossings", l)
-	if c1 != c2 {
-		t.Fatal("same (name,label) resolved to different counters")
-	}
-	if got := c2.Value(); got != 5 {
-		t.Fatalf("counter = %d, want 5", got)
-	}
-	other := r.Counter("gate_crossings", Label{Comp: "comp0->comp1", Backend: "mpk-shared", CPU: 1})
-	if other == c1 {
-		t.Fatal("different CPU label shared an instrument")
-	}
-}
-
 func TestHistogramBucketsSumCount(t *testing.T) {
 	var h Histogram
 	for _, v := range []uint64{0, 1, 2, 3, 4, 100, 1 << 20} {
@@ -59,10 +37,8 @@ func TestHistogramBucketsSumCount(t *testing.T) {
 
 func TestHistogramObserveDoesNotAllocate(t *testing.T) {
 	var h Histogram
-	c := &Counter{}
 	allocs := testing.AllocsPerRun(1000, func() {
 		h.Observe(137)
-		c.Add(3)
 	})
 	if allocs != 0 {
 		t.Fatalf("hot path allocated %.1f times per op, want 0", allocs)
@@ -70,12 +46,18 @@ func TestHistogramObserveDoesNotAllocate(t *testing.T) {
 }
 
 func TestSnapshotDeterministicOrder(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("b", Label{Comp: "z", Backend: "x", CPU: 1}).Add(1)
-	r.Counter("a", Label{Comp: "m", Backend: "x", CPU: 0}).Add(2)
-	r.Counter("a", Label{Comp: "m", Backend: "x", CPU: 2}).Add(3)
-	r.Histogram("h", Label{Comp: "q", Backend: "x", CPU: 0}).Observe(10)
-	s1, s2 := r.Snapshot(), r.Snapshot()
+	var h Histogram
+	h.Observe(10)
+	build := func() *Snapshot {
+		s := &Snapshot{}
+		s.Add("b", Label{Comp: "z", Backend: "x", CPU: 1}, 1)
+		s.Add("a", Label{Comp: "m", Backend: "x", CPU: 2}, 3)
+		s.Add("a", Label{Comp: "m", Backend: "x", CPU: 0}, 2)
+		s.AddHistogram("h", Label{Comp: "q", Backend: "x", CPU: 0}, &h)
+		s.Sort()
+		return s
+	}
+	s1, s2 := build(), build()
 	if len(s1.Counters) != 3 || len(s1.Histograms) != 1 {
 		t.Fatalf("snapshot sizes: %d counters, %d histograms", len(s1.Counters), len(s1.Histograms))
 	}
@@ -89,6 +71,9 @@ func TestSnapshotDeterministicOrder(t *testing.T) {
 	}
 	if got := s1.Counter("a"); got != 5 {
 		t.Fatalf("summed counter a = %d, want 5", got)
+	}
+	if hs := s1.Histograms[0]; hs.Count != 1 || hs.Sum != 10 || hs.P50 != 16 {
+		t.Fatalf("histogram sample = %+v", hs)
 	}
 }
 

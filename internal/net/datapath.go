@@ -5,6 +5,7 @@ import (
 
 	"flexos/internal/clock"
 	"flexos/internal/mem"
+	"flexos/internal/trace"
 )
 
 // DataPath selects how payloads move between compartments on the hot
@@ -97,14 +98,11 @@ func (st *Stack) sharedRx() bool {
 	return st.dataPath == DataPathShared && st.env.Pool != nil && st.env.SharesBufs("libc")
 }
 
-// SetCopyTracer installs fn to observe cross-compartment payload
-// copies (trace kind "buf-copy"); nil disables.
-func (st *Stack) SetCopyTracer(fn func(from, to string, n int)) { st.copyTracer = fn }
-
 // crossCopy charges the boundary-copy cost of moving n payload bytes
 // from library `from` to library `to` under copy semantics. It is a
 // no-op on the shared data path and within a compartment — the charge
 // exists exactly where a copy-semantics deployment would really copy.
+// Each charged copy is a "buf-copy" event on the machine's sink.
 func (st *Stack) crossCopy(from, to string, n int) {
 	if st.dataPath != DataPathCopy || n <= 0 {
 		return
@@ -113,7 +111,7 @@ func (st *Stack) crossCopy(from, to string, n int) {
 		return
 	}
 	st.env.CPU.Charge(clock.CompCopy, clock.CrossCopyCycles(n))
-	if st.copyTracer != nil {
-		st.copyTracer(from, to, n)
+	if st.env.Sink.On() {
+		st.env.Sink.Emit(trace.Event{Kind: "buf-copy", From: from, To: to, Note: fmt.Sprintf("%d bytes", n)})
 	}
 }

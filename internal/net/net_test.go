@@ -86,7 +86,7 @@ func newMachineWith(t *testing.T, s sched.Scheduler, ip IPAddr, cfg Config,
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := gate.NewRegistry(gate.NewFuncCall(cpu), gate.NewFuncCall(cpu))
+	reg := gate.NewRegistry(cpu, gate.NewFuncCall(cpu), gate.NewFuncCall(cpu), nil)
 	reg.AddCompartment(gate.NewDomain("all"))
 	for _, lib := range []string{"netstack", "libc", "alloc", "app", "sched"} {
 		if err := reg.Assign(lib, "all"); err != nil {

@@ -11,6 +11,7 @@ import (
 	"flexos/internal/rt"
 	"flexos/internal/sched"
 	"flexos/internal/sh"
+	"flexos/internal/trace"
 )
 
 // Stats counts stack activity.
@@ -149,10 +150,6 @@ type Stack struct {
 	rtxLimit    int
 	keepalive   uint64
 	kaLimit     int
-	// eventTracer, when set, receives transport fault/recovery events
-	// (fast-rtx, rto, zwp, keepalive, checksum-drop, net-death) as
-	// instant events for the observability timeline.
-	eventTracer func(kind, note string)
 
 	restHard   *sh.Hardener
 	mode       SocketMode
@@ -160,7 +157,6 @@ type Stack struct {
 	delayedAck bool
 	delAckTick uint64
 	dataPath   DataPath
-	copyTracer func(from, to string, n int)
 
 	// Crossing-amortization state (tx doorbell + rx coalescing).
 	txBatch   int
@@ -253,14 +249,11 @@ func (st *Stack) IP() IPAddr { return st.ip }
 // Stats returns a copy of the counters.
 func (st *Stack) Stats() Stats { return st.stats }
 
-// SetEventTracer installs a hook receiving transport fault/recovery
-// events (kind, note) for the observability timeline's instant events.
-func (st *Stack) SetEventTracer(fn func(kind, note string)) { st.eventTracer = fn }
-
-// traceEvent emits one transport event to the tracer, if installed.
-func (st *Stack) traceEvent(kind, note string) {
-	if st.eventTracer != nil {
-		st.eventTracer(kind, note)
+// emit hands one transport repair event (net-*) to the machine's sink;
+// callers formatting a note test st.env.Sink.On() first.
+func (st *Stack) emit(kind, note string) {
+	if st.env.Sink.On() {
+		st.env.Sink.Emit(trace.Event{Kind: kind, From: "netstack", Note: note})
 	}
 }
 
@@ -749,7 +742,9 @@ func (st *Stack) armRtx(s *Socket) {
 			st.netDeath(s, "netstack:rtx", st.rtxLimit, 0, st.env.CPU.Cycles()-start)
 			return
 		}
-		st.traceEvent("net-rto", fmt.Sprintf("rtx %d port %d", count, s.localPort))
+		if st.env.Sink.On() {
+			st.emit("net-rto", fmt.Sprintf("rtx %d port %d", count, s.localPort))
+		}
 		// Inline delivery means a retransmitted frame can be ACKed — and
 		// the rtx queue trimmed — before transmit returns, so the bound
 		// is re-read every iteration and entries are addressed by index.
@@ -829,7 +824,9 @@ func (st *Stack) armZwp(s *Socket) {
 		}
 		s.zwpCount++
 		st.stats.ZeroWndProbes++
-		st.traceEvent("net-zwp", fmt.Sprintf("probe %d port %d", s.zwpCount, s.localPort))
+		if st.env.Sink.On() {
+			st.emit("net-zwp", fmt.Sprintf("probe %d port %d", s.zwpCount, s.localPort))
+		}
 		st.sendProbe(s)
 		backoff := s.zwpCount
 		if backoff > 6 {
@@ -875,7 +872,9 @@ func (st *Stack) armKeepalive(s *Socket) {
 			return
 		}
 		st.stats.KeepaliveProbes++
-		st.traceEvent("net-keepalive", fmt.Sprintf("probe %d port %d", s.kaProbes, s.localPort))
+		if st.env.Sink.On() {
+			st.emit("net-keepalive", fmt.Sprintf("probe %d port %d", s.kaProbes, s.localPort))
+		}
 		st.sendProbe(s)
 		s.kaTimer = st.scheduler.Timers().After(st.keepalive, fire)
 	}
@@ -891,7 +890,9 @@ func (st *Stack) armKeepalive(s *Socket) {
 // like a memory fault.
 func (st *Stack) netDeath(s *Socket, pc string, retransmits, probes int, elapsed uint64) {
 	st.stats.NetDeaths++
-	st.traceEvent("net-death", fmt.Sprintf("%s port %d", pc, s.localPort))
+	if st.env.Sink.On() {
+		st.emit("net-death", fmt.Sprintf("%s port %d", pc, s.localPort))
+	}
 	st.abort(s, &fault.NetTimeout{PC: pc, Retransmits: retransmits, Probes: probes, Elapsed: elapsed})
 }
 
@@ -975,7 +976,9 @@ func (st *Stack) input(frame []byte) {
 			// Injected bit corruption: detected and dropped, never
 			// delivered. The sender's retransmission resends clean bytes.
 			st.stats.ChecksumDrops++
-			st.traceEvent("net-checksum-drop", err.Error())
+			if st.env.Sink.On() {
+				st.emit("net-checksum-drop", err.Error())
+			}
 		}
 		st.stats.DroppedIn++
 		return
@@ -1172,7 +1175,9 @@ func (st *Stack) processAck(s *Socket, h *header, payloadLen int) {
 			st.stats.FastRetransmits++
 			st.stats.Retransmits++
 			st.stats.SegsOut++
-			st.traceEvent("net-fast-rtx", fmt.Sprintf("seq %d port %d", r.seq, s.localPort))
+			if st.env.Sink.On() {
+				st.emit("net-fast-rtx", fmt.Sprintf("seq %d port %d", r.seq, s.localPort))
+			}
 			st.chargeTx(len(r.frame), 0)
 			st.transmit(r.frame)
 		}

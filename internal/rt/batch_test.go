@@ -15,7 +15,7 @@ import (
 // had been four separate calls.
 func TestBatchShedRejectsOnlyExcessFrames(t *testing.T) {
 	cpu := clock.New()
-	s := NewSupervisor(cpu, nil)
+	s := NewSupervisor(cpu, nil, nil)
 	s.SetOverload("nw", OverloadSpec{Depth: 2, Policy: fault.ShedPolicyShed})
 
 	var sawAdmitted []int
@@ -57,7 +57,7 @@ func TestBatchShedRejectsOnlyExcessFrames(t *testing.T) {
 // BreakerOpenError at the per-call fast-fail cost.
 func TestBatchBreakerOpenFailsEveryFrameFast(t *testing.T) {
 	cpu := clock.New()
-	s := NewSupervisor(cpu, nil)
+	s := NewSupervisor(cpu, nil, nil)
 	s.SetBreaker("nw", BreakerSpec{Threshold: 1, Window: 4, Cooldown: 1 << 40})
 
 	// One trapped call opens the threshold-1 breaker.
@@ -97,7 +97,7 @@ func TestBatchBreakerOpenFailsEveryFrameFast(t *testing.T) {
 // own trap while its neighbours settle clean.
 func TestBatchTrapContainsToOneFrame(t *testing.T) {
 	cpu := clock.New()
-	s := NewSupervisor(cpu, nil)
+	s := NewSupervisor(cpu, nil, nil)
 
 	trap := &fault.Trap{Comp: "nw", Kind: fault.KindMPK, PC: "core->nw"}
 	errs := s.SuperviseBatch("nw", make([]uint64, 3), true,
@@ -126,7 +126,7 @@ func TestBatchTrapContainsToOneFrame(t *testing.T) {
 // frames' results.
 func TestBatchRestartRetriesOneFrameSolo(t *testing.T) {
 	cpu := clock.New()
-	s := NewSupervisor(cpu, nil)
+	s := NewSupervisor(cpu, nil, nil)
 	s.SetPolicy("nw", fault.PolicyRestart)
 
 	trap := &fault.Trap{Comp: "nw", Kind: fault.KindMPK, PC: "core->nw"}
@@ -154,7 +154,7 @@ func TestBatchRestartRetriesOneFrameSolo(t *testing.T) {
 // the crossing while its live and undeadlined neighbours still cross.
 func TestBatchDeadlineExpiryShedsOneFrame(t *testing.T) {
 	cpu := clock.New()
-	s := NewSupervisor(cpu, nil)
+	s := NewSupervisor(cpu, nil, nil)
 	s.SetOverload("nw", OverloadSpec{Depth: 0, Policy: fault.ShedPolicyDeadline})
 	cpu.Charge(clock.CompApp, 100)
 
@@ -183,7 +183,7 @@ func TestBatchDeadlineExpiryShedsOneFrame(t *testing.T) {
 // before admission, breakers, or the gate see the batch.
 func TestBatchDegradedFailsWholeBatch(t *testing.T) {
 	cpu := clock.New()
-	s := NewSupervisor(cpu, nil)
+	s := NewSupervisor(cpu, nil, nil)
 	s.SetPolicy("nw", fault.PolicyDegrade)
 
 	trap := &fault.Trap{Comp: "nw", Kind: fault.KindMPK, PC: "core->nw"}

@@ -155,7 +155,7 @@ func (s *Supervisor) admit(toComp string, deadline uint64) (func(), error) {
 					break
 				}
 				s.stats.Blocked++
-				s.trace("overload", toComp, "waiting for admission slot")
+				s.emit("overload", toComp, "waiting for admission slot")
 				s.waitq(toComp).Wait(t)
 			}
 		case fault.ShedPolicyDeadline:
@@ -211,9 +211,11 @@ func (s *Supervisor) shed(toComp string, depth int) error {
 	s.stats.Sheds++
 	s.cpu.Charge(clock.CompFault, clock.CostOverloadShed)
 	if depth > 0 {
-		s.trace("shed", toComp, fmt.Sprintf("admission queue full (depth %d)", depth))
+		if s.sink.On() {
+			s.emit("shed", toComp, fmt.Sprintf("admission queue full (depth %d)", depth))
+		}
 	} else {
-		s.trace("shed", toComp, "frame deadline already expired")
+		s.emit("shed", toComp, "frame deadline already expired")
 	}
 	s.breakerFail(toComp)
 	if s.onShed != nil {
@@ -296,7 +298,7 @@ func (s *Supervisor) breakerOK(toComp string) {
 		b.probing = false
 		b.calls, b.fails = 0, 0
 		s.stats.BreakerCloses++
-		s.trace("breaker-close", toComp, "half-open probe succeeded")
+		s.emit("breaker-close", toComp, "half-open probe succeeded")
 	case brClosed:
 		s.windowTick(b, spec)
 	}
@@ -321,7 +323,7 @@ func (s *Supervisor) breakerFail(toComp string) {
 		b.openedAt = s.cpu.Cycles()
 		b.probing = false
 		s.stats.BreakerOpens++
-		s.trace("breaker-open", toComp, "half-open probe failed")
+		s.emit("breaker-open", toComp, "half-open probe failed")
 	case brClosed:
 		b.fails++
 		if b.fails >= spec.Threshold {
@@ -329,8 +331,10 @@ func (s *Supervisor) breakerFail(toComp string) {
 			b.openedAt = s.cpu.Cycles()
 			b.calls, b.fails = 0, 0
 			s.stats.BreakerOpens++
-			s.trace("breaker-open", toComp,
-				fmt.Sprintf("%d failures within window of %d calls", spec.Threshold, spec.Window))
+			if s.sink.On() {
+				s.emit("breaker-open", toComp,
+					fmt.Sprintf("%d failures within window of %d calls", spec.Threshold, spec.Window))
+			}
 			return
 		}
 		s.windowTick(b, spec)

@@ -16,6 +16,7 @@ import (
 	"flexos/internal/mem"
 	"flexos/internal/sched"
 	"flexos/internal/sh"
+	"flexos/internal/trace"
 )
 
 // Env is one library's view of the image it was linked into.
@@ -48,6 +49,8 @@ type Env struct {
 	Pool *mem.SharedPool
 	// Hard is the library's hardening surface (nil-safe).
 	Hard *sh.Hardener
+	// Sink is the machine's observation sink (nil-safe).
+	Sink *trace.Sink
 	// Sup, when non-nil, applies per-compartment fault policy to every
 	// routed call: traps raised by the callee compartment are handled
 	// (abort/restart/degrade) before the error reaches this library.
@@ -147,21 +150,21 @@ func (e *Env) CallBatch(to, fnName string, calls []BatchCall) []error {
 		frames[i], fns[i], deadlines[i] = c.Frame, c.Fn, c.Frame.Deadline
 	}
 	if e.Sup == nil {
-		return e.Gates.CallBatch(e.Lib, to, fnName, frames, fns)
+		return e.Gates.CallBatch(e.Lib, to, fnName, frames, fns, make([]error, len(frames)))
 	}
 	toComp, _ := e.Gates.CompartmentOf(to)
 	fromComp, _ := e.Gates.CompartmentOf(e.Lib)
 	return e.Sup.SuperviseBatch(toComp, deadlines, fromComp != toComp,
 		func(admitted []int) []error {
 			if len(admitted) == len(frames) {
-				return e.Gates.CallBatch(e.Lib, to, fnName, frames, fns)
+				return e.Gates.CallBatch(e.Lib, to, fnName, frames, fns, make([]error, len(frames)))
 			}
 			subFrames := make([]gate.CallFrame, len(admitted))
 			subFns := make([]func() error, len(admitted))
 			for j, i := range admitted {
 				subFrames[j], subFns[j] = frames[i], fns[i]
 			}
-			return e.Gates.CallBatch(e.Lib, to, fnName, subFrames, subFns)
+			return e.Gates.CallBatch(e.Lib, to, fnName, subFrames, subFns, make([]error, len(subFrames)))
 		},
 		func(i int) error {
 			return e.Gates.CallWithFrame(e.Lib, to, fnName, frames[i], fns[i])

@@ -16,7 +16,7 @@ func newEnv(t *testing.T, local bool, split bool) (*Env, *gate.Registry, *clock.
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := gate.NewRegistry(gate.NewFuncCall(cpu), gate.NewFuncCall(cpu))
+	reg := gate.NewRegistry(cpu, gate.NewFuncCall(cpu), gate.NewFuncCall(cpu), nil)
 	reg.AddCompartment(gate.NewDomain("c0"))
 	reg.AddCompartment(gate.NewDomain("c1"))
 	allocComp := "c0"

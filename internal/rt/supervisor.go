@@ -7,6 +7,7 @@ import (
 	"flexos/internal/fault"
 	"flexos/internal/mem"
 	"flexos/internal/sched"
+	"flexos/internal/trace"
 )
 
 // maxRestartAttempts bounds the supervisor's replay loop: a compartment
@@ -64,7 +65,7 @@ type Supervisor struct {
 	heaps    map[string][]*mem.Heap
 	degraded map[string]*fault.Trap
 	stats    SupervisorStats
-	tracer   func(kind, comp, note string)
+	sink     *trace.Sink
 
 	// Overload-control state (overload.go): per-compartment admission
 	// queues and circuit breakers in front of the gates.
@@ -78,11 +79,15 @@ type Supervisor struct {
 }
 
 // NewSupervisor creates a supervisor charging recovery work to cpu.
-// pool may be nil (poolless images skip buffer teardown).
-func NewSupervisor(cpu clock.Clock, pool *mem.SharedPool) *Supervisor {
+// pool may be nil (poolless images skip buffer teardown). Lifecycle
+// events go to sink, which may be nil: "fault", "recover", "degrade"
+// and the overload-control kinds "overload", "shed", "deadline",
+// "breaker-open" and "breaker-close".
+func NewSupervisor(cpu clock.Clock, pool *mem.SharedPool, sink *trace.Sink) *Supervisor {
 	return &Supervisor{
 		cpu:      cpu,
 		pool:     pool,
+		sink:     sink,
 		policies: make(map[string]fault.Policy),
 		heaps:    make(map[string][]*mem.Heap),
 		degraded: make(map[string]*fault.Trap),
@@ -106,12 +111,6 @@ func (s *Supervisor) RegisterHeap(comp string, h *mem.Heap) {
 	s.heaps[comp] = append(s.heaps[comp], h)
 }
 
-// SetTracer installs a callback for fault lifecycle events; kinds are
-// "fault", "recover", "degrade" and the overload-control kinds
-// "overload", "shed", "deadline", "breaker-open" and "breaker-close"
-// (nil disables).
-func (s *Supervisor) SetTracer(fn func(kind, comp, note string)) { s.tracer = fn }
-
 // Degraded reports whether comp was taken out of service, and the trap
 // that did it.
 func (s *Supervisor) Degraded(comp string) (*fault.Trap, bool) {
@@ -122,9 +121,18 @@ func (s *Supervisor) Degraded(comp string) (*fault.Trap, bool) {
 // Stats returns a copy of the containment counters.
 func (s *Supervisor) Stats() SupervisorStats { return s.stats }
 
-func (s *Supervisor) trace(kind, comp, note string) {
-	if s.tracer != nil {
-		s.tracer(kind, comp, note)
+// emit hands one event to the sink; callers formatting a note test
+// s.sink.On() first.
+func (s *Supervisor) emit(kind, comp, note string) {
+	if s.sink.On() {
+		s.sink.Emit(trace.Event{Kind: kind, From: comp, Note: note})
+	}
+}
+
+// emitTrap emits a trap's lifecycle event, noted with the trap.
+func (s *Supervisor) emitTrap(kind, comp string, t *fault.Trap) {
+	if s.sink.On() {
+		s.emit(kind, comp, t.Error())
 	}
 }
 
@@ -190,7 +198,7 @@ func (s *Supervisor) settle(toComp string, crossing bool, mark mem.PoolMark, err
 		// the breaker, propagate.
 		s.stats.DeadlineTraps++
 		s.cpu.Charge(clock.CompFault, clock.CostOverloadShed)
-		s.trace("deadline", toComp, t.Error())
+		s.emitTrap("deadline", toComp, t)
 		if crossing {
 			s.breakerFail(toComp)
 		}
@@ -198,7 +206,7 @@ func (s *Supervisor) settle(toComp string, crossing bool, mark mem.PoolMark, err
 	}
 	s.stats.Traps++
 	s.cpu.Charge(clock.CompFault, clock.CostFaultTrap)
-	s.trace("fault", toComp, t.Error())
+	s.emitTrap("fault", toComp, t)
 	if crossing {
 		s.breakerFail(toComp)
 	}
@@ -211,7 +219,9 @@ func (s *Supervisor) settle(toComp string, crossing bool, mark mem.PoolMark, err
 			s.cpu.Charge(clock.CompFault, clock.CostFaultBackoff<<(attempt-1))
 			s.stats.RecoveryCycles += s.cpu.Cycles() - start
 			s.stats.Retries++
-			s.trace("recover", toComp, fmt.Sprintf("restart attempt %d after %v", attempt, t.Kind))
+			if s.sink.On() {
+				s.emit("recover", toComp, fmt.Sprintf("restart attempt %d after %v", attempt, t.Kind))
+			}
 			mark = s.mark()
 			err = retry()
 			if t2, again := fault.As(err); again && t2.Comp == toComp {
@@ -222,12 +232,12 @@ func (s *Supervisor) settle(toComp string, crossing bool, mark mem.PoolMark, err
 					// The replay ran out of budget: stop retrying.
 					s.stats.DeadlineTraps++
 					s.cpu.Charge(clock.CompFault, clock.CostOverloadShed)
-					s.trace("deadline", toComp, t2.Error())
+					s.emitTrap("deadline", toComp, t2)
 					return t2
 				}
 				s.stats.Traps++
 				s.cpu.Charge(clock.CompFault, clock.CostFaultTrap)
-				s.trace("fault", toComp, t2.Error())
+				s.emitTrap("fault", toComp, t2)
 				t = t2
 				continue
 			}
@@ -243,7 +253,7 @@ func (s *Supervisor) settle(toComp string, crossing bool, mark mem.PoolMark, err
 		s.teardown(toComp, mark)
 		s.degraded[toComp] = t
 		s.stats.Degrades++
-		s.trace("degrade", toComp, t.Kind.String())
+		s.emit("degrade", toComp, t.Kind.String())
 		return &fault.DegradedError{Comp: toComp, Cause: t}
 	default: // PolicyAbort
 		s.stats.Aborts++

@@ -7,6 +7,7 @@ import (
 	"flexos/internal/clock"
 	"flexos/internal/fault"
 	"flexos/internal/mem"
+	"flexos/internal/trace"
 )
 
 func supPool(t *testing.T) *mem.SharedPool {
@@ -16,7 +17,7 @@ func supPool(t *testing.T) *mem.SharedPool {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return mem.NewSharedPool(h)
+	return mem.NewSharedPool(h, nil)
 }
 
 func nwTrap() *fault.Trap {
@@ -24,7 +25,7 @@ func nwTrap() *fault.Trap {
 }
 
 func TestSuperviseCleanCall(t *testing.T) {
-	s := NewSupervisor(clock.New(), nil)
+	s := NewSupervisor(clock.New(), nil, nil)
 	calls := 0
 	if err := s.Supervise("nw", func() error { calls++; return nil }); err != nil {
 		t.Fatal(err)
@@ -38,7 +39,7 @@ func TestSuperviseCleanCall(t *testing.T) {
 }
 
 func TestSuperviseAbortByDefault(t *testing.T) {
-	s := NewSupervisor(clock.New(), nil)
+	s := NewSupervisor(clock.New(), nil, nil)
 	tr := nwTrap()
 	calls := 0
 	err := s.Supervise("nw", func() error { calls++; return tr })
@@ -57,7 +58,7 @@ func TestSuperviseAbortByDefault(t *testing.T) {
 func TestSuperviseRestartRecovers(t *testing.T) {
 	pool := supPool(t)
 	cpu := clock.New()
-	s := NewSupervisor(cpu, pool)
+	s := NewSupervisor(cpu, pool, nil)
 	s.SetPolicy("nw", fault.PolicyRestart)
 	attempt := 0
 	err := s.Supervise("nw", func() error {
@@ -97,7 +98,7 @@ func TestSuperviseRestartRecovers(t *testing.T) {
 
 func TestSuperviseRestartPreservesPreCallBuffers(t *testing.T) {
 	pool := supPool(t)
-	s := NewSupervisor(clock.New(), pool)
+	s := NewSupervisor(clock.New(), pool, nil)
 	s.SetPolicy("nw", fault.PolicyRestart)
 	// A buffer allocated before the supervised call — e.g. protocol
 	// state owned by the caller — must survive the teardown.
@@ -122,7 +123,7 @@ func TestSuperviseRestartPreservesPreCallBuffers(t *testing.T) {
 }
 
 func TestSuperviseRestartExhaustion(t *testing.T) {
-	s := NewSupervisor(clock.New(), nil)
+	s := NewSupervisor(clock.New(), nil, nil)
 	s.SetPolicy("nw", fault.PolicyRestart)
 	calls := 0
 	err := s.Supervise("nw", func() error { calls++; return nwTrap() })
@@ -139,7 +140,7 @@ func TestSuperviseRestartExhaustion(t *testing.T) {
 }
 
 func TestSuperviseDegradeFailsFast(t *testing.T) {
-	s := NewSupervisor(clock.New(), nil)
+	s := NewSupervisor(clock.New(), nil, nil)
 	s.SetPolicy("nw", fault.PolicyDegrade)
 	calls := 0
 	err := s.Supervise("nw", func() error { calls++; return nwTrap() })
@@ -164,7 +165,7 @@ func TestSuperviseDegradeFailsFast(t *testing.T) {
 }
 
 func TestSuperviseForeignTrapPassesThrough(t *testing.T) {
-	s := NewSupervisor(clock.New(), nil)
+	s := NewSupervisor(clock.New(), nil, nil)
 	s.SetPolicy("nw", fault.PolicyRestart)
 	// A trap attributed to a deeper compartment was already handled by
 	// the nested Supervise closer to the fault: it must pass through
@@ -181,7 +182,7 @@ func TestSuperviseForeignTrapPassesThrough(t *testing.T) {
 }
 
 func TestSupervisePlainErrorPassesThrough(t *testing.T) {
-	s := NewSupervisor(clock.New(), nil)
+	s := NewSupervisor(clock.New(), nil, nil)
 	s.SetPolicy("nw", fault.PolicyRestart)
 	plain := errors.New("connection reset")
 	err := s.Supervise("nw", func() error { return plain })
@@ -213,7 +214,7 @@ func TestTeardownResetsDrainedHeapOnly(t *testing.T) {
 	}
 	keep, _ := live.Alloc(256)
 
-	s := NewSupervisor(clock.New(), nil)
+	s := NewSupervisor(clock.New(), nil, nil)
 	s.SetPolicy("nw", fault.PolicyRestart)
 	s.RegisterHeap("nw", drained)
 	s.RegisterHeap("nw", live)
@@ -237,14 +238,11 @@ func TestTeardownResetsDrainedHeapOnly(t *testing.T) {
 }
 
 func TestSupervisorTracerSeesLifecycle(t *testing.T) {
-	s := NewSupervisor(clock.New(), nil)
+	sink := trace.NewSink(clock.New())
+	ring := trace.NewRing(8)
+	sink.Attach(ring)
+	s := NewSupervisor(clock.New(), nil, sink)
 	s.SetPolicy("nw", fault.PolicyRestart)
-	var kinds []string
-	s.SetTracer(func(kind, comp, note string) {
-		if comp == "nw" {
-			kinds = append(kinds, kind)
-		}
-	})
 	attempt := 0
 	_ = s.Supervise("nw", func() error {
 		attempt++
@@ -253,6 +251,12 @@ func TestSupervisorTracerSeesLifecycle(t *testing.T) {
 		}
 		return nil
 	})
+	var kinds []string
+	for _, e := range ring.Events() {
+		if e.From == "nw" {
+			kinds = append(kinds, e.Kind)
+		}
+	}
 	want := []string{"fault", "recover"}
 	if len(kinds) != len(want) || kinds[0] != want[0] || kinds[1] != want[1] {
 		t.Fatalf("tracer events = %v, want %v", kinds, want)

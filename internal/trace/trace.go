@@ -5,7 +5,11 @@
 // its crossings went (examples/iperf -trace prints it).
 package trace
 
-import "fmt"
+import (
+	"fmt"
+
+	"flexos/internal/clock"
+)
 
 // Event is one recorded occurrence.
 type Event struct {
@@ -27,6 +31,49 @@ func (e Event) String() string {
 		s += " (" + e.Note + ")"
 	}
 	return s
+}
+
+// KindCall is a named cross-library call edge (From and To are
+// libraries, Note the function); it goes to the recorder, not the ring.
+const KindCall = "call"
+
+// Sink is a machine's one observation point. Every producer hands its
+// events to it; it stamps the cycle and vCPU and fans them out to what
+// is attached: call edges to the recorder, the rest to the trace ring.
+// Emit sites test On first, so with nothing attached an event costs
+// one branch and formats no note.
+type Sink struct {
+	clk   clock.Clock
+	ring  *Ring
+	calls func(from, to, fn string)
+}
+
+// NewSink returns a sink stamping events from clk.
+func NewSink(clk clock.Clock) *Sink { return &Sink{clk: clk} }
+
+// On reports whether anything is attached. A nil sink is never on, so
+// a producer built without one emits nothing.
+func (s *Sink) On() bool { return s != nil && (s.ring != nil || s.calls != nil) }
+
+// Attach routes every event except call edges into r (nil detaches).
+func (s *Sink) Attach(r *Ring) { s.ring = r }
+
+// Record routes every call edge to rec (nil detaches).
+func (s *Sink) Record(rec func(from, to, fn string)) { s.calls = rec }
+
+// Emit delivers e: a call edge to the recorder, any other event to the
+// ring, stamped with the current cycle and vCPU.
+func (s *Sink) Emit(e Event) {
+	if e.Kind == KindCall {
+		if s.calls != nil {
+			s.calls(e.From, e.To, e.Note)
+		}
+		return
+	}
+	if s.ring != nil {
+		e.Cycles, e.CPU = s.clk.Cycles(), s.clk.CurID()
+		s.ring.Emit(e)
+	}
 }
 
 // Ring is a fixed-capacity event buffer; when full, the oldest events
