@@ -461,6 +461,28 @@ func BenchmarkRegistryCall(b *testing.B) {
 	}
 }
 
+// BenchmarkNewWorld times one boot, nothing run: both machines of an
+// image with one 2 MiB heap per library (the design-space sweep's
+// 16 MiB arena) and an ASAN-hardened netstack, so each machine also
+// maps an arena-sized shadow. The arena and the shadow are demand-zero,
+// so B/op counts only the Go-side structures a boot builds; either
+// one landing on the Go heap again adds 16 MiB per machine.
+func BenchmarkNewWorld(b *testing.B) {
+	cfg := build.Config{Name: "boot", Alloc: build.AllocPerLibrary,
+		SH: map[string]flexos.HardeningProfile{"netstack": harness.SHProfile}}
+	const arena = mem.PageSize + 4<<20 + 6*(2<<20)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		w, err := build.NewWorld(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if got := w.Server.Arena.Size(); got != arena {
+			b.Fatalf("arena is %d bytes, want %d", got, arena)
+		}
+	}
+}
+
 // BenchmarkBatching runs the crossing-amortization sweep (quick: depths
 // 1 and 16) and reports the headline simulated metrics the CI gate
 // pins: depth-16 iperf throughput per backend and its gain over the

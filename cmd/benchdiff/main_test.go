@@ -90,7 +90,7 @@ func TestCompare(t *testing.T) {
 }
 
 // TestBenchPatternIsTheGatedSet pins the derived -bench regex to the
-// committed baseline: exactly the nine gated benchmarks, so the gate
+// committed baseline: exactly the ten gated benchmarks, so the gate
 // runs neither more nor fewer than it checks.
 func TestBenchPatternIsTheGatedSet(t *testing.T) {
 	base, err := loadBaseline("../../BENCH_gate.json")
@@ -98,7 +98,7 @@ func TestBenchPatternIsTheGatedSet(t *testing.T) {
 		t.Fatal(err)
 	}
 	const want = "^(BenchmarkAutotune|BenchmarkBatching|BenchmarkChaosnet|BenchmarkExplore|" +
-		"BenchmarkFig3DataPath|BenchmarkGateCall|BenchmarkGateCallBatch|BenchmarkOverload|BenchmarkSmp)$"
+		"BenchmarkFig3DataPath|BenchmarkGateCall|BenchmarkGateCallBatch|BenchmarkNewWorld|BenchmarkOverload|BenchmarkSmp)$"
 	if got := benchPattern(base); got != want {
 		t.Fatalf("bench pattern\n got %s\nwant %s", got, want)
 	}

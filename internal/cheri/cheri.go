@@ -164,7 +164,9 @@ func (m *Machine) check(c Capability, off, n int, need Perms, op string) error {
 	return nil
 }
 
-// Load reads n bytes at offset off through the capability.
+// Load reads n bytes at offset off through the capability. The
+// returned slice aliases arena memory and is valid only while m's
+// arena stays reachable (see mem.Arena.Bytes); copy what you keep.
 func (m *Machine) Load(c Capability, off, n int) ([]byte, error) {
 	if err := m.check(c, off, n, PermRead, "load"); err != nil {
 		return nil, err

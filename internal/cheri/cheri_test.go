@@ -2,6 +2,7 @@ package cheri
 
 import (
 	"errors"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -43,6 +44,7 @@ func TestLoadStoreWithinBounds(t *testing.T) {
 	if string(got) != "cheri" {
 		t.Fatalf("Load = %q", got)
 	}
+	runtime.KeepAlive(m) // got aliases m's arena
 }
 
 func TestBoundsViolationFaults(t *testing.T) {

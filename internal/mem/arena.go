@@ -49,26 +49,27 @@ var (
 
 // Arena is the simulated physical memory plus its page table.
 type Arena struct {
-	data []byte
+	ram  *DemandZero
 	keys []Key // one per page
 }
 
 // NewArena allocates an arena of the given size, rounded up to a whole
 // number of pages. The first page is reserved (never handed out) so
-// that address 0 stays invalid.
+// that address 0 stays invalid. The memory is demand-zero: pages no
+// run writes cost the host nothing.
 func NewArena(size int) *Arena {
 	pages := (size + PageSize - 1) / PageSize
 	if pages < 2 {
 		pages = 2
 	}
 	return &Arena{
-		data: make([]byte, pages*PageSize),
+		ram:  NewDemandZero(pages * PageSize),
 		keys: make([]Key, pages),
 	}
 }
 
 // Size reports the arena size in bytes.
-func (a *Arena) Size() int { return len(a.data) }
+func (a *Arena) Size() int { return len(a.ram.b) }
 
 // Pages reports the number of pages in the arena.
 func (a *Arena) Pages() int { return len(a.keys) }
@@ -79,17 +80,24 @@ func (a *Arena) Contains(addr Addr, n int) bool {
 		return false
 	}
 	end := uint64(addr) + uint64(n)
-	return addr > 0 && end <= uint64(len(a.data))
+	return addr > 0 && end <= uint64(len(a.ram.b))
 }
 
 // Bytes returns the backing slice for [addr, addr+n) without any
 // protection check. Isolation-aware accesses must go through an
 // mpk.View; Bytes is for trusted infrastructure (devices, loaders).
+//
+// The slice is valid only while a stays reachable. On unix the arena's
+// memory is unmapped once a is collected, and a later arena may be
+// mapped at the same address, so a slice kept past a's last use can
+// fault or silently read another arena's bytes. Keep a (or the object that
+// owns it) in use, or call runtime.KeepAlive(a), until the last access
+// through the slice; copy out anything kept longer.
 func (a *Arena) Bytes(addr Addr, n int) ([]byte, error) {
 	if !a.Contains(addr, n) {
 		return nil, fmt.Errorf("%w: [%#x,+%d)", ErrBadAddress, addr, n)
 	}
-	return a.data[addr : uint64(addr)+uint64(n)], nil
+	return a.ram.b[addr : uint64(addr)+uint64(n)], nil
 }
 
 // KeyAt reports the protection key of the page containing addr.

@@ -257,6 +257,8 @@ func (u *Unit) check(addr mem.Addr, n int, write bool) error {
 
 // Load returns the bytes at [addr, addr+n) after a read check.
 // The returned slice aliases arena memory; callers copy if they keep it.
+// It is valid only while u's arena stays reachable (see
+// mem.Arena.Bytes).
 func (u *Unit) Load(addr mem.Addr, n int) ([]byte, error) {
 	if err := u.check(addr, n, false); err != nil {
 		return nil, err

@@ -2,6 +2,7 @@ package mpk
 
 import (
 	"errors"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -95,6 +96,7 @@ func TestLoadStoreWithinDomain(t *testing.T) {
 	if string(got) != "hello" {
 		t.Fatalf("Load = %q", got)
 	}
+	runtime.KeepAlive(a) // got aliases a's memory
 }
 
 func TestCrossDomainFault(t *testing.T) {
@@ -171,6 +173,7 @@ func TestCopyChecksBothSides(t *testing.T) {
 	if string(got) != "abc" {
 		t.Fatalf("copy result %q", got)
 	}
+	runtime.KeepAlive(a) // got aliases a's memory
 }
 
 func TestWRPKRUCost(t *testing.T) {

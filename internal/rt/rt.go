@@ -332,6 +332,8 @@ func (e *Env) PoolReleaseOwned(b mem.BufRef) error {
 // Bytes returns the raw backing bytes of an arena range. Access
 // checking against the hardening profile is the caller's duty (use
 // Hard.OnAccess); MPK-level checks happen in the gates/mpk layer.
+// The slice is valid only while e.Arena stays reachable (see
+// mem.Arena.Bytes).
 func (e *Env) Bytes(addr mem.Addr, n int) ([]byte, error) {
 	return e.Arena.Bytes(addr, n)
 }

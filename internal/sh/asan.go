@@ -67,31 +67,24 @@ var ErrNotInstrumented = errors.New("sh/asan: free of non-instrumented pointer")
 type ASAN struct {
 	arena  *mem.Arena
 	cpu    clock.Clock
-	shadow []byte
+	shadow *mem.DemandZero
 	checks uint64
 	caught uint64
 }
 
 // NewASAN builds a shadow map covering the whole arena. The shadow is
-// allocated lazily on first use: un-hardened images never pay for it.
-// Memory starts addressable (unpoisoned), like un-instrumented
-// globals.
+// demand-zero, so only the pages under poisoned ranges ever cost host
+// memory. Memory starts addressable (unpoisoned), like
+// un-instrumented globals.
 func NewASAN(a *mem.Arena, cpu clock.Clock) *ASAN {
-	return &ASAN{arena: a, cpu: cpu}
-}
-
-// ensureShadow materializes the shadow map.
-func (s *ASAN) ensureShadow() {
-	if s.shadow == nil {
-		s.shadow = make([]byte, s.arena.Size())
-	}
+	return &ASAN{arena: a, cpu: cpu, shadow: mem.NewDemandZero(a.Size())}
 }
 
 // Poison marks [addr, addr+n) with the given poison code.
 func (s *ASAN) poison(addr mem.Addr, n int, code byte) {
-	s.ensureShadow()
+	shadow := s.shadow.Bytes()
 	for i := 0; i < n; i++ {
-		s.shadow[int(addr)+i] = code
+		shadow[int(addr)+i] = code
 	}
 }
 
@@ -114,11 +107,9 @@ func (s *ASAN) Check(comp clock.Component, addr mem.Addr, n int, write bool) err
 		s.caught++
 		return &Violation{Addr: addr, Size: n, Write: write, Kind: "wild-access"}
 	}
-	if s.shadow == nil {
-		return nil // nothing ever poisoned
-	}
+	shadow := s.shadow.Bytes()
 	for i := 0; i < n; i++ {
-		switch s.shadow[int(addr)+i] {
+		switch shadow[int(addr)+i] {
 		case shadowOK:
 		case shadowFreed:
 			s.caught++

@@ -2,6 +2,7 @@ package sh
 
 import (
 	"errors"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -19,6 +20,30 @@ func newASANHeap(t *testing.T) (*ASAN, *Allocator, *clock.CPU) {
 	}
 	asan := NewASAN(a, cpu)
 	return asan, NewAllocator(h, asan, cpu), cpu
+}
+
+// TestASANFirstAllocCostsNoShadowHeap checks the shadow map is not a
+// Go-heap copy of the arena: the first hardened allocation on a 16 MiB
+// arena, the one that first poisons the shadow, grows the Go heap by
+// far less than the arena's size.
+func TestASANFirstAllocCostsNoShadowHeap(t *testing.T) {
+	const size = 16 << 20
+	a := mem.NewArena(size)
+	cpu := clock.New()
+	h, err := mem.NewHeap(a, mem.PageSize, size-mem.PageSize, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	alloc := NewAllocator(h, NewASAN(a, cpu), cpu)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := alloc.Alloc(64); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+		t.Fatalf("first hardened Alloc grew the Go heap by %d bytes, want under 1 MiB", grew)
+	}
 }
 
 func TestASANCleanAccess(t *testing.T) {
