@@ -90,15 +90,16 @@ func TestCompare(t *testing.T) {
 }
 
 // TestBenchPatternIsTheGatedSet pins the derived -bench regex to the
-// committed baseline: exactly the ten gated benchmarks, so the gate
+// committed baseline: exactly the twelve gated benchmarks, so the gate
 // runs neither more nor fewer than it checks.
 func TestBenchPatternIsTheGatedSet(t *testing.T) {
 	base, err := loadBaseline("../../BENCH_gate.json")
 	if err != nil {
 		t.Fatal(err)
 	}
-	const want = "^(BenchmarkAutotune|BenchmarkBatching|BenchmarkChaosnet|BenchmarkExplore|" +
-		"BenchmarkFig3DataPath|BenchmarkGateCall|BenchmarkGateCallBatch|BenchmarkNewWorld|BenchmarkOverload|BenchmarkSmp)$"
+	const want = "^(BenchmarkAutotune|BenchmarkBatching|BenchmarkChaosnet|BenchmarkContextSwitch|BenchmarkExplore|" +
+		"BenchmarkFig3DataPath|BenchmarkGateCall|BenchmarkGateCallBatch|BenchmarkNewWorld|BenchmarkOverload|" +
+		"BenchmarkRegistryCall|BenchmarkSmp)$"
 	if got := benchPattern(base); got != want {
 		t.Fatalf("bench pattern\n got %s\nwant %s", got, want)
 	}

@@ -10,7 +10,7 @@ import (
 )
 
 func testEnv() *rt.Env {
-	return &rt.Env{Lib: "app", Comp: clock.CompApp, CPU: clock.New()}
+	return &rt.Env{Lib: "app", Comp: clock.CompApp, CPU: clock.NewMachine(1)}
 }
 
 var errFail = errors.New("boom")

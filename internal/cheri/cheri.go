@@ -92,14 +92,14 @@ func (f *Fault) Error() string {
 // Machine is the capability hardware attached to an arena.
 type Machine struct {
 	arena     *mem.Arena
-	cpu       clock.Clock
+	cpu       *clock.Machine
 	nextOType uint32
 	derefs    uint64
 	faults    uint64
 }
 
 // New creates a capability machine over the arena.
-func New(a *mem.Arena, cpu clock.Clock) *Machine {
+func New(a *mem.Arena, cpu *clock.Machine) *Machine {
 	return &Machine{arena: a, cpu: cpu, nextOType: 1}
 }
 

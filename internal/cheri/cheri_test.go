@@ -13,7 +13,7 @@ import (
 func newMachine(t *testing.T) (*Machine, Capability) {
 	t.Helper()
 	a := mem.NewArena(16 * mem.PageSize)
-	m := New(a, clock.New())
+	m := New(a, clock.NewMachine(1))
 	root, err := m.Root(mem.PageSize, 8*mem.PageSize, PermRead|PermWrite|PermExecute)
 	if err != nil {
 		t.Fatal(err)
@@ -201,7 +201,7 @@ func TestPermsString(t *testing.T) {
 
 func TestCapChecksCharged(t *testing.T) {
 	a := mem.NewArena(8 * mem.PageSize)
-	cpu := clock.New()
+	cpu := clock.NewMachine(1)
 	m := New(a, cpu)
 	root, _ := m.Root(mem.PageSize, mem.PageSize, PermRead)
 	_, _ = m.Load(root, 0, 8)

@@ -2,22 +2,10 @@ package clock
 
 import (
 	"math"
-	"strings"
 	"testing"
 	"testing/quick"
 	"time"
 )
-
-func TestZeroValueUsable(t *testing.T) {
-	var c CPU
-	c.Charge(CompNet, 10)
-	if got := c.Cycles(); got != 10 {
-		t.Fatalf("Cycles() = %d, want 10", got)
-	}
-	if got := c.Component(CompNet); got != 10 {
-		t.Fatalf("Component(net) = %d, want 10", got)
-	}
-}
 
 func TestChargeAttribution(t *testing.T) {
 	c := New()
@@ -50,23 +38,10 @@ func TestReset(t *testing.T) {
 	}
 }
 
-func TestElapsedAtFrequency(t *testing.T) {
-	c := New()
-	c.Charge(CompRest, Hz) // exactly one second of work
-	if got := c.Elapsed(); got != time.Second {
-		t.Fatalf("Elapsed = %v, want 1s", got)
-	}
-}
-
-func TestCyclesDurationRoundTrip(t *testing.T) {
-	f := func(ms uint16) bool {
-		d := time.Duration(ms) * time.Millisecond
-		back := CyclesToDuration(DurationToCycles(d))
-		diff := (back - d).Abs()
-		return diff <= 2*time.Nanosecond
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
+func TestCyclesToDuration(t *testing.T) {
+	// Hz cycles is exactly one second of work.
+	if got := CyclesToDuration(Hz); got != time.Second {
+		t.Fatalf("CyclesToDuration(Hz) = %v, want 1s", got)
 	}
 }
 
@@ -78,9 +53,6 @@ func TestGbpsFor(t *testing.T) {
 	}
 	if got := GbpsFor(bytes, 0); got != 0 {
 		t.Fatalf("GbpsFor with zero cycles = %v, want 0", got)
-	}
-	if got := MbpsFor(bytes, Hz); math.Abs(got-1000) > 1e-6 {
-		t.Fatalf("MbpsFor = %v, want 1000", got)
 	}
 }
 
@@ -139,19 +111,5 @@ func TestCostHelpersMonotone(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestStringLedger(t *testing.T) {
-	c := New()
-	c.Charge(CompNet, 300)
-	c.Charge(CompLibC, 700)
-	s := c.String()
-	if !strings.Contains(s, "libc") || !strings.Contains(s, "netstack") {
-		t.Fatalf("String() missing components: %q", s)
-	}
-	// Largest consumer first.
-	if strings.Index(s, "libc") > strings.Index(s, "netstack") {
-		t.Fatalf("String() not sorted by cycles: %q", s)
 	}
 }

@@ -1,38 +1,11 @@
 package clock
 
-// Clock is the charging surface shared by a standalone CPU and a
-// Machine of vCPUs. Components hold a Clock, not a concrete CPU, so
-// the same gate/runtime/stack code runs unchanged on a single-core
-// image and on an SMP machine: on a Machine, charges land on the vCPU
-// the scheduler (or an interrupt Steer) made current.
-type Clock interface {
-	// Charge adds cycles attributed to comp on the current vCPU.
-	Charge(comp Component, cycles uint64)
-	// Cycles reports the current vCPU's counter ("now" for the code
-	// that is executing).
-	Cycles() uint64
-	// NCPU reports the number of vCPUs in this time domain (1 for a
-	// standalone CPU).
-	NCPU() int
-	// CurID reports the id of the vCPU charges currently land on.
-	CurID() int
-	// Steer directs subsequent charges to vCPU id until the returned
-	// restore function runs — the receive-interrupt analogue (RSS
-	// steering a flow's rx processing to its queue's vCPU). Standalone
-	// CPUs have nowhere to steer and return a no-op.
-	Steer(id int) func()
-}
-
-var (
-	_ Clock = (*CPU)(nil)
-	_ Clock = (*Machine)(nil)
-)
-
 // Machine is one simulated SMP machine: N vCPUs sharing a time domain.
 // Exactly one vCPU is "current" at any instant — the one the
 // deterministic interleaver resumed (or an interrupt was steered to) —
-// and Charge/Cycles route to it. A machine of one vCPU behaves exactly
-// like a standalone CPU.
+// and Charge/Cycles route to it. Gates, the runtime and the network
+// stack hold the Machine and charge through it, so the same code runs
+// unchanged on a single-core image and on an SMP machine.
 type Machine struct {
 	cpus []*CPU
 	cur  *CPU
@@ -58,24 +31,27 @@ func (m *Machine) CPU(i int) *CPU { return m.cpus[i] }
 // CPUs returns the vCPU slice (do not mutate).
 func (m *Machine) CPUs() []*CPU { return m.cpus }
 
-// NCPU implements Clock.
+// NCPU reports the number of vCPUs.
 func (m *Machine) NCPU() int { return len(m.cpus) }
 
 // Cur reports the current vCPU.
 func (m *Machine) Cur() *CPU { return m.cur }
 
-// CurID implements Clock.
+// CurID reports the id of the vCPU charges currently land on.
 func (m *Machine) CurID() int { return m.cur.id }
 
-// Charge implements Clock: cycles land on the current vCPU.
+// Charge adds cycles attributed to comp on the current vCPU.
 func (m *Machine) Charge(comp Component, cycles uint64) {
 	m.cur.Charge(comp, cycles)
 }
 
-// Cycles implements Clock: the current vCPU's counter.
+// Cycles reports the current vCPU's counter ("now" for the code that
+// is executing).
 func (m *Machine) Cycles() uint64 { return m.cur.cycles }
 
-// Steer implements Clock: charges go to vCPU id until restore runs.
+// Steer directs subsequent charges to vCPU id until the returned
+// restore function runs — the receive-interrupt analogue (RSS steering
+// a flow's rx processing to its queue's vCPU).
 func (m *Machine) Steer(id int) func() {
 	prev := m.cur
 	m.cur = m.cpus[id]
@@ -93,16 +69,6 @@ func (m *Machine) Makespan() uint64 {
 		}
 	}
 	return max
-}
-
-// TotalCycles sums every vCPU's counter (aggregate work, not elapsed
-// time).
-func (m *Machine) TotalCycles() uint64 {
-	var sum uint64
-	for _, c := range m.cpus {
-		sum += c.cycles
-	}
-	return sum
 }
 
 // ByComponent aggregates the per-component ledger across all vCPUs.

@@ -22,9 +22,6 @@ func TestMachineRouting(t *testing.T) {
 	if got := m.Makespan(); got != 300 {
 		t.Errorf("makespan = %d, want 300", got)
 	}
-	if got := m.TotalCycles(); got != 400 {
-		t.Errorf("total = %d, want 400", got)
-	}
 	by := m.ByComponent()
 	if by[CompApp] != 100 || by[CompNet] != 300 {
 		t.Errorf("ByComponent = %v", by)
@@ -59,7 +56,6 @@ func TestAdvanceTo(t *testing.T) {
 	if got := m.CPU(1).Cycles(); got != 1000 {
 		t.Fatalf("cpu1 after backwards AdvanceTo = %d, want 1000", got)
 	}
-	// A standalone machine of one vCPU behaves like a plain CPU.
 	if NewMachine(1).NCPU() != 1 {
 		t.Fatal("NewMachine(1) is not single-core")
 	}

@@ -102,7 +102,7 @@ func TestTransferPolicyPerBackend(t *testing.T) {
 
 // testGates builds one real gate per backend over a shared arena and
 // clock, with the CHERI entry capabilities both test domains need.
-func testGates(t *testing.T, cpu *clock.CPU, a, b *Domain) map[Backend]Gate {
+func testGates(t *testing.T, cpu *clock.Machine, a, b *Domain) map[Backend]Gate {
 	t.Helper()
 	arena := mem.NewArena(16 * mem.PageSize)
 
@@ -142,7 +142,7 @@ func testGates(t *testing.T, cpu *clock.CPU, a, b *Domain) map[Backend]Gate {
 // fixed-cost drift between the estimator and the implementation shows
 // up here.
 func TestCrossingCostMatchesGateCharge(t *testing.T) {
-	cpu := clock.New()
+	cpu := clock.NewMachine(1)
 	a, b := NewDomain("a", 1), NewDomain("b", 2)
 	gates := testGates(t, cpu, a, b)
 	for _, backend := range declaredBackends(t) {
@@ -171,7 +171,7 @@ func TestCrossingCostMatchesGateCharge(t *testing.T) {
 // dispatch charge, a double-paid crossing) shows up here.
 func TestBatchCrossingCostMatchesGateCharge(t *testing.T) {
 	const depth = 8
-	cpu := clock.New()
+	cpu := clock.NewMachine(1)
 	a, b := NewDomain("a", 1), NewDomain("b", 2)
 	gates := testGates(t, cpu, a, b)
 	frames := make([]CallFrame, depth)

@@ -16,13 +16,13 @@ import (
 // abstraction exists to absorb.
 type cheriGate struct {
 	m       *cheri.Machine
-	cpu     clock.Clock
+	cpu     *clock.Machine
 	entries map[string][2]cheri.Capability // domain -> sealed {code, data}
 }
 
 // NewCHERI returns a capability-backend gate over machine m.
 // Compartments must register their sealed entry pairs before crossing.
-func NewCHERI(m *cheri.Machine, cpu clock.Clock) *CHERIGate {
+func NewCHERI(m *cheri.Machine, cpu *clock.Machine) *CHERIGate {
 	return &CHERIGate{cheriGate{m: m, cpu: cpu, entries: make(map[string][2]cheri.Capability)}}
 }
 

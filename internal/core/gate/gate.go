@@ -169,7 +169,7 @@ type CallFrame struct {
 // with the crossing's fixed cost before charging any of it (refusing
 // late work must stay far cheaper than doing it), and batches again
 // with the dispatch cost at each frame.
-func deadlineCheck(clk clock.Clock, cost uint64, from, to *Domain, frame CallFrame) error {
+func deadlineCheck(clk *clock.Machine, cost uint64, from, to *Domain, frame CallFrame) error {
 	if frame.Deadline == 0 {
 		return nil
 	}
@@ -227,11 +227,11 @@ type Gate interface {
 
 // funcGate is the direct-call gate used within a compartment.
 type funcGate struct {
-	clk clock.Clock
+	clk *clock.Machine
 }
 
 // NewFuncCall returns the direct-call gate.
-func NewFuncCall(clk clock.Clock) Gate { return &funcGate{clk: clk} }
+func NewFuncCall(clk *clock.Machine) Gate { return &funcGate{clk: clk} }
 
 func (g *funcGate) Backend() Backend { return FuncCall }
 
@@ -246,17 +246,17 @@ func (g *funcGate) Call(from, to *Domain, frame CallFrame, fn func() error) erro
 // mpkGate implements both MPK variants.
 type mpkGate struct {
 	unit     *mpk.Unit
-	clk      clock.Clock
+	clk      *clock.Machine
 	switched bool
 }
 
 // NewMPKShared returns the ERIM-like shared-stack gate.
-func NewMPKShared(u *mpk.Unit, clk clock.Clock) Gate {
+func NewMPKShared(u *mpk.Unit, clk *clock.Machine) Gate {
 	return &mpkGate{unit: u, clk: clk}
 }
 
 // NewMPKSwitched returns the Hodor-like switched-stack gate.
-func NewMPKSwitched(u *mpk.Unit, clk clock.Clock) Gate {
+func NewMPKSwitched(u *mpk.Unit, clk *clock.Machine) Gate {
 	return &mpkGate{unit: u, clk: clk, switched: true}
 }
 
@@ -331,7 +331,7 @@ func (g *mpkGate) Call(from, to *Domain, frame CallFrame, fn func() error) error
 // enforced by construction (the callee VM simply has no mapping of the
 // caller's private memory), so no PKRU is involved.
 type rpcGate struct {
-	clk clock.Clock
+	clk *clock.Machine
 	// notify, when non-nil, is invoked for each crossing so the vmm
 	// substrate can deliver the event on the peer's event channel.
 	notify func(from, to *Domain)
@@ -347,7 +347,7 @@ type rpcGate struct {
 }
 
 // NewVMRPC returns the VM-based RPC gate. notify may be nil.
-func NewVMRPC(clk clock.Clock, notify func(from, to *Domain)) Gate {
+func NewVMRPC(clk *clock.Machine, notify func(from, to *Domain)) Gate {
 	return &rpcGate{clk: clk, notify: notify}
 }
 

@@ -39,7 +39,7 @@ func TestParseBackend(t *testing.T) {
 }
 
 func TestFuncGate(t *testing.T) {
-	cpu := clock.New()
+	cpu := clock.NewMachine(1)
 	g := NewFuncCall(cpu)
 	ran := false
 	err := g.Call(NewDomain("a", 1), NewDomain("b", 2), CallFrame{ArgWords: 3, RetWords: 1}, func() error {
@@ -54,10 +54,10 @@ func TestFuncGate(t *testing.T) {
 	}
 }
 
-func newMPKWorld(t *testing.T) (*mpk.Unit, *mem.Arena, *clock.CPU) {
+func newMPKWorld(t *testing.T) (*mpk.Unit, *mem.Arena, *clock.Machine) {
 	t.Helper()
 	a := mem.NewArena(16 * mem.PageSize)
-	cpu := clock.New()
+	cpu := clock.NewMachine(1)
 	return mpk.New(a, cpu), a, cpu
 }
 
@@ -139,7 +139,7 @@ func TestMPKGateSealingViolation(t *testing.T) {
 }
 
 func TestVMRPCGate(t *testing.T) {
-	cpu := clock.New()
+	cpu := clock.NewMachine(1)
 	var notifications [][2]string
 	g := NewVMRPC(cpu, func(from, to *Domain) {
 		notifications = append(notifications, [2]string{from.Name, to.Name})

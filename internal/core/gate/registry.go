@@ -21,7 +21,7 @@ type Registry struct {
 	libs     map[string]string  // library -> compartment
 	direct   Gate
 	cross    Gate
-	clk      clock.Clock
+	clk      *clock.Machine
 	sink     *trace.Sink
 	injector *fault.Injector
 	ledger   []*LedgerRow // in first-crossing order
@@ -51,7 +51,7 @@ func (r *Registry) SetInjector(in *fault.Injector) { r.injector = in }
 // calls and cross for inter-compartment calls, timing crossings on clk.
 // Every crossing and every named call edge is an event on sink, which
 // may be nil.
-func NewRegistry(clk clock.Clock, direct, cross Gate, sink *trace.Sink) *Registry {
+func NewRegistry(clk *clock.Machine, direct, cross Gate, sink *trace.Sink) *Registry {
 	return &Registry{
 		domains: make(map[string]*Domain),
 		libs:    make(map[string]string),

@@ -13,7 +13,7 @@ import (
 )
 
 type fixture struct {
-	cpu   *clock.CPU
+	cpu   *clock.Machine
 	arena *mem.Arena
 	heap  *mem.Heap
 	reg   *gate.Registry
@@ -26,7 +26,7 @@ type fixture struct {
 // crossings are observable.
 func newFixture(t *testing.T, split bool, profile sh.Profile) *fixture {
 	t.Helper()
-	cpu := clock.New()
+	cpu := clock.NewMachine(1)
 	arena := mem.NewArena(4 << 20)
 	heap, err := mem.NewHeap(arena, mem.PageSize, 3<<20, 1)
 	if err != nil {
@@ -191,11 +191,11 @@ func TestSemaphoreProducerConsumer(t *testing.T) {
 	s := sched.NewCScheduler()
 	sem := f.libc.NewSemaphore(0)
 	var order []string
-	s.Spawn("consumer", f.cpu, func(th *sched.Thread) {
+	s.Spawn("consumer", f.cpu.CPU(0), func(th *sched.Thread) {
 		sem.Down(th)
 		order = append(order, "consumed")
 	})
-	s.Spawn("producer", f.cpu, func(th *sched.Thread) {
+	s.Spawn("producer", f.cpu.CPU(0), func(th *sched.Thread) {
 		order = append(order, "produced")
 		sem.Up()
 	})
@@ -228,8 +228,8 @@ func TestSemaphoreCrossesIntoSchedulerCompartment(t *testing.T) {
 	f := newFixture(t, true, sh.None)
 	s := sched.NewCScheduler()
 	sem := f.libc.NewSemaphore(0)
-	s.Spawn("sleeper", f.cpu, func(th *sched.Thread) { sem.Down(th) })
-	s.Spawn("waker", f.cpu, func(th *sched.Thread) { sem.Up() })
+	s.Spawn("sleeper", f.cpu.CPU(0), func(th *sched.Thread) { sem.Down(th) })
+	s.Spawn("waker", f.cpu.CPU(0), func(th *sched.Thread) { sem.Up() })
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +244,7 @@ func TestUncontendedSemaphoreStaysLocal(t *testing.T) {
 	f := newFixture(t, true, sh.None)
 	s := sched.NewCScheduler()
 	sem := f.libc.NewSemaphore(1)
-	s.Spawn("solo", f.cpu, func(th *sched.Thread) {
+	s.Spawn("solo", f.cpu.CPU(0), func(th *sched.Thread) {
 		sem.Down(th)
 		sem.Up()
 	})
@@ -274,8 +274,8 @@ func TestMutexMutualExclusion(t *testing.T) {
 			mu.Unlock()
 		}
 	}
-	s.Spawn("a", f.cpu, body)
-	s.Spawn("b", f.cpu, body)
+	s.Spawn("a", f.cpu.CPU(0), body)
+	s.Spawn("b", f.cpu.CPU(0), body)
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}

@@ -100,7 +100,7 @@ func TestPoolOversizeReturnsToHeap(t *testing.T) {
 
 func TestPoolTracerSeesLifecycle(t *testing.T) {
 	_, h := poolArena(t)
-	sink := trace.NewSink(clock.New())
+	sink := trace.NewSink(clock.NewMachine(1))
 	ring := trace.NewRing(8)
 	sink.Attach(ring)
 	p := NewSharedPool(h, sink)

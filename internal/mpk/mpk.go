@@ -167,7 +167,7 @@ func (s SealPolicy) sealExtraCycles() uint64 {
 // touch.
 type Unit struct {
 	arena   *mem.Arena
-	clk     clock.Clock
+	clk     *clock.Machine
 	pkru    []PKRU // indexed by vCPU id
 	policy  SealPolicy
 	sealed  map[PKRU]bool // registered values when sealing is active
@@ -178,7 +178,7 @@ type Unit struct {
 
 // New creates an MPK unit over the arena, charging gate costs to clk.
 // Every vCPU's initial PKRU permits everything (the boot state).
-func New(a *mem.Arena, clk clock.Clock) *Unit {
+func New(a *mem.Arena, clk *clock.Machine) *Unit {
 	return &Unit{arena: a, clk: clk, pkru: make([]PKRU, clk.NCPU()), sealed: make(map[PKRU]bool)}
 }
 

@@ -70,10 +70,10 @@ func TestPKRUProperty(t *testing.T) {
 	}
 }
 
-func newUnit(t *testing.T) (*Unit, *mem.Arena, *clock.CPU) {
+func newUnit(t *testing.T) (*Unit, *mem.Arena, *clock.Machine) {
 	t.Helper()
 	a := mem.NewArena(16 * mem.PageSize)
-	cpu := clock.New()
+	cpu := clock.NewMachine(1)
 	return New(a, cpu), a, cpu
 }
 

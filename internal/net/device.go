@@ -487,8 +487,7 @@ func (n *NIC) receive(frame []byte) {
 	q := n.stack.frameQueue(frame)
 	n.countRx(q)
 	// RX interrupt steering: the queue's vCPU takes the interrupt and
-	// runs the input path (no-op on a single-queue device over a
-	// standalone CPU).
+	// runs the input path (a no-op on a one-vCPU machine).
 	restore := n.stack.env.CPU.Steer(n.stack.queueCPUFor(q))
 	defer restore()
 	// RX driver cost on the receiving machine.

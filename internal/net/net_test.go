@@ -80,13 +80,13 @@ func newMachine(t *testing.T, s sched.Scheduler, ip IPAddr, cfg Config) *machine
 func newMachineWith(t *testing.T, s sched.Scheduler, ip IPAddr, cfg Config,
 	mkSup func(*mem.Arena) Support) *machine {
 	t.Helper()
-	cpu := clock.New()
+	clk := clock.NewMachine(1)
 	arena := mem.NewArena(4 << 20)
 	heap, err := mem.NewHeap(arena, mem.PageSize, 3<<20, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := gate.NewRegistry(cpu, gate.NewFuncCall(cpu), gate.NewFuncCall(cpu), nil)
+	reg := gate.NewRegistry(clk, gate.NewFuncCall(clk), gate.NewFuncCall(clk), nil)
 	reg.AddCompartment(gate.NewDomain("all"))
 	for _, lib := range []string{"netstack", "libc", "alloc", "app", "sched"} {
 		if err := reg.Assign(lib, "all"); err != nil {
@@ -94,11 +94,11 @@ func newMachineWith(t *testing.T, s sched.Scheduler, ip IPAddr, cfg Config,
 		}
 	}
 	env := &rt.Env{
-		Lib: "netstack", Comp: clock.CompNet, CPU: cpu,
+		Lib: "netstack", Comp: clock.CompNet, CPU: clk,
 		Gates: reg, Arena: arena, Alloc: heap,
 	}
 	cfg.IP = ip
-	m := &machine{cpu: cpu, arena: arena, heap: heap, env: env}
+	m := &machine{cpu: clk.CPU(0), arena: arena, heap: heap, env: env}
 	m.stack = NewStack(env, mkSup(arena), s, cfg)
 	return m
 }

@@ -146,13 +146,13 @@ func TestRecvErrorStillAdvertisesWindow(t *testing.T) {
 // path's internal crossings would actually refuse them.
 func splitMachine(t *testing.T, s *sched.CScheduler, ip IPAddr, cfg Config) *machine {
 	t.Helper()
-	cpu := clock.New()
+	clk := clock.NewMachine(1)
 	arena := mem.NewArena(4 << 20)
 	heap, err := mem.NewHeap(arena, mem.PageSize, 3<<20, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := gate.NewRegistry(cpu, gate.NewFuncCall(cpu), gate.NewVMRPC(cpu, nil), nil)
+	reg := gate.NewRegistry(clk, gate.NewFuncCall(clk), gate.NewVMRPC(clk, nil), nil)
 	reg.AddCompartment(gate.NewDomain("nw"))
 	reg.AddCompartment(gate.NewDomain("core"))
 	if err := reg.Assign("netstack", "nw"); err != nil {
@@ -164,12 +164,12 @@ func splitMachine(t *testing.T, s *sched.CScheduler, ip IPAddr, cfg Config) *mac
 		}
 	}
 	env := &rt.Env{
-		Lib: "netstack", Comp: clock.CompNet, CPU: cpu,
+		Lib: "netstack", Comp: clock.CompNet, CPU: clk,
 		Gates: reg, Arena: arena, Alloc: heap,
 		Cur: s.Current,
 	}
 	cfg.IP = ip
-	m := &machine{cpu: cpu, arena: arena, heap: heap, env: env}
+	m := &machine{cpu: clk.CPU(0), arena: arena, heap: heap, env: env}
 	m.stack = NewStack(env, testSup{arena: arena}, s, cfg)
 	return m
 }

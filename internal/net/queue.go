@@ -88,21 +88,14 @@ func (st *Stack) QueueOf(s *Socket) int {
 // steered to: queueCPUFor(QueueOf(s)).
 func (st *Stack) QueueCPUOf(s *Socket) int { return st.queueCPUFor(st.QueueOf(s)) }
 
-// spawnCPU resolves a vCPU id to the concrete vCPU threads are spawned
-// on: vCPU id of the stack's machine, or the standalone CPU itself
-// (which has no siblings to choose between).
+// spawnCPU resolves a vCPU id to the vCPU of the stack's machine that
+// threads are spawned on; an id out of range falls back to vCPU 0.
 func (st *Stack) spawnCPU(id int) *clock.CPU {
-	switch c := st.env.CPU.(type) {
-	case *clock.CPU:
-		return c
-	case *clock.Machine:
-		if id < 0 || id >= c.NCPU() {
-			id = 0
-		}
-		return c.CPU(id)
-	default:
-		return nil
+	m := st.env.CPU
+	if id < 0 || id >= m.NCPU() {
+		id = 0
 	}
+	return m.CPU(id)
 }
 
 // SpawnCPU exposes spawnCPU for harnesses placing worker threads on a

@@ -201,10 +201,7 @@ func NewStack(env *rt.Env, sup Support, s sched.Scheduler, cfg Config) *Stack {
 	if cfg.KeepaliveTicks > 0 && cfg.KeepaliveProbes <= 0 {
 		cfg.KeepaliveProbes = 3
 	}
-	ncpu := 1
-	if env != nil && env.CPU != nil {
-		ncpu = env.CPU.NCPU()
-	}
+	ncpu := env.CPU.NCPU()
 	queueCPU := make([]int, cfg.NumQueues)
 	for i := range queueCPU {
 		queueCPU[i] = i % ncpu

@@ -14,7 +14,7 @@ import (
 // and pays its own CostOverloadShed — exactly as if the four frames
 // had been four separate calls.
 func TestBatchShedRejectsOnlyExcessFrames(t *testing.T) {
-	cpu := clock.New()
+	cpu := clock.NewMachine(1)
 	s := NewSupervisor(cpu, nil, nil)
 	s.SetOverload("nw", OverloadSpec{Depth: 2, Policy: fault.ShedPolicyShed})
 
@@ -56,7 +56,7 @@ func TestBatchShedRejectsOnlyExcessFrames(t *testing.T) {
 // closure never runs — and each frame fails with its own typed
 // BreakerOpenError at the per-call fast-fail cost.
 func TestBatchBreakerOpenFailsEveryFrameFast(t *testing.T) {
-	cpu := clock.New()
+	cpu := clock.NewMachine(1)
 	s := NewSupervisor(cpu, nil, nil)
 	s.SetBreaker("nw", BreakerSpec{Threshold: 1, Window: 4, Cooldown: 1 << 40})
 
@@ -96,7 +96,7 @@ func TestBatchBreakerOpenFailsEveryFrameFast(t *testing.T) {
 // default abort policy: one trapped frame inside a batch propagates its
 // own trap while its neighbours settle clean.
 func TestBatchTrapContainsToOneFrame(t *testing.T) {
-	cpu := clock.New()
+	cpu := clock.NewMachine(1)
 	s := NewSupervisor(cpu, nil, nil)
 
 	trap := &fault.Trap{Comp: "nw", Kind: fault.KindMPK, PC: "core->nw"}
@@ -125,7 +125,7 @@ func TestBatchTrapContainsToOneFrame(t *testing.T) {
 // and a clean replay counts as a recovery without disturbing the other
 // frames' results.
 func TestBatchRestartRetriesOneFrameSolo(t *testing.T) {
-	cpu := clock.New()
+	cpu := clock.NewMachine(1)
 	s := NewSupervisor(cpu, nil, nil)
 	s.SetPolicy("nw", fault.PolicyRestart)
 
@@ -153,7 +153,7 @@ func TestBatchRestartRetriesOneFrameSolo(t *testing.T) {
 // interplay: an already-expired frame deadline sheds that frame before
 // the crossing while its live and undeadlined neighbours still cross.
 func TestBatchDeadlineExpiryShedsOneFrame(t *testing.T) {
-	cpu := clock.New()
+	cpu := clock.NewMachine(1)
 	s := NewSupervisor(cpu, nil, nil)
 	s.SetOverload("nw", OverloadSpec{Depth: 0, Policy: fault.ShedPolicyDeadline})
 	cpu.Charge(clock.CompApp, 100)
@@ -182,7 +182,7 @@ func TestBatchDeadlineExpiryShedsOneFrame(t *testing.T) {
 // a degraded compartment fails every frame with its DegradedError
 // before admission, breakers, or the gate see the batch.
 func TestBatchDegradedFailsWholeBatch(t *testing.T) {
-	cpu := clock.New()
+	cpu := clock.NewMachine(1)
 	s := NewSupervisor(cpu, nil, nil)
 	s.SetPolicy("nw", fault.PolicyDegrade)
 

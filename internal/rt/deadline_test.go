@@ -13,9 +13,9 @@ import (
 // deadlineEnv builds an env whose netstack->alloc crossings go through
 // a VM-RPC gate (deadline-enforcing) while a thread accessor supplies
 // the deadline that route() stamps onto every frame.
-func deadlineEnv(t *testing.T) (*Env, *sched.Thread, *clock.CPU) {
+func deadlineEnv(t *testing.T) (*Env, *sched.Thread, *clock.Machine) {
 	t.Helper()
-	cpu := clock.New()
+	cpu := clock.NewMachine(1)
 	arena := mem.NewArena(2 << 20)
 	heap, err := mem.NewHeap(arena, mem.PageSize, 1<<20, 1)
 	if err != nil {

@@ -11,7 +11,7 @@ import (
 )
 
 func TestAdmitShedPolicy(t *testing.T) {
-	cpu := clock.New()
+	cpu := clock.NewMachine(1)
 	s := NewSupervisor(cpu, nil, nil)
 	s.SetOverload("nw", OverloadSpec{Depth: 2, Policy: fault.ShedPolicyShed})
 
@@ -63,7 +63,7 @@ func TestAdmitShedPolicy(t *testing.T) {
 }
 
 func TestAdmitDeadlinePolicy(t *testing.T) {
-	cpu := clock.New()
+	cpu := clock.NewMachine(1)
 	s := NewSupervisor(cpu, nil, nil)
 	s.SetOverload("lc", OverloadSpec{Depth: 0, Policy: fault.ShedPolicyDeadline})
 	cpu.Charge(clock.CompApp, 100)
@@ -107,7 +107,7 @@ func TestAdmitDeadlinePolicy(t *testing.T) {
 func TestAdmitBlockPolicyWithoutThread(t *testing.T) {
 	// Without a thread source there is nothing to park: the block
 	// policy admits rather than wedging a direct caller.
-	s := NewSupervisor(clock.New(), nil, nil)
+	s := NewSupervisor(clock.NewMachine(1), nil, nil)
 	s.SetOverload("nw", OverloadSpec{Depth: 1, Policy: fault.ShedPolicyBlock})
 	rel1, err := s.admit("nw", 0)
 	if err != nil {
@@ -125,14 +125,14 @@ func TestAdmitBlockPolicyWithoutThread(t *testing.T) {
 }
 
 func TestAdmitBlockPolicyParksCaller(t *testing.T) {
-	cpu := clock.New()
+	cpu := clock.NewMachine(1)
 	s := NewSupervisor(cpu, nil, nil)
 	sc := sched.NewCScheduler()
 	s.SetThreadSource(sc.Current)
 	s.SetOverload("nw", OverloadSpec{Depth: 1, Policy: fault.ShedPolicyBlock})
 
 	var order []string
-	sc.Spawn("a", cpu, func(th *sched.Thread) {
+	sc.Spawn("a", cpu.CPU(0), func(th *sched.Thread) {
 		err := s.SuperviseCall("nw", 0, true, func() error {
 			order = append(order, "a-enter")
 			// Hold the slot across a few reschedules so b observes a
@@ -146,7 +146,7 @@ func TestAdmitBlockPolicyParksCaller(t *testing.T) {
 			t.Errorf("a: %v", err)
 		}
 	})
-	sc.Spawn("b", cpu, func(th *sched.Thread) {
+	sc.Spawn("b", cpu.CPU(0), func(th *sched.Thread) {
 		err := s.SuperviseCall("nw", 0, true, func() error {
 			order = append(order, "b-enter")
 			return nil
@@ -177,7 +177,7 @@ func TestAdmitBlockPolicyParksCaller(t *testing.T) {
 }
 
 func TestBreakerLifecycle(t *testing.T) {
-	cpu := clock.New()
+	cpu := clock.NewMachine(1)
 	s := NewSupervisor(cpu, nil, nil)
 	spec := BreakerSpec{Threshold: 2, Window: 8, Cooldown: 1000}
 	s.SetBreaker("nw", spec)
@@ -252,7 +252,7 @@ func TestBreakerLifecycle(t *testing.T) {
 }
 
 func TestBreakerWindowReset(t *testing.T) {
-	cpu := clock.New()
+	cpu := clock.NewMachine(1)
 	s := NewSupervisor(cpu, nil, nil)
 	s.SetBreaker("nw", BreakerSpec{Threshold: 2, Window: 4, Cooldown: 1000})
 
@@ -279,7 +279,7 @@ func TestBreakerWindowReset(t *testing.T) {
 // unwind the thread (where it would read as a simulator crash and
 // strand block-policy waiters).
 func TestShedCallbackPanic(t *testing.T) {
-	s := NewSupervisor(clock.New(), nil, nil)
+	s := NewSupervisor(clock.NewMachine(1), nil, nil)
 	s.SetOverload("nw", OverloadSpec{Depth: 1, Policy: fault.ShedPolicyShed})
 	s.SetOnShed(func(string) { panic("observer bug") })
 
@@ -309,7 +309,7 @@ func TestShedCallbackPanic(t *testing.T) {
 func TestShedCallbackTrapPanicPassesThrough(t *testing.T) {
 	// A callback that panics with an explicit *fault.Trap keeps its
 	// own kind and PC; only a missing Comp is filled in.
-	s := NewSupervisor(clock.New(), nil, nil)
+	s := NewSupervisor(clock.NewMachine(1), nil, nil)
 	s.SetOverload("nw", OverloadSpec{Depth: 1, Policy: fault.ShedPolicyShed})
 	s.SetOnShed(func(string) {
 		panic(&fault.Trap{Kind: fault.KindMPK, PC: "observer:poke", Addr: 0x40})
@@ -329,7 +329,7 @@ func TestShedCallbackTrapPanicPassesThrough(t *testing.T) {
 }
 
 func TestShedCallbackObservesComp(t *testing.T) {
-	s := NewSupervisor(clock.New(), nil, nil)
+	s := NewSupervisor(clock.NewMachine(1), nil, nil)
 	s.SetOverload("nw", OverloadSpec{Depth: 1, Policy: fault.ShedPolicyShed})
 	var seen []string
 	s.SetOnShed(func(comp string) { seen = append(seen, comp) })

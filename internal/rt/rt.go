@@ -25,8 +25,8 @@ type Env struct {
 	Lib string
 	// Comp is the cycle-attribution component for this library.
 	Comp clock.Component
-	// CPU is the machine's virtual processor.
-	CPU clock.Clock
+	// CPU is the machine's clock; charges land on its current vCPU.
+	CPU *clock.Machine
 	// Gates routes cross-library calls.
 	Gates *gate.Registry
 	// Arena is the machine's physical memory.

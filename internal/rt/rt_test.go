@@ -8,9 +8,9 @@ import (
 	"flexos/internal/mem"
 )
 
-func newEnv(t *testing.T, local bool, split bool) (*Env, *gate.Registry, *clock.CPU) {
+func newEnv(t *testing.T, local bool, split bool) (*Env, *gate.Registry, *clock.Machine) {
 	t.Helper()
-	cpu := clock.New()
+	cpu := clock.NewMachine(1)
 	arena := mem.NewArena(2 << 20)
 	heap, err := mem.NewHeap(arena, mem.PageSize, 1<<20, 1)
 	if err != nil {

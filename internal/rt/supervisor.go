@@ -59,7 +59,7 @@ type SupervisorStats struct {
 // trapped call's in-flight buffers are force-released against a
 // pre-call mark — and resets the compartment's drained private heaps.
 type Supervisor struct {
-	cpu      clock.Clock
+	cpu      *clock.Machine
 	pool     *mem.SharedPool
 	policies map[string]fault.Policy
 	heaps    map[string][]*mem.Heap
@@ -83,7 +83,7 @@ type Supervisor struct {
 // events go to sink, which may be nil: "fault", "recover", "degrade"
 // and the overload-control kinds "overload", "shed", "deadline",
 // "breaker-open" and "breaker-close".
-func NewSupervisor(cpu clock.Clock, pool *mem.SharedPool, sink *trace.Sink) *Supervisor {
+func NewSupervisor(cpu *clock.Machine, pool *mem.SharedPool, sink *trace.Sink) *Supervisor {
 	return &Supervisor{
 		cpu:      cpu,
 		pool:     pool,

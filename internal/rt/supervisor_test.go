@@ -25,7 +25,7 @@ func nwTrap() *fault.Trap {
 }
 
 func TestSuperviseCleanCall(t *testing.T) {
-	s := NewSupervisor(clock.New(), nil, nil)
+	s := NewSupervisor(clock.NewMachine(1), nil, nil)
 	calls := 0
 	if err := s.Supervise("nw", func() error { calls++; return nil }); err != nil {
 		t.Fatal(err)
@@ -39,7 +39,7 @@ func TestSuperviseCleanCall(t *testing.T) {
 }
 
 func TestSuperviseAbortByDefault(t *testing.T) {
-	s := NewSupervisor(clock.New(), nil, nil)
+	s := NewSupervisor(clock.NewMachine(1), nil, nil)
 	tr := nwTrap()
 	calls := 0
 	err := s.Supervise("nw", func() error { calls++; return tr })
@@ -57,7 +57,7 @@ func TestSuperviseAbortByDefault(t *testing.T) {
 
 func TestSuperviseRestartRecovers(t *testing.T) {
 	pool := supPool(t)
-	cpu := clock.New()
+	cpu := clock.NewMachine(1)
 	s := NewSupervisor(cpu, pool, nil)
 	s.SetPolicy("nw", fault.PolicyRestart)
 	attempt := 0
@@ -98,7 +98,7 @@ func TestSuperviseRestartRecovers(t *testing.T) {
 
 func TestSuperviseRestartPreservesPreCallBuffers(t *testing.T) {
 	pool := supPool(t)
-	s := NewSupervisor(clock.New(), pool, nil)
+	s := NewSupervisor(clock.NewMachine(1), pool, nil)
 	s.SetPolicy("nw", fault.PolicyRestart)
 	// A buffer allocated before the supervised call — e.g. protocol
 	// state owned by the caller — must survive the teardown.
@@ -123,7 +123,7 @@ func TestSuperviseRestartPreservesPreCallBuffers(t *testing.T) {
 }
 
 func TestSuperviseRestartExhaustion(t *testing.T) {
-	s := NewSupervisor(clock.New(), nil, nil)
+	s := NewSupervisor(clock.NewMachine(1), nil, nil)
 	s.SetPolicy("nw", fault.PolicyRestart)
 	calls := 0
 	err := s.Supervise("nw", func() error { calls++; return nwTrap() })
@@ -140,7 +140,7 @@ func TestSuperviseRestartExhaustion(t *testing.T) {
 }
 
 func TestSuperviseDegradeFailsFast(t *testing.T) {
-	s := NewSupervisor(clock.New(), nil, nil)
+	s := NewSupervisor(clock.NewMachine(1), nil, nil)
 	s.SetPolicy("nw", fault.PolicyDegrade)
 	calls := 0
 	err := s.Supervise("nw", func() error { calls++; return nwTrap() })
@@ -165,7 +165,7 @@ func TestSuperviseDegradeFailsFast(t *testing.T) {
 }
 
 func TestSuperviseForeignTrapPassesThrough(t *testing.T) {
-	s := NewSupervisor(clock.New(), nil, nil)
+	s := NewSupervisor(clock.NewMachine(1), nil, nil)
 	s.SetPolicy("nw", fault.PolicyRestart)
 	// A trap attributed to a deeper compartment was already handled by
 	// the nested Supervise closer to the fault: it must pass through
@@ -182,7 +182,7 @@ func TestSuperviseForeignTrapPassesThrough(t *testing.T) {
 }
 
 func TestSupervisePlainErrorPassesThrough(t *testing.T) {
-	s := NewSupervisor(clock.New(), nil, nil)
+	s := NewSupervisor(clock.NewMachine(1), nil, nil)
 	s.SetPolicy("nw", fault.PolicyRestart)
 	plain := errors.New("connection reset")
 	err := s.Supervise("nw", func() error { return plain })
@@ -214,7 +214,7 @@ func TestTeardownResetsDrainedHeapOnly(t *testing.T) {
 	}
 	keep, _ := live.Alloc(256)
 
-	s := NewSupervisor(clock.New(), nil, nil)
+	s := NewSupervisor(clock.NewMachine(1), nil, nil)
 	s.SetPolicy("nw", fault.PolicyRestart)
 	s.RegisterHeap("nw", drained)
 	s.RegisterHeap("nw", live)
@@ -238,10 +238,10 @@ func TestTeardownResetsDrainedHeapOnly(t *testing.T) {
 }
 
 func TestSupervisorTracerSeesLifecycle(t *testing.T) {
-	sink := trace.NewSink(clock.New())
+	sink := trace.NewSink(clock.NewMachine(1))
 	ring := trace.NewRing(8)
 	sink.Attach(ring)
-	s := NewSupervisor(clock.New(), nil, sink)
+	s := NewSupervisor(clock.NewMachine(1), nil, sink)
 	s.SetPolicy("nw", fault.PolicyRestart)
 	attempt := 0
 	_ = s.Supervise("nw", func() error {

@@ -16,18 +16,16 @@
 //
 // Threads are goroutines, but scheduling is strictly cooperative and
 // deterministic: exactly one thread runs at a time, handed control
-// through an unbuffered channel. Each thread is bound to a vCPU and
-// waits on that vCPU's FIFO run queue. The dispatcher is a conservative
-// discrete-event interleaver: among the vCPUs of one machine it always
-// resumes the runnable vCPU with the lowest cycle count (ties broken by
-// ascending vCPU id), which is what makes an N-vCPU run bit-reproducible
-// with no Go-level concurrency; across independent time domains
-// (standalone CPUs, or the server and client machines of a world) it
-// dispatches the earliest-enqueued runnable head, which on single-vCPU
-// machines is exactly the historical global FIFO order. Cross-CPU
-// wakes on one machine charge the waking vCPU an IPI, and an idle vCPU
-// may steal waiting work from a loaded sibling (bounded, unpinned
-// threads only).
+// through an unbuffered channel. Each thread is bound to a vCPU of a
+// clock.Machine and waits on that vCPU's FIFO run queue. The dispatcher
+// is a conservative discrete-event interleaver: the machine holding the
+// earliest-enqueued runnable head goes next (on machines of one vCPU,
+// exactly a global FIFO), and within that machine the runnable vCPU
+// with the lowest cycle count runs (ties broken by ascending vCPU id),
+// which is what makes an N-vCPU run bit-reproducible with no Go-level
+// concurrency. Cross-CPU wakes on one machine charge the waking vCPU
+// an IPI, and an idle vCPU may steal waiting work from a loaded sibling
+// (bounded, unpinned threads only).
 package sched
 
 import (
@@ -159,9 +157,7 @@ func (e *ContractError) Error() string {
 	return fmt.Sprintf("sched: contract violation in %s: %s", e.Op, e.Detail)
 }
 
-// cpuRun is one vCPU's FIFO run queue. Queues are registered in
-// first-seen order, which (with the vCPU id) is the deterministic
-// tie-break of the interleaver.
+// cpuRun is one vCPU's FIFO run queue.
 type cpuRun struct {
 	cpu *clock.CPU
 	q   []*Thread
@@ -172,9 +168,8 @@ type cpuRun struct {
 // so the SMP logic is not duplicated across the C and verified
 // schedulers.
 type coop struct {
-	self       Scheduler // the outer scheduler (for Thread.sched)
-	runqs      []*cpuRun // first-seen order (deterministic iteration)
-	byCPU      map[*clock.CPU]*cpuRun
+	self       Scheduler   // the outer scheduler (for Thread.sched)
+	machs      [][]*cpuRun // per machine, first-seen order: run queues by vCPU id
 	threads    []*Thread
 	current    *Thread
 	last       *Thread
@@ -193,7 +188,6 @@ type coop struct {
 
 func newCoop(switchCost, opExtra uint64, verify bool) *coop {
 	return &coop{
-		byCPU:      make(map[*clock.CPU]*cpuRun),
 		yielded:    make(chan struct{}),
 		timers:     newTimers(),
 		switchCost: switchCost,
@@ -203,40 +197,28 @@ func newCoop(switchCost, opExtra uint64, verify bool) *coop {
 	}
 }
 
-// chargeOp charges a scheduler API entry to the calling machine.
+// chargeOp charges a scheduler API entry to the calling vCPU.
 func (s *coop) chargeOp(cpu *clock.CPU) {
-	if cpu == nil {
-		return
-	}
 	cpu.Charge(clock.CompSched, s.opCost+s.opExtra)
 }
 
-// runq returns (creating on first sight) the run queue of a vCPU. A
-// nil CPU (threads spawned without a clock in tests) shares one queue
-// keyed by nil.
+// runq returns the run queue of a vCPU, registering its machine on
+// first sight.
 func (s *coop) runq(cpu *clock.CPU) *cpuRun {
-	if rq, ok := s.byCPU[cpu]; ok {
-		return rq
-	}
-	// Seeing any vCPU of a machine registers the whole machine, in id
-	// order: idle siblings need run queues of their own to be steal
-	// targets, and registration order must not depend on enqueue order.
-	if cpu != nil && cpu.Machine() != nil {
-		m := cpu.Machine()
-		for _, sib := range m.CPUs() {
-			if _, ok := s.byCPU[sib]; ok {
-				continue
-			}
-			rq := &cpuRun{cpu: sib}
-			s.byCPU[sib] = rq
-			s.runqs = append(s.runqs, rq)
+	m := cpu.Machine()
+	for _, qs := range s.machs {
+		if qs[0].cpu.Machine() == m {
+			return qs[cpu.ID()]
 		}
-		return s.byCPU[cpu]
 	}
-	rq := &cpuRun{cpu: cpu}
-	s.byCPU[cpu] = rq
-	s.runqs = append(s.runqs, rq)
-	return rq
+	// Seeing any vCPU registers its whole machine: idle siblings need
+	// run queues of their own to be steal targets.
+	qs := make([]*cpuRun, m.NCPU())
+	for i := range qs {
+		qs[i] = &cpuRun{cpu: m.CPU(i)}
+	}
+	s.machs = append(s.machs, qs)
+	return qs[cpu.ID()]
 }
 
 // enqueue stamps FIFO order and appends t to its vCPU's run queue.
@@ -330,14 +312,16 @@ func (s *coop) Run() error {
 // order cannot affect the measured run.
 func (s *coop) pick() *Thread {
 	daemonsOnly := s.onlyDaemonsLeft()
-	for _, rq := range s.runqs {
-		for len(rq.q) > 0 {
-			h := rq.q[0]
-			if h.state != Ready || (h.Daemon && daemonsOnly) {
-				rq.q = rq.q[1:]
-				continue
+	for _, qs := range s.machs {
+		for _, rq := range qs {
+			for len(rq.q) > 0 {
+				h := rq.q[0]
+				if h.state != Ready || (h.Daemon && daemonsOnly) {
+					rq.q = rq.q[1:]
+					continue
+				}
+				break
 			}
-			break
 		}
 	}
 	s.maybeSteal()
@@ -350,50 +334,32 @@ func (s *coop) pick() *Thread {
 	return t
 }
 
-// chooseQueue applies the interleaver rule to the pruned queues:
-// within one machine, the runnable vCPU with the lowest cycle count
-// (ties by vCPU id); across time domains, the domain holding the
-// earliest-enqueued runnable head — which, on machines of one vCPU, is
-// exactly a global FIFO.
+// chooseQueue applies the interleaver rule to the pruned queues: the
+// machine holding the earliest-enqueued runnable head goes next, and
+// within it the runnable vCPU with the lowest cycle count (ties by
+// vCPU id). On machines of one vCPU this is exactly a global FIFO.
 func (s *coop) chooseQueue() *cpuRun {
-	type domain struct {
-		best *cpuRun // min (cycles, id) runnable vCPU of the domain
-		seq  uint64  // earliest head enqueue stamp in the domain
-	}
-	doms := make(map[interface{}]*domain)
-	var order []interface{} // deterministic iteration
-	for _, rq := range s.runqs {
-		if len(rq.q) == 0 {
-			continue
+	var chosen *cpuRun
+	var chosenSeq uint64
+	for _, qs := range s.machs {
+		var best *cpuRun // min (cycles, id) runnable vCPU of the machine
+		var seq uint64   // earliest head enqueue stamp in the machine
+		for _, rq := range qs {
+			if len(rq.q) == 0 {
+				continue
+			}
+			if best == nil || rq.q[0].seq < seq {
+				seq = rq.q[0].seq
+			}
+			if best == nil || less(rq.cpu, best.cpu) {
+				best = rq
+			}
 		}
-		var key interface{} = rq // standalone CPU (or nil): its own domain
-		if rq.cpu != nil && rq.cpu.Machine() != nil {
-			key = rq.cpu.Machine()
-		}
-		d, ok := doms[key]
-		if !ok {
-			doms[key] = &domain{best: rq, seq: rq.q[0].seq}
-			order = append(order, key)
-			continue
-		}
-		if less(rq.cpu, d.best.cpu) {
-			d.best = rq
-		}
-		if rq.q[0].seq < d.seq {
-			d.seq = rq.q[0].seq
+		if best != nil && (chosen == nil || seq < chosenSeq) {
+			chosen, chosenSeq = best, seq
 		}
 	}
-	var chosen *domain
-	for _, key := range order {
-		d := doms[key]
-		if chosen == nil || d.seq < chosen.seq {
-			chosen = d
-		}
-	}
-	if chosen == nil {
-		return nil
-	}
-	return chosen.best
+	return chosen
 }
 
 // less orders two vCPUs of one machine: lowest cycle count first, ties
@@ -412,42 +378,43 @@ func less(a, b *clock.CPU) bool {
 // taken (never the thread about to run), from the queue tail, and the
 // thief pays the steal cost.
 func (s *coop) maybeSteal() {
-	for _, thief := range s.runqs {
-		if len(thief.q) != 0 || thief.cpu == nil || thief.cpu.Machine() == nil {
-			continue
-		}
-		m := thief.cpu.Machine()
-		var victim *cpuRun
-		for _, rq := range s.runqs {
-			if rq == thief || rq.cpu == nil || rq.cpu.Machine() != m || len(rq.q) < 2 {
+	for _, qs := range s.machs {
+		for _, thief := range qs {
+			if len(thief.q) != 0 {
 				continue
 			}
-			// The thief must actually be behind: stealing onto a vCPU
-			// that is ahead of the victim would delay the work.
-			if !less(thief.cpu, rq.cpu) {
+			var victim *cpuRun
+			for _, rq := range qs {
+				if rq == thief || len(rq.q) < 2 {
+					continue
+				}
+				// The thief must actually be behind: stealing onto a
+				// vCPU that is ahead of the victim would delay the work.
+				if !less(thief.cpu, rq.cpu) {
+					continue
+				}
+				if victim == nil || len(rq.q) > len(victim.q) {
+					victim = rq
+				}
+			}
+			if victim == nil {
 				continue
 			}
-			if victim == nil || len(rq.q) > len(victim.q) {
-				victim = rq
+			// Take the youngest unpinned waiter from the tail.
+			for i := len(victim.q) - 1; i >= 1; i-- {
+				t := victim.q[i]
+				if t.Pinned || t.state != Ready {
+					continue
+				}
+				victim.q = append(victim.q[:i], victim.q[i+1:]...)
+				thief.cpu.Charge(clock.CompSched, clock.CostSteal)
+				// The migration happens at the thief's "now": its
+				// clock must not lag the queue it joined the thread to.
+				t.CPU = thief.cpu
+				thief.q = append(thief.q, t)
+				s.steals++
+				break
 			}
-		}
-		if victim == nil {
-			continue
-		}
-		// Take the youngest unpinned waiter from the tail.
-		for i := len(victim.q) - 1; i >= 1; i-- {
-			t := victim.q[i]
-			if t.Pinned || t.state != Ready {
-				continue
-			}
-			victim.q = append(victim.q[:i], victim.q[i+1:]...)
-			thief.cpu.Charge(clock.CompSched, clock.CostSteal)
-			// The migration happens at the thief's "now": its clock
-			// must not lag the queue it joined the thread to.
-			t.CPU = thief.cpu
-			thief.q = append(thief.q, t)
-			s.steals++
-			break
 		}
 	}
 }
@@ -543,10 +510,8 @@ func (s *coop) dispatch(t *Thread) {
 		// operation, not a full register/stack switch.
 		cost = s.opCost
 	}
-	if t.CPU != nil {
-		t.CPU.Charge(clock.CompSched, cost)
-		t.CPU.MakeCurrent()
-	}
+	t.CPU.Charge(clock.CompSched, cost)
+	t.CPU.MakeCurrent()
 	t.state = Running
 	s.current = t
 	t.resume <- struct{}{}
@@ -613,20 +578,13 @@ func (s *coop) wake(t *Thread) {
 // interact through the NIC, whose per-packet cost already models the
 // notification.
 func (s *coop) chargeIPI(t *Thread) {
-	if t.CPU == nil {
-		return
-	}
-	m := t.CPU.Machine()
-	if m == nil {
-		return
-	}
-	src := m.Cur()
+	src := t.CPU.Machine().Cur()
 	if src == t.CPU {
 		return
 	}
 	src.Charge(clock.CompSched, clock.CostIPI)
 	s.ipis++
-	if rq := s.byCPU[t.CPU]; rq == nil || len(rq.q) == 0 {
+	if len(s.runq(t.CPU).q) == 0 {
 		t.CPU.AdvanceTo(src.Cycles())
 	}
 }
@@ -647,14 +605,16 @@ func (s *coop) precondition(t *Thread, op string) {
 // every queued thread Ready, at most one Running thread machine-wide.
 func (s *coop) checkInvariants(op string) {
 	seen := make(map[*Thread]bool)
-	for _, rq := range s.runqs {
-		for _, q := range rq.q {
-			if seen[q] {
-				panic(&ContractError{Op: op, Detail: "duplicate thread in run queue"})
-			}
-			seen[q] = true
-			if q.state != Ready {
-				panic(&ContractError{Op: op, Detail: "queued thread is " + q.state.String()})
+	for _, qs := range s.machs {
+		for _, rq := range qs {
+			for _, q := range rq.q {
+				if seen[q] {
+					panic(&ContractError{Op: op, Detail: "duplicate thread in run queue"})
+				}
+				seen[q] = true
+				if q.state != Ready {
+					panic(&ContractError{Op: op, Detail: "queued thread is " + q.state.String()})
+				}
 			}
 		}
 	}

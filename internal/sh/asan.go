@@ -66,7 +66,7 @@ var ErrNotInstrumented = errors.New("sh/asan: free of non-instrumented pointer")
 // 8-byte granule to model the real instrumentation).
 type ASAN struct {
 	arena  *mem.Arena
-	cpu    clock.Clock
+	cpu    *clock.Machine
 	shadow *mem.DemandZero
 	checks uint64
 	caught uint64
@@ -76,7 +76,7 @@ type ASAN struct {
 // demand-zero, so only the pages under poisoned ranges ever cost host
 // memory. Memory starts addressable (unpoisoned), like
 // un-instrumented globals.
-func NewASAN(a *mem.Arena, cpu clock.Clock) *ASAN {
+func NewASAN(a *mem.Arena, cpu *clock.Machine) *ASAN {
 	return &ASAN{arena: a, cpu: cpu, shadow: mem.NewDemandZero(a.Size())}
 }
 
@@ -139,7 +139,7 @@ type qentry struct {
 type Allocator struct {
 	inner      mem.Allocator
 	asan       *ASAN
-	cpu        clock.Clock
+	cpu        *clock.Machine
 	live       map[mem.Addr]qentry // user addr -> record
 	quarantine []qentry
 }
@@ -147,7 +147,7 @@ type Allocator struct {
 var _ mem.Allocator = (*Allocator)(nil)
 
 // NewAllocator wraps inner with ASAN instrumentation.
-func NewAllocator(inner mem.Allocator, asan *ASAN, cpu clock.Clock) *Allocator {
+func NewAllocator(inner mem.Allocator, asan *ASAN, cpu *clock.Machine) *Allocator {
 	return &Allocator{inner: inner, asan: asan, cpu: cpu, live: make(map[mem.Addr]qentry)}
 }
 

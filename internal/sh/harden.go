@@ -84,7 +84,7 @@ func (c *CFI) AddTarget(site, target string) {
 }
 
 // Check validates one indirect call, charging its cost to the clock.
-func (c *CFI) Check(cpu clock.Clock, site, target string) error {
+func (c *CFI) Check(cpu *clock.Machine, site, target string) error {
 	c.checks++
 	cpu.Charge(clock.CompSH, clock.CostCFICheck)
 	if !c.targets[site][target] {
@@ -113,12 +113,12 @@ type Hardener struct {
 	profile Profile
 	asan    *ASAN
 	cfi     *CFI
-	cpu     clock.Clock
+	cpu     *clock.Machine
 }
 
 // NewHardener builds the instrumentation surface for one compartment.
 // asan and cfi may be nil when the profile leaves them off.
-func NewHardener(comp clock.Component, p Profile, asan *ASAN, cfi *CFI, cpu clock.Clock) *Hardener {
+func NewHardener(comp clock.Component, p Profile, asan *ASAN, cfi *CFI, cpu *clock.Machine) *Hardener {
 	return &Hardener{Comp: comp, profile: p, asan: asan, cfi: cfi, cpu: cpu}
 }
 

@@ -10,10 +10,10 @@ import (
 	"flexos/internal/mem"
 )
 
-func newASANHeap(t *testing.T) (*ASAN, *Allocator, *clock.CPU) {
+func newASANHeap(t *testing.T) (*ASAN, *Allocator, *clock.Machine) {
 	t.Helper()
 	a := mem.NewArena(64 * mem.PageSize)
-	cpu := clock.New()
+	cpu := clock.NewMachine(1)
 	h, err := mem.NewHeap(a, mem.PageSize, 62*mem.PageSize, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -29,7 +29,7 @@ func newASANHeap(t *testing.T) (*ASAN, *Allocator, *clock.CPU) {
 func TestASANFirstAllocCostsNoShadowHeap(t *testing.T) {
 	const size = 16 << 20
 	a := mem.NewArena(size)
-	cpu := clock.New()
+	cpu := clock.NewMachine(1)
 	h, err := mem.NewHeap(a, mem.PageSize, size-mem.PageSize, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -194,7 +194,7 @@ func TestASANBoundsProperty(t *testing.T) {
 }
 
 func TestCFI(t *testing.T) {
-	cpu := clock.New()
+	cpu := clock.NewMachine(1)
 	cfi := NewCFI()
 	cfi.AddTarget("netdev.rx", "tcp.input")
 	cfi.AddTarget("netdev.rx", "udp.input")

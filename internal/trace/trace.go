@@ -43,13 +43,13 @@ const KindCall = "call"
 // Emit sites test On first, so with nothing attached an event costs
 // one branch and formats no note.
 type Sink struct {
-	clk   clock.Clock
+	clk   *clock.Machine
 	ring  *Ring
 	calls func(from, to, fn string)
 }
 
 // NewSink returns a sink stamping events from clk.
-func NewSink(clk clock.Clock) *Sink { return &Sink{clk: clk} }
+func NewSink(clk *clock.Machine) *Sink { return &Sink{clk: clk} }
 
 // On reports whether anything is attached. A nil sink is never on, so
 // a producer built without one emits nothing.

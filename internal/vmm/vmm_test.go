@@ -27,7 +27,7 @@ func TestBusCountsNotifications(t *testing.T) {
 
 func TestBusAsGateHook(t *testing.T) {
 	b := NewBus()
-	cpu := clock.New()
+	cpu := clock.NewMachine(1)
 	g := gate.NewVMRPC(cpu, b.Notify)
 	a, c := gate.NewDomain("a"), gate.NewDomain("b")
 	if err := g.Call(a, c, gate.CallFrame{ArgWords: 1, RetWords: 1}, func() error { return nil }); err != nil {
