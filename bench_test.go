@@ -443,27 +443,48 @@ func BenchmarkGateCallBatch(b *testing.B) {
 // the isolated network stack, per backend. Unlike BenchmarkGateCall it
 // includes the registry's dispatch (library lookup, observation, the
 // crossing ledger), so allocs/op catches a per-call allocation anywhere
-// on that path. One untimed warm-up call adds the crossing's ledger
-// row first, so even a -benchtime=1x run times the steady state.
+// on that path.
 func BenchmarkRegistryCall(b *testing.B) {
+	benchBootedCall(b, func(w *build.World, frame gate.CallFrame, nop func() error) func() error {
+		reg := w.Server.Registry
+		return func() error { return reg.CallWithFrame("app", "netstack", "bench", frame, nop) }
+	})
+}
+
+// BenchmarkSupervisedCall times the same call the way a library makes
+// it: through rt.Env, so the supervisor's admission, breaker and fault
+// policy run around the registry call. A clean supervised call charges
+// nothing, so sim-cycles/call equals BenchmarkRegistryCall's, and
+// allocs/op catches a per-call allocation on the supervision path.
+func BenchmarkSupervisedCall(b *testing.B) {
+	benchBootedCall(b, func(w *build.World, frame gate.CallFrame, nop func() error) func() error {
+		env := w.Server.Env("app")
+		return func() error { return env.CallFrame("netstack", "bench", frame, nop) }
+	})
+}
+
+// benchBootedCall boots an NW-only image per backend and times the call
+// that prepare builds on it, an app -> netstack frame of three argument
+// words. One untimed warm-up call adds the crossing's ledger row first,
+// so even a -benchtime=1x run times the steady state.
+func benchBootedCall(b *testing.B, prepare func(w *build.World, frame gate.CallFrame, nop func() error) func() error) {
 	for _, backend := range gateBenchBackends {
 		b.Run(backend.String(), func(b *testing.B) {
-			w, err := build.NewWorld(build.Config{Name: "registry-call",
+			w, err := build.NewWorld(build.Config{Name: "booted-call",
 				Compartments: build.NWOnly(), Backend: backend, Alloc: build.AllocPerCompartment})
 			if err != nil {
 				b.Fatal(err)
 			}
-			reg, clk := w.Server.Registry, w.Server.Clock
-			frame := gate.CallFrame{ArgWords: 3, RetWords: 1}
-			nop := func() error { return nil }
-			if err := reg.CallWithFrame("app", "netstack", "bench", frame, nop); err != nil {
+			call := prepare(w, gate.CallFrame{ArgWords: 3, RetWords: 1}, func() error { return nil })
+			if err := call(); err != nil {
 				b.Fatal(err)
 			}
+			clk := w.Server.Clock
 			start := clk.Cycles()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := reg.CallWithFrame("app", "netstack", "bench", frame, nop); err != nil {
+				if err := call(); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -40,10 +40,11 @@ type Server struct {
 	// Recvs counts recv() calls.
 	Recvs uint64
 
-	// Overload-aware mode (RunOverload). Budget is the per-drain service
-	// budget in cycles, measured from the head segment's wire arrival:
-	// data drained within Budget of hitting the machine is "good", data
-	// drained later is "late". 0 disables the accounting.
+	// Budget is the per-drain service budget in cycles, measured from
+	// the head segment's wire arrival: data drained within Budget of
+	// hitting the machine is "good", data drained later is "late". 0
+	// disables the accounting: every drain is good, and an
+	// overload-control refusal fails the drain like any other error.
 	Budget uint64
 	// Enforce stamps arrival+Budget as the thread deadline around each
 	// drain, so the overload-control plane (admission queues, gate
@@ -76,38 +77,6 @@ func (s *Server) call(fnName string, words int, fn func() error) error {
 	return s.env.CallFn("libc", fnName, words, fn)
 }
 
-// setup listens, accepts one connection, and allocates the recv
-// buffer: a ref-counted descriptor over the shared window, handed down
-// the stack by reference on the zero-copy data path.
-func (s *Server) setup(t *sched.Thread) (*net.Socket, mem.BufRef, error) {
-	var listener *net.Socket
-	err := s.call("listen", 2, func() error {
-		var err error
-		listener, err = s.libc.Listen(s.stack, s.Port, 4)
-		return err
-	})
-	if err != nil {
-		return nil, mem.BufRef{}, fmt.Errorf("iperf server: %w", err)
-	}
-	var conn *net.Socket
-	if err := s.call("accept", 1, func() error {
-		var err error
-		conn, err = s.libc.Accept(t, listener)
-		return err
-	}); err != nil {
-		return nil, mem.BufRef{}, fmt.Errorf("iperf server accept: %w", err)
-	}
-	var buf mem.BufRef
-	if err := s.call("malloc", 1, func() error {
-		var err error
-		buf, err = s.libc.BufAlloc(s.RecvBuf)
-		return err
-	}); err != nil {
-		return nil, mem.BufRef{}, err
-	}
-	return conn, buf, nil
-}
-
 // recv drains up to len(buf) bytes through the app -> libc gate.
 func (s *Server) recv(t *sched.Thread, conn *net.Socket, buf mem.BufRef) (int, error) {
 	var n int
@@ -119,42 +88,104 @@ func (s *Server) recv(t *sched.Thread, conn *net.Socket, buf mem.BufRef) (int, e
 	return n, err
 }
 
-// Run accepts one connection and drains it to EOF. When the netstack
-// compartment has a batch depth configured, the drain loop switches to
-// vectored receives: one recvmmsg-style crossing drains up to depth
-// buffers of the same rx burst.
+// Run listens, accepts one connection and serves it to EOF.
 func (s *Server) Run(t *sched.Thread) error {
-	conn, buf, err := s.setup(t)
-	if err != nil {
+	var listener *net.Socket
+	err := s.call("listen", 2, func() error {
+		var err error
+		listener, err = s.libc.Listen(s.stack, s.Port, 4)
 		return err
+	})
+	if err != nil {
+		return fmt.Errorf("iperf server: %w", err)
 	}
-	drainErr := s.drainConn(t, conn, buf)
-	// The buffer goes back even when the drain dies: a net-dead
-	// connection must not leak the receive buffer.
-	freeErr := s.call("free", 1, func() error { return s.libc.BufFree(buf) })
-	if drainErr != nil {
-		return drainErr
+	var conn *net.Socket
+	if err := s.call("accept", 1, func() error {
+		var err error
+		conn, err = s.libc.Accept(t, listener)
+		return err
+	}); err != nil {
+		return fmt.Errorf("iperf server accept: %w", err)
 	}
-	return freeErr
+	return s.ServeConn(t, conn)
 }
 
-// drainConn drains one established connection to EOF into buf, using
-// the vectored path when the netstack compartment has a batch depth.
+// drainConn drains one established connection to EOF into buf. When
+// the netstack compartment has a batch depth configured, it switches
+// to vectored receives: one recvmmsg-style crossing drains up to depth
+// buffers of the same rx burst.
+//
+// With a Budget, each drain is classified as good or late by its wire
+// arrival stamp. In Enforce mode each drain of a non-empty queue runs
+// under the thread deadline arrival+Budget, so the overload-control
+// plane — admission queues, gate deadline checks, the circuit breaker —
+// refuses drains whose data is already stale. A refusal flips the
+// server into a recovery drain: the late backlog is consumed *without*
+// a deadline (flow control must keep moving, and when a breaker is open
+// the undeadlined drain doubles as the half-open probe that lets it
+// re-close) and without the processing cost.
 func (s *Server) drainConn(t *sched.Thread, conn *net.Socket, buf mem.BufRef) error {
 	if depth := s.env.BatchDepth("netstack"); depth > 1 {
 		return s.runBatched(t, conn, buf, depth)
 	}
+	recovering := false
 	for {
-		n, err := s.recv(t, conn, buf)
-		if err == io.EOF {
-			return nil
+		arrival := conn.HeadArrival()
+		var n int
+		var err error
+		if s.Enforce && s.Budget != 0 && arrival != 0 && !recovering {
+			err = s.env.WithDeadline(t, arrival+s.Budget, func() error {
+				var rerr error
+				n, rerr = s.recv(t, conn, buf)
+				return rerr
+			})
+		} else {
+			n, err = s.recv(t, conn, buf)
 		}
-		if err != nil {
+		switch {
+		case err == io.EOF:
+			return nil
+		case s.Budget != 0 && fault.IsOverload(err):
+			// Bytes drained before a mid-drain refusal are late by
+			// definition; the rest of the backlog goes to recovery.
+			if n > 0 {
+				s.account(n, false)
+			}
+			if recovering {
+				// An open breaker fails the recovery drain fast, at
+				// almost no cost; charge an explicit retry backoff so
+				// the virtual clock moves through the cooldown toward
+				// the probe.
+				s.env.Charge(clock.CostFaultBackoff)
+			} else {
+				s.Sheds++
+				recovering = true
+			}
+			continue
+		case err != nil:
 			return fmt.Errorf("iperf server recv: %w", err)
 		}
-		s.env.Charge(appWorkPerRecv)
-		s.BytesReceived += uint64(n)
-		s.Recvs++
+		if recovering {
+			// The cheap drain catches up: the moment the data coming off
+			// the queue is fresh again (within budget of its arrival),
+			// it is worth its processing cost and normal deadlined
+			// service resumes. Without this, one shed under sustained
+			// load would pin the server in recovery forever — the queue
+			// never fully empties while clients keep sending.
+			arrival = conn.LastRxArrival()
+			fresh := arrival != 0 && s.env.CPU.Cycles() <= arrival+s.Budget
+			s.account(n, fresh)
+			if fresh || conn.HeadArrival() == 0 {
+				recovering = false
+			}
+			continue
+		}
+		if arrival == 0 {
+			// The queue was empty and the drain parked: the data's age
+			// starts at its actual wire arrival, not at the park.
+			arrival = conn.LastRxArrival()
+		}
+		s.account(n, s.Budget == 0 || arrival == 0 || s.env.CPU.Cycles() <= arrival+s.Budget)
 	}
 }
 
@@ -171,6 +202,8 @@ func (s *Server) ServeConn(t *sched.Thread, conn *net.Socket) error {
 		return err
 	}
 	drainErr := s.drainConn(t, conn, buf)
+	// The buffer goes back even when the drain dies: a net-dead
+	// connection must not leak the receive buffer.
 	freeErr := s.call("free", 1, func() error { return s.libc.BufFree(buf) })
 	if drainErr != nil {
 		return drainErr
@@ -257,93 +290,6 @@ func (s *Server) account(n int, good bool) {
 	default:
 		s.env.Charge(proc)
 		s.LateBytes += uint64(n)
-	}
-}
-
-// RunOverload accepts one connection and drains it to EOF under the
-// per-drain budget, classifying payload as good or late by its wire
-// arrival stamp. In enforce mode each drain of a non-empty queue runs
-// under the thread deadline arrival+Budget, so the overload-control
-// plane — admission queues, gate deadline checks, the circuit breaker —
-// refuses drains whose data is already stale. A refusal flips the
-// server into a recovery drain: the late backlog is consumed *without*
-// a deadline (flow control must keep moving, and when a breaker is open
-// the undeadlined drain doubles as the half-open probe that lets it
-// re-close) and without the processing cost.
-func (s *Server) RunOverload(t *sched.Thread) error {
-	conn, buf, err := s.setup(t)
-	if err != nil {
-		return err
-	}
-	draining := false
-	for {
-		if draining {
-			n, err := s.recv(t, conn, buf)
-			switch {
-			case err == io.EOF:
-				return s.call("free", 1, func() error { return s.libc.BufFree(buf) })
-			case fault.IsOverload(err):
-				// An open breaker fails the drain fast, at almost no
-				// cost; charge an explicit retry backoff so the virtual
-				// clock moves through the cooldown toward the probe.
-				if n > 0 {
-					s.account(n, false)
-				}
-				s.env.Charge(clock.CostFaultBackoff)
-				continue
-			case err != nil:
-				return fmt.Errorf("iperf overload server drain: %w", err)
-			}
-			// The cheap drain catches up: the moment the data coming off
-			// the queue is fresh again (within budget of its arrival), it
-			// is worth its processing cost and normal deadlined service
-			// resumes. Without this, one shed under sustained load would
-			// pin the server in recovery forever — the queue never fully
-			// empties while clients keep sending.
-			arrival := conn.LastRxArrival()
-			fresh := arrival != 0 && s.env.CPU.Cycles() <= arrival+s.Budget
-			s.account(n, fresh)
-			if fresh || conn.HeadArrival() == 0 {
-				draining = false
-			}
-			continue
-		}
-		arrival := conn.HeadArrival()
-		var n int
-		var rerr error
-		doRecv := func() error {
-			var err error
-			n, err = s.recv(t, conn, buf)
-			return err
-		}
-		if s.Enforce && arrival != 0 {
-			rerr = s.env.WithDeadline(t, arrival+s.Budget, doRecv)
-		} else {
-			rerr = doRecv()
-		}
-		switch {
-		case rerr == io.EOF:
-			return s.call("free", 1, func() error { return s.libc.BufFree(buf) })
-		case fault.IsOverload(rerr):
-			// Bytes drained before a mid-drain trap are late by
-			// definition; the rest of the backlog goes to recovery.
-			s.Sheds++
-			if n > 0 {
-				s.account(n, false)
-			}
-			draining = true
-			continue
-		case rerr != nil:
-			return fmt.Errorf("iperf overload server recv: %w", rerr)
-		}
-		if arrival == 0 {
-			// The queue was empty and the drain parked: the data's age
-			// starts at its actual wire arrival, not at the park.
-			arrival = conn.LastRxArrival()
-		}
-		good := s.Budget == 0 || arrival == 0 ||
-			s.env.CPU.Cycles() <= arrival+s.Budget
-		s.account(n, good)
 	}
 }
 

@@ -84,6 +84,36 @@ func TestNormalizeRejectsBadConfigs(t *testing.T) {
 	}
 }
 
+// TestNormalizeRejectsBuilderNetFields pins one knob per stack wiring
+// field: the builder derives each of these from the image's own knob,
+// so a config that sets one directly is refused with the knob to use.
+func TestNormalizeRejectsBuilderNetFields(t *testing.T) {
+	for _, tc := range []struct {
+		field string
+		set   func(*net.Config)
+		want  string
+	}{
+		{"IP", func(c *net.Config) { c.IP = net.IP4(10, 0, 0, 9) }, "Net.IP is set by the builder"},
+		{"Platform", func(c *net.Config) { c.Platform = net.Xen }, "Net.Platform is set by the builder; use Config.Platform"},
+		{"DataPath", func(c *net.Config) { c.DataPath = net.DataPathCopy }, "Net.DataPath is set by the builder; use Config.DataPath"},
+		{"RestHard", func(c *net.Config) { c.RestHard = &sh.Hardener{} }, "Net.RestHard is set by the builder; use Config.SH"},
+		{"TxBatch", func(c *net.Config) { c.TxBatch = 8 }, "Net.TxBatch is set by the builder; use Config.Batch"},
+		{"RxBudget", func(c *net.Config) { c.RxBudget = 8 }, "Net.RxBudget is set by the builder; use Config.Batch"},
+		{"NumQueues", func(c *net.Config) { c.NumQueues = 2 }, "Net.NumQueues is set by the builder; use Config.Smp"},
+		{"QueueCPU", func(c *net.Config) { c.QueueCPU = []int{0} }, "Net.QueueCPU is set by the builder; use Config.Affinity"},
+		{"TCPIPCPU", func(c *net.Config) { c.TCPIPCPU = 1 }, "Net.TCPIPCPU is set by the builder; use Config.Affinity"},
+	} {
+		t.Run(tc.field, func(t *testing.T) {
+			cfg := Config{Net: net.Config{SocketMode: net.TCPIPThreadMode}}
+			tc.set(&cfg.Net)
+			_, err := normalize(&cfg)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("normalize: err = %v, want %q", err, tc.want)
+			}
+		})
+	}
+}
+
 // TestNormalizeDefaultsToSingleCompartment: an empty compartment list
 // is the no-isolation baseline, not an error.
 func TestNormalizeDefaultsToSingleCompartment(t *testing.T) {

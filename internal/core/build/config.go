@@ -139,7 +139,9 @@ type Config struct {
 	// every cross-compartment hop (the pre-pool behaviour).
 	DataPath net.DataPath
 	// Net tunes the network stack (recv buffer, socket mode, delayed
-	// acks, ...). IP, Platform and RestHard are set by the builder.
+	// acks, ...). The builder wires IP, Platform, DataPath, RestHard,
+	// TxBatch, RxBudget, NumQueues, QueueCPU and TCPIPCPU from the
+	// image's own knobs; normalize rejects a config that sets them.
 	Net net.Config
 	// OnFault maps compartment name -> fault policy (configfile
 	// directive "onfault"). Compartments absent from the map abort:
@@ -256,6 +258,30 @@ func normalize(cfg *Config) ([]Compartment, error) {
 	case net.DataPathShared, net.DataPathCopy:
 	default:
 		return nil, fmt.Errorf("build: unknown data path %v", cfg.DataPath)
+	}
+	// One knob per stack wiring field: each of these is the builder's,
+	// derived from the knob named here.
+	for _, f := range []struct {
+		field, knob string
+		set         bool
+	}{
+		{"IP", "", cfg.Net.IP != 0},
+		{"Platform", "Platform", cfg.Net.Platform != 0},
+		{"DataPath", "DataPath", cfg.Net.DataPath != 0},
+		{"RestHard", "SH", cfg.Net.RestHard != nil},
+		{"TxBatch", "Batch", cfg.Net.TxBatch != 0},
+		{"RxBudget", "Batch", cfg.Net.RxBudget != 0},
+		{"NumQueues", "Smp", cfg.Net.NumQueues != 0},
+		{"QueueCPU", "Affinity", cfg.Net.QueueCPU != nil},
+		{"TCPIPCPU", "Affinity", cfg.Net.TCPIPCPU != 0},
+	} {
+		switch {
+		case !f.set:
+		case f.knob == "":
+			return nil, fmt.Errorf("build: Net.%s is set by the builder", f.field)
+		default:
+			return nil, fmt.Errorf("build: Net.%s is set by the builder; use Config.%s", f.field, f.knob)
+		}
 	}
 	known := make(map[string]bool, len(DefaultLibraries))
 	for _, l := range DefaultLibraries {

@@ -364,21 +364,13 @@ func newMachine(cfg Config, comps []Compartment, s sched.Scheduler, ip net.IPAdd
 	m.LibC = libc.New(m.envs["libc"])
 	netCfg := cfg.Net
 	netCfg.IP = ip
-	if cfg.Platform != 0 {
-		netCfg.Platform = cfg.Platform
-	}
-	if cfg.DataPath != 0 {
-		netCfg.DataPath = cfg.DataPath
-	}
+	netCfg.Platform = cfg.Platform
+	netCfg.DataPath = cfg.DataPath
 	// The batch directive reaches the NIC model too: a depth on the
 	// compartment holding "rest" (the drivers) batches tx doorbells,
 	// a depth on the netstack compartment sets the NAPI rx poll budget.
-	if d := cfg.Batch[comps[compOf["rest"]].Name]; d > 0 {
-		netCfg.TxBatch = d
-	}
-	if d := cfg.Batch[comps[compOf["netstack"]].Name]; d > 0 {
-		netCfg.RxBudget = d
-	}
+	netCfg.TxBatch = cfg.Batch[comps[compOf["rest"]].Name]
+	netCfg.RxBudget = cfg.Batch[comps[compOf["netstack"]].Name]
 	netCfg.RestHard = m.envs["rest"].Hard
 	// Multi-queue NIC: one RSS queue per vCPU, interrupts steered queue
 	// k -> vCPU k unless an affinity directive overrides it; the tcpip

@@ -114,8 +114,13 @@ func (t *Trap) Error() string {
 // Unwrap exposes the mechanism error to errors.Is/As.
 func (t *Trap) Unwrap() error { return t.Cause }
 
-// As extracts a Trap from an error chain.
+// As extracts a Trap from an error chain. A nil error returns before
+// errors.As, whose target would otherwise move to the heap on every
+// clean call.
 func As(err error) (*Trap, bool) {
+	if err == nil {
+		return nil, false
+	}
 	var t *Trap
 	if errors.As(err, &t) {
 		return t, true

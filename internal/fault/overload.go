@@ -72,6 +72,9 @@ func (e *BreakerOpenError) Error() string {
 // to pick the cheap degradation path (drop, -BUSY reply) instead of
 // failing the connection.
 func IsOverload(err error) bool {
+	if err == nil {
+		return false
+	}
 	var se *ShedError
 	if errors.As(err, &se) {
 		return true

@@ -80,11 +80,12 @@ func TestChaosnetDeterminism(t *testing.T) {
 	}
 }
 
-// TestChaosnetRestartRecoversNetDeath pins the containment tentpole: a
-// permanent partition mid-transfer kills the server's connection with a
-// typed NetTimeout, the nw compartment's `onfault restart` policy
-// absorbs the trap (teardown + replay), and no pool buffers leak.
-func TestChaosnetRestartRecoversNetDeath(t *testing.T) {
+// runNetDeath boots an MPK-switched NW-only image with the given nw
+// fault policy (nil: the default abort), runs one 2 MiB iperf transfer
+// into a server with the given service budget (0: none) across a link
+// that dies for good, and returns the world and the server's error.
+func runNetDeath(t *testing.T, onFault map[string]fault.Policy, budget uint64) (*build.World, error) {
+	t.Helper()
 	const (
 		total   = 2 << 20
 		recvBuf = 16 << 10
@@ -94,7 +95,7 @@ func TestChaosnetRestartRecoversNetDeath(t *testing.T) {
 		Compartments: build.NWOnly(),
 		Backend:      gate.MPKSwitched,
 		Alloc:        build.AllocPerCompartment,
-		OnFault:      map[string]fault.Policy{"nw": fault.PolicyRestart},
+		OnFault:      onFault,
 	}
 	cfg.Net.SocketMode = net.TCPIPThreadMode
 	cfg.Net.RtxDelayTicks = 50
@@ -109,6 +110,7 @@ func TestChaosnetRestartRecoversNetDeath(t *testing.T) {
 	// (and the client's retransmission budget) must declare net death.
 	w.Wire.ArmBoth(net.LinkFaults{Down: []net.DownWindow{{From: 300_000, To: math.MaxUint64}}})
 	srv := iperf.NewServer(w.Server.Env("app"), w.Server.LibC, w.Server.Stack, 5001, recvBuf)
+	srv.Budget = budget
 	cli := iperf.NewClient(w.Client.Env("app"), w.Client.LibC, w.Client.Stack,
 		w.Server.Stack.IP(), 5001, total, 32<<10)
 	var srvErr, cliErr error
@@ -127,6 +129,15 @@ func TestChaosnetRestartRecoversNetDeath(t *testing.T) {
 	if n := w.Server.Stack.Stats().NetDeaths; n == 0 {
 		t.Fatal("server stack recorded no net death")
 	}
+	return w, srvErr
+}
+
+// TestChaosnetRestartRecoversNetDeath pins the containment tentpole: a
+// permanent partition mid-transfer kills the server's connection with a
+// typed NetTimeout, the nw compartment's `onfault restart` policy
+// absorbs the trap (teardown + replay), and no pool buffers leak.
+func TestChaosnetRestartRecoversNetDeath(t *testing.T) {
+	w, _ := runNetDeath(t, map[string]fault.Policy{"nw": fault.PolicyRestart}, 0)
 	stats := w.Server.Sup.Stats()
 	if stats.Traps == 0 {
 		t.Fatal("net death raised no trap at the gate boundary")
@@ -136,6 +147,20 @@ func TestChaosnetRestartRecoversNetDeath(t *testing.T) {
 	}
 	if n := w.Server.Pool.Outstanding(); n != 0 {
 		t.Fatalf("net death leaked %d pool buffers", n)
+	}
+}
+
+// TestChaosnetBudgetDrainFreesOnNetDeath pins that a server draining
+// under a service budget returns its receive buffer when the drain
+// dies: under the default abort policy the net-death trap reaches the
+// server, whose budget-mode drain error must not skip the free.
+func TestChaosnetBudgetDrainFreesOnNetDeath(t *testing.T) {
+	w, srvErr := runNetDeath(t, nil, 1_000_000)
+	if srvErr == nil {
+		t.Fatal("abort policy hid the net death from the server")
+	}
+	if n, refs := w.Server.Pool.Outstanding(), w.Server.Pool.OutstandingRefs(); n != 0 || refs != 0 {
+		t.Fatalf("failed budget drain leaked %d pool buffers (%d refs)", n, refs)
 	}
 }
 

@@ -224,6 +224,11 @@ func runRedisOverload(cfg build.Config, budget uint64, enforce bool, batch, ops 
 	if err != nil {
 		return nil, fmt.Errorf("harness overload redis: %w", err)
 	}
+	// Every shed is answered, not dropped: the client must have read
+	// exactly one -BUSY reply per command the server shed.
+	if m.busy != m.shed {
+		return nil, fmt.Errorf("harness overload redis: client read %d -BUSY replies, server shed %d", m.busy, m.shed)
+	}
 	return m, nil
 }
 
@@ -252,7 +257,7 @@ func runIperfOverload(cfg build.Config, budget uint64, enforce bool, conns int) 
 			s.Enforce = enforce
 			s.ProcFactor = iperfProcFactor
 			srvs[i] = s
-			spawn(fmt.Sprintf("iperf-server-%d", i), w.Server.CPU, s.RunOverload)
+			spawn(fmt.Sprintf("iperf-server-%d", i), w.Server.CPU, s.Run)
 			c := iperf.NewClient(w.Client.Env("app"), w.Client.LibC, w.Client.Stack,
 				w.Server.Stack.IP(), uint16(5001+i), iperfOverloadBytes, iperfOverloadWrite)
 			spawn(fmt.Sprintf("iperf-client-%d", i), w.Client.CPU, c.Run)

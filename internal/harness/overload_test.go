@@ -251,7 +251,7 @@ func soakOnce(t *testing.T, r *rand.Rand, iter int) {
 		s.ProcFactor = iperfProcFactor
 		srvs[i] = s
 		w.Sched.Spawn(fmt.Sprintf("iperf-server-%d", i), w.Server.CPU, func(th *sched.Thread) {
-			if err := s.RunOverload(th); err != nil && srvErr == nil {
+			if err := s.Run(th); err != nil && srvErr == nil {
 				srvErr = err
 			}
 		})

@@ -62,7 +62,7 @@ func TestBatchBreakerOpenFailsEveryFrameFast(t *testing.T) {
 
 	// One trapped call opens the threshold-1 breaker.
 	trap := &fault.Trap{Comp: "nw", Kind: fault.KindMPK, PC: "core->nw"}
-	if err := s.Supervise("nw", func() error { return trap }); err == nil {
+	if err := s.SuperviseCall("nw", 0, true, func() error { return trap }); err == nil {
 		t.Fatal("trapped call returned nil")
 	}
 	if got := s.BreakerState("nw"); got != "open" {
@@ -187,7 +187,7 @@ func TestBatchDegradedFailsWholeBatch(t *testing.T) {
 	s.SetPolicy("nw", fault.PolicyDegrade)
 
 	trap := &fault.Trap{Comp: "nw", Kind: fault.KindMPK, PC: "core->nw"}
-	if err := s.Supervise("nw", func() error { return trap }); err == nil {
+	if err := s.SuperviseCall("nw", 0, true, func() error { return trap }); err == nil {
 		t.Fatal("degrading call returned nil")
 	}
 	if _, down := s.Degraded("nw"); !down {

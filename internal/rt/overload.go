@@ -65,50 +65,29 @@ type breakerState struct {
 	probing  bool   // a half-open probe is in flight
 }
 
-// SetOverload configures comp's admission queue. A zero-depth spec
-// with a non-deadline policy disables admission control for comp.
-func (s *Supervisor) SetOverload(comp string, spec OverloadSpec) {
-	if spec.Depth <= 0 && spec.Policy != fault.ShedPolicyDeadline {
-		delete(s.overload, comp)
-		return
-	}
-	s.overload[comp] = spec
-}
-
-// Overload reports comp's admission spec, if configured.
-func (s *Supervisor) Overload(comp string) (OverloadSpec, bool) {
-	spec, ok := s.overload[comp]
-	return spec, ok
-}
+// SetOverload configures comp's admission queue. A spec with no depth
+// bound and a non-deadline policy admits everything.
+func (s *Supervisor) SetOverload(comp string, spec OverloadSpec) { s.comp(comp).overload = spec }
 
 // SetBreaker configures comp's circuit breaker. A zero threshold
 // removes it.
 func (s *Supervisor) SetBreaker(comp string, spec BreakerSpec) {
+	c := s.comp(comp)
 	if spec.Threshold <= 0 {
-		delete(s.breakers, comp)
-		delete(s.brk, comp)
+		c.breaker, c.brk = BreakerSpec{}, breakerState{}
 		return
 	}
-	s.breakers[comp] = spec
-}
-
-// Breaker reports comp's breaker spec, if configured.
-func (s *Supervisor) Breaker(comp string) (BreakerSpec, bool) {
-	spec, ok := s.breakers[comp]
-	return spec, ok
+	c.breaker = spec
 }
 
 // BreakerState reports comp's breaker state as "closed", "open" or
 // "half-open" ("" when no breaker is configured).
 func (s *Supervisor) BreakerState(comp string) string {
-	if _, ok := s.breakers[comp]; !ok {
+	c := s.comps[comp]
+	if c == nil || c.breaker.Threshold == 0 {
 		return ""
 	}
-	b := s.brk[comp]
-	if b == nil {
-		return "closed"
-	}
-	switch b.state {
+	switch c.brk.state {
 	case brOpen:
 		return "open"
 	case brHalfOpen:
@@ -122,71 +101,68 @@ func (s *Supervisor) BreakerState(comp string) string {
 // the block admission policy needs to park callers.
 func (s *Supervisor) SetThreadSource(fn func() *sched.Thread) { s.curThread = fn }
 
-// SetOnShed installs an observer invoked (synchronously, before the
-// ShedError returns) for every shed. The callback must not block; a
-// panic inside it is converted to a typed KindSched trap rather than
-// unwinding the caller's thread.
-func (s *Supervisor) SetOnShed(fn func(comp string)) { s.onShed = fn }
-
-// InFlight reports how many calls are currently resident in comp.
-func (s *Supervisor) InFlight(comp string) int { return s.inFlight[comp] }
-
-// admit applies comp's circuit breaker and admission policy to one
-// crossing carrying the given absolute deadline (0 = none). On
-// success it returns the release function the caller must defer; on
-// rejection it returns the typed error to propagate.
-func (s *Supervisor) admit(toComp string, deadline uint64) (func(), error) {
-	if err := s.breakerAdmit(toComp); err != nil {
-		return nil, err
+// InFlight reports how many admitted calls are currently resident in
+// comp.
+func (s *Supervisor) InFlight(comp string) int {
+	if c := s.comps[comp]; c != nil {
+		return c.inFlight
 	}
-	spec, hasSpec := s.overload[toComp]
-	if hasSpec {
-		switch spec.Policy {
-		case fault.ShedPolicyShed:
-			if spec.Depth > 0 && s.inFlight[toComp] >= spec.Depth {
-				return nil, s.shed(toComp, spec.Depth)
-			}
-		case fault.ShedPolicyBlock:
-			for spec.Depth > 0 && s.inFlight[toComp] >= spec.Depth {
-				t := s.current()
-				if t == nil {
-					// No thread context to park (tests driving the
-					// supervisor directly): admit rather than wedge.
-					break
-				}
-				s.stats.Blocked++
-				s.emit("overload", toComp, "waiting for admission slot")
-				s.waitq(toComp).Wait(t)
-			}
-		case fault.ShedPolicyDeadline:
-			if deadline != 0 && s.cpu.Cycles() >= deadline {
-				return nil, s.shed(toComp, 0)
-			}
-			if spec.Depth > 0 && s.inFlight[toComp] >= spec.Depth {
-				return nil, s.shed(toComp, spec.Depth)
-			}
-		}
-		s.inFlight[toComp]++
+	return 0
+}
+
+// admit applies c's circuit breaker and admission policy to one
+// crossing carrying the given absolute deadline (0 = none). On success
+// the caller holds a slot and must release it; on rejection admit
+// returns the typed error to propagate.
+func (s *Supervisor) admit(c *compState, deadline uint64) error {
+	if err := s.breakerAdmit(c); err != nil {
+		return err
 	}
-	return func() {
-		// Runs unconditionally (deferred by SuperviseCall): the slot
-		// frees and a block-policy waiter wakes even when the call
-		// panicked past the trap boundary — otherwise a simulator bug
-		// would masquerade as an admission deadlock, the same shape the
-		// scheduler kill path guards against.
-		if hasSpec {
-			s.inFlight[toComp]--
-			if q := s.admitQ[toComp]; q != nil {
-				q.Signal()
+	spec := c.overload
+	switch spec.Policy {
+	case fault.ShedPolicyShed:
+		if spec.Depth > 0 && c.inFlight >= spec.Depth {
+			return s.shed(c, spec.Depth)
+		}
+	case fault.ShedPolicyBlock:
+		for spec.Depth > 0 && c.inFlight >= spec.Depth {
+			t := s.current()
+			if t == nil {
+				// No thread context to park (tests driving the
+				// supervisor directly): admit rather than wedge.
+				break
 			}
+			s.stats.Blocked++
+			s.emit("overload", c.name, "waiting for admission slot")
+			c.waiters.Wait(t)
 		}
-		// A half-open probe that never reported an outcome (the call
-		// unwound without reaching breaker feedback) releases its probe
-		// slot so the breaker cannot wedge half-open forever.
-		if b := s.brk[toComp]; b != nil && b.state == brHalfOpen {
-			b.probing = false
+	case fault.ShedPolicyDeadline:
+		if deadline != 0 && s.cpu.Cycles() >= deadline {
+			return s.shed(c, 0)
 		}
-	}, nil
+		if spec.Depth > 0 && c.inFlight >= spec.Depth {
+			return s.shed(c, spec.Depth)
+		}
+	}
+	c.inFlight++
+	return nil
+}
+
+// release frees the slot one admitted call held in c. It runs
+// unconditionally (deferred by SuperviseCall): the slot frees and a
+// block-policy waiter wakes even when the call panicked past the trap
+// boundary — otherwise a simulator bug would masquerade as an
+// admission deadlock, the same shape the scheduler kill path guards
+// against.
+func (s *Supervisor) release(c *compState) {
+	c.inFlight--
+	c.waiters.Signal()
+	// A half-open probe that never reported an outcome (the call
+	// unwound without reaching breaker feedback) releases its probe
+	// slot so the breaker cannot wedge half-open forever.
+	if c.brk.state == brHalfOpen {
+		c.brk.probing = false
+	}
 }
 
 func (s *Supervisor) current() *sched.Thread {
@@ -196,70 +172,29 @@ func (s *Supervisor) current() *sched.Thread {
 	return s.curThread()
 }
 
-func (s *Supervisor) waitq(comp string) *sched.WaitQueue {
-	q := s.admitQ[comp]
-	if q == nil {
-		q = new(sched.WaitQueue)
-		s.admitQ[comp] = q
-	}
-	return q
-}
-
 // shed rejects one call before the gate: cheap by construction.
 // depth 0 marks a deadline-expiry shed rather than a full queue.
-func (s *Supervisor) shed(toComp string, depth int) error {
+func (s *Supervisor) shed(c *compState, depth int) error {
 	s.stats.Sheds++
 	s.cpu.Charge(clock.CompFault, clock.CostOverloadShed)
 	if depth > 0 {
 		if s.sink.On() {
-			s.emit("shed", toComp, fmt.Sprintf("admission queue full (depth %d)", depth))
+			s.emit("shed", c.name, fmt.Sprintf("admission queue full (depth %d)", depth))
 		}
 	} else {
-		s.emit("shed", toComp, "frame deadline already expired")
+		s.emit("shed", c.name, "frame deadline already expired")
 	}
-	s.breakerFail(toComp)
-	if s.onShed != nil {
-		if err := s.runOnShed(toComp); err != nil {
-			return err
-		}
-	}
-	return &fault.ShedError{Comp: toComp, Depth: depth}
+	s.breakerFail(c)
+	return &fault.ShedError{Comp: c.name, Depth: depth}
 }
 
-// runOnShed invokes the shed observer behind a recover: a panicking
-// callback surfaces as a typed trap delivered to the caller instead of
-// unwinding the thread (where it would read as a crash or, worse,
-// strand admission waiters in a fake deadlock).
-func (s *Supervisor) runOnShed(comp string) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			if t, ok := r.(*fault.Trap); ok {
-				if t.Comp == "" {
-					t.Comp = comp
-				}
-				err = t
-				return
-			}
-			err = &fault.Trap{Comp: comp, Kind: fault.KindSched,
-				PC: "supervisor/on-shed", Cause: fmt.Errorf("shed callback panic: %v", r)}
-		}
-	}()
-	s.onShed(comp)
-	return nil
-}
-
-// breakerAdmit gates one crossing on comp's breaker state.
-func (s *Supervisor) breakerAdmit(toComp string) error {
-	spec, ok := s.breakers[toComp]
-	if !ok {
+// breakerAdmit gates one crossing on c's breaker state.
+func (s *Supervisor) breakerAdmit(c *compState) error {
+	if c.breaker.Threshold == 0 {
 		return nil
 	}
-	b := s.brk[toComp]
-	if b == nil {
-		b = &breakerState{}
-		s.brk[toComp] = b
-	}
-	if b.state == brOpen && s.cpu.Cycles() >= b.openedAt+spec.Cooldown {
+	b := &c.brk
+	if b.state == brOpen && s.cpu.Cycles() >= b.openedAt+c.breaker.Cooldown {
 		// Cooldown elapsed: transition to half-open and let exactly one
 		// probe through.
 		b.state = brHalfOpen
@@ -278,52 +213,45 @@ func (s *Supervisor) breakerAdmit(toComp string) error {
 	// even than a shed — one state load, one branch.
 	s.stats.BreakerFastFails++
 	s.cpu.Charge(clock.CompFault, clock.CostBreakerFastFail)
-	return &fault.BreakerOpenError{Comp: toComp}
+	return &fault.BreakerOpenError{Comp: c.name}
 }
 
-// breakerOK records a successful crossing into comp. A half-open
-// probe's success closes the breaker.
-func (s *Supervisor) breakerOK(toComp string) {
-	spec, ok := s.breakers[toComp]
-	if !ok {
+// breakerOK records a successful crossing into c, which may be nil
+// (nothing configured). A half-open probe's success closes the
+// breaker.
+func (s *Supervisor) breakerOK(c *compState) {
+	if c == nil || c.breaker.Threshold == 0 {
 		return
 	}
-	b := s.brk[toComp]
-	if b == nil {
-		return
-	}
+	b := &c.brk
 	switch b.state {
 	case brHalfOpen:
 		b.state = brClosed
 		b.probing = false
 		b.calls, b.fails = 0, 0
 		s.stats.BreakerCloses++
-		s.emit("breaker-close", toComp, "half-open probe succeeded")
+		s.emit("breaker-close", c.name, "half-open probe succeeded")
 	case brClosed:
-		s.windowTick(b, spec)
+		b.windowTick(c.breaker)
 	}
 }
 
-// breakerFail records one failure (shed or trap) against comp. A
-// half-open probe's failure re-opens for another cooldown; enough
-// failures in a closed window open the breaker.
-func (s *Supervisor) breakerFail(toComp string) {
-	spec, ok := s.breakers[toComp]
-	if !ok {
+// breakerFail records one failure (shed or trap) against c, which may
+// be nil (nothing configured). A half-open probe's failure re-opens for
+// another cooldown; enough failures in a closed window open the
+// breaker.
+func (s *Supervisor) breakerFail(c *compState) {
+	if c == nil || c.breaker.Threshold == 0 {
 		return
 	}
-	b := s.brk[toComp]
-	if b == nil {
-		b = &breakerState{}
-		s.brk[toComp] = b
-	}
+	b, spec := &c.brk, c.breaker
 	switch b.state {
 	case brHalfOpen:
 		b.state = brOpen
 		b.openedAt = s.cpu.Cycles()
 		b.probing = false
 		s.stats.BreakerOpens++
-		s.emit("breaker-open", toComp, "half-open probe failed")
+		s.emit("breaker-open", c.name, "half-open probe failed")
 	case brClosed:
 		b.fails++
 		if b.fails >= spec.Threshold {
@@ -332,17 +260,17 @@ func (s *Supervisor) breakerFail(toComp string) {
 			b.calls, b.fails = 0, 0
 			s.stats.BreakerOpens++
 			if s.sink.On() {
-				s.emit("breaker-open", toComp,
+				s.emit("breaker-open", c.name,
 					fmt.Sprintf("%d failures within window of %d calls", spec.Threshold, spec.Window))
 			}
 			return
 		}
-		s.windowTick(b, spec)
+		b.windowTick(spec)
 	}
 }
 
-// windowTick advances comp's tumbling failure-counting window.
-func (s *Supervisor) windowTick(b *breakerState, spec BreakerSpec) {
+// windowTick advances the breaker's tumbling failure-counting window.
+func (b *breakerState) windowTick(spec BreakerSpec) {
 	b.calls++
 	if spec.Window > 0 && b.calls >= spec.Window {
 		b.calls, b.fails = 0, 0

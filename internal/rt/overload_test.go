@@ -2,25 +2,24 @@ package rt
 
 import (
 	"errors"
-	"strings"
 	"testing"
 
 	"flexos/internal/clock"
 	"flexos/internal/fault"
 	"flexos/internal/sched"
+	"flexos/internal/trace"
 )
 
 func TestAdmitShedPolicy(t *testing.T) {
 	cpu := clock.NewMachine(1)
 	s := NewSupervisor(cpu, nil, nil)
 	s.SetOverload("nw", OverloadSpec{Depth: 2, Policy: fault.ShedPolicyShed})
+	nw := s.comps["nw"]
 
-	rel1, err := s.admit("nw", 0)
-	if err != nil {
+	if err := s.admit(nw, 0); err != nil {
 		t.Fatal(err)
 	}
-	rel2, err := s.admit("nw", 0)
-	if err != nil {
+	if err := s.admit(nw, 0); err != nil {
 		t.Fatal(err)
 	}
 	if got := s.InFlight("nw"); got != 2 {
@@ -28,7 +27,7 @@ func TestAdmitShedPolicy(t *testing.T) {
 	}
 
 	before := cpu.Component(clock.CompFault)
-	_, err = s.admit("nw", 0)
+	err := s.admit(nw, 0)
 	var se *fault.ShedError
 	if !errors.As(err, &se) || se.Comp != "nw" || se.Depth != 2 {
 		t.Fatalf("third admit: err = %v, want ShedError{nw, 2}", err)
@@ -47,16 +46,15 @@ func TestAdmitShedPolicy(t *testing.T) {
 	}
 
 	// Releasing a slot re-opens admission.
-	rel1()
+	s.release(nw)
 	if got := s.InFlight("nw"); got != 1 {
 		t.Fatalf("InFlight after release = %d, want 1", got)
 	}
-	rel3, err := s.admit("nw", 0)
-	if err != nil {
+	if err := s.admit(nw, 0); err != nil {
 		t.Fatalf("admit after release: %v", err)
 	}
-	rel2()
-	rel3()
+	s.release(nw)
+	s.release(nw)
 	if got := s.InFlight("nw"); got != 0 {
 		t.Fatalf("InFlight after all releases = %d, want 0", got)
 	}
@@ -66,12 +64,13 @@ func TestAdmitDeadlinePolicy(t *testing.T) {
 	cpu := clock.NewMachine(1)
 	s := NewSupervisor(cpu, nil, nil)
 	s.SetOverload("lc", OverloadSpec{Depth: 0, Policy: fault.ShedPolicyDeadline})
+	lc := s.comps["lc"]
 	cpu.Charge(clock.CompApp, 100)
 
 	// An already-expired frame deadline sheds before the gate; the
 	// Depth field of the error is 0 to mark a deadline shed rather
 	// than a full queue.
-	_, err := s.admit("lc", 50)
+	err := s.admit(lc, 50)
 	var se *fault.ShedError
 	if !errors.As(err, &se) || se.Depth != 0 {
 		t.Fatalf("expired deadline: err = %v, want deadline ShedError", err)
@@ -80,25 +79,22 @@ func TestAdmitDeadlinePolicy(t *testing.T) {
 	// A live deadline (and an undeadlined call) is admitted: depth 0
 	// means the deadline policy bounds nothing but staleness. (The
 	// shed above charged CostOverloadShed, so leave headroom.)
-	rel, err := s.admit("lc", 10_000)
-	if err != nil {
+	if err := s.admit(lc, 10_000); err != nil {
 		t.Fatalf("live deadline rejected: %v", err)
 	}
-	rel()
-	rel, err = s.admit("lc", 0)
-	if err != nil {
+	s.release(lc)
+	if err := s.admit(lc, 0); err != nil {
 		t.Fatalf("undeadlined call rejected: %v", err)
 	}
-	rel()
+	s.release(lc)
 
 	// With a depth bound the policy also sheds on queue fullness.
 	s.SetOverload("lc", OverloadSpec{Depth: 1, Policy: fault.ShedPolicyDeadline})
-	rel, err = s.admit("lc", 10_000)
-	if err != nil {
+	if err := s.admit(lc, 10_000); err != nil {
 		t.Fatal(err)
 	}
-	defer rel()
-	_, err = s.admit("lc", 10_000)
+	defer s.release(lc)
+	err = s.admit(lc, 10_000)
 	if !errors.As(err, &se) || se.Depth != 1 {
 		t.Fatalf("full deadline queue: err = %v, want ShedError depth 1", err)
 	}
@@ -109,16 +105,15 @@ func TestAdmitBlockPolicyWithoutThread(t *testing.T) {
 	// policy admits rather than wedging a direct caller.
 	s := NewSupervisor(clock.NewMachine(1), nil, nil)
 	s.SetOverload("nw", OverloadSpec{Depth: 1, Policy: fault.ShedPolicyBlock})
-	rel1, err := s.admit("nw", 0)
-	if err != nil {
+	nw := s.comps["nw"]
+	if err := s.admit(nw, 0); err != nil {
 		t.Fatal(err)
 	}
-	rel2, err := s.admit("nw", 0)
-	if err != nil {
+	if err := s.admit(nw, 0); err != nil {
 		t.Fatalf("block policy without thread context rejected: %v", err)
 	}
-	rel2()
-	rel1()
+	s.release(nw)
+	s.release(nw)
 	if st := s.Stats(); st.Blocked != 0 {
 		t.Fatalf("Blocked = %d, want 0", st.Blocked)
 	}
@@ -217,18 +212,18 @@ func TestBreakerLifecycle(t *testing.T) {
 	// After the cooldown one half-open probe is admitted; while it is
 	// in flight everything else still fails fast.
 	cpu.Charge(clock.CompApp, spec.Cooldown)
-	rel, err := s.admit("nw", 0)
-	if err != nil {
+	nw := s.comps["nw"]
+	if err := s.admit(nw, 0); err != nil {
 		t.Fatalf("half-open probe rejected: %v", err)
 	}
 	if got := s.BreakerState("nw"); got != "half-open" {
 		t.Fatalf("state during probe = %q, want half-open", got)
 	}
-	if _, err := s.admit("nw", 0); !errors.As(err, &be) {
+	if err := s.admit(nw, 0); !errors.As(err, &be) {
 		t.Fatalf("second call during probe: err = %v, want BreakerOpenError", err)
 	}
-	s.breakerOK("nw")
-	rel()
+	s.breakerOK(nw)
+	s.release(nw)
 	if got := s.BreakerState("nw"); got != "closed" {
 		t.Fatalf("state after probe success = %q, want closed", got)
 	}
@@ -274,78 +269,36 @@ func TestBreakerWindowReset(t *testing.T) {
 	}
 }
 
-// TestShedCallbackPanic pins the sched bugfix: a shed observer that
-// panics must surface to the caller as a typed KindSched trap, not
-// unwind the thread (where it would read as a simulator crash and
-// strand block-policy waiters).
-func TestShedCallbackPanic(t *testing.T) {
-	s := NewSupervisor(clock.NewMachine(1), nil, nil)
+// TestShedEmitsOneEvent pins the one shed observer: every shed reaches
+// the supervisor's sink as exactly one "shed" event naming the
+// compartment.
+func TestShedEmitsOneEvent(t *testing.T) {
+	cpu := clock.NewMachine(1)
+	sink := trace.NewSink(cpu)
+	ring := trace.NewRing(16)
+	sink.Attach(ring)
+	s := NewSupervisor(cpu, nil, sink)
 	s.SetOverload("nw", OverloadSpec{Depth: 1, Policy: fault.ShedPolicyShed})
-	s.SetOnShed(func(string) { panic("observer bug") })
+	nw := s.comps["nw"]
 
-	rel, err := s.admit("nw", 0)
-	if err != nil {
+	if err := s.admit(nw, 0); err != nil {
 		t.Fatal(err)
 	}
-	defer rel()
+	defer s.release(nw)
 
-	_, err = s.admit("nw", 0)
-	tr, ok := fault.As(err)
-	if !ok {
-		t.Fatalf("err = %v (%T), want a typed trap", err, err)
+	for i := 1; i <= 2; i++ {
+		err := s.admit(nw, 0)
+		var se *fault.ShedError
+		if !errors.As(err, &se) {
+			t.Fatalf("shed %d: err = %v, want ShedError", i, err)
+		}
+		if got := ring.CountKind("shed"); got != i {
+			t.Fatalf("after %d sheds the sink holds %d shed events", i, got)
+		}
 	}
-	if tr.Comp != "nw" || tr.Kind != fault.KindSched || tr.PC != "supervisor/on-shed" {
-		t.Fatalf("trap = %+v, want Comp nw / KindSched / PC supervisor/on-shed", tr)
-	}
-	if tr.Cause == nil || !strings.Contains(tr.Cause.Error(), "observer bug") {
-		t.Fatalf("trap cause = %v, want the panic value preserved", tr.Cause)
-	}
-	// The shed itself still happened and was accounted.
-	if st := s.Stats(); st.Sheds != 1 {
-		t.Fatalf("Sheds = %d, want 1", st.Sheds)
-	}
-}
-
-func TestShedCallbackTrapPanicPassesThrough(t *testing.T) {
-	// A callback that panics with an explicit *fault.Trap keeps its
-	// own kind and PC; only a missing Comp is filled in.
-	s := NewSupervisor(clock.NewMachine(1), nil, nil)
-	s.SetOverload("nw", OverloadSpec{Depth: 1, Policy: fault.ShedPolicyShed})
-	s.SetOnShed(func(string) {
-		panic(&fault.Trap{Kind: fault.KindMPK, PC: "observer:poke", Addr: 0x40})
-	})
-
-	rel, err := s.admit("nw", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rel()
-
-	_, err = s.admit("nw", 0)
-	tr, ok := fault.As(err)
-	if !ok || tr.Kind != fault.KindMPK || tr.PC != "observer:poke" || tr.Comp != "nw" {
-		t.Fatalf("err = %v, want the explicit trap with Comp filled in", err)
-	}
-}
-
-func TestShedCallbackObservesComp(t *testing.T) {
-	s := NewSupervisor(clock.NewMachine(1), nil, nil)
-	s.SetOverload("nw", OverloadSpec{Depth: 1, Policy: fault.ShedPolicyShed})
-	var seen []string
-	s.SetOnShed(func(comp string) { seen = append(seen, comp) })
-
-	rel, err := s.admit("nw", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rel()
-
-	_, err = s.admit("nw", 0)
-	var se *fault.ShedError
-	if !errors.As(err, &se) {
-		t.Fatalf("err = %v, want ShedError after a clean callback", err)
-	}
-	if len(seen) != 1 || seen[0] != "nw" {
-		t.Fatalf("observer saw %v, want [nw]", seen)
+	for _, e := range ring.Events() {
+		if e.Kind == "shed" && e.From != "nw" {
+			t.Fatalf("shed event names %q, want nw: %+v", e.From, e)
+		}
 	}
 }

@@ -51,31 +51,39 @@ type SupervisorStats struct {
 }
 
 // Supervisor drives per-compartment fault policy on one machine. Every
-// Env routes its gate calls through Supervise; when a call comes back
-// with a fault.Trap raised by the callee compartment, the supervisor
-// applies the compartment's configured policy: propagate (abort), tear
-// down and replay (restart), or fail the compartment fast from then on
-// (degrade). Teardown reuses the shared pool's leak accounting — the
-// trapped call's in-flight buffers are force-released against a
-// pre-call mark — and resets the compartment's drained private heaps.
+// Env routes its gate calls through SuperviseCall; when a call comes
+// back with a fault.Trap raised by the callee compartment, the
+// supervisor applies the compartment's configured policy: propagate
+// (abort), tear down and replay (restart), or fail the compartment fast
+// from then on (degrade). Teardown reuses the shared pool's leak
+// accounting — the trapped call's in-flight buffers are force-released
+// against a pre-call mark — and resets the compartment's drained
+// private heaps.
 type Supervisor struct {
-	cpu      *clock.Machine
-	pool     *mem.SharedPool
-	policies map[string]fault.Policy
-	heaps    map[string][]*mem.Heap
-	degraded map[string]*fault.Trap
-	stats    SupervisorStats
-	sink     *trace.Sink
-
-	// Overload-control state (overload.go): per-compartment admission
-	// queues and circuit breakers in front of the gates.
-	overload  map[string]OverloadSpec
-	inFlight  map[string]int
-	admitQ    map[string]*sched.WaitQueue
-	breakers  map[string]BreakerSpec
-	brk       map[string]*breakerState
+	cpu       *clock.Machine
+	pool      *mem.SharedPool
+	sink      *trace.Sink
+	stats     SupervisorStats
+	comps     map[string]*compState
 	curThread func() *sched.Thread
-	onShed    func(comp string)
+}
+
+// compState is everything the supervisor holds for one compartment.
+// A compartment with nothing configured has no record: its calls skip
+// admission and breaker feedback, and its traps abort.
+type compState struct {
+	name     string
+	policy   fault.Policy
+	heaps    []*mem.Heap // private heaps restart teardown may reset
+	degraded *fault.Trap // the trap that took comp out of service
+
+	// Overload control (overload.go): the admission queue and the
+	// circuit breaker in front of comp's gates.
+	overload OverloadSpec
+	inFlight int
+	waiters  sched.WaitQueue
+	breaker  BreakerSpec
+	brk      breakerState
 }
 
 // NewSupervisor creates a supervisor charging recovery work to cpu.
@@ -84,38 +92,36 @@ type Supervisor struct {
 // and the overload-control kinds "overload", "shed", "deadline",
 // "breaker-open" and "breaker-close".
 func NewSupervisor(cpu *clock.Machine, pool *mem.SharedPool, sink *trace.Sink) *Supervisor {
-	return &Supervisor{
-		cpu:      cpu,
-		pool:     pool,
-		sink:     sink,
-		policies: make(map[string]fault.Policy),
-		heaps:    make(map[string][]*mem.Heap),
-		degraded: make(map[string]*fault.Trap),
-		overload: make(map[string]OverloadSpec),
-		inFlight: make(map[string]int),
-		admitQ:   make(map[string]*sched.WaitQueue),
-		breakers: make(map[string]BreakerSpec),
-		brk:      make(map[string]*breakerState),
+	return &Supervisor{cpu: cpu, pool: pool, sink: sink, comps: make(map[string]*compState)}
+}
+
+// comp returns comp's record, creating it on first configuration.
+func (s *Supervisor) comp(name string) *compState {
+	c := s.comps[name]
+	if c == nil {
+		c = &compState{name: name}
+		s.comps[name] = c
 	}
+	return c
 }
 
 // SetPolicy configures a compartment's reaction to its own traps.
-func (s *Supervisor) SetPolicy(comp string, p fault.Policy) { s.policies[comp] = p }
-
-// Policy reports a compartment's policy (PolicyAbort by default).
-func (s *Supervisor) Policy(comp string) fault.Policy { return s.policies[comp] }
+func (s *Supervisor) SetPolicy(comp string, p fault.Policy) { s.comp(comp).policy = p }
 
 // RegisterHeap records a private heap owned exclusively by comp, a
 // restart-teardown target.
 func (s *Supervisor) RegisterHeap(comp string, h *mem.Heap) {
-	s.heaps[comp] = append(s.heaps[comp], h)
+	c := s.comp(comp)
+	c.heaps = append(c.heaps, h)
 }
 
 // Degraded reports whether comp was taken out of service, and the trap
 // that did it.
 func (s *Supervisor) Degraded(comp string) (*fault.Trap, bool) {
-	t, ok := s.degraded[comp]
-	return t, ok
+	if c := s.comps[comp]; c != nil && c.degraded != nil {
+		return c.degraded, true
+	}
+	return nil, false
 }
 
 // Stats returns a copy of the containment counters.
@@ -143,51 +149,50 @@ func (s *Supervisor) mark() mem.PoolMark {
 	return s.pool.Mark()
 }
 
-// Supervise runs one gate call into compartment toComp and applies
-// toComp's fault policy to any trap the callee raised. Traps from
-// deeper compartments (already handled by a nested Supervise closer to
-// the fault) pass through untouched.
-func (s *Supervisor) Supervise(toComp string, call func() error) error {
-	return s.SuperviseCall(toComp, 0, true, call)
-}
-
-// SuperviseCall is Supervise with the routed frame's deadline and the
-// crossing flag made explicit. Admission queues and circuit breakers
+// SuperviseCall runs one gate call into compartment toComp, carrying
+// the routed frame's absolute deadline (0 = none), and applies toComp's
+// fault policy to any trap the callee raised. Traps from deeper
+// compartments (already handled by a nested SuperviseCall closer to the
+// fault) pass through untouched. Admission queues and circuit breakers
 // sit in front of *isolating* gates, so intra-compartment calls
 // (crossing=false) skip them — a compartment cannot shed calls from
 // itself — while the fault-policy machinery still applies.
 func (s *Supervisor) SuperviseCall(toComp string, deadline uint64, crossing bool, call func() error) error {
-	if t, down := s.degraded[toComp]; down {
-		return &fault.DegradedError{Comp: toComp, Cause: t}
+	c := s.comps[toComp]
+	if c != nil && c.degraded != nil {
+		return &fault.DegradedError{Comp: toComp, Cause: c.degraded}
 	}
-	if crossing {
-		release, err := s.admit(toComp, deadline)
-		if err != nil {
+	if crossing && c != nil {
+		if err := s.admit(c, deadline); err != nil {
 			return err
 		}
 		// The slot must free (and block-policy waiters wake) even if
 		// the supervised call panics past the trap boundary — a leaked
 		// slot would turn a simulator bug into a fake deadlock.
-		defer release()
+		defer s.release(c)
 	}
 	mark := s.mark()
-	return s.settle(toComp, crossing, mark, call(), call)
+	return s.settle(c, toComp, crossing, mark, call(), call)
 }
 
 // settle classifies one supervised call's outcome and applies toComp's
 // fault policy: breaker feedback on success, the cheap rejection path
 // for deadline misses, and the abort/restart/degrade machinery for
-// traps. retry replays the call for the restart policy; mark bounds
-// what teardown may reclaim. SuperviseCall settles every call through
-// here, and SuperviseBatch settles each frame of a batch — which is
-// what makes containment per-frame: one trapped frame reaches its own
-// settle with its own retry, the rest of the batch settles clean.
-func (s *Supervisor) settle(toComp string, crossing bool, mark mem.PoolMark, err error, retry func() error) error {
+// traps. c is toComp's record (nil when nothing is configured); retry
+// replays the call for the restart policy; mark bounds what teardown
+// may reclaim. SuperviseCall settles every call through here, and
+// SuperviseBatch settles each frame of a batch — which is what makes
+// containment per-frame: one trapped frame reaches its own settle with
+// its own retry, the rest of the batch settles clean.
+func (s *Supervisor) settle(c *compState, toComp string, crossing bool, mark mem.PoolMark, err error, retry func() error) error {
+	// Only crossings feed the breaker, as only crossings are admitted.
+	var brk *compState
+	if crossing {
+		brk = c
+	}
 	t, ok := fault.As(err)
 	if !ok || t.Comp != toComp {
-		if crossing {
-			s.breakerOK(toComp)
-		}
+		s.breakerOK(brk)
 		return err
 	}
 	if t.Kind == fault.KindDeadline {
@@ -199,22 +204,22 @@ func (s *Supervisor) settle(toComp string, crossing bool, mark mem.PoolMark, err
 		s.stats.DeadlineTraps++
 		s.cpu.Charge(clock.CompFault, clock.CostOverloadShed)
 		s.emitTrap("deadline", toComp, t)
-		if crossing {
-			s.breakerFail(toComp)
-		}
+		s.breakerFail(brk)
 		return t
 	}
 	s.stats.Traps++
 	s.cpu.Charge(clock.CompFault, clock.CostFaultTrap)
 	s.emitTrap("fault", toComp, t)
-	if crossing {
-		s.breakerFail(toComp)
+	s.breakerFail(brk)
+	policy := fault.PolicyAbort
+	if c != nil {
+		policy = c.policy
 	}
-	switch s.Policy(toComp) {
+	switch policy {
 	case fault.PolicyRestart:
 		for attempt := 1; attempt <= maxRestartAttempts; attempt++ {
 			start := s.cpu.Cycles()
-			s.teardown(toComp, mark)
+			s.teardown(c, mark)
 			// Bounded exponential backoff before the replay.
 			s.cpu.Charge(clock.CompFault, clock.CostFaultBackoff<<(attempt-1))
 			s.stats.RecoveryCycles += s.cpu.Cycles() - start
@@ -225,9 +230,7 @@ func (s *Supervisor) settle(toComp string, crossing bool, mark mem.PoolMark, err
 			mark = s.mark()
 			err = retry()
 			if t2, again := fault.As(err); again && t2.Comp == toComp {
-				if crossing {
-					s.breakerFail(toComp)
-				}
+				s.breakerFail(brk)
 				if t2.Kind == fault.KindDeadline {
 					// The replay ran out of budget: stop retrying.
 					s.stats.DeadlineTraps++
@@ -242,16 +245,14 @@ func (s *Supervisor) settle(toComp string, crossing bool, mark mem.PoolMark, err
 				continue
 			}
 			s.stats.Recoveries++
-			if crossing {
-				s.breakerOK(toComp)
-			}
+			s.breakerOK(brk)
 			return err
 		}
 		s.stats.Aborts++
 		return t
 	case fault.PolicyDegrade:
-		s.teardown(toComp, mark)
-		s.degraded[toComp] = t
+		s.teardown(c, mark)
+		c.degraded = t
 		s.stats.Degrades++
 		s.emit("degrade", toComp, t.Kind.String())
 		return &fault.DegradedError{Comp: toComp, Cause: t}
@@ -275,37 +276,34 @@ func (s *Supervisor) settle(toComp string, crossing bool, mark mem.PoolMark, err
 func (s *Supervisor) SuperviseBatch(toComp string, deadlines []uint64, crossing bool,
 	runBatch func(admitted []int) []error, retry func(i int) error) []error {
 	errs := make([]error, len(deadlines))
-	if t, down := s.degraded[toComp]; down {
+	c := s.comps[toComp]
+	if c != nil && c.degraded != nil {
 		for i := range errs {
-			errs[i] = &fault.DegradedError{Comp: toComp, Cause: t}
+			errs[i] = &fault.DegradedError{Comp: toComp, Cause: c.degraded}
 		}
 		return errs
 	}
+	admits := crossing && c != nil
 	admitted := make([]int, 0, len(deadlines))
-	var releases []func()
-	if crossing {
-		for i, dl := range deadlines {
-			release, err := s.admit(toComp, dl)
-			if err != nil {
+	for i, dl := range deadlines {
+		if admits {
+			if err := s.admit(c, dl); err != nil {
 				errs[i] = err
 				continue
 			}
-			releases = append(releases, release)
-			admitted = append(admitted, i)
 		}
-	} else {
-		for i := range deadlines {
-			admitted = append(admitted, i)
-		}
+		admitted = append(admitted, i)
 	}
-	// Slots release (and block-policy waiters wake) even if a frame
-	// panics past its trap boundary, for the same reason SuperviseCall
-	// defers its release.
-	defer func() {
-		for _, release := range releases {
-			release()
-		}
-	}()
+	if admits {
+		// Slots release (and block-policy waiters wake) even if a frame
+		// panics past its trap boundary, for the same reason
+		// SuperviseCall defers its release.
+		defer func() {
+			for range admitted {
+				s.release(c)
+			}
+		}()
+	}
 	if len(admitted) == 0 {
 		return errs
 	}
@@ -315,13 +313,12 @@ func (s *Supervisor) SuperviseBatch(toComp string, deadlines []uint64, crossing 
 		if j < len(batchErrs) {
 			err = batchErrs[j]
 		}
-		frame := i
 		// Each frame settles against a mark taken now, after the batch
 		// ran: teardown of one trapped frame must never reclaim buffers
 		// that surviving frames of the same batch handed to their
 		// callers.
-		errs[i] = s.settle(toComp, crossing, s.mark(), err,
-			func() error { return retry(frame) })
+		errs[i] = s.settle(c, toComp, crossing, s.mark(), err,
+			func() error { return retry(i) })
 	}
 	return errs
 }
@@ -332,14 +329,14 @@ func (s *Supervisor) SuperviseBatch(toComp string, deadlines []uint64, crossing 
 // fully-drained private heap of the compartment is reset to pristine.
 // Heaps with live allocations that predate the fault are left intact —
 // they back protocol state the surviving callers still reference.
-func (s *Supervisor) teardown(comp string, mark mem.PoolMark) {
+func (s *Supervisor) teardown(c *compState, mark mem.PoolMark) {
 	if s.pool != nil {
 		bufs, refs := s.pool.ReleaseSince(mark)
 		s.stats.ReclaimedBufs += uint64(bufs)
 		s.stats.ReclaimedRefs += uint64(refs)
 		s.cpu.Charge(clock.CompFault, uint64(bufs)*clock.CostFaultReclaimBuf)
 	}
-	for _, h := range s.heaps[comp] {
+	for _, h := range c.heaps {
 		// The sweep walks the compartment's whole heap region.
 		s.cpu.Charge(clock.CompFault, clock.FaultSweepCycles(h.Size()))
 		if h.Stats().LiveBytes == 0 {

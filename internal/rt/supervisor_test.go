@@ -27,7 +27,7 @@ func nwTrap() *fault.Trap {
 func TestSuperviseCleanCall(t *testing.T) {
 	s := NewSupervisor(clock.NewMachine(1), nil, nil)
 	calls := 0
-	if err := s.Supervise("nw", func() error { calls++; return nil }); err != nil {
+	if err := s.SuperviseCall("nw", 0, true, func() error { calls++; return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if calls != 1 {
@@ -42,7 +42,7 @@ func TestSuperviseAbortByDefault(t *testing.T) {
 	s := NewSupervisor(clock.NewMachine(1), nil, nil)
 	tr := nwTrap()
 	calls := 0
-	err := s.Supervise("nw", func() error { calls++; return tr })
+	err := s.SuperviseCall("nw", 0, true, func() error { calls++; return tr })
 	if got, ok := fault.As(err); !ok || got != tr {
 		t.Fatalf("err = %v, want the trap propagated", err)
 	}
@@ -61,7 +61,7 @@ func TestSuperviseRestartRecovers(t *testing.T) {
 	s := NewSupervisor(cpu, pool, nil)
 	s.SetPolicy("nw", fault.PolicyRestart)
 	attempt := 0
-	err := s.Supervise("nw", func() error {
+	err := s.SuperviseCall("nw", 0, true, func() error {
 		attempt++
 		if attempt == 1 {
 			// The trapped attempt strands two in-flight buffers, as a
@@ -107,7 +107,7 @@ func TestSuperviseRestartPreservesPreCallBuffers(t *testing.T) {
 		t.Fatal(err)
 	}
 	attempt := 0
-	err = s.Supervise("nw", func() error {
+	err = s.SuperviseCall("nw", 0, true, func() error {
 		attempt++
 		if attempt == 1 {
 			return nwTrap()
@@ -126,7 +126,7 @@ func TestSuperviseRestartExhaustion(t *testing.T) {
 	s := NewSupervisor(clock.NewMachine(1), nil, nil)
 	s.SetPolicy("nw", fault.PolicyRestart)
 	calls := 0
-	err := s.Supervise("nw", func() error { calls++; return nwTrap() })
+	err := s.SuperviseCall("nw", 0, true, func() error { calls++; return nwTrap() })
 	if _, ok := fault.As(err); !ok {
 		t.Fatalf("exhausted restart returned %v, want trap", err)
 	}
@@ -143,7 +143,7 @@ func TestSuperviseDegradeFailsFast(t *testing.T) {
 	s := NewSupervisor(clock.NewMachine(1), nil, nil)
 	s.SetPolicy("nw", fault.PolicyDegrade)
 	calls := 0
-	err := s.Supervise("nw", func() error { calls++; return nwTrap() })
+	err := s.SuperviseCall("nw", 0, true, func() error { calls++; return nwTrap() })
 	var de *fault.DegradedError
 	if !errors.As(err, &de) || de.Comp != "nw" {
 		t.Fatalf("err = %v, want DegradedError", err)
@@ -152,7 +152,7 @@ func TestSuperviseDegradeFailsFast(t *testing.T) {
 		t.Fatal("compartment not marked degraded")
 	}
 	// Later calls fail fast without crossing into the compartment.
-	err = s.Supervise("nw", func() error { calls++; return nil })
+	err = s.SuperviseCall("nw", 0, true, func() error { calls++; return nil })
 	if !errors.As(err, &de) {
 		t.Fatalf("second call = %v, want DegradedError", err)
 	}
@@ -168,11 +168,11 @@ func TestSuperviseForeignTrapPassesThrough(t *testing.T) {
 	s := NewSupervisor(clock.NewMachine(1), nil, nil)
 	s.SetPolicy("nw", fault.PolicyRestart)
 	// A trap attributed to a deeper compartment was already handled by
-	// the nested Supervise closer to the fault: it must pass through
+	// the nested SuperviseCall closer to the fault: it must pass through
 	// without a restart here.
 	deep := &fault.Trap{Comp: "lc", Kind: fault.KindASAN}
 	calls := 0
-	err := s.Supervise("nw", func() error { calls++; return deep })
+	err := s.SuperviseCall("nw", 0, true, func() error { calls++; return deep })
 	if got, ok := fault.As(err); !ok || got != deep {
 		t.Fatalf("err = %v, want foreign trap unchanged", err)
 	}
@@ -185,7 +185,7 @@ func TestSupervisePlainErrorPassesThrough(t *testing.T) {
 	s := NewSupervisor(clock.NewMachine(1), nil, nil)
 	s.SetPolicy("nw", fault.PolicyRestart)
 	plain := errors.New("connection reset")
-	err := s.Supervise("nw", func() error { return plain })
+	err := s.SuperviseCall("nw", 0, true, func() error { return plain })
 	if err != plain {
 		t.Fatalf("err = %v, want plain error unchanged", err)
 	}
@@ -219,7 +219,7 @@ func TestTeardownResetsDrainedHeapOnly(t *testing.T) {
 	s.RegisterHeap("nw", drained)
 	s.RegisterHeap("nw", live)
 	attempt := 0
-	err = s.Supervise("nw", func() error {
+	err = s.SuperviseCall("nw", 0, true, func() error {
 		attempt++
 		if attempt == 1 {
 			return nwTrap()
@@ -244,7 +244,7 @@ func TestSupervisorTracerSeesLifecycle(t *testing.T) {
 	s := NewSupervisor(clock.NewMachine(1), nil, sink)
 	s.SetPolicy("nw", fault.PolicyRestart)
 	attempt := 0
-	_ = s.Supervise("nw", func() error {
+	_ = s.SuperviseCall("nw", 0, true, func() error {
 		attempt++
 		if attempt == 1 {
 			return nwTrap()
