@@ -13,11 +13,11 @@
 //
 //	flexos-explore [-spec file] [-backend mpk|hodor|vm] [-budget 1.5]
 //	               [-require no-wildcard-writes,separated:netstack:sched]
-//	               [-pareto] [-parallel=false] [-workers N]
+//	               [-pareto] [-measure] [-workers N]
 //
 // Exploration fans the variant combinations over a worker pool
-// (-workers, default GOMAXPROCS; -parallel=false forces one worker)
-// and memoizes graph colorings across isomorphic conflict structures;
+// (-workers, default GOMAXPROCS; -workers 1 runs serially) and
+// memoizes graph colorings across isomorphic conflict structures;
 // the run's statistics — combinations, workers, coloring cache hit
 // rate, DSATUR fallbacks — are printed after the candidate list.
 package main
@@ -43,15 +43,10 @@ func main() {
 	pareto := flag.Bool("pareto", false, "print only the Pareto front")
 	measure := flag.Bool("measure", false, "run the Redis workload on every candidate (built-in image only)")
 	measuredWorkload := flag.Bool("measured-workload", false, "derive call rates and base cost from an observed run")
-	parallel := flag.Bool("parallel", true, "explore combinations over a worker pool")
-	workers := flag.Int("workers", 0, "worker-pool size (0 = GOMAXPROCS; implies -parallel)")
+	workers := flag.Int("workers", 0, "worker-pool size (0 = GOMAXPROCS, 1 = serial)")
 	flag.Parse()
 
-	poolSize := *workers
-	if !*parallel && poolSize <= 0 {
-		poolSize = 1
-	}
-	if err := run(*specPath, *backendName, *budget, *require, *pareto, *measure, *measuredWorkload, poolSize); err != nil {
+	if err := run(*specPath, *backendName, *budget, *require, *pareto, *measure, *measuredWorkload, *workers); err != nil {
 		fmt.Fprintf(os.Stderr, "flexos-explore: %v\n", err)
 		os.Exit(1)
 	}
@@ -99,20 +94,19 @@ func run(specPath, backendName string, budget float64, require string, pareto, m
 		show = sorted
 		fmt.Printf("%d candidates (backend %v), cheapest first:\n", len(cands), backend)
 	}
-	measured := map[*explore.Candidate]harness.MeasuredCandidate{}
+	var measured []*harness.Result
 	if measure {
-		ms, err := harness.MeasureCandidates(show, harness.OpGET, 50, 240)
-		if err != nil {
+		load := harness.Load{App: harness.Redis, Op: harness.OpGET, Payload: 50, Ops: 240}
+		if measured, err = harness.MeasureCandidates(show, load); err != nil {
 			return err
 		}
-		for _, m := range ms {
-			measured[m.Candidate] = m
-		}
 	}
-	for _, c := range show {
-		if m, ok := measured[c]; ok {
+	for i, c := range show {
+		if measured != nil {
+			// The first candidate shown is the slowdown reference.
+			kreq := measured[i].KReqPerSec
 			fmt.Printf("  est %6.2fx  measured %6.2fx (%7.1f kreq/s)  %s\n",
-				c.Slowdown(w), m.Slowdown, m.KReqPerSec, c.Describe())
+				c.Slowdown(w), measured[0].KReqPerSec/kreq, kreq, c.Describe())
 			continue
 		}
 		fmt.Printf("  %6.2fx  %s\n", c.Slowdown(w), c.Describe())

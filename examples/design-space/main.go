@@ -38,24 +38,21 @@ func main() {
 	sorted := append([]*flexos.Candidate(nil), cands...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].EstCycles < sorted[j].EstCycles })
 
-	var measured map[*flexos.Candidate]float64
+	var measured []*harness.Result
 	if *measure {
-		measured = make(map[*flexos.Candidate]float64)
-		ms, err := harness.MeasureCandidates(sorted, harness.OpGET, 50, 160)
+		measured, err = harness.MeasureCandidates(sorted,
+			harness.Load{App: harness.Redis, Op: harness.OpGET, Payload: 50, Ops: 160})
 		if err != nil {
 			log.Fatal(err)
-		}
-		for _, m := range ms {
-			measured[m.Candidate] = m.KReqPerSec
 		}
 	}
 
 	fmt.Printf("design space of the default image under %v (%d candidates)\n\n", backend, len(cands))
 	fmt.Printf("%-9s %-9s %-10s %s\n", "est-slow", "security", "measured", "configuration")
-	for _, c := range sorted {
+	for i, c := range sorted {
 		m := "-"
-		if v, ok := measured[c]; ok {
-			m = fmt.Sprintf("%.0f kreq/s", v)
+		if measured != nil {
+			m = fmt.Sprintf("%.0f kreq/s", measured[i].KReqPerSec)
 		}
 		fmt.Printf("%8.2fx %9.1f %-10s %d comps, %d hardened\n",
 			c.Slowdown(w), c.Security, m, c.Plan.NumCompartments(), c.HardenedLibs)

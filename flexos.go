@@ -222,8 +222,8 @@ const (
 // Experiment harness (internal/harness): regenerates the paper's
 // evaluation.
 type (
-	// Load is the workload Run drives: application, connections and
-	// sizes, plus an optional trace and prep hook.
+	// Load is the workload Run drives: application, connections, sizes,
+	// redis depth and budget, plus an optional trace and prep hook.
 	Load = harness.Load
 	// Result is one measured run.
 	Result  = harness.Result

@@ -200,10 +200,3 @@ func (s *Store) memcpy(dst, src mem.Addr, n int) error {
 		return s.lc.Memcpy(dst, src, n)
 	})
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -113,8 +113,11 @@ func trapLive(errs []error, trap error) {
 // CallBatch marshals every frame's request into the shared ring under
 // one notification pair: one VM exit carries N requests over, one
 // carries N responses back. This is where batching pays the most —
-// CostVMNotify dwarfs everything else in the RPC crossing.
+// CostVMNotify dwarfs everything else in the RPC crossing. The batch
+// is one RPC to the callee VM: it waits behind, and then holds, the
+// single endpoint exactly as Call does.
 func (g *rpcGate) CallBatch(from, to *Domain, frames []CallFrame, fns []func() error, errs []error) {
+	g.stall()
 	words := 0
 	for _, f := range frames {
 		words += f.EntryWords() + f.PayloadWords()
@@ -139,4 +142,5 @@ func (g *rpcGate) CallBatch(from, to *Domain, frames []CallFrame, fns []func() e
 	if g.notify != nil {
 		g.notify(to, from)
 	}
+	g.busyUntil = g.clk.Cycles()
 }

@@ -360,11 +360,7 @@ func (g *rpcGate) Call(from, to *Domain, frame CallFrame, fn func() error) error
 	// Request: marshal descriptor + args — and, since the VMs share no
 	// address space, the payload bytes themselves — into the shared
 	// ring, notify the callee VM, callee is scheduled.
-	if now := g.clk.Cycles(); g.busyUntil > now {
-		// The callee VM is still serving another vCPU's RPC: stall.
-		g.stalled += g.busyUntil - now
-		g.clk.Charge(clock.CompVMM, g.busyUntil-now)
-	}
+	g.stall()
 	words := frame.EntryWords() + frame.PayloadWords()
 	g.clk.Charge(clock.CompVMM, clock.CostVMNotify+clock.CostVMRPCFixed+
 		uint64(words)*clock.CostParamCopyPerWord)
@@ -384,6 +380,15 @@ func (g *rpcGate) Call(from, to *Domain, frame CallFrame, fn func() error) error
 	}
 	g.busyUntil = g.clk.Cycles()
 	return callErr
+}
+
+// stall holds the calling vCPU until the callee VM has finished the
+// RPC it is serving for another vCPU.
+func (g *rpcGate) stall() {
+	if now := g.clk.Cycles(); g.busyUntil > now {
+		g.stalled += g.busyUntil - now
+		g.clk.Charge(clock.CompVMM, g.busyUntil-now)
+	}
 }
 
 // Stalled reports the cycles callers spent waiting for the callee VM

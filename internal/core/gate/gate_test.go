@@ -157,6 +157,55 @@ func TestVMRPCGate(t *testing.T) {
 	}
 }
 
+// TestVMRPCBatchSerializes pins that a batch is one RPC to the single
+// VMM endpoint: on a 2-vCPU machine it stalls behind vCPU 0's call in
+// flight, exactly as a single Call does, and holds the endpoint until
+// it ends, so vCPU 0's next call waits for it.
+func TestVMRPCBatchSerializes(t *testing.T) {
+	noop := func() error { return nil }
+	one := CallFrame{ArgWords: 1}
+	const rpc = 2*clock.CostVMNotify + clock.CostVMRPCFixed + clock.CostParamCopyPerWord // 5,502
+	for _, batch := range []bool{false, true} {
+		cross := func(g *rpcGate, a, b *Domain) {
+			if !batch {
+				mustNoErr(t, g.Call(a, b, one, noop))
+				return
+			}
+			errs := make([]error, 2)
+			g.CallBatch(a, b, []CallFrame{one, one}, []func() error{noop, noop}, errs)
+			for _, err := range errs {
+				mustNoErr(t, err)
+			}
+		}
+		alone := clock.NewMachine(1)
+		cross(NewVMRPC(alone, nil).(*rpcGate), NewDomain("a"), NewDomain("b"))
+		own := alone.Cycles()
+
+		clk := clock.NewMachine(2)
+		g := NewVMRPC(clk, nil).(*rpcGate)
+		a, b := NewDomain("a"), NewDomain("b")
+		mustNoErr(t, g.Call(a, b, one, noop))
+		if got := clk.CPU(0).Cycles(); got != rpc {
+			t.Fatalf("a 1-word RPC ends at cycle %d, want %d", got, rpc)
+		}
+		restore := clk.Steer(1)
+		cross(g, a, b)
+		restore()
+		if got := g.Stalled(); got != rpc {
+			t.Fatalf("batch=%v: vCPU 1 stalled %d cycles behind vCPU 0's RPC, want %d", batch, got, rpc)
+		}
+		if got, want := clk.CPU(1).Cycles(), rpc+own; got != want {
+			t.Fatalf("batch=%v: vCPU 1 ends at cycle %d, want its stall plus its own %d cycles (%d)",
+				batch, got, own, want)
+		}
+		before := g.Stalled()
+		mustNoErr(t, g.Call(a, b, one, noop))
+		if got := g.Stalled() - before; got != own {
+			t.Fatalf("batch=%v: vCPU 0 stalled %d cycles, want %d (until vCPU 1's RPC ends)", batch, got, own)
+		}
+	}
+}
+
 func TestCrossingCostOrdering(t *testing.T) {
 	// The design-space premise: funccall < mpk-shared < mpk-switched
 	// << vm-rpc.

@@ -7,10 +7,7 @@ import (
 	"runtime"
 	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 
-	"flexos/internal/core/build"
 	"flexos/internal/core/explore"
 	"flexos/internal/core/gate"
 	"flexos/internal/core/spec"
@@ -30,7 +27,7 @@ import (
 // picks the configuration" promise, closed with ground truth.
 //
 // Determinism: the simulator runs entirely in virtual time and every
-// candidate writes to its own result slot, so the sweep replays
+// boot is its own world (MeasureCandidates), so the sweep replays
 // bit-identically for any worker count.
 
 // AutotuneBackends are the crossing mechanisms whose Pareto fronts are
@@ -49,8 +46,6 @@ type AutotuneOpts struct {
 	IperfBytes int
 	// RecvBuf is the iperf server receive buffer.
 	RecvBuf int
-	// Workers sizes the measurement pool; 0 selects GOMAXPROCS.
-	Workers int
 	// TolerancePct flags candidates whose relative model error exceeds
 	// it as mispredicted.
 	TolerancePct float64
@@ -70,6 +65,13 @@ func DefaultAutotuneOpts(quick bool) AutotuneOpts {
 		o.IperfBytes = 512 << 10
 	}
 	return o
+}
+
+// loads are the sweep's two workloads: redis GET for cycles per
+// operation, iperf for throughput and the attribution columns.
+func (o AutotuneOpts) loads() (redis, iperf Load) {
+	return Load{App: Redis, Op: OpGET, Payload: o.Payload, Ops: o.Ops},
+		Load{App: Iperf, Bytes: o.IperfBytes, RecvBuf: o.RecvBuf}
 }
 
 // AutotunePoint is one measured Pareto candidate.
@@ -116,7 +118,8 @@ type AutotuneResult struct {
 	Points  []AutotunePoint `json:"points"`
 	ByError []int           `json:"by_error"`
 	// UniqueRuns counts configurations actually booted; MemoHits the
-	// candidates served from a twin's measurement.
+	// candidates served from a twin's measurement; Workers the
+	// measurement pool's size (GOMAXPROCS).
 	UniqueRuns int `json:"unique_runs"`
 	MemoHits   int `json:"memo_hits"`
 	Workers    int `json:"workers"`
@@ -134,26 +137,6 @@ type AutotuneResult struct {
 	Calibrated  explore.Workload    `json:"-"`
 	// FrontSize is the measured Pareto front's cardinality.
 	FrontSize int `json:"front_size"`
-}
-
-// gateSignature canonicalizes what determines a candidate's measured
-// cost: the compartment partition, the hardened set, and the backend.
-// A single-compartment candidate never crosses a gate, so its backend
-// is irrelevant to the measurement and is dropped from the key — the
-// all-hardened combination, on every backend's front, boots once.
-func gateSignature(c *explore.Candidate) string {
-	groups := make([]string, 0, len(c.Plan.Compartments))
-	for _, comp := range c.Plan.Compartments {
-		libs := append([]string(nil), comp...)
-		sort.Strings(libs)
-		groups = append(groups, strings.Join(libs, ","))
-	}
-	sort.Strings(groups)
-	be := "-"
-	if c.SeparatedPairs > 0 {
-		be = c.Backend.String()
-	}
-	return be + "|" + strings.Join(groups, ";")
 }
 
 // autotuneCandidates lists every backend's static Pareto front, in
@@ -186,65 +169,33 @@ func autotuneCandidates(w explore.Workload) ([]*explore.Candidate, error) {
 	return out, nil
 }
 
-// autotuneConfig is the image autotune boots for a candidate.
-func autotuneConfig(c *explore.Candidate) (build.Config, error) {
-	cfg, err := CandidateConfig(c)
-	cfg.Name = fmt.Sprintf("autotune-%s-c%d-h%d", c.Backend, c.Plan.NumCompartments(), c.HardenedLibs)
-	cfg.Net = tcpipThread
-	return cfg, err
-}
-
 // autotuneImages are the sweep's unique boots under its iperf load.
 func autotuneImages(o Options) ([]Image, error) {
-	opt := DefaultAutotuneOpts(o.Quick)
+	_, load := DefaultAutotuneOpts(o.Quick).loads()
 	cands, err := autotuneCandidates(explore.DefaultWorkload())
 	if err != nil {
 		return nil, err
 	}
-	seen := map[string]bool{}
 	var out []Image
-	for _, c := range cands {
-		if sig := gateSignature(c); !seen[sig] {
-			seen[sig] = true
-			cfg, err := autotuneConfig(c)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, Image{cfg, Load{App: Iperf, Bytes: opt.IperfBytes, RecvBuf: opt.RecvBuf}})
+	for i, twin := range twins(cands) {
+		if twin != i {
+			continue
 		}
+		cfg, err := autotuneConfig(cands[i])
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, Image{cfg, load})
 	}
 	return out, nil
-}
-
-// autotuneRun is one unique boot's measurements, shared by every
-// candidate with the same gate-cost signature.
-type autotuneRun struct {
-	once      sync.Once
-	err       error
-	measured  float64
-	kreq      float64
-	gbps      float64
-	crossings uint64
-	crossPct  float64
-	compPct   float64
-	stallPct  float64
 }
 
 // Autotune explores every backend's design space, measures its static
 // Pareto front under the real workload, validates the cost model
 // point by point and fits a calibration from the results.
 func Autotune(opt AutotuneOpts) (*AutotuneResult, error) {
-	workers := opt.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	w := explore.DefaultWorkload()
-
-	type job struct {
-		cand *explore.Candidate
-		sig  string
-	}
-	res := &AutotuneResult{Workers: workers, TolerancePct: opt.TolerancePct}
+	res := &AutotuneResult{Workers: runtime.GOMAXPROCS(0), TolerancePct: opt.TolerancePct}
 	for _, be := range AutotuneBackends() {
 		res.Backends = append(res.Backends, be.String())
 	}
@@ -252,73 +203,46 @@ func Autotune(opt AutotuneOpts) (*AutotuneResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	jobs := make([]job, len(cands))
-	for i, c := range cands {
-		jobs[i] = job{cand: c, sig: gateSignature(c)}
+	redisLoad, iperfLoad := opt.loads()
+	redisRuns, err := MeasureCandidates(cands, redisLoad)
+	if err != nil {
+		return nil, err
+	}
+	iperfRuns, err := MeasureCandidates(cands, iperfLoad)
+	if err != nil {
+		return nil, err
 	}
 
-	// Memoized measurement pool: workers pull job indices from a shared
-	// counter and write to per-index slots; sync.Once collapses twin
-	// signatures to one boot however the work interleaves.
-	runs := make(map[string]*autotuneRun, len(jobs))
-	for _, j := range jobs {
-		if _, ok := runs[j.sig]; !ok {
-			runs[j.sig] = &autotuneRun{}
+	// A candidate whose first twin is another one was served from that
+	// twin's boot: a memo hit.
+	points := make([]AutotunePoint, len(cands))
+	twin := twins(cands)
+	var uniq []int
+	for i, c := range cands {
+		names := make([]string, len(c.Libs))
+		for k, l := range c.Libs {
+			names[k] = l.VariantName()
 		}
-	}
-	points := make([]AutotunePoint, len(jobs))
-	firstOf := make(map[string]int, len(runs))
-	for i, j := range jobs {
-		if _, ok := firstOf[j.sig]; !ok {
-			firstOf[j.sig] = i
+		r, sum := redisRuns[i], iperfRuns[i].Attr.Summary()
+		points[i] = AutotunePoint{
+			Backend:      c.Backend.String(),
+			Libs:         names,
+			Compartments: c.Plan.NumCompartments(),
+			Hardened:     c.HardenedLibs,
+			Security:     c.Security,
+			Predicted:    c.EstCycles,
+			Measured:     float64(r.ServerCycles) / float64(r.Ops),
+			KReqPerSec:   r.KReqPerSec,
+			Gbps:         iperfRuns[i].Gbps,
+			Crossings:    r.Crossings,
+			CrossingPct:  sum.CrossingPct,
+			ComputePct:   sum.ComputePct,
+			StallPct:     sum.StallPct,
+			MemoHit:      twin[i] != i,
+			breakdown:    explore.Breakdown(c, w),
 		}
-	}
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for wk := 0; wk < workers; wk++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(jobs) {
-					return
-				}
-				j := jobs[i]
-				run := runs[j.sig]
-				run.once.Do(func() { measureAutotune(run, j.cand, opt) })
-				c := j.cand
-				names := make([]string, len(c.Libs))
-				for k, l := range c.Libs {
-					names[k] = l.VariantName()
-				}
-				points[i] = AutotunePoint{
-					Backend:      c.Backend.String(),
-					Libs:         names,
-					Compartments: c.Plan.NumCompartments(),
-					Hardened:     c.HardenedLibs,
-					Security:     c.Security,
-					Predicted:    c.EstCycles,
-					Measured:     run.measured,
-					KReqPerSec:   run.kreq,
-					Gbps:         run.gbps,
-					Crossings:    run.crossings,
-					CrossingPct:  run.crossPct,
-					ComputePct:   run.compPct,
-					StallPct:     run.stallPct,
-					MemoHit:      firstOf[j.sig] != i,
-					breakdown:    explore.Breakdown(c, w),
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	for _, r := range runs {
-		if r.err != nil {
-			return nil, r.err
+		if twin[i] == i {
+			uniq = append(uniq, i)
 		}
 	}
 
@@ -340,19 +264,11 @@ func Autotune(opt AutotuneOpts) (*AutotuneResult, error) {
 		if p.Mispredicted {
 			res.Mispredictions++
 		}
-		if p.MemoHit {
-			res.MemoHits++
-		}
 	}
-	res.UniqueRuns = len(runs)
+	res.UniqueRuns, res.MemoHits = len(uniq), len(points)-len(uniq)
 
 	// Calibrate on unique boots only, so twin candidates (identical
 	// signature across backends) don't double-weight the fit.
-	uniq := make([]int, 0, len(firstOf))
-	for _, i := range firstOf {
-		uniq = append(uniq, i)
-	}
-	sort.Ints(uniq) // fixed fit order: map iteration must not reorder the float sums
 	pts := make([]explore.CalPoint, 0, len(uniq))
 	for _, i := range uniq {
 		pts = append(pts, explore.CalPoint{Breakdown: points[i].breakdown, Measured: points[i].Measured})
@@ -419,35 +335,6 @@ func Autotune(opt AutotuneOpts) (*AutotuneResult, error) {
 	})
 	res.Points = points
 	return res, nil
-}
-
-// measureAutotune boots one candidate's configuration and fills the
-// shared run entry: redis GET for cycles/op, iperf for throughput and
-// the attribution columns.
-func measureAutotune(run *autotuneRun, c *explore.Candidate, opt AutotuneOpts) {
-	cfg, err := autotuneConfig(c)
-	if err != nil {
-		run.err = fmt.Errorf("autotune %s: %w", c.Describe(), err)
-		return
-	}
-	r, err := Run(cfg, Load{App: Redis, Op: OpGET, Payload: opt.Payload, Ops: opt.Ops})
-	if err != nil {
-		run.err = fmt.Errorf("autotune redis %s: %w", cfg.Name, err)
-		return
-	}
-	run.measured = float64(r.ServerCycles) / float64(r.Ops)
-	run.kreq = r.KReqPerSec
-	ir, err := Run(cfg, Load{App: Iperf, Bytes: opt.IperfBytes, RecvBuf: opt.RecvBuf})
-	if err != nil {
-		run.err = fmt.Errorf("autotune iperf %s: %w", cfg.Name, err)
-		return
-	}
-	run.gbps = ir.Gbps
-	run.crossings = r.Crossings
-	sum := ir.Attr.Summary()
-	run.crossPct = sum.CrossingPct
-	run.compPct = sum.ComputePct
-	run.stallPct = sum.StallPct
 }
 
 // runAutotune is the experiment entry: the sweep's report, plus the

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 
 	"flexos/internal/core/explore"
@@ -59,11 +60,13 @@ func TestAutotuneQuick(t *testing.T) {
 }
 
 // TestAutotuneMemoization pins the gate-cost-signature memo: the
-// single-compartment anchor appears once per backend but boots once —
-// without a crossing, the gate mechanism cannot affect the
-// measurement, so all three share bit-identical numbers.
+// single-compartment anchor appears once per backend but boots once.
+// Memo twins share one boot, so their points agree by construction;
+// the memo is sound only if every twin, booted on its own, measures
+// what its first twin measured, under both of the sweep's loads.
 func TestAutotuneMemoization(t *testing.T) {
-	r, err := Autotune(DefaultAutotuneOpts(true))
+	opt := DefaultAutotuneOpts(true)
+	r, err := Autotune(opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,28 +76,61 @@ func TestAutotuneMemoization(t *testing.T) {
 	if r.UniqueRuns+r.MemoHits != len(r.Points) {
 		t.Fatalf("boots %d + hits %d != points %d", r.UniqueRuns, r.MemoHits, len(r.Points))
 	}
-	var anchors []AutotunePoint
-	for _, p := range r.Points {
-		if p.Compartments == 1 {
-			anchors = append(anchors, p)
+	cands, err := autotuneCandidates(explore.DefaultWorkload())
+	if err != nil {
+		t.Fatal(err)
+	}
+	redisLoad, iperfLoad := opt.loads()
+	run := func(c *explore.Candidate, load Load) *Result {
+		cfg, err := autotuneConfig(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := Run(cfg, load)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	compared := 0
+	for i, j := range twins(cands) {
+		if i == j {
+			continue
+		}
+		for _, load := range []Load{redisLoad, iperfLoad} {
+			first, got := run(cands[j], load), run(cands[i], load)
+			compared++
+			for _, f := range []struct {
+				name      string
+				got, want any
+			}{
+				{"ServerCycles", got.ServerCycles, first.ServerCycles},
+				{"Crossings", got.Crossings, first.Crossings},
+				{"Ops", got.Ops, first.Ops},
+				{"Bytes", got.Bytes, first.Bytes},
+				{"ByComponent", got.ByComponent, first.ByComponent},
+				{"PerCPU", got.PerCPU, first.PerCPU},
+				{"Net", got.Net, first.Net},
+				{"Attr", got.Attr, first.Attr},
+			} {
+				if !reflect.DeepEqual(f.got, f.want) {
+					t.Errorf("%s on %v booted alone under %s: %s %v, its %v twin measured %v",
+						cands[i].Describe(), cands[i].Backend, load.App, f.name, f.got, cands[j].Backend, f.want)
+				}
+			}
 		}
 	}
-	if len(anchors) != len(r.Backends) {
-		t.Fatalf("%d single-compartment anchors, want one per backend (%d)", len(anchors), len(r.Backends))
-	}
-	for _, a := range anchors[1:] {
-		if a.Measured != anchors[0].Measured || a.Gbps != anchors[0].Gbps || a.Crossings != anchors[0].Crossings {
-			t.Fatalf("anchor measurements diverged across backends: %+v vs %+v", anchors[0], a)
-		}
+	if compared != 2*r.MemoHits {
+		t.Fatalf("compared %d twin runs, want one per memo hit and load (%d)", compared, 2*r.MemoHits)
 	}
 }
 
-// TestAutotuneDeterministic pins bit-identical replay and worker-count
+// TestAutotuneDeterministic pins bit-identical replay and pool-size
 // invariance: the full report must be equal for repeated runs and for
-// any pool size.
+// any GOMAXPROCS.
 func TestAutotuneDeterministic(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	opt := DefaultAutotuneOpts(true)
-	opt.Workers = 2
 	a, err := Autotune(opt)
 	if err != nil {
 		t.Fatal(err)
@@ -103,10 +139,13 @@ func TestAutotuneDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt.Workers = 7
+	runtime.GOMAXPROCS(7)
 	c, err := Autotune(opt)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if a.Workers != 2 || c.Workers != 7 {
+		t.Fatalf("reported %d and %d workers, want GOMAXPROCS 2 and 7", a.Workers, c.Workers)
 	}
 	c.Workers = a.Workers // the pool size is the only field allowed to differ
 	if !reflect.DeepEqual(a, b) {

@@ -35,8 +35,7 @@ type Experiment struct {
 	// Images lists the images the experiment boots through Run, one
 	// per configuration, at one point of its sweep. It is nil when the
 	// experiment boots none: ctxswitch runs no machine, and the
-	// overload and blast-radius loops need per-run budgets, enforcement
-	// and injected faults that Run does not model.
+	// blast-radius loops need injected faults that Run does not model.
 	Images func(Options) ([]Image, error)
 }
 
@@ -50,7 +49,7 @@ var Experiments = []Experiment{
 	{"ctxswitch", func(Options) (string, error) { return report(FormatCtxSwitch)(CtxSwitch()) }, nil},
 	{"datapath", func(o Options) (string, error) { return report(FormatDataPath)(DataPath(o.Quick)) }, dataPathImages},
 	{"blastradius", func(Options) (string, error) { return report(FormatBlastRadius)(BlastRadius()) }, nil},
-	{"overload", func(Options) (string, error) { return report(FormatOverload)(Overload()) }, nil},
+	{"overload", func(Options) (string, error) { return report(FormatOverload)(Overload()) }, overloadImages},
 	{"batching", func(o Options) (string, error) { return report(FormatBatching)(Batching(o.Quick)) }, batchingImages},
 	{"smp", func(o Options) (string, error) { return report(FormatSmp)(Smp(o.Quick)) }, smpImages},
 	{"chaosnet", func(o Options) (string, error) { return report(FormatChaosnet)(Chaosnet(o.Quick)) }, chaosnetImages},

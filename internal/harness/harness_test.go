@@ -222,15 +222,15 @@ func TestEstimatorOrderingMatchesMeasurement(t *testing.T) {
 	if len(front) < 2 {
 		t.Fatalf("front too small: %d", len(front))
 	}
-	ms, err := MeasureCandidates(front, OpGET, 50, 160)
+	ms, err := MeasureCandidates(front, Load{App: Redis, Op: OpGET, Payload: 50, Ops: 160})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 1; i < len(ms); i++ {
-		if ms[i].Candidate.EstCycles > ms[i-1].Candidate.EstCycles &&
+		if front[i].EstCycles > front[i-1].EstCycles &&
 			ms[i].KReqPerSec > ms[i-1].KReqPerSec*1.02 {
 			t.Errorf("estimator ordering violated: est %.0f > %.0f but measured %.1f > %.1f kreq/s",
-				ms[i].Candidate.EstCycles, ms[i-1].Candidate.EstCycles,
+				front[i].EstCycles, front[i-1].EstCycles,
 				ms[i].KReqPerSec, ms[i-1].KReqPerSec)
 		}
 	}
@@ -261,9 +261,25 @@ func TestRunIperfValidatesTransfer(t *testing.T) {
 	}
 }
 
+// TestRunRedisUnknownOp pins the loads Run refuses instead of running
+// something other than what was asked: an unknown redis op, and the
+// single-connection redis knobs on any other load.
 func TestRunRedisUnknownOp(t *testing.T) {
-	if _, err := Run(build.Config{}, Load{App: Redis, Op: RedisOp("BOGUS"), Payload: 5, Ops: 8}); err == nil {
-		t.Fatal("unknown op accepted")
+	for _, tc := range []struct {
+		name string
+		load Load
+	}{
+		{"unknown-op", Load{App: Redis, Op: RedisOp("BOGUS"), Payload: 5, Ops: 8}},
+		{"iperf-pipeline", Load{App: Iperf, Bytes: 1 << 10, RecvBuf: 1 << 10, Pipeline: 4}},
+		{"iperf-budget", Load{App: Iperf, Bytes: 1 << 10, RecvBuf: 1 << 10, Budget: 1000}},
+		{"conns-pipeline", Load{App: Redis, Conns: 2, Payload: 5, Ops: 8, Pipeline: 4}},
+		{"conns-budget", Load{App: Redis, Conns: 2, Payload: 5, Ops: 8, Budget: 1000}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if _, err := Run(build.Config{}, tc.load); err == nil {
+				t.Fatalf("%+v accepted", tc.load)
+			}
+		})
 	}
 }
 

@@ -4,13 +4,11 @@ import (
 	"fmt"
 
 	"flexos/internal/app/iperf"
-	"flexos/internal/app/redis"
 	"flexos/internal/clock"
 	"flexos/internal/core/build"
 	"flexos/internal/core/gate"
 	"flexos/internal/fault"
 	"flexos/internal/rt"
-	"flexos/internal/sched"
 )
 
 // The overload experiment drives each image past its saturation point
@@ -74,7 +72,6 @@ type OverloadResult struct {
 // push requests past them.
 const (
 	redisOverloadOps    = 128
-	redisOverloadKeys   = 16
 	redisBudgetFactor   = 4
 	iperfOverloadBytes  = 96 << 10 // per connection
 	iperfOverloadRecv   = 4 << 10
@@ -101,12 +98,19 @@ type overloadImage struct {
 	backend gate.Backend
 }
 
-func overloadImages() []overloadImage {
-	return []overloadImage{
-		{name: "direct", backend: gate.FuncCall},
-		{name: "mpk-switched", backend: gate.MPKSwitched},
-		{name: "vm-rpc", backend: gate.VMRPC},
+var overloadBackends = []overloadImage{
+	{name: "direct", backend: gate.FuncCall},
+	{name: "mpk-switched", backend: gate.MPKSwitched},
+	{name: "vm-rpc", backend: gate.VMRPC},
+}
+
+// overloadModes are the modes an image is swept in: the direct image
+// has no enforcement points, so it cannot shed.
+func overloadModes(img overloadImage) []string {
+	if img.backend == gate.FuncCall {
+		return []string{"noshed"}
 	}
+	return []string{"noshed", "shed"}
 }
 
 // redisOverloadConfig builds the {libc | rest} image with the store's
@@ -151,85 +155,52 @@ func iperfOverloadConfig(img overloadImage, shed bool) build.Config {
 	return cfg
 }
 
-// redisOverloadMeasure is the raw outcome of one redis overload run.
-type redisOverloadMeasure struct {
-	cycles             uint64
-	good, late, shed   uint64
-	busy               uint64 // client-observed -BUSY replies
-	maxAge             uint64 // worst command age seen by the server
-	supSheds, supTraps uint64
+// redisOverloadLoad is ops pipelined GETs of 256-byte values at the
+// given depth against a server with the given budget.
+func redisOverloadLoad(depth, ops int, budget uint64) Load {
+	return Load{App: Redis, Op: OpGET, Payload: 256, Ops: ops, Pipeline: depth, Budget: budget}
 }
 
-// runRedisOverload runs ops pipelined GETs in batches of batch against
-// a server with the given budget, measuring from after warmup. The
-// client tolerates -BUSY replies — that is the point of shedding: the
-// connection survives, only the stale requests are refused.
-func runRedisOverload(cfg build.Config, budget uint64, enforce bool, batch, ops int) (*redisOverloadMeasure, error) {
-	m := &redisOverloadMeasure{}
-	_, err := runWorld(cfg, func(w *build.World, spawn spawnFunc) func() error {
-		srv := redis.NewServer(w.Server.Env("app"), w.Server.LibC, w.Server.Stack, 6379)
-		srv.Budget = budget
-		srv.Enforce = enforce
-		payload := redisPayload(256)
-		spawn("redis-server", w.Server.CPU, srv.Run)
-		spawn("redis-client", w.Client.CPU, func(th *sched.Thread) error {
-			c := redis.NewClient(w.Client.Env("app"), w.Client.LibC, w.Client.Stack,
-				w.Server.Stack.IP(), 6379)
-			if err := c.Connect(th); err != nil {
-				return err
-			}
-			for i := 0; i < redisOverloadKeys; i++ {
-				if err := c.Set(th, fmt.Sprintf("key:%d", i), payload); err != nil {
-					return err
-				}
-			}
-			startCycles := w.Server.CPU.Cycles()
-			startGood, startLate, startShed := srv.Good, srv.Late, srv.Shed
-			srv.MaxAge = 0 // exclude warmup SETs from the age calibration
-			stats0 := w.Server.Sup.Stats()
-			issued := 0
-			for issued < ops {
-				b := batch
-				if b > ops-issued {
-					b = ops - issued
-				}
-				cmds := make([][][]byte, 0, b)
-				for i := 0; i < b; i++ {
-					key := []byte(fmt.Sprintf("key:%d", (issued+i)%redisOverloadKeys))
-					cmds = append(cmds, [][]byte{[]byte("GET"), key})
-				}
-				replies, err := c.DoPipelined(th, cmds)
-				if err != nil {
-					return err
-				}
-				for _, r := range replies {
-					if len(r) > 0 && r[0] == '-' {
-						m.busy++
-					}
-				}
-				issued += b
-			}
-			m.cycles = w.Server.CPU.Cycles() - startCycles
-			m.good = srv.Good - startGood
-			m.late = srv.Late - startLate
-			m.shed = srv.Shed - startShed
-			m.maxAge = srv.MaxAge
-			stats1 := w.Server.Sup.Stats()
-			m.supSheds = stats1.Sheds - stats0.Sheds
-			m.supTraps = stats1.DeadlineTraps - stats0.DeadlineTraps
-			return c.Close(th)
-		})
-		return nil
-	})
-	if err != nil {
-		return nil, fmt.Errorf("harness overload redis: %w", err)
+// redisBudget self-calibrates img's per-command budget from two probes
+// that measure command *ages* directly (completion minus wire
+// arrival). Depth 1 gives the base age of an unqueued request; depth
+// 32 gives the worst age in a deep batch, whose slope over the batch
+// is the marginal queueing cost per pipelined command. Budget =
+// 2·base + factor·marginal: shallow pipelines sit comfortably inside
+// it, deep ones queue their tail commands past it — which is the
+// overload signal.
+func redisBudget(img overloadImage) (uint64, error) {
+	var age [2]uint64
+	for i, depth := range []int{1, 32} {
+		r, err := Run(redisOverloadConfig(img, false), redisOverloadLoad(depth, 64, 0))
+		if err != nil {
+			return 0, fmt.Errorf("calibration depth %d: %w", depth, err)
+		}
+		age[i] = r.MaxAge
 	}
-	// Every shed is answered, not dropped: the client must have read
-	// exactly one -BUSY reply per command the server shed.
-	if m.busy != m.shed {
-		return nil, fmt.Errorf("harness overload redis: client read %d -BUSY replies, server shed %d", m.busy, m.shed)
+	var marginal uint64
+	if age[1] > age[0] {
+		marginal = (age[1] - age[0]) / 31
 	}
-	return m, nil
+	return 2*age[0] + redisBudgetFactor*marginal, nil
+}
+
+// overloadImages are, per backend, the deepest redis sweep point at
+// its calibrated budget, in the mode that shows the control plane:
+// shed where the image can shed, noshed on direct.
+func overloadImages(Options) ([]Image, error) {
+	deepest := redisOverloadBatches[len(redisOverloadBatches)-1]
+	var out []Image
+	for _, img := range overloadBackends {
+		budget, err := redisBudget(img)
+		if err != nil {
+			return nil, fmt.Errorf("overload %s: %w", img.name, err)
+		}
+		// The direct image cannot shed: its config ignores shed.
+		out = append(out, Image{redisOverloadConfig(img, true),
+			redisOverloadLoad(deepest, redisOverloadOps, budget)})
+	}
+	return out, nil
 }
 
 // iperfOverloadMeasure is the raw outcome of one iperf overload run.
@@ -282,52 +253,31 @@ func runIperfOverload(cfg build.Config, budget uint64, enforce bool, conns int) 
 	return m, nil
 }
 
-// redisOverloadRows sweeps pipeline depth for one image.
+// redisOverloadRows sweeps pipeline depth for one image. The client
+// tolerates -BUSY replies — that is the point of shedding: the
+// connection survives, only the stale requests are refused.
 func redisOverloadRows(img overloadImage) ([]OverloadRow, error) {
-	// Self-calibrate from two probes that measure command *ages*
-	// directly (completion minus wire arrival). Depth 1 gives the base
-	// age of an unqueued request; depth 32 gives the worst age in a
-	// deep batch, whose slope over the batch is the marginal queueing
-	// cost per pipelined command. Budget = 2·base + factor·marginal:
-	// shallow pipelines sit comfortably inside it, deep ones queue
-	// their tail commands past it — which is the overload signal.
-	cal1, err := runRedisOverload(redisOverloadConfig(img, false), 0, false, 1, 64)
+	budget, err := redisBudget(img)
 	if err != nil {
-		return nil, fmt.Errorf("calibration depth 1: %w", err)
-	}
-	cal32, err := runRedisOverload(redisOverloadConfig(img, false), 0, false, 32, 64)
-	if err != nil {
-		return nil, fmt.Errorf("calibration depth 32: %w", err)
-	}
-	var marginal uint64
-	if cal32.maxAge > cal1.maxAge {
-		marginal = (cal32.maxAge - cal1.maxAge) / 31
-	}
-	budget := 2*cal1.maxAge + redisBudgetFactor*marginal
-	modes := []string{"noshed"}
-	if img.backend != gate.FuncCall {
-		modes = append(modes, "shed")
+		return nil, err
 	}
 	var rows []OverloadRow
-	for _, mode := range modes {
-		shed := mode == "shed"
-		for _, batch := range redisOverloadBatches {
-			m, err := runRedisOverload(redisOverloadConfig(img, shed), budget, shed,
-				batch, redisOverloadOps)
+	for _, mode := range overloadModes(img) {
+		for _, depth := range redisOverloadBatches {
+			r, err := Run(redisOverloadConfig(img, mode == "shed"),
+				redisOverloadLoad(depth, redisOverloadOps, budget))
 			if err != nil {
-				return nil, fmt.Errorf("batch %d %s: %w", batch, mode, err)
+				return nil, fmt.Errorf("batch %d %s: %w", depth, mode, err)
 			}
 			rows = append(rows, OverloadRow{
 				Workload: "redis-get",
 				Image:    img.name,
 				Mode:     mode,
-				Load:     batch,
+				Load:     depth,
 				Offered:  redisOverloadOps,
-				Good:     m.good,
-				Late:     m.late,
-				Shed:     m.shed,
-				Goodput:  clock.OpsPerSec(m.good, m.cycles) / 1e3,
-				SupSheds: m.supSheds, SupDeadlineTraps: m.supTraps,
+				Good:     r.Good, Late: r.Late, Shed: r.Shed,
+				Goodput:  clock.OpsPerSec(r.Good, r.ServerCycles) / 1e3,
+				SupSheds: r.SupSheds, SupDeadlineTraps: r.SupDeadlineTraps,
 			})
 		}
 	}
@@ -344,12 +294,8 @@ func iperfOverloadRows(img overloadImage) ([]OverloadRow, uint64, error) {
 		return nil, 0, fmt.Errorf("calibration: no drains")
 	}
 	budget := iperfBudgetFactor * (cal.cycles / cal.recvs)
-	modes := []string{"noshed"}
-	if img.backend != gate.FuncCall {
-		modes = append(modes, "shed")
-	}
 	var rows []OverloadRow
-	for _, mode := range modes {
+	for _, mode := range overloadModes(img) {
 		shed := mode == "shed"
 		for _, conns := range iperfOverloadConns {
 			m, err := runIperfOverload(iperfOverloadConfig(img, shed), budget, shed, conns)
@@ -410,14 +356,14 @@ func runBreakerDemo(calibratedBudget uint64) (*BreakerDemo, error) {
 func Overload() (*OverloadResult, error) {
 	res := &OverloadResult{}
 	var mpkIperfBudget uint64
-	for _, img := range overloadImages() {
+	for _, img := range overloadBackends {
 		rows, err := redisOverloadRows(img)
 		if err != nil {
 			return nil, fmt.Errorf("harness overload redis/%s: %w", img.name, err)
 		}
 		res.Rows = append(res.Rows, rows...)
 	}
-	for _, img := range overloadImages() {
+	for _, img := range overloadBackends {
 		rows, budget, err := iperfOverloadRows(img)
 		if err != nil {
 			return nil, fmt.Errorf("harness overload iperf/%s: %w", img.name, err)

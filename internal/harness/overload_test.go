@@ -127,31 +127,68 @@ func TestOverloadMatrix(t *testing.T) {
 
 // TestOverloadBusyReplies checks the client's view of shedding: a shed
 // command is answered -BUSY over the live connection, one reply per
-// shed, instead of wedging or dropping the connection.
+// shed, instead of wedging or dropping the connection. Run fails
+// unless the client read exactly one -BUSY reply per shed command.
 func TestOverloadBusyReplies(t *testing.T) {
 	img := overloadImage{name: "mpk-switched", backend: gate.MPKSwitched}
-	cal1, err := runRedisOverload(redisOverloadConfig(img, false), 0, false, 1, 64)
+	budget, err := redisBudget(img)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cal32, err := runRedisOverload(redisOverloadConfig(img, false), 0, false, 32, 64)
+	r, err := Run(redisOverloadConfig(img, true), redisOverloadLoad(32, redisOverloadOps, budget))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var marginal uint64
-	if cal32.maxAge > cal1.maxAge {
-		marginal = (cal32.maxAge - cal1.maxAge) / 31
-	}
-	budget := 2*cal1.maxAge + redisBudgetFactor*marginal
-	m, err := runRedisOverload(redisOverloadConfig(img, true), budget, true, 32, redisOverloadOps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.shed == 0 {
+	if r.Shed == 0 {
 		t.Fatal("no commands shed at depth 32")
 	}
-	if m.busy != m.shed {
-		t.Fatalf("client saw %d -BUSY replies, server shed %d commands", m.busy, m.shed)
+	if got := r.Good + r.Late + r.Shed; got != redisOverloadOps {
+		t.Fatalf("good %d + late %d + shed %d = %d, want every one of %d commands classified",
+			r.Good, r.Late, r.Shed, got, redisOverloadOps)
+	}
+}
+
+// TestOverloadImagesReproduceRows pins that the images overload lists
+// for observation are runs the matrix makes: each one, booted through
+// Run, measures its row of Overload() count for count.
+func TestOverloadImagesReproduceRows(t *testing.T) {
+	res, err := Overload()
+	if err != nil {
+		t.Fatal(err)
+	}
+	imgs, err := overloadImages(Options{Quick: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(imgs) != len(overloadBackends) {
+		t.Fatalf("%d images, want one per backend (%d)", len(imgs), len(overloadBackends))
+	}
+	for _, img := range imgs {
+		mode := "noshed"
+		if len(img.Cfg.Overload) > 0 {
+			mode = "shed"
+		}
+		if canShed := img.Cfg.Backend != gate.FuncCall; canShed != (mode == "shed") {
+			t.Errorf("%s is observed in %s mode; want shed exactly where the image can shed", img.Cfg.Name, mode)
+		}
+		var row *OverloadRow
+		for i, r := range res.Rows {
+			if r.Workload == "redis-get" && r.Image == img.Cfg.Name && r.Mode == mode && r.Load == img.Load.Pipeline {
+				row = &res.Rows[i]
+			}
+		}
+		if row == nil {
+			t.Fatalf("%s %s depth %d: no such row in Overload()", img.Cfg.Name, mode, img.Load.Pipeline)
+		}
+		r, err := Run(img.Cfg, img.Load)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := [5]uint64{r.Good, r.Late, r.Shed, r.SupSheds, r.SupDeadlineTraps}
+		want := [5]uint64{row.Good, row.Late, row.Shed, row.SupSheds, row.SupDeadlineTraps}
+		if got != want {
+			t.Errorf("%s %s: good/late/shed/supsheds/dtraps %v, the matrix row has %v", img.Cfg.Name, mode, got, want)
+		}
 	}
 }
 

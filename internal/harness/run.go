@@ -13,6 +13,8 @@
 package harness
 
 import (
+	"bytes"
+	"cmp"
 	"fmt"
 
 	"flexos/internal/app/iperf"
@@ -72,6 +74,13 @@ type Load struct {
 	// Payload is the redis value size in bytes. Ops is the measured
 	// requests of a single connection, or each connection's requests.
 	Payload, Ops int
+	// Pipeline is a single redis connection's depth (0 means
+	// RedisPipeline). Budget is its server's per-command budget in
+	// cycles from wire arrival: commands answered within it count Good,
+	// later Late. An image that arms admission control (cfg.Overload)
+	// enforces the budget, answering stale commands -BUSY.
+	Pipeline int
+	Budget   uint64
 	// TraceCap keeps the last TraceCap server-side events in
 	// Result.Trace (0 disables tracing).
 	TraceCap int
@@ -91,6 +100,13 @@ type Result struct {
 	// KReqPerSec their rate.
 	Ops        uint64
 	KReqPerSec float64
+	// Good, Late and Shed split a single redis connection's window by
+	// Load.Budget: answered within it, past it, or refused -BUSY by the
+	// overload-control plane. MaxAge is the window's worst command age
+	// (completion minus wire arrival); SupSheds and SupDeadlineTraps are
+	// the supervisor's admission sheds and gate deadline refusals in it.
+	Good, Late, Shed, MaxAge   uint64
+	SupSheds, SupDeadlineTraps uint64
 	// ServerCycles is the measured server time: the window after
 	// warmup for a single redis connection, the machine's makespan
 	// (its furthest-ahead vCPU) otherwise. Crossings and ByComponent
@@ -132,8 +148,11 @@ func Run(cfg build.Config, load Load) (*Result, error) {
 	if load.App != Iperf && load.App != Redis {
 		return nil, fmt.Errorf("harness: unknown app %q", load.App)
 	}
-	r := &Result{}
 	conns := max(load.Conns, 1)
+	if (load.Pipeline != 0 || load.Budget != 0) && (load.App != Redis || conns > 1) {
+		return nil, fmt.Errorf("harness: Pipeline and Budget apply to a single redis connection, not %d %s", conns, load.App)
+	}
+	r := &Result{}
 	w, err := runWorld(cfg, func(w *build.World, spawn spawnFunc) func() error {
 		if load.TraceCap > 0 {
 			r.Trace = w.Server.EnableTracing(load.TraceCap)
@@ -145,8 +164,7 @@ func Run(cfg build.Config, load Load) (*Result, error) {
 		case load.App == Iperf:
 			return spawnIperf(w, load, conns, cfg.Link.Seed, r, spawn)
 		case conns == 1:
-			spawnRedis(w, load, r, spawn)
-			return nil
+			return spawnRedis(w, load, r, spawn)
 		default:
 			return spawnRedisConns(w, load, conns, r, spawn)
 		}
@@ -275,12 +293,18 @@ func redisPayload(n int) []byte {
 }
 
 // spawnRedis starts the classic redis server and one pipelining
-// client measuring load.Ops requests. Warmup (connection setup plus
-// priming SETs) is excluded exactly: the window opens while the
-// server is parked between requests, which virtual time makes precise.
-func spawnRedis(w *build.World, load Load, r *Result, spawn spawnFunc) {
+// client measuring load.Ops requests, and returns the check that every
+// shed command was answered: one -BUSY reply per shed, over the live
+// connection. Warmup (connection setup plus priming SETs) is excluded
+// exactly: the window opens while the server is parked between
+// requests, which virtual time makes precise.
+func spawnRedis(w *build.World, load Load, r *Result, spawn spawnFunc) func() error {
 	srv := redis.NewServer(w.Server.Env("app"), w.Server.LibC, w.Server.Stack, 6379)
+	srv.Budget = load.Budget
+	srv.Enforce = len(w.Server.Config.Overload) > 0
 	payload := redisPayload(load.Payload)
+	depth := cmp.Or(load.Pipeline, RedisPipeline)
+	var busy uint64
 	spawn("redis-server", w.Server.CPU, srv.Run)
 	spawn("redis-client", w.Client.CPU, func(th *sched.Thread) error {
 		c := redis.NewClient(w.Client.Env("app"), w.Client.LibC, w.Client.Stack,
@@ -298,8 +322,11 @@ func spawnRedis(w *build.World, load Load, r *Result, spawn spawnFunc) {
 		startCycles := w.Server.Cycles()
 		startCross := w.Server.Registry.TotalCrossings()
 		startBy := w.Server.Clock.ByComponent()
+		good, late, shed := srv.Good, srv.Late, srv.Shed
+		sup := w.Server.Sup.Stats()
+		srv.MaxAge = 0 // the window's ages, not the warmup SETs'
 		for issued := 0; issued < load.Ops; {
-			batch := min(RedisPipeline, load.Ops-issued)
+			batch := min(depth, load.Ops-issued)
 			cmds := make([][][]byte, 0, batch)
 			for i := 0; i < batch; i++ {
 				key := []byte(fmt.Sprintf("key:%d", (issued+i)%keys))
@@ -317,7 +344,10 @@ func spawnRedis(w *build.World, load Load, r *Result, spawn spawnFunc) {
 				return err
 			}
 			for _, reply := range replies {
-				if len(reply) == 0 || reply[0] == '-' {
+				switch {
+				case bytes.HasPrefix(reply, []byte("-BUSY")):
+					busy++
+				case len(reply) == 0 || reply[0] == '-':
 					return fmt.Errorf("error reply %q", reply)
 				}
 			}
@@ -327,8 +357,18 @@ func spawnRedis(w *build.World, load Load, r *Result, spawn spawnFunc) {
 		r.ServerCycles = w.Server.Cycles() - startCycles
 		r.Crossings = w.Server.Registry.TotalCrossings() - startCross
 		r.ByComponent = componentDelta(startBy, w.Server.Clock.ByComponent())
+		r.Good, r.Late, r.Shed, r.MaxAge = srv.Good-good, srv.Late-late, srv.Shed-shed, srv.MaxAge
+		end := w.Server.Sup.Stats()
+		r.SupSheds = end.Sheds - sup.Sheds
+		r.SupDeadlineTraps = end.DeadlineTraps - sup.DeadlineTraps
 		return c.Close(th)
 	})
+	return func() error {
+		if busy != r.Shed {
+			return fmt.Errorf("client read %d -BUSY replies, server shed %d", busy, r.Shed)
+		}
+		return nil
+	}
 }
 
 // spawnRedisConns starts an accept loop that spawns each connection's

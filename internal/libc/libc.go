@@ -153,21 +153,6 @@ func (l *LibC) Free(addr mem.Addr) error {
 	return l.env.Free(addr)
 }
 
-// MallocShared allocates from the shared window: buffers handed
-// across micro-library boundaries (socket I/O buffers and the like)
-// are annotated as shared during porting and placed here, so every
-// compartment can reach them.
-func (l *LibC) MallocShared(n int) (mem.Addr, error) {
-	l.env.Hard.OnFrame()
-	return l.env.MallocShared(n)
-}
-
-// FreeShared releases a shared-window buffer.
-func (l *LibC) FreeShared(addr mem.Addr) error {
-	l.env.Hard.OnFrame()
-	return l.env.FreeShared(addr)
-}
-
 // BufAlloc allocates a ref-counted I/O buffer from the shared pool —
 // the application entry point of the zero-copy data path. Images built
 // without a pool fall back to a plain shared-window allocation wrapped

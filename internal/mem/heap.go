@@ -161,51 +161,3 @@ func (h *Heap) FreeBytes() uint64 {
 // FreeSpans reports the number of discontiguous free spans (a
 // fragmentation measure used by tests).
 func (h *Heap) FreeSpans() int { return len(h.free) }
-
-// Layout hands out page-aligned regions of an arena sequentially; the
-// FlexOS builder uses it to place each compartment's heap, stacks and
-// shared segments.
-type Layout struct {
-	arena *Arena
-	next  Addr
-}
-
-// NewLayout starts carving after the reserved zero page.
-func NewLayout(a *Arena) *Layout { return &Layout{arena: a, next: PageSize} }
-
-// Carve reserves size bytes (rounded up to whole pages) tagged with key
-// and returns the base address.
-func (l *Layout) Carve(size int, key Key) (Addr, error) {
-	pages := (size + PageSize - 1) / PageSize
-	if pages == 0 {
-		pages = 1
-	}
-	n := pages * PageSize
-	base := l.next
-	if !l.arena.Contains(base, n) {
-		return NilAddr, fmt.Errorf("%w: carve %d bytes", ErrOutOfMemory, size)
-	}
-	if err := l.arena.SetKeyRange(base, n, key); err != nil {
-		return NilAddr, err
-	}
-	l.next = base + Addr(n)
-	return base, nil
-}
-
-// CarveHeap carves a region and builds a Heap over it.
-func (l *Layout) CarveHeap(size int, key Key) (*Heap, error) {
-	pages := (size + PageSize - 1) / PageSize
-	if pages == 0 {
-		pages = 1
-	}
-	base, err := l.Carve(pages*PageSize, key)
-	if err != nil {
-		return nil, err
-	}
-	return NewHeap(l.arena, base, pages*PageSize, key)
-}
-
-// Remaining reports the bytes not yet carved.
-func (l *Layout) Remaining() int {
-	return l.arena.Size() - int(l.next)
-}

@@ -281,36 +281,3 @@ func heapInvariantsHold(h *Heap) bool {
 	}
 	return freeBytes+h.stats.LiveBytes == h.Size()
 }
-
-func TestLayoutCarve(t *testing.T) {
-	a := NewArena(16 * PageSize)
-	l := NewLayout(a)
-	b1, err := l.Carve(100, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b1 != PageSize {
-		t.Fatalf("first carve at %#x, want %#x", b1, PageSize)
-	}
-	b2, err := l.Carve(2*PageSize, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b2 != 2*PageSize {
-		t.Fatalf("second carve at %#x, want %#x", b2, 2*PageSize)
-	}
-	if !a.CheckKey(b2, 2*PageSize, 2) {
-		t.Fatal("carved pages not tagged")
-	}
-	h, err := l.CarveHeap(PageSize, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := h.Alloc(128); err != nil {
-		t.Fatal(err)
-	}
-	// Exhaust.
-	if _, err := l.Carve(a.Size(), 1); !errors.Is(err, ErrOutOfMemory) {
-		t.Fatalf("err = %v, want ErrOutOfMemory", err)
-	}
-}

@@ -82,12 +82,9 @@ type Config struct {
 	// (netconn) handoff for socket operations.
 	SocketMode SocketMode
 	// DelayedAck enables RFC 1122 delayed acknowledgements: ACK every
-	// second data segment, or after DelAckTicks of silence. Off by
+	// second data segment, or after delAckTicks of silence. Off by
 	// default (the paper's evaluation acks per segment).
 	DelayedAck bool
-	// DelAckTicks is the delayed-ack timeout in virtual timer ticks
-	// (default 50).
-	DelAckTicks uint64
 	// DataPath selects copy or shared (descriptor-passing) payload
 	// movement between compartments; see the DataPath type.
 	DataPath DataPath
@@ -155,7 +152,6 @@ type Stack struct {
 	mode       SocketMode
 	tcpip      *tcpipState
 	delayedAck bool
-	delAckTick uint64
 	dataPath   DataPath
 
 	// Crossing-amortization state (tx doorbell + rx coalescing).
@@ -192,9 +188,6 @@ func NewStack(env *rt.Env, sup Support, s sched.Scheduler, cfg Config) *Stack {
 	if cfg.RtxLimit == 0 {
 		cfg.RtxLimit = 8
 	}
-	if cfg.DelAckTicks == 0 {
-		cfg.DelAckTicks = 50
-	}
 	if cfg.NumQueues < 1 {
 		cfg.NumQueues = 1
 	}
@@ -227,7 +220,6 @@ func NewStack(env *rt.Env, sup Support, s sched.Scheduler, cfg Config) *Stack {
 		restHard:      cfg.RestHard,
 		mode:          cfg.SocketMode,
 		delayedAck:    cfg.DelayedAck,
-		delAckTick:    cfg.DelAckTicks,
 		dataPath:      cfg.DataPath,
 		txBatch:       cfg.TxBatch,
 		rxBudget:      cfg.RxBudget,
@@ -1281,8 +1273,11 @@ func (st *Stack) oooDrain(s *Socket) {
 	s.oooQ = keep
 }
 
+// delAckTicks is the delayed-ack timeout in virtual timer ticks.
+const delAckTicks = 50
+
 // ackData acknowledges accepted payload: immediately by default, or
-// every second segment / after a short timeout under delayed acks.
+// every second segment / after delAckTicks under delayed acks.
 // Either way the acknowledgement goes through sendAck, so batching
 // stacks coalesce it with the rest of the burst.
 func (st *Stack) ackData(s *Socket) {
@@ -1296,7 +1291,7 @@ func (st *Stack) ackData(s *Socket) {
 		return
 	}
 	if s.delAckTimer == nil {
-		s.delAckTimer = st.scheduler.Timers().After(st.delAckTick, func() {
+		s.delAckTimer = st.scheduler.Timers().After(delAckTicks, func() {
 			s.delAckTimer = nil
 			if s.delAckPending > 0 {
 				st.flushAck(s)
