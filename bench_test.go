@@ -595,37 +595,20 @@ func TestBatchingSpeedup(t *testing.T) {
 }
 
 // BenchmarkExplore measures full design-space enumeration of the
-// default image, serial vs. parallel. Every variant runs the same
-// memoized pipeline; only the worker-pool size differs, and the
-// outputs are byte-identical (pinned by the explore determinism
-// test). cache-hit-% reports how much coloring work the
-// conflict-fingerprint cache absorbed.
+// default image: 16 variant combinations, each colored and scored.
+// The image is parsed outside the timer.
 func BenchmarkExplore(b *testing.B) {
 	libs := spec.DefaultImage()
-	for _, bc := range []struct {
-		name    string
-		workers int
-	}{
-		{"serial", 1},
-		{"workers4", 4},
-		{"gomaxprocs", 0},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			var stats explore.Stats
-			for i := 0; i < b.N; i++ {
-				cands, st, err := explore.ExploreOpts(libs, gate.MPKShared,
-					explore.DefaultWorkload(), explore.Options{Workers: bc.workers})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if len(cands) != 16 {
-					b.Fatal("bad candidate count")
-				}
-				stats = st
-			}
-			b.ReportMetric(100*float64(stats.CacheHits)/float64(stats.Combinations), "cache-hit-%")
-			b.ReportMetric(float64(stats.Workers), "workers")
-		})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cands, err := explore.Explore(libs, gate.MPKShared, explore.DefaultWorkload())
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(cands) != 16 {
+			b.Fatal("bad candidate count")
+		}
 	}
 }
 

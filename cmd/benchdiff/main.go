@@ -24,7 +24,7 @@
 // (main_test.go).
 //
 // Baselines carry per-entry tolerances: simulator metrics (sim-Mbps,
-// cache-hit-%) are deterministic and get the tight default, while
+// sim-front-size) are deterministic and get the tight default, while
 // wall-clock ns/op entries get a wide one because single-iteration
 // wall time on shared CI runners is noisy.
 package main
@@ -45,7 +45,7 @@ type check struct {
 	Metric string  `json:"metric"`
 	Value  float64 `json:"value"`
 	// Direction is "lower" (lower is better: ns/op) or "higher"
-	// (higher is better: sim-Mbps, cache-hit-%).
+	// (higher is better: sim-Mbps, sim-shed-kreqs).
 	Direction string `json:"direction"`
 	// TolerancePct overrides the file-level threshold for this check.
 	TolerancePct float64 `json:"tolerance_pct,omitempty"`

@@ -13,13 +13,10 @@
 //
 //	flexos-explore [-spec file] [-backend mpk|hodor|vm] [-budget 1.5]
 //	               [-require no-wildcard-writes,separated:netstack:sched]
-//	               [-pareto] [-measure] [-workers N]
+//	               [-pareto] [-measure] [-measured-workload]
 //
-// Exploration fans the variant combinations over a worker pool
-// (-workers, default GOMAXPROCS; -workers 1 runs serially) and
-// memoizes graph colorings across isomorphic conflict structures;
-// the run's statistics — combinations, workers, coloring cache hit
-// rate, DSATUR fallbacks — are printed after the candidate list.
+// The combination count, and a warning for any candidate colored by
+// the DSATUR heuristic, are printed after the candidate list.
 package main
 
 import (
@@ -43,16 +40,15 @@ func main() {
 	pareto := flag.Bool("pareto", false, "print only the Pareto front")
 	measure := flag.Bool("measure", false, "run the Redis workload on every candidate (built-in image only)")
 	measuredWorkload := flag.Bool("measured-workload", false, "derive call rates and base cost from an observed run")
-	workers := flag.Int("workers", 0, "worker-pool size (0 = GOMAXPROCS, 1 = serial)")
 	flag.Parse()
 
-	if err := run(*specPath, *backendName, *budget, *require, *pareto, *measure, *measuredWorkload, *workers); err != nil {
+	if err := run(*specPath, *backendName, *budget, *require, *pareto, *measure, *measuredWorkload); err != nil {
 		fmt.Fprintf(os.Stderr, "flexos-explore: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func run(specPath, backendName string, budget float64, require string, pareto, measure, measuredWorkload bool, workers int) error {
+func run(specPath, backendName string, budget float64, require string, pareto, measure, measuredWorkload bool) error {
 	var libs []*spec.Library
 	if specPath == "" {
 		libs = spec.DefaultImage()
@@ -79,7 +75,7 @@ func run(specPath, backendName string, budget float64, require string, pareto, m
 		fmt.Printf("measured workload: %.0f cycles/op baseline, %d call-rate pairs\n",
 			w.BaseCycles, len(w.CallRates))
 	}
-	cands, stats, err := explore.ExploreOpts(libs, backend, w, explore.Options{Workers: workers})
+	cands, err := explore.Explore(libs, backend, w)
 	if err != nil {
 		return err
 	}
@@ -111,15 +107,16 @@ func run(specPath, backendName string, budget float64, require string, pareto, m
 		}
 		fmt.Printf("  %6.2fx  %s\n", c.Slowdown(w), c.Describe())
 	}
-	hitRate := 0.0
-	if stats.Combinations > 0 {
-		hitRate = 100 * float64(stats.CacheHits) / float64(stats.Combinations)
+	fmt.Printf("explored %d combinations\n", len(cands))
+	heuristic := 0
+	for _, c := range cands {
+		if c.Plan.Heuristic {
+			heuristic++
+		}
 	}
-	fmt.Printf("explored %d combinations on %d workers; coloring cache %d hits / %d misses (%.0f%% hit rate)\n",
-		stats.Combinations, stats.Workers, stats.CacheHits, stats.CacheMisses, hitRate)
-	if stats.ExactFallbacks > 0 {
+	if heuristic > 0 {
 		fmt.Printf("warning: %d candidate(s) colored by the DSATUR heuristic (exact solver declined); their compartment counts may be non-minimal\n",
-			stats.ExactFallbacks)
+			heuristic)
 	}
 
 	if budget > 0 {

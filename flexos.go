@@ -93,13 +93,7 @@ func ExplainConflicts(a, b *Library) []Conflict { return compat.Explain(a, b) }
 // compartment count is therefore only an upper bound).
 func PlanCompartments(libs []*Library) (*Plan, error) {
 	m := compat.BuildMatrix(libs)
-	g := coloring.FromMatrix(m)
-	heuristic := false
-	asg, err := coloring.Exact(g)
-	if err != nil {
-		asg = coloring.DSATUR(g)
-		heuristic = true
-	}
+	asg, heuristic := coloring.Minimal(coloring.FromMatrix(m))
 	plan := coloring.PlanFromAssignment(m, asg)
 	plan.Heuristic = heuristic
 	return plan, nil

@@ -89,54 +89,11 @@ func (c *Client) Close(t *sched.Thread) error {
 
 // Do issues one command and returns a copy of the raw RESP reply.
 func (c *Client) Do(t *sched.Thread, args ...[]byte) ([]byte, error) {
-	if c.conn == nil {
-		return nil, errors.New("redis client: not connected")
-	}
-	req := encodeCommand(nil, args...)
-	if len(req) > c.bufSize {
-		return nil, fmt.Errorf("redis client: request exceeds %d bytes", c.bufSize)
-	}
-	dst, err := c.env.Bytes(c.tx, len(req))
+	replies, err := c.DoPipelined(t, [][][]byte{args})
 	if err != nil {
 		return nil, err
 	}
-	c.env.Charge(clock.RESPParseCycles(len(req)))
-	c.env.Hard.OnTouch(len(req))
-	copy(dst, req)
-	if err := c.env.CallFn("libc", "send", 3, func() error {
-		_, err := c.lc.Send(t, c.conn, c.tx, len(req))
-		return err
-	}); err != nil {
-		return nil, fmt.Errorf("redis client send: %w", err)
-	}
-	for {
-		view, err := c.env.Bytes(c.rx, c.rxLen)
-		if err != nil {
-			return nil, err
-		}
-		l, perr := replyLen(view)
-		if perr == nil {
-			reply := append([]byte(nil), view[:l]...)
-			if remain := c.rxLen - l; remain > 0 {
-				copy(view, view[l:c.rxLen])
-			}
-			c.rxLen -= l
-			return reply, nil
-		}
-		if !errors.Is(perr, errIncomplete) {
-			return nil, perr
-		}
-		var n int
-		err = c.env.CallFn("libc", "recv", 3, func() error {
-			var err error
-			n, err = c.lc.Recv(t, c.conn, c.rx+mem.Addr(c.rxLen), c.bufSize-c.rxLen)
-			return err
-		})
-		if err != nil {
-			return nil, fmt.Errorf("redis client recv: %w", err)
-		}
-		c.rxLen += n
-	}
+	return replies[0], nil
 }
 
 // DoPipelined issues all commands back to back and then collects one
@@ -151,7 +108,7 @@ func (c *Client) DoPipelined(t *sched.Thread, cmds [][][]byte) ([][]byte, error)
 		req = encodeCommand(req, cmd...)
 	}
 	if len(req) > c.bufSize {
-		return nil, fmt.Errorf("redis client: pipelined request exceeds %d bytes", c.bufSize)
+		return nil, fmt.Errorf("redis client: request exceeds %d bytes", c.bufSize)
 	}
 	dst, err := c.env.Bytes(c.tx, len(req))
 	if err != nil {

@@ -63,9 +63,6 @@ func (c Capability) Valid() bool { return c.tag }
 // Invoke with its object type).
 func (c Capability) Sealed() bool { return c.sealed }
 
-// OType reports the seal's object type.
-func (c Capability) OType() uint32 { return c.otype }
-
 // String implements fmt.Stringer.
 func (c Capability) String() string {
 	state := "cap"

@@ -11,7 +11,8 @@
 // Three algorithms are provided: greedy in Welsh–Powell order (fast,
 // no quality guarantee), DSATUR (better in practice), and an exact
 // branch-and-bound (optimal, for the small graphs a LibOS image
-// actually has). The explore package runs them over every SH-variant
+// actually has). Minimal picks Exact, falling back to DSATUR beyond
+// ExactLimit; the explore package runs it over every SH-variant
 // combination.
 package coloring
 
@@ -221,6 +222,17 @@ func Exact(g *Graph) (Assignment, error) {
 		}
 	}
 	return best, nil
+}
+
+// Minimal colors g with as few colors as it can: Exact up to
+// ExactLimit vertices, DSATUR beyond. heuristic reports the DSATUR
+// fallback, whose color count is only an upper bound.
+func Minimal(g *Graph) (asg Assignment, heuristic bool) {
+	asg, err := Exact(g)
+	if err != nil {
+		return DSATUR(g), true
+	}
+	return asg, false
 }
 
 func tryColor(g *Graph, order, colors []int, idx, k int) bool {

@@ -93,6 +93,9 @@ func TestOddCycleThreeColors(t *testing.T) {
 	if err := Validate(g, a); err != nil {
 		t.Fatal(err)
 	}
+	if m, heuristic := Minimal(g); heuristic || m.NumColors != 3 {
+		t.Fatalf("Minimal C5 = %d colors, heuristic %v", m.NumColors, heuristic)
+	}
 }
 
 func TestExactBeatsGreedyOnCrown(t *testing.T) {
@@ -118,8 +121,19 @@ func TestExactBeatsGreedyOnCrown(t *testing.T) {
 
 func TestExactLimit(t *testing.T) {
 	g := NewGraph(ExactLimit + 1)
+	for i := 0; i+1 < g.N(); i++ {
+		g.AddEdge(i, i+1)
+	}
 	if _, err := Exact(g); err == nil {
 		t.Fatal("oversized graph accepted")
+	}
+	// Minimal answers with DSATUR instead, and says so.
+	a, heuristic := Minimal(g)
+	if !heuristic {
+		t.Fatal("oversized graph not marked heuristic")
+	}
+	if err := Validate(g, a); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -21,10 +21,7 @@ package explore
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"flexos/internal/core/coloring"
 	"flexos/internal/core/compat"
@@ -79,7 +76,8 @@ func DefaultWorkload() Workload {
 type Candidate struct {
 	// Libs is the chosen variant of each library.
 	Libs []*spec.Library
-	// Plan is the compartmentalization derived by coloring.
+	// Plan is the compartmentalization derived by coloring;
+	// Plan.Heuristic marks a DSATUR fallback.
 	Plan *coloring.Plan
 	// Assignment is the underlying coloring.
 	Assignment coloring.Assignment
@@ -94,9 +92,6 @@ type Candidate struct {
 	Security float64
 	// EstCycles is the estimated per-operation cost.
 	EstCycles float64
-	// Heuristic marks a candidate whose coloring came from the DSATUR
-	// fallback instead of the exact solver (see Stats.ExactFallbacks).
-	Heuristic bool
 }
 
 // Slowdown reports estimated cost relative to the workload baseline.
@@ -217,241 +212,31 @@ func (c *Candidate) score(sc *scoreCtx) {
 	c.EstCycles = cost
 }
 
-// Options tunes Explore's execution; the zero value means "parallel
-// across GOMAXPROCS workers".
-type Options struct {
-	// Workers is the worker-pool size; 0 or negative selects
-	// GOMAXPROCS. Results are identical for every worker count.
-	Workers int
-}
-
-// Stats reports what one exploration did: how much of the coloring
-// work the conflict-fingerprint cache absorbed, and how often the
-// exact solver declined and DSATUR answered instead (those candidates
-// carry a possibly non-minimal compartment count and are marked
-// Heuristic).
-type Stats struct {
-	// Combinations is the number of enumerated variant combinations.
-	Combinations int
-	// Workers is the effective worker-pool size used.
-	Workers int
-	// CacheHits counts combinations whose coloring was served from the
-	// conflict-fingerprint cache; CacheMisses counts colorings actually
-	// computed. Hits+Misses == Combinations.
-	CacheHits, CacheMisses int
-	// ExactFallbacks counts candidates colored by the DSATUR heuristic
-	// after coloring.Exact declined the graph.
-	ExactFallbacks int
-}
-
-// colorEntry is one memoized coloring; once.Do computes it exactly
-// once however many workers race to the same fingerprint.
-type colorEntry struct {
-	once      sync.Once
-	asg       coloring.Assignment
-	heuristic bool
-}
-
-// colorCache memoizes colorings by conflict-graph fingerprint. Many
-// variant combinations produce isomorphic conflict structure —
-// hardening any one wildcard library detaches it from the same two
-// trusted hubs, so the default image's 16 combinations collapse to 5
-// graph shapes — and the exact solver's exponential work is shared
-// across each class.
-type colorCache struct {
-	mu      sync.Mutex
-	entries map[string]*colorEntry
-	misses  atomic.Int64
-}
-
-// mix64 is the splitmix64 finalizer — enough scrambling that summing
-// neighbor signatures (commutative, so no per-vertex sort) still
-// separates structurally different vertices.
-func mix64(v uint64) uint64 {
-	v ^= v >> 30
-	v *= 0xbf58476d1ce4e5b9
-	v ^= v >> 27
-	v *= 0x94d049bb133111eb
-	v ^= v >> 31
-	return v
-}
-
-// canonicalize computes an isomorphism-invariant key for a conflict
-// graph: vertices are ordered by two rounds of Weisfeiler-Leman-style
-// color refinement (ties broken by index), and the key is the edge
-// list rewritten in that order. Equal keys guarantee isomorphic
-// graphs — the permuted edge lists match exactly — while isomorphic
-// graphs that refine differently merely miss the cache, which is
-// safe (refinement quality only affects the hit rate, never
-// correctness). It returns the key, the vertex -> canonical position
-// map, and the canonical edge list.
-func canonicalize(n int, edges [][2]int) (string, []int, [][2]int) {
-	sig := make([]uint64, n)
-	for _, e := range edges {
-		sig[e[0]]++
-		sig[e[1]]++
-	}
-	acc := make([]uint64, n)
-	for round := 0; round < 2; round++ {
-		for i := range acc {
-			acc[i] = 0
-		}
-		for _, e := range edges {
-			acc[e[0]] += mix64(sig[e[1]])
-			acc[e[1]] += mix64(sig[e[0]])
-		}
-		for i := 0; i < n; i++ {
-			sig[i] = mix64(sig[i]) + acc[i]
-		}
-	}
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool {
-		if sig[order[a]] != sig[order[b]] {
-			return sig[order[a]] < sig[order[b]]
-		}
-		return order[a] < order[b]
-	})
-	perm := make([]int, n)
-	for pos, v := range order {
-		perm[v] = pos
-	}
-	canon := make([][2]int, len(edges))
-	for i, e := range edges {
-		a, b := perm[e[0]], perm[e[1]]
-		if a > b {
-			a, b = b, a
-		}
-		canon[i] = [2]int{a, b}
-	}
-	sort.Slice(canon, func(a, b int) bool {
-		if canon[a][0] != canon[b][0] {
-			return canon[a][0] < canon[b][0]
-		}
-		return canon[a][1] < canon[b][1]
-	})
-	key := make([]byte, 0, 1+2*len(canon))
-	key = append(key, byte(n))
-	for _, e := range canon {
-		key = append(key, byte(e[0]), byte(e[1]))
-	}
-	return string(key), perm, canon
-}
-
-// color returns the memoized minimal coloring for the matrix and
-// whether it came from the DSATUR fallback. The cached coloring is
-// computed on the canonical graph — a pure function of the cache key,
-// so the result is identical no matter which worker fills the entry —
-// and translated back through the combination's own vertex order.
-func (cc *colorCache) color(m *compat.Matrix) (coloring.Assignment, bool) {
-	n := m.Len()
-	key, perm, canon := canonicalize(n, m.Edges())
-	cc.mu.Lock()
-	e, ok := cc.entries[key]
-	if !ok {
-		e = &colorEntry{}
-		cc.entries[key] = e
-	}
-	cc.mu.Unlock()
-	e.once.Do(func() {
-		cc.misses.Add(1)
-		g := coloring.NewGraph(n)
-		for _, edge := range canon {
-			g.AddEdge(edge[0], edge[1])
-		}
-		asg, err := coloring.Exact(g)
-		if err != nil {
-			asg = coloring.DSATUR(g)
-			e.heuristic = true
-		}
-		e.asg = asg
-	})
-	colors := make([]int, n)
-	for v := 0; v < n; v++ {
-		colors[v] = e.asg.Colors[perm[v]]
-	}
-	return coloring.Assignment{Colors: colors, NumColors: e.asg.NumColors}, e.heuristic
-}
-
 // Explore enumerates every SH-variant combination, colors each one
-// minimally (exactly for small graphs, DSATUR otherwise), and scores
-// the candidates against the workload. It runs the combinations over
-// a GOMAXPROCS-sized worker pool; use ExploreOpts to control the pool
-// or to read the exploration stats.
+// minimally (coloring.Minimal: exact for small graphs, DSATUR
+// otherwise), and scores the candidates against the workload. The
+// candidates come back in combination-enumeration order.
 func Explore(libs []*spec.Library, backend gate.Backend, w Workload) ([]*Candidate, error) {
-	cands, _, err := ExploreOpts(libs, backend, w, Options{})
-	return cands, err
-}
-
-// ExploreOpts is Explore with explicit execution options and stats.
-// The candidate list is deterministic: identical for every worker
-// count, in combination-enumeration order.
-func ExploreOpts(libs []*spec.Library, backend gate.Backend, w Workload, opt Options) ([]*Candidate, Stats, error) {
 	combos, err := spec.Combinations(libs)
 	if err != nil {
-		return nil, Stats{}, err
+		return nil, err
 	}
-	workers := opt.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(combos) {
-		workers = len(combos)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-
 	sc := newScoreCtx(libs, backend, w)
-	cache := &colorCache{entries: make(map[string]*colorEntry)}
 	out := make([]*Candidate, len(combos))
-
-	// Workers pull combination indices from a shared counter and write
-	// each candidate to its own slot, so the output order is the
-	// enumeration order no matter how the work interleaves.
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for wk := 0; wk < workers; wk++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(combos) {
-					return
-				}
-				combo := combos[i]
-				m := compat.BuildMatrix(combo)
-				asg, heuristic := cache.color(m)
-				c := &Candidate{
-					Libs:       combo,
-					Assignment: asg,
-					Plan:       coloring.PlanFromAssignment(m, asg),
-					Backend:    backend,
-					Heuristic:  heuristic,
-				}
-				c.Plan.Heuristic = heuristic
-				c.score(sc)
-				out[i] = c
-			}
-		}()
-	}
-	wg.Wait()
-
-	stats := Stats{
-		Combinations: len(combos),
-		Workers:      workers,
-		CacheMisses:  int(cache.misses.Load()),
-	}
-	stats.CacheHits = stats.Combinations - stats.CacheMisses
-	for _, c := range out {
-		if c.Heuristic {
-			stats.ExactFallbacks++
+	for i, combo := range combos {
+		m := compat.BuildMatrix(combo)
+		asg, heuristic := coloring.Minimal(coloring.FromMatrix(m))
+		c := &Candidate{
+			Libs:       combo,
+			Assignment: asg,
+			Plan:       coloring.PlanFromAssignment(m, asg),
+			Backend:    backend,
 		}
+		c.Plan.Heuristic = heuristic
+		c.score(sc)
+		out[i] = c
 	}
-	return out, stats, nil
+	return out, nil
 }
 
 // MaxSecurityWithinBudget returns the most secure candidate whose

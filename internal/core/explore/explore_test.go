@@ -1,6 +1,9 @@
 package explore
 
 import (
+	"crypto/sha256"
+	"fmt"
+	"strings"
 	"testing"
 
 	"flexos/internal/core/coloring"
@@ -197,5 +200,117 @@ func TestSlowdownZeroBase(t *testing.T) {
 	c := &Candidate{EstCycles: 100}
 	if c.Slowdown(Workload{}) != 0 {
 		t.Fatal("zero-base slowdown should be 0")
+	}
+}
+
+// renderCandidates serializes every observable field of a candidate
+// list so two explorations can be compared byte for byte (floats at
+// full precision — any ranking flicker must show up here).
+func renderCandidates(cands []*Candidate) string {
+	var b strings.Builder
+	for i, c := range cands {
+		names := make([]string, len(c.Libs))
+		for j, l := range c.Libs {
+			names[j] = l.VariantName()
+		}
+		fmt.Fprintf(&b, "%d: libs=%v colors=%v plan=%v backend=%v hardened=%d separated=%d sec=%.17g est=%.17g heur=%v\n",
+			i, names, c.Assignment.Colors, c.Plan.Compartments, c.Backend,
+			c.HardenedLibs, c.SeparatedPairs, c.Security, c.EstCycles, c.Plan.Heuristic)
+	}
+	return b.String()
+}
+
+// TestExploreGolden pins the explorer's full output on the default
+// image, per backend: colorings, plans, scores and order. A change to
+// the coloring or the cost and security model shows up here as a
+// digest update.
+func TestExploreGolden(t *testing.T) {
+	for _, tc := range []struct {
+		backend gate.Backend
+		digest  string
+	}{
+		{gate.MPKShared, "58d0560219251528f96e63c588ffd6030c5fa26428abd036a0c5f78a059ec4b2"},
+		{gate.MPKSwitched, "23513adcf9a21cc1501dfaf93bf1b475e4ea756425b01956fa128cbf86543c9f"},
+		{gate.VMRPC, "a5b6bd02d6effc4e1f041f6c8939b848ed3386d221989185837a31768ab07d2f"},
+		{gate.CHERI, "e89d80a9c5ff02e673470295062353d0f7300202024c2145b12a03c37d91cf96"},
+		{gate.FuncCall, "a078f2e2c32cbd8de4e45a3a0b8a66a66b36795165c125269ea816e3e9231a24"},
+	} {
+		rendered := renderCandidates(defaultCandidates(t, tc.backend))
+		if got := fmt.Sprintf("%x", sha256.Sum256([]byte(rendered))); got != tc.digest {
+			t.Errorf("%v: candidate digest %s, want %s; candidates:\n%s", tc.backend, got, tc.digest, rendered)
+		}
+	}
+}
+
+// TestExploreSurfacesExactFallback drives the explorer past the exact
+// solver's vertex limit and checks the DSATUR fallback is marked on
+// the candidate's plan instead of being swallowed.
+func TestExploreSurfacesExactFallback(t *testing.T) {
+	n := coloring.ExactLimit + 5
+	libs := make([]*spec.Library, n)
+	for i := range libs {
+		libs[i] = &spec.Library{Name: fmt.Sprintf("lib%02d", i)}
+	}
+	cands, err := Explore(libs, gate.MPKShared, DefaultWorkload())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cands) != 1 {
+		t.Fatalf("got %d candidates, want 1", len(cands))
+	}
+	if !cands[0].Plan.Heuristic {
+		t.Error("plan not marked Heuristic after DSATUR fallback")
+	}
+	for _, c := range defaultCandidates(t, gate.MPKShared) {
+		if c.Plan.Heuristic {
+			t.Fatalf("default image fell back to DSATUR: %s", c.Describe())
+		}
+	}
+}
+
+// TestParetoFrontMatchesQuadratic cross-checks the skyline sweep
+// against the definitional O(n²) dominance filter on a mixed input
+// with ties and duplicates.
+func TestParetoFrontMatchesQuadratic(t *testing.T) {
+	mk := func(cost, sec float64) *Candidate {
+		return &Candidate{EstCycles: cost, Security: sec}
+	}
+	cands := []*Candidate{
+		mk(4000, 0), mk(4500, 3), mk(4500, 3), // duplicate skyline point
+		mk(4500, 2),              // same cost, dominated
+		mk(5000, 3),              // dominated by cheaper equal-security
+		mk(5200, 5), mk(6000, 4), // one on, one off the front
+		mk(6100, 7), mk(6100, 7), mk(6100, 6),
+	}
+	want := map[*Candidate]bool{}
+	for _, c := range cands {
+		dominated := false
+		for _, o := range cands {
+			if o == c {
+				continue
+			}
+			if o.Security >= c.Security && o.EstCycles <= c.EstCycles &&
+				(o.Security > c.Security || o.EstCycles < c.EstCycles) {
+				dominated = true
+				break
+			}
+		}
+		if !dominated {
+			want[c] = true
+		}
+	}
+	front := ParetoFront(cands)
+	if len(front) != len(want) {
+		t.Fatalf("skyline kept %d candidates, quadratic keeps %d", len(front), len(want))
+	}
+	for _, c := range front {
+		if !want[c] {
+			t.Errorf("skyline kept dominated candidate (%.0f, %.1f)", c.EstCycles, c.Security)
+		}
+	}
+	for i := 1; i < len(front); i++ {
+		if front[i].EstCycles < front[i-1].EstCycles {
+			t.Error("front not sorted by cost")
+		}
 	}
 }

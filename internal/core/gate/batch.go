@@ -34,9 +34,10 @@ type BatchGate interface {
 
 // BatchCrossingCost reports the fixed cycle cost of carrying n frames
 // across a backend's boundary: one crossing plus n dispatches for the
-// amortizing backends, n full crossings for the rest. The static
-// counterpart of CallBatch, used by the explorer and pinned against
-// the real gates by the consistency test.
+// amortizing backends, n full crossings for the rest. It is the static
+// counterpart of CallBatch, pinned against the real gates by the
+// consistency test; the explorer's cost model charges CrossingCost per
+// call and does not use it.
 func BatchCrossingCost(b Backend, n int) uint64 {
 	if n <= 0 {
 		return 0

@@ -32,11 +32,19 @@ func RecordRedisMetadata(payloadBytes, ops int) (*spec.Recorder, string, error) 
 // MeasureWorkload derives the explorer's workload profile from an
 // observed baseline run instead of hand-tuned rates: per-operation
 // cross-library call rates from the recorder, the per-operation
-// baseline cost from the virtual clock. The SH taxes keep their
-// calibrated defaults (they come from instrumentation density, which
-// call counting cannot see).
+// baseline cost from the virtual clock. Both cover the measured window
+// only. The recorder sees the whole session (connect, the priming
+// SETs, buffer setup, teardown), so the calls of the same session run
+// with no measured ops, which the deterministic simulator replays call
+// for call, are subtracted. The SH taxes keep their calibrated
+// defaults (they come from instrumentation density, which call
+// counting cannot see).
 func MeasureWorkload(payloadBytes, ops int) (explore.Workload, error) {
 	rec, res, err := recordRedis(payloadBytes, ops)
+	if err != nil {
+		return explore.Workload{}, err
+	}
+	session, _, err := recordRedis(payloadBytes, 0)
 	if err != nil {
 		return explore.Workload{}, err
 	}
@@ -44,7 +52,10 @@ func MeasureWorkload(payloadBytes, ops int) (explore.Workload, error) {
 	w.BaseCycles = float64(res.ServerCycles) / float64(res.Ops)
 	rates := make(map[[2]string]float64)
 	for _, e := range rec.Edges() {
-		rates[[2]string{e.From, e.To}] += float64(rec.Count(e.From, e.To, e.Fn)) / float64(res.Ops)
+		all, outside := rec.Count(e.From, e.To, e.Fn), session.Count(e.From, e.To, e.Fn)
+		if all > outside {
+			rates[[2]string{e.From, e.To}] += float64(all-outside) / float64(res.Ops)
+		}
 	}
 	w.CallRates = rates
 	return w, nil

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -346,6 +347,20 @@ func TestMeasureWorkload(t *testing.T) {
 		if w.CallRates[pair] <= 0 {
 			t.Errorf("no measured rate for %v", pair)
 		}
+	}
+	// The rates count the measured window only: connect, the priming
+	// SETs and teardown must not leak in, so doubling the window leaves
+	// every rate unchanged, and the client's buffer mallocs (setup
+	// only) leave no app->alloc pair.
+	w2, err := MeasureWorkload(50, 128)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(w.CallRates, w2.CallRates) {
+		t.Errorf("call rates depend on the window length:\n 64 ops: %v\n128 ops: %v", w.CallRates, w2.CallRates)
+	}
+	if r, ok := w.CallRates[[2]string{"app", "alloc"}]; ok {
+		t.Errorf("setup-only pair app->alloc measured at %g calls/op", r)
 	}
 	// Exploring with the measured workload preserves the baseline
 	// candidate's identity as cheapest among equal-security points.

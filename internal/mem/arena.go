@@ -71,9 +71,6 @@ func NewArena(size int) *Arena {
 // Size reports the arena size in bytes.
 func (a *Arena) Size() int { return len(a.ram.b) }
 
-// Pages reports the number of pages in the arena.
-func (a *Arena) Pages() int { return len(a.keys) }
-
 // Contains reports whether [addr, addr+n) lies inside the arena.
 func (a *Arena) Contains(addr Addr, n int) bool {
 	if n < 0 {

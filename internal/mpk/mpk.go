@@ -166,14 +166,13 @@ func (s SealPolicy) sealExtraCycles() uint64 {
 // domain switch on one vCPU must never change what another vCPU may
 // touch.
 type Unit struct {
-	arena   *mem.Arena
-	clk     *clock.Machine
-	pkru    []PKRU // indexed by vCPU id
-	policy  SealPolicy
-	sealed  map[PKRU]bool // registered values when sealing is active
-	writes  uint64
-	faults  uint64
-	checked uint64
+	arena  *mem.Arena
+	clk    *clock.Machine
+	pkru   []PKRU // indexed by vCPU id
+	policy SealPolicy
+	sealed map[PKRU]bool // registered values when sealing is active
+	writes uint64
+	faults uint64
 }
 
 // New creates an MPK unit over the arena, charging gate costs to clk.
@@ -208,9 +207,6 @@ func (u *Unit) Writes() uint64 { return u.writes }
 // Faults reports how many protection faults were raised.
 func (u *Unit) Faults() uint64 { return u.faults }
 
-// Checked reports how many access checks were performed.
-func (u *Unit) Checked() uint64 { return u.checked }
-
 // WritePKRU executes WRPKRU on the current vCPU: it charges the
 // domain-switch cost (plus the sealing policy's surcharge) and
 // installs the new value in that vCPU's register only. Under sealing
@@ -232,7 +228,6 @@ func (u *Unit) WritePKRU(p PKRU) error {
 // check validates one access against the page table and the current
 // vCPU's PKRU.
 func (u *Unit) check(addr mem.Addr, n int, write bool) error {
-	u.checked++
 	if n <= 0 {
 		return fmt.Errorf("mpk: bad access length %d", n)
 	}

@@ -43,8 +43,6 @@ type NIC struct {
 	stack *Stack
 	peer  *NIC
 	wire  *Wire
-	txCnt uint64
-	rxCnt uint64
 	qTx   []uint64 // per-queue tx frame counts
 	qRx   []uint64 // per-queue rx frame counts
 	// Coalescing counters for the observability layer: frames charged
@@ -58,12 +56,6 @@ type NIC struct {
 	doorbells uint64
 	rxPolls   uint64
 }
-
-// TxCount reports frames transmitted.
-func (n *NIC) TxCount() uint64 { return n.txCnt }
-
-// RxCount reports frames received (after filtering).
-func (n *NIC) RxCount() uint64 { return n.rxCnt }
 
 // QueueTx reports frames transmitted on ring q.
 func (n *NIC) QueueTx(q int) uint64 {
@@ -108,17 +100,6 @@ func (n *NIC) Wire() *Wire { return n.wire }
 
 // RxPolls reports NAPI rx polls (each paying one interrupt cost).
 func (n *NIC) RxPolls() uint64 { return n.rxPolls }
-
-// countTx / countRx bump the total and per-queue frame counters.
-func (n *NIC) countTx(q int) {
-	n.txCnt++
-	n.qTx[q]++
-}
-
-func (n *NIC) countRx(q int) {
-	n.rxCnt++
-	n.qRx[q]++
-}
 
 // Dir selects one direction of a Wire: AtoB carries frames transmitted
 // by the first stack handed to Connect, BtoA the reverse path.
@@ -347,7 +328,7 @@ func Connect(a, b *Stack) *Wire {
 // instead, because corruption mutates them and a reorder holds one
 // back.
 func (n *NIC) transmit(frame []byte) {
-	n.countTx(n.stack.frameQueue(frame))
+	n.qTx[n.stack.frameQueue(frame)]++
 	// TX driver cost on the sending machine.
 	n.stack.env.CPU.Charge(clock.CompRest, perPacketPlatformCycles(n.stack.platform))
 	n.stack.restHard.OnFrame()
@@ -397,7 +378,7 @@ func (n *NIC) transmitBatch(frames [][]byte) {
 	}
 	for i, frame := range frames {
 		q := n.stack.frameQueue(frame)
-		n.countTx(q)
+		n.qTx[q]++
 		n.chargePacket(i == 0, len(frame))
 		if i > 0 {
 			n.qCoalTx[q]++
@@ -471,7 +452,7 @@ func (n *NIC) pollQueue(q int, frames [][]byte, budget int) {
 		n.rxPolls++
 		n.stack.beginRxBatch()
 		for i := start; i < end; i++ {
-			n.countRx(q)
+			n.qRx[q]++
 			n.chargePacket(i == start, len(frames[i]))
 			if i > start {
 				n.qCoalRx[q]++
@@ -485,7 +466,7 @@ func (n *NIC) pollQueue(q int, frames [][]byte, budget int) {
 // receive runs the receiving stack's input path inline.
 func (n *NIC) receive(frame []byte) {
 	q := n.stack.frameQueue(frame)
-	n.countRx(q)
+	n.qRx[q]++
 	// RX interrupt steering: the queue's vCPU takes the interrupt and
 	// runs the input path (a no-op on a one-vCPU machine).
 	restore := n.stack.env.CPU.Steer(n.stack.queueCPUFor(q))
