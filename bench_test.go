@@ -438,10 +438,10 @@ func BenchmarkGateCallBatch(b *testing.B) {
 	}
 }
 
-// BenchmarkRegistryCall times one gate call the way the OS issues it:
-// through the registry of a booted NW-only image, from the app into
-// the isolated network stack, per backend. Unlike BenchmarkGateCall it
-// includes the registry's dispatch (library lookup, observation, the
+// BenchmarkRegistryCall times one gate call through the registry's
+// by-name entry point on a booted NW-only image, from the app into the
+// isolated network stack, per backend. Unlike BenchmarkGateCall it
+// includes the registry's dispatch (the route lookup, observation, the
 // crossing ledger), so allocs/op catches a per-call allocation anywhere
 // on that path.
 func BenchmarkRegistryCall(b *testing.B) {

@@ -9,9 +9,12 @@
 //
 // -json writes the per-entry comparison (baseline, median, delta,
 // tolerance, status) as machine-readable JSON — the CI artifact other
-// tooling diffs across runs. When $GITHUB_STEP_SUMMARY is set the same
-// comparison is appended there as a markdown table, so every PR shows
-// the bench gate's verdict inline.
+// tooling diffs across runs. An entry that beats its baseline by more
+// than its tolerance is reported as "improved": not a failure, but a
+// stale baseline that no longer catches a regression of that size.
+// When $GITHUB_STEP_SUMMARY is set the same comparison is appended
+// there as a markdown table, so every PR shows the bench gate's
+// verdict inline.
 //
 // Without -input it runs
 //
@@ -68,7 +71,8 @@ type result struct {
 	DeltaPct     float64 `json:"delta_pct"`
 	TolerancePct float64 `json:"tolerance_pct"`
 	Direction    string  `json:"direction"`
-	// Status is "ok", "fail" or "missing".
+	// Status is "ok", "improved" (better than the baseline by more than
+	// the tolerance: the baseline is stale), "fail" or "missing".
 	Status string `json:"status"`
 }
 
@@ -79,6 +83,7 @@ type report struct {
 	ThresholdPct float64  `json:"threshold_pct"`
 	Results      []result `json:"results"`
 	Failures     int      `json:"failures"`
+	Improved     int      `json:"improved"`
 }
 
 func main() {
@@ -117,6 +122,9 @@ func main() {
 		case "fail":
 			fmt.Printf("%-44s %-12s %12.1f %12.1f %+7.1f%% FAIL (>%g%%)\n",
 				r.Benchmark, r.Metric, r.Baseline, r.Median, r.DeltaPct, r.TolerancePct)
+		case "improved":
+			fmt.Printf("%-44s %-12s %12.1f %12.1f %+7.1f%% improved (>%g%%: stale baseline)\n",
+				r.Benchmark, r.Metric, r.Baseline, r.Median, r.DeltaPct, r.TolerancePct)
 		default:
 			fmt.Printf("%-44s %-12s %12.1f %12.1f %+7.1f%% ok\n",
 				r.Benchmark, r.Metric, r.Baseline, r.Median, r.DeltaPct)
@@ -129,6 +137,9 @@ func main() {
 	}
 	if err := writeStepSummary(&rep); err != nil {
 		fatal(err)
+	}
+	if rep.Improved > 0 {
+		fmt.Printf("benchdiff: %d metric(s) beat their baseline beyond tolerance; re-record them\n", rep.Improved)
 	}
 	if rep.Failures > 0 {
 		fmt.Fprintf(os.Stderr, "benchdiff: %d metric(s) regressed beyond tolerance\n", rep.Failures)
@@ -163,21 +174,26 @@ func compare(base *baseline, medians map[string]map[string]float64) report {
 				continue
 			}
 			r.Median = med
-			var regressed bool
+			var regressed, improved bool
 			if c.Value == 0 {
 				// A zero baseline (e.g. copy-cycles on the shared data
 				// path) must stay zero.
 				regressed = med != 0
 			} else {
 				r.DeltaPct = 100 * (med - c.Value) / c.Value
-				regressed = r.DeltaPct > tol // lower-is-better: growth is regression
+				// Lower-is-better: growth is regression.
+				regressed, improved = r.DeltaPct > tol, r.DeltaPct < -tol
 				if c.Direction == "higher" {
-					regressed = r.DeltaPct < -tol
+					regressed, improved = improved, regressed
 				}
 			}
-			if regressed {
+			switch {
+			case regressed:
 				r.Status = "fail"
 				rep.Failures++
+			case improved:
+				r.Status = "improved"
+				rep.Improved++
 			}
 			rep.Results = append(rep.Results, r)
 		}
@@ -212,6 +228,9 @@ func writeStepSummary(rep *report) error {
 	if rep.Failures > 0 {
 		verdict = fmt.Sprintf("%d metric(s) regressed beyond tolerance ❌", rep.Failures)
 	}
+	if rep.Improved > 0 {
+		verdict += fmt.Sprintf("; %d metric(s) improved beyond tolerance (stale baseline)", rep.Improved)
+	}
 	fmt.Fprintf(&b, "### Bench regression gate (%s)\n\n%s\n\n", rep.BaselineFile, verdict)
 	b.WriteString("| benchmark | metric | baseline | median | delta | tolerance | status |\n")
 	b.WriteString("|---|---|---:|---:|---:|---:|---|\n")
@@ -222,7 +241,7 @@ func writeStepSummary(rep *report) error {
 			delta = fmt.Sprintf("%+.1f%%", r.DeltaPct)
 		}
 		status := r.Status
-		if r.Status != "ok" {
+		if r.Status == "fail" || r.Status == "missing" {
 			status = "**" + r.Status + "**"
 		}
 		fmt.Fprintf(&b, "| %s | %s | %.1f | %s | %s | %g%% | %s |\n",

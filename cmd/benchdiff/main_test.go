@@ -37,6 +37,7 @@ func TestCompare(t *testing.T) {
 		failures    int
 		failing     string
 		wantMissing bool
+		improved    string
 	}{
 		{
 			name: "in tolerance",
@@ -59,6 +60,13 @@ func TestCompare(t *testing.T) {
 			failures: 1, failing: "sim-Mbps", wantMissing: true,
 		},
 		{
+			name: "stale baseline",
+			out: saved("BenchmarkRun-2 \t1\t 700 ns/op\t 400.0 sim-Mbps\n"+
+				"BenchmarkRun-2 \t1\t 650 ns/op\t 520.0 sim-Mbps\n"+
+				"BenchmarkRun-2 \t1\t 720 ns/op\t 401.0 sim-Mbps\n", sharedOK),
+			improved: "ns/op",
+		},
+		{
 			name: "zero baseline turned non-zero",
 			out: saved("BenchmarkRun-2 \t1\t 1000 ns/op\t 400.0 sim-Mbps\n",
 				"BenchmarkRun/shared-2 \t1\t 900 ns/op\t 512 copy-cycles\n"),
@@ -73,8 +81,18 @@ func TestCompare(t *testing.T) {
 			if len(rep.Results) != 3 {
 				t.Fatalf("%d results, want one per baseline check", len(rep.Results))
 			}
+			wantImproved := 0
+			if tc.improved != "" {
+				wantImproved = 1
+			}
+			if rep.Improved != wantImproved {
+				t.Errorf("%d improved, want %d", rep.Improved, wantImproved)
+			}
 			for _, r := range rep.Results {
 				want := "ok"
+				if r.Metric == tc.improved {
+					want = "improved"
+				}
 				if r.Metric == tc.failing {
 					want = "fail"
 					if tc.wantMissing {

@@ -1,11 +1,13 @@
 package build
 
 import (
+	"errors"
 	"testing"
 
 	"flexos/internal/core/gate"
 	"flexos/internal/fault"
 	"flexos/internal/rt"
+	"flexos/internal/sched"
 )
 
 // TestCrossingDoesNotAllocate pins that a gate call through the
@@ -21,6 +23,10 @@ func TestCrossingDoesNotAllocate(t *testing.T) {
 				t.Fatal(err)
 			}
 			reg := w.Server.Registry
+			route, err := reg.Resolve("app", "netstack")
+			if err != nil {
+				t.Fatal(err)
+			}
 			frame := gate.CallFrame{ArgWords: 3, RetWords: 1}
 			nop := func() error { return nil }
 			frames := []gate.CallFrame{frame, frame, frame, frame}
@@ -35,7 +41,7 @@ func TestCrossingDoesNotAllocate(t *testing.T) {
 				t.Errorf("CallWithFrame allocates %.1f times per call", n)
 			}
 			if n := testing.AllocsPerRun(100, func() {
-				for _, err := range reg.CallBatch("app", "netstack", "recv", frames, fns, errs) {
+				for _, err := range route.CallBatch("recv", frames, fns, errs) {
 					if err != nil {
 						callErr = err
 					}
@@ -86,6 +92,37 @@ func TestSupervisedCallDoesNotAllocate(t *testing.T) {
 			}
 			if st := w.Server.Sup.Stats(); st != (rt.SupervisorStats{}) {
 				t.Fatalf("clean calls touched the supervisor: %+v", st)
+			}
+		})
+	}
+}
+
+// TestNestedCallPanicSurfacesThreadCrash pins that a panic no gate
+// contains, raised two routed calls deep (app -> libc -> netstack),
+// unwinds the thread's coroutine and surfaces from Run as that thread's
+// ThreadCrash, on a flat image and across an isolating gate alike.
+func TestNestedCallPanicSurfacesThreadCrash(t *testing.T) {
+	boom := errors.New("boom")
+	for _, b := range []gate.Backend{gate.FuncCall, gate.MPKShared} {
+		t.Run(b.String(), func(t *testing.T) {
+			w, err := NewWorld(Config{Name: "crash", Compartments: NWOnly(), Backend: b, Alloc: AllocPerCompartment})
+			if err != nil {
+				t.Fatal(err)
+			}
+			app, libc := w.Server.Env("app"), w.Server.Env("libc")
+			w.Sched.Spawn("victim", w.Server.CPU, func(th *sched.Thread) {
+				th.Yield()
+				_ = app.CallFn("libc", "send", 1, func() error {
+					return libc.CallFn("netstack", "send", 1, func() error { panic(boom) })
+				})
+			})
+			err = w.Sched.Run()
+			var crash *sched.ThreadCrash
+			if !errors.As(err, &crash) || crash.Thread != "victim" || !errors.Is(err, boom) {
+				t.Fatalf("Run = %v, want the victim's ThreadCrash carrying the panic", err)
+			}
+			if got := w.Server.Registry.TotalCrossings(); got != 1 {
+				t.Errorf("%d crossings on the way to the panic, want libc -> netstack alone", got)
 			}
 		})
 	}

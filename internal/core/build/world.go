@@ -6,7 +6,6 @@ import (
 	"flexos/internal/cheri"
 	"flexos/internal/clock"
 	"flexos/internal/core/gate"
-	"flexos/internal/core/spec"
 	"flexos/internal/fault"
 	"flexos/internal/libc"
 	"flexos/internal/mem"
@@ -60,9 +59,6 @@ type Machine struct {
 	// zero-copy data path; its leak accounting (Outstanding,
 	// OutstandingRefs) must read zero after a clean run.
 	Pool *mem.SharedPool
-	// Wrappers are the generated precondition-check call gates (§5's
-	// static-analysis flow; a build artifact, not a runtime object).
-	Wrappers []Wrapper
 	// Sup applies per-compartment fault policy (Config.OnFault) to
 	// every supervised gate call on this machine.
 	Sup *rt.Supervisor
@@ -385,8 +381,6 @@ func newMachine(cfg Config, comps []Compartment, s sched.Scheduler, ip net.IPAdd
 	}
 	netCfg.TCPIPCPU = cfg.Affinity["netstack"]
 	m.Stack = net.NewStack(m.envs["netstack"], m.LibC, s, netCfg)
-
-	m.Wrappers = GenerateWrappers(spec.DefaultImage(), comps)
 	return m, nil
 }
 

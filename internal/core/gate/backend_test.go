@@ -166,7 +166,7 @@ func TestCrossingCostMatchesGateCharge(t *testing.T) {
 // check to the batched path: for every backend, carrying N empty
 // frames must charge exactly BatchCrossingCost(b, N) — one crossing
 // plus N dispatches where the gate implements BatchGate, N full
-// crossings where Registry.CallBatch would fall back to a loop. Drift
+// crossings where Route.CallBatch would fall back to a loop. Drift
 // between the estimator and the batch implementation (a forgotten
 // dispatch charge, a double-paid crossing) shows up here.
 func TestBatchCrossingCostMatchesGateCharge(t *testing.T) {

@@ -229,8 +229,18 @@ func TestRegistryRouting(t *testing.T) {
 	mustNoErr(t, r.Assign("libc", "comp1"))
 	mustNoErr(t, r.Assign("netstack", "comp2"))
 
-	if !r.SameCompartment("app", "libc") || r.SameCompartment("app", "netstack") {
-		t.Fatal("SameCompartment wrong")
+	for _, tc := range []struct {
+		from, to string
+		crosses  bool
+	}{{"app", "libc", false}, {"app", "netstack", true}, {"netstack", "app", true}} {
+		ro, err := r.Resolve(tc.from, tc.to)
+		mustNoErr(t, err)
+		if ro.Crosses != tc.crosses {
+			t.Fatalf("route %s->%s crosses = %v", tc.from, tc.to, ro.Crosses)
+		}
+		if again, _ := r.Resolve(tc.from, tc.to); again != ro {
+			t.Fatalf("route %s->%s resolved twice", tc.from, tc.to)
+		}
 	}
 
 	// Intra-compartment: direct call, no crossings.

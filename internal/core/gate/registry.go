@@ -13,14 +13,17 @@ import (
 // Registry is the runtime artifact the builder produces from a
 // compartmentalization plan: the library -> compartment assignment and
 // one gate per compartment pair. OS components call through it at
-// every cross-library call site; the registry resolves the placeholder
-// to a direct call or a domain crossing, exactly like the link-time
-// gate instantiation of the paper.
+// every cross-library call site. Each (caller, callee) library pair
+// resolves once into a Route, a direct call or a domain crossing,
+// exactly like the link-time gate instantiation of the paper; every
+// call on the pair then runs from the route.
 type Registry struct {
-	domains  map[string]*Domain // compartment -> domain
-	libs     map[string]string  // library -> compartment
+	domains  map[string]*Domain   // compartment -> domain
+	libs     map[string]string    // library -> compartment
+	routes   map[[2]string]*Route // (caller, callee) library pair -> route
 	direct   Gate
 	cross    Gate
+	batch    BatchGate // cross, when it amortizes a batch over one crossing
 	clk      *clock.Machine
 	sink     *trace.Sink
 	injector *fault.Injector
@@ -52,11 +55,14 @@ func (r *Registry) SetInjector(in *fault.Injector) { r.injector = in }
 // Every crossing and every named call edge is an event on sink, which
 // may be nil.
 func NewRegistry(clk *clock.Machine, direct, cross Gate, sink *trace.Sink) *Registry {
+	batch, _ := cross.(BatchGate)
 	return &Registry{
 		domains: make(map[string]*Domain),
 		libs:    make(map[string]string),
+		routes:  make(map[[2]string]*Route),
 		direct:  direct,
 		cross:   cross,
+		batch:   batch,
 		clk:     clk,
 		sink:    sink,
 	}
@@ -65,19 +71,18 @@ func NewRegistry(clk *clock.Machine, direct, cross Gate, sink *trace.Sink) *Regi
 // AddCompartment registers a compartment's protection domain.
 func (r *Registry) AddCompartment(d *Domain) { r.domains[d.Name] = d }
 
-// Assign places a library into a compartment.
+// Assign places a library into a compartment. A library is placed once,
+// before any call routes through it: routes keep the placement they
+// resolved.
 func (r *Registry) Assign(lib, compartment string) error {
 	if _, ok := r.domains[compartment]; !ok {
 		return fmt.Errorf("gate: unknown compartment %q", compartment)
 	}
+	if c, ok := r.libs[lib]; ok && c != compartment {
+		return fmt.Errorf("gate: library %q already assigned to %q", lib, c)
+	}
 	r.libs[lib] = compartment
 	return nil
-}
-
-// CompartmentOf reports the compartment a library lives in.
-func (r *Registry) CompartmentOf(lib string) (string, bool) {
-	c, ok := r.libs[lib]
-	return c, ok
 }
 
 // Domain returns a compartment's protection domain.
@@ -96,22 +101,50 @@ func (r *Registry) Libraries() []string {
 	return out
 }
 
-// SameCompartment reports whether two libraries share a compartment.
-func (r *Registry) SameCompartment(a, b string) bool {
-	ca, okA := r.libs[a]
-	cb, okB := r.libs[b]
-	return okA && okB && ca == cb
+// Route is one resolved cross-library call site: the uk_gate
+// placeholder after the builder has bound it to a direct call (both
+// libraries in one compartment) or to the backend's crossing code.
+type Route struct {
+	// FromLib and ToLib are the caller and callee libraries: the call
+	// edge the recorder sees and the library the injector targets.
+	FromLib, ToLib string
+	// From and To are the caller's and callee's compartment domains.
+	From, To *Domain
+	// Crosses reports whether the route crosses a compartment boundary.
+	Crosses bool
+
+	reg  *Registry
+	rows []*LedgerRow // per vCPU: the row this route's crossings book
+}
+
+// Resolve binds a caller and a callee library to their route. A pair
+// resolves once; later calls return the same route.
+func (r *Registry) Resolve(fromLib, toLib string) (*Route, error) {
+	key := [2]string{fromLib, toLib}
+	if ro := r.routes[key]; ro != nil {
+		return ro, nil
+	}
+	cf, ok := r.libs[fromLib]
+	if !ok {
+		return nil, fmt.Errorf("gate: caller library %q not assigned", fromLib)
+	}
+	ct, ok := r.libs[toLib]
+	if !ok {
+		return nil, fmt.Errorf("gate: callee library %q not assigned", toLib)
+	}
+	from, to := r.domains[cf], r.domains[ct]
+	ro := &Route{FromLib: fromLib, ToLib: toLib, From: from, To: to, Crosses: from != to,
+		reg: r, rows: make([]*LedgerRow, r.clk.NCPU())}
+	r.routes[key] = ro
+	return ro, nil
 }
 
 // SharesByReference reports whether payload buffers attached to a call
-// from library a to library b reach the callee without being copied:
-// either both live in the same compartment, or the crossing backend's
+// on the route reach the callee without being copied: either both
+// libraries live in the same compartment, or the crossing backend's
 // transfer policy is by-reference.
-func (r *Registry) SharesByReference(a, b string) bool {
-	if r.SameCompartment(a, b) {
-		return true
-	}
-	return r.cross.Backend().Transfer() == TransferShare
+func (ro *Route) SharesByReference() bool {
+	return !ro.Crosses || ro.reg.cross.Backend().Transfer() == TransferShare
 }
 
 // Call routes a cross-library call: the uk_gate placeholder at run
@@ -126,64 +159,60 @@ func (r *Registry) Call(fromLib, toLib string, argWords int, fn func() error) er
 // and return word counts plus any payload buffers attached by
 // descriptor (the zero-copy data path).
 func (r *Registry) CallWithFrame(fromLib, toLib, fnName string, frame CallFrame, fn func() error) error {
-	from, to, err := r.route(fromLib, toLib, fnName)
+	ro, err := r.Resolve(fromLib, toLib)
 	if err != nil {
 		return err
 	}
-	fn = r.inject(toLib, to.Name, fnName, fn)
-	if from == to {
-		return r.direct.Call(from, to, frame, fn)
-	}
-	return r.crossCall(from, to, frame, fn)
+	return ro.Call(fnName, frame, fn)
 }
 
-// CallBatch routes N cross-library calls to the same callee through
-// one crossing where the backend supports it, storing each frame's
-// outcome in errs[i] (nil for success; errs must have one entry per
-// frame) and returning errs. Same-compartment batches and
-// non-amortizing backends (direct, CHERI) degenerate to a loop of
-// single calls; the MPK and VM-RPC gates carry the whole batch through
-// one domain switch. Per-frame semantics (call edges, injector, trap
-// containment) are identical to N separate calls.
-func (r *Registry) CallBatch(fromLib, toLib, fnName string, frames []CallFrame, fns []func() error, errs []error) []error {
-	bg, amortized := r.cross.(BatchGate)
-	from, to, err := r.route(fromLib, toLib, "")
-	if err != nil || from == to || !amortized {
+// Call runs fn in the callee under frame: a direct call within a
+// compartment, a crossing on the ledger across one. A named call emits
+// its edge, intra-compartment calls included.
+func (ro *Route) Call(fnName string, frame CallFrame, fn func() error) error {
+	r := ro.reg
+	r.observe(ro.FromLib, ro.ToLib, fnName)
+	fn = ro.inject(fnName, fn)
+	if !ro.Crosses {
+		return r.direct.Call(ro.From, ro.To, frame, fn)
+	}
+	row, start := ro.enter()
+	err := r.cross.Call(ro.From, ro.To, frame, fn)
+	row.returned(1, r.clk.Cycles()-start)
+	return err
+}
+
+// CallBatch runs N calls to the same callee through one crossing where
+// the backend supports it, storing each frame's outcome in errs[i]
+// (nil for success; errs must have one entry per frame) and returning
+// errs. Same-compartment batches and non-amortizing backends (direct,
+// CHERI) degenerate to a loop of single calls; the MPK and VM-RPC
+// gates carry the whole batch through one domain switch. Per-frame
+// semantics (call edges, injector, trap containment) are identical to
+// N separate calls.
+func (ro *Route) CallBatch(fnName string, frames []CallFrame, fns []func() error, errs []error) []error {
+	r := ro.reg
+	if !ro.Crosses || r.batch == nil {
 		for i := range frames {
-			errs[i] = r.CallWithFrame(fromLib, toLib, fnName, frames[i], fns[i])
+			errs[i] = ro.Call(fnName, frames[i], fns[i])
 		}
 		return errs
 	}
 	for range fns {
-		r.observe(fromLib, toLib, fnName)
+		r.observe(ro.FromLib, ro.ToLib, fnName)
 	}
 	if r.injector != nil {
 		inners := make([]func() error, len(fns))
 		for i, fn := range fns {
-			inners[i] = r.inject(toLib, to.Name, fnName, fn)
+			inners[i] = ro.inject(fnName, fn)
 		}
 		fns = inners
 	}
 	// One physical crossing for the whole batch.
-	row, start := r.enter(from, to)
-	bg.CallBatch(from, to, frames, fns, errs)
+	row, start := ro.enter()
+	r.batch.CallBatch(ro.From, ro.To, frames, fns, errs)
 	row.returned(len(frames), r.clk.Cycles()-start)
 	return errs
-}
-
-// route resolves both libraries' compartment domains and emits the
-// named call's edge, intra-compartment calls included.
-func (r *Registry) route(fromLib, toLib, fnName string) (from, to *Domain, err error) {
-	cf, ok := r.libs[fromLib]
-	if !ok {
-		return nil, nil, fmt.Errorf("gate: caller library %q not assigned", fromLib)
-	}
-	ct, ok := r.libs[toLib]
-	if !ok {
-		return nil, nil, fmt.Errorf("gate: callee library %q not assigned", toLib)
-	}
-	r.observe(fromLib, toLib, fnName)
-	return r.domains[cf], r.domains[ct], nil
 }
 
 // observe emits one named call edge for the call recorder.
@@ -196,44 +225,48 @@ func (r *Registry) observe(fromLib, toLib, fnName string) {
 // inject wraps fn so the armed injector fires at call entry, on the
 // callee side of the gate: before the callee mutates state, inside
 // whatever trap boundary the gate provides.
-func (r *Registry) inject(toLib, toComp, fnName string, fn func() error) func() error {
-	if r.injector == nil {
+func (ro *Route) inject(fnName string, fn func() error) func() error {
+	in := ro.reg.injector
+	if in == nil {
 		return fn
 	}
 	return func() error {
-		r.injector.OnCall(toLib, toComp, fnName)
+		in.OnCall(ro.ToLib, ro.To.Name, fnName)
 		return fn()
 	}
 }
 
-// crossCall carries one frame across the cross gate, on the ledger.
-func (r *Registry) crossCall(from, to *Domain, frame CallFrame, fn func() error) error {
-	row, start := r.enter(from, to)
-	err := r.cross.Call(from, to, frame, fn)
-	row.returned(1, r.clk.Cycles()-start)
-	return err
-}
-
-// enter books one crossing on its ledger row, emits its "crossing"
-// event, and returns the row and the cycle the call started at.
-func (r *Registry) enter(from, to *Domain) (*LedgerRow, uint64) {
+// enter books one crossing on the route's ledger row for the current
+// vCPU, emits its "crossing" event, and returns the row and the cycle
+// the call started at.
+func (ro *Route) enter() (*LedgerRow, uint64) {
+	r := ro.reg
 	cpu := r.clk.CurID()
-	var row *LedgerRow
-	for _, l := range r.ledger {
-		if l.CPU == cpu && l.From == from.Name && l.To == to.Name {
-			row = l
-			break
-		}
-	}
+	row := ro.rows[cpu]
 	if row == nil {
-		row = &LedgerRow{From: from.Name, To: to.Name, CPU: cpu}
-		r.ledger = append(r.ledger, row)
+		row = r.ledgerRow(ro.From.Name, ro.To.Name, cpu)
+		ro.rows[cpu] = row
 	}
 	row.Crossings++
 	if r.sink.On() {
-		r.sink.Emit(trace.Event{Kind: "crossing", From: from.Name, To: to.Name})
+		r.sink.Emit(trace.Event{Kind: "crossing", From: ro.From.Name, To: ro.To.Name})
 	}
 	return row, r.clk.Cycles()
+}
+
+// ledgerRow returns the row of crossings from compartment from into to
+// started on vCPU cpu, appending it on the pair's first crossing there.
+// Routes cache their rows, so the scan runs once per route and vCPU,
+// and library pairs mapping to one compartment pair share a row.
+func (r *Registry) ledgerRow(from, to string, cpu int) *LedgerRow {
+	for _, row := range r.ledger {
+		if row.CPU == cpu && row.From == from && row.To == to {
+			return row
+		}
+	}
+	row := &LedgerRow{From: from, To: to, CPU: cpu}
+	r.ledger = append(r.ledger, row)
+	return row
 }
 
 // returned books a crossing's frames and the cycles the call took.

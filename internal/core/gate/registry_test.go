@@ -35,7 +35,9 @@ func TestRegistryLedger(t *testing.T) {
 	restore := m.Steer(1)
 	mustNoErr(t, r.CallWithFrame("app", "netstack", "send", frame, nop))
 	frames := []CallFrame{frame, frame, frame}
-	for _, err := range r.CallBatch("app", "netstack", "recv", frames, []func() error{nop, nop, nop}, make([]error, 3)) {
+	route, err := r.Resolve("app", "netstack")
+	mustNoErr(t, err)
+	for _, err := range route.CallBatch("recv", frames, []func() error{nop, nop, nop}, make([]error, 3)) {
 		mustNoErr(t, err)
 	}
 	func() {
@@ -80,5 +82,56 @@ func TestRegistryLedger(t *testing.T) {
 		if edges[i] != want[i] {
 			t.Fatalf("recorded edges %v, want %v", edges, want)
 		}
+	}
+}
+
+// TestRoutesShareLedgerRows pins how routes book the ledger: a row is
+// created at the first crossing of its compartment pair on a vCPU, not
+// when a route resolves, and every library pair that maps to the same
+// compartment pair books that one row. Intra-compartment routes book
+// nothing.
+func TestRoutesShareLedgerRows(t *testing.T) {
+	m := clock.NewMachine(1)
+	r := NewRegistry(m, NewFuncCall(m), NewVMRPC(m, nil), nil)
+	r.AddCompartment(NewDomain("a", 1))
+	r.AddCompartment(NewDomain("b", 2))
+	for lib, comp := range map[string]string{"app": "a", "libc": "a", "netstack": "b", "alloc": "b"} {
+		mustNoErr(t, r.Assign(lib, comp))
+	}
+	frame := CallFrame{ArgWords: 1, RetWords: 1}
+	nop := func() error { return nil }
+	route := func(from, to string) *Route {
+		ro, err := r.Resolve(from, to)
+		mustNoErr(t, err)
+		return ro
+	}
+
+	libcAlloc := route("libc", "alloc") // resolved first, crosses last
+	mustNoErr(t, route("app", "libc").Call("memcpy", frame, nop))
+	mustNoErr(t, route("netstack", "app").Call("upcall", frame, nop))
+	mustNoErr(t, route("app", "netstack").Call("send", frame, nop))
+	mustNoErr(t, libcAlloc.Call("malloc", frame, nop))
+	mustNoErr(t, libcAlloc.Call("free", frame, nop))
+
+	rows := r.Ledger()
+	if len(rows) != 2 {
+		t.Fatalf("ledger has %d rows, want one per compartment pair: %+v", len(rows), rows)
+	}
+	if rows[0].From != "b" || rows[0].To != "a" || rows[0].Crossings != 1 {
+		t.Errorf("first row = %s->%s x%d, want b->a x1 (first to cross)", rows[0].From, rows[0].To, rows[0].Crossings)
+	}
+	if rows[1].From != "a" || rows[1].To != "b" || rows[1].Crossings != 3 || rows[1].Frames != 3 {
+		t.Errorf("second row = %s->%s x%d (%d frames), want a->b x3 shared by app->netstack and libc->alloc",
+			rows[1].From, rows[1].To, rows[1].Crossings, rows[1].Frames)
+	}
+
+	if _, err := r.Resolve("app", "ghost"); err == nil || err.Error() != `gate: callee library "ghost" not assigned` {
+		t.Errorf("unassigned callee: %v", err)
+	}
+	if _, err := r.Resolve("ghost", "app"); err == nil || err.Error() != `gate: caller library "ghost" not assigned` {
+		t.Errorf("unassigned caller: %v", err)
+	}
+	if err := r.Assign("app", "b"); err == nil {
+		t.Error("a routed library moved to another compartment")
 	}
 }

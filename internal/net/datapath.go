@@ -107,7 +107,12 @@ func (st *Stack) crossCopy(from, to string, n int) {
 	if st.dataPath != DataPathCopy || n <= 0 {
 		return
 	}
-	if st.env.Gates.SameCompartment(from, to) {
+	// One end is always the stack itself.
+	peer := from
+	if peer == st.env.Lib {
+		peer = to
+	}
+	if !st.env.Crosses(peer) {
 		return
 	}
 	st.env.CPU.Charge(clock.CompCopy, clock.CrossCopyCycles(n))

@@ -66,6 +66,35 @@ type Env struct {
 	// Absent entries (and any image without the directive) mean depth 1,
 	// i.e. no batching.
 	Batching map[string]int
+
+	callees []callee // resolved on first call, in first-call order
+}
+
+// callee is one library this library has called: the gate route the
+// registry resolved for the pair and the batch depth of the callee's
+// compartment. Libraries never move after boot, so both hold for the
+// image's lifetime.
+type callee struct {
+	route *gate.Route
+	depth int
+}
+
+// resolve returns the callee entry for lib `to`, resolving its route on
+// the first call. A steady-state call scans the few callees this
+// library has, with no lookup keyed by a library or compartment name.
+func (e *Env) resolve(to string) (callee, error) {
+	for _, c := range e.callees {
+		if c.route.ToLib == to {
+			return c, nil
+		}
+	}
+	ro, err := e.Gates.Resolve(e.Lib, to)
+	if err != nil {
+		return callee{}, err
+	}
+	c := callee{route: ro, depth: max(e.Batching[ro.To.Name], 1)}
+	e.callees = append(e.callees, c)
+	return c, nil
 }
 
 // Charge attributes cycles to this library.
@@ -89,42 +118,49 @@ func (e *Env) CallFrame(to, fnName string, frame gate.CallFrame, fn func() error
 	return e.route(to, fnName, frame, fn)
 }
 
-// route dispatches through the gate registry, under the machine's
-// fault supervisor when one is attached: the supervisor applies the
-// callee compartment's admission policy before the gate and its fault
-// policy to any trap the call raises. The frame inherits the current
-// thread's deadline, so nested calls stay under the original budget.
+// route dispatches through the callee's gate route, under the
+// machine's fault supervisor when one is attached: the supervisor
+// applies the callee compartment's admission policy before the gate and
+// its fault policy to any trap the call raises. The frame inherits the
+// current thread's deadline, so nested calls stay under the original
+// budget.
 func (e *Env) route(to, fnName string, frame gate.CallFrame, fn func() error) error {
+	c, err := e.resolve(to)
+	if err != nil {
+		return err
+	}
+	ro := c.route
 	if frame.Deadline == 0 {
 		frame.Deadline = e.currentDeadline()
 	}
 	if e.Sup == nil {
-		return e.Gates.CallWithFrame(e.Lib, to, fnName, frame, fn)
+		return ro.Call(fnName, frame, fn)
 	}
-	toComp, _ := e.Gates.CompartmentOf(to)
-	fromComp, _ := e.Gates.CompartmentOf(e.Lib)
-	return e.Sup.SuperviseCall(toComp, frame.Deadline, fromComp != toComp, func() error {
-		return e.Gates.CallWithFrame(e.Lib, to, fnName, frame, fn)
+	return e.Sup.SuperviseCall(ro.To.Name, frame.Deadline, ro.Crosses, func() error {
+		return ro.Call(fnName, frame, fn)
 	})
 }
 
 // BatchDepth reports how many frames a call from this library into lib
 // `to` may carry per crossing: the `batch` directive's depth for the
-// callee's compartment, 1 (no batching) when unconfigured. Callers use
-// it to size their vectored operations, so an image built without the
-// directive runs the exact unbatched code path.
+// callee's compartment, 1 (no batching) when unconfigured or when `to`
+// is not assigned. Callers use it to size their vectored operations, so
+// an image built without the directive runs the exact unbatched code
+// path.
 func (e *Env) BatchDepth(to string) int {
-	if len(e.Batching) == 0 {
+	c, err := e.resolve(to)
+	if err != nil {
 		return 1
 	}
-	comp, ok := e.Gates.CompartmentOf(to)
-	if !ok {
-		return 1
-	}
-	if d := e.Batching[comp]; d > 1 {
-		return d
-	}
-	return 1
+	return c.depth
+}
+
+// Crosses reports whether a call from this library into lib `to`
+// crosses a compartment boundary. A library that is not assigned counts
+// as crossing.
+func (e *Env) Crosses(to string) bool {
+	c, err := e.resolve(to)
+	return err != nil || c.route.Crosses
 }
 
 // BatchCall is one frame of a vectored gate call: the gate frame and
@@ -140,34 +176,41 @@ type BatchCall struct {
 // frame: the returned slice has one entry per call, and a shed, broken
 // or trapped frame fails alone while the rest of the batch completes.
 func (e *Env) CallBatch(to, fnName string, calls []BatchCall) []error {
+	c, err := e.resolve(to)
+	if err != nil {
+		errs := make([]error, len(calls))
+		for i := range errs {
+			errs[i] = err
+		}
+		return errs
+	}
+	ro := c.route
 	frames := make([]gate.CallFrame, len(calls))
 	fns := make([]func() error, len(calls))
 	deadlines := make([]uint64, len(calls))
-	for i, c := range calls {
-		if c.Frame.Deadline == 0 {
-			c.Frame.Deadline = e.currentDeadline()
+	for i, call := range calls {
+		if call.Frame.Deadline == 0 {
+			call.Frame.Deadline = e.currentDeadline()
 		}
-		frames[i], fns[i], deadlines[i] = c.Frame, c.Fn, c.Frame.Deadline
+		frames[i], fns[i], deadlines[i] = call.Frame, call.Fn, call.Frame.Deadline
 	}
 	if e.Sup == nil {
-		return e.Gates.CallBatch(e.Lib, to, fnName, frames, fns, make([]error, len(frames)))
+		return ro.CallBatch(fnName, frames, fns, make([]error, len(frames)))
 	}
-	toComp, _ := e.Gates.CompartmentOf(to)
-	fromComp, _ := e.Gates.CompartmentOf(e.Lib)
-	return e.Sup.SuperviseBatch(toComp, deadlines, fromComp != toComp,
+	return e.Sup.SuperviseBatch(ro.To.Name, deadlines, ro.Crosses,
 		func(admitted []int) []error {
 			if len(admitted) == len(frames) {
-				return e.Gates.CallBatch(e.Lib, to, fnName, frames, fns, make([]error, len(frames)))
+				return ro.CallBatch(fnName, frames, fns, make([]error, len(frames)))
 			}
 			subFrames := make([]gate.CallFrame, len(admitted))
 			subFns := make([]func() error, len(admitted))
 			for j, i := range admitted {
 				subFrames[j], subFns[j] = frames[i], fns[i]
 			}
-			return e.Gates.CallBatch(e.Lib, to, fnName, subFrames, subFns, make([]error, len(subFrames)))
+			return ro.CallBatch(fnName, subFrames, subFns, make([]error, len(subFrames)))
 		},
 		func(i int) error {
-			return e.Gates.CallWithFrame(e.Lib, to, fnName, frames[i], fns[i])
+			return ro.Call(fnName, frames[i], fns[i])
 		})
 }
 
@@ -214,7 +257,8 @@ func (e *Env) WithDeadline(t *sched.Thread, deadline uint64, fn func() error) er
 // scalar ABI: attaching buffers to a copy-policy gate charges the full
 // payload at the crossing.
 func (e *Env) SharesBufs(to string) bool {
-	return e.Gates.SharesByReference(e.Lib, to)
+	c, err := e.resolve(to)
+	return err == nil && c.route.SharesByReference()
 }
 
 // Malloc allocates n bytes. With a local allocator the call is direct;

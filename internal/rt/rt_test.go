@@ -101,3 +101,33 @@ func TestBytesBoundsChecked(t *testing.T) {
 		t.Fatalf("Bytes = %v, %v", len(b), err)
 	}
 }
+
+// TestUnassignedCalleeSameError pins that a call into a library the
+// image never assigned fails with the registry's error whether or not a
+// supervisor wraps the call, single or batched, and reaches no gate.
+func TestUnassignedCalleeSameError(t *testing.T) {
+	const want = `gate: callee library "ghost" not assigned`
+	for _, supervised := range []bool{false, true} {
+		env, reg, cpu := newEnv(t, true, true)
+		if supervised {
+			env.Sup = NewSupervisor(cpu, nil, nil)
+		}
+		called := false
+		fn := func() error { called = true; return nil }
+		if err := env.Call("ghost", 1, fn); err == nil || err.Error() != want {
+			t.Errorf("supervised=%v: Call error %v, want %q", supervised, err, want)
+		}
+		errs := env.CallBatch("ghost", "recv", []BatchCall{{Fn: fn}, {Fn: fn}})
+		for i, err := range errs {
+			if err == nil || err.Error() != want {
+				t.Errorf("supervised=%v: batch frame %d error %v, want %q", supervised, i, err, want)
+			}
+		}
+		if called || reg.TotalCrossings() != 0 || cpu.Cycles() != 0 {
+			t.Errorf("supervised=%v: unassigned callee reached a gate", supervised)
+		}
+		if env.BatchDepth("ghost") != 1 || env.SharesBufs("ghost") || !env.Crosses("ghost") {
+			t.Errorf("supervised=%v: unassigned callee answered as if routed", supervised)
+		}
+	}
+}

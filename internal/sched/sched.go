@@ -14,9 +14,10 @@
 //     reproduces both the trust argument (violations are caught, not
 //     silently corrupting) and the measured 218.6 ns switch cost.
 //
-// Threads are goroutines, but scheduling is strictly cooperative and
-// deterministic: exactly one thread runs at a time, handed control
-// through an unbuffered channel. Each thread is bound to a vCPU of a
+// Threads are coroutines (iter.Pull), and scheduling is strictly
+// cooperative and deterministic: exactly one thread runs at a time, and
+// a dispatch is one coroutine switch into the thread and one back when
+// it yields, parks or exits. Each thread is bound to a vCPU of a
 // clock.Machine and waits on that vCPU's FIFO run queue. The dispatcher
 // is a conservative discrete-event interleaver: the machine holding the
 // earliest-enqueued runnable head goes next (on machines of one vCPU,
@@ -26,11 +27,17 @@
 // concurrency. Cross-CPU wakes on one machine charge the waking vCPU
 // an IPI, and an idle vCPU may steal waiting work from a loaded sibling
 // (bounded, unpinned threads only).
+//
+// A thread's coroutine is created at its first dispatch and finishes
+// before Run returns: threads still blocked at shutdown are unwound, so
+// no goroutine outlives Run. A thread body that calls runtime.Goexit
+// unwinds the goroutine that called Run, as iter.Pull propagates it.
 package sched
 
 import (
 	"errors"
 	"fmt"
+	"iter"
 
 	"flexos/internal/clock"
 )
@@ -84,12 +91,14 @@ type Thread struct {
 	// Managed by rt.Env.WithDeadline; tightest deadline wins.
 	Deadline uint64
 
-	state  State
-	sched  Scheduler
-	resume chan struct{}
-	killed bool
-	fault  error  // panic captured from the thread body
-	seq    uint64 // enqueue stamp: FIFO order within and across queues
+	state   State
+	sched   Scheduler
+	body    func(*Thread)
+	next    func() (struct{}, bool) // runs the coroutine to its next suspension
+	suspend func(struct{}) bool     // inside the coroutine: back to the dispatcher
+	killed  bool
+	fault   error  // panic captured from the thread body
+	seq     uint64 // enqueue stamp: FIFO order within and across queues
 }
 
 // State reports the thread's current state.
@@ -173,7 +182,6 @@ type coop struct {
 	threads    []*Thread
 	current    *Thread
 	last       *Thread
-	yielded    chan struct{}
 	timers     *Timers
 	switches   uint64
 	steals     uint64
@@ -188,7 +196,6 @@ type coop struct {
 
 func newCoop(switchCost, opExtra uint64, verify bool) *coop {
 	return &coop{
-		yielded:    make(chan struct{}),
 		timers:     newTimers(),
 		switchCost: switchCost,
 		opCost:     clock.CostSchedOp,
@@ -231,7 +238,7 @@ func (s *coop) enqueue(t *Thread) {
 
 // Spawn implements Scheduler for both schedulers.
 func (s *coop) Spawn(name string, cpu *clock.CPU, body func(*Thread)) *Thread {
-	t := &Thread{Name: name, CPU: cpu, sched: s.self, state: Ready, resume: make(chan struct{})}
+	t := &Thread{Name: name, CPU: cpu, sched: s.self, state: Ready, body: body}
 	s.chargeOp(cpu)
 	if s.verify {
 		// thread_add precondition: the thread must not already be
@@ -241,20 +248,6 @@ func (s *coop) Spawn(name string, cpu *clock.CPU, body func(*Thread)) *Thread {
 	}
 	s.threads = append(s.threads, t)
 	s.enqueue(t)
-	go func() {
-		<-t.resume
-		defer func() {
-			if r := recover(); r != nil && r != error(errThreadKilled) {
-				t.fault = &ThreadCrash{Thread: t.Name, Cause: causeFromPanic(r)}
-				if s.firstFault == nil {
-					s.firstFault = t.fault
-				}
-			}
-			t.state = Exited
-			s.yielded <- struct{}{}
-		}()
-		body(t)
-	}()
 	if s.verify {
 		s.checkInvariants("thread_add(post)")
 	}
@@ -292,14 +285,16 @@ func (s *coop) Run() error {
 		s.killAll()
 		return s.firstFault
 	}
-	// Unwind service threads so their goroutines do not outlive the
+	// Unwind service threads so their coroutines do not outlive the
 	// scheduler.
 	s.killDaemons()
 	// All queues drained: report deadlock if live non-daemon threads
-	// remain blocked.
+	// remain blocked, then unwind them too.
 	for _, t := range s.threads {
 		if t.state == Blocked && !t.Daemon {
-			return fmt.Errorf("%w: %s still blocked", ErrDeadlock, t.Name)
+			err := fmt.Errorf("%w: %s still blocked", ErrDeadlock, t.Name)
+			s.killAll()
+			return err
 		}
 	}
 	return nil
@@ -317,7 +312,7 @@ func (s *coop) pick() *Thread {
 			for len(rq.q) > 0 {
 				h := rq.q[0]
 				if h.state != Ready || (h.Daemon && daemonsOnly) {
-					rq.q = rq.q[1:]
+					rq.q = popHead(rq.q)
 					continue
 				}
 				break
@@ -330,8 +325,16 @@ func (s *coop) pick() *Thread {
 		return nil
 	}
 	t := rq.q[0]
-	rq.q = rq.q[1:]
+	rq.q = popHead(rq.q)
 	return t
+}
+
+// popHead removes a queue's head in place, keeping FIFO order and the
+// backing array, so the next append does not reallocate.
+func popHead(q []*Thread) []*Thread {
+	n := copy(q, q[1:])
+	q[n] = nil
+	return q[:n]
 }
 
 // chooseQueue applies the interleaver rule to the pruned queues: the
@@ -450,7 +453,7 @@ func (s *coop) fireTimer(timers *Timers) (fired bool, err error) {
 }
 
 // killDaemons resumes every live daemon with the kill flag set; its
-// next blocking call unwinds the goroutine cleanly.
+// next blocking call unwinds the coroutine cleanly.
 func (s *coop) killDaemons() {
 	for pass := 0; pass < 4; pass++ {
 		progress := false
@@ -470,7 +473,8 @@ func (s *coop) killDaemons() {
 }
 
 // killAll unwinds every live thread, daemon or not — the post-fault
-// teardown path, where blocked joiners would otherwise leak goroutines.
+// and deadlock teardown path, where blocked threads would otherwise
+// leak their coroutines.
 func (s *coop) killAll() {
 	for pass := 0; pass < 4; pass++ {
 		progress := false
@@ -499,9 +503,9 @@ func (s *coop) onlyDaemonsLeft() bool {
 	return true
 }
 
-// dispatch hands the vCPU to t and waits until it yields, parks or
-// exits. The thread's vCPU becomes its machine's current one, so every
-// cycle the thread charges lands on the right counter.
+// dispatch hands the vCPU to t and runs its coroutine until it yields,
+// parks or exits. The thread's vCPU becomes its machine's current one,
+// so every cycle the thread charges lands on the right counter.
 func (s *coop) dispatch(t *Thread) {
 	s.switches++
 	cost := s.switchCost
@@ -514,10 +518,44 @@ func (s *coop) dispatch(t *Thread) {
 	t.CPU.MakeCurrent()
 	t.state = Running
 	s.current = t
-	t.resume <- struct{}{}
-	<-s.yielded
+	if t.next == nil {
+		// The coroutine is created at the first dispatch; a thread that
+		// is never dispatched never holds a goroutine.
+		t.next, _ = iter.Pull(s.coroutine(t))
+	}
+	t.next()
 	s.last = t
 	s.current = nil
+}
+
+// coroutine is a thread's body as a coroutine. A panic in the body is
+// recovered inside the coroutine, so it becomes the thread's
+// ThreadCrash rather than unwinding the dispatcher; the kill panic that
+// unwinds a thread at shutdown is not a fault.
+func (s *coop) coroutine(t *Thread) iter.Seq[struct{}] {
+	return func(suspend func(struct{}) bool) {
+		t.suspend = suspend
+		defer func() {
+			if r := recover(); r != nil && r != error(errThreadKilled) {
+				t.fault = &ThreadCrash{Thread: t.Name, Cause: causeFromPanic(r)}
+				if s.firstFault == nil {
+					s.firstFault = t.fault
+				}
+			}
+			t.state = Exited
+		}()
+		t.body(t)
+	}
+}
+
+// switchOut suspends t's coroutine, handing control back to dispatch,
+// and returns when t is dispatched again. A thread resumed to be
+// killed unwinds from here.
+func (t *Thread) switchOut() {
+	t.suspend(struct{}{})
+	if t.killed {
+		panic(errThreadKilled)
+	}
 }
 
 func (s *coop) yield(t *Thread) {
@@ -530,11 +568,7 @@ func (s *coop) yield(t *Thread) {
 	}
 	t.state = Ready
 	s.enqueue(t)
-	s.yielded <- struct{}{}
-	<-t.resume
-	if t.killed {
-		panic(errThreadKilled)
-	}
+	t.switchOut()
 }
 
 func (s *coop) park(t *Thread) {
@@ -546,11 +580,7 @@ func (s *coop) park(t *Thread) {
 		s.precondition(t, "block")
 	}
 	t.state = Blocked
-	s.yielded <- struct{}{}
-	<-t.resume
-	if t.killed {
-		panic(errThreadKilled)
-	}
+	t.switchOut()
 }
 
 func (s *coop) wake(t *Thread) {

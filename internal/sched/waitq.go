@@ -26,7 +26,7 @@ func (q *WaitQueue) Signal() bool {
 		return false
 	}
 	t := q.waiters[0]
-	q.waiters = q.waiters[1:]
+	q.waiters = popHead(q.waiters)
 	t.Wake()
 	return true
 }
