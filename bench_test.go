@@ -2,6 +2,7 @@ package flexos_test
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"flexos"
@@ -270,7 +271,9 @@ func TestDataPathSpeedup(t *testing.T) {
 
 // BenchmarkContextSwitch runs two threads yielding to each other on
 // one vCPU, per scheduler. allocs/op counts the scheduler's host
-// allocations per ~1,000 dispatches.
+// allocations per ~1,000 dispatches. Like BenchmarkNewWorld it runs on
+// one P after a collection, so no other goroutine allocates while it
+// is counted and the count repeats exactly.
 func BenchmarkContextSwitch(b *testing.B) {
 	kinds := []struct {
 		name string
@@ -279,9 +282,12 @@ func BenchmarkContextSwitch(b *testing.B) {
 		{"c", func() sched.Scheduler { return sched.NewCScheduler() }},
 		{"verified", func() sched.Scheduler { return sched.NewVerifiedScheduler() }},
 	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	for _, k := range kinds {
 		b.Run(k.name, func(b *testing.B) {
+			runtime.GC()
 			b.ReportAllocs()
+			b.ResetTimer()
 			var ns float64
 			for i := 0; i < b.N; i++ {
 				s := k.mk()
@@ -410,24 +416,22 @@ func BenchmarkGateCallBatch(b *testing.B) {
 			cpu := clock.NewMachine(1)
 			g := gateFor(b, backend, arena, cpu)
 			from, to := gate.NewDomain("a", 1), gate.NewDomain("b", 2)
-			frames := make([]gate.CallFrame, depth)
-			fns := make([]func() error, depth)
-			errs := make([]error, depth)
-			for i := range frames {
-				frames[i] = gate.CallFrame{ArgWords: 2, RetWords: 1}
-				fns[i] = func() error { return nil }
+			calls := make([]gate.BatchCall, depth)
+			for i := range calls {
+				calls[i] = gate.BatchCall{Frame: gate.CallFrame{ArgWords: 2, RetWords: 1},
+					Fn: func() error { return nil }}
 			}
 			for i := 0; i < b.N; i++ {
 				if bg, ok := g.(gate.BatchGate); ok {
-					bg.CallBatch(from, to, frames, fns, errs)
-					for _, err := range errs {
-						if err != nil {
-							b.Fatal(err)
+					bg.CallBatch(from, to, calls)
+					for _, c := range calls {
+						if c.Err != nil {
+							b.Fatal(c.Err)
 						}
 					}
 				} else {
-					for j := range frames {
-						if err := g.Call(from, to, frames[j], fns[j]); err != nil {
+					for _, c := range calls {
+						if err := g.Call(from, to, c.Frame, c.Fn); err != nil {
 							b.Fatal(err)
 						}
 					}
@@ -453,13 +457,25 @@ func BenchmarkRegistryCall(b *testing.B) {
 
 // BenchmarkSupervisedCall times the same call the way a library makes
 // it: through rt.Env, so the supervisor's admission, breaker and fault
-// policy run around the registry call. A clean supervised call charges
-// nothing, so sim-cycles/call equals BenchmarkRegistryCall's, and
-// allocs/op catches a per-call allocation on the supervision path.
+// policy run around the registry call, with a callee body made per call
+// that captures a caller local, as Env.Malloc's does. A clean
+// supervised call charges nothing, so sim-cycles/call equals
+// BenchmarkRegistryCall's, and allocs/op catches a per-call allocation
+// on the supervision path or a callee body escaping to the heap.
 func BenchmarkSupervisedCall(b *testing.B) {
-	benchBootedCall(b, func(w *build.World, frame gate.CallFrame, nop func() error) func() error {
+	benchBootedCall(b, func(w *build.World, frame gate.CallFrame, _ func() error) func() error {
 		env := w.Server.Env("app")
-		return func() error { return env.CallFrame("netstack", "bench", frame, nop) }
+		return func() error {
+			got := 0
+			err := env.CallFrame("netstack", "bench", frame, func() error {
+				got = frame.ArgWords
+				return nil
+			})
+			if err == nil && got != frame.ArgWords {
+				err = fmt.Errorf("callee body returned %d words, want %d", got, frame.ArgWords)
+			}
+			return err
+		}
 	})
 }
 
@@ -498,12 +514,18 @@ func benchBootedCall(b *testing.B, prepare func(w *build.World, frame gate.CallF
 // 16 MiB arena) and an ASAN-hardened netstack, so each machine also
 // maps an arena-sized shadow. The arena and the shadow are demand-zero,
 // so B/op counts only the Go-side structures a boot builds; either
-// one landing on the Go heap again adds 16 MiB per machine.
+// one landing on the Go heap again adds 16 MiB per machine. The boots
+// run on one P after a collection, so no other goroutine (the
+// collector, an earlier boot's arena finalizer) allocates while a boot
+// is counted, and allocs/op repeats exactly.
 func BenchmarkNewWorld(b *testing.B) {
 	cfg := build.Config{Name: "boot", Alloc: build.AllocPerLibrary,
 		SH: map[string]flexos.HardeningProfile{"netstack": harness.SHProfile}}
 	const arena = mem.PageSize + 4<<20 + 6*(2<<20)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	runtime.GC()
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		w, err := build.NewWorld(cfg)
 		if err != nil {
@@ -599,6 +621,11 @@ func TestBatchingSpeedup(t *testing.T) {
 // The image is parsed outside the timer.
 func BenchmarkExplore(b *testing.B) {
 	libs := spec.DefaultImage()
+	// One untimed exploration first, as benchBootedCall warms its call,
+	// so even a -benchtime=1x run times the steady state.
+	if _, err := explore.Explore(libs, gate.MPKShared, explore.DefaultWorkload()); err != nil {
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

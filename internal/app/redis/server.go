@@ -192,9 +192,10 @@ func (c *connState) flushCopies() error {
 				Fn:    func() error { return s.lc.Memcpy(p.dst, p.src, p.n) },
 			}
 		}
-		for _, err := range s.env.CallBatch("libc", "memcpy", calls) {
-			if err != nil {
-				return err
+		s.env.CallBatch("libc", "memcpy", calls)
+		for _, c := range calls {
+			if c.Err != nil {
+				return c.Err
 			}
 		}
 	}

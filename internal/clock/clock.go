@@ -63,35 +63,95 @@ const Hz = 2_100_000_000
 // stands in for hardware parallelism, which keeps runs reproducible.
 type CPU struct {
 	cycles uint64
-	ledger []entry
-	id     int
-	mach   *Machine
+	// canon holds the canonical components' rows, indexed by
+	// canonIndex; bit i of seen says canon[i] is a row of the ledger.
+	canon [len(canonical)]uint64
+	seen  uint16
+	// extra holds any other component's row, in first-charge order.
+	extra []entry
+	id    int
+	mach  *Machine
 }
 
-// entry is one row of a CPU's per-component ledger.
+// entry is one non-canonical row of a CPU's per-component ledger.
 type entry struct {
 	comp   Component
 	cycles uint64
 }
 
+// canonical lists the canonical components in their ledger slots.
+var canonical = [...]Component{
+	CompNet, CompSched, CompLibC, CompAlloc, CompApp, CompRest,
+	CompGate, CompSH, CompVMM, CompCopy, CompFault, CompIdle,
+}
+
+// canonIndex reports comp's slot in canonical, or -1 for a
+// non-canonical component. The switch compares lengths and words of
+// the string, never a hash, and matches a canonical name however its
+// string was built.
+func canonIndex(comp Component) int {
+	switch comp {
+	case CompNet:
+		return 0
+	case CompSched:
+		return 1
+	case CompLibC:
+		return 2
+	case CompAlloc:
+		return 3
+	case CompApp:
+		return 4
+	case CompRest:
+		return 5
+	case CompGate:
+		return 6
+	case CompSH:
+		return 7
+	case CompVMM:
+		return 8
+	case CompCopy:
+		return 9
+	case CompFault:
+		return 10
+	case CompIdle:
+		return 11
+	}
+	return -1
+}
+
 // New returns vCPU 0 of a fresh one-vCPU machine.
 func New() *CPU { return NewMachine(1).CPU(0) }
 
-// Charge adds cycles to the counter, attributed to comp. The ledger
-// is a short slice in first-charge order, scanned by string equality:
-// an image charges about a dozen components, and the canonical ones
-// share their string data, so a steady-state charge is a few compares
-// with no hashing and no allocation. A component's first charge adds
-// its row, even for zero cycles.
+// Charge adds cycles to the counter, attributed to comp. A canonical
+// component lands in its fixed slot; any other is found in a short
+// slice by string equality. A component's first charge adds its row,
+// even for zero cycles, and a steady-state charge allocates nothing.
 func (c *CPU) Charge(comp Component, cycles uint64) {
 	c.cycles += cycles
-	for i := range c.ledger {
-		if c.ledger[i].comp == comp {
-			c.ledger[i].cycles += cycles
+	if i := canonIndex(comp); i >= 0 {
+		c.canon[i] += cycles
+		c.seen |= 1 << i
+		return
+	}
+	for i := range c.extra {
+		if c.extra[i].comp == comp {
+			c.extra[i].cycles += cycles
 			return
 		}
 	}
-	c.ledger = append(c.ledger, entry{comp, cycles})
+	c.extra = append(c.extra, entry{comp, cycles})
+}
+
+// addTo adds each of the vCPU's ledger rows into out.
+func (c *CPU) addTo(out map[Component]uint64) {
+	for i, comp := range canonical {
+		if c.seen&(1<<i) != 0 {
+			out[comp] += c.canon[i]
+		}
+	}
+	for _, e := range c.extra {
+		out[e.comp] += e.cycles
+	}
 }
 
 // Cycles reports the total number of cycles charged so far.
@@ -121,16 +181,17 @@ func (c *CPU) AdvanceTo(now uint64) {
 
 // ByComponent returns a copy of the per-component cycle ledger.
 func (c *CPU) ByComponent() map[Component]uint64 {
-	out := make(map[Component]uint64, len(c.ledger))
-	for _, e := range c.ledger {
-		out[e.comp] = e.cycles
-	}
+	out := make(map[Component]uint64)
+	c.addTo(out)
 	return out
 }
 
 // Component reports the cycles attributed to a single component.
 func (c *CPU) Component(comp Component) uint64 {
-	for _, e := range c.ledger {
+	if i := canonIndex(comp); i >= 0 {
+		return c.canon[i]
+	}
+	for _, e := range c.extra {
 		if e.comp == comp {
 			return e.cycles
 		}
@@ -141,7 +202,9 @@ func (c *CPU) Component(comp Component) uint64 {
 // Reset zeroes the counter and the ledger.
 func (c *CPU) Reset() {
 	c.cycles = 0
-	c.ledger = c.ledger[:0]
+	c.canon = [len(canonical)]uint64{}
+	c.seen = 0
+	c.extra = c.extra[:0]
 }
 
 // CyclesToDuration converts cycles at Hz to a duration.

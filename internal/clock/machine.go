@@ -75,9 +75,7 @@ func (m *Machine) Makespan() uint64 {
 func (m *Machine) ByComponent() map[Component]uint64 {
 	out := make(map[Component]uint64)
 	for _, c := range m.cpus {
-		for _, e := range c.ledger {
-			out[e.comp] += e.cycles
-		}
+		c.addTo(out)
 	}
 	return out
 }

@@ -29,9 +29,7 @@ func TestCrossingDoesNotAllocate(t *testing.T) {
 			}
 			frame := gate.CallFrame{ArgWords: 3, RetWords: 1}
 			nop := func() error { return nil }
-			frames := []gate.CallFrame{frame, frame, frame, frame}
-			fns := []func() error{nop, nop, nop, nop}
-			errs := make([]error, len(frames))
+			calls := make([]gate.BatchCall, 4)
 			var callErr error
 			if n := testing.AllocsPerRun(100, func() {
 				if err := reg.CallWithFrame("app", "netstack", "recv", frame, nop); err != nil {
@@ -41,9 +39,13 @@ func TestCrossingDoesNotAllocate(t *testing.T) {
 				t.Errorf("CallWithFrame allocates %.1f times per call", n)
 			}
 			if n := testing.AllocsPerRun(100, func() {
-				for _, err := range route.CallBatch("recv", frames, fns, errs) {
-					if err != nil {
-						callErr = err
+				for i := range calls {
+					calls[i] = gate.BatchCall{Frame: frame, Fn: nop}
+				}
+				route.CallBatch("recv", calls)
+				for _, c := range calls {
+					if c.Err != nil {
+						callErr = c.Err
 					}
 				}
 			}); n != 0 {
@@ -89,6 +91,71 @@ func TestSupervisedCallDoesNotAllocate(t *testing.T) {
 				if callErr != nil {
 					t.Fatal(callErr)
 				}
+			}
+			if st := w.Server.Sup.Stats(); st != (rt.SupervisorStats{}) {
+				t.Fatalf("clean calls touched the supervisor: %+v", st)
+			}
+		})
+	}
+}
+
+// TestRoutedCallsDoNotAllocate pins that a routed call made the way a
+// library makes it — through rt.Env and the supervisor — keeps its
+// callee body on the caller's stack on every backend. A body that
+// captures a caller local, as Env.Malloc's does, allocates nothing
+// (each gate is reached by a static call, so the body never escapes),
+// and neither does an 8-frame batch over a reused caller slice (the
+// slice itself carries frames, bodies and outcomes to the gate).
+func TestRoutedCallsDoNotAllocate(t *testing.T) {
+	for _, b := range []gate.Backend{gate.FuncCall, gate.MPKShared, gate.MPKSwitched, gate.VMRPC, gate.CHERI} {
+		t.Run(b.String(), func(t *testing.T) {
+			w, err := NewWorld(Config{Name: "alloc", Compartments: NWOnly(), Backend: b, Alloc: AllocPerCompartment})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if w.Server.Sup == nil {
+				t.Fatal("image booted without a supervisor")
+			}
+			env := w.Server.Env("app")
+			var callErr error
+			sum := 0
+			capturing := func() {
+				got := 0
+				if err := env.CallFn("netstack", "recv", 3, func() error {
+					got = len(env.Lib)
+					return nil
+				}); err != nil {
+					callErr = err
+				}
+				sum += got
+			}
+			capturing() // adds the crossing's ledger row
+			if n := testing.AllocsPerRun(100, capturing); n != 0 {
+				t.Errorf("a capturing CallFn body allocates %.1f times per call", n)
+			}
+
+			calls := make([]rt.BatchCall, 8)
+			nop := func() error { return nil }
+			batch := func() {
+				for i := range calls {
+					calls[i] = rt.BatchCall{Frame: gate.CallFrame{ArgWords: 3, RetWords: 1}, Fn: nop}
+				}
+				env.CallBatch("netstack", "recv", calls)
+				for _, c := range calls {
+					if c.Err != nil {
+						callErr = c.Err
+					}
+				}
+			}
+			batch()
+			if n := testing.AllocsPerRun(100, batch); n != 0 {
+				t.Errorf("an 8-frame CallBatch allocates %.1f times per batch", n)
+			}
+			if callErr != nil {
+				t.Fatal(callErr)
+			}
+			if sum == 0 || w.Server.Registry.TotalCrossings() == 0 {
+				t.Fatal("no body ran across the boundary")
 			}
 			if st := w.Server.Sup.Stats(); st != (rt.SupervisorStats{}) {
 				t.Fatalf("clean calls touched the supervisor: %+v", st)

@@ -174,11 +174,10 @@ func TestBatchCrossingCostMatchesGateCharge(t *testing.T) {
 	cpu := clock.NewMachine(1)
 	a, b := NewDomain("a", 1), NewDomain("b", 2)
 	gates := testGates(t, cpu, a, b)
-	frames := make([]CallFrame, depth)
-	fns := make([]func() error, depth)
+	calls := make([]BatchCall, depth)
 	ran := 0
-	for i := range fns {
-		fns[i] = func() error { ran++; return nil }
+	for i := range calls {
+		calls[i].Fn = func() error { ran++; return nil }
 	}
 	for _, backend := range declaredBackends(t) {
 		g, ok := gates[backend]
@@ -189,18 +188,17 @@ func TestBatchCrossingCostMatchesGateCharge(t *testing.T) {
 		cpu.Reset()
 		ran = 0
 		if bg, isBatch := g.(BatchGate); isBatch {
-			errs := make([]error, len(frames))
-			bg.CallBatch(a, b, frames, fns, errs)
-			for i, err := range errs {
-				if err != nil {
-					t.Fatalf("%v: frame %d: %v", backend, i, err)
+			bg.CallBatch(a, b, calls)
+			for i, c := range calls {
+				if c.Err != nil {
+					t.Fatalf("%v: frame %d: %v", backend, i, c.Err)
 				}
 			}
 		} else {
 			// The Registry falls back to this loop for gates without
 			// native batch support.
-			for _, fn := range fns {
-				if err := g.Call(a, b, CallFrame{}, fn); err != nil {
+			for _, c := range calls {
+				if err := g.Call(a, b, c.Frame, c.Fn); err != nil {
 					t.Fatalf("%v: %v", backend, err)
 				}
 			}

@@ -22,14 +22,24 @@ import (
 // checks apply at each frame's dispatch, and the supervisor layered
 // above applies admission control and breaker feedback frame by frame.
 
+// BatchCall is one frame of a batched gate call: the frame, the
+// callee body it dispatches to, and the frame's outcome. A frame whose
+// Err is already set when the batch starts was refused before the gate
+// (shed, failed fast by an open breaker): the gate skips it, so it
+// neither adds words to the crossing nor runs.
+type BatchCall struct {
+	Frame CallFrame
+	Fn    func() error
+	Err   error
+}
+
 // BatchGate is implemented by gates whose crossing cost can be
-// amortized over several frames. CallBatch runs fns[i] under frames[i]
-// in the `to` domain, paying the domain crossing once, and stores each
-// frame's outcome in errs[i] (nil for success). frames, fns and errs
-// must have equal length.
+// amortized over several frames. CallBatch runs each live frame's Fn
+// under its Frame in the `to` domain, paying the domain crossing once,
+// and stores the frame's outcome in its Err (nil for success).
 type BatchGate interface {
 	Gate
-	CallBatch(from, to *Domain, frames []CallFrame, fns []func() error, errs []error)
+	CallBatch(from, to *Domain, calls []BatchCall)
 }
 
 // BatchCrossingCost reports the fixed cycle cost of carrying n frames
@@ -52,76 +62,83 @@ func BatchCrossingCost(b Backend, n int) uint64 {
 }
 
 // CallBatch carries the whole batch through one PKRU round trip. Entry
-// marshals every frame's words at once (switched stacks copy the summed
-// entry+payload words in one go); each frame then dispatches inside its
-// own trap boundary; the return path restores the caller domain once.
-func (g *mpkGate) CallBatch(from, to *Domain, frames []CallFrame, fns []func() error, errs []error) {
+// marshals every live frame's words at once (switched stacks copy the
+// summed entry+payload words in one go); each frame then dispatches
+// inside its own trap boundary; the return path restores the caller
+// domain once.
+func (g *mpkGate) CallBatch(from, to *Domain, calls []BatchCall) {
 	// Frames whose descriptors the callee could not reach are refused
 	// before the crossing, exactly like the single-call path; the rest
-	// of the batch still crosses. From here on a nil errs[i] marks a
-	// frame still live.
-	clear(errs)
-	words, any := 0, false
-	for i, f := range frames {
+	// of the batch still crosses. From here on a nil Err marks a frame
+	// still live.
+	words, live := 0, false
+	for i := range calls {
+		c := &calls[i]
+		if c.Err != nil {
+			continue
+		}
 		if !g.switched {
-			if err := g.checkSharedBufs(f); err != nil {
-				errs[i] = fmt.Errorf("gate %s->%s: %w", from.Name, to.Name, err)
+			if err := g.checkSharedBufs(c.Frame); err != nil {
+				c.Err = fmt.Errorf("gate %s->%s: %w", from.Name, to.Name, err)
 				continue
 			}
 		}
-		any = true
-		words += f.EntryWords() + f.PayloadWords()
+		live = true
+		words += c.Frame.EntryWords() + c.Frame.PayloadWords()
 	}
-	if !any {
+	if !live {
 		return
 	}
 	if err := g.pass(from, to, to.PKRU, words, "gate %s->%s: %w"); err != nil {
-		trapLive(errs, err)
+		trapLive(calls, err)
 		return
 	}
 	retWords := 0
-	for i, fn := range fns {
-		if errs[i] != nil {
+	for i := range calls {
+		c := &calls[i]
+		if c.Err != nil {
 			continue
 		}
 		// Per-frame deadline: earlier frames' work advances the clock,
 		// so a late frame in the batch can still be refused here.
-		if err := deadlineCheck(g.clk, clock.CostBatchDispatch, from, to, frames[i]); err != nil {
-			errs[i] = err
+		if err := deadlineCheck(g.clk, clock.CostBatchDispatch, from, to, c.Frame); err != nil {
+			c.Err = err
 			continue
 		}
 		g.clk.Charge(clock.CompGate, clock.CostBatchDispatch)
 		// Each frame gets its own trap boundary: one trapped frame
 		// aborts only itself, the rest of the batch completes.
-		errs[i] = contain(from, to, fn)
-		retWords += frames[i].RetWords
+		c.Err = contain(from, to, c.Fn)
+		retWords += c.Frame.RetWords
 	}
 	if err := g.pass(from, to, from.PKRU, retWords, "gate %s<-%s return: %w"); err != nil {
-		trapLive(errs, err)
+		trapLive(calls, err)
 	}
 }
 
 // trapLive fails every frame of a batch that has not failed yet with
 // trap: a sealed-WRPKRU rejection on entry or return strands them all.
-func trapLive(errs []error, trap error) {
-	for i := range errs {
-		if errs[i] == nil {
-			errs[i] = trap
+func trapLive(calls []BatchCall, trap error) {
+	for i := range calls {
+		if calls[i].Err == nil {
+			calls[i].Err = trap
 		}
 	}
 }
 
-// CallBatch marshals every frame's request into the shared ring under
-// one notification pair: one VM exit carries N requests over, one
+// CallBatch marshals every live frame's request into the shared ring
+// under one notification pair: one VM exit carries N requests over, one
 // carries N responses back. This is where batching pays the most —
 // CostVMNotify dwarfs everything else in the RPC crossing. The batch
 // is one RPC to the callee VM: it waits behind, and then holds, the
 // single endpoint exactly as Call does.
-func (g *rpcGate) CallBatch(from, to *Domain, frames []CallFrame, fns []func() error, errs []error) {
+func (g *rpcGate) CallBatch(from, to *Domain, calls []BatchCall) {
 	g.stall()
 	words := 0
-	for _, f := range frames {
-		words += f.EntryWords() + f.PayloadWords()
+	for i := range calls {
+		if c := &calls[i]; c.Err == nil {
+			words += c.Frame.EntryWords() + c.Frame.PayloadWords()
+		}
 	}
 	g.clk.Charge(clock.CompVMM, clock.CostVMNotify+clock.CostVMRPCFixed+
 		uint64(words)*clock.CostParamCopyPerWord)
@@ -129,14 +146,18 @@ func (g *rpcGate) CallBatch(from, to *Domain, frames []CallFrame, fns []func() e
 		g.notify(from, to)
 	}
 	retWords := 0
-	for i, fn := range fns {
-		if err := deadlineCheck(g.clk, clock.CostBatchDispatch, from, to, frames[i]); err != nil {
-			errs[i] = err
+	for i := range calls {
+		c := &calls[i]
+		if c.Err != nil {
+			continue
+		}
+		if err := deadlineCheck(g.clk, clock.CostBatchDispatch, from, to, c.Frame); err != nil {
+			c.Err = err
 			continue
 		}
 		g.clk.Charge(clock.CompVMM, clock.CostBatchDispatch)
-		errs[i] = contain(from, to, fn)
-		retWords += frames[i].RetWords
+		c.Err = contain(from, to, c.Fn)
+		retWords += c.Frame.RetWords
 	}
 	g.clk.Charge(clock.CompVMM, clock.CostVMNotify+
 		uint64(retWords)*clock.CostParamCopyPerWord)

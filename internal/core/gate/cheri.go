@@ -44,6 +44,8 @@ func (g *CHERIGate) RegisterEntry(domain string, code, data cheri.Capability) er
 // Backend implements Gate.
 func (g *CHERIGate) Backend() Backend { return CHERI }
 
+func (*CHERIGate) sealed() {}
+
 // Call implements Gate: CInvoke into the target domain, run fn,
 // CInvoke back. Payload buffers cross by reference — the callee
 // receives (bounded) capabilities for them, so only the descriptor

@@ -213,7 +213,11 @@ func (f CallFrame) PayloadWords() int {
 	return w
 }
 
-// Gate is one crossing mechanism between two domains.
+// Gate is one crossing mechanism between two domains. The interface
+// is sealed: only this package's gates implement it, so a route binds
+// its call site to the concrete gate with a type switch, the run-time
+// form of the builder's link-time binding. A callee body that passes
+// through a static call stays on its caller's stack.
 type Gate interface {
 	// Backend reports which mechanism this gate implements.
 	Backend() Backend
@@ -223,6 +227,8 @@ type Gate interface {
 	// fn's error; gate-internal failures (PKRU sealing violations,
 	// descriptors outside the shared window) are also reported.
 	Call(from, to *Domain, frame CallFrame, fn func() error) error
+	// sealed keeps the set of gates closed.
+	sealed()
 }
 
 // funcGate is the direct-call gate used within a compartment.
@@ -234,6 +240,8 @@ type funcGate struct {
 func NewFuncCall(clk *clock.Machine) Gate { return &funcGate{clk: clk} }
 
 func (g *funcGate) Backend() Backend { return FuncCall }
+
+func (*funcGate) sealed() {}
 
 func (g *funcGate) Call(from, to *Domain, frame CallFrame, fn func() error) error {
 	g.clk.Charge(clock.CompGate, clock.CostCall)
@@ -266,6 +274,8 @@ func (g *mpkGate) Backend() Backend {
 	}
 	return MPKShared
 }
+
+func (*mpkGate) sealed() {}
 
 // checkSharedBufs verifies that every descriptor in the frame points
 // into key-0 pages: a by-reference buffer the callee cannot map would
@@ -352,6 +362,8 @@ func NewVMRPC(clk *clock.Machine, notify func(from, to *Domain)) Gate {
 }
 
 func (g *rpcGate) Backend() Backend { return VMRPC }
+
+func (*rpcGate) sealed() {}
 
 func (g *rpcGate) Call(from, to *Domain, frame CallFrame, fn func() error) error {
 	if err := deadlineCheck(g.clk, CrossingCost(VMRPC), from, to, frame); err != nil {

@@ -171,10 +171,10 @@ func TestVMRPCBatchSerializes(t *testing.T) {
 				mustNoErr(t, g.Call(a, b, one, noop))
 				return
 			}
-			errs := make([]error, 2)
-			g.CallBatch(a, b, []CallFrame{one, one}, []func() error{noop, noop}, errs)
-			for _, err := range errs {
-				mustNoErr(t, err)
+			calls := []BatchCall{{Frame: one, Fn: noop}, {Frame: one, Fn: noop}}
+			g.CallBatch(a, b, calls)
+			for _, c := range calls {
+				mustNoErr(t, c.Err)
 			}
 		}
 		alone := clock.NewMachine(1)

@@ -23,7 +23,7 @@ type Registry struct {
 	routes   map[[2]string]*Route // (caller, callee) library pair -> route
 	direct   Gate
 	cross    Gate
-	batch    BatchGate // cross, when it amortizes a batch over one crossing
+	batches  bool // cross amortizes a batch over one crossing
 	clk      *clock.Machine
 	sink     *trace.Sink
 	injector *fault.Injector
@@ -55,14 +55,14 @@ func (r *Registry) SetInjector(in *fault.Injector) { r.injector = in }
 // Every crossing and every named call edge is an event on sink, which
 // may be nil.
 func NewRegistry(clk *clock.Machine, direct, cross Gate, sink *trace.Sink) *Registry {
-	batch, _ := cross.(BatchGate)
+	_, batches := cross.(BatchGate)
 	return &Registry{
 		domains: make(map[string]*Domain),
 		libs:    make(map[string]string),
 		routes:  make(map[[2]string]*Route),
 		direct:  direct,
 		cross:   cross,
-		batch:   batch,
+		batches: batches,
 		clk:     clk,
 		sink:    sink,
 	}
@@ -168,71 +168,115 @@ func (r *Registry) CallWithFrame(fromLib, toLib, fnName string, frame CallFrame,
 
 // Call runs fn in the callee under frame: a direct call within a
 // compartment, a crossing on the ledger across one. A named call emits
-// its edge, intra-compartment calls included.
+// its edge, intra-compartment calls included. An armed injector fires
+// at call entry, on the callee side of the gate: before the callee
+// mutates state, inside whatever trap boundary the gate provides.
+//
+// The gate is reached by a static call, chosen by a type switch over
+// the sealed set of gates: no gate keeps fn, so fn and whatever it
+// captures stay on the caller's stack.
 func (ro *Route) Call(fnName string, frame CallFrame, fn func() error) error {
 	r := ro.reg
 	r.observe(ro.FromLib, ro.ToLib, fnName)
-	fn = ro.inject(fnName, fn)
-	if !ro.Crosses {
-		return r.direct.Call(ro.From, ro.To, frame, fn)
+	if in := r.injector; in != nil {
+		body := fn
+		fn = func() error {
+			in.OnCall(ro.ToLib, ro.To.Name, fnName)
+			return body()
+		}
 	}
-	row, start := ro.enter()
-	err := r.cross.Call(ro.From, ro.To, frame, fn)
-	row.returned(1, r.clk.Cycles()-start)
+	g := r.direct
+	var row *LedgerRow
+	var start uint64
+	if ro.Crosses {
+		g = r.cross
+		row, start = ro.enter()
+	}
+	var err error
+	switch g := g.(type) {
+	case *funcGate:
+		err = g.Call(ro.From, ro.To, frame, fn)
+	case *mpkGate:
+		err = g.Call(ro.From, ro.To, frame, fn)
+	case *rpcGate:
+		err = g.Call(ro.From, ro.To, frame, fn)
+	case *CHERIGate:
+		err = g.Call(ro.From, ro.To, frame, fn)
+	default:
+		panic(fmt.Sprintf("gate: %T is not a gate of this package", g))
+	}
+	if row != nil {
+		row.returned(1, r.clk.Cycles()-start)
+	}
 	return err
 }
 
-// CallBatch runs N calls to the same callee through one crossing where
-// the backend supports it, storing each frame's outcome in errs[i]
-// (nil for success; errs must have one entry per frame) and returning
-// errs. Same-compartment batches and non-amortizing backends (direct,
-// CHERI) degenerate to a loop of single calls; the MPK and VM-RPC
-// gates carry the whole batch through one domain switch. Per-frame
-// semantics (call edges, injector, trap containment) are identical to
-// N separate calls.
-func (ro *Route) CallBatch(fnName string, frames []CallFrame, fns []func() error, errs []error) []error {
+// CallBatch runs a batch of calls to the callee, storing each frame's
+// outcome in its Err. A frame that arrives with Err set was refused
+// above the gate and is skipped: it emits no edge, meets no injector
+// and neither crosses nor runs. The MPK and VM-RPC gates carry the
+// live frames through one domain switch, and a batch with no live
+// frame does not cross; same-compartment batches and non-amortizing
+// backends (direct, CHERI) degenerate to a loop of single calls.
+// Per-frame semantics (call edges, injector, trap containment) are
+// identical to N separate calls.
+func (ro *Route) CallBatch(fnName string, calls []BatchCall) {
 	r := ro.reg
-	if !ro.Crosses || r.batch == nil {
-		for i := range frames {
-			errs[i] = ro.Call(fnName, frames[i], fns[i])
+	if !ro.Crosses || !r.batches {
+		for i := range calls {
+			if c := &calls[i]; c.Err == nil {
+				c.Err = ro.Call(fnName, c.Frame, c.Fn)
+			}
 		}
-		return errs
+		return
 	}
-	for range fns {
-		r.observe(ro.FromLib, ro.ToLib, fnName)
-	}
-	if r.injector != nil {
-		inners := make([]func() error, len(fns))
-		for i, fn := range fns {
-			inners[i] = ro.inject(fnName, fn)
+	live := 0
+	for i := range calls {
+		if calls[i].Err == nil {
+			live++
+			r.observe(ro.FromLib, ro.ToLib, fnName)
 		}
-		fns = inners
+	}
+	if live == 0 {
+		return
+	}
+	run := calls
+	if in := r.injector; in != nil {
+		// The injector fires at each frame's entry, inside the frame's
+		// trap boundary: the gate runs a copy of the batch whose bodies
+		// fire it first.
+		run = make([]BatchCall, len(calls))
+		for i, c := range calls {
+			body := c.Fn
+			c.Fn = func() error {
+				in.OnCall(ro.ToLib, ro.To.Name, fnName)
+				return body()
+			}
+			run[i] = c
+		}
 	}
 	// One physical crossing for the whole batch.
 	row, start := ro.enter()
-	r.batch.CallBatch(ro.From, ro.To, frames, fns, errs)
-	row.returned(len(frames), r.clk.Cycles()-start)
-	return errs
+	switch g := r.cross.(type) {
+	case *mpkGate:
+		g.CallBatch(ro.From, ro.To, run)
+	case *rpcGate:
+		g.CallBatch(ro.From, ro.To, run)
+	default:
+		panic(fmt.Sprintf("gate: %T batches but has no static batch call", g))
+	}
+	row.returned(live, r.clk.Cycles()-start)
+	if r.injector != nil {
+		for i := range calls {
+			calls[i].Err = run[i].Err
+		}
+	}
 }
 
 // observe emits one named call edge for the call recorder.
 func (r *Registry) observe(fromLib, toLib, fnName string) {
 	if fnName != "" && r.sink.On() {
 		r.sink.Emit(trace.Event{Kind: trace.KindCall, From: fromLib, To: toLib, Note: fnName})
-	}
-}
-
-// inject wraps fn so the armed injector fires at call entry, on the
-// callee side of the gate: before the callee mutates state, inside
-// whatever trap boundary the gate provides.
-func (ro *Route) inject(fnName string, fn func() error) func() error {
-	in := ro.reg.injector
-	if in == nil {
-		return fn
-	}
-	return func() error {
-		in.OnCall(ro.ToLib, ro.To.Name, fnName)
-		return fn()
 	}
 }
 

@@ -1,9 +1,11 @@
 package gate
 
 import (
+	"errors"
 	"testing"
 
 	"flexos/internal/clock"
+	"flexos/internal/fault"
 	"flexos/internal/trace"
 )
 
@@ -34,11 +36,12 @@ func TestRegistryLedger(t *testing.T) {
 	mustNoErr(t, r.CallWithFrame("app", "libc", "memcpy", frame, nop))
 	restore := m.Steer(1)
 	mustNoErr(t, r.CallWithFrame("app", "netstack", "send", frame, nop))
-	frames := []CallFrame{frame, frame, frame}
+	calls := []BatchCall{{Frame: frame, Fn: nop}, {Frame: frame, Fn: nop}, {Frame: frame, Fn: nop}}
 	route, err := r.Resolve("app", "netstack")
 	mustNoErr(t, err)
-	for _, err := range route.CallBatch("recv", frames, []func() error{nop, nop, nop}, make([]error, 3)) {
-		mustNoErr(t, err)
+	route.CallBatch("recv", calls)
+	for _, c := range calls {
+		mustNoErr(t, c.Err)
 	}
 	func() {
 		defer func() { _ = recover() }()
@@ -133,5 +136,59 @@ func TestRoutesShareLedgerRows(t *testing.T) {
 	}
 	if err := r.Assign("app", "b"); err == nil {
 		t.Error("a routed library moved to another compartment")
+	}
+}
+
+// TestBatchSkipsRefusedFramesAndInjectsPerFrame pins how an amortized
+// batch treats its frames: a frame that arrives with Err set is
+// skipped — it keeps its error, meets no injector, emits no edge and
+// adds no frame to the crossing — and the injector fires at each live
+// frame's entry inside that frame's trap boundary, exactly as on N
+// separate calls. A batch with no live frame does not cross.
+func TestBatchSkipsRefusedFramesAndInjectsPerFrame(t *testing.T) {
+	m := clock.NewMachine(1)
+	sink := trace.NewSink(m)
+	var edges int
+	sink.Record(func(from, to, fn string) { edges++ })
+	r := NewRegistry(m, NewFuncCall(m), NewVMRPC(m, nil), sink)
+	r.AddCompartment(NewDomain("a", 1))
+	r.AddCompartment(NewDomain("b", 2))
+	mustNoErr(t, r.Assign("app", "a"))
+	mustNoErr(t, r.Assign("netstack", "b"))
+	in := fault.NewInjector()
+	in.Arm(fault.Injection{Lib: "netstack", Fn: "recv", After: 2})
+	r.SetInjector(in)
+	route, err := r.Resolve("app", "netstack")
+	mustNoErr(t, err)
+
+	refused := errors.New("refused above the gate")
+	var ran []int
+	calls := make([]BatchCall, 3)
+	for i := range calls {
+		calls[i].Frame = CallFrame{ArgWords: 1, RetWords: 1}
+		calls[i].Fn = func() error { ran = append(ran, i); return nil }
+	}
+	calls[0].Err = refused
+	route.CallBatch("recv", calls)
+
+	if calls[0].Err != refused || calls[1].Err != nil {
+		t.Fatalf("frames 0 and 1 = %v, %v; want the refusal kept and a clean call", calls[0].Err, calls[1].Err)
+	}
+	if tr, ok := fault.As(calls[2].Err); !ok || tr.Comp != "b" || tr.Kind != fault.KindInjected {
+		t.Fatalf("frame 2 = %v, want the injected trap contained in b (the second live frame)", calls[2].Err)
+	}
+	if len(ran) != 1 || ran[0] != 1 || in.Fired() != 1 || edges != 2 {
+		t.Fatalf("ran %v, %d injections, %d edges; want [1], 1, 2", ran, in.Fired(), edges)
+	}
+	if rows := r.Ledger(); len(rows) != 1 || rows[0].Crossings != 1 || rows[0].Frames != 2 {
+		t.Fatalf("ledger = %+v, want one crossing of the 2 live frames", rows)
+	}
+
+	for i := range calls {
+		calls[i].Err = refused
+	}
+	route.CallBatch("recv", calls)
+	if r.TotalCrossings() != 1 || edges != 2 || len(ran) != 1 {
+		t.Fatalf("an all-refused batch crossed: %d crossings, %d edges, ran %v", r.TotalCrossings(), edges, ran)
 	}
 }

@@ -177,12 +177,12 @@ func (l *LibC) RecvMsgBatch(t *sched.Thread, s *net.Socket, msgs []Msg) {
 			return err
 		}}
 	}
-	errs := l.env.CallBatch("netstack", "recv", calls)
+	l.env.CallBatch("netstack", "recv", calls)
 	// A frame the supervisor rejected (shed, open breaker, deadline)
 	// never ran its Fn; surface the typed error on the message.
-	for i, err := range errs {
-		if err != nil && msgs[i].Err == nil {
-			msgs[i].Err = err
+	for i, c := range calls {
+		if c.Err != nil && msgs[i].Err == nil {
+			msgs[i].Err = c.Err
 		}
 	}
 }
@@ -220,12 +220,12 @@ func (l *LibC) SendMsgBatch(t *sched.Thread, s *net.Socket, msgs []Msg) {
 			return err
 		}}
 	}
-	errs := l.env.CallBatch("netstack", "send", calls)
-	for i, err := range errs {
-		if err != nil && msgs[i].Err == nil {
+	l.env.CallBatch("netstack", "send", calls)
+	for i, c := range calls {
+		if c.Err != nil && msgs[i].Err == nil {
 			// The frame was rejected before dispatch: nothing was sent.
 			msgs[i].N = 0
-			msgs[i].Err = err
+			msgs[i].Err = c.Err
 		}
 	}
 }

@@ -2,41 +2,77 @@ package rt
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"flexos/internal/clock"
+	"flexos/internal/core/gate"
 	"flexos/internal/fault"
 )
+
+// batchRoute resolves the route from library "app" in compartment
+// "core" into library "netstack" in compartment "nw", across a VM-RPC
+// gate, which carries a batch through one crossing.
+func batchRoute(t *testing.T, cpu *clock.Machine) (*gate.Route, *gate.Registry) {
+	t.Helper()
+	reg := gate.NewRegistry(cpu, gate.NewFuncCall(cpu), gate.NewVMRPC(cpu, nil), nil)
+	reg.AddCompartment(gate.NewDomain("core"))
+	reg.AddCompartment(gate.NewDomain("nw"))
+	for lib, comp := range map[string]string{"app": "core", "netstack": "nw"} {
+		if err := reg.Assign(lib, comp); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ro, err := reg.Resolve("app", "netstack")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ro, reg
+}
+
+// batchOf builds n frames whose bodies append their index to *ran
+// and return body's outcome for it (nil when body is nil).
+func batchOf(n int, ran *[]int, body func(i int) error) []gate.BatchCall {
+	calls := make([]gate.BatchCall, n)
+	for i := range calls {
+		calls[i].Fn = func() error {
+			*ran = append(*ran, i)
+			if body == nil {
+				return nil
+			}
+			return body(i)
+		}
+	}
+	return calls
+}
 
 // TestBatchShedRejectsOnlyExcessFrames pins the batch x admission
 // interplay: a 4-frame batch into a depth-2 shed queue admits exactly
 // two frames, and each rejected frame carries its own typed ShedError
 // and pays its own CostOverloadShed — exactly as if the four frames
-// had been four separate calls.
+// had been four separate calls. The admitted frames still share one
+// crossing.
 func TestBatchShedRejectsOnlyExcessFrames(t *testing.T) {
 	cpu := clock.NewMachine(1)
 	s := NewSupervisor(cpu, nil, nil)
 	s.SetOverload("nw", OverloadSpec{Depth: 2, Policy: fault.ShedPolicyShed})
+	ro, reg := batchRoute(t, cpu)
 
-	var sawAdmitted []int
+	var ran []int
+	calls := batchOf(4, &ran, nil)
 	before := cpu.Component(clock.CompFault)
-	errs := s.SuperviseBatch("nw", make([]uint64, 4), true,
-		func(admitted []int) []error {
-			sawAdmitted = append([]int(nil), admitted...)
-			return make([]error, len(admitted))
-		},
-		func(i int) error { t.Fatalf("retry(%d) called on clean batch", i); return nil })
+	s.SuperviseBatch(ro, "recv", calls)
 
-	if len(sawAdmitted) != 2 || sawAdmitted[0] != 0 || sawAdmitted[1] != 1 {
-		t.Fatalf("admitted frames = %v, want [0 1]", sawAdmitted)
+	if !slices.Equal(ran, []int{0, 1}) {
+		t.Fatalf("frames run = %v, want [0 1] once each", ran)
 	}
-	if errs[0] != nil || errs[1] != nil {
-		t.Fatalf("admitted frames errored: %v, %v", errs[0], errs[1])
+	if calls[0].Err != nil || calls[1].Err != nil {
+		t.Fatalf("admitted frames errored: %v, %v", calls[0].Err, calls[1].Err)
 	}
 	for _, i := range []int{2, 3} {
 		var se *fault.ShedError
-		if !errors.As(errs[i], &se) || se.Comp != "nw" || se.Depth != 2 {
-			t.Fatalf("frame %d: err = %v, want ShedError{nw, 2}", i, errs[i])
+		if !errors.As(calls[i].Err, &se) || se.Comp != "nw" || se.Depth != 2 {
+			t.Fatalf("frame %d: err = %v, want ShedError{nw, 2}", i, calls[i].Err)
 		}
 	}
 	if got := cpu.Component(clock.CompFault) - before; got != 2*clock.CostOverloadShed {
@@ -49,16 +85,20 @@ func TestBatchShedRejectsOnlyExcessFrames(t *testing.T) {
 	if got := s.InFlight("nw"); got != 0 {
 		t.Fatalf("InFlight after batch = %d, want 0", got)
 	}
+	if rows := reg.Ledger(); len(rows) != 1 || rows[0].Crossings != 1 || rows[0].Frames != 2 {
+		t.Fatalf("ledger = %+v, want one crossing carrying the 2 admitted frames", rows)
+	}
 }
 
 // TestBatchBreakerOpenFailsEveryFrameFast pins the batch x breaker
 // interplay: against an open breaker no frame crosses — the batch
-// closure never runs — and each frame fails with its own typed
+// never reaches the gate — and each frame fails with its own typed
 // BreakerOpenError at the per-call fast-fail cost.
 func TestBatchBreakerOpenFailsEveryFrameFast(t *testing.T) {
 	cpu := clock.NewMachine(1)
 	s := NewSupervisor(cpu, nil, nil)
 	s.SetBreaker("nw", BreakerSpec{Threshold: 1, Window: 4, Cooldown: 1 << 40})
+	ro, reg := batchRoute(t, cpu)
 
 	// One trapped call opens the threshold-1 breaker.
 	trap := &fault.Trap{Comp: "nw", Kind: fault.KindMPK, PC: "core->nw"}
@@ -69,18 +109,18 @@ func TestBatchBreakerOpenFailsEveryFrameFast(t *testing.T) {
 		t.Fatalf("breaker state = %q, want open", got)
 	}
 
+	var ran []int
+	calls := batchOf(3, &ran, nil)
 	before := cpu.Component(clock.CompFault)
-	errs := s.SuperviseBatch("nw", make([]uint64, 3), true,
-		func(admitted []int) []error {
-			t.Fatalf("batch crossed an open breaker (admitted %v)", admitted)
-			return nil
-		},
-		func(i int) error { t.Fatalf("retry(%d) called", i); return nil })
+	s.SuperviseBatch(ro, "recv", calls)
 
-	for i, err := range errs {
+	if len(ran) != 0 || reg.TotalCrossings() != 0 {
+		t.Fatalf("batch crossed an open breaker (ran %v, %d crossings)", ran, reg.TotalCrossings())
+	}
+	for i, c := range calls {
 		var be *fault.BreakerOpenError
-		if !errors.As(err, &be) || be.Comp != "nw" {
-			t.Fatalf("frame %d: err = %v, want BreakerOpenError{nw}", i, err)
+		if !errors.As(c.Err, &be) || be.Comp != "nw" {
+			t.Fatalf("frame %d: err = %v, want BreakerOpenError{nw}", i, c.Err)
 		}
 	}
 	if got := cpu.Component(clock.CompFault) - before; got != 3*clock.CostBreakerFastFail {
@@ -98,22 +138,26 @@ func TestBatchBreakerOpenFailsEveryFrameFast(t *testing.T) {
 func TestBatchTrapContainsToOneFrame(t *testing.T) {
 	cpu := clock.NewMachine(1)
 	s := NewSupervisor(cpu, nil, nil)
+	ro, _ := batchRoute(t, cpu)
 
 	trap := &fault.Trap{Comp: "nw", Kind: fault.KindMPK, PC: "core->nw"}
-	errs := s.SuperviseBatch("nw", make([]uint64, 3), true,
-		func(admitted []int) []error {
-			if len(admitted) != 3 {
-				t.Fatalf("admitted = %v, want all 3 frames", admitted)
-			}
-			return []error{nil, trap, nil}
-		},
-		func(i int) error { t.Fatalf("retry(%d) called under abort policy", i); return nil })
+	var ran []int
+	calls := batchOf(3, &ran, func(i int) error {
+		if i == 1 {
+			return trap
+		}
+		return nil
+	})
+	s.SuperviseBatch(ro, "recv", calls)
 
-	if errs[0] != nil || errs[2] != nil {
-		t.Fatalf("clean frames errored: %v, %v", errs[0], errs[2])
+	if !slices.Equal(ran, []int{0, 1, 2}) {
+		t.Fatalf("frames run = %v, want all 3 once each (no replay under abort)", ran)
 	}
-	if tr, ok := fault.As(errs[1]); !ok || tr != trap {
-		t.Fatalf("trapped frame: err = %v, want the injected trap", errs[1])
+	if calls[0].Err != nil || calls[2].Err != nil {
+		t.Fatalf("clean frames errored: %v, %v", calls[0].Err, calls[2].Err)
+	}
+	if tr, ok := fault.As(calls[1].Err); !ok || tr != trap {
+		t.Fatalf("trapped frame: err = %v, want the injected trap", calls[1].Err)
 	}
 	if st := s.Stats(); st.Traps != 1 || st.Aborts != 1 {
 		t.Fatalf("Traps/Aborts = %d/%d, want 1/1", st.Traps, st.Aborts)
@@ -121,31 +165,39 @@ func TestBatchTrapContainsToOneFrame(t *testing.T) {
 }
 
 // TestBatchRestartRetriesOneFrameSolo pins the restart policy inside a
-// batch: only the trapped frame is replayed — solo, through retry —
-// and a clean replay counts as a recovery without disturbing the other
-// frames' results.
+// batch: only the trapped frame is replayed — solo, through a crossing
+// of its own — and a clean replay counts as a recovery without
+// disturbing the other frames' results.
 func TestBatchRestartRetriesOneFrameSolo(t *testing.T) {
 	cpu := clock.NewMachine(1)
 	s := NewSupervisor(cpu, nil, nil)
 	s.SetPolicy("nw", fault.PolicyRestart)
+	ro, reg := batchRoute(t, cpu)
 
 	trap := &fault.Trap{Comp: "nw", Kind: fault.KindMPK, PC: "core->nw"}
-	var retried []int
-	errs := s.SuperviseBatch("nw", make([]uint64, 3), true,
-		func(admitted []int) []error { return []error{nil, trap, nil} },
-		func(i int) error { retried = append(retried, i); return nil })
+	var ran []int
+	calls := batchOf(3, &ran, func(i int) error {
+		if i == 1 && !slices.Contains(ran[:len(ran)-1], 1) {
+			return trap // the first run of frame 1 traps, its replay is clean
+		}
+		return nil
+	})
+	s.SuperviseBatch(ro, "recv", calls)
 
-	if len(retried) != 1 || retried[0] != 1 {
-		t.Fatalf("retried frames = %v, want [1]", retried)
+	if !slices.Equal(ran, []int{0, 1, 2, 1}) {
+		t.Fatalf("frames run = %v, want the batch [0 1 2] then frame 1 replayed", ran)
 	}
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("frame %d: err = %v after recovery, want nil", i, err)
+	for i, c := range calls {
+		if c.Err != nil {
+			t.Fatalf("frame %d: err = %v after recovery, want nil", i, c.Err)
 		}
 	}
 	if st := s.Stats(); st.Traps != 1 || st.Retries != 1 || st.Recoveries != 1 {
 		t.Fatalf("Traps/Retries/Recoveries = %d/%d/%d, want 1/1/1",
 			st.Traps, st.Retries, st.Recoveries)
+	}
+	if rows := reg.Ledger(); len(rows) != 1 || rows[0].Crossings != 2 || rows[0].Frames != 4 {
+		t.Fatalf("ledger = %+v, want the batch's crossing plus one solo replay", rows)
 	}
 }
 
@@ -156,25 +208,25 @@ func TestBatchDeadlineExpiryShedsOneFrame(t *testing.T) {
 	cpu := clock.NewMachine(1)
 	s := NewSupervisor(cpu, nil, nil)
 	s.SetOverload("nw", OverloadSpec{Depth: 0, Policy: fault.ShedPolicyDeadline})
+	ro, _ := batchRoute(t, cpu)
 	cpu.Charge(clock.CompApp, 100)
 
-	var sawAdmitted []int
-	errs := s.SuperviseBatch("nw", []uint64{0, 50, 10_000}, true,
-		func(admitted []int) []error {
-			sawAdmitted = append([]int(nil), admitted...)
-			return make([]error, len(admitted))
-		},
-		func(i int) error { t.Fatalf("retry(%d) called", i); return nil })
+	var ran []int
+	calls := batchOf(3, &ran, nil)
+	for i, dl := range []uint64{0, 50, 10_000} {
+		calls[i].Frame.Deadline = dl
+	}
+	s.SuperviseBatch(ro, "recv", calls)
 
-	if len(sawAdmitted) != 2 || sawAdmitted[0] != 0 || sawAdmitted[1] != 2 {
-		t.Fatalf("admitted frames = %v, want [0 2]", sawAdmitted)
+	if !slices.Equal(ran, []int{0, 2}) {
+		t.Fatalf("frames run = %v, want [0 2]", ran)
 	}
 	var se *fault.ShedError
-	if !errors.As(errs[1], &se) || se.Depth != 0 {
-		t.Fatalf("expired frame: err = %v, want deadline ShedError", errs[1])
+	if !errors.As(calls[1].Err, &se) || se.Depth != 0 {
+		t.Fatalf("expired frame: err = %v, want deadline ShedError", calls[1].Err)
 	}
-	if errs[0] != nil || errs[2] != nil {
-		t.Fatalf("live frames errored: %v, %v", errs[0], errs[2])
+	if calls[0].Err != nil || calls[2].Err != nil {
+		t.Fatalf("live frames errored: %v, %v", calls[0].Err, calls[2].Err)
 	}
 }
 
@@ -185,6 +237,7 @@ func TestBatchDegradedFailsWholeBatch(t *testing.T) {
 	cpu := clock.NewMachine(1)
 	s := NewSupervisor(cpu, nil, nil)
 	s.SetPolicy("nw", fault.PolicyDegrade)
+	ro, reg := batchRoute(t, cpu)
 
 	trap := &fault.Trap{Comp: "nw", Kind: fault.KindMPK, PC: "core->nw"}
 	if err := s.SuperviseCall("nw", 0, true, func() error { return trap }); err == nil {
@@ -194,16 +247,16 @@ func TestBatchDegradedFailsWholeBatch(t *testing.T) {
 		t.Fatal("compartment not degraded")
 	}
 
-	errs := s.SuperviseBatch("nw", make([]uint64, 2), true,
-		func(admitted []int) []error {
-			t.Fatalf("batch crossed into a degraded compartment (admitted %v)", admitted)
-			return nil
-		},
-		func(i int) error { t.Fatalf("retry(%d) called", i); return nil })
-	for i, err := range errs {
+	var ran []int
+	calls := batchOf(2, &ran, nil)
+	s.SuperviseBatch(ro, "recv", calls)
+	if len(ran) != 0 || reg.TotalCrossings() != 0 {
+		t.Fatalf("batch crossed into a degraded compartment (ran %v, %d crossings)", ran, reg.TotalCrossings())
+	}
+	for i, c := range calls {
 		var de *fault.DegradedError
-		if !errors.As(err, &de) || de.Comp != "nw" {
-			t.Fatalf("frame %d: err = %v, want DegradedError{nw}", i, err)
+		if !errors.As(c.Err, &de) || de.Comp != "nw" {
+			t.Fatalf("frame %d: err = %v, want DegradedError{nw}", i, c.Err)
 		}
 	}
 }

@@ -163,55 +163,38 @@ func (e *Env) Crosses(to string) bool {
 	return err != nil || c.route.Crosses
 }
 
-// BatchCall is one frame of a vectored gate call: the gate frame and
-// the function it dispatches to in the callee.
-type BatchCall struct {
-	Frame gate.CallFrame
-	Fn    func() error
-}
+// BatchCall is one frame of a vectored gate call: the gate frame, the
+// function it dispatches to in the callee, and the frame's outcome.
+type BatchCall = gate.BatchCall
 
 // CallBatch routes N calls to functions in lib `to` through one
 // crossing where the backend amortizes (MPK, VM-RPC; direct and CHERI
-// loop). Supervision — admission, breakers, fault policy — applies per
-// frame: the returned slice has one entry per call, and a shed, broken
-// or trapped frame fails alone while the rest of the batch completes.
-func (e *Env) CallBatch(to, fnName string, calls []BatchCall) []error {
+// loop). Each call's outcome lands in its Err, and a frame with no
+// deadline is stamped in place with the running thread's, so the one
+// slice carries the batch from the caller to the gate and back.
+// Supervision — admission, breakers, fault policy — applies per frame:
+// a shed, broken or trapped frame fails alone while the rest of the
+// batch completes.
+func (e *Env) CallBatch(to, fnName string, calls []BatchCall) {
 	c, err := e.resolve(to)
 	if err != nil {
-		errs := make([]error, len(calls))
-		for i := range errs {
-			errs[i] = err
+		for i := range calls {
+			calls[i].Err = err
 		}
-		return errs
+		return
 	}
-	ro := c.route
-	frames := make([]gate.CallFrame, len(calls))
-	fns := make([]func() error, len(calls))
-	deadlines := make([]uint64, len(calls))
-	for i, call := range calls {
-		if call.Frame.Deadline == 0 {
-			call.Frame.Deadline = e.currentDeadline()
+	deadline := e.currentDeadline()
+	for i := range calls {
+		calls[i].Err = nil
+		if calls[i].Frame.Deadline == 0 {
+			calls[i].Frame.Deadline = deadline
 		}
-		frames[i], fns[i], deadlines[i] = call.Frame, call.Fn, call.Frame.Deadline
 	}
 	if e.Sup == nil {
-		return ro.CallBatch(fnName, frames, fns, make([]error, len(frames)))
+		c.route.CallBatch(fnName, calls)
+		return
 	}
-	return e.Sup.SuperviseBatch(ro.To.Name, deadlines, ro.Crosses,
-		func(admitted []int) []error {
-			if len(admitted) == len(frames) {
-				return ro.CallBatch(fnName, frames, fns, make([]error, len(frames)))
-			}
-			subFrames := make([]gate.CallFrame, len(admitted))
-			subFns := make([]func() error, len(admitted))
-			for j, i := range admitted {
-				subFrames[j], subFns[j] = frames[i], fns[i]
-			}
-			return ro.CallBatch(fnName, subFrames, subFns, make([]error, len(subFrames)))
-		},
-		func(i int) error {
-			return ro.Call(fnName, frames[i], fns[i])
-		})
+	e.Sup.SuperviseBatch(c.route, fnName, calls)
 }
 
 // currentDeadline reports the running thread's deadline (0 if no

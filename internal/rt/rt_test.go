@@ -117,10 +117,11 @@ func TestUnassignedCalleeSameError(t *testing.T) {
 		if err := env.Call("ghost", 1, fn); err == nil || err.Error() != want {
 			t.Errorf("supervised=%v: Call error %v, want %q", supervised, err, want)
 		}
-		errs := env.CallBatch("ghost", "recv", []BatchCall{{Fn: fn}, {Fn: fn}})
-		for i, err := range errs {
-			if err == nil || err.Error() != want {
-				t.Errorf("supervised=%v: batch frame %d error %v, want %q", supervised, i, err, want)
+		calls := []BatchCall{{Fn: fn}, {Fn: fn}}
+		env.CallBatch("ghost", "recv", calls)
+		for i, c := range calls {
+			if c.Err == nil || c.Err.Error() != want {
+				t.Errorf("supervised=%v: batch frame %d error %v, want %q", supervised, i, c.Err, want)
 			}
 		}
 		if called || reg.TotalCrossings() != 0 || cpu.Cycles() != 0 {

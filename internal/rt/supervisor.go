@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"flexos/internal/clock"
+	"flexos/internal/core/gate"
 	"flexos/internal/fault"
 	"flexos/internal/mem"
 	"flexos/internal/sched"
@@ -264,37 +265,37 @@ func (s *Supervisor) settle(c *compState, toComp string, crossing bool, mark mem
 
 // SuperviseBatch applies the supervisor's whole surface — degradation,
 // admission queues, circuit breakers, fault policy — *per frame* around
-// one batched gate crossing into toComp. deadlines carries one entry
-// per frame (0 = none); runBatch receives the indices of the admitted
-// frames and must return one error per admitted frame, in order; retry
-// replays a single frame solo (the restart policy re-crosses for just
-// that frame). The returned slice has one entry per original frame:
-// frames the admission queue or breaker rejected carry their typed
-// ShedError/BreakerOpenError (charged per-frame, exactly as if each had
-// been a separate call), and every admitted frame's outcome is settled
-// individually, so one trapped frame aborts or restarts alone.
-func (s *Supervisor) SuperviseBatch(toComp string, deadlines []uint64, crossing bool,
-	runBatch func(admitted []int) []error, retry func(i int) error) []error {
-	errs := make([]error, len(deadlines))
+// one batched crossing of route ro. The calls arrive with Err nil and
+// leave with one outcome each. A frame the admission queue or breaker
+// rejects carries its typed ShedError/BreakerOpenError into the batch
+// (charged per frame, exactly as if each had been a separate call), and
+// the gate skips it. Every admitted frame's outcome is settled
+// individually, so one trapped frame aborts or restarts alone; a
+// restart replays that frame solo through the route.
+func (s *Supervisor) SuperviseBatch(ro *gate.Route, fnName string, calls []gate.BatchCall) {
+	toComp := ro.To.Name
 	c := s.comps[toComp]
 	if c != nil && c.degraded != nil {
-		for i := range errs {
-			errs[i] = &fault.DegradedError{Comp: toComp, Cause: c.degraded}
+		for i := range calls {
+			calls[i].Err = &fault.DegradedError{Comp: toComp, Cause: c.degraded}
 		}
-		return errs
+		return
 	}
-	admits := crossing && c != nil
-	admitted := make([]int, 0, len(deadlines))
-	for i, dl := range deadlines {
-		if admits {
-			if err := s.admit(c, dl); err != nil {
-				errs[i] = err
-				continue
+	// refused marks the frames admission turned away; it is made at the
+	// first refusal, so a fully admitted batch allocates nothing.
+	var refused []bool
+	admitted := len(calls)
+	if ro.Crosses && c != nil {
+		for i := range calls {
+			if err := s.admit(c, calls[i].Frame.Deadline); err != nil {
+				if refused == nil {
+					refused = make([]bool, len(calls))
+				}
+				refused[i] = true
+				calls[i].Err = err
+				admitted--
 			}
 		}
-		admitted = append(admitted, i)
-	}
-	if admits {
 		// Slots release (and block-policy waiters wake) even if a frame
 		// panics past its trap boundary, for the same reason
 		// SuperviseCall defers its release.
@@ -304,23 +305,22 @@ func (s *Supervisor) SuperviseBatch(toComp string, deadlines []uint64, crossing 
 			}
 		}()
 	}
-	if len(admitted) == 0 {
-		return errs
+	if admitted == 0 {
+		return
 	}
-	batchErrs := runBatch(admitted)
-	for j, i := range admitted {
-		var err error
-		if j < len(batchErrs) {
-			err = batchErrs[j]
+	ro.CallBatch(fnName, calls)
+	for i := range calls {
+		if refused != nil && refused[i] {
+			continue
 		}
 		// Each frame settles against a mark taken now, after the batch
 		// ran: teardown of one trapped frame must never reclaim buffers
 		// that surviving frames of the same batch handed to their
 		// callers.
-		errs[i] = s.settle(c, toComp, crossing, s.mark(), err,
-			func() error { return retry(i) })
+		calls[i].Err = s.settle(c, toComp, ro.Crosses, s.mark(), calls[i].Err, func() error {
+			return ro.Call(fnName, calls[i].Frame, calls[i].Fn)
+		})
 	}
-	return errs
 }
 
 // teardown reclaims what the faulted call left behind in comp: pool
