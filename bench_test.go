@@ -204,6 +204,7 @@ func BenchmarkFig3DataPath(b *testing.B) {
 	const total, recvBuf = 2 << 20, 16 << 10
 	for _, dp := range []flexnet.DataPath{flexnet.DataPathShared, flexnet.DataPathCopy} {
 		b.Run("datapath="+dp.String(), func(b *testing.B) {
+			b.ReportAllocs()
 			var mbps float64
 			var copyCycles uint64
 			for i := 0; i < b.N; i++ {

@@ -40,8 +40,22 @@ type PoolStats struct {
 // traffic: MTU-sized rx/tx buffers (2 KiB), small app buffers (256 B), and
 // the common recv-buffer sweep sizes (16/64 KiB). Larger requests bypass
 // the classes and are carved (and returned) directly.
-var poolClasses = []int{256, 2 << 10, 16 << 10, 64 << 10}
+var poolClasses = [...]int{256, 2 << 10, 16 << 10, 64 << 10}
 
+// classOf is the index of the smallest class holding n bytes, or
+// len(poolClasses) for an oversize request.
+func classOf(n int) int {
+	for i, c := range poolClasses {
+		if n <= c {
+			return i
+		}
+	}
+	return len(poolClasses)
+}
+
+// poolSlab is one live buffer's record, kept by value in the live map:
+// a Get, Ref or Release writes the record back instead of allocating
+// one per buffer.
 type poolSlab struct {
 	cap  int
 	refs int
@@ -58,8 +72,8 @@ type poolSlab struct {
 // a workload has drained.
 type SharedPool struct {
 	alloc Allocator
-	free  map[int][]Addr
-	live  map[Addr]*poolSlab
+	free  [len(poolClasses)][]Addr // per-class free lists
+	live  map[Addr]poolSlab
 	seq   uint64 // next allocation sequence number
 	stats PoolStats
 	sink  *trace.Sink
@@ -72,8 +86,7 @@ type SharedPool struct {
 func NewSharedPool(a Allocator, sink *trace.Sink) *SharedPool {
 	return &SharedPool{
 		alloc: a,
-		free:  make(map[int][]Addr),
-		live:  make(map[Addr]*poolSlab),
+		live:  make(map[Addr]poolSlab),
 		sink:  sink,
 	}
 }
@@ -84,25 +97,22 @@ func (p *SharedPool) emit(kind string, addr Addr, n int) {
 	}
 }
 
-func (p *SharedPool) classFor(n int) int {
-	i := sort.SearchInts(poolClasses, n)
-	if i < len(poolClasses) {
-		return poolClasses[i]
-	}
-	return n // oversize: carve exactly, no free list
-}
-
 // Get allocates a buffer of at least n bytes and returns a descriptor with
 // Len=n and one reference held by the caller.
 func (p *SharedPool) Get(n int) (BufRef, error) {
 	if n < 0 {
 		return BufRef{}, fmt.Errorf("mem: pool get of %d bytes", n)
 	}
-	size := p.classFor(max(n, 1))
+	size := max(n, 1)
+	ci := classOf(size)
+	if ci < len(poolClasses) {
+		size = poolClasses[ci] // an oversize request is carved exactly
+	}
 	var addr Addr
-	if fl := p.free[size]; len(fl) > 0 {
+	if ci < len(poolClasses) && len(p.free[ci]) > 0 {
+		fl := p.free[ci]
 		addr = fl[len(fl)-1]
-		p.free[size] = fl[:len(fl)-1]
+		p.free[ci] = fl[:len(fl)-1]
 		p.stats.Recycles++
 	} else {
 		var err error
@@ -112,7 +122,7 @@ func (p *SharedPool) Get(n int) (BufRef, error) {
 			return BufRef{}, err
 		}
 	}
-	p.live[addr] = &poolSlab{cap: size, refs: 1, seq: p.seq}
+	p.live[addr] = poolSlab{cap: size, refs: 1, seq: p.seq}
 	p.seq++
 	p.stats.Gets++
 	p.emit("buf-alloc", addr, size)
@@ -127,6 +137,7 @@ func (p *SharedPool) Ref(b BufRef) error {
 		return fmt.Errorf("mem: ref of non-live buffer %#x", uint64(b.Addr))
 	}
 	s.refs++
+	p.live[b.Addr] = s
 	p.stats.Refs++
 	p.emit("buf-ref", b.Addr, s.cap)
 	return nil
@@ -144,15 +155,21 @@ func (p *SharedPool) Release(b BufRef) (recycled bool, err error) {
 	p.stats.Releases++
 	p.emit("buf-release", b.Addr, s.cap)
 	if s.refs > 0 {
+		p.live[b.Addr] = s
 		return false, nil
 	}
 	delete(p.live, b.Addr)
-	if p.classFor(s.cap) == s.cap && containsInt(poolClasses, s.cap) {
-		p.free[s.cap] = append(p.free[s.cap], b.Addr)
-	} else if err := p.alloc.Free(b.Addr); err != nil {
-		return true, err
+	return true, p.recycle(b.Addr, s.cap)
+}
+
+// recycle puts a dead slab back on its class free list, or hands an
+// oversize carve back to the allocator.
+func (p *SharedPool) recycle(addr Addr, size int) error {
+	if ci := classOf(size); ci < len(poolClasses) {
+		p.free[ci] = append(p.free[ci], addr)
+		return nil
 	}
-	return true, nil
+	return p.alloc.Free(addr)
 }
 
 // PoolMark is a point in the pool's allocation sequence (see Mark).
@@ -186,13 +203,9 @@ func (p *SharedPool) ReleaseSince(mark PoolMark) (bufs, refs int) {
 		p.stats.Reclaims++
 		p.emit("buf-release", addr, s.cap)
 		delete(p.live, addr)
-		if p.classFor(s.cap) == s.cap && containsInt(poolClasses, s.cap) {
-			p.free[s.cap] = append(p.free[s.cap], addr)
-		} else {
-			// Oversize carve: hand it back to the allocator; an error
-			// here would mean the pool's own bookkeeping is corrupt.
-			_ = p.alloc.Free(addr)
-		}
+		// An error here would mean the pool's own bookkeeping is
+		// corrupt.
+		_ = p.recycle(addr, s.cap)
 	}
 	return bufs, refs
 }
@@ -217,12 +230,3 @@ func (p *SharedPool) OutstandingRefs() int {
 
 // Stats returns traffic counters since construction.
 func (p *SharedPool) Stats() PoolStats { return p.stats }
-
-func containsInt(xs []int, v int) bool {
-	for _, x := range xs {
-		if x == v {
-			return true
-		}
-	}
-	return false
-}

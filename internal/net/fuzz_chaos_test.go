@@ -54,7 +54,7 @@ func FuzzEstablishedSegments(f *testing.F) {
 				payload[i] = fuzzPattern(seq + uint32(i))
 			}
 			frame := make([]byte, HdrLen+n)
-			h := &header{
+			h := header{
 				SrcIP: peerIP, DstIP: m.stack.IP(),
 				SrcPort: peerPort, DstPort: 80,
 				Seq: seq, Ack: ack, Flags: flags, Wnd: 65535,

@@ -42,7 +42,7 @@ func TestInputSurvivesMutatedValidFrames(t *testing.T) {
 	if _, err := m.stack.Listen(80, 4); err != nil {
 		t.Fatal(err)
 	}
-	h := &header{
+	h := header{
 		SrcIP: IP4(10, 0, 0, 2), DstIP: IP4(10, 0, 0, 1),
 		SrcPort: 40000, DstPort: 80,
 		Seq: 100, Flags: flagSYN, Wnd: 4096,
@@ -73,7 +73,7 @@ func TestInputTruncationLadder(t *testing.T) {
 	// cleanly.
 	s := sched.NewCScheduler()
 	m := newMachine(t, s, IP4(10, 0, 0, 1), Config{})
-	h := &header{
+	h := header{
 		SrcIP: IP4(10, 0, 0, 2), DstIP: IP4(10, 0, 0, 1),
 		SrcPort: 40000, DstPort: 80, Seq: 1, Flags: flagSYN,
 	}
@@ -95,7 +95,7 @@ func TestInputLyingIPLength(t *testing.T) {
 	// any slicing.
 	s := sched.NewCScheduler()
 	m := newMachine(t, s, IP4(10, 0, 0, 1), Config{})
-	h := &header{
+	h := header{
 		SrcIP: IP4(10, 0, 0, 2), DstIP: IP4(10, 0, 0, 1),
 		SrcPort: 1, DstPort: 80, Flags: flagSYN,
 	}

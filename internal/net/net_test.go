@@ -133,7 +133,7 @@ func world(t *testing.T, cfg Config) (*sched.CScheduler, *machine, *machine, *Wi
 // --- protocol-level tests -------------------------------------------
 
 func TestEncodeDecodeRoundTrip(t *testing.T) {
-	h := &header{
+	h := header{
 		SrcIP: IP4(10, 0, 0, 2), DstIP: IP4(10, 0, 0, 1),
 		SrcPort: 49152, DstPort: 5001,
 		Seq: 12345, Ack: 54321, Flags: flagACK | flagPSH, Wnd: 8192,
@@ -161,7 +161,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 }
 
 func TestDecodeRejectsCorruption(t *testing.T) {
-	h := &header{SrcIP: IP4(1, 2, 3, 4), DstIP: IP4(5, 6, 7, 8), SrcPort: 1, DstPort: 2}
+	h := header{SrcIP: IP4(1, 2, 3, 4), DstIP: IP4(5, 6, 7, 8), SrcPort: 1, DstPort: 2}
 	payload := []byte("payload")
 	frame := make([]byte, HdrLen+len(payload))
 	if _, err := encodeFrame(frame, h, payload); err != nil {
@@ -179,7 +179,7 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 }
 
 func TestEncodeRejectsSmallBuffer(t *testing.T) {
-	h := &header{}
+	h := header{}
 	if _, err := encodeFrame(make([]byte, 10), h, []byte("x")); err == nil {
 		t.Fatal("small buffer accepted")
 	}
@@ -192,7 +192,7 @@ func TestChecksumProperty(t *testing.T) {
 		if len(payload) > MSS {
 			payload = payload[:MSS]
 		}
-		h := &header{SrcIP: IP4(1, 1, 1, 1), DstIP: IP4(2, 2, 2, 2), SrcPort: 10, DstPort: 20, Seq: 7}
+		h := header{SrcIP: IP4(1, 1, 1, 1), DstIP: IP4(2, 2, 2, 2), SrcPort: 10, DstPort: 20, Seq: 7}
 		frame := make([]byte, HdrLen+len(payload))
 		if _, err := encodeFrame(frame, h, payload); err != nil {
 			return false
@@ -641,7 +641,7 @@ func TestResetDuringEstablished(t *testing.T) {
 		// Forge an RST from the client address against the server's
 		// socket (the attacker-controlled-input scenario).
 		localPort := conn.LocalPort()
-		h := &header{
+		h := header{
 			SrcIP: client.stack.IP(), DstIP: server.stack.IP(),
 			SrcPort: localPort, DstPort: port,
 			Seq: 0, Flags: flagRST, Wnd: 0,

@@ -92,7 +92,7 @@ func (h *header) has(flag uint8) bool { return h.Flags&flag != 0 }
 // must be at least HdrLen+len(payload) long, and returns the frame
 // length. Checksums over the IP header and the TCP segment are
 // computed for real.
-func encodeFrame(buf []byte, h *header, payload []byte) (int, error) {
+func encodeFrame(buf []byte, h header, payload []byte) (int, error) {
 	total := HdrLen + len(payload)
 	if len(buf) < total {
 		return 0, fmt.Errorf("%w: frame buffer too small (%d < %d)", ErrMalformed, len(buf), total)
@@ -134,26 +134,26 @@ func encodeFrame(buf []byte, h *header, payload []byte) (int, error) {
 }
 
 // decodeFrame parses and verifies a TCP or UDP frame, returning the
-// header and the payload bytes (aliasing frame).
-func decodeFrame(frame []byte) (*header, []byte, error) {
+// header by value and the payload bytes (aliasing frame).
+func decodeFrame(frame []byte) (header, []byte, error) {
 	if len(frame) < EtherHdrLen+IPHdrLen+UDPHdrLen {
-		return nil, nil, fmt.Errorf("%w: %d bytes", ErrMalformed, len(frame))
+		return header{}, nil, fmt.Errorf("%w: %d bytes", ErrMalformed, len(frame))
 	}
 	if binary.BigEndian.Uint16(frame[12:14]) != etherTypeIPv4 {
-		return nil, nil, fmt.Errorf("%w: not IPv4", ErrMalformed)
+		return header{}, nil, fmt.Errorf("%w: not IPv4", ErrMalformed)
 	}
 	ip := frame[EtherHdrLen:]
 	if ip[0] != 0x45 || (ip[9] != protoTCP && ip[9] != protoUDP) {
-		return nil, nil, fmt.Errorf("%w: unsupported IP header", ErrMalformed)
+		return header{}, nil, fmt.Errorf("%w: unsupported IP header", ErrMalformed)
 	}
 	totalLen := int(binary.BigEndian.Uint16(ip[2:4]))
 	if EtherHdrLen+totalLen > len(frame) {
-		return nil, nil, fmt.Errorf("%w: bad IP length %d", ErrMalformed, totalLen)
+		return header{}, nil, fmt.Errorf("%w: bad IP length %d", ErrMalformed, totalLen)
 	}
 	if checksum(ip[:IPHdrLen]) != 0 {
-		return nil, nil, fmt.Errorf("%w: IP header", ErrBadChecksum)
+		return header{}, nil, fmt.Errorf("%w: IP header", ErrBadChecksum)
 	}
-	h := &header{
+	h := header{
 		Proto: ip[9],
 		SrcIP: IPAddr(binary.BigEndian.Uint32(ip[12:16])),
 		DstIP: IPAddr(binary.BigEndian.Uint32(ip[16:20])),
@@ -161,11 +161,11 @@ func decodeFrame(frame []byte) (*header, []byte, error) {
 	switch h.Proto {
 	case protoTCP:
 		if totalLen < IPHdrLen+TCPHdrLen {
-			return nil, nil, fmt.Errorf("%w: bad IP length %d", ErrMalformed, totalLen)
+			return header{}, nil, fmt.Errorf("%w: bad IP length %d", ErrMalformed, totalLen)
 		}
 		tcp := ip[IPHdrLen:totalLen]
 		if transportChecksum(h.SrcIP, h.DstIP, protoTCP, tcp) != 0 {
-			return nil, nil, fmt.Errorf("%w: TCP segment", ErrBadChecksum)
+			return header{}, nil, fmt.Errorf("%w: TCP segment", ErrBadChecksum)
 		}
 		h.SrcPort = binary.BigEndian.Uint16(tcp[0:2])
 		h.DstPort = binary.BigEndian.Uint16(tcp[2:4])
@@ -177,26 +177,26 @@ func decodeFrame(frame []byte) (*header, []byte, error) {
 		return h, tcp[TCPHdrLen:], nil
 	case protoUDP:
 		if totalLen < IPHdrLen+UDPHdrLen {
-			return nil, nil, fmt.Errorf("%w: bad IP length %d", ErrMalformed, totalLen)
+			return header{}, nil, fmt.Errorf("%w: bad IP length %d", ErrMalformed, totalLen)
 		}
 		udp := ip[IPHdrLen:totalLen]
 		udpLen := int(binary.BigEndian.Uint16(udp[4:6]))
 		if udpLen != len(udp) {
-			return nil, nil, fmt.Errorf("%w: UDP length %d != %d", ErrMalformed, udpLen, len(udp))
+			return header{}, nil, fmt.Errorf("%w: UDP length %d != %d", ErrMalformed, udpLen, len(udp))
 		}
 		if transportChecksum(h.SrcIP, h.DstIP, protoUDP, udp) != 0 {
-			return nil, nil, fmt.Errorf("%w: UDP datagram", ErrBadChecksum)
+			return header{}, nil, fmt.Errorf("%w: UDP datagram", ErrBadChecksum)
 		}
 		h.SrcPort = binary.BigEndian.Uint16(udp[0:2])
 		h.DstPort = binary.BigEndian.Uint16(udp[2:4])
 		h.PayloadLen = len(udp) - UDPHdrLen
 		return h, udp[UDPHdrLen:], nil
 	}
-	return nil, nil, fmt.Errorf("%w: protocol %d", ErrMalformed, h.Proto)
+	return header{}, nil, fmt.Errorf("%w: protocol %d", ErrMalformed, h.Proto)
 }
 
 // encodeUDPFrame writes a full Ethernet+IPv4+UDP frame into buf.
-func encodeUDPFrame(buf []byte, h *header, payload []byte) (int, error) {
+func encodeUDPFrame(buf []byte, h header, payload []byte) (int, error) {
 	total := UDPHdrTotal + len(payload)
 	if len(buf) < total {
 		return 0, fmt.Errorf("%w: frame buffer too small (%d < %d)", ErrMalformed, len(buf), total)

@@ -109,6 +109,7 @@ type Socket struct {
 
 	// Receive side.
 	rcvQ       []seg
+	rcvBufs    []mem.BufRef // Recv's descriptor list, reused across calls
 	rcvQueued  int
 	rcvWndCap  int
 	lastAdvWnd int
@@ -128,6 +129,10 @@ type Socket struct {
 	sndWnd   int
 	rtx      []rtxSeg
 	rtxTimer *sched.Timer
+	// rtxCount counts consecutive expiries since the retransmission
+	// timer was armed at cycle rtxStart.
+	rtxCount int
+	rtxStart uint64
 	sndSem   Sem
 	// dupAcks counts consecutive pure duplicate ACKs (fast retransmit
 	// fires at 3).
@@ -137,9 +142,10 @@ type Socket struct {
 	rttvar   uint64
 	rttValid bool
 	// Zero-window probe state: armed only while the peer advertises a
-	// zero window and a sender is parked on it.
+	// zero window and a sender is parked on it (since tick zwpStart).
 	zwpTimer *sched.Timer
 	zwpCount int
+	zwpStart uint64
 	// Keepalive state (enabled by Config.KeepaliveTicks).
 	kaTimer  *sched.Timer
 	kaProbes int
@@ -266,17 +272,24 @@ func (s *Socket) Recv(t *sched.Thread, dst mem.Addr, n int) (int, error) {
 	// between NIC and application.
 	frame := gate.CallFrame{ArgWords: 3, RetWords: 1}
 	if st.sharedRx() {
+		bufs := s.rcvBufs[:0]
 		rem := n
 		for i := 0; i < len(s.rcvQ) && rem > 0; i++ {
-			frame.Bufs = append(frame.Bufs, s.rcvQ[i].own.ref)
+			bufs = append(bufs, s.rcvQ[i].own.ref)
 			rem -= s.rcvQ[i].n - s.rcvQ[i].off
 		}
+		s.rcvBufs = bufs
+		frame.Bufs = bufs
 	}
 	s.lastDrainAt = s.rcvQ[0].at
 	copied := 0
 	err := st.env.CallFrame("libc", "memcpy", frame, func() error {
-		for copied < n && len(s.rcvQ) > 0 {
-			sg := &s.rcvQ[0]
+		// Fully drained head segments leave the queue together, in
+		// place, however the drain ends.
+		drained := 0
+		defer func() { s.rcvQ = dropSegs(s.rcvQ, drained) }()
+		for copied < n && drained < len(s.rcvQ) {
+			sg := &s.rcvQ[drained]
 			chunk := sg.n - sg.off
 			if chunk > n-copied {
 				chunk = n - copied
@@ -291,7 +304,7 @@ func (s *Socket) Recv(t *sched.Thread, dst mem.Addr, n int) (int, error) {
 				if err := st.releaseRx(sg.own); err != nil {
 					return err
 				}
-				s.rcvQ = s.rcvQ[1:]
+				drained++
 			}
 		}
 		return nil
@@ -314,6 +327,14 @@ func (s *Socket) Recv(t *sched.Thread, dst mem.Addr, n int) (int, error) {
 		st.sendAck(s)
 	}
 	return copied, err
+}
+
+// dropSegs removes q's first k segments in place, keeping the backing
+// array's capacity for the segments processData appends next.
+func dropSegs(q []seg, k int) []seg {
+	n := copy(q, q[k:])
+	clear(q[n:])
+	return q[:n]
 }
 
 // TryRecv is Recv without blocking: it drains whatever payload is

@@ -161,6 +161,16 @@ type Stack struct {
 	ackq      []*Socket  // sockets owing a pure ACK (intent, not frame)
 	inRxBatch bool       // inside a NAPI poll: hold pure ACKs
 	kicking   bool       // txKick re-entrancy guard
+	// The outer kick swaps these in for the ring or intent list it
+	// drains and keeps the drained array as the next spare, so the
+	// doorbell path reuses its backing arrays.
+	txSpare  [][]byte
+	ackSpare []*Socket
+
+	// Frame reuse (see newFrame and releaseFrame).
+	frames  [][]byte // free frameCap buffers
+	limbo   [][]byte // released frames waiting for settleFrames
+	txDepth int      // transmits of this stack in flight
 
 	// Multi-queue NIC state (RSS).
 	numQueues int
@@ -267,7 +277,67 @@ func (st *Stack) transmitNow(frame []byte) {
 		st.stats.DroppedOut++
 		return
 	}
+	st.txDepth++
 	st.nic.transmit(frame)
+	st.txDepth--
+	st.settleFrames()
+}
+
+// frameCap is the capacity of every reusable frame buffer: a full
+// data segment. It also holds the largest UDP datagram.
+const frameCap = HdrLen + MSS
+
+// frameLimboMax bounds the frames waiting in limbo. Past it a
+// released frame is left to the collector: reuse is only a saving,
+// and a trap that unwinds through a transmit leaves txDepth raised
+// for good, which would otherwise grow the limbo without end.
+const frameLimboMax = 256
+
+// newFrame returns an n-byte frame buffer, reusing a released one when
+// the free list has it. The bytes are stale: the frame encoders
+// overwrite every byte of the frame they build. A frame larger than
+// frameCap is made to measure and never reused.
+func (st *Stack) newFrame(n int) []byte {
+	if n > frameCap {
+		return make([]byte, n)
+	}
+	if k := len(st.frames); k > 0 {
+		f := st.frames[k-1]
+		st.frames[k-1] = nil
+		st.frames = st.frames[:k-1]
+		return f[:n]
+	}
+	return make([]byte, n, frameCap)
+}
+
+// releaseFrame gives up the caller's reference to a frame: one that
+// has left a socket's retransmission queue, or a frame no queue kept
+// that transmit has taken. The frame may still be read by a transmit
+// in flight (inline delivery runs the peer's input, and with it this
+// stack's ACK processing, in the middle of a transmit) or sit in a tx
+// ring, so it waits in limbo until settleFrames finds neither. Frames
+// not made by newFrame (SYN, FIN, probes, resets) are the collector's.
+func (st *Stack) releaseFrame(f []byte) {
+	if cap(f) != frameCap || len(st.limbo) >= frameLimboMax {
+		return
+	}
+	st.limbo = append(st.limbo, f)
+	st.settleFrames()
+}
+
+// settleFrames moves the limbo onto the free list once no reference to
+// a released frame can remain: no transmit of this stack is in flight
+// and every tx ring is empty. The outermost transmit or kick settles
+// what was released inside it. A trap unwinding through a transmit
+// skips the decrement of txDepth, so it can only keep frames out of
+// reuse, never return one early.
+func (st *Stack) settleFrames() {
+	if st.txDepth > 0 || len(st.limbo) == 0 || st.txPending() > 0 {
+		return
+	}
+	st.frames = append(st.frames, st.limbo...)
+	clear(st.limbo)
+	st.limbo = st.limbo[:0]
 }
 
 // transmit hands a frame to the NIC, through the tx doorbell queue
@@ -310,7 +380,7 @@ func (st *Stack) txKick() {
 	defer func() { st.kicking = false }()
 	for len(st.ackq) > 0 || st.txPending() > 0 {
 		ackq := st.ackq
-		st.ackq = nil
+		st.ackq = st.ackSpare
 		for _, s := range ackq {
 			if !s.ackQueued {
 				continue // absorbed by a data segment or a collapse
@@ -321,22 +391,29 @@ func (st *Stack) txKick() {
 			}
 			_ = st.sendFlags(s, flagACK)
 		}
+		clear(ackq)
+		st.ackSpare = ackq[:0]
 		// Each tx ring is its own doorbell: the first frame of a ring's
 		// batch pays the doorbell cost, the rest coalesce.
 		for q := range st.txqs {
 			frames := st.txqs[q]
-			st.txqs[q] = nil
 			if len(frames) == 0 {
 				continue
 			}
+			st.txqs[q] = st.txSpare
 			if st.nic == nil {
 				st.stats.DroppedOut += uint64(len(frames))
-				continue
+			} else {
+				st.stats.TxDoorbells++
+				st.txDepth++
+				st.nic.transmitBatch(frames)
+				st.txDepth--
 			}
-			st.stats.TxDoorbells++
-			st.nic.transmitBatch(frames)
+			clear(frames)
+			st.txSpare = frames[:0]
 		}
 	}
+	st.settleFrames()
 }
 
 // ackDefer reports whether a pure acknowledgement should become an
@@ -389,6 +466,12 @@ func (st *Stack) endRxBatch() {
 // the libc gate).
 func (st *Stack) newSocket() *Socket {
 	s := &Socket{stack: st, rcvWndCap: st.recvBuf}
+	// Each timer is made once and re-armed with Reset.
+	ts := st.scheduler.Timers()
+	s.rtxTimer = ts.NewTimer(func() { st.rtxExpire(s) })
+	s.zwpTimer = ts.NewTimer(func() { st.zwpExpire(s) })
+	s.kaTimer = ts.NewTimer(func() { st.kaExpire(s) })
+	s.delAckTimer = ts.NewTimer(func() { st.delAckExpire(s) })
 	_ = st.env.CallFn("libc", "sem_init", 1, func() error {
 		s.rcvSem = st.sup.NewSem(0)
 		s.sndSem = st.sup.NewSem(0)
@@ -594,8 +677,8 @@ func (st *Stack) sendData(s *Socket, src mem.Addr, n int) error {
 	if err != nil {
 		return err
 	}
-	frame := make([]byte, HdrLen+n)
-	h := &header{
+	frame := st.newFrame(HdrLen + n)
+	h := header{
 		SrcIP: s.localIP, DstIP: s.remoteIP,
 		SrcPort: s.localPort, DstPort: s.remotePort,
 		Seq: s.sndNxt, Ack: s.rcvNxt,
@@ -608,10 +691,7 @@ func (st *Stack) sendData(s *Socket, src mem.Addr, n int) error {
 	st.chargeTx(len(frame), n)
 	// Outgoing data piggybacks the acknowledgement: delayed-ack state
 	// and any doorbell ack intent are absorbed by this segment's Ack.
-	if s.delAckTimer != nil {
-		s.delAckTimer.Stop()
-		s.delAckTimer = nil
-	}
+	s.delAckTimer.Stop()
 	s.delAckPending = 0
 	st.ackCancel(s)
 	s.sndNxt += uint32(n)
@@ -627,21 +707,27 @@ func (st *Stack) sendData(s *Socket, src mem.Addr, n int) error {
 // sendFlags transmits a control segment (SYN/ACK/FIN/RST combinations,
 // no payload).
 func (st *Stack) sendFlags(s *Socket, flags uint8) error {
-	h := &header{
+	h := header{
 		SrcIP: s.localIP, DstIP: s.remoteIP,
 		SrcPort: s.localPort, DstPort: s.remotePort,
 		Seq: s.sndNxt, Ack: s.rcvNxt,
 		Flags: flags,
 		Wnd:   uint16(s.rcvWnd()),
 	}
-	frame := make([]byte, HdrLen)
+	retained := flags&(flagFIN|flagSYN) != 0
+	var frame []byte
+	if retained {
+		frame = make([]byte, HdrLen)
+	} else {
+		frame = st.newFrame(HdrLen)
+	}
 	if _, err := encodeFrame(frame, h, nil); err != nil {
 		return err
 	}
 	st.chargeTx(len(frame), 0)
 	s.lastAdvWnd = s.rcvWnd()
 	st.stats.SegsOut++
-	if flags&(flagFIN|flagSYN) != 0 {
+	if retained {
 		// SYN and FIN each consume a sequence number and are kept for
 		// retransmission.
 		s.rtx = append(s.rtx, rtxSeg{seq: h.Seq, flags: flags, frame: frame,
@@ -655,6 +741,7 @@ func (st *Stack) sendFlags(s *Socket, flags uint8) error {
 		return nil
 	}
 	st.transmit(frame)
+	st.releaseFrame(frame)
 	return nil
 }
 
@@ -714,44 +801,44 @@ func (s *Socket) rttSample(m uint64) {
 // declared dead with a typed NetTimeout the containment layer can
 // classify.
 func (st *Stack) armRtx(s *Socket) {
-	if s.rtxTimer != nil {
+	if s.rtxTimer.Armed() {
 		return
 	}
-	count := 0
-	start := st.env.CPU.Cycles()
-	var fire func()
-	fire = func() {
-		if len(s.rtx) == 0 || s.sockErr != nil {
-			s.rtxTimer = nil
-			return
-		}
-		count++
-		if count > st.rtxLimit {
-			s.rtxTimer = nil
-			st.netDeath(s, "netstack:rtx", st.rtxLimit, 0, st.env.CPU.Cycles()-start)
-			return
-		}
-		if st.env.Sink.On() {
-			st.emit("net-rto", fmt.Sprintf("rtx %d port %d", count, s.localPort))
-		}
-		// Inline delivery means a retransmitted frame can be ACKed — and
-		// the rtx queue trimmed — before transmit returns, so the bound
-		// is re-read every iteration and entries are addressed by index.
-		for i := 0; i < len(s.rtx); i++ {
-			r := &s.rtx[i]
-			r.rtxed = true // Karn: never sample a retransmitted segment
-			frame := r.frame
-			st.stats.Retransmits++
-			st.stats.SegsOut++
-			st.chargeTx(len(frame), 0)
-			st.transmit(frame)
-		}
-		// Retransmissions ride one doorbell; the timer context has no
-		// blocking point to kick for them later.
-		st.txKick()
-		s.rtxTimer = st.scheduler.Timers().After(st.rto(s)<<uint(count), fire)
+	s.rtxCount = 0
+	s.rtxStart = st.env.CPU.Cycles()
+	s.rtxTimer.Reset(st.rto(s))
+}
+
+// rtxExpire is the retransmission timer's body: it resends every
+// unacknowledged segment and re-arms with the backed-off timeout.
+func (st *Stack) rtxExpire(s *Socket) {
+	if len(s.rtx) == 0 || s.sockErr != nil {
+		return
 	}
-	s.rtxTimer = st.scheduler.Timers().After(st.rto(s), fire)
+	s.rtxCount++
+	if s.rtxCount > st.rtxLimit {
+		st.netDeath(s, "netstack:rtx", st.rtxLimit, 0, st.env.CPU.Cycles()-s.rtxStart)
+		return
+	}
+	if st.env.Sink.On() {
+		st.emit("net-rto", fmt.Sprintf("rtx %d port %d", s.rtxCount, s.localPort))
+	}
+	// Inline delivery means a retransmitted frame can be ACKed — and
+	// the rtx queue trimmed — before transmit returns, so the bound
+	// is re-read every iteration and entries are addressed by index.
+	for i := 0; i < len(s.rtx); i++ {
+		r := &s.rtx[i]
+		r.rtxed = true // Karn: never sample a retransmitted segment
+		frame := r.frame
+		st.stats.Retransmits++
+		st.stats.SegsOut++
+		st.chargeTx(len(frame), 0)
+		st.transmit(frame)
+	}
+	// Retransmissions ride one doorbell; the timer context has no
+	// blocking point to kick for them later.
+	st.txKick()
+	s.rtxTimer.Reset(st.rto(s) << uint(s.rtxCount))
 }
 
 // sendProbe emits a window/keepalive probe: one garbage byte below the
@@ -760,7 +847,7 @@ func (st *Stack) armRtx(s *Socket) {
 // liveness signal the prober is after — without any sequence-space
 // side effects.
 func (st *Stack) sendProbe(s *Socket) {
-	h := &header{
+	h := header{
 		SrcIP: s.localIP, DstIP: s.remoteIP,
 		SrcPort: s.localPort, DstPort: s.remotePort,
 		Seq: s.sndUna - 1, Ack: s.rcvNxt,
@@ -795,36 +882,35 @@ func (st *Stack) sendProbe(s *Socket) {
 // keep the probe clock ticking forever and the scheduler could never
 // drain.
 func (st *Stack) armZwp(s *Socket) {
-	if s.zwpTimer != nil || st.nic == nil {
+	if s.zwpTimer.Armed() || st.nic == nil {
 		return
 	}
-	start := st.scheduler.Timers().Now()
-	var fire func()
-	fire = func() {
-		if s.sockErr != nil || s.state == stClosed || s.sndWnd > 0 {
-			s.zwpTimer = nil
-			return
-		}
-		if s.zwpCount >= st.rtxLimit {
-			s.zwpTimer = nil
-			st.netDeath(s, "netstack:zwp", 0, s.zwpCount,
-				st.scheduler.Timers().Now()-start)
-			return
-		}
-		s.zwpCount++
-		st.stats.ZeroWndProbes++
-		if st.env.Sink.On() {
-			st.emit("net-zwp", fmt.Sprintf("probe %d port %d", s.zwpCount, s.localPort))
-		}
-		st.sendProbe(s)
-		backoff := s.zwpCount
-		if backoff > 6 {
-			backoff = 6
-		}
-		s.zwpTimer = st.scheduler.Timers().After(st.rto(s)<<uint(backoff), fire)
-	}
+	s.zwpStart = st.scheduler.Timers().Now()
 	s.zwpCount = 0
-	s.zwpTimer = st.scheduler.Timers().After(st.rto(s), fire)
+	s.zwpTimer.Reset(st.rto(s))
+}
+
+// zwpExpire is the zero-window probe timer's body.
+func (st *Stack) zwpExpire(s *Socket) {
+	if s.sockErr != nil || s.state == stClosed || s.sndWnd > 0 {
+		return
+	}
+	if s.zwpCount >= st.rtxLimit {
+		st.netDeath(s, "netstack:zwp", 0, s.zwpCount,
+			st.scheduler.Timers().Now()-s.zwpStart)
+		return
+	}
+	s.zwpCount++
+	st.stats.ZeroWndProbes++
+	if st.env.Sink.On() {
+		st.emit("net-zwp", fmt.Sprintf("probe %d port %d", s.zwpCount, s.localPort))
+	}
+	st.sendProbe(s)
+	backoff := s.zwpCount
+	if backoff > 6 {
+		backoff = 6
+	}
+	s.zwpTimer.Reset(st.rto(s) << uint(backoff))
 }
 
 // armKeepalive starts the idle-connection prober on an established
@@ -832,43 +918,42 @@ func (st *Stack) armZwp(s *Socket) {
 // KeepaliveTicks is probed, and KeepaliveProbes unanswered probes
 // declare the peer dead with a typed NetTimeout.
 func (st *Stack) armKeepalive(s *Socket) {
-	if st.keepalive == 0 || s.kaTimer != nil {
+	if st.keepalive == 0 || s.kaTimer.Armed() {
 		return
 	}
-	var fire func()
-	fire = func() {
-		if s.sockErr != nil || s.state == stClosed {
-			s.kaTimer = nil
-			return
-		}
-		// Idle time is measured on the timer wheel's clock, not CPU
-		// cycles: a fully parked machine burns no cycles, so a
-		// cycle-based idle would never grow and the timer would re-arm
-		// forever without ever probing.
-		now := st.scheduler.Timers().Now()
-		idle := now - s.lastActivity
-		if idle < st.keepalive {
-			// The connection spoke since the last check: probe budget
-			// resets and the timer re-arms for the remaining idle window.
-			s.kaProbes = 0
-			s.kaTimer = st.scheduler.Timers().After(st.keepalive-idle, fire)
-			return
-		}
-		s.kaProbes++
-		if s.kaProbes > st.kaLimit {
-			s.kaTimer = nil
-			st.netDeath(s, "netstack:keepalive", 0, st.kaLimit, idle)
-			return
-		}
-		st.stats.KeepaliveProbes++
-		if st.env.Sink.On() {
-			st.emit("net-keepalive", fmt.Sprintf("probe %d port %d", s.kaProbes, s.localPort))
-		}
-		st.sendProbe(s)
-		s.kaTimer = st.scheduler.Timers().After(st.keepalive, fire)
-	}
 	s.lastActivity = st.scheduler.Timers().Now()
-	s.kaTimer = st.scheduler.Timers().After(st.keepalive, fire)
+	s.kaTimer.Reset(st.keepalive)
+}
+
+// kaExpire is the keepalive timer's body.
+func (st *Stack) kaExpire(s *Socket) {
+	if s.sockErr != nil || s.state == stClosed {
+		return
+	}
+	// Idle time is measured on the timer wheel's clock, not CPU
+	// cycles: a fully parked machine burns no cycles, so a
+	// cycle-based idle would never grow and the timer would re-arm
+	// forever without ever probing.
+	now := st.scheduler.Timers().Now()
+	idle := now - s.lastActivity
+	if idle < st.keepalive {
+		// The connection spoke since the last check: probe budget
+		// resets and the timer re-arms for the remaining idle window.
+		s.kaProbes = 0
+		s.kaTimer.Reset(st.keepalive - idle)
+		return
+	}
+	s.kaProbes++
+	if s.kaProbes > st.kaLimit {
+		st.netDeath(s, "netstack:keepalive", 0, st.kaLimit, idle)
+		return
+	}
+	st.stats.KeepaliveProbes++
+	if st.env.Sink.On() {
+		st.emit("net-keepalive", fmt.Sprintf("probe %d port %d", s.kaProbes, s.localPort))
+	}
+	st.sendProbe(s)
+	s.kaTimer.Reset(st.keepalive)
 }
 
 // netDeath declares a connection dead and aborts it with the typed
@@ -892,12 +977,10 @@ func (st *Stack) netDeath(s *Socket, pc string, retransmits, probes int, elapsed
 func (st *Stack) abort(s *Socket, err error) {
 	s.sockErr = err
 	s.state = stClosed
-	for _, tm := range []**sched.Timer{&s.rtxTimer, &s.zwpTimer, &s.kaTimer, &s.delAckTimer} {
-		if *tm != nil {
-			(*tm).Stop()
-			*tm = nil
-		}
-	}
+	s.rtxTimer.Stop()
+	s.zwpTimer.Stop()
+	s.kaTimer.Stop()
+	s.delAckTimer.Stop()
 	for _, sg := range s.rcvQ {
 		_ = st.releaseRx(sg.own)
 	}
@@ -978,23 +1061,23 @@ func (st *Stack) input(frame []byte) {
 	}
 	st.stats.SegsIn++
 	if h.Proto == protoUDP {
-		retained = st.udpInput(h, own, len(payload))
+		retained = st.udpInput(&h, own, len(payload))
 		return
 	}
 	key := connKey{h.DstPort, h.SrcIP, h.SrcPort}
 	if s, ok := st.conns[key]; ok {
-		retained = st.process(s, h, len(payload), own)
+		retained = st.process(s, &h, len(payload), own)
 		return
 	}
 	if h.has(flagSYN) && !h.has(flagACK) {
 		if l, ok := st.listeners[h.DstPort]; ok {
-			st.acceptSYN(l, h)
+			st.acceptSYN(l, &h)
 			return
 		}
 	}
 	// No connection: answer with RST (unless it was an RST).
 	if !h.has(flagRST) {
-		st.sendRST(h)
+		st.sendRST(&h)
 	}
 }
 
@@ -1025,7 +1108,7 @@ func (st *Stack) acceptSYN(l *Socket, h *header) {
 // sendRST answers an unexpected segment.
 func (st *Stack) sendRST(h *header) {
 	st.stats.RSTsOut++
-	rst := &header{
+	rst := header{
 		SrcIP: st.ip, DstIP: h.SrcIP,
 		SrcPort: h.DstPort, DstPort: h.SrcPort,
 		Seq: h.Ack, Ack: h.Seq + uint32(h.PayloadLen),
@@ -1110,9 +1193,8 @@ func (st *Stack) processAck(s *Socket, h *header, payloadLen int) {
 	prevWnd := s.sndWnd
 	s.sndWnd = int(h.Wnd)
 	// An ACK advertising space disarms the zero-window prober.
-	if s.sndWnd > 0 && s.zwpTimer != nil {
+	if s.sndWnd > 0 {
 		s.zwpTimer.Stop()
-		s.zwpTimer = nil
 	}
 	switch {
 	case seqLess(s.sndUna, h.Ack) && seqLEq(h.Ack, s.sndNxt):
@@ -1136,11 +1218,12 @@ func (st *Stack) processAck(s *Socket, h *header, payloadLen int) {
 			if !r.rtxed {
 				s.rttSample(now - r.sentAt)
 			}
+			st.releaseFrame(r.frame)
 		}
+		clear(s.rtx[len(keep):]) // keep no dead frame reachable
 		s.rtx = keep
-		if len(s.rtx) == 0 && s.rtxTimer != nil {
+		if len(s.rtx) == 0 {
 			s.rtxTimer.Stop()
-			s.rtxTimer = nil
 		}
 		if s.state == stFinSent && s.sndUna == s.sndNxt && s.rcvEOF {
 			// Our FIN is acknowledged and the peer's FIN was already
@@ -1290,15 +1373,17 @@ func (st *Stack) ackData(s *Socket) {
 		st.flushAck(s)
 		return
 	}
-	if s.delAckTimer == nil {
-		s.delAckTimer = st.scheduler.Timers().After(delAckTicks, func() {
-			s.delAckTimer = nil
-			if s.delAckPending > 0 {
-				st.flushAck(s)
-				// Timer context: nothing downstream will kick for us.
-				st.txKick()
-			}
-		})
+	if !s.delAckTimer.Armed() {
+		s.delAckTimer.Reset(delAckTicks)
+	}
+}
+
+// delAckExpire is the delayed-ack timer's body.
+func (st *Stack) delAckExpire(s *Socket) {
+	if s.delAckPending > 0 {
+		st.flushAck(s)
+		// Timer context: nothing downstream will kick for us.
+		st.txKick()
 	}
 }
 
@@ -1308,10 +1393,7 @@ func (st *Stack) ackData(s *Socket) {
 // next doorbell kick carries the acknowledgement for free (piggyback)
 // and only a socket with no outgoing data pays a frame of its own.
 func (st *Stack) flushAck(s *Socket) {
-	if s.delAckTimer != nil {
-		s.delAckTimer.Stop()
-		s.delAckTimer = nil
-	}
+	s.delAckTimer.Stop()
 	s.delAckPending = 0
 	st.sendAck(s)
 }

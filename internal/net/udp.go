@@ -110,8 +110,8 @@ func (u *UDPSocket) doSendTo(dst IPAddr, dstPort uint16, src mem.Addr, n int) er
 			return err
 		}
 	}
-	frame := make([]byte, UDPHdrTotal+n)
-	h := &header{
+	frame := st.newFrame(UDPHdrTotal + n)
+	h := header{
 		Proto: protoUDP,
 		SrcIP: st.ip, DstIP: dst,
 		SrcPort: u.localPort, DstPort: dstPort,
@@ -123,6 +123,7 @@ func (u *UDPSocket) doSendTo(dst IPAddr, dstPort uint16, src mem.Addr, n int) er
 	st.stats.SegsOut++
 	st.stats.BytesOut += uint64(n)
 	st.transmit(frame)
+	st.releaseFrame(frame)
 	return nil
 }
 
@@ -138,7 +139,9 @@ func (u *UDPSocket) RecvFrom(t *sched.Thread, dst mem.Addr, n int) (int, IPAddr,
 		st.semDown(t, u.rcvSem)
 	}
 	d := u.rcvQ[0]
-	u.rcvQ = u.rcvQ[1:]
+	k := copy(u.rcvQ, u.rcvQ[1:]) // pop in place, keeping capacity
+	u.rcvQ[k] = datagram{}
+	u.rcvQ = u.rcvQ[:k]
 	u.rcvQueued -= d.n
 	copied := d.n
 	if copied > n {
@@ -146,7 +149,13 @@ func (u *UDPSocket) RecvFrom(t *sched.Thread, dst mem.Addr, n int) (int, IPAddr,
 	}
 	var err error
 	if copied > 0 {
-		err = st.env.CallFrame("libc", "memcpy", udpDrainFrame(d), func() error {
+		// The app-edge copy's gate frame carries the datagram's
+		// descriptor when it lives in the pool.
+		frame := gate.CallFrame{ArgWords: 3, RetWords: 1}
+		if d.own.pooled {
+			frame.Bufs = []mem.BufRef{d.own.ref}
+		}
+		err = st.env.CallFrame("libc", "memcpy", frame, func() error {
 			if err := st.sup.Memcpy(dst, d.addr, copied); err != nil {
 				return err
 			}
@@ -158,16 +167,6 @@ func (u *UDPSocket) RecvFrom(t *sched.Thread, dst mem.Addr, n int) (int, IPAddr,
 		err = ferr
 	}
 	return copied, d.src, d.srcPort, err
-}
-
-// udpDrainFrame builds the app-edge copy's gate frame, attaching the
-// datagram's descriptor when it lives in the pool.
-func udpDrainFrame(d datagram) gate.CallFrame {
-	f := gate.CallFrame{ArgWords: 3, RetWords: 1}
-	if d.own.pooled {
-		f.Bufs = []mem.BufRef{d.own.ref}
-	}
-	return f
 }
 
 // Pending reports queued datagrams (tests).

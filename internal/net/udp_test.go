@@ -11,7 +11,7 @@ import (
 )
 
 func TestUDPEncodeDecodeRoundTrip(t *testing.T) {
-	h := &header{
+	h := header{
 		Proto: protoUDP,
 		SrcIP: IP4(10, 0, 0, 2), DstIP: IP4(10, 0, 0, 1),
 		SrcPort: 40000, DstPort: 5002,
@@ -43,7 +43,7 @@ func TestUDPChecksumProperty(t *testing.T) {
 		if len(payload) > MaxDatagram {
 			payload = payload[:MaxDatagram]
 		}
-		h := &header{Proto: protoUDP, SrcIP: IP4(1, 1, 1, 1), DstIP: IP4(2, 2, 2, 2), SrcPort: 5, DstPort: 6}
+		h := header{Proto: protoUDP, SrcIP: IP4(1, 1, 1, 1), DstIP: IP4(2, 2, 2, 2), SrcPort: 5, DstPort: 6}
 		frame := make([]byte, UDPHdrTotal+len(payload))
 		if _, err := encodeUDPFrame(frame, h, payload); err != nil {
 			return false
