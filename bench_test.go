@@ -424,7 +424,7 @@ func BenchmarkGateCallBatch(b *testing.B) {
 			}
 			for i := 0; i < b.N; i++ {
 				if bg, ok := g.(gate.BatchGate); ok {
-					bg.CallBatch(from, to, calls)
+					bg.CallBatch(from, to, calls, nil)
 					for _, c := range calls {
 						if c.Err != nil {
 							b.Fatal(c.Err)

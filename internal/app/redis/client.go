@@ -34,6 +34,14 @@ type Client struct {
 	rxBuf, txBuf mem.BufRef
 	rxLen        int
 	bufSize      int
+
+	// Host scratch reused by every DoPipelined call: the encoded
+	// request, the copied replies, each reply's end offset in them and
+	// the views returned.
+	req     []byte
+	replies []byte
+	ends    []int
+	views   [][]byte
 }
 
 // NewClient builds a client for the app environment of the client
@@ -87,26 +95,30 @@ func (c *Client) Close(t *sched.Thread) error {
 	return c.env.CallFn("libc", "close", 1, func() error { return c.lc.Close(t, c.conn) })
 }
 
-// Do issues one command and returns a copy of the raw RESP reply.
+// Do issues one command and returns a copy of the raw RESP reply,
+// which the caller may keep.
 func (c *Client) Do(t *sched.Thread, args ...[]byte) ([]byte, error) {
 	replies, err := c.DoPipelined(t, [][][]byte{args})
 	if err != nil {
 		return nil, err
 	}
-	return replies[0], nil
+	return append([]byte(nil), replies[0]...), nil
 }
 
 // DoPipelined issues all commands back to back and then collects one
 // reply per command — redis-benchmark's -P mode. The combined request
-// and reply streams must each fit the client buffer.
+// and reply streams must each fit the client buffer. The replies are
+// views into a buffer the client reuses: they stay valid until the
+// next call on this Client, so a caller that keeps one must copy it.
 func (c *Client) DoPipelined(t *sched.Thread, cmds [][][]byte) ([][]byte, error) {
 	if c.conn == nil {
 		return nil, errors.New("redis client: not connected")
 	}
-	var req []byte
+	req := c.req[:0]
 	for _, cmd := range cmds {
 		req = encodeCommand(req, cmd...)
 	}
+	c.req = req
 	if len(req) > c.bufSize {
 		return nil, fmt.Errorf("redis client: request exceeds %d bytes", c.bufSize)
 	}
@@ -123,14 +135,14 @@ func (c *Client) DoPipelined(t *sched.Thread, cmds [][][]byte) ([][]byte, error)
 	}); err != nil {
 		return nil, fmt.Errorf("redis client send: %w", err)
 	}
-	replies := make([][]byte, 0, len(cmds))
-	for len(replies) < len(cmds) {
+	replies, ends := c.replies[:0], c.ends[:0]
+	for len(ends) < len(cmds) {
 		view, err := c.env.Bytes(c.rx, c.rxLen)
 		if err != nil {
 			return nil, err
 		}
 		consumed := 0
-		for len(replies) < len(cmds) {
+		for len(ends) < len(cmds) {
 			l, perr := replyLen(view[consumed:c.rxLen])
 			if errors.Is(perr, errIncomplete) {
 				break
@@ -138,7 +150,8 @@ func (c *Client) DoPipelined(t *sched.Thread, cmds [][][]byte) ([][]byte, error)
 			if perr != nil {
 				return nil, perr
 			}
-			replies = append(replies, append([]byte(nil), view[consumed:consumed+l]...))
+			replies = append(replies, view[consumed:consumed+l]...)
+			ends = append(ends, len(replies))
 			consumed += l
 		}
 		if consumed > 0 {
@@ -147,7 +160,7 @@ func (c *Client) DoPipelined(t *sched.Thread, cmds [][][]byte) ([][]byte, error)
 			}
 			c.rxLen -= consumed
 		}
-		if len(replies) == len(cmds) {
+		if len(ends) == len(cmds) {
 			break
 		}
 		var n int
@@ -161,7 +174,16 @@ func (c *Client) DoPipelined(t *sched.Thread, cmds [][][]byte) ([][]byte, error)
 		}
 		c.rxLen += n
 	}
-	return replies, nil
+	// The views are cut only once every reply is copied, so a regrowth
+	// of the reply buffer cannot strand an earlier one.
+	c.replies, c.ends = replies, ends
+	views, start := c.views[:0], 0
+	for _, end := range ends {
+		views = append(views, replies[start:end:end])
+		start = end
+	}
+	c.views = views
+	return views, nil
 }
 
 // Set issues SET key value.

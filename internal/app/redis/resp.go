@@ -26,45 +26,48 @@ const maxArgs = 64
 const maxBulk = 1 << 20
 
 // parseCommandSpans parses one RESP array-of-bulk-strings command from
-// b, returning each argument as an (offset, length) span into b plus
-// the bytes consumed, or errIncomplete when the buffer does not yet
-// hold a full command. Spans (rather than views) let the server turn
-// an argument back into its arena address.
-func parseCommandSpans(b []byte) ([][2]int, int, error) {
+// b, appending each argument as an (offset, length) span into b to
+// dst[:0] and returning the spans plus the bytes consumed, or
+// errIncomplete when the buffer does not yet hold a full command.
+// Spans (rather than views) let the server turn an argument back into
+// its arena address. A caller that passes the previous call's spans
+// back as dst parses without allocating once the slice has grown to
+// its largest command.
+func parseCommandSpans(dst [][2]int, b []byte) ([][2]int, int, error) {
+	spans := dst[:0]
 	if len(b) == 0 {
-		return nil, 0, errIncomplete
+		return spans, 0, errIncomplete
 	}
 	if b[0] != '*' {
-		return nil, 0, fmt.Errorf("redis: expected '*', got %q", b[0])
+		return spans, 0, fmt.Errorf("redis: expected '*', got %q", b[0])
 	}
 	n, pos, err := parseInt(b, 1)
 	if err != nil {
-		return nil, 0, err
+		return spans, 0, err
 	}
 	if n <= 0 || n > maxArgs {
-		return nil, 0, fmt.Errorf("redis: bad argument count %d", n)
+		return spans, 0, fmt.Errorf("redis: bad argument count %d", n)
 	}
-	spans := make([][2]int, 0, n)
 	for i := int64(0); i < n; i++ {
 		if pos >= len(b) {
-			return nil, 0, errIncomplete
+			return spans, 0, errIncomplete
 		}
 		if b[pos] != '$' {
-			return nil, 0, fmt.Errorf("redis: expected '$', got %q", b[pos])
+			return spans, 0, fmt.Errorf("redis: expected '$', got %q", b[pos])
 		}
 		sz, next, err := parseInt(b, pos+1)
 		if err != nil {
-			return nil, 0, err
+			return spans, 0, err
 		}
 		if sz < 0 || sz > maxBulk {
-			return nil, 0, fmt.Errorf("redis: bad bulk length %d", sz)
+			return spans, 0, fmt.Errorf("redis: bad bulk length %d", sz)
 		}
 		end := next + int(sz)
 		if end+2 > len(b) {
-			return nil, 0, errIncomplete
+			return spans, 0, errIncomplete
 		}
 		if b[end] != '\r' || b[end+1] != '\n' {
-			return nil, 0, fmt.Errorf("redis: bulk string not CRLF terminated")
+			return spans, 0, fmt.Errorf("redis: bulk string not CRLF terminated")
 		}
 		spans = append(spans, [2]int{next, int(sz)})
 		pos = end + 2
@@ -74,7 +77,7 @@ func parseCommandSpans(b []byte) ([][2]int, int, error) {
 
 // parseCommand is the view-returning variant of parseCommandSpans.
 func parseCommand(b []byte) ([][]byte, int, error) {
-	spans, consumed, err := parseCommandSpans(b)
+	spans, consumed, err := parseCommandSpans(nil, b)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -98,11 +101,41 @@ func parseInt(b []byte, pos int) (int64, int, error) {
 	if b[i+1] != '\n' {
 		return 0, 0, fmt.Errorf("redis: bare CR in length")
 	}
-	v, err := strconv.ParseInt(string(b[pos:i]), 10, 64)
+	v, err := parseDecimal(b[pos:i])
 	if err != nil {
 		return 0, 0, fmt.Errorf("redis: bad integer: %w", err)
 	}
 	return v, i + 2, nil
+}
+
+// maxFastDigits is the longest digit string parseDecimal converts in
+// place: 18 decimal digits always fit an int64.
+const maxFastDigits = 18
+
+// parseDecimal is strconv.ParseInt(string(b), 10, 64) without the
+// string: an optional '-' and 1 to 18 digits convert in place, and
+// anything else (a '+', 19 or more digits, a stray byte) takes
+// strconv's path, so the accepted inputs, the values and the errors
+// are strconv's.
+func parseDecimal(b []byte) (int64, error) {
+	digits := b
+	if len(digits) > 0 && digits[0] == '-' {
+		digits = digits[1:]
+	}
+	if len(digits) == 0 || len(digits) > maxFastDigits {
+		return strconv.ParseInt(string(b), 10, 64)
+	}
+	var v int64
+	for _, c := range digits {
+		if c < '0' || c > '9' {
+			return strconv.ParseInt(string(b), 10, 64)
+		}
+		v = v*10 + int64(c-'0')
+	}
+	if len(digits) < len(b) {
+		v = -v
+	}
+	return v, nil
 }
 
 // replyLen reports the length of one complete RESP reply at the start
@@ -156,13 +189,16 @@ func replyLen(b []byte) (int, error) {
 	}
 }
 
-// Reply builders append RESP into dst and return the extended slice.
+// Fixed replies and the bulk-string terminator.
+var (
+	replyOK   = []byte("+OK\r\n")
+	replyPong = []byte("+PONG\r\n")
+	replyNull = []byte("$-1\r\n")
+	replyBusy = []byte("-BUSY overload shed\r\n")
+	crlf      = []byte("\r\n")
+)
 
-func appendSimple(dst []byte, s string) []byte {
-	dst = append(dst, '+')
-	dst = append(dst, s...)
-	return append(dst, '\r', '\n')
-}
+// Reply builders append RESP into dst and return the extended slice.
 
 func appendError(dst []byte, s string) []byte {
 	dst = append(dst, '-')
@@ -174,10 +210,6 @@ func appendInt(dst []byte, v int64) []byte {
 	dst = append(dst, ':')
 	dst = strconv.AppendInt(dst, v, 10)
 	return append(dst, '\r', '\n')
-}
-
-func appendNull(dst []byte) []byte {
-	return append(dst, '$', '-', '1', '\r', '\n')
 }
 
 // appendBulkHeader writes "$<n>\r\n"; the caller appends payload + CRLF.

@@ -9,7 +9,8 @@ import (
 // reply framer, checking the structural invariants the server and
 // client rely on: parses never panic, consume within bounds, return
 // in-bounds argument views, and canonical re-encodings of parsed
-// commands round-trip exactly.
+// commands round-trip exactly. The input's first line, read as a RESP
+// integer, must also parse exactly as strconv.ParseInt reads it.
 func FuzzRESP(f *testing.F) {
 	f.Add([]byte("*2\r\n$3\r\nGET\r\n$5\r\nkey:1\r\n"))
 	f.Add([]byte("*3\r\n$3\r\nSET\r\n$5\r\nkey:1\r\n$4\r\nabcd\r\n"))
@@ -23,7 +24,18 @@ func FuzzRESP(f *testing.F) {
 	f.Add([]byte("*0\r\n"))
 	f.Add([]byte("$9223372036854775800\r\nx"))
 	f.Add([]byte("*9223372036854775800\r\n"))
+	// Integer edges: the in-place parse takes an optional '-' and up to
+	// 18 digits, strconv everything else.
+	for _, s := range []string{"0", "-0", "007", "+5", "-", "", " 1", "1_0",
+		"123456789012345678", "1234567890123456789", "12345678901234567890",
+		"9223372036854775807", "-9223372036854775808", "9223372036854775808"} {
+		f.Add([]byte(s))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
+		line, _, _ := bytes.Cut(data, []byte("\r"))
+		if err := decimalAgrees(string(line)); err != nil {
+			t.Fatal(err)
+		}
 		args, consumed, err := parseCommand(data)
 		if err == nil {
 			if consumed <= 0 || consumed > len(data) {

@@ -125,6 +125,7 @@ func (s *Server) ServeConn(t *sched.Thread, conn *net.Socket) error {
 	// keeps per-command copies so the deadline covers each reply.
 	if d := s.env.BatchDepth("libc"); d > 1 && !s.Enforce {
 		c.depth = d
+		c.newBatch()
 	}
 	if err := c.allocBuffers(); err != nil {
 		return err
@@ -150,6 +151,16 @@ type connState struct {
 	// their sources (rx compaction, store mutation) or reads their
 	// destination (the tx send).
 	pending []pendingCopy
+	// chunk is the part of pending a batched flush is carrying, and
+	// batch its frames: batch[i].Fn, made once per connection, copies
+	// chunk[i], so a flush builds no slice and no closure.
+	chunk []pendingCopy
+	batch []rt.BatchCall
+	// spans is the parser's argument scratch, kept across commands.
+	spans [][2]int
+	// hdr is the scratch a bulk header or an integer reply is
+	// formatted in.
+	hdr [24]byte
 }
 
 // pendingCopy is one deferred bulk-reply payload copy.
@@ -185,12 +196,10 @@ func (c *connState) flushCopies() error {
 			}
 			continue
 		}
-		calls := make([]rt.BatchCall, len(chunk))
-		for i, p := range chunk {
-			calls[i] = rt.BatchCall{
-				Frame: gate.CallFrame{ArgWords: 3},
-				Fn:    func() error { return s.lc.Memcpy(p.dst, p.src, p.n) },
-			}
+		c.chunk = chunk
+		calls := c.batch[:len(chunk)]
+		for i := range calls {
+			calls[i].Frame = gate.CallFrame{ArgWords: 3}
 		}
 		s.env.CallBatch("libc", "memcpy", calls)
 		for _, c := range calls {
@@ -200,6 +209,19 @@ func (c *connState) flushCopies() error {
 		}
 	}
 	return nil
+}
+
+// newBatch makes the connection's batch frames, one per slot of a
+// depth-sized chunk. Slot i's body copies c.chunk[i], so the bodies are
+// made once and every flush reuses them.
+func (c *connState) newBatch() {
+	c.batch = make([]rt.BatchCall, c.depth)
+	for i := range c.batch {
+		c.batch[i].Fn = func() error {
+			p := c.chunk[i]
+			return c.srv.lc.Memcpy(p.dst, p.src, p.n)
+		}
+	}
 }
 
 // dropCopies discards deferred copies at or past tx offset off — the
@@ -246,7 +268,9 @@ func (c *connState) serve(t *sched.Thread, conn *net.Socket) error {
 		// been flushed.
 		base := 0
 		for {
-			spans, consumed, perr := parseCommandSpans(view[base:c.rxLen])
+			var consumed int
+			var perr error
+			c.spans, consumed, perr = parseCommandSpans(c.spans, view[base:c.rxLen])
 			if errors.Is(perr, errIncomplete) {
 				break
 			}
@@ -268,7 +292,7 @@ func (c *connState) serve(t *sched.Thread, conn *net.Socket) error {
 			preOff := txOff
 			exec := func() error {
 				var err error
-				txOff, err = c.execute(spans, view[base:c.rxLen], base, txOff)
+				txOff, err = c.execute(c.spans, view[base:c.rxLen], base, txOff)
 				return err
 			}
 			var xerr error
@@ -290,7 +314,7 @@ func (c *connState) serve(t *sched.Thread, conn *net.Socket) error {
 				// it cannot itself be shed.
 				c.dropCopies(preOff)
 				txOff = preOff
-				if txOff, err = c.writeGo(preOff, appendError(nil, "BUSY overload shed")); err != nil {
+				if txOff, err = c.writeGo(preOff, replyBusy); err != nil {
 					return err
 				}
 				s.Shed++
@@ -433,7 +457,7 @@ func (c *connState) execute(spans [][2]int, view []byte, rxOff int, off int) (in
 	arg := func(i int) []byte { return view[spans[i][0] : spans[i][0]+spans[i][1]] }
 	argAddr := func(i int) mem.Addr { return c.rx + mem.Addr(rxOff+spans[i][0]) }
 	nargs := len(spans)
-	name := asciiUpper(arg(0))
+	name := commandName(arg(0))
 	// Deferred reply copies may reference store memory a mutation is
 	// about to free or overwrite: materialize them first.
 	switch name {
@@ -452,7 +476,7 @@ func (c *connState) execute(spans [][2]int, view []byte, rxOff int, off int) (in
 		if nargs == 2 {
 			return c.bulkReply(off, argAddr(1), spans[1][1])
 		}
-		return c.writeGo(off, appendSimple(nil, "PONG"))
+		return c.writeGo(off, replyPong)
 	case "ECHO":
 		if nargs != 2 {
 			return wrongArgs()
@@ -465,14 +489,14 @@ func (c *connState) execute(spans [][2]int, view []byte, rxOff int, off int) (in
 		if err := s.store.Set(arg(1), argAddr(2), spans[2][1]); err != nil {
 			return 0, err
 		}
-		return c.writeGo(off, appendSimple(nil, "OK"))
+		return c.writeGo(off, replyOK)
 	case "GET":
 		if nargs != 2 {
 			return wrongArgs()
 		}
 		addr, n, ok := s.store.Get(arg(1))
 		if !ok {
-			return c.writeGo(off, appendNull(nil))
+			return c.writeGo(off, replyNull)
 		}
 		return c.bulkReply(off, addr, n)
 	case "DEL":
@@ -487,7 +511,7 @@ func (c *connState) execute(spans [][2]int, view []byte, rxOff int, off int) (in
 		if err != nil {
 			return 0, err
 		}
-		return c.writeGo(off, appendInt(nil, int64(removed)))
+		return c.writeGo(off, appendInt(c.hdr[:0], int64(removed)))
 	case "EXISTS":
 		if nargs != 2 {
 			return wrongArgs()
@@ -496,7 +520,7 @@ func (c *connState) execute(spans [][2]int, view []byte, rxOff int, off int) (in
 		if s.store.Exists(arg(1)) {
 			v = 1
 		}
-		return c.writeGo(off, appendInt(nil, v))
+		return c.writeGo(off, appendInt(c.hdr[:0], v))
 	case "INCR", "DECR", "INCRBY":
 		delta := int64(1)
 		switch name {
@@ -519,7 +543,7 @@ func (c *connState) execute(spans [][2]int, view []byte, rxOff int, off int) (in
 		if err != nil {
 			return c.writeError(off, "ERR value is not an integer or out of range")
 		}
-		return c.writeGo(off, appendInt(nil, v))
+		return c.writeGo(off, appendInt(c.hdr[:0], v))
 	case "APPEND":
 		if nargs != 3 {
 			return wrongArgs()
@@ -528,38 +552,65 @@ func (c *connState) execute(spans [][2]int, view []byte, rxOff int, off int) (in
 		if err != nil {
 			return 0, err
 		}
-		return c.writeGo(off, appendInt(nil, int64(n)))
+		return c.writeGo(off, appendInt(c.hdr[:0], int64(n)))
 	case "STRLEN":
 		if nargs != 2 {
 			return wrongArgs()
 		}
-		return c.writeGo(off, appendInt(nil, int64(s.store.Strlen(arg(1)))))
+		return c.writeGo(off, appendInt(c.hdr[:0], int64(s.store.Strlen(arg(1)))))
 	case "DBSIZE":
-		return c.writeGo(off, appendInt(nil, int64(s.store.Len())))
+		return c.writeGo(off, appendInt(c.hdr[:0], int64(s.store.Len())))
 	case "FLUSHALL":
 		if err := s.store.FlushAll(); err != nil {
 			return 0, err
 		}
-		return c.writeGo(off, appendSimple(nil, "OK"))
+		return c.writeGo(off, replyOK)
 	default:
-		return c.writeError(off, fmt.Sprintf("ERR unknown command '%s'", name))
+		return c.writeError(off, fmt.Sprintf("ERR unknown command '%s'", asciiUpper(arg(0))))
 	}
 }
 
 // bulkReply appends "$<n>\r\n<payload>\r\n" at off with the payload
 // moved in LibC.
 func (c *connState) bulkReply(off int, addr mem.Addr, n int) (int, error) {
-	off, err := c.writeGo(off, appendBulkHeader(nil, n))
+	off, err := c.writeGo(off, appendBulkHeader(c.hdr[:0], n))
 	if err != nil {
 		return 0, err
 	}
 	if off, err = c.writeVal(off, addr, n); err != nil {
 		return 0, err
 	}
-	return c.writeGo(off, []byte("\r\n"))
+	return c.writeGo(off, crlf)
 }
 
-// asciiUpper uppercases a short command name.
+// commands lists the command names execute serves.
+var commands = [...]string{"GET", "SET", "PING", "ECHO", "DEL", "EXISTS", "INCR",
+	"DECR", "INCRBY", "APPEND", "STRLEN", "DBSIZE", "FLUSHALL"}
+
+// commandName matches a command name case-insensitively against the
+// served commands and returns the canonical (upper-case) name, or ""
+// for any other name. The name is upper-cased in a fixed buffer, so a
+// lookup allocates nothing.
+func commandName(b []byte) string {
+	var up [len("FLUSHALL")]byte
+	if len(b) > len(up) {
+		return ""
+	}
+	for i, c := range b {
+		if 'a' <= c && c <= 'z' {
+			c -= 'a' - 'A'
+		}
+		up[i] = c
+	}
+	for _, name := range commands {
+		if string(up[:len(b)]) == name {
+			return name
+		}
+	}
+	return ""
+}
+
+// asciiUpper uppercases a command name for an error reply.
 func asciiUpper(b []byte) string {
 	out := make([]byte, len(b))
 	for i, c := range b {

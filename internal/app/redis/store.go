@@ -19,16 +19,32 @@ type valueRef struct {
 // Store is the in-memory string dictionary. Values live in arena
 // allocations owned by the store; all bulk movement goes through
 // LibC's memcpy so hardening and allocator policies apply exactly as
-// they would to a ported Redis.
+// they would to a ported Redis. A key maps to its value's record, which
+// a write to an existing key updates in place: only a new key converts
+// the key to a string and allocates.
 type Store struct {
 	env *rt.Env
 	lc  *libc.LibC
-	m   map[string]valueRef
+	m   map[string]*valueRef
 }
 
 // NewStore builds an empty dictionary for the app environment.
 func NewStore(env *rt.Env, lc *libc.LibC) *Store {
-	return &Store{env: env, lc: lc, m: make(map[string]valueRef)}
+	return &Store{env: env, lc: lc, m: make(map[string]*valueRef)}
+}
+
+// put points key at the n-byte value at addr, freeing the value it
+// replaces. On a failed free the key keeps its old value.
+func (s *Store) put(key []byte, addr mem.Addr, n int) error {
+	if old := s.m[string(key)]; old != nil {
+		if err := s.env.Free(old.addr); err != nil {
+			return err
+		}
+		old.addr, old.n = addr, n
+		return nil
+	}
+	s.m[string(key)] = &valueRef{addr: addr, n: n}
+	return nil
 }
 
 // chargeOp accounts one dict operation on a key.
@@ -55,14 +71,7 @@ func (s *Store) Set(key []byte, src mem.Addr, n int) error {
 			return err
 		}
 	}
-	k := string(key)
-	if old, ok := s.m[k]; ok {
-		if err := s.env.Free(old.addr); err != nil {
-			return err
-		}
-	}
-	s.m[k] = valueRef{addr: buf, n: n}
-	return nil
+	return s.put(key, buf, n)
 }
 
 // setRaw stores a Go byte slice (used by INCR and tests).
@@ -78,21 +87,17 @@ func (s *Store) setRaw(key []byte, val []byte) error {
 	}
 	s.env.Charge(clock.CopyCycles(len(val)))
 	copy(dst, val)
-	k := string(key)
-	if old, ok := s.m[k]; ok {
-		if err := s.env.Free(old.addr); err != nil {
-			return err
-		}
-	}
-	s.m[k] = valueRef{addr: buf, n: len(val)}
-	return nil
+	return s.put(key, buf, len(val))
 }
 
 // Get returns the value location for key.
 func (s *Store) Get(key []byte) (mem.Addr, int, bool) {
 	s.chargeOp(key)
-	v, ok := s.m[string(key)]
-	return v.addr, v.n, ok
+	v := s.m[string(key)]
+	if v == nil {
+		return mem.NilAddr, 0, false
+	}
+	return v.addr, v.n, true
 }
 
 // Del removes keys, returning how many existed.
@@ -100,12 +105,11 @@ func (s *Store) Del(keys ...[]byte) (int, error) {
 	removed := 0
 	for _, key := range keys {
 		s.chargeOp(key)
-		k := string(key)
-		if v, ok := s.m[k]; ok {
+		if v := s.m[string(key)]; v != nil {
 			if err := s.env.Free(v.addr); err != nil {
 				return removed, err
 			}
-			delete(s.m, k)
+			delete(s.m, string(key))
 			removed++
 		}
 	}
@@ -123,7 +127,7 @@ func (s *Store) Exists(key []byte) bool {
 func (s *Store) IncrBy(key []byte, delta int64) (int64, error) {
 	s.chargeOp(key)
 	var cur int64
-	if v, ok := s.m[string(key)]; ok {
+	if v := s.m[string(key)]; v != nil {
 		b, err := s.env.Bytes(v.addr, v.n)
 		if err != nil {
 			return 0, err
@@ -144,11 +148,11 @@ func (s *Store) IncrBy(key []byte, delta int64) (int64, error) {
 // length.
 func (s *Store) Append(key []byte, src mem.Addr, n int) (int, error) {
 	s.chargeOp(key)
-	k := string(key)
-	old, ok := s.m[k]
-	newLen := old.n + n
-	if !ok {
-		newLen = n
+	old := s.m[string(key)]
+	ok := old != nil
+	newLen := n
+	if ok {
+		newLen += old.n
 	}
 	buf, err := s.env.Malloc(max(newLen, 1))
 	if err != nil {
@@ -168,19 +172,19 @@ func (s *Store) Append(key []byte, src mem.Addr, n int) (int, error) {
 			return 0, err
 		}
 	}
-	if ok {
-		if err := s.env.Free(old.addr); err != nil {
-			return 0, err
-		}
+	if err := s.put(key, buf, newLen); err != nil {
+		return 0, err
 	}
-	s.m[k] = valueRef{addr: buf, n: newLen}
 	return newLen, nil
 }
 
 // Strlen reports the value length (0 if absent).
 func (s *Store) Strlen(key []byte) int {
 	s.chargeOp(key)
-	return s.m[string(key)].n
+	if v := s.m[string(key)]; v != nil {
+		return v.n
+	}
+	return 0
 }
 
 // FlushAll drops every key.

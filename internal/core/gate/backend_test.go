@@ -188,7 +188,7 @@ func TestBatchCrossingCostMatchesGateCharge(t *testing.T) {
 		cpu.Reset()
 		ran = 0
 		if bg, isBatch := g.(BatchGate); isBatch {
-			bg.CallBatch(a, b, calls)
+			bg.CallBatch(a, b, calls, nil)
 			for i, c := range calls {
 				if c.Err != nil {
 					t.Fatalf("%v: frame %d: %v", backend, i, c.Err)

@@ -36,10 +36,12 @@ type BatchCall struct {
 // BatchGate is implemented by gates whose crossing cost can be
 // amortized over several frames. CallBatch runs each live frame's Fn
 // under its Frame in the `to` domain, paying the domain crossing once,
-// and stores the frame's outcome in its Err (nil for success).
+// and stores the frame's outcome in its Err (nil for success). A
+// non-nil enter runs at each live frame's entry, inside that frame's
+// trap boundary: the registry fires its fault injector there.
 type BatchGate interface {
 	Gate
-	CallBatch(from, to *Domain, calls []BatchCall)
+	CallBatch(from, to *Domain, calls []BatchCall, enter func())
 }
 
 // BatchCrossingCost reports the fixed cycle cost of carrying n frames
@@ -66,7 +68,7 @@ func BatchCrossingCost(b Backend, n int) uint64 {
 // summed entry+payload words in one go); each frame then dispatches
 // inside its own trap boundary; the return path restores the caller
 // domain once.
-func (g *mpkGate) CallBatch(from, to *Domain, calls []BatchCall) {
+func (g *mpkGate) CallBatch(from, to *Domain, calls []BatchCall, enter func()) {
 	// Frames whose descriptors the callee could not reach are refused
 	// before the crossing, exactly like the single-call path; the rest
 	// of the batch still crosses. From here on a nil Err marks a frame
@@ -108,12 +110,24 @@ func (g *mpkGate) CallBatch(from, to *Domain, calls []BatchCall) {
 		g.clk.Charge(clock.CompGate, clock.CostBatchDispatch)
 		// Each frame gets its own trap boundary: one trapped frame
 		// aborts only itself, the rest of the batch completes.
-		c.Err = contain(from, to, c.Fn)
+		c.Err = containFrame(from, to, enter, c.Fn)
 		retWords += c.Frame.RetWords
 	}
 	if err := g.pass(from, to, from.PKRU, retWords, "gate %s<-%s return: %w"); err != nil {
 		trapLive(calls, err)
 	}
+}
+
+// containFrame runs one batch frame's body inside its own trap
+// boundary, after enter when one is given.
+func containFrame(from, to *Domain, enter func(), fn func() error) error {
+	if enter == nil {
+		return contain(from, to, fn)
+	}
+	return contain(from, to, func() error {
+		enter()
+		return fn()
+	})
 }
 
 // trapLive fails every frame of a batch that has not failed yet with
@@ -132,7 +146,7 @@ func trapLive(calls []BatchCall, trap error) {
 // CostVMNotify dwarfs everything else in the RPC crossing. The batch
 // is one RPC to the callee VM: it waits behind, and then holds, the
 // single endpoint exactly as Call does.
-func (g *rpcGate) CallBatch(from, to *Domain, calls []BatchCall) {
+func (g *rpcGate) CallBatch(from, to *Domain, calls []BatchCall, enter func()) {
 	g.stall()
 	words := 0
 	for i := range calls {
@@ -156,7 +170,7 @@ func (g *rpcGate) CallBatch(from, to *Domain, calls []BatchCall) {
 			continue
 		}
 		g.clk.Charge(clock.CompVMM, clock.CostBatchDispatch)
-		c.Err = contain(from, to, c.Fn)
+		c.Err = containFrame(from, to, enter, c.Fn)
 		retWords += c.Frame.RetWords
 	}
 	g.clk.Charge(clock.CompVMM, clock.CostVMNotify+

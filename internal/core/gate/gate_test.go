@@ -172,7 +172,7 @@ func TestVMRPCBatchSerializes(t *testing.T) {
 				return
 			}
 			calls := []BatchCall{{Frame: one, Fn: noop}, {Frame: one, Fn: noop}}
-			g.CallBatch(a, b, calls)
+			g.CallBatch(a, b, calls, nil)
 			for _, c := range calls {
 				mustNoErr(t, c.Err)
 			}

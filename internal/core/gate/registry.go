@@ -240,37 +240,23 @@ func (ro *Route) CallBatch(fnName string, calls []BatchCall) {
 	if live == 0 {
 		return
 	}
-	run := calls
+	// The injector fires at each live frame's entry, inside the
+	// frame's trap boundary.
+	var enter func()
 	if in := r.injector; in != nil {
-		// The injector fires at each frame's entry, inside the frame's
-		// trap boundary: the gate runs a copy of the batch whose bodies
-		// fire it first.
-		run = make([]BatchCall, len(calls))
-		for i, c := range calls {
-			body := c.Fn
-			c.Fn = func() error {
-				in.OnCall(ro.ToLib, ro.To.Name, fnName)
-				return body()
-			}
-			run[i] = c
-		}
+		enter = func() { in.OnCall(ro.ToLib, ro.To.Name, fnName) }
 	}
 	// One physical crossing for the whole batch.
 	row, start := ro.enter()
 	switch g := r.cross.(type) {
 	case *mpkGate:
-		g.CallBatch(ro.From, ro.To, run)
+		g.CallBatch(ro.From, ro.To, calls, enter)
 	case *rpcGate:
-		g.CallBatch(ro.From, ro.To, run)
+		g.CallBatch(ro.From, ro.To, calls, enter)
 	default:
 		panic(fmt.Sprintf("gate: %T batches but has no static batch call", g))
 	}
 	row.returned(live, r.clk.Cycles()-start)
-	if r.injector != nil {
-		for i := range calls {
-			calls[i].Err = run[i].Err
-		}
-	}
 }
 
 // observe emits one named call edge for the call recorder.

@@ -6,6 +6,8 @@ import (
 
 	"flexos/internal/clock"
 	"flexos/internal/fault"
+	"flexos/internal/mem"
+	"flexos/internal/mpk"
 	"flexos/internal/trace"
 )
 
@@ -190,5 +192,71 @@ func TestBatchSkipsRefusedFramesAndInjectsPerFrame(t *testing.T) {
 	route.CallBatch("recv", calls)
 	if r.TotalCrossings() != 1 || edges != 2 || len(ran) != 1 {
 		t.Fatalf("an all-refused batch crossed: %d crossings, %d edges, ran %v", r.TotalCrossings(), edges, ran)
+	}
+}
+
+// TestBatchInjectedTrapFailsItsFrameAlone pins an injected trap inside
+// an amortized batch on both batching backends: the trap in frame k
+// fails frame k alone, contained in the callee's compartment, and every
+// other frame runs; the batch stays one crossing carrying every frame.
+// The errors, cycles and ledger are pinned at the values the registry
+// read when it ran a heap copy of the batch with wrapped bodies, before
+// the gate fired the injector itself.
+func TestBatchInjectedTrapFailsItsFrameAlone(t *testing.T) {
+	const (
+		depth   = 4
+		wantErr = `fault: injected trap in compartment "b" at netstack:recv`
+	)
+	// The crossing charges the same whichever frame traps.
+	wantCycles := map[Backend]uint64{MPKSwitched: 432, VMRPC: 5572}
+	for _, backend := range []Backend{MPKSwitched, VMRPC} {
+		for k := 1; k <= depth; k++ {
+			m := clock.NewMachine(1)
+			cross := NewVMRPC(m, nil)
+			if backend == MPKSwitched {
+				cross = NewMPKSwitched(mpk.New(mem.NewArena(16*mem.PageSize), m), m)
+			}
+			r := NewRegistry(m, NewFuncCall(m), cross, nil)
+			r.AddCompartment(NewDomain("a", 1))
+			r.AddCompartment(NewDomain("b", 2))
+			mustNoErr(t, r.Assign("app", "a"))
+			mustNoErr(t, r.Assign("netstack", "b"))
+			in := fault.NewInjector()
+			in.Arm(fault.Injection{Lib: "netstack", Fn: "recv", After: uint64(k)})
+			r.SetInjector(in)
+			route, err := r.Resolve("app", "netstack")
+			mustNoErr(t, err)
+
+			var ran []int
+			calls := make([]BatchCall, depth)
+			for i := range calls {
+				calls[i].Frame = CallFrame{ArgWords: 2, RetWords: 1}
+				calls[i].Fn = func() error { ran = append(ran, i); return nil }
+			}
+			route.CallBatch("recv", calls)
+
+			for i, c := range calls {
+				if i != k-1 {
+					if c.Err != nil {
+						t.Errorf("%v, trap in frame %d: frame %d failed: %v", backend, k, i+1, c.Err)
+					}
+					continue
+				}
+				tr, ok := fault.As(c.Err)
+				if !ok || tr.Comp != "b" || tr.Kind != fault.KindInjected || c.Err.Error() != wantErr {
+					t.Errorf("%v, trap in frame %d: frame error %v, want %q", backend, k, c.Err, wantErr)
+				}
+			}
+			if len(ran) != depth-1 || in.Fired() != 1 {
+				t.Errorf("%v, trap in frame %d: ran %v with %d injections, want every other frame and 1", backend, k, ran, in.Fired())
+			}
+			rows := r.Ledger()
+			if len(rows) != 1 || rows[0].Crossings != 1 || rows[0].Frames != depth || rows[0].Cycles.Count() != 1 {
+				t.Errorf("%v, trap in frame %d: ledger %+v, want one crossing of %d frames", backend, k, rows, depth)
+			}
+			if got := m.Cycles(); got != wantCycles[backend] {
+				t.Errorf("%v, trap in frame %d: %d cycles, want %d", backend, k, got, wantCycles[backend])
+			}
+		}
 	}
 }

@@ -1,0 +1,241 @@
+package net
+
+import (
+	"errors"
+	"fmt"
+	"slices"
+	"testing"
+
+	"flexos/internal/core/gate"
+	"flexos/internal/fault"
+	"flexos/internal/sched"
+)
+
+// sinkServer accepts conns connections on port and drains each to EOF,
+// adding what it reads to *received.
+func sinkServer(t *testing.T, s *sched.CScheduler, m *machine, port uint16, conns int, received *int) {
+	t.Helper()
+	l, err := m.stack.Listen(port, conns)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < conns; i++ {
+		s.Spawn(fmt.Sprintf("sink-%d", i), m.cpu, func(th *sched.Thread) {
+			conn, err := l.Accept(th)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			buf := m.buf(t, 4096, 0)
+			for {
+				n, err := conn.Recv(th, buf, 4096)
+				if err != nil {
+					return
+				}
+				*received += n
+			}
+		})
+	}
+}
+
+// checkFree fails unless every request on the stack's free list is
+// cleared and no more than callers are there.
+func checkFree(t *testing.T, st *Stack, callers int) {
+	t.Helper()
+	if n := len(st.tcpip.free); n > callers {
+		t.Errorf("free list holds %d requests, more than the %d callers that waited", n, callers)
+	}
+	for _, r := range st.tcpip.free {
+		if r.pending || r.fn != nil || r.sock != nil || r.sent != 0 || r.err != nil {
+			t.Errorf("free request not cleared: %+v", *r)
+		}
+	}
+}
+
+// TestTCPIPMailboxRecyclesRequests pins the recycled mailbox: 1,000
+// Sends from four connections' threads all reach the tcpip thread, and
+// the free list never holds more requests than the callers that
+// waited on them.
+func TestTCPIPMailboxRecyclesRequests(t *testing.T) {
+	const (
+		port    = 5001
+		callers = 4
+		sends   = 250
+		size    = 512
+	)
+	s, server, client := tcpipWorld(t)
+	received := 0
+	sinkServer(t, s, server, port, callers, &received)
+	for i := 0; i < callers; i++ {
+		s.Spawn(fmt.Sprintf("sender-%d", i), client.cpu, func(th *sched.Thread) {
+			conn, err := client.stack.Connect(th, server.stack.IP(), port)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			out := client.buf(t, size, byte(i))
+			for j := 0; j < sends; j++ {
+				if n, err := conn.Send(th, out, size); err != nil || n != size {
+					t.Errorf("sender %d send %d = %d, %v", i, j, n, err)
+					return
+				}
+				checkFree(t, client.stack, callers)
+				th.Yield() // interleave the senders' requests
+			}
+			if err := conn.Close(th); err != nil {
+				t.Error(err)
+			}
+		})
+	}
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if want := callers * sends * size; received != want {
+		t.Fatalf("received %d bytes, want %d", received, want)
+	}
+	// Every connect, send and close is one served message.
+	if got, want := client.stack.TCPIPServed(), uint64(callers*(sends+2)); got != want {
+		t.Fatalf("tcpip thread served %d messages, want %d", got, want)
+	}
+	checkFree(t, client.stack, callers)
+}
+
+// parkForever is a mailbox message whose handler parks the tcpip
+// thread on a semaphore nobody signals.
+func parkForever(cur *sched.Thread) error {
+	(&testSem{}).Down(cur)
+	return nil
+}
+
+// TestTCPIPMailboxAbandonsUnwoundRequests pins that a request whose
+// caller does not come back from its wait with the request served is
+// never recycled, so it cannot be handed to a later post while the
+// tcpip thread may still hold it.
+func TestTCPIPMailboxAbandonsUnwoundRequests(t *testing.T) {
+	const port, size = 5001, 512
+
+	// The scheduler's deadlock path: the tcpip thread parks inside one
+	// caller's message and a Send queues behind it; the run ends in
+	// deadlock and unwinds both callers while they are parked.
+	t.Run("deadlock", func(t *testing.T) {
+		s, server, client := tcpipWorld(t)
+		received := 0
+		sinkServer(t, s, server, port, 1, &received)
+		var conn *Socket
+		s.Spawn("sender", client.cpu, func(th *sched.Thread) {
+			var err error
+			if conn, err = client.stack.Connect(th, server.stack.IP(), port); err != nil {
+				t.Error(err)
+				return
+			}
+			th.Yield() // let the blocker post first
+			out := client.buf(t, size, 1)
+			_, _ = conn.Send(th, out, size)
+			t.Error("Send returned from a wedged tcpip thread")
+		})
+		s.Spawn("blocker", client.cpu, func(th *sched.Thread) {
+			_ = client.stack.apimsg(th, parkForever)
+			t.Error("the blocking message returned")
+		})
+		if err := s.Run(); !errors.Is(err, sched.ErrDeadlock) {
+			t.Fatalf("run = %v, want a deadlock", err)
+		}
+		ts := client.stack.tcpip
+		if len(ts.reqs) != 1 || !ts.reqs[0].pending || ts.reqs[0].sock != conn {
+			t.Fatalf("mailbox = %+v, want the parked Send still queued", ts.reqs)
+		}
+		if len(ts.free) != 0 {
+			t.Fatalf("free list holds %d requests after both callers were unwound", len(ts.free))
+		}
+	})
+
+	// An injected trap on the tcpip thread while it runs a Send (an
+	// uncontained fault on the direct memcpy call) crashes it; the
+	// run tears down and unwinds the parked sender.
+	t.Run("trap", func(t *testing.T) {
+		s, server, client := tcpipWorld(t)
+		received := 0
+		sinkServer(t, s, server, port, 1, &received)
+		s.Spawn("sender", client.cpu, func(th *sched.Thread) {
+			conn, err := client.stack.Connect(th, server.stack.IP(), port)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			in := fault.NewInjector()
+			in.Arm(fault.Injection{Lib: "libc", Fn: "memcpy"})
+			client.env.Gates.SetInjector(in)
+			out := client.buf(t, size, 1)
+			_, _ = conn.Send(th, out, size)
+			t.Error("Send returned from a crashed tcpip thread")
+		})
+		var crash *sched.ThreadCrash
+		if err := s.Run(); !errors.As(err, &crash) {
+			t.Fatalf("run = %v, want the tcpip thread's crash", err)
+		}
+		// The Connect's request was recycled and then taken by the Send,
+		// which never came back: nothing is left to recycle.
+		if ts := client.stack.tcpip; len(ts.free) != 0 || len(ts.reqs) != 0 {
+			t.Fatalf("free list %d, mailbox %d after the crash; want both empty", len(ts.free), len(ts.reqs))
+		}
+	})
+
+	// A trap on the caller's own sem_down crossing, aborted by the
+	// gate, returns the caller from its wait before the tcpip thread
+	// has run the request: the request stays queued and is never
+	// recycled, and the next Send takes a fresh one.
+	t.Run("early-return", func(t *testing.T) {
+		s, server, client := tcpipWorld(t)
+		reg := gate.NewRegistry(client.env.CPU, gate.NewFuncCall(client.env.CPU), gate.NewVMRPC(client.env.CPU, nil), nil)
+		reg.AddCompartment(gate.NewDomain("nw"))
+		reg.AddCompartment(gate.NewDomain("rest"))
+		for lib, comp := range map[string]string{"netstack": "nw", "libc": "rest", "alloc": "rest", "app": "rest", "sched": "rest"} {
+			if err := reg.Assign(lib, comp); err != nil {
+				t.Fatal(err)
+			}
+		}
+		client.env.Gates = reg
+		received := 0
+		sinkServer(t, s, server, port, 1, &received)
+		s.Spawn("sender", client.cpu, func(th *sched.Thread) {
+			conn, err := client.stack.Connect(th, server.stack.IP(), port)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			out := client.buf(t, size, 1)
+			in := fault.NewInjector()
+			in.Arm(fault.Injection{Lib: "libc", Fn: "sem_down"})
+			reg.SetInjector(in)
+			if n, err := conn.Send(th, out, size); n != 0 || err != nil || in.Fired() != 1 {
+				t.Errorf("trapped Send = %d, %v with %d injections; want an early 0, nil", n, err, in.Fired())
+				return
+			}
+			ts := client.stack.tcpip
+			if len(ts.reqs) != 1 || !ts.reqs[0].pending {
+				t.Errorf("mailbox = %+v, want the unserved Send queued", ts.reqs)
+				return
+			}
+			early := ts.reqs[0]
+			if len(ts.free) != 0 {
+				t.Errorf("free list holds %d requests while the only one is queued", len(ts.free))
+			}
+			if n, err := conn.Send(th, out, size); n != size || err != nil {
+				t.Errorf("second Send = %d, %v", n, err)
+			}
+			if slices.Contains(ts.free, early) {
+				t.Error("the early-returned request was recycled")
+			}
+			if err := conn.Close(th); err != nil {
+				t.Error(err)
+			}
+		})
+		if err := s.Run(); err != nil {
+			t.Fatal(err)
+		}
+		// The tcpip thread still ran the queued Send, so both arrive.
+		if received != 2*size {
+			t.Fatalf("received %d bytes, want %d", received, 2*size)
+		}
+	})
+}

@@ -391,13 +391,13 @@ func (s *Socket) RecvRef(t *sched.Thread, b mem.BufRef) (int, error) {
 // wire (not necessarily acknowledged). In TCPIPThreadMode the
 // transmission runs on the tcpip thread.
 func (s *Socket) Send(t *sched.Thread, src mem.Addr, n int) (int, error) {
-	var sent int
-	err := s.stack.apimsg(t, func(cur *sched.Thread) error {
-		var err error
-		sent, err = s.doSend(cur, src, n)
-		return err
-	})
-	return sent, err
+	st := s.stack
+	if !st.threaded(t) {
+		return s.doSend(t, src, n)
+	}
+	r := st.request()
+	r.sock, r.src, r.n = s, src, n
+	return st.post(t, r)
 }
 
 func (s *Socket) doSend(t *sched.Thread, src mem.Addr, n int) (int, error) {
@@ -446,13 +446,13 @@ func (s *Socket) doSend(t *sched.Thread, src mem.Addr, n int) (int, error) {
 // the lifetime problem descriptor passing introduces and the refcount
 // solves.
 func (s *Socket) SendRef(t *sched.Thread, b mem.BufRef, n int) (int, error) {
-	var sent int
-	err := s.stack.apimsgPinned(t, b, func(cur *sched.Thread) error {
-		var err error
-		sent, err = s.doSend(cur, b.Addr, n)
-		return err
-	})
-	return sent, err
+	if p := s.stack.env.Pool; p != nil && b.Valid() && p.Owns(b.Addr) {
+		if err := p.Ref(b); err != nil {
+			return 0, err
+		}
+		defer func() { _, _ = p.Release(b) }()
+	}
+	return s.Send(t, b.Addr, n)
 }
 
 // Close sends FIN and moves toward Closed. Queued received data stays

@@ -32,11 +32,34 @@ func (m SocketMode) String() string {
 	return "direct"
 }
 
-// apiReq is one message on the tcpip thread's mailbox.
+// apiReq is one message on the tcpip thread's mailbox, like lwip's
+// api_msg: a handler plus its arguments and result. A send carries its
+// socket, source and length and comes back with the bytes sent; a cold
+// message (connect, close, a datagram) carries its body as fn. Requests
+// are recycled with their done semaphores through the stack's free
+// list, so a warm socket call allocates nothing.
 type apiReq struct {
-	fn   func(cur *sched.Thread) error
-	done Sem
+	fn   func(cur *sched.Thread) error // nil: a send
+	sock *Socket
+	src  mem.Addr
+	n    int
+	sent int
 	err  error
+	// pending is set from the post until the tcpip thread has run the
+	// request; a request still pending when its caller resumes is
+	// never recycled.
+	pending bool
+	done    Sem
+}
+
+// run executes the request's handler on the tcpip thread.
+func (r *apiReq) run(cur *sched.Thread) error {
+	if r.fn != nil {
+		return r.fn(cur)
+	}
+	var err error
+	r.sent, err = r.sock.doSend(cur, r.src, r.n)
+	return err
 }
 
 // tcpipState is the stack's mailbox and worker.
@@ -45,6 +68,9 @@ type tcpipState struct {
 	reqSem Sem
 	thread *sched.Thread
 	served uint64
+	// free holds the requests whose callers have returned, each with
+	// its semaphore at count 0, ready for the next post.
+	free []*apiReq
 }
 
 // StartTCPIP spawns the stack's tcpip thread as a daemon on the given
@@ -68,9 +94,12 @@ func (st *Stack) StartTCPIP(s sched.Scheduler) {
 				continue
 			}
 			r := ts.reqs[0]
-			ts.reqs = ts.reqs[1:]
+			n := copy(ts.reqs, ts.reqs[1:])
+			ts.reqs[n] = nil
+			ts.reqs = ts.reqs[:n]
 			st.env.Charge(clock.CostSchedOp) // message dequeue/dispatch
-			r.err = r.fn(t)
+			r.err = r.run(t)
+			r.pending = false
 			ts.served++
 			st.semUp(r.done)
 		}
@@ -88,32 +117,55 @@ func (st *Stack) TCPIPServed() uint64 {
 	return st.tcpip.served
 }
 
+// threaded reports whether a socket call from t is posted to the tcpip
+// thread: in TCPIPThreadMode once the thread runs, and never for a nil
+// caller thread (boot-time setup), which always runs inline.
+func (st *Stack) threaded(t *sched.Thread) bool {
+	return st.mode == TCPIPThreadMode && st.tcpip != nil && t != nil
+}
+
+// request takes a cleared request from the free list, or makes one.
+func (st *Stack) request() *apiReq {
+	ts := st.tcpip
+	if n := len(ts.free); n > 0 {
+		r := ts.free[n-1]
+		ts.free[n-1] = nil
+		ts.free = ts.free[:n-1]
+		return r
+	}
+	return &apiReq{done: st.sup.NewSem(0)}
+}
+
+// post queues r on the mailbox, parks t until the tcpip thread has run
+// it, and returns its result. r goes back on the free list only when t
+// resumes here with r served. A caller unwound while parked (killed at
+// a deadlock or after a crash) never gets here, and one whose wait a
+// trap cut short finds r still pending: either way r, queued or
+// half-run, is abandoned rather than handed to a later post.
+func (st *Stack) post(t *sched.Thread, r *apiReq) (int, error) {
+	ts := st.tcpip
+	r.pending = true
+	ts.reqs = append(ts.reqs, r)
+	st.semUp(ts.reqSem)
+	st.semDown(t, r.done)
+	sent, err := r.sent, r.err
+	if !r.pending {
+		*r = apiReq{done: r.done}
+		ts.free = append(ts.free, r)
+	}
+	return sent, err
+}
+
 // apimsg runs fn on the tcpip thread (blocking the caller until done)
 // in TCPIPThreadMode, or inline in DirectMode. fn receives the thread
 // it executes on, so blocking operations inside it park the right
-// thread. A nil caller thread (boot-time setup) always runs inline.
+// thread. It carries the cold socket calls; Send posts a typed request.
 func (st *Stack) apimsg(t *sched.Thread, fn func(cur *sched.Thread) error) error {
-	if st.mode != TCPIPThreadMode || st.tcpip == nil || t == nil {
+	if !st.threaded(t) {
 		return fn(t)
 	}
-	r := &apiReq{fn: fn, done: st.sup.NewSem(0)}
-	st.tcpip.reqs = append(st.tcpip.reqs, r)
-	st.semUp(st.tcpip.reqSem)
-	st.semDown(t, r.done)
-	return r.err
-}
-
-// apimsgPinned is apimsg with a payload buffer pinned for the lifetime
-// of the request: while the message waits in the mailbox and while the
-// tcpip thread works on it, the descriptor's refcount keeps the pool
-// from recycling the buffer under a concurrent release. Non-pool
-// buffers (and stacks without a pool) pass through unpinned.
-func (st *Stack) apimsgPinned(t *sched.Thread, pin mem.BufRef, fn func(cur *sched.Thread) error) error {
-	if p := st.env.Pool; p != nil && pin.Valid() && p.Owns(pin.Addr) {
-		if err := p.Ref(pin); err != nil {
-			return err
-		}
-		defer func() { _, _ = p.Release(pin) }()
-	}
-	return st.apimsg(t, fn)
+	r := st.request()
+	r.fn = fn
+	_, err := st.post(t, r)
+	return err
 }
