@@ -358,7 +358,7 @@ func gateFor(b *testing.B, backend gate.Backend, arena *mem.Arena, cpu *clock.Ma
 	case gate.MPKSwitched:
 		return gate.NewMPKSwitched(mpk.New(arena, cpu), cpu)
 	case gate.VMRPC:
-		return gate.NewVMRPC(cpu, nil)
+		return gate.NewVMRPC(cpu)
 	case gate.CHERI:
 		m := cheri.New(arena, cpu)
 		cg := gate.NewCHERI(m, cpu)

@@ -103,7 +103,17 @@ func main() {
 			res.Gbps, clock.Nanoseconds(res.ServerCycles)/1e6)
 		fmt.Printf("  domain crossings: %d\n", res.Crossings)
 		fmt.Println("  server cycles by component:")
-		for comp, cyc := range res.ByComponent {
+		comps := make([]clock.Component, 0, len(res.ByComponent))
+		for comp := range res.ByComponent {
+			comps = append(comps, comp)
+		}
+		// Largest first, ties by name, so the output is reproducible.
+		sort.Slice(comps, func(i, j int) bool {
+			a, b := res.ByComponent[comps[i]], res.ByComponent[comps[j]]
+			return a > b || a == b && comps[i] < comps[j]
+		})
+		for _, comp := range comps {
+			cyc := res.ByComponent[comp]
 			fmt.Printf("    %-10s %12d (%5.1f%%)\n", comp, cyc,
 				100*float64(cyc)/float64(res.ServerCycles))
 		}

@@ -65,36 +65,6 @@ func TestSmallBufferManyRecvs(t *testing.T) {
 	}
 }
 
-func TestUDPTransfer(t *testing.T) {
-	w, err := build.NewWorld(build.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const total = 100_000
-	srv := iperf.NewUDPServer(w.Server.Env("app"), w.Server.LibC, w.Server.Stack, 5002, 0)
-	cli := iperf.NewUDPClient(w.Client.Env("app"), w.Client.LibC, w.Client.Stack,
-		w.Server.Stack.IP(), 5002, total, 1400)
-	w.Sched.Spawn("server", w.Server.CPU, func(th *sched.Thread) {
-		if err := srv.Run(th); err != nil {
-			t.Errorf("server: %v", err)
-		}
-	})
-	w.Sched.Spawn("client", w.Client.CPU, func(th *sched.Thread) {
-		if err := cli.Run(th); err != nil {
-			t.Errorf("client: %v", err)
-		}
-	})
-	if err := w.Sched.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if srv.BytesReceived != total || cli.BytesSent != total {
-		t.Fatalf("rx %d tx %d, want %d", srv.BytesReceived, cli.BytesSent, total)
-	}
-	if srv.Datagrams != (total+1399)/1400 {
-		t.Fatalf("Datagrams = %d", srv.Datagrams)
-	}
-}
-
 func TestThroughputScalesWithBuffer(t *testing.T) {
 	gbps := func(buf int) float64 {
 		w, srv, _ := runPair(t, build.Config{}, 400_000, buf, 16<<10)

@@ -196,6 +196,11 @@ func TestCommandSuite(t *testing.T) {
 		do(th, c, ":2\r\n", "INCR", "ctr")
 		do(th, c, ":1\r\n", "DECR", "ctr")
 		do(th, c, ":11\r\n", "INCRBY", "ctr", "10")
+		do(th, c, ":8\r\n", "INCRBY", "ctr", "-3")
+		// The delta is the whole argument: bytes after an embedded CRLF
+		// make it no integer, and the counter stays as it was.
+		do(th, c, "-ERR value is not an integer or out of range\r\n", "INCRBY", "ctr", "5\r\nxyz")
+		do(th, c, ":8\r\n", "INCRBY", "ctr", "0")
 		do(th, c, ":1\r\n", "DBSIZE")
 		do(th, c, "+OK\r\n", "FLUSHALL")
 		do(th, c, ":0\r\n", "DBSIZE")

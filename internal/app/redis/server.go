@@ -531,7 +531,7 @@ func (c *connState) execute(spans [][2]int, view []byte, rxOff int, off int) (in
 				return wrongArgs()
 			}
 			var err error
-			delta, _, err = parseInt(append(append([]byte(nil), arg(2)...), '\r', '\n'), 0)
+			delta, err = parseDecimal(arg(2))
 			if err != nil {
 				return c.writeError(off, "ERR value is not an integer or out of range")
 			}

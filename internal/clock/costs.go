@@ -137,9 +137,6 @@ const (
 	// bounds/overflow checks in instrumented bulk loops.
 	CostSHBulkUBSanChunk = 8
 
-	// CostCFICheck is one forward-edge target-set membership test.
-	CostCFICheck = 6
-
 	// CostCanary is stack-protector prologue+epilogue per protected
 	// call frame.
 	CostCanary = 4

@@ -195,9 +195,6 @@ func (l LinkSpec) Active() bool { return l.Drop > 0 || l.Reorder > 0 || l.Corrup
 // image (spec.DefaultImage), in build order.
 var DefaultLibraries = []string{"sched", "alloc", "libc", "netstack", "app", "rest"}
 
-// libComponent maps a default library to its cycle-attribution
-// component (see clock.Component).
-
 // SingleCompartment is the no-isolation baseline: every library in
 // one compartment.
 func SingleCompartment() []Compartment {

@@ -16,7 +16,6 @@ import (
 	"flexos/internal/sched"
 	"flexos/internal/sh"
 	"flexos/internal/trace"
-	"flexos/internal/vmm"
 )
 
 // Memory layout of one machine's arena. Sizes are generous: the
@@ -49,8 +48,6 @@ type Machine struct {
 	MPK *mpk.Unit
 	// CHERI is the capability machine (nil unless the CHERI backend).
 	CHERI *cheri.Machine
-	// Bus is the inter-VM notification bus (nil unless VM RPC).
-	Bus *vmm.Bus
 	// LibC is the machine's C library instance.
 	LibC *libc.LibC
 	// Stack is the machine's TCP/IP stack instance.
@@ -285,8 +282,7 @@ func newMachine(cfg Config, comps []Compartment, s sched.Scheduler, ip net.IPAdd
 			cross = gate.NewMPKSwitched(m.MPK, m.Clock)
 		}
 	case gate.VMRPC:
-		m.Bus = vmm.NewBus()
-		cross = gate.NewVMRPC(m.Clock, m.Bus.Notify)
+		cross = gate.NewVMRPC(m.Clock)
 	case gate.CHERI:
 		m.CHERI = cheri.New(m.Arena, m.Clock)
 		cg := gate.NewCHERI(m.CHERI, m.Clock)
@@ -336,7 +332,7 @@ func newMachine(cfg Config, comps []Compartment, s sched.Scheduler, ip net.IPAdd
 	for _, l := range DefaultLibraries {
 		var hard *sh.Hardener
 		if p, ok := cfg.SH[l]; ok && p.Enabled() {
-			hard = sh.NewHardener(libComponents[l], p, asan, nil, m.Clock)
+			hard = sh.NewHardener(libComponents[l], p, asan, m.Clock)
 		}
 		m.envs[l] = &rt.Env{
 			Lib:        l,
@@ -345,7 +341,6 @@ func newMachine(cfg Config, comps []Compartment, s sched.Scheduler, ip net.IPAdd
 			Gates:      m.Registry,
 			Arena:      m.Arena,
 			Alloc:      allocOf[l],
-			Shared:     shared,
 			AllocLocal: cfg.Alloc != AllocGlobal || l == "alloc",
 			Pool:       m.Pool,
 			Hard:       hard,

@@ -131,7 +131,7 @@ func testGates(t *testing.T, cpu *clock.Machine, a, b *Domain) map[Backend]Gate 
 		FuncCall:    NewFuncCall(cpu),
 		MPKShared:   NewMPKShared(mpk.New(arena, cpu), cpu),
 		MPKSwitched: NewMPKSwitched(mpk.New(arena, cpu), cpu),
-		VMRPC:       NewVMRPC(cpu, nil),
+		VMRPC:       NewVMRPC(cpu),
 		CHERI:       cg,
 	}
 }

@@ -156,9 +156,6 @@ func (g *rpcGate) CallBatch(from, to *Domain, calls []BatchCall, enter func()) {
 	}
 	g.clk.Charge(clock.CompVMM, clock.CostVMNotify+clock.CostVMRPCFixed+
 		uint64(words)*clock.CostParamCopyPerWord)
-	if g.notify != nil {
-		g.notify(from, to)
-	}
 	retWords := 0
 	for i := range calls {
 		c := &calls[i]
@@ -175,8 +172,5 @@ func (g *rpcGate) CallBatch(from, to *Domain, calls []BatchCall, enter func()) {
 	}
 	g.clk.Charge(clock.CompVMM, clock.CostVMNotify+
 		uint64(retWords)*clock.CostParamCopyPerWord)
-	if g.notify != nil {
-		g.notify(to, from)
-	}
 	g.busyUntil = g.clk.Cycles()
 }

@@ -342,9 +342,6 @@ func (g *mpkGate) Call(from, to *Domain, frame CallFrame, fn func() error) error
 // caller's private memory), so no PKRU is involved.
 type rpcGate struct {
 	clk *clock.Machine
-	// notify, when non-nil, is invoked for each crossing so the vmm
-	// substrate can deliver the event on the peer's event channel.
-	notify func(from, to *Domain)
 	// busyUntil is the cycle at which the callee VM's single vCPU and
 	// the hypervisor event channel finish the previous RPC. Each
 	// compartment-VM serves RPCs serially, so a second caller vCPU
@@ -356,9 +353,9 @@ type rpcGate struct {
 	stalled   uint64
 }
 
-// NewVMRPC returns the VM-based RPC gate. notify may be nil.
-func NewVMRPC(clk *clock.Machine, notify func(from, to *Domain)) Gate {
-	return &rpcGate{clk: clk, notify: notify}
+// NewVMRPC returns the VM-based RPC gate.
+func NewVMRPC(clk *clock.Machine) Gate {
+	return &rpcGate{clk: clk}
 }
 
 func (g *rpcGate) Backend() Backend { return VMRPC }
@@ -376,9 +373,6 @@ func (g *rpcGate) Call(from, to *Domain, frame CallFrame, fn func() error) error
 	words := frame.EntryWords() + frame.PayloadWords()
 	g.clk.Charge(clock.CompVMM, clock.CostVMNotify+clock.CostVMRPCFixed+
 		uint64(words)*clock.CostParamCopyPerWord)
-	if g.notify != nil {
-		g.notify(from, to)
-	}
 	// The callee VM's work runs inside a trap boundary: a protection
 	// fault in the callee costs that VM, not the caller — the caller
 	// sees a typed error on its response ring.
@@ -387,9 +381,6 @@ func (g *rpcGate) Call(from, to *Domain, frame CallFrame, fn func() error) error
 	// marshalled through the ring.
 	g.clk.Charge(clock.CompVMM, clock.CostVMNotify+
 		uint64(frame.RetWords)*clock.CostParamCopyPerWord)
-	if g.notify != nil {
-		g.notify(to, from)
-	}
 	g.busyUntil = g.clk.Cycles()
 	return callErr
 }

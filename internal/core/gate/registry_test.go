@@ -25,7 +25,7 @@ func TestRegistryLedger(t *testing.T) {
 	sink.Attach(ring)
 	var edges []string
 	sink.Record(func(from, to, fn string) { edges = append(edges, from+"->"+to+":"+fn) })
-	r := NewRegistry(m, NewFuncCall(m), NewVMRPC(m, nil), sink)
+	r := NewRegistry(m, NewFuncCall(m), NewVMRPC(m), sink)
 	r.AddCompartment(NewDomain("a", 1))
 	r.AddCompartment(NewDomain("b", 2))
 	mustNoErr(t, r.Assign("app", "a"))
@@ -97,7 +97,7 @@ func TestRegistryLedger(t *testing.T) {
 // nothing.
 func TestRoutesShareLedgerRows(t *testing.T) {
 	m := clock.NewMachine(1)
-	r := NewRegistry(m, NewFuncCall(m), NewVMRPC(m, nil), nil)
+	r := NewRegistry(m, NewFuncCall(m), NewVMRPC(m), nil)
 	r.AddCompartment(NewDomain("a", 1))
 	r.AddCompartment(NewDomain("b", 2))
 	for lib, comp := range map[string]string{"app": "a", "libc": "a", "netstack": "b", "alloc": "b"} {
@@ -152,7 +152,7 @@ func TestBatchSkipsRefusedFramesAndInjectsPerFrame(t *testing.T) {
 	sink := trace.NewSink(m)
 	var edges int
 	sink.Record(func(from, to, fn string) { edges++ })
-	r := NewRegistry(m, NewFuncCall(m), NewVMRPC(m, nil), sink)
+	r := NewRegistry(m, NewFuncCall(m), NewVMRPC(m), sink)
 	r.AddCompartment(NewDomain("a", 1))
 	r.AddCompartment(NewDomain("b", 2))
 	mustNoErr(t, r.Assign("app", "a"))
@@ -212,7 +212,7 @@ func TestBatchInjectedTrapFailsItsFrameAlone(t *testing.T) {
 	for _, backend := range []Backend{MPKSwitched, VMRPC} {
 		for k := 1; k <= depth; k++ {
 			m := clock.NewMachine(1)
-			cross := NewVMRPC(m, nil)
+			cross := NewVMRPC(m)
 			if backend == MPKSwitched {
 				cross = NewMPKSwitched(mpk.New(mem.NewArena(16*mem.PageSize), m), m)
 			}

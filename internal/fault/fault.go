@@ -51,8 +51,8 @@ const (
 	// absolute deadline cannot be beaten by replaying the call.
 	KindDeadline
 	// KindNetTimeout is transport death: the network stack declared a
-	// connection dead (retransmit-limit exhaustion or keepalive probe
-	// failure, see NetTimeout). Unlike KindDeadline it is containable
+	// connection dead (retransmit-limit exhaustion, or zero-window or
+	// keepalive probe failure, see NetTimeout). Unlike KindDeadline it is containable
 	// like a memory fault — the owning compartment's onfault policy
 	// decides whether network death aborts, restarts or degrades it.
 	KindNetTimeout

@@ -240,3 +240,23 @@ func TestKindStrings(t *testing.T) {
 		}
 	}
 }
+
+// TestNetTimeoutMessages pins the text of the three transport deaths:
+// each names what gave up, and every Elapsed reads in timer-wheel ticks.
+func TestNetTimeoutMessages(t *testing.T) {
+	for _, c := range []struct {
+		err  *NetTimeout
+		want string
+	}{
+		{&NetTimeout{PC: "netstack:rtx", Retransmits: 3, Elapsed: 150},
+			"fault: net timeout at netstack:rtx: connection dead after 3 retransmits (150 ticks)"},
+		{&NetTimeout{PC: "netstack:zwp", Probes: 3, Elapsed: 70},
+			"fault: net timeout at netstack:zwp: peer dead after 3 zero-window probes (70 ticks)"},
+		{&NetTimeout{PC: "netstack:keepalive", Probes: 4, Elapsed: 10_000},
+			"fault: net timeout at netstack:keepalive: peer dead after 4 keepalive probes (10000 ticks)"},
+	} {
+		if got := c.err.Error(); got != c.want {
+			t.Errorf("%s: got %q, want %q", c.err.PC, got, c.want)
+		}
+	}
+}

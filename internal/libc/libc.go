@@ -154,27 +154,15 @@ func (l *LibC) Free(addr mem.Addr) error {
 }
 
 // BufAlloc allocates a ref-counted I/O buffer from the shared pool —
-// the application entry point of the zero-copy data path. Images built
-// without a pool fall back to a plain shared-window allocation wrapped
-// in a descriptor, so apps can use one code path everywhere.
+// the application entry point of the zero-copy data path.
 func (l *LibC) BufAlloc(n int) (mem.BufRef, error) {
 	l.env.Hard.OnFrame()
-	if l.env.Pool == nil {
-		addr, err := l.env.MallocShared(n)
-		if err != nil {
-			return mem.BufRef{}, err
-		}
-		return mem.BufRef{Addr: addr, Len: n, Cap: n}, nil
-	}
 	return l.env.PoolGet(n)
 }
 
 // BufFree drops the application's reference on a BufAlloc buffer.
 func (l *LibC) BufFree(b mem.BufRef) error {
 	l.env.Hard.OnFrame()
-	if l.env.Pool == nil {
-		return l.env.FreeShared(b.Addr)
-	}
 	return l.env.PoolRelease(b)
 }
 

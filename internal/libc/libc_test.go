@@ -52,7 +52,7 @@ func newFixture(t *testing.T, split bool, profile sh.Profile) *fixture {
 	env := &rt.Env{
 		Lib: "libc", Comp: clock.CompLibC, CPU: cpu,
 		Gates: reg, Arena: arena, Alloc: alloc,
-		Hard: sh.NewHardener(clock.CompLibC, profile, asan, nil, cpu),
+		Hard: sh.NewHardener(clock.CompLibC, profile, asan, cpu),
 	}
 	return &fixture{cpu: cpu, arena: arena, heap: heap, reg: reg, libc: New(env), asan: asan}
 }

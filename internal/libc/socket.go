@@ -238,52 +238,3 @@ func (l *LibC) Close(t *sched.Thread, s *net.Socket) error {
 		return s.Close(t)
 	})
 }
-
-// UDPBind binds a datagram socket.
-func (l *LibC) UDPBind(st *net.Stack, port uint16) (*net.UDPSocket, error) {
-	l.env.Charge(clock.CostSyscallish)
-	l.env.Hard.OnFrame()
-	var u *net.UDPSocket
-	err := l.env.CallFn("netstack", "udp_bind", 1, func() error {
-		var err error
-		u, err = st.UDPBind(port)
-		return err
-	})
-	return u, err
-}
-
-// SendTo transmits one datagram.
-func (l *LibC) SendTo(t *sched.Thread, u *net.UDPSocket, ip net.IPAddr, port uint16, buf mem.Addr, n int) error {
-	l.env.Charge(clock.CostSyscallish)
-	l.env.Hard.OnFrame()
-	return l.env.CallFn("netstack", "sendto", 4, func() error {
-		return u.SendTo(t, ip, port, buf, n)
-	})
-}
-
-// RecvFrom blocks for one datagram.
-func (l *LibC) RecvFrom(t *sched.Thread, u *net.UDPSocket, buf mem.Addr, n int) (int, net.IPAddr, uint16, error) {
-	l.env.Charge(clock.CostSyscallish)
-	l.env.Hard.OnFrame()
-	var (
-		got     int
-		src     net.IPAddr
-		srcPort uint16
-	)
-	err := l.env.CallFn("netstack", "recvfrom", 3, func() error {
-		var err error
-		got, src, srcPort, err = u.RecvFrom(t, buf, n)
-		return err
-	})
-	return got, src, srcPort, err
-}
-
-// UDPClose unbinds a datagram socket.
-func (l *LibC) UDPClose(u *net.UDPSocket) error {
-	l.env.Charge(clock.CostSyscallish)
-	l.env.Hard.OnFrame()
-	return l.env.CallFn("netstack", "udp_close", 1, func() error {
-		u.Close()
-		return nil
-	})
-}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"math"
+	"strings"
 	"testing"
 
 	"flexos/internal/fault"
@@ -20,6 +21,19 @@ type chaosRun struct {
 	serverStats, clientStats   Stats
 	wire                       Wire
 	serverCycles, clientCycles uint64
+}
+
+// checkDeath pins one transport death's cause: its message names what
+// gave up (want) and measures Elapsed in timer-wheel ticks, so Elapsed
+// is positive and no longer than the wheel has run.
+func checkDeath(t *testing.T, nt *fault.NetTimeout, s *sched.CScheduler, want string) {
+	t.Helper()
+	if msg := nt.Error(); !strings.Contains(msg, want) || !strings.HasSuffix(msg, " ticks)") {
+		t.Errorf("death message %q, want %q and an elapsed time in ticks", msg, want)
+	}
+	if now := s.Timers().Now(); nt.Elapsed == 0 || nt.Elapsed > now {
+		t.Errorf("%s: Elapsed = %d, want 1..%d ticks (the timer wheel's clock)", nt.PC, nt.Elapsed, now)
+	}
 }
 
 func runChaos(t *testing.T, cfg Config, lf LinkFaults, total int) *chaosRun {
@@ -223,6 +237,7 @@ func TestNetDeathTypedCause(t *testing.T) {
 		if nt.Retransmits == 0 {
 			t.Errorf("NetTimeout reports no retransmits: %+v", nt)
 		}
+		checkDeath(t, nt, s, "connection dead after 3 retransmits")
 		// The gate boundary turns the typed error into a containable trap
 		// attributed to the owning compartment.
 		var trap *fault.Trap
@@ -292,6 +307,7 @@ func TestZeroWindowDeathTypedCause(t *testing.T) {
 		if nt.PC != "netstack:zwp" {
 			t.Errorf("NetTimeout PC = %q, want netstack:zwp", nt.PC)
 		}
+		checkDeath(t, nt, s, "peer dead after 3 zero-window probes")
 		// One-shot delivery, like every other net death.
 		if _, err := conn.Send(th, src, 1); !errors.Is(err, ErrConnClosed) {
 			t.Errorf("second error after zwp death = %v, want ErrConnClosed", err)
@@ -352,6 +368,7 @@ func TestKeepaliveKillsDeadPeer(t *testing.T) {
 	if nt.Probes == 0 {
 		t.Fatalf("NetTimeout reports no keepalive probes: %+v", nt)
 	}
+	checkDeath(t, nt, s, "keepalive probes")
 	if n := server.stack.Stats().KeepaliveProbes; n == 0 {
 		t.Fatal("no keepalive probes recorded")
 	}

@@ -49,7 +49,7 @@ var checksumPseudo = []struct {
 	proto    uint8
 }{
 	{IP4(10, 0, 0, 1), IP4(10, 0, 0, 2), protoTCP},
-	{IP4(255, 255, 255, 255), IP4(255, 255, 255, 255), protoUDP},
+	{IP4(255, 255, 255, 255), IP4(255, 255, 255, 255), 17},
 	{0, 0, 0},
 }
 

@@ -2,6 +2,7 @@ package net
 
 import (
 	"encoding/binary"
+	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -108,5 +109,59 @@ func TestInputLyingIPLength(t *testing.T) {
 	m.stack.input(frame)
 	if m.stack.Stats().DroppedIn != dropped+1 {
 		t.Fatal("lying IP length not dropped")
+	}
+}
+
+// TestInputDropsUDPAsMalformed feeds the input path a well-formed
+// IPv4/UDP datagram (protocol 17, valid IP and UDP checksums). The
+// stack speaks TCP only, so the frame must be dropped as malformed —
+// counted in DroppedIn, not as a checksum failure — without leaking
+// its rx buffer.
+func TestInputDropsUDPAsMalformed(t *testing.T) {
+	const protoUDP = 17
+	src, dst := IP4(10, 0, 0, 2), IP4(10, 0, 0, 1)
+	payload := []byte("udp datagram payload")
+	frame := make([]byte, EtherHdrLen+IPHdrLen+8+len(payload))
+	binary.BigEndian.PutUint16(frame[12:14], etherTypeIPv4)
+	ip := frame[EtherHdrLen:]
+	ip[0] = 0x45
+	binary.BigEndian.PutUint16(ip[2:4], uint16(len(ip)))
+	binary.BigEndian.PutUint16(ip[6:8], 0x4000)
+	ip[8] = 64
+	ip[9] = protoUDP
+	binary.BigEndian.PutUint32(ip[12:16], uint32(src))
+	binary.BigEndian.PutUint32(ip[16:20], uint32(dst))
+	binary.BigEndian.PutUint16(ip[10:12], checksum(ip[:IPHdrLen]))
+	udp := ip[IPHdrLen:]
+	binary.BigEndian.PutUint16(udp[0:2], 40000)
+	binary.BigEndian.PutUint16(udp[2:4], 5002)
+	binary.BigEndian.PutUint16(udp[4:6], uint16(len(udp)))
+	copy(udp[8:], payload)
+	binary.BigEndian.PutUint16(udp[6:8], transportChecksum(src, dst, protoUDP, udp))
+	if checksum(ip[:IPHdrLen]) != 0 || transportChecksum(src, dst, protoUDP, udp) != 0 {
+		t.Fatal("test frame has a bad checksum")
+	}
+	if _, _, err := decodeFrame(frame); !errors.Is(err, ErrMalformed) {
+		t.Fatalf("decodeFrame err = %v, want ErrMalformed", err)
+	}
+
+	s := sched.NewCScheduler()
+	m := newMachine(t, s, dst, Config{})
+	before := m.stack.Stats()
+	baseline := m.heap.Stats().LiveBytes
+	m.stack.input(frame)
+	after := m.stack.Stats()
+	if after.DroppedIn != before.DroppedIn+1 {
+		t.Fatalf("DroppedIn %d -> %d, want one drop", before.DroppedIn, after.DroppedIn)
+	}
+	if after.ChecksumDrops != before.ChecksumDrops {
+		t.Fatalf("ChecksumDrops %d -> %d: a valid UDP frame counted as corrupt",
+			before.ChecksumDrops, after.ChecksumDrops)
+	}
+	if after.SegsIn != before.SegsIn {
+		t.Fatal("UDP frame counted as a received segment")
+	}
+	if got := m.heap.Stats().LiveBytes; got != baseline {
+		t.Fatalf("rx buffer leaked: %d live bytes, want %d", got, baseline)
 	}
 }

@@ -186,7 +186,7 @@ func TestTCPIPMailboxAbandonsUnwoundRequests(t *testing.T) {
 	// recycled, and the next Send takes a fresh one.
 	t.Run("early-return", func(t *testing.T) {
 		s, server, client := tcpipWorld(t)
-		reg := gate.NewRegistry(client.env.CPU, gate.NewFuncCall(client.env.CPU), gate.NewVMRPC(client.env.CPU, nil), nil)
+		reg := gate.NewRegistry(client.env.CPU, gate.NewFuncCall(client.env.CPU), gate.NewVMRPC(client.env.CPU), nil)
 		reg.AddCompartment(gate.NewDomain("nw"))
 		reg.AddCompartment(gate.NewDomain("rest"))
 		for lib, comp := range map[string]string{"netstack": "nw", "libc": "rest", "alloc": "rest", "app": "rest", "sched": "rest"} {

@@ -152,7 +152,7 @@ func splitMachine(t *testing.T, s *sched.CScheduler, ip IPAddr, cfg Config) *mac
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := gate.NewRegistry(clk, gate.NewFuncCall(clk), gate.NewVMRPC(clk, nil), nil)
+	reg := gate.NewRegistry(clk, gate.NewFuncCall(clk), gate.NewVMRPC(clk), nil)
 	reg.AddCompartment(gate.NewDomain("nw"))
 	reg.AddCompartment(gate.NewDomain("core"))
 	if err := reg.Assign("netstack", "nw"); err != nil {

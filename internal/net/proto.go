@@ -30,15 +30,10 @@ const (
 	// MSS is the TCP maximum segment size on our virtual link
 	// (1500 MTU minus IP and TCP headers).
 	MSS = 1460
-	// UDPHdrLen is the UDP header size.
-	UDPHdrLen = 8
-	// UDPHdrTotal is Ethernet+IP+UDP.
-	UDPHdrTotal = EtherHdrLen + IPHdrLen + UDPHdrLen
 	// etherTypeIPv4 tags IPv4 frames.
 	etherTypeIPv4 = 0x0800
-	// protoTCP and protoUDP are IPv4 protocol numbers.
+	// protoTCP is TCP's IPv4 protocol number.
 	protoTCP = 6
-	protoUDP = 17
 )
 
 // TCP flags.
@@ -75,9 +70,8 @@ func IP4(a, b, c, d byte) IPAddr {
 	return IPAddr(uint32(a)<<24 | uint32(b)<<16 | uint32(c)<<8 | uint32(d))
 }
 
-// header is the parsed representation of one TCP or UDP IPv4 frame.
+// header is the parsed representation of one TCP/IPv4 frame.
 type header struct {
-	Proto            uint8 // protoTCP or protoUDP
 	SrcIP, DstIP     IPAddr
 	SrcPort, DstPort uint16
 	Seq, Ack         uint32
@@ -133,17 +127,17 @@ func encodeFrame(buf []byte, h header, payload []byte) (int, error) {
 	return total, nil
 }
 
-// decodeFrame parses and verifies a TCP or UDP frame, returning the
-// header by value and the payload bytes (aliasing frame).
+// decodeFrame parses and verifies a TCP frame, returning the header by
+// value and the payload bytes (aliasing frame).
 func decodeFrame(frame []byte) (header, []byte, error) {
-	if len(frame) < EtherHdrLen+IPHdrLen+UDPHdrLen {
+	if len(frame) < HdrLen {
 		return header{}, nil, fmt.Errorf("%w: %d bytes", ErrMalformed, len(frame))
 	}
 	if binary.BigEndian.Uint16(frame[12:14]) != etherTypeIPv4 {
 		return header{}, nil, fmt.Errorf("%w: not IPv4", ErrMalformed)
 	}
 	ip := frame[EtherHdrLen:]
-	if ip[0] != 0x45 || (ip[9] != protoTCP && ip[9] != protoUDP) {
+	if ip[0] != 0x45 || ip[9] != protoTCP {
 		return header{}, nil, fmt.Errorf("%w: unsupported IP header", ErrMalformed)
 	}
 	totalLen := int(binary.BigEndian.Uint16(ip[2:4]))
@@ -153,80 +147,25 @@ func decodeFrame(frame []byte) (header, []byte, error) {
 	if checksum(ip[:IPHdrLen]) != 0 {
 		return header{}, nil, fmt.Errorf("%w: IP header", ErrBadChecksum)
 	}
+	if totalLen < IPHdrLen+TCPHdrLen {
+		return header{}, nil, fmt.Errorf("%w: bad IP length %d", ErrMalformed, totalLen)
+	}
 	h := header{
-		Proto: ip[9],
 		SrcIP: IPAddr(binary.BigEndian.Uint32(ip[12:16])),
 		DstIP: IPAddr(binary.BigEndian.Uint32(ip[16:20])),
 	}
-	switch h.Proto {
-	case protoTCP:
-		if totalLen < IPHdrLen+TCPHdrLen {
-			return header{}, nil, fmt.Errorf("%w: bad IP length %d", ErrMalformed, totalLen)
-		}
-		tcp := ip[IPHdrLen:totalLen]
-		if transportChecksum(h.SrcIP, h.DstIP, protoTCP, tcp) != 0 {
-			return header{}, nil, fmt.Errorf("%w: TCP segment", ErrBadChecksum)
-		}
-		h.SrcPort = binary.BigEndian.Uint16(tcp[0:2])
-		h.DstPort = binary.BigEndian.Uint16(tcp[2:4])
-		h.Seq = binary.BigEndian.Uint32(tcp[4:8])
-		h.Ack = binary.BigEndian.Uint32(tcp[8:12])
-		h.Flags = tcp[13]
-		h.Wnd = binary.BigEndian.Uint16(tcp[14:16])
-		h.PayloadLen = len(tcp) - TCPHdrLen
-		return h, tcp[TCPHdrLen:], nil
-	case protoUDP:
-		if totalLen < IPHdrLen+UDPHdrLen {
-			return header{}, nil, fmt.Errorf("%w: bad IP length %d", ErrMalformed, totalLen)
-		}
-		udp := ip[IPHdrLen:totalLen]
-		udpLen := int(binary.BigEndian.Uint16(udp[4:6]))
-		if udpLen != len(udp) {
-			return header{}, nil, fmt.Errorf("%w: UDP length %d != %d", ErrMalformed, udpLen, len(udp))
-		}
-		if transportChecksum(h.SrcIP, h.DstIP, protoUDP, udp) != 0 {
-			return header{}, nil, fmt.Errorf("%w: UDP datagram", ErrBadChecksum)
-		}
-		h.SrcPort = binary.BigEndian.Uint16(udp[0:2])
-		h.DstPort = binary.BigEndian.Uint16(udp[2:4])
-		h.PayloadLen = len(udp) - UDPHdrLen
-		return h, udp[UDPHdrLen:], nil
+	tcp := ip[IPHdrLen:totalLen]
+	if transportChecksum(h.SrcIP, h.DstIP, protoTCP, tcp) != 0 {
+		return header{}, nil, fmt.Errorf("%w: TCP segment", ErrBadChecksum)
 	}
-	return header{}, nil, fmt.Errorf("%w: protocol %d", ErrMalformed, h.Proto)
-}
-
-// encodeUDPFrame writes a full Ethernet+IPv4+UDP frame into buf.
-func encodeUDPFrame(buf []byte, h header, payload []byte) (int, error) {
-	total := UDPHdrTotal + len(payload)
-	if len(buf) < total {
-		return 0, fmt.Errorf("%w: frame buffer too small (%d < %d)", ErrMalformed, len(buf), total)
-	}
-	copy(buf[0:6], macFor(h.DstIP))
-	copy(buf[6:12], macFor(h.SrcIP))
-	binary.BigEndian.PutUint16(buf[12:14], etherTypeIPv4)
-
-	ip := buf[EtherHdrLen:]
-	ip[0] = 0x45
-	ip[1] = 0
-	binary.BigEndian.PutUint16(ip[2:4], uint16(IPHdrLen+UDPHdrLen+len(payload)))
-	binary.BigEndian.PutUint16(ip[4:6], 0)
-	binary.BigEndian.PutUint16(ip[6:8], 0x4000)
-	ip[8] = 64
-	ip[9] = protoUDP
-	binary.BigEndian.PutUint16(ip[10:12], 0)
-	binary.BigEndian.PutUint32(ip[12:16], uint32(h.SrcIP))
-	binary.BigEndian.PutUint32(ip[16:20], uint32(h.DstIP))
-	binary.BigEndian.PutUint16(ip[10:12], checksum(ip[:IPHdrLen]))
-
-	udp := ip[IPHdrLen:]
-	binary.BigEndian.PutUint16(udp[0:2], h.SrcPort)
-	binary.BigEndian.PutUint16(udp[2:4], h.DstPort)
-	binary.BigEndian.PutUint16(udp[4:6], uint16(UDPHdrLen+len(payload)))
-	binary.BigEndian.PutUint16(udp[6:8], 0)
-	copy(udp[UDPHdrLen:], payload)
-	binary.BigEndian.PutUint16(udp[6:8],
-		transportChecksum(h.SrcIP, h.DstIP, protoUDP, udp[:UDPHdrLen+len(payload)]))
-	return total, nil
+	h.SrcPort = binary.BigEndian.Uint16(tcp[0:2])
+	h.DstPort = binary.BigEndian.Uint16(tcp[2:4])
+	h.Seq = binary.BigEndian.Uint32(tcp[4:8])
+	h.Ack = binary.BigEndian.Uint32(tcp[8:12])
+	h.Flags = tcp[13]
+	h.Wnd = binary.BigEndian.Uint16(tcp[14:16])
+	h.PayloadLen = len(tcp) - TCPHdrLen
+	return h, tcp[TCPHdrLen:], nil
 }
 
 // checksum is the RFC 1071 ones-complement checksum of b.
@@ -234,10 +173,10 @@ func checksum(b []byte) uint16 {
 	return ^fold(onesSum(0, b))
 }
 
-// transportChecksum covers a TCP segment or UDP datagram with the
-// IPv4 pseudo-header: source, destination, protocol and segment
-// length, added straight into the accumulator (the ones-complement sum
-// may take each address as one 32-bit word, see onesSum).
+// transportChecksum covers a TCP segment with the IPv4 pseudo-header:
+// source, destination, protocol and segment length, added straight
+// into the accumulator (the ones-complement sum may take each address
+// as one 32-bit word, see onesSum).
 func transportChecksum(src, dst IPAddr, proto uint8, seg []byte) uint16 {
 	pseudo := uint64(src) + uint64(dst) + uint64(proto) + uint64(uint16(len(seg)))
 	return ^fold(onesSum(pseudo, seg))

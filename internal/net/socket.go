@@ -130,7 +130,7 @@ type Socket struct {
 	rtx      []rtxSeg
 	rtxTimer *sched.Timer
 	// rtxCount counts consecutive expiries since the retransmission
-	// timer was armed at cycle rtxStart.
+	// timer was armed at tick rtxStart.
 	rtxCount int
 	rtxStart uint64
 	sndSem   Sem

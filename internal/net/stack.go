@@ -48,8 +48,9 @@ type Stats struct {
 	ZeroWndProbes uint64
 	// KeepaliveProbes counts keepalive probes sent on idle connections.
 	KeepaliveProbes uint64
-	// NetDeaths counts connections declared dead (retransmit exhaustion
-	// or keepalive failure) and delivered as typed NetTimeout faults.
+	// NetDeaths counts connections declared dead (retransmit exhaustion,
+	// zero-window or keepalive probe failure) and delivered as typed
+	// NetTimeout faults.
 	NetDeaths uint64
 }
 
@@ -139,7 +140,6 @@ type Stack struct {
 
 	listeners map[uint16]*Socket
 	conns     map[connKey]*Socket
-	udpSocks  map[uint16]*UDPSocket
 
 	recvBuf     int
 	maxInflight int
@@ -220,7 +220,6 @@ func NewStack(env *rt.Env, sup Support, s sched.Scheduler, cfg Config) *Stack {
 		platform:      cfg.Platform,
 		listeners:     make(map[uint16]*Socket),
 		conns:         make(map[connKey]*Socket),
-		udpSocks:      make(map[uint16]*UDPSocket),
 		recvBuf:       cfg.RecvBuf,
 		maxInflight:   cfg.MaxInflight,
 		rtxDelay:      cfg.RtxDelayTicks,
@@ -284,7 +283,7 @@ func (st *Stack) transmitNow(frame []byte) {
 }
 
 // frameCap is the capacity of every reusable frame buffer: a full
-// data segment. It also holds the largest UDP datagram.
+// data segment.
 const frameCap = HdrLen + MSS
 
 // frameLimboMax bounds the frames waiting in limbo. Past it a
@@ -545,10 +544,9 @@ const ephemeralBase = 49152
 
 // allocPort hands out an ephemeral source port. The cursor wraps
 // around the dynamic range, and ports currently held by a live TCP
-// connection, a listener or a bound UDP socket are skipped — after a
-// wraparound the naive cursor used to re-issue a port backing an
-// active 4-tuple, aliasing two connections onto one demux key and
-// misdelivering segments. Port 0 is never returned (it is the
+// connection or a listener are skipped — after a wraparound the naive
+// cursor used to re-issue a port backing an active 4-tuple, aliasing
+// two connections onto one demux key and misdelivering segments. Port 0 is never returned (it is the
 // "unbound" sentinel to every caller). When every port of the range
 // is held it reports ErrNoPorts instead of aliasing.
 func (st *Stack) allocPort() (uint16, error) {
@@ -574,13 +572,10 @@ func (st *Stack) allocPort() (uint16, error) {
 }
 
 // portInUse reports whether any live endpoint holds p as its local
-// port: an established/half-open TCP connection (any remote), a
-// listener, or a bound UDP socket.
+// port: an established/half-open TCP connection (any remote) or a
+// listener.
 func (st *Stack) portInUse(p uint16) bool {
 	if _, ok := st.listeners[p]; ok {
-		return true
-	}
-	if _, ok := st.udpSocks[p]; ok {
 		return true
 	}
 	for k := range st.conns {
@@ -805,7 +800,7 @@ func (st *Stack) armRtx(s *Socket) {
 		return
 	}
 	s.rtxCount = 0
-	s.rtxStart = st.env.CPU.Cycles()
+	s.rtxStart = st.scheduler.Timers().Now()
 	s.rtxTimer.Reset(st.rto(s))
 }
 
@@ -817,7 +812,7 @@ func (st *Stack) rtxExpire(s *Socket) {
 	}
 	s.rtxCount++
 	if s.rtxCount > st.rtxLimit {
-		st.netDeath(s, "netstack:rtx", st.rtxLimit, 0, st.env.CPU.Cycles()-s.rtxStart)
+		st.netDeath(s, "netstack:rtx", st.rtxLimit, 0, st.scheduler.Timers().Now()-s.rtxStart)
 		return
 	}
 	if st.env.Sink.On() {
@@ -1060,10 +1055,6 @@ func (st *Stack) input(frame []byte) {
 		return
 	}
 	st.stats.SegsIn++
-	if h.Proto == protoUDP {
-		retained = st.udpInput(&h, own, len(payload))
-		return
-	}
 	key := connKey{h.DstPort, h.SrcIP, h.SrcPort}
 	if s, ok := st.conns[key]; ok {
 		retained = st.process(s, &h, len(payload), own)

@@ -35,7 +35,7 @@ func (m SocketMode) String() string {
 // apiReq is one message on the tcpip thread's mailbox, like lwip's
 // api_msg: a handler plus its arguments and result. A send carries its
 // socket, source and length and comes back with the bytes sent; a cold
-// message (connect, close, a datagram) carries its body as fn. Requests
+// message (connect, close) carries its body as fn. Requests
 // are recycled with their done semaphores through the stack's free
 // list, so a warm socket call allocates nothing.
 type apiReq struct {

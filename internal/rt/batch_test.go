@@ -15,7 +15,7 @@ import (
 // gate, which carries a batch through one crossing.
 func batchRoute(t *testing.T, cpu *clock.Machine) (*gate.Route, *gate.Registry) {
 	t.Helper()
-	reg := gate.NewRegistry(cpu, gate.NewFuncCall(cpu), gate.NewVMRPC(cpu, nil), nil)
+	reg := gate.NewRegistry(cpu, gate.NewFuncCall(cpu), gate.NewVMRPC(cpu), nil)
 	reg.AddCompartment(gate.NewDomain("core"))
 	reg.AddCompartment(gate.NewDomain("nw"))
 	for lib, comp := range map[string]string{"app": "core", "netstack": "nw"} {

@@ -21,7 +21,7 @@ func deadlineEnv(t *testing.T) (*Env, *sched.Thread, *clock.Machine) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := gate.NewRegistry(cpu, gate.NewFuncCall(cpu), gate.NewVMRPC(cpu, nil), nil)
+	reg := gate.NewRegistry(cpu, gate.NewFuncCall(cpu), gate.NewVMRPC(cpu), nil)
 	reg.AddCompartment(gate.NewDomain("c0"))
 	reg.AddCompartment(gate.NewDomain("c1"))
 	if err := reg.Assign("netstack", "c0"); err != nil {

@@ -33,19 +33,15 @@ type Env struct {
 	Arena *mem.Arena
 	// Alloc is the allocator backing this library's compartment.
 	Alloc mem.Allocator
-	// Shared is the machine's shared-window allocator (key 0, mapped
-	// in every compartment at the same address). Data annotated as
-	// shared during porting — buffers passed across micro-library
-	// boundaries — is allocated here.
-	Shared mem.Allocator
 	// AllocLocal marks the allocator as linked into this library's own
 	// compartment (per-compartment or per-library ukalloc instance):
 	// allocation calls are then direct, with no gate crossing. A
 	// global allocator is reached through the "alloc" library's gate.
 	AllocLocal bool
-	// Pool is the machine's shared-window buffer pool, backing the
-	// zero-copy data path. Nil when the image was built without one
-	// (tests building envs by hand); callers fall back to Malloc paths.
+	// Pool is the machine's shared-window buffer pool (key 0, mapped
+	// in every compartment at the same address), backing the zero-copy
+	// data path: buffers passed across micro-library boundaries are
+	// allocated here.
 	Pool *mem.SharedPool
 	// Hard is the library's hardening surface (nil-safe).
 	Hard *sh.Hardener
@@ -274,38 +270,18 @@ func (e *Env) Free(addr mem.Addr) error {
 	})
 }
 
-// MallocShared allocates from the shared window: memory every
-// compartment can reach, used for data the porting process annotates
-// as shared. The window is mapped locally everywhere, so no gate is
-// crossed.
-func (e *Env) MallocShared(n int) (mem.Addr, error) {
-	if e.Shared == nil {
-		return e.Malloc(n)
-	}
-	e.CPU.Charge(clock.CompAlloc, clock.CostMalloc)
-	return e.Shared.Alloc(n)
-}
-
-// FreeShared releases a shared-window allocation.
-func (e *Env) FreeShared(addr mem.Addr) error {
-	if e.Shared == nil {
-		return e.Free(addr)
-	}
-	e.CPU.Charge(clock.CompAlloc, clock.CostFree)
-	return e.Shared.Free(addr)
-}
-
 // PoolGet allocates a ref-counted buffer from the shared pool, charged
-// like MallocShared (the pool lives in the shared window, so no gate is
-// crossed). Used for buffers whose descriptors travel across library
-// boundaries: app recv/send buffers and the like.
+// like a local Malloc (the pool lives in the shared window, mapped in
+// every compartment, so no gate is crossed). Used for buffers whose
+// descriptors travel across library boundaries: app recv/send buffers
+// and the like.
 func (e *Env) PoolGet(n int) (mem.BufRef, error) {
 	e.CPU.Charge(clock.CompAlloc, clock.CostMalloc)
 	return e.Pool.Get(n)
 }
 
 // PoolRelease drops this library's reference on a PoolGet buffer,
-// charged like FreeShared. The slab recycles once the last reference
+// charged like a local Free. The slab recycles once the last reference
 // (including any pins) is gone.
 func (e *Env) PoolRelease(b mem.BufRef) error {
 	e.CPU.Charge(clock.CompAlloc, clock.CostFree)
@@ -356,11 +332,12 @@ func (e *Env) PoolReleaseOwned(b mem.BufRef) error {
 	return e.CallFn("alloc", "free", 1, release)
 }
 
-// Bytes returns the raw backing bytes of an arena range. Access
-// checking against the hardening profile is the caller's duty (use
-// Hard.OnAccess); MPK-level checks happen in the gates/mpk layer.
-// The slice is valid only while e.Arena stays reachable (see
-// mem.Arena.Bytes).
+// Bytes returns the raw backing bytes of an arena range. It checks no
+// protection key: the only key check on image memory is the MPK-shared
+// gate's check of the buffer descriptors it passes by reference.
+// Access checking against the hardening profile is the caller's duty
+// (use Hard.OnAccess). The slice is valid only while e.Arena stays
+// reachable (see mem.Arena.Bytes).
 func (e *Env) Bytes(addr mem.Addr, n int) ([]byte, error) {
 	return e.Arena.Bytes(addr, n)
 }

@@ -1,6 +1,6 @@
 // Package sh implements FlexOS's software hardening (SH) mechanisms:
 // an ASAN-style shadow-memory checker with redzones and a quarantine,
-// CFI forward-edge target checking, and stack canaries.
+// plus the cycle costs of stack canaries and UBSan-checked bulk loops.
 //
 // SH in FlexOS is modular: it is applied per compartment, not
 // system-wide, and most techniques instrument the allocator — which is

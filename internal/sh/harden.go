@@ -1,8 +1,6 @@
 package sh
 
 import (
-	"fmt"
-
 	"flexos/internal/clock"
 	"flexos/internal/mem"
 )
@@ -10,7 +8,9 @@ import (
 // Profile selects which hardening techniques a compartment runs with.
 // It corresponds to the per-compartment SH options of the FlexOS build
 // system (KASAN/stack-protector/UBSAN under GCC, CFI/SafeStack under
-// clang in the prototype).
+// clang in the prototype). CFI acts on the library's metadata only
+// (spec.Harden narrows Call(*) to the analysed call list); no runtime
+// CFI check is modelled.
 type Profile struct {
 	ASAN           bool
 	CFI            bool
@@ -50,76 +50,22 @@ func (p Profile) String() string {
 	return s
 }
 
-// CFIError reports a forward-edge control-flow violation.
-type CFIError struct {
-	Site   string
-	Target string
-}
-
-func (e *CFIError) Error() string {
-	return fmt.Sprintf("sh/cfi: indirect call at %s to unexpected target %s", e.Site, e.Target)
-}
-
-// CFI holds the per-image forward-edge target sets, as a control-flow
-// analysis of each library would compute them. The spec package uses
-// the same analysis to rewrite Call(*) metadata into explicit call
-// lists.
-type CFI struct {
-	targets map[string]map[string]bool
-	checks  uint64
-}
-
-// NewCFI returns an empty target-set table.
-func NewCFI() *CFI { return &CFI{targets: make(map[string]map[string]bool)} }
-
-// AddTarget records that the indirect-call site may legitimately reach
-// target.
-func (c *CFI) AddTarget(site, target string) {
-	m := c.targets[site]
-	if m == nil {
-		m = make(map[string]bool)
-		c.targets[site] = m
-	}
-	m[target] = true
-}
-
-// Check validates one indirect call, charging its cost to the clock.
-func (c *CFI) Check(cpu *clock.Machine, site, target string) error {
-	c.checks++
-	cpu.Charge(clock.CompSH, clock.CostCFICheck)
-	if !c.targets[site][target] {
-		return &CFIError{Site: site, Target: target}
-	}
-	return nil
-}
-
-// Checks reports how many CFI checks have run.
-func (c *CFI) Checks() uint64 { return c.checks }
-
-// CanaryError reports a smashed stack canary.
-type CanaryError struct{ Frame string }
-
-func (e *CanaryError) Error() string {
-	return fmt.Sprintf("sh/ssp: stack smashing detected in %s", e.Frame)
-}
-
 // Hardener is the per-compartment instrumentation surface. Components
-// call its hooks on their memory operations, indirect calls and call
-// frames; the hooks are no-ops (and cost nothing) for techniques the
-// compartment's profile leaves off. A nil *Hardener is valid and inert,
+// call its hooks on their memory operations and call frames; the hooks
+// are no-ops (and cost nothing) for techniques the compartment's
+// profile leaves off. A nil *Hardener is valid and inert,
 // so un-compartmentalized code can call hooks unconditionally.
 type Hardener struct {
 	Comp    clock.Component
 	profile Profile
 	asan    *ASAN
-	cfi     *CFI
 	cpu     *clock.Machine
 }
 
 // NewHardener builds the instrumentation surface for one compartment.
-// asan and cfi may be nil when the profile leaves them off.
-func NewHardener(comp clock.Component, p Profile, asan *ASAN, cfi *CFI, cpu *clock.Machine) *Hardener {
-	return &Hardener{Comp: comp, profile: p, asan: asan, cfi: cfi, cpu: cpu}
+// asan may be nil when the profile leaves it off.
+func NewHardener(comp clock.Component, p Profile, asan *ASAN, cpu *clock.Machine) *Hardener {
+	return &Hardener{Comp: comp, profile: p, asan: asan, cpu: cpu}
 }
 
 // Profile reports the hardener's profile (zero for nil).
@@ -173,14 +119,6 @@ func (h *Hardener) OnTouch(n int) {
 	h.cpu.Charge(clock.CompSH, clock.ASANCheckCycles(n))
 }
 
-// OnIndirectCall instruments one forward edge.
-func (h *Hardener) OnIndirectCall(site, target string) error {
-	if h == nil || !h.profile.CFI || h.cfi == nil {
-		return nil
-	}
-	return h.cfi.Check(h.cpu, site, target)
-}
-
 // OnFrame instruments one protected call frame (canary write+check).
 // The canary value itself lives outside simulated memory; smashing is
 // detected by the ASAN redzones, so OnFrame only models the cost.
@@ -189,12 +127,4 @@ func (h *Hardener) OnFrame() {
 		return
 	}
 	h.cpu.Charge(clock.CompSH, clock.CostCanary)
-}
-
-// OnArith instruments one checked arithmetic/shift operation (UBSan).
-func (h *Hardener) OnArith() {
-	if h == nil || !h.profile.UBSan {
-		return
-	}
-	h.cpu.Charge(clock.CompSH, 1)
 }

@@ -193,30 +193,6 @@ func TestASANBoundsProperty(t *testing.T) {
 	}
 }
 
-func TestCFI(t *testing.T) {
-	cpu := clock.NewMachine(1)
-	cfi := NewCFI()
-	cfi.AddTarget("netdev.rx", "tcp.input")
-	cfi.AddTarget("netdev.rx", "udp.input")
-	if err := cfi.Check(cpu, "netdev.rx", "tcp.input"); err != nil {
-		t.Fatalf("valid edge rejected: %v", err)
-	}
-	err := cfi.Check(cpu, "netdev.rx", "shellcode")
-	var ce *CFIError
-	if !errors.As(err, &ce) {
-		t.Fatalf("err = %v, want *CFIError", err)
-	}
-	if err := cfi.Check(cpu, "unknown.site", "tcp.input"); err == nil {
-		t.Fatal("unknown site accepted")
-	}
-	if cfi.Checks() != 3 {
-		t.Fatalf("Checks = %d, want 3", cfi.Checks())
-	}
-	if cpu.Component(clock.CompSH) != 3*clock.CostCFICheck {
-		t.Fatal("CFI cost not charged")
-	}
-}
-
 func TestProfileString(t *testing.T) {
 	if None.String() != "none" {
 		t.Fatal(None.String())
@@ -235,11 +211,7 @@ func TestNilHardenerInert(t *testing.T) {
 	if err := h.OnAccess(0x1000, 8, true); err != nil {
 		t.Fatal(err)
 	}
-	if err := h.OnIndirectCall("a", "b"); err != nil {
-		t.Fatal(err)
-	}
 	h.OnFrame()
-	h.OnArith()
 	if h.Profile().Enabled() {
 		t.Fatal("nil hardener reports enabled profile")
 	}
@@ -247,11 +219,9 @@ func TestNilHardenerInert(t *testing.T) {
 
 func TestHardenerRoutesByProfile(t *testing.T) {
 	asan, alloc, cpu := newASANHeap(t)
-	cfi := NewCFI()
-	cfi.AddTarget("s", "t")
 	p, _ := alloc.Alloc(16)
 
-	off := NewHardener(clock.CompNet, None, asan, cfi, cpu)
+	off := NewHardener(clock.CompNet, None, asan, cpu)
 	before := cpu.Component(clock.CompSH)
 	if err := off.OnAccess(p+20, 8, true); err != nil {
 		t.Fatal("disabled ASAN still checks")
@@ -261,20 +231,13 @@ func TestHardenerRoutesByProfile(t *testing.T) {
 		t.Fatal("disabled profile charged cycles")
 	}
 
-	on := NewHardener(clock.CompNet, Full, asan, cfi, cpu)
+	on := NewHardener(clock.CompNet, Full, asan, cpu)
 	if err := on.OnAccess(p+14, 8, true); err == nil {
 		t.Fatal("enabled ASAN missed overflow")
 	}
-	if err := on.OnIndirectCall("s", "t"); err != nil {
-		t.Fatal(err)
-	}
-	if err := on.OnIndirectCall("s", "x"); err == nil {
-		t.Fatal("CFI missed bad edge")
-	}
 	before = cpu.Component(clock.CompSH)
 	on.OnFrame()
-	on.OnArith()
-	if cpu.Component(clock.CompSH) != before+clock.CostCanary+1 {
-		t.Fatal("frame/arith cost wrong")
+	if cpu.Component(clock.CompSH) != before+clock.CostCanary {
+		t.Fatal("frame cost wrong")
 	}
 }
