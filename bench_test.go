@@ -749,7 +749,7 @@ func BenchmarkAutotune(b *testing.B) {
 	var res *harness.AutotuneResult
 	for i := 0; i < b.N; i++ {
 		var err error
-		res, err = harness.Autotune(harness.DefaultAutotuneOpts(false))
+		res, err = harness.Autotune(false)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -47,7 +47,7 @@ type Server struct {
 	// overload-control refusal fails the drain like any other error.
 	Budget uint64
 	// Enforce stamps arrival+Budget as the thread deadline around each
-	// drain, so the overload-control plane (admission queues, gate
+	// drain, so the overload-control plane (deadline admission, gate
 	// deadline checks, breaker) can refuse work that is already late.
 	// Without Enforce the server processes everything — the collapse
 	// baseline.
@@ -118,7 +118,7 @@ func (s *Server) Run(t *sched.Thread) error {
 // With a Budget, each drain is classified as good or late by its wire
 // arrival stamp. In Enforce mode each drain of a non-empty queue runs
 // under the thread deadline arrival+Budget, so the overload-control
-// plane — admission queues, gate deadline checks, the circuit breaker —
+// plane — deadline admission, gate deadline checks, the circuit breaker —
 // refuses drains whose data is already stale. A refusal flips the
 // server into a recovery drain: the late backlog is consumed *without*
 // a deadline (flow control must keep moving, and when a breaker is open

@@ -183,8 +183,8 @@ const (
 	// containment bookkeeping.
 	CostDeadlineRefuse = 20
 
-	// CostOverloadShed is the admission queue rejecting a call before
-	// the gate: queue-depth check plus constructing the typed error.
+	// CostOverloadShed is admission rejecting a call before the gate:
+	// the deadline check plus constructing the typed error.
 	// Cheap rejection is the whole value of shedding — compare
 	// CostFaultTrap (900) for work that crossed and then failed.
 	CostOverloadShed = 120

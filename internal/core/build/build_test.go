@@ -30,6 +30,13 @@ func TestNormalizeRejectsBadConfigs(t *testing.T) {
 			want: "allocator policy",
 		},
 		{
+			// Each vm-rpc compartment is its own VM, linking its own
+			// allocator.
+			name: "vm-rpc with a global allocator",
+			cfg:  Config{Backend: gate.VMRPC, Compartments: NWOnly()},
+			want: "vm-rpc needs an allocator per VM",
+		},
+		{
 			name: "sh profile for unknown library",
 			cfg:  Config{SH: map[string]sh.Profile{"kasan": sh.Full}},
 			want: `unknown library "kasan"`,
@@ -100,8 +107,6 @@ func TestNormalizeRejectsBuilderNetFields(t *testing.T) {
 		{"TxBatch", func(c *net.Config) { c.TxBatch = 8 }, "Net.TxBatch is set by the builder; use Config.Batch"},
 		{"RxBudget", func(c *net.Config) { c.RxBudget = 8 }, "Net.RxBudget is set by the builder; use Config.Batch"},
 		{"NumQueues", func(c *net.Config) { c.NumQueues = 2 }, "Net.NumQueues is set by the builder; use Config.Smp"},
-		{"QueueCPU", func(c *net.Config) { c.QueueCPU = []int{0} }, "Net.QueueCPU is set by the builder; use Config.Affinity"},
-		{"TCPIPCPU", func(c *net.Config) { c.TCPIPCPU = 1 }, "Net.TCPIPCPU is set by the builder; use Config.Affinity"},
 	} {
 		t.Run(tc.field, func(t *testing.T) {
 			cfg := Config{Net: net.Config{SocketMode: net.TCPIPThreadMode}}

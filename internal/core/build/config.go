@@ -140,17 +140,18 @@ type Config struct {
 	DataPath net.DataPath
 	// Net tunes the network stack (recv buffer, socket mode, delayed
 	// acks, ...). The builder wires IP, Platform, DataPath, RestHard,
-	// TxBatch, RxBudget, NumQueues, QueueCPU and TCPIPCPU from the
-	// image's own knobs; normalize rejects a config that sets them.
+	// TxBatch, RxBudget and NumQueues from the image's own knobs;
+	// normalize rejects a config that sets them.
 	Net net.Config
 	// OnFault maps compartment name -> fault policy (configfile
 	// directive "onfault"). Compartments absent from the map abort:
 	// a trap propagates to the caller as a typed error.
 	OnFault map[string]fault.Policy
-	// Overload maps compartment name -> admission-queue spec
-	// (configfile directive "overload <comp> <depth> <policy>").
-	// Compartments absent from the map admit every call.
-	Overload map[string]rt.OverloadSpec
+	// Overload is the set of compartments that shed a crossing whose
+	// frame deadline has already passed (configfile directive
+	// "overload <comp>"). Compartments absent from the set admit every
+	// call.
+	Overload map[string]bool
 	// Breaker maps compartment name -> circuit-breaker spec
 	// (configfile directive "breaker <comp> <threshold> <window>
 	// <cooldown>"). Compartments absent from the map never open.
@@ -162,15 +163,9 @@ type Config struct {
 	Batch map[string]int
 	// Smp is the vCPU count of each machine (configfile directive
 	// "smp <n>"). 0 or 1 builds the classic single-core image; n > 1
-	// builds an SMP machine whose NIC exposes n RSS queues (one per
-	// vCPU by default).
+	// builds an SMP machine whose NIC exposes n RSS queues, queue k's
+	// interrupts on vCPU k; the tcpip thread runs on vCPU 0.
 	Smp int
-	// Affinity pins a target to a vCPU (configfile directive
-	// "affinity <target> <cpu>"). A target is a library name — pinning
-	// that library's service thread, e.g. "netstack" for the tcpip
-	// thread — or "queue<k>", steering NIC queue k's interrupts.
-	// Unlisted queues default to queue k -> vCPU k mod Smp.
-	Affinity map[string]int
 	// Link arms adversarial faults on the wire between the two machines
 	// (configfile directive "link <drop> <reorder> <corrupt> [seed]").
 	// The zero value leaves the wire lossless — the default, and the
@@ -246,6 +241,11 @@ func normalize(cfg *Config) ([]Compartment, error) {
 	default:
 		return nil, fmt.Errorf("build: unknown allocator policy %v", cfg.Alloc)
 	}
+	// Each vm-rpc compartment is a VM of its own and links its own
+	// allocator: no one allocator can serve the whole image.
+	if cfg.Backend == gate.VMRPC && cfg.Alloc == AllocGlobal {
+		return nil, fmt.Errorf("build: backend vm-rpc needs an allocator per VM (alloc per-compartment or per-library), got alloc global")
+	}
 	switch cfg.Sched {
 	case SchedC, SchedVerified:
 	default:
@@ -269,8 +269,6 @@ func normalize(cfg *Config) ([]Compartment, error) {
 		{"TxBatch", "Batch", cfg.Net.TxBatch != 0},
 		{"RxBudget", "Batch", cfg.Net.RxBudget != 0},
 		{"NumQueues", "Smp", cfg.Net.NumQueues != 0},
-		{"QueueCPU", "Affinity", cfg.Net.QueueCPU != nil},
-		{"TCPIPCPU", "Affinity", cfg.Net.TCPIPCPU != 0},
 	} {
 		switch {
 		case !f.set:
@@ -331,23 +329,14 @@ func normalize(cfg *Config) ([]Compartment, error) {
 			return nil, fmt.Errorf("build: unknown fault policy %v for compartment %q", p, comp)
 		}
 	}
-	for comp, spec := range cfg.Overload {
+	for comp, on := range cfg.Overload {
 		if !names[comp] {
-			return nil, fmt.Errorf("build: overload spec for unknown compartment %q", comp)
+			return nil, fmt.Errorf("build: overload for unknown compartment %q", comp)
 		}
-		switch spec.Policy {
-		case fault.ShedPolicyShed, fault.ShedPolicyBlock, fault.ShedPolicyDeadline:
-		default:
-			return nil, fmt.Errorf("build: unknown shed policy %v for compartment %q", spec.Policy, comp)
-		}
-		if spec.Depth < 0 {
-			return nil, fmt.Errorf("build: negative overload depth for compartment %q", comp)
-		}
-		// Depth 0 only bites under the deadline policy (shed on budget
-		// expiry alone); with shed/block it would be a no-op entry,
-		// which the directive parser already elides.
-		if spec.Depth == 0 && spec.Policy != fault.ShedPolicyDeadline {
-			return nil, fmt.Errorf("build: overload depth 0 for compartment %q needs the deadline policy", comp)
+		// Presence in the set arms a compartment: the builder and the
+		// formatter would both read a false entry as armed.
+		if !on {
+			return nil, fmt.Errorf("build: overload entry for compartment %q is false; leave it out", comp)
 		}
 	}
 	for comp, spec := range cfg.Breaker {
@@ -371,27 +360,6 @@ func normalize(cfg *Config) ([]Compartment, error) {
 	}
 	if cfg.Smp < 0 {
 		return nil, fmt.Errorf("build: smp wants >= 1 vCPU, got %d", cfg.Smp)
-	}
-	ncpu := cfg.Smp
-	if ncpu < 1 {
-		ncpu = 1
-	}
-	for target, cpu := range cfg.Affinity {
-		if cpu < 0 || cpu >= ncpu {
-			return nil, fmt.Errorf("build: affinity %q -> cpu %d outside 0..%d", target, cpu, ncpu-1)
-		}
-		if known[target] {
-			continue
-		}
-		var q int
-		if n, err := fmt.Sscanf(target, "queue%d", &q); err == nil && n == 1 &&
-			target == fmt.Sprintf("queue%d", q) {
-			if q < 0 || q >= ncpu {
-				return nil, fmt.Errorf("build: affinity for queue %d, but the NIC has queues 0..%d", q, ncpu-1)
-			}
-			continue
-		}
-		return nil, fmt.Errorf("build: affinity target %q is neither a library nor queue<k>", target)
 	}
 	for _, r := range []struct {
 		name string

@@ -31,11 +31,10 @@ import (
 //	sh <library> <none|full|asan[,cfi][,ssp][,ubsan]>
 //	compartment <name> <library> [library...]
 //	onfault <compartment> <abort|restart|degrade>
-//	overload <compartment> <queue-depth> <shed|block|deadline>
+//	overload <compartment>
 //	breaker <compartment> <threshold> <window> <cooldown-cycles>
 //	batch <compartment> <depth>
 //	smp <n>
-//	affinity <library|queue<k>> <cpu>
 //	link <drop> <reorder> <corrupt> [seed]
 
 // ParseConfig parses configuration-file source into a Config.
@@ -210,27 +209,13 @@ func applyDirective(cfg *Config, fields []string) error {
 			cfg.OnFault[args[0]] = p
 		}
 	case "overload":
-		if err := need(3); err != nil {
-			return err
-		}
-		depth, err := strconv.Atoi(args[1])
-		if err != nil || depth < 0 {
-			return fmt.Errorf("overload wants a non-negative queue depth, got %q", args[1])
-		}
-		p, err := fault.ParseShedPolicy(args[2])
-		if err != nil {
+		if err := need(1); err != nil {
 			return err
 		}
 		if cfg.Overload == nil {
-			cfg.Overload = make(map[string]rt.OverloadSpec)
+			cfg.Overload = make(map[string]bool)
 		}
-		if depth == 0 && p != fault.ShedPolicyDeadline {
-			// A zero depth with shed/block admits everything: back to
-			// the default, entry dropped (cf. onfault abort).
-			delete(cfg.Overload, args[0])
-		} else {
-			cfg.Overload[args[0]] = rt.OverloadSpec{Depth: depth, Policy: p}
-		}
+		cfg.Overload[args[0]] = true
 	case "breaker":
 		if err := need(4); err != nil {
 			return err
@@ -310,22 +295,6 @@ func applyDirective(cfg *Config, fields []string) error {
 			cfg.Link = LinkSpec{} // all-zero rates: back to the lossless default
 		} else {
 			cfg.Link = spec
-		}
-	case "affinity":
-		if err := need(2); err != nil {
-			return err
-		}
-		cpu, err := strconv.Atoi(args[1])
-		if err != nil || cpu < 0 {
-			return fmt.Errorf("affinity wants a non-negative cpu id, got %q", args[1])
-		}
-		if cfg.Affinity == nil {
-			cfg.Affinity = make(map[string]int)
-		}
-		if cpu == 0 {
-			delete(cfg.Affinity, args[0]) // cpu 0 is the default
-		} else {
-			cfg.Affinity[args[0]] = cpu
 		}
 	default:
 		return fmt.Errorf("unknown directive %q", dir)
@@ -419,8 +388,7 @@ func FormatConfig(cfg Config) string {
 	}
 	sort.Strings(overloaded)
 	for _, comp := range overloaded {
-		spec := cfg.Overload[comp]
-		fmt.Fprintf(&b, "overload %s %d %s\n", comp, spec.Depth, spec.Policy)
+		fmt.Fprintf(&b, "overload %s\n", comp)
 	}
 	broken := make([]string, 0, len(cfg.Breaker))
 	for comp := range cfg.Breaker {
@@ -448,16 +416,6 @@ func FormatConfig(cfg Config) string {
 			fmt.Fprintf(&b, " %d", cfg.Link.Seed)
 		}
 		b.WriteByte('\n')
-	}
-	pinned := make([]string, 0, len(cfg.Affinity))
-	for target, cpu := range cfg.Affinity {
-		if cpu != 0 {
-			pinned = append(pinned, target)
-		}
-	}
-	sort.Strings(pinned)
-	for _, target := range pinned {
-		fmt.Fprintf(&b, "affinity %s %d\n", target, cfg.Affinity[target])
 	}
 	return b.String()
 }

@@ -17,18 +17,18 @@ func FuzzParseConfig(f *testing.F) {
 	f.Add("backend funccall\nsh app full\nsh app none\n")
 	f.Add("onfault nowhere abort\nbackend mpk-switched\n")
 	f.Add("backend mpk-switched\ncompartment nw netstack\ncompartment core sched alloc libc app rest\n" +
-		"overload nw 8 shed\noverload nw 0 deadline\nbreaker nw 4 256 40000\n")
-	f.Add("overload nw -1 block\nbreaker nw 999 1 18446744073709551615\n")
-	f.Add("backend vm-rpc\ncompartment nw netstack\ncompartment core sched alloc libc app rest\n" +
+		"overload nw\noverload nw\nbreaker nw 4 256 40000\n")
+	f.Add("overload nw 8 shed\noverload nw 0 deadline\noverload\nbreaker nw 999 1 18446744073709551615\n")
+	f.Add("backend vm-rpc\nalloc per-compartment\ncompartment nw netstack\ncompartment core sched alloc libc app rest\n" +
 		"batch nw 16\nbatch core 4\nbatch nw 1\n")
 	f.Add("batch nw 0\nbatch nw -7\nbatch nw lots\nbatch nw\n")
-	f.Add("backend mpk-shared\nsmp 4\naffinity netstack 1\naffinity queue2 3\naffinity queue0 0\n")
+	f.Add("backend mpk-shared\nsmp 4\ncompartment nw netstack\ncompartment core sched alloc libc app rest\noverload nw\n")
 	f.Add("smp 1\nsmp 0\nsmp -2\nsmp lots\nsmp\n")
-	f.Add("smp 2\naffinity netstack 7\n")                  // cpu id outside 0..smp-1
-	f.Add("smp 4\naffinity queue9 1\n")                    // queue outside the NIC's rings
-	f.Add("smp 4\naffinity nowhere 1\n")                   // neither library nor queue<k>
-	f.Add("affinity netstack -1\nsmp 8\n")                 // negative cpu id
-	f.Add("smp 2\naffinity queue1 1\naffinity queue1 0\n") // override back to default
+	f.Add("smp 2\naffinity queue1 0\n")                                                            // a removed directive
+	f.Add("backend vm-rpc\ncompartment nw netstack\ncompartment core sched alloc libc app rest\n") // one allocator across VMs
+	f.Add("backend vm-rpc\nalloc per-library\nonfault all restart\n")
+	f.Add("overload all\nbackend cheri\n")
+	f.Add("overload nw nw\noverload ghost\n")
 	f.Fuzz(func(t *testing.T, src string) {
 		cfg, err := ParseConfig(src)
 		if err != nil {

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"flexos/internal/core/gate"
-	"flexos/internal/fault"
 	"flexos/internal/rt"
 	"flexos/internal/sched"
 )
@@ -71,7 +70,7 @@ func TestSupervisedCallDoesNotAllocate(t *testing.T) {
 	for _, b := range []gate.Backend{gate.FuncCall, gate.MPKShared, gate.MPKSwitched, gate.VMRPC, gate.CHERI} {
 		t.Run(b.String(), func(t *testing.T) {
 			w, err := NewWorld(Config{Name: "alloc", Compartments: NWOnly(), Backend: b, Alloc: AllocPerCompartment,
-				Overload: map[string]rt.OverloadSpec{"nw": {Depth: 4, Policy: fault.ShedPolicyShed}},
+				Overload: map[string]bool{"nw": true},
 				Breaker:  map[string]rt.BreakerSpec{"nw": {Threshold: 2, Window: 8, Cooldown: 1000}}})
 			if err != nil {
 				t.Fatal(err)

@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"flexos/internal/fault"
 	"flexos/internal/rt"
 )
 
@@ -13,26 +12,24 @@ func TestOverloadDirectiveRoundTrip(t *testing.T) {
 		"compartment nw netstack\n" +
 		"compartment lc libc\n" +
 		"compartment core sched alloc app rest\n" +
-		"overload nw 8 shed\n" +
-		"overload lc 0 deadline\n" +
+		"overload nw\n" +
+		"overload lc\n" +
+		"overload nw\n" +
 		"breaker nw 4 256 40000\n"
 	cfg, err := ParseConfig(src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.Overload["nw"] != (rt.OverloadSpec{Depth: 8, Policy: fault.ShedPolicyShed}) {
-		t.Fatalf("Overload[nw] = %+v", cfg.Overload["nw"])
-	}
-	if cfg.Overload["lc"] != (rt.OverloadSpec{Depth: 0, Policy: fault.ShedPolicyDeadline}) {
-		t.Fatalf("Overload[lc] = %+v", cfg.Overload["lc"])
+	if len(cfg.Overload) != 2 || !cfg.Overload["nw"] || !cfg.Overload["lc"] {
+		t.Fatalf("Overload = %v, want nw and lc", cfg.Overload)
 	}
 	if cfg.Breaker["nw"] != (rt.BreakerSpec{Threshold: 4, Window: 256, Cooldown: 40000}) {
 		t.Fatalf("Breaker[nw] = %+v", cfg.Breaker["nw"])
 	}
 	out := FormatConfig(cfg)
-	// Deterministic output: specs are emitted sorted by compartment.
-	lcIdx := strings.Index(out, "overload lc 0 deadline\n")
-	nwIdx := strings.Index(out, "overload nw 8 shed\n")
+	// Deterministic output: compartments are emitted sorted.
+	lcIdx := strings.Index(out, "overload lc\n")
+	nwIdx := strings.Index(out, "overload nw\n")
 	if lcIdx < 0 || nwIdx < 0 || lcIdx > nwIdx {
 		t.Fatalf("overload lines missing or unsorted:\n%s", out)
 	}
@@ -43,23 +40,19 @@ func TestOverloadDirectiveRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("formatted config failed to reparse: %v\n%s", err, out)
 	}
-	if len(cfg2.Overload) != 2 || len(cfg2.Breaker) != 1 ||
-		cfg2.Overload["nw"] != cfg.Overload["nw"] ||
-		cfg2.Overload["lc"] != cfg.Overload["lc"] ||
-		cfg2.Breaker["nw"] != cfg.Breaker["nw"] {
+	if len(cfg2.Overload) != 2 || !cfg2.Overload["nw"] || !cfg2.Overload["lc"] ||
+		len(cfg2.Breaker) != 1 || cfg2.Breaker["nw"] != cfg.Breaker["nw"] {
 		t.Fatalf("round-trip Overload = %v Breaker = %v", cfg2.Overload, cfg2.Breaker)
 	}
 }
 
 func TestOverloadDefaultsAreElided(t *testing.T) {
-	// Depth 0 with shed/block admits everything, and threshold 0 never
-	// opens: both are the default, so the entries are dropped (cf.
-	// onfault abort).
+	// Threshold 0 never opens: that is the default, so the entry is
+	// dropped (cf. onfault abort), and an image that arms nothing
+	// formats no overload-control line.
 	src := "backend mpk-shared\n" +
 		"compartment nw netstack\n" +
 		"compartment core sched alloc libc app rest\n" +
-		"overload nw 8 block\n" +
-		"overload nw 0 shed\n" +
 		"breaker nw 4 128 1000\n" +
 		"breaker nw 0 128 1000\n"
 	cfg, err := ParseConfig(src)
@@ -80,20 +73,19 @@ func TestOverloadValidation(t *testing.T) {
 	cases := []struct {
 		name, directive string
 	}{
-		{"unknown compartment", "overload ghost 4 shed\n"},
-		{"unknown policy", "overload nw 4 explode\n"},
-		{"negative depth", "overload nw -1 shed\n"},
-		{"depth 0 without deadline policy is the block default", ""},
-		{"missing args", "overload nw\n"},
+		{"unknown compartment", "overload ghost\n"},
+		{"missing compartment", "overload\n"},
+		// The depth and policy arguments are gone: admission sheds on an
+		// expired deadline alone, so the old form is refused, not
+		// silently read as armed.
+		{"queue depth and policy", "overload nw 8 shed\n"},
+		{"deadline policy", "overload nw 0 deadline\n"},
 		{"breaker unknown compartment", "breaker ghost 4 128 1000\n"},
 		{"breaker negative threshold", "breaker nw -4 128 1000\n"},
 		{"breaker threshold above window", "breaker nw 200 128 1000\n"},
 		{"breaker missing args", "breaker nw 4\n"},
 	}
 	for _, tc := range cases {
-		if tc.directive == "" {
-			continue
-		}
 		if _, err := ParseConfig(base + tc.directive); err == nil {
 			t.Errorf("%s: %q accepted", tc.name, strings.TrimSpace(tc.directive))
 		}
@@ -104,8 +96,10 @@ func TestOverloadValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Overload = map[string]rt.OverloadSpec{"nw": {Depth: 0, Policy: fault.ShedPolicyBlock}}
-	if _, err := NewWorld(cfg); err == nil {
-		t.Error("depth 0 with block policy accepted by NewWorld")
+	for _, set := range []map[string]bool{{"ghost": true}, {"nw": false}} {
+		cfg.Overload = set
+		if _, err := NewWorld(cfg); err == nil {
+			t.Errorf("Overload %v accepted by NewWorld", set)
+		}
 	}
 }

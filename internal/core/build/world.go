@@ -112,9 +112,9 @@ func NewWorld(cfg Config) (*World, error) {
 	// The client is a load generator, not a system under test: its
 	// cycles are never reported, and its socket calls run in direct
 	// mode so the shared scheduler isn't churned by a second tcpip
-	// thread. It also runs without overload control — admission queues
-	// and breakers on the load generator would throttle the offered
-	// load the experiment is sweeping.
+	// thread. It also runs without overload control — admission and
+	// breakers on the load generator would throttle the offered load
+	// the experiment is sweeping.
 	clientCfg := cfg
 	clientCfg.Net.SocketMode = net.DirectMode
 	clientCfg.Overload = nil
@@ -177,15 +177,12 @@ func newMachine(cfg Config, comps []Compartment, s sched.Scheduler, ip net.IPAdd
 	for comp, p := range cfg.OnFault {
 		m.Sup.SetPolicy(comp, p)
 	}
-	for comp, spec := range cfg.Overload {
-		m.Sup.SetOverload(comp, spec)
+	for comp := range cfg.Overload {
+		m.Sup.SetOverload(comp)
 	}
 	for comp, spec := range cfg.Breaker {
 		m.Sup.SetBreaker(comp, spec)
 	}
-	// The block admission policy parks callers on the scheduler, and
-	// routed frames inherit the running thread's deadline.
-	m.Sup.SetThreadSource(s.Current)
 
 	// compKey gives compartment i protection key i+1 (key 0 is the
 	// shared window). normalize already bounded the count for MPK.
@@ -363,18 +360,8 @@ func newMachine(cfg Config, comps []Compartment, s sched.Scheduler, ip net.IPAdd
 	netCfg.TxBatch = cfg.Batch[comps[compOf["rest"]].Name]
 	netCfg.RxBudget = cfg.Batch[comps[compOf["netstack"]].Name]
 	netCfg.RestHard = m.envs["rest"].Hard
-	// Multi-queue NIC: one RSS queue per vCPU, interrupts steered queue
-	// k -> vCPU k unless an affinity directive overrides it; the tcpip
-	// thread runs on the netstack library's affinity CPU (default 0).
+	// Multi-queue NIC: one RSS queue per vCPU.
 	netCfg.NumQueues = m.Clock.NCPU()
-	netCfg.QueueCPU = make([]int, netCfg.NumQueues)
-	for q := range netCfg.QueueCPU {
-		netCfg.QueueCPU[q] = q % m.Clock.NCPU()
-		if cpu, ok := cfg.Affinity[fmt.Sprintf("queue%d", q)]; ok {
-			netCfg.QueueCPU[q] = cpu
-		}
-	}
-	netCfg.TCPIPCPU = cfg.Affinity["netstack"]
 	m.Stack = net.NewStack(m.envs["netstack"], m.LibC, s, netCfg)
 	return m, nil
 }
@@ -477,7 +464,6 @@ func (m *Machine) MetricsSnapshot() *metrics.Snapshot {
 	s.Add("sup_degrades", sl, ss.Degrades)
 	s.Add("sup_recovery_cycles", sl, ss.RecoveryCycles)
 	s.Add("sup_sheds", sl, ss.Sheds)
-	s.Add("sup_blocked", sl, ss.Blocked)
 	s.Add("sup_deadline_traps", sl, ss.DeadlineTraps)
 	s.Add("sup_breaker_fastfails", sl, ss.BreakerFastFails)
 	s.Add("sup_breaker_opens", sl, ss.BreakerOpens)

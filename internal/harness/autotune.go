@@ -36,42 +36,20 @@ func AutotuneBackends() []gate.Backend {
 	return []gate.Backend{gate.MPKShared, gate.MPKSwitched, gate.VMRPC}
 }
 
-// AutotuneOpts sizes the sweep.
-type AutotuneOpts struct {
-	// Ops is the number of measured redis GET requests per candidate.
-	Ops int
-	// Payload is the redis value size in bytes.
-	Payload int
-	// IperfBytes is the iperf transfer size per candidate.
-	IperfBytes int
-	// RecvBuf is the iperf server receive buffer.
-	RecvBuf int
-	// TolerancePct flags candidates whose relative model error exceeds
-	// it as mispredicted.
-	TolerancePct float64
-}
+// autotuneTolerancePct flags a candidate whose relative model error
+// exceeds it as mispredicted.
+const autotuneTolerancePct = 25
 
-// DefaultAutotuneOpts returns the full-sweep (or -quick) sizing.
-func DefaultAutotuneOpts(quick bool) AutotuneOpts {
-	o := AutotuneOpts{
-		Ops:          1500,
-		Payload:      64,
-		IperfBytes:   4 << 20,
-		RecvBuf:      32 << 10,
-		TolerancePct: 25,
-	}
+// autotuneLoads are the sweep's two workloads, thinner for -quick:
+// redis GETs of 64-byte values for cycles per operation, and iperf
+// into a 32 KiB buffer for throughput and the attribution columns.
+func autotuneLoads(quick bool) (redis, iperf Load) {
+	redis = Load{App: Redis, Op: OpGET, Payload: 64, Ops: 1500}
+	iperf = Load{App: Iperf, Bytes: 4 << 20, RecvBuf: 32 << 10}
 	if quick {
-		o.Ops = 300
-		o.IperfBytes = 512 << 10
+		redis.Ops, iperf.Bytes = 300, 512<<10
 	}
-	return o
-}
-
-// loads are the sweep's two workloads: redis GET for cycles per
-// operation, iperf for throughput and the attribution columns.
-func (o AutotuneOpts) loads() (redis, iperf Load) {
-	return Load{App: Redis, Op: OpGET, Payload: o.Payload, Ops: o.Ops},
-		Load{App: Iperf, Bytes: o.IperfBytes, RecvBuf: o.RecvBuf}
+	return redis, iperf
 }
 
 // AutotunePoint is one measured Pareto candidate.
@@ -171,7 +149,7 @@ func autotuneCandidates(w explore.Workload) ([]*explore.Candidate, error) {
 
 // autotuneImages are the sweep's unique boots under its iperf load.
 func autotuneImages(o Options) ([]Image, error) {
-	_, load := DefaultAutotuneOpts(o.Quick).loads()
+	_, load := autotuneLoads(o.Quick)
 	cands, err := autotuneCandidates(explore.DefaultWorkload())
 	if err != nil {
 		return nil, err
@@ -192,10 +170,11 @@ func autotuneImages(o Options) ([]Image, error) {
 
 // Autotune explores every backend's design space, measures its static
 // Pareto front under the real workload, validates the cost model
-// point by point and fits a calibration from the results.
-func Autotune(opt AutotuneOpts) (*AutotuneResult, error) {
+// point by point and fits a calibration from the results; quick runs
+// the thin sweep.
+func Autotune(quick bool) (*AutotuneResult, error) {
 	w := explore.DefaultWorkload()
-	res := &AutotuneResult{Workers: runtime.GOMAXPROCS(0), TolerancePct: opt.TolerancePct}
+	res := &AutotuneResult{Workers: runtime.GOMAXPROCS(0), TolerancePct: autotuneTolerancePct}
 	for _, be := range AutotuneBackends() {
 		res.Backends = append(res.Backends, be.String())
 	}
@@ -203,7 +182,7 @@ func Autotune(opt AutotuneOpts) (*AutotuneResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	redisLoad, iperfLoad := opt.loads()
+	redisLoad, iperfLoad := autotuneLoads(quick)
 	redisRuns, err := MeasureCandidates(cands, redisLoad)
 	if err != nil {
 		return nil, err
@@ -260,7 +239,7 @@ func Autotune(opt AutotuneOpts) (*AutotuneResult, error) {
 	for i := range points {
 		p := &points[i]
 		p.RelErrPct = relErr(p.Predicted, p.Measured)
-		p.Mispredicted = p.RelErrPct > opt.TolerancePct
+		p.Mispredicted = p.RelErrPct > autotuneTolerancePct
 		if p.Mispredicted {
 			res.Mispredictions++
 		}
@@ -340,7 +319,7 @@ func Autotune(opt AutotuneOpts) (*AutotuneResult, error) {
 // runAutotune is the experiment entry: the sweep's report, plus the
 // JSON report written to o.AutotuneOut when set.
 func runAutotune(o Options) (string, error) {
-	r, err := Autotune(DefaultAutotuneOpts(o.Quick))
+	r, err := Autotune(o.Quick)
 	if err != nil {
 		return "", err
 	}

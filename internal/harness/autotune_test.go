@@ -13,7 +13,7 @@ import (
 // per-candidate predicted-vs-measured error, and a calibration that
 // tightens the model against its own measurements.
 func TestAutotuneQuick(t *testing.T) {
-	r, err := Autotune(DefaultAutotuneOpts(true))
+	r, err := Autotune(true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,8 +65,7 @@ func TestAutotuneQuick(t *testing.T) {
 // the memo is sound only if every twin, booted on its own, measures
 // what its first twin measured, under both of the sweep's loads.
 func TestAutotuneMemoization(t *testing.T) {
-	opt := DefaultAutotuneOpts(true)
-	r, err := Autotune(opt)
+	r, err := Autotune(true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +79,7 @@ func TestAutotuneMemoization(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	redisLoad, iperfLoad := opt.loads()
+	redisLoad, iperfLoad := autotuneLoads(true)
 	run := func(c *explore.Candidate, load Load) *Result {
 		cfg, err := autotuneConfig(c)
 		if err != nil {
@@ -130,17 +129,16 @@ func TestAutotuneMemoization(t *testing.T) {
 // any GOMAXPROCS.
 func TestAutotuneDeterministic(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
-	opt := DefaultAutotuneOpts(true)
-	a, err := Autotune(opt)
+	a, err := Autotune(true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Autotune(opt)
+	b, err := Autotune(true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	runtime.GOMAXPROCS(7)
-	c, err := Autotune(opt)
+	c, err := Autotune(true)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -61,7 +61,7 @@ func TestObservationGolden(t *testing.T) {
 			load:    smp,
 			kinds:   "buf-alloc=94 buf-ref=10 buf-release=130 crossing=22",
 			events:  "4c4c19acfc770503ea093969",
-			metrics: "e6cf293d9d818e1c7066aaff",
+			metrics: "91a1e935c7dc9ee9f533644d",
 		},
 		{
 			name: "copy-datapath",
@@ -71,7 +71,7 @@ func TestObservationGolden(t *testing.T) {
 			load:    iperfLoad,
 			kinds:   "buf-alloc=1 buf-copy=577 buf-ref=17 buf-release=18 crossing=46",
 			events:  "e1110840ab2474a552e04c2c",
-			metrics: "f83f2a6fcfa6b0339af5b9eb",
+			metrics: "f2e776b75c602ee046050494",
 		},
 		{
 			name: "lossy-link",
@@ -81,7 +81,7 @@ func TestObservationGolden(t *testing.T) {
 			load:    lossy,
 			kinds:   "buf-alloc=2694 buf-release=2694 crossing=2422 net-checksum-drop=23 net-fast-rtx=73 net-rto=10",
 			events:  "516e46b95795411068a7ad5a",
-			metrics: "1939dc7029bdb379f3eea0b5",
+			metrics: "eac51b4b2f16bc09e5689008",
 		},
 		{
 			name: "fault-restart",
@@ -97,7 +97,7 @@ func TestObservationGolden(t *testing.T) {
 			},
 			kinds:   "buf-alloc=3 buf-ref=17 buf-release=20 crossing=47 fault=1 recover=1",
 			events:  "b8de672b4f402833110e68d4",
-			metrics: "a26130a45b770b37fffb7c02",
+			metrics: "a44542f4d561dcf2b33bd1a2",
 		},
 	}
 	for _, c := range cases {

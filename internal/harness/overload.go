@@ -7,7 +7,6 @@ import (
 	"flexos/internal/clock"
 	"flexos/internal/core/build"
 	"flexos/internal/core/gate"
-	"flexos/internal/fault"
 	"flexos/internal/rt"
 )
 
@@ -18,7 +17,7 @@ import (
 // rate, an oblivious server burns full crossing + service cost on
 // requests whose answers are already worthless, so goodput collapses.
 // With the overload-control plane on (deadline propagation through the
-// gates plus deadline-policy admission in the supervisor), stale work
+// gates plus deadline admission in the supervisor), stale work
 // is shed before the crossing at ~1/10th the cost of serving it, and
 // goodput plateaus instead. The direct image has no enforcement points
 // — funcGate has no trap boundary and no deadline check — which is the
@@ -41,7 +40,7 @@ type OverloadRow struct {
 	Goodput  float64 // good kreq/s (redis) / good Mb/s (iperf)
 
 	// Supervisor-side view of the same run.
-	SupSheds         uint64 // admission-queue sheds
+	SupSheds         uint64 // deadline admission sheds
 	SupDeadlineTraps uint64 // gate deadline refusals
 }
 
@@ -114,8 +113,8 @@ func overloadModes(img overloadImage) []string {
 }
 
 // redisOverloadConfig builds the {libc | rest} image with the store's
-// bulk path behind the gate; shed mode arms deadline-policy admission
-// in front of it.
+// bulk path behind the gate; shed mode arms deadline admission in
+// front of it.
 func redisOverloadConfig(img overloadImage, shed bool) build.Config {
 	cfg := build.Config{
 		Name:    img.name,
@@ -128,14 +127,14 @@ func redisOverloadConfig(img overloadImage, shed bool) build.Config {
 	} else {
 		cfg.Compartments = lcIsolated()
 		if shed {
-			cfg.Overload = map[string]rt.OverloadSpec{"lc": {Policy: fault.ShedPolicyDeadline}}
+			cfg.Overload = map[string]bool{"lc": true}
 		}
 	}
 	return cfg
 }
 
 // iperfOverloadConfig builds the {netstack | rest} image; shed mode
-// arms deadline-policy admission in front of the stack.
+// arms deadline admission in front of the stack.
 func iperfOverloadConfig(img overloadImage, shed bool) build.Config {
 	cfg := build.Config{
 		Name:    img.name,
@@ -149,7 +148,7 @@ func iperfOverloadConfig(img overloadImage, shed bool) build.Config {
 	} else {
 		cfg.Compartments = build.NWOnly()
 		if shed {
-			cfg.Overload = map[string]rt.OverloadSpec{"nw": {Policy: fault.ShedPolicyDeadline}}
+			cfg.Overload = map[string]bool{"nw": true}
 		}
 	}
 	return cfg

@@ -53,13 +53,8 @@ func rssPeek(frame []byte) (srcIP, dstIP uint32, srcPort, dstPort uint16, ok boo
 func (st *Stack) NumQueues() int { return st.numQueues }
 
 // queueCPUFor reports the vCPU id that queue q's interrupts are
-// steered to.
-func (st *Stack) queueCPUFor(q int) int {
-	if q < 0 || q >= len(st.queueCPU) {
-		return 0
-	}
-	return st.queueCPU[q]
-}
+// steered to: q mod NCPU.
+func (st *Stack) queueCPUFor(q int) int { return q % st.env.CPU.NCPU() }
 
 // frameQueue classifies a raw frame onto a queue via RSS.
 func (st *Stack) frameQueue(frame []byte) int {
@@ -88,16 +83,7 @@ func (st *Stack) QueueOf(s *Socket) int {
 // steered to: queueCPUFor(QueueOf(s)).
 func (st *Stack) QueueCPUOf(s *Socket) int { return st.queueCPUFor(st.QueueOf(s)) }
 
-// spawnCPU resolves a vCPU id to the vCPU of the stack's machine that
-// threads are spawned on; an id out of range falls back to vCPU 0.
-func (st *Stack) spawnCPU(id int) *clock.CPU {
-	m := st.env.CPU
-	if id < 0 || id >= m.NCPU() {
-		id = 0
-	}
-	return m.CPU(id)
-}
-
-// SpawnCPU exposes spawnCPU for harnesses placing worker threads on a
-// specific vCPU (e.g. the one a connection's queue interrupts).
-func (st *Stack) SpawnCPU(id int) *clock.CPU { return st.spawnCPU(id) }
+// SpawnCPU returns vCPU id of the stack's machine, for harnesses
+// placing worker threads on a specific vCPU, such as QueueCPUOf a
+// connection.
+func (st *Stack) SpawnCPU(id int) *clock.CPU { return st.env.CPU.CPU(id) }

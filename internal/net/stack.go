@@ -109,25 +109,21 @@ type Config struct {
 	// per-frame interrupt path.
 	RxBudget int
 	// NumQueues is the NIC's rx/tx queue count. RSS steers each flow
-	// to one queue, whose interrupts land on that queue's vCPU; the
-	// poll budget applies per queue. <= 1 (the default) is a
-	// single-queue device.
+	// to one queue, whose interrupts land on vCPU q mod NCPU; the poll
+	// budget applies per queue. <= 1 (the default) is a single-queue
+	// device.
 	NumQueues int
-	// QueueCPU maps queue id to the vCPU its interrupts are steered
-	// to; missing entries default to queue i -> vCPU i mod NCPU.
-	QueueCPU []int
-	// TCPIPCPU is the vCPU the tcpip thread is pinned to (default 0).
-	TCPIPCPU int
 	// KeepaliveTicks enables keepalive probing: after KeepaliveTicks of
-	// connection silence a probe goes out, and KeepaliveProbes unanswered
-	// probes declare the peer dead (a typed NetTimeout fault). 0 (the
-	// default) disables keepalive — an always-armed timer would perturb
-	// idle-time accounting of fault-free runs.
+	// connection silence a probe goes out, and keepaliveProbes
+	// unanswered probes declare the peer dead (a typed NetTimeout
+	// fault). 0 (the default) disables keepalive — an always-armed
+	// timer would perturb idle-time accounting of fault-free runs.
 	KeepaliveTicks uint64
-	// KeepaliveProbes bounds unanswered keepalive probes before the
-	// connection is declared dead (default 3 when keepalive is enabled).
-	KeepaliveProbes int
 }
+
+// keepaliveProbes bounds unanswered keepalive probes before a
+// connection is declared dead.
+const keepaliveProbes = 3
 
 // Stack is one machine's TCP/IP stack instance.
 type Stack struct {
@@ -146,7 +142,6 @@ type Stack struct {
 	rtxDelay    uint64
 	rtxLimit    int
 	keepalive   uint64
-	kaLimit     int
 
 	restHard   *sh.Hardener
 	mode       SocketMode
@@ -174,8 +169,6 @@ type Stack struct {
 
 	// Multi-queue NIC state (RSS).
 	numQueues int
-	queueCPU  []int
-	tcpipCPU  int
 
 	nextEphemeral uint16
 	isn           uint32
@@ -201,17 +194,6 @@ func NewStack(env *rt.Env, sup Support, s sched.Scheduler, cfg Config) *Stack {
 	if cfg.NumQueues < 1 {
 		cfg.NumQueues = 1
 	}
-	if cfg.KeepaliveTicks > 0 && cfg.KeepaliveProbes <= 0 {
-		cfg.KeepaliveProbes = 3
-	}
-	ncpu := env.CPU.NCPU()
-	queueCPU := make([]int, cfg.NumQueues)
-	for i := range queueCPU {
-		queueCPU[i] = i % ncpu
-		if i < len(cfg.QueueCPU) && cfg.QueueCPU[i] >= 0 && cfg.QueueCPU[i] < ncpu {
-			queueCPU[i] = cfg.QueueCPU[i]
-		}
-	}
 	return &Stack{
 		env:           env,
 		sup:           sup,
@@ -225,7 +207,6 @@ func NewStack(env *rt.Env, sup Support, s sched.Scheduler, cfg Config) *Stack {
 		rtxDelay:      cfg.RtxDelayTicks,
 		rtxLimit:      cfg.RtxLimit,
 		keepalive:     cfg.KeepaliveTicks,
-		kaLimit:       cfg.KeepaliveProbes,
 		restHard:      cfg.RestHard,
 		mode:          cfg.SocketMode,
 		delayedAck:    cfg.DelayedAck,
@@ -234,8 +215,6 @@ func NewStack(env *rt.Env, sup Support, s sched.Scheduler, cfg Config) *Stack {
 		rxBudget:      cfg.RxBudget,
 		txqs:          make([][][]byte, cfg.NumQueues),
 		numQueues:     cfg.NumQueues,
-		queueCPU:      queueCPU,
-		tcpipCPU:      cfg.TCPIPCPU,
 		nextEphemeral: 49152,
 		isn:           1,
 	}
@@ -619,18 +598,20 @@ func (st *Stack) memcpyIn(dst, src mem.Addr, n int, own rxOwn) error {
 // the tx doorbell: a frame the peer needs to make progress (data, a
 // window update) must never sit in the queue while both ends park —
 // and since delivery is inline, the kick itself may produce the wake
-// this thread was about to sleep for, hence the second TryDown.
-func (st *Stack) semDown(t *sched.Thread, sem Sem) {
+// this thread was about to sleep for, hence the second TryDown. It
+// returns the error of the sem_down crossing: a trapped crossing
+// returns before t ever parked.
+func (st *Stack) semDown(t *sched.Thread, sem Sem) error {
 	if sem.TryDown() {
-		return
+		return nil
 	}
 	if st.txBatch > 1 || st.txPending() > 0 || len(st.ackq) > 0 {
 		st.txKick()
 		if sem.TryDown() {
-			return
+			return nil
 		}
 	}
-	_ = st.env.CallFn("libc", "sem_down", 2, func() error {
+	return st.env.CallFn("libc", "sem_down", 2, func() error {
 		sem.Down(t)
 		return nil
 	})
@@ -910,7 +891,7 @@ func (st *Stack) zwpExpire(s *Socket) {
 
 // armKeepalive starts the idle-connection prober on an established
 // socket. Configured off by default; when on, a connection silent for
-// KeepaliveTicks is probed, and KeepaliveProbes unanswered probes
+// KeepaliveTicks is probed, and keepaliveProbes unanswered probes
 // declare the peer dead with a typed NetTimeout.
 func (st *Stack) armKeepalive(s *Socket) {
 	if st.keepalive == 0 || s.kaTimer.Armed() {
@@ -939,8 +920,8 @@ func (st *Stack) kaExpire(s *Socket) {
 		return
 	}
 	s.kaProbes++
-	if s.kaProbes > st.kaLimit {
-		st.netDeath(s, "netstack:keepalive", 0, st.kaLimit, idle)
+	if s.kaProbes > keepaliveProbes {
+		st.netDeath(s, "netstack:keepalive", 0, keepaliveProbes, idle)
 		return
 	}
 	st.stats.KeepaliveProbes++

@@ -1,6 +1,8 @@
 package net
 
 import (
+	"slices"
+
 	"flexos/internal/clock"
 	"flexos/internal/mem"
 	"flexos/internal/sched"
@@ -84,10 +86,9 @@ func (st *Stack) StartTCPIP(s sched.Scheduler) {
 	// initialization, not a crossing.
 	ts := &tcpipState{reqSem: st.sup.NewSem(0)}
 	st.tcpip = ts
-	// The tcpip thread is pinned to its configured vCPU (the `affinity
-	// netstack <cpu>` directive): its mailbox state is per-CPU by
-	// design, so work stealing must never migrate it.
-	ts.thread = s.Spawn("tcpip:"+st.ip.String(), st.spawnCPU(st.tcpipCPU), func(t *sched.Thread) {
+	// The tcpip thread is pinned to vCPU 0: its mailbox state is
+	// per-CPU by design, so work stealing must never migrate it.
+	ts.thread = s.Spawn("tcpip:"+st.ip.String(), st.env.CPU.CPU(0), func(t *sched.Thread) {
 		for {
 			st.semDown(t, ts.reqSem)
 			if len(ts.reqs) == 0 {
@@ -139,15 +140,21 @@ func (st *Stack) request() *apiReq {
 // post queues r on the mailbox, parks t until the tcpip thread has run
 // it, and returns its result. r goes back on the free list only when t
 // resumes here with r served. A caller unwound while parked (killed at
-// a deadlock or after a crash) never gets here, and one whose wait a
-// trap cut short finds r still pending: either way r, queued or
-// half-run, is abandoned rather than handed to a later post.
+// a deadlock or after a crash) never gets here, so r, queued or
+// half-run, is abandoned rather than handed to a later post. A wait
+// that traps never parked, so the tcpip thread has not run r: it comes
+// off the mailbox unrun, is abandoned too, and the trap is returned.
 func (st *Stack) post(t *sched.Thread, r *apiReq) (int, error) {
 	ts := st.tcpip
 	r.pending = true
 	ts.reqs = append(ts.reqs, r)
 	st.semUp(ts.reqSem)
-	st.semDown(t, r.done)
+	if err := st.semDown(t, r.done); err != nil {
+		if i := slices.Index(ts.reqs, r); i >= 0 {
+			ts.reqs = slices.Delete(ts.reqs, i, i+1)
+		}
+		return 0, err
+	}
 	sent, err := r.sent, r.err
 	if !r.pending {
 		*r = apiReq{done: r.done}

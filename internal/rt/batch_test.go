@@ -46,50 +46,6 @@ func batchOf(n int, ran *[]int, body func(i int) error) []gate.BatchCall {
 	return calls
 }
 
-// TestBatchShedRejectsOnlyExcessFrames pins the batch x admission
-// interplay: a 4-frame batch into a depth-2 shed queue admits exactly
-// two frames, and each rejected frame carries its own typed ShedError
-// and pays its own CostOverloadShed — exactly as if the four frames
-// had been four separate calls. The admitted frames still share one
-// crossing.
-func TestBatchShedRejectsOnlyExcessFrames(t *testing.T) {
-	cpu := clock.NewMachine(1)
-	s := NewSupervisor(cpu, nil, nil)
-	s.SetOverload("nw", OverloadSpec{Depth: 2, Policy: fault.ShedPolicyShed})
-	ro, reg := batchRoute(t, cpu)
-
-	var ran []int
-	calls := batchOf(4, &ran, nil)
-	before := cpu.Component(clock.CompFault)
-	s.SuperviseBatch(ro, "recv", calls)
-
-	if !slices.Equal(ran, []int{0, 1}) {
-		t.Fatalf("frames run = %v, want [0 1] once each", ran)
-	}
-	if calls[0].Err != nil || calls[1].Err != nil {
-		t.Fatalf("admitted frames errored: %v, %v", calls[0].Err, calls[1].Err)
-	}
-	for _, i := range []int{2, 3} {
-		var se *fault.ShedError
-		if !errors.As(calls[i].Err, &se) || se.Comp != "nw" || se.Depth != 2 {
-			t.Fatalf("frame %d: err = %v, want ShedError{nw, 2}", i, calls[i].Err)
-		}
-	}
-	if got := cpu.Component(clock.CompFault) - before; got != 2*clock.CostOverloadShed {
-		t.Fatalf("shed frames charged %d cycles, want 2*CostOverloadShed (%d)",
-			got, 2*clock.CostOverloadShed)
-	}
-	if st := s.Stats(); st.Sheds != 2 {
-		t.Fatalf("Sheds = %d, want 2", st.Sheds)
-	}
-	if got := s.InFlight("nw"); got != 0 {
-		t.Fatalf("InFlight after batch = %d, want 0", got)
-	}
-	if rows := reg.Ledger(); len(rows) != 1 || rows[0].Crossings != 1 || rows[0].Frames != 2 {
-		t.Fatalf("ledger = %+v, want one crossing carrying the 2 admitted frames", rows)
-	}
-}
-
 // TestBatchBreakerOpenFailsEveryFrameFast pins the batch x breaker
 // interplay: against an open breaker no frame crosses — the batch
 // never reaches the gate — and each frame fails with its own typed
@@ -201,14 +157,16 @@ func TestBatchRestartRetriesOneFrameSolo(t *testing.T) {
 	}
 }
 
-// TestBatchDeadlineExpiryShedsOneFrame pins the batch x deadline-policy
+// TestBatchDeadlineExpiryShedsOneFrame pins the batch x admission
 // interplay: an already-expired frame deadline sheds that frame before
-// the crossing while its live and undeadlined neighbours still cross.
+// the crossing — with its own typed ShedError and its own
+// CostOverloadShed, exactly as if it had been a separate call — while
+// its live and undeadlined neighbours still share one crossing.
 func TestBatchDeadlineExpiryShedsOneFrame(t *testing.T) {
 	cpu := clock.NewMachine(1)
 	s := NewSupervisor(cpu, nil, nil)
-	s.SetOverload("nw", OverloadSpec{Depth: 0, Policy: fault.ShedPolicyDeadline})
-	ro, _ := batchRoute(t, cpu)
+	s.SetOverload("nw")
+	ro, reg := batchRoute(t, cpu)
 	cpu.Charge(clock.CompApp, 100)
 
 	var ran []int
@@ -216,17 +174,27 @@ func TestBatchDeadlineExpiryShedsOneFrame(t *testing.T) {
 	for i, dl := range []uint64{0, 50, 10_000} {
 		calls[i].Frame.Deadline = dl
 	}
+	before := cpu.Component(clock.CompFault)
 	s.SuperviseBatch(ro, "recv", calls)
 
 	if !slices.Equal(ran, []int{0, 2}) {
 		t.Fatalf("frames run = %v, want [0 2]", ran)
 	}
 	var se *fault.ShedError
-	if !errors.As(calls[1].Err, &se) || se.Depth != 0 {
-		t.Fatalf("expired frame: err = %v, want deadline ShedError", calls[1].Err)
+	if !errors.As(calls[1].Err, &se) || se.Comp != "nw" {
+		t.Fatalf("expired frame: err = %v, want ShedError{nw}", calls[1].Err)
 	}
 	if calls[0].Err != nil || calls[2].Err != nil {
 		t.Fatalf("live frames errored: %v, %v", calls[0].Err, calls[2].Err)
+	}
+	if got := cpu.Component(clock.CompFault) - before; got != clock.CostOverloadShed {
+		t.Fatalf("shed frame charged %d cycles, want CostOverloadShed (%d)", got, clock.CostOverloadShed)
+	}
+	if st := s.Stats(); st.Sheds != 1 {
+		t.Fatalf("Sheds = %d, want 1", st.Sheds)
+	}
+	if rows := reg.Ledger(); len(rows) != 1 || rows[0].Crossings != 1 || rows[0].Frames != 2 {
+		t.Fatalf("ledger = %+v, want one crossing carrying the 2 admitted frames", rows)
 	}
 }
 

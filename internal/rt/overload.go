@@ -5,34 +5,21 @@ import (
 
 	"flexos/internal/clock"
 	"flexos/internal/fault"
-	"flexos/internal/sched"
 )
 
-// Overload control: bounded admission queues and circuit breakers in
-// front of isolating gates.
+// Overload control: deadline admission and circuit breakers in front
+// of isolating gates.
 //
 // The fault machinery in supervisor.go contains *memory* damage; this
 // file contains *load* damage. A compartment behind an expensive gate
 // (VM-RPC, MPK-switched) is a queueing system: when offered load
 // exceeds its service rate, every queued call still pays the full
 // crossing and service cost, so goodput collapses past saturation.
-// The supervisor therefore rejects excess load before the gate — a
+// The supervisor therefore rejects stale load before the gate — a
 // shed costs ~100 cycles where a wasted VM-RPC crossing costs
 // thousands — and, when a compartment keeps failing, opens a circuit
 // breaker that fails calls fast until a half-open probe proves the
 // compartment serves again.
-
-// OverloadSpec configures one compartment's admission queue
-// (configfile directive "overload <comp> <depth> <policy>").
-type OverloadSpec struct {
-	// Depth bounds calls resident in the compartment (in-flight,
-	// including callers parked inside it). 0 means unbounded, which is
-	// only meaningful with ShedPolicyDeadline: admission then sheds on
-	// budget expiry alone.
-	Depth int
-	// Policy says what happens to a call that cannot be admitted.
-	Policy fault.ShedPolicy
-}
 
 // BreakerSpec configures one compartment's circuit breaker
 // (configfile directive "breaker <comp> <threshold> <window> <cooldown>").
@@ -65,9 +52,10 @@ type breakerState struct {
 	probing  bool   // a half-open probe is in flight
 }
 
-// SetOverload configures comp's admission queue. A spec with no depth
-// bound and a non-deadline policy admits everything.
-func (s *Supervisor) SetOverload(comp string, spec OverloadSpec) { s.comp(comp).overload = spec }
+// SetOverload arms comp's admission (configfile directive "overload
+// <comp>"): a crossing into comp whose frame deadline has already
+// passed is shed before the gate.
+func (s *Supervisor) SetOverload(comp string) { s.comp(comp).overload = true }
 
 // SetBreaker configures comp's circuit breaker. A zero threshold
 // removes it.
@@ -97,95 +85,39 @@ func (s *Supervisor) BreakerState(comp string) string {
 	}
 }
 
-// SetThreadSource wires the scheduler's current-thread accessor, which
-// the block admission policy needs to park callers.
-func (s *Supervisor) SetThreadSource(fn func() *sched.Thread) { s.curThread = fn }
-
-// InFlight reports how many admitted calls are currently resident in
-// comp.
-func (s *Supervisor) InFlight(comp string) int {
-	if c := s.comps[comp]; c != nil {
-		return c.inFlight
-	}
-	return 0
-}
-
-// admit applies c's circuit breaker and admission policy to one
-// crossing carrying the given absolute deadline (0 = none). On success
-// the caller holds a slot and must release it; on rejection admit
-// returns the typed error to propagate.
+// admit applies c's circuit breaker, then its admission, to one
+// crossing carrying the given absolute deadline (0 = none). An
+// admitted call must release; a rejected one gets the typed error to
+// propagate.
 func (s *Supervisor) admit(c *compState, deadline uint64) error {
 	if err := s.breakerAdmit(c); err != nil {
 		return err
 	}
-	spec := c.overload
-	switch spec.Policy {
-	case fault.ShedPolicyShed:
-		if spec.Depth > 0 && c.inFlight >= spec.Depth {
-			return s.shed(c, spec.Depth)
-		}
-	case fault.ShedPolicyBlock:
-		for spec.Depth > 0 && c.inFlight >= spec.Depth {
-			t := s.current()
-			if t == nil {
-				// No thread context to park (tests driving the
-				// supervisor directly): admit rather than wedge.
-				break
-			}
-			s.stats.Blocked++
-			s.emit("overload", c.name, "waiting for admission slot")
-			c.waiters.Wait(t)
-		}
-	case fault.ShedPolicyDeadline:
-		if deadline != 0 && s.cpu.Cycles() >= deadline {
-			return s.shed(c, 0)
-		}
-		if spec.Depth > 0 && c.inFlight >= spec.Depth {
-			return s.shed(c, spec.Depth)
-		}
+	if c.overload && deadline != 0 && s.cpu.Cycles() >= deadline {
+		return s.shed(c)
 	}
-	c.inFlight++
 	return nil
 }
 
-// release frees the slot one admitted call held in c. It runs
-// unconditionally (deferred by SuperviseCall): the slot frees and a
-// block-policy waiter wakes even when the call panicked past the trap
-// boundary — otherwise a simulator bug would masquerade as an
-// admission deadlock, the same shape the scheduler kill path guards
-// against.
+// release runs once an admitted call into c is over, deferred so it
+// runs even when the call panicked past the trap boundary: a half-open
+// probe that never reported an outcome (the call unwound without
+// reaching breaker feedback) frees its probe slot, so the breaker
+// cannot wedge half-open forever.
 func (s *Supervisor) release(c *compState) {
-	c.inFlight--
-	c.waiters.Signal()
-	// A half-open probe that never reported an outcome (the call
-	// unwound without reaching breaker feedback) releases its probe
-	// slot so the breaker cannot wedge half-open forever.
 	if c.brk.state == brHalfOpen {
 		c.brk.probing = false
 	}
 }
 
-func (s *Supervisor) current() *sched.Thread {
-	if s.curThread == nil {
-		return nil
-	}
-	return s.curThread()
-}
-
-// shed rejects one call before the gate: cheap by construction.
-// depth 0 marks a deadline-expiry shed rather than a full queue.
-func (s *Supervisor) shed(c *compState, depth int) error {
+// shed rejects one call whose deadline has passed before the gate:
+// cheap by construction.
+func (s *Supervisor) shed(c *compState) error {
 	s.stats.Sheds++
 	s.cpu.Charge(clock.CompFault, clock.CostOverloadShed)
-	if depth > 0 {
-		if s.sink.On() {
-			s.emit("shed", c.name, fmt.Sprintf("admission queue full (depth %d)", depth))
-		}
-	} else {
-		s.emit("shed", c.name, "frame deadline already expired")
-	}
+	s.emit("shed", c.name, "frame deadline already expired")
 	s.breakerFail(c)
-	return &fault.ShedError{Comp: c.name, Depth: depth}
+	return &fault.ShedError{Comp: c.name}
 }
 
 // breakerAdmit gates one crossing on c's breaker state.

@@ -6,31 +6,23 @@ import (
 
 	"flexos/internal/clock"
 	"flexos/internal/fault"
-	"flexos/internal/sched"
 	"flexos/internal/trace"
 )
 
-func TestAdmitShedPolicy(t *testing.T) {
+func TestAdmitDeadlinePolicy(t *testing.T) {
 	cpu := clock.NewMachine(1)
 	s := NewSupervisor(cpu, nil, nil)
-	s.SetOverload("nw", OverloadSpec{Depth: 2, Policy: fault.ShedPolicyShed})
-	nw := s.comps["nw"]
+	s.SetOverload("lc")
+	lc := s.comps["lc"]
+	cpu.Charge(clock.CompApp, 100)
 
-	if err := s.admit(nw, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.admit(nw, 0); err != nil {
-		t.Fatal(err)
-	}
-	if got := s.InFlight("nw"); got != 2 {
-		t.Fatalf("InFlight = %d, want 2", got)
-	}
-
+	// An already-expired frame deadline sheds before the gate, charged
+	// the cheap rejection path and counted as an overload rejection.
 	before := cpu.Component(clock.CompFault)
-	err := s.admit(nw, 0)
+	err := s.admit(lc, 50)
 	var se *fault.ShedError
-	if !errors.As(err, &se) || se.Comp != "nw" || se.Depth != 2 {
-		t.Fatalf("third admit: err = %v, want ShedError{nw, 2}", err)
+	if !errors.As(err, &se) || se.Comp != "lc" {
+		t.Fatalf("expired deadline: err = %v, want ShedError{lc}", err)
 	}
 	if !fault.IsOverload(err) {
 		t.Fatalf("ShedError not classified as overload: %v", err)
@@ -41,44 +33,10 @@ func TestAdmitShedPolicy(t *testing.T) {
 	if st := s.Stats(); st.Sheds != 1 {
 		t.Fatalf("Sheds = %d, want 1", st.Sheds)
 	}
-	if got := s.InFlight("nw"); got != 2 {
-		t.Fatalf("rejected call changed InFlight: %d", got)
-	}
 
-	// Releasing a slot re-opens admission.
-	s.release(nw)
-	if got := s.InFlight("nw"); got != 1 {
-		t.Fatalf("InFlight after release = %d, want 1", got)
-	}
-	if err := s.admit(nw, 0); err != nil {
-		t.Fatalf("admit after release: %v", err)
-	}
-	s.release(nw)
-	s.release(nw)
-	if got := s.InFlight("nw"); got != 0 {
-		t.Fatalf("InFlight after all releases = %d, want 0", got)
-	}
-}
-
-func TestAdmitDeadlinePolicy(t *testing.T) {
-	cpu := clock.NewMachine(1)
-	s := NewSupervisor(cpu, nil, nil)
-	s.SetOverload("lc", OverloadSpec{Depth: 0, Policy: fault.ShedPolicyDeadline})
-	lc := s.comps["lc"]
-	cpu.Charge(clock.CompApp, 100)
-
-	// An already-expired frame deadline sheds before the gate; the
-	// Depth field of the error is 0 to mark a deadline shed rather
-	// than a full queue.
-	err := s.admit(lc, 50)
-	var se *fault.ShedError
-	if !errors.As(err, &se) || se.Depth != 0 {
-		t.Fatalf("expired deadline: err = %v, want deadline ShedError", err)
-	}
-
-	// A live deadline (and an undeadlined call) is admitted: depth 0
-	// means the deadline policy bounds nothing but staleness. (The
-	// shed above charged CostOverloadShed, so leave headroom.)
+	// A live deadline (and an undeadlined call) is admitted: admission
+	// bounds nothing but staleness. (The shed above charged
+	// CostOverloadShed, so leave headroom.)
 	if err := s.admit(lc, 10_000); err != nil {
 		t.Fatalf("live deadline rejected: %v", err)
 	}
@@ -88,86 +46,13 @@ func TestAdmitDeadlinePolicy(t *testing.T) {
 	}
 	s.release(lc)
 
-	// With a depth bound the policy also sheds on queue fullness.
-	s.SetOverload("lc", OverloadSpec{Depth: 1, Policy: fault.ShedPolicyDeadline})
-	if err := s.admit(lc, 10_000); err != nil {
-		t.Fatal(err)
+	// A compartment that is not armed admits an expired deadline too.
+	s.SetBreaker("nw", BreakerSpec{Threshold: 4, Window: 8, Cooldown: 1000})
+	if err := s.admit(s.comps["nw"], 50); err != nil {
+		t.Fatalf("unarmed compartment shed: %v", err)
 	}
-	defer s.release(lc)
-	err = s.admit(lc, 10_000)
-	if !errors.As(err, &se) || se.Depth != 1 {
-		t.Fatalf("full deadline queue: err = %v, want ShedError depth 1", err)
-	}
-}
-
-func TestAdmitBlockPolicyWithoutThread(t *testing.T) {
-	// Without a thread source there is nothing to park: the block
-	// policy admits rather than wedging a direct caller.
-	s := NewSupervisor(clock.NewMachine(1), nil, nil)
-	s.SetOverload("nw", OverloadSpec{Depth: 1, Policy: fault.ShedPolicyBlock})
-	nw := s.comps["nw"]
-	if err := s.admit(nw, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.admit(nw, 0); err != nil {
-		t.Fatalf("block policy without thread context rejected: %v", err)
-	}
-	s.release(nw)
-	s.release(nw)
-	if st := s.Stats(); st.Blocked != 0 {
-		t.Fatalf("Blocked = %d, want 0", st.Blocked)
-	}
-}
-
-func TestAdmitBlockPolicyParksCaller(t *testing.T) {
-	cpu := clock.NewMachine(1)
-	s := NewSupervisor(cpu, nil, nil)
-	sc := sched.NewCScheduler()
-	s.SetThreadSource(sc.Current)
-	s.SetOverload("nw", OverloadSpec{Depth: 1, Policy: fault.ShedPolicyBlock})
-
-	var order []string
-	sc.Spawn("a", cpu.CPU(0), func(th *sched.Thread) {
-		err := s.SuperviseCall("nw", 0, true, func() error {
-			order = append(order, "a-enter")
-			// Hold the slot across a few reschedules so b observes a
-			// full queue and parks.
-			th.Yield()
-			th.Yield()
-			order = append(order, "a-exit")
-			return nil
-		})
-		if err != nil {
-			t.Errorf("a: %v", err)
-		}
-	})
-	sc.Spawn("b", cpu.CPU(0), func(th *sched.Thread) {
-		err := s.SuperviseCall("nw", 0, true, func() error {
-			order = append(order, "b-enter")
-			return nil
-		})
-		if err != nil {
-			t.Errorf("b: %v", err)
-		}
-	})
-	if err := sc.Run(); err != nil {
-		t.Fatal(err)
-	}
-
-	want := []string{"a-enter", "a-exit", "b-enter"}
-	if len(order) != len(want) {
-		t.Fatalf("order = %v, want %v", order, want)
-	}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("order = %v, want %v", order, want)
-		}
-	}
-	if st := s.Stats(); st.Blocked == 0 || st.Sheds != 0 {
-		t.Fatalf("stats = %+v, want Blocked > 0 and no sheds", st)
-	}
-	if got := s.InFlight("nw"); got != 0 {
-		t.Fatalf("InFlight after run = %d, want 0", got)
+	if st := s.Stats(); st.Sheds != 1 {
+		t.Fatalf("Sheds = %d after the admitted calls, want 1", st.Sheds)
 	}
 }
 
@@ -278,16 +163,12 @@ func TestShedEmitsOneEvent(t *testing.T) {
 	ring := trace.NewRing(16)
 	sink.Attach(ring)
 	s := NewSupervisor(cpu, nil, sink)
-	s.SetOverload("nw", OverloadSpec{Depth: 1, Policy: fault.ShedPolicyShed})
+	s.SetOverload("nw")
 	nw := s.comps["nw"]
-
-	if err := s.admit(nw, 0); err != nil {
-		t.Fatal(err)
-	}
-	defer s.release(nw)
+	cpu.Charge(clock.CompApp, 100)
 
 	for i := 1; i <= 2; i++ {
-		err := s.admit(nw, 0)
+		err := s.admit(nw, 50)
 		var se *fault.ShedError
 		if !errors.As(err, &se) {
 			t.Fatalf("shed %d: err = %v, want ShedError", i, err)

@@ -116,8 +116,8 @@ func (e *Env) CallFrame(to, fnName string, frame gate.CallFrame, fn func() error
 
 // route dispatches through the callee's gate route, under the
 // machine's fault supervisor when one is attached: the supervisor
-// applies the callee compartment's admission policy before the gate and
-// its fault policy to any trap the call raises. The frame inherits the
+// applies the callee compartment's admission and breaker before the
+// gate and its fault policy to any trap the call raises. The frame inherits the
 // current thread's deadline, so nested calls stay under the original
 // budget.
 func (e *Env) route(to, fnName string, frame gate.CallFrame, fn func() error) error {

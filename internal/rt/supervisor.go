@@ -7,7 +7,6 @@ import (
 	"flexos/internal/core/gate"
 	"flexos/internal/fault"
 	"flexos/internal/mem"
-	"flexos/internal/sched"
 	"flexos/internal/trace"
 )
 
@@ -34,12 +33,9 @@ type SupervisorStats struct {
 	// RecoveryCycles is the virtual time spent in teardown and backoff.
 	RecoveryCycles uint64
 
-	// Sheds is how many calls the admission queues rejected before any
-	// gate crossing (overload.go).
+	// Sheds is how many calls admission rejected before any gate
+	// crossing because their deadline had passed (overload.go).
 	Sheds uint64
-	// Blocked is how many times a caller parked waiting for an
-	// admission slot under the block policy.
-	Blocked uint64
 	// DeadlineTraps is how many KindDeadline traps (gate refused a
 	// crossing past its budget) reached the supervisor.
 	DeadlineTraps uint64
@@ -61,12 +57,11 @@ type SupervisorStats struct {
 // against a pre-call mark — and resets the compartment's drained
 // private heaps.
 type Supervisor struct {
-	cpu       *clock.Machine
-	pool      *mem.SharedPool
-	sink      *trace.Sink
-	stats     SupervisorStats
-	comps     map[string]*compState
-	curThread func() *sched.Thread
+	cpu   *clock.Machine
+	pool  *mem.SharedPool
+	sink  *trace.Sink
+	stats SupervisorStats
+	comps map[string]*compState
 }
 
 // compState is everything the supervisor holds for one compartment.
@@ -78,11 +73,9 @@ type compState struct {
 	heaps    []*mem.Heap // private heaps restart teardown may reset
 	degraded *fault.Trap // the trap that took comp out of service
 
-	// Overload control (overload.go): the admission queue and the
+	// Overload control (overload.go): deadline admission and the
 	// circuit breaker in front of comp's gates.
-	overload OverloadSpec
-	inFlight int
-	waiters  sched.WaitQueue
+	overload bool
 	breaker  BreakerSpec
 	brk      breakerState
 }
@@ -90,8 +83,8 @@ type compState struct {
 // NewSupervisor creates a supervisor charging recovery work to cpu.
 // pool may be nil (poolless images skip buffer teardown). Lifecycle
 // events go to sink, which may be nil: "fault", "recover", "degrade"
-// and the overload-control kinds "overload", "shed", "deadline",
-// "breaker-open" and "breaker-close".
+// and the overload-control kinds "shed", "deadline", "breaker-open"
+// and "breaker-close".
 func NewSupervisor(cpu *clock.Machine, pool *mem.SharedPool, sink *trace.Sink) *Supervisor {
 	return &Supervisor{cpu: cpu, pool: pool, sink: sink, comps: make(map[string]*compState)}
 }
@@ -154,8 +147,8 @@ func (s *Supervisor) mark() mem.PoolMark {
 // the routed frame's absolute deadline (0 = none), and applies toComp's
 // fault policy to any trap the callee raised. Traps from deeper
 // compartments (already handled by a nested SuperviseCall closer to the
-// fault) pass through untouched. Admission queues and circuit breakers
-// sit in front of *isolating* gates, so intra-compartment calls
+// fault) pass through untouched. Admission and circuit breakers sit
+// in front of *isolating* gates, so intra-compartment calls
 // (crossing=false) skip them — a compartment cannot shed calls from
 // itself — while the fault-policy machinery still applies.
 func (s *Supervisor) SuperviseCall(toComp string, deadline uint64, crossing bool, call func() error) error {
@@ -167,9 +160,6 @@ func (s *Supervisor) SuperviseCall(toComp string, deadline uint64, crossing bool
 		if err := s.admit(c, deadline); err != nil {
 			return err
 		}
-		// The slot must free (and block-policy waiters wake) even if
-		// the supervised call panics past the trap boundary — a leaked
-		// slot would turn a simulator bug into a fake deadlock.
 		defer s.release(c)
 	}
 	mark := s.mark()
@@ -264,9 +254,9 @@ func (s *Supervisor) settle(c *compState, toComp string, crossing bool, mark mem
 }
 
 // SuperviseBatch applies the supervisor's whole surface — degradation,
-// admission queues, circuit breakers, fault policy — *per frame* around
-// one batched crossing of route ro. The calls arrive with Err nil and
-// leave with one outcome each. A frame the admission queue or breaker
+// admission, circuit breakers, fault policy — *per frame* around one
+// batched crossing of route ro. The calls arrive with Err nil and
+// leave with one outcome each. A frame admission or the breaker
 // rejects carries its typed ShedError/BreakerOpenError into the batch
 // (charged per frame, exactly as if each had been a separate call), and
 // the gate skips it. Every admitted frame's outcome is settled
@@ -296,14 +286,9 @@ func (s *Supervisor) SuperviseBatch(ro *gate.Route, fnName string, calls []gate.
 				admitted--
 			}
 		}
-		// Slots release (and block-policy waiters wake) even if a frame
-		// panics past its trap boundary, for the same reason
-		// SuperviseCall defers its release.
-		defer func() {
-			for range admitted {
-				s.release(c)
-			}
-		}()
+		if admitted > 0 {
+			defer s.release(c)
+		}
 	}
 	if admitted == 0 {
 		return

@@ -135,8 +135,7 @@ type Scheduler interface {
 	SwitchCost() uint64
 	// Current reports the thread running right now (nil between
 	// dispatches, e.g. from a timer callback). The runtime uses it to
-	// find the deadline a gate call should inherit and to park callers
-	// under the block admission policy.
+	// find the deadline a gate call should inherit.
 	Current() *Thread
 	// Steals reports how many threads were migrated by work stealing.
 	Steals() uint64

@@ -126,7 +126,7 @@ func (r *Ring) Total() uint64 { return r.seq }
 func (r *Ring) Dropped() uint64 { return r.dropped }
 
 // DroppedKind reports how many events of one kind were overwritten.
-// Overload events ("overload", "shed", "breaker-open") come in bursts
+// Overload events ("shed", "breaker-open") come in bursts
 // precisely when the ring is busiest, so a flat total can hide that
 // the interesting kind was the one squeezed out.
 func (r *Ring) DroppedKind(kind string) uint64 { return r.droppedBy[kind] }

@@ -174,12 +174,12 @@ func TestSmpRSSSpread(t *testing.T) {
 	}
 }
 
-// TestSmpConfigfileRun drives the SMP directives end to end: a
-// configfile with smp and affinity lines builds a world whose machine,
-// NIC queues and pinned tcpip thread all follow the directives.
+// TestSmpConfigfileRun drives the smp directive end to end: a
+// configfile with an smp line builds a 2-vCPU world that completes a
+// parallel transfer.
 func TestSmpConfigfileRun(t *testing.T) {
 	cfg, err := build.ParseConfig("backend mpk-shared\ncompartment nw netstack\n" +
-		"compartment core sched alloc libc app rest\nsmp 2\naffinity queue1 0\n")
+		"compartment core sched alloc libc app rest\nsmp 2\n")
 	if err != nil {
 		t.Fatal(err)
 	}
