@@ -4,9 +4,11 @@
 //
 // Usage:
 //
-//	flexos-build [-spec file.flexos] [-algo exact|dsatur|greedy] [-harden lib1,lib2] [-v]
+//	flexos-build [-spec file.flexos] [-harden lib1,lib2] [-v]
 //
 // Without -spec, the built-in default FlexOS image metadata is used.
+// The plan uses as few compartments as coloring.Minimal finds: an
+// exact coloring up to coloring.ExactLimit libraries, DSATUR beyond.
 package main
 
 import (
@@ -22,18 +24,17 @@ import (
 
 func main() {
 	specPath := flag.String("spec", "", "metadata file (default: built-in image)")
-	algo := flag.String("algo", "exact", "coloring algorithm: exact, dsatur, greedy")
 	harden := flag.String("harden", "", "comma-separated libraries to harden (SH variants)")
 	verbose := flag.Bool("v", false, "print metadata and all conflicts")
 	flag.Parse()
 
-	if err := run(*specPath, *algo, *harden, *verbose); err != nil {
+	if err := run(*specPath, *harden, *verbose); err != nil {
 		fmt.Fprintf(os.Stderr, "flexos-build: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func run(specPath, algo, harden string, verbose bool) error {
+func run(specPath, harden string, verbose bool) error {
 	var libs []*spec.Library
 	if specPath == "" {
 		libs = spec.DefaultImage()
@@ -100,20 +101,10 @@ func run(specPath, algo, harden string, verbose bool) error {
 	}
 
 	g := coloring.FromMatrix(m)
-	var asg coloring.Assignment
-	switch algo {
-	case "greedy":
-		asg = coloring.Greedy(g)
-	case "dsatur":
-		asg = coloring.DSATUR(g)
-	case "exact":
-		var err error
-		asg, err = coloring.Exact(g)
-		if err != nil {
-			return err
-		}
-	default:
-		return fmt.Errorf("unknown algorithm %q", algo)
+	asg, heuristic := coloring.Minimal(g)
+	algo := "exact"
+	if heuristic {
+		algo = "dsatur"
 	}
 	if err := coloring.Validate(g, asg); err != nil {
 		return err

@@ -192,7 +192,6 @@ func replyLen(b []byte) (int, error) {
 // Fixed replies and the bulk-string terminator.
 var (
 	replyOK   = []byte("+OK\r\n")
-	replyPong = []byte("+PONG\r\n")
 	replyNull = []byte("$-1\r\n")
 	replyBusy = []byte("-BUSY overload shed\r\n")
 	crlf      = []byte("\r\n")
@@ -203,12 +202,6 @@ var (
 func appendError(dst []byte, s string) []byte {
 	dst = append(dst, '-')
 	dst = append(dst, s...)
-	return append(dst, '\r', '\n')
-}
-
-func appendInt(dst []byte, v int64) []byte {
-	dst = append(dst, ':')
-	dst = strconv.AppendInt(dst, v, 10)
 	return append(dst, '\r', '\n')
 }
 

@@ -158,8 +158,7 @@ type connState struct {
 	batch []rt.BatchCall
 	// spans is the parser's argument scratch, kept across commands.
 	spans [][2]int
-	// hdr is the scratch a bulk header or an integer reply is
-	// formatted in.
+	// hdr is the scratch a bulk header is formatted in.
 	hdr [24]byte
 }
 
@@ -458,10 +457,9 @@ func (c *connState) execute(spans [][2]int, view []byte, rxOff int, off int) (in
 	argAddr := func(i int) mem.Addr { return c.rx + mem.Addr(rxOff+spans[i][0]) }
 	nargs := len(spans)
 	name := commandName(arg(0))
-	// Deferred reply copies may reference store memory a mutation is
-	// about to free or overwrite: materialize them first.
-	switch name {
-	case "SET", "DEL", "INCR", "DECR", "INCRBY", "APPEND", "FLUSHALL":
+	// Deferred reply copies may reference store memory a SET is about
+	// to free: materialize them first.
+	if name == "SET" {
 		if err := c.flushCopies(); err != nil {
 			return 0, err
 		}
@@ -472,16 +470,6 @@ func (c *connState) execute(spans [][2]int, view []byte, rxOff int, off int) (in
 	}
 
 	switch name {
-	case "PING":
-		if nargs == 2 {
-			return c.bulkReply(off, argAddr(1), spans[1][1])
-		}
-		return c.writeGo(off, replyPong)
-	case "ECHO":
-		if nargs != 2 {
-			return wrongArgs()
-		}
-		return c.bulkReply(off, argAddr(1), spans[1][1])
 	case "SET":
 		if nargs != 3 {
 			return wrongArgs()
@@ -499,72 +487,6 @@ func (c *connState) execute(spans [][2]int, view []byte, rxOff int, off int) (in
 			return c.writeGo(off, replyNull)
 		}
 		return c.bulkReply(off, addr, n)
-	case "DEL":
-		if nargs < 2 {
-			return wrongArgs()
-		}
-		keys := make([][]byte, 0, nargs-1)
-		for i := 1; i < nargs; i++ {
-			keys = append(keys, arg(i))
-		}
-		removed, err := s.store.Del(keys...)
-		if err != nil {
-			return 0, err
-		}
-		return c.writeGo(off, appendInt(c.hdr[:0], int64(removed)))
-	case "EXISTS":
-		if nargs != 2 {
-			return wrongArgs()
-		}
-		v := int64(0)
-		if s.store.Exists(arg(1)) {
-			v = 1
-		}
-		return c.writeGo(off, appendInt(c.hdr[:0], v))
-	case "INCR", "DECR", "INCRBY":
-		delta := int64(1)
-		switch name {
-		case "DECR":
-			delta = -1
-		case "INCRBY":
-			if nargs != 3 {
-				return wrongArgs()
-			}
-			var err error
-			delta, err = parseDecimal(arg(2))
-			if err != nil {
-				return c.writeError(off, "ERR value is not an integer or out of range")
-			}
-		}
-		if (name != "INCRBY" && nargs != 2) || (name == "INCRBY" && nargs != 3) {
-			return wrongArgs()
-		}
-		v, err := s.store.IncrBy(arg(1), delta)
-		if err != nil {
-			return c.writeError(off, "ERR value is not an integer or out of range")
-		}
-		return c.writeGo(off, appendInt(c.hdr[:0], v))
-	case "APPEND":
-		if nargs != 3 {
-			return wrongArgs()
-		}
-		n, err := s.store.Append(arg(1), argAddr(2), spans[2][1])
-		if err != nil {
-			return 0, err
-		}
-		return c.writeGo(off, appendInt(c.hdr[:0], int64(n)))
-	case "STRLEN":
-		if nargs != 2 {
-			return wrongArgs()
-		}
-		return c.writeGo(off, appendInt(c.hdr[:0], int64(s.store.Strlen(arg(1)))))
-	case "DBSIZE":
-		return c.writeGo(off, appendInt(c.hdr[:0], int64(s.store.Len())))
-	case "FLUSHALL":
-		if err := s.store.FlushAll(); err != nil {
-			return 0, err
-		}
-		return c.writeGo(off, replyOK)
 	default:
 		return c.writeError(off, fmt.Sprintf("ERR unknown command '%s'", asciiUpper(arg(0))))
 	}
@@ -584,15 +506,14 @@ func (c *connState) bulkReply(off int, addr mem.Addr, n int) (int, error) {
 }
 
 // commands lists the command names execute serves.
-var commands = [...]string{"GET", "SET", "PING", "ECHO", "DEL", "EXISTS", "INCR",
-	"DECR", "INCRBY", "APPEND", "STRLEN", "DBSIZE", "FLUSHALL"}
+var commands = [...]string{"GET", "SET"}
 
 // commandName matches a command name case-insensitively against the
 // served commands and returns the canonical (upper-case) name, or ""
 // for any other name. The name is upper-cased in a fixed buffer, so a
 // lookup allocates nothing.
 func commandName(b []byte) string {
-	var up [len("FLUSHALL")]byte
+	var up [len("GET")]byte
 	if len(b) > len(up) {
 		return ""
 	}

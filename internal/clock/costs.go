@@ -152,11 +152,6 @@ const (
 	// comparable to MPK's WRPKRU but with no domain-count limit.
 	CostCInvoke = 50
 
-	// CostPrecondCheck is one generated API-precondition check (the
-	// paper's §5 wrappers: included for callers outside the callee's
-	// trust domain, excluded otherwise).
-	CostPrecondCheck = 15
-
 	// CostFaultTrap is delivering one contained protection fault to the
 	// caller's domain: decoding the fault, saving the trap record and
 	// entering the supervisor — signal-delivery-ish, far above a gate

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"flexos/internal/core/gate"
-	"flexos/internal/core/spec"
 	"flexos/internal/net"
 	"flexos/internal/sh"
 )
@@ -179,43 +178,6 @@ func TestParseConfigDiagnostics(t *testing.T) {
 	}
 	if len(cfg.SH) != 0 {
 		t.Errorf("sh none left a profile behind: %+v", cfg.SH)
-	}
-}
-
-// TestGenerateWrappers checks the §5 precondition-wrapper emission:
-// the verified scheduler's contracts get one wrapper per guarded
-// function, routed through every foreign compartment, and the
-// single-compartment baseline emits nothing.
-func TestGenerateWrappers(t *testing.T) {
-	image := spec.DefaultImage()
-
-	if ws := GenerateWrappers(image, SingleCompartment()); len(ws) != 0 {
-		t.Errorf("single-compartment image emitted wrappers: %v", ws)
-	}
-
-	ws := GenerateWrappers(image, NWSchedRest())
-	if len(ws) != 2 {
-		t.Fatalf("got %d wrappers, want 2 (thread_add, thread_rm): %v", len(ws), ws)
-	}
-	if ws[0].Fn != "thread_add" || ws[1].Fn != "thread_rm" {
-		t.Errorf("wrappers out of order: %v, %v", ws[0], ws[1])
-	}
-	for _, w := range ws {
-		if w.Callee != "sched" {
-			t.Errorf("wrapper callee %q, want sched", w.Callee)
-		}
-		if len(w.Checks) == 0 {
-			t.Errorf("wrapper %s.%s carries no checks", w.Callee, w.Fn)
-		}
-		if len(w.Callers) != 2 {
-			t.Errorf("wrapper %s.%s lists callers %v, want the two foreign compartments",
-				w.Callee, w.Fn, w.Callers)
-		}
-		for _, c := range w.Callers {
-			if c == "sched" {
-				t.Errorf("wrapper lists the callee's own compartment as a caller")
-			}
-		}
 	}
 }
 

@@ -1,10 +1,14 @@
 package build
 
 import (
+	"errors"
+	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"flexos/internal/fault"
+	"flexos/internal/sched"
 )
 
 func TestOnFaultDirectiveRoundTrip(t *testing.T) {
@@ -66,5 +70,96 @@ func TestOnFaultValidation(t *testing.T) {
 	}
 	if _, err := ParseConfig(base + "onfault nw\n"); err == nil {
 		t.Fatal("missing policy argument accepted")
+	}
+}
+
+// TestDegradedLibcFailsSocketWaits pins that a socket wait whose
+// sem_down crossing goes into a degraded libc compartment returns the
+// typed degradation. Such a crossing returns before the thread parks,
+// so a wait that tried again would spin without ever yielding to the
+// cooperative scheduler; the watchdog turns that hang into a failure.
+func TestDegradedLibcFailsSocketWaits(t *testing.T) {
+	const port = 7000
+	cfg, err := ParseConfig("backend mpk-switched\n" +
+		"compartment nw netstack\n" +
+		"compartment lc libc\n" +
+		"compartment core sched alloc app rest\n" +
+		"onfault lc degrade\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// degrade traps one app -> libc call, which takes lc out of service.
+	degrade := func(m *Machine) error {
+		in := fault.NewInjector()
+		in.Arm(fault.Injection{Lib: "libc", Fn: "memcpy"})
+		m.Registry.SetInjector(in)
+		err := m.Env("app").CallFn("libc", "memcpy", 3, func() error { return nil })
+		if _, ok := m.Sup.Degraded("lc"); !ok {
+			return fmt.Errorf("trapped call returned %v and left lc in service", err)
+		}
+		return nil
+	}
+	for _, op := range []string{"accept", "recv"} {
+		t.Run(op, func(t *testing.T) {
+			w, err := NewWorld(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m := w.Server
+			var waitErr error
+			w.Sched.Spawn("server", m.CPU, func(th *sched.Thread) {
+				listener, err := m.Stack.Listen(port, 4)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if op == "accept" {
+					if err := degrade(m); err != nil {
+						t.Error(err)
+						return
+					}
+					_, waitErr = listener.Accept(th)
+					return
+				}
+				conn, err := listener.Accept(th)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				buf, err := m.Env("app").Malloc(64)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if err := degrade(m); err != nil {
+					t.Error(err)
+					return
+				}
+				_, waitErr = conn.Recv(th, buf, 64)
+			})
+			if op == "recv" {
+				// The client connects and stays silent, so the server's
+				// receive queue is empty and stays open.
+				w.Sched.Spawn("client", w.Client.CPU, func(th *sched.Thread) {
+					if _, err := w.Client.Stack.Connect(th, m.Stack.IP(), port); err != nil {
+						t.Error(err)
+					}
+				})
+			}
+			done := make(chan error, 1)
+			go func() { done <- w.Sched.Run() }()
+			select {
+			case err := <-done:
+				if err != nil {
+					t.Fatal(err)
+				}
+			case <-time.After(3 * time.Second):
+				t.Fatalf("%s on the degraded compartment still spinning after 3s", op)
+			}
+			var de *fault.DegradedError
+			if !errors.As(waitErr, &de) || de.Comp != "lc" {
+				t.Fatalf("%s = %v, want the lc DegradedError", op, waitErr)
+			}
+		})
 	}
 }

@@ -187,8 +187,9 @@ func deadlineCheck(clk *clock.Machine, cost uint64, from, to *Domain, frame Call
 // or refusal path, so a clean crossing allocates nothing.
 func pcOf(from, to *Domain) string { return from.Name + "->" + to.Name }
 
-// contain is fault.Contain with the crossing's PC, built only when fn
-// fails.
+// contain runs fn inside the fault.Catch trap boundary and classifies
+// its failure with fault.Classify at the crossing's PC, built only
+// when fn fails.
 func contain(from, to *Domain, fn func() error) error {
 	if err := fault.Catch(to.Name, fn); err != nil {
 		return fault.Classify(to.Name, pcOf(from, to), err)

@@ -234,15 +234,18 @@ func TestRegistryRouting(t *testing.T) {
 		}
 	}
 
+	call := func(from, to string, words int) error {
+		return r.CallWithFrame(from, to, "", CallFrame{ArgWords: words, RetWords: 1}, func() error { return nil })
+	}
 	// Intra-compartment: direct call, no crossings.
-	mustNoErr(t, r.Call("app", "libc", 1, func() error { return nil }))
+	mustNoErr(t, call("app", "libc", 1))
 	if r.TotalCrossings() != 0 {
 		t.Fatal("intra-compartment call counted as crossing")
 	}
 
 	// Inter-compartment: crossing counted per pair.
-	mustNoErr(t, r.Call("app", "netstack", 2, func() error { return nil }))
-	mustNoErr(t, r.Call("netstack", "app", 1, func() error { return nil }))
+	mustNoErr(t, call("app", "netstack", 2))
+	mustNoErr(t, call("netstack", "app", 1))
 	if r.Crossings("comp1", "comp2") != 1 || r.Crossings("comp2", "comp1") != 1 {
 		t.Fatalf("crossing matrix = %v", r.CrossingMatrix())
 	}
@@ -251,10 +254,10 @@ func TestRegistryRouting(t *testing.T) {
 	}
 
 	// Unknown libraries are errors.
-	if err := r.Call("ghost", "app", 0, func() error { return nil }); err == nil {
+	if err := call("ghost", "app", 0); err == nil {
 		t.Fatal("unknown caller accepted")
 	}
-	if err := r.Call("app", "ghost", 0, func() error { return nil }); err == nil {
+	if err := call("app", "ghost", 0); err == nil {
 		t.Fatal("unknown callee accepted")
 	}
 	if err := r.Assign("x", "ghost-comp"); err == nil {

@@ -147,17 +147,10 @@ func (ro *Route) SharesByReference() bool {
 	return !ro.Crosses || ro.reg.cross.Backend().Transfer() == TransferShare
 }
 
-// Call routes a cross-library call: the uk_gate placeholder at run
-// time. fromLib is the calling library, toLib the callee; argWords the
-// number of 8-byte argument words the signature carries (one scalar
-// return word is assumed).
-func (r *Registry) Call(fromLib, toLib string, argWords int, fn func() error) error {
-	return r.CallWithFrame(fromLib, toLib, "", CallFrame{ArgWords: argWords, RetWords: 1}, fn)
-}
-
-// CallWithFrame is the full-ABI call site: the frame carries argument
-// and return word counts plus any payload buffers attached by
-// descriptor (the zero-copy data path).
+// CallWithFrame routes a cross-library call: the uk_gate placeholder
+// at run time. fromLib is the calling library, toLib the callee; the
+// frame carries argument and return word counts plus any payload
+// buffers attached by descriptor (the zero-copy data path).
 func (r *Registry) CallWithFrame(fromLib, toLib, fnName string, frame CallFrame, fn func() error) error {
 	ro, err := r.Resolve(fromLib, toLib)
 	if err != nil {

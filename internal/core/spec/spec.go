@@ -252,9 +252,9 @@ type Spec struct {
 	Requires []Requirement
 	// Preconditions names, per API function, the predicates that must
 	// hold on call (e.g. the scheduler's thread_add must not be given
-	// an already-added thread). The build system generates wrappers
-	// that evaluate these only for callers outside the library's
-	// trust domain — checks are elided for same-compartment callers.
+	// an already-added thread). The linter requires each to name an
+	// [API] entry point; the verified scheduler checks its own
+	// contracts at every call (package sched).
 	Preconditions map[string][]string
 }
 

@@ -162,19 +162,14 @@ func Classify(comp, pc string, err error) error {
 	return err
 }
 
-// Contain runs fn inside a trap boundary: a panic carrying a *Trap
+// Catch runs fn inside a trap boundary: a panic carrying a *Trap
 // (raised by an Injector or any simulated protection mechanism) is
-// recovered and returned as an error, and fault-typed error returns
-// are classified into Traps. Non-Trap panics — simulator bugs — keep
-// unwinding. Isolating gates wrap their callee in this boundary; the
-// direct (funccall) gate does not, which is what makes the containment
-// story measurable.
-func Contain(comp, pc string, fn func() error) error {
-	return Classify(comp, pc, Catch(comp, fn))
-}
-
-// Catch is Contain without the classification: fn's error comes back
-// as is, so a caller can build the PC for Classify only on failure.
+// recovered and returned as an error, its Comp filled in with comp if
+// empty. Non-Trap panics — simulator bugs — keep unwinding. fn's own
+// error comes back as is, so a caller can build the PC for Classify
+// only on failure. Isolating gates wrap their callee in Catch and
+// Classify; the direct (funccall) gate does not, which is what makes
+// the containment story measurable.
 func Catch(comp string, fn func() error) (err error) {
 	defer func() {
 		if r := recover(); r != nil {

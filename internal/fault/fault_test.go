@@ -86,8 +86,13 @@ func TestClassify(t *testing.T) {
 	}
 }
 
+// contain composes the trap boundary as the isolating gates do.
+func contain(comp, pc string, fn func() error) error {
+	return Classify(comp, pc, Catch(comp, fn))
+}
+
 func TestContainRecoversTrapPanic(t *testing.T) {
-	err := Contain("nw", "netstack:recv", func() error {
+	err := contain("nw", "netstack:recv", func() error {
 		panic(&Trap{Kind: KindInjected, Addr: 0x5000})
 	})
 	tr, ok := As(err)
@@ -95,12 +100,12 @@ func TestContainRecoversTrapPanic(t *testing.T) {
 		t.Fatalf("err = %v, want trap", err)
 	}
 	if tr.Comp != "nw" {
-		t.Fatalf("Comp = %q, want filled in by Contain", tr.Comp)
+		t.Fatalf("Comp = %q, want filled in by Catch", tr.Comp)
 	}
 }
 
 func TestContainKeepsExplicitComp(t *testing.T) {
-	err := Contain("outer", "pc", func() error {
+	err := contain("outer", "pc", func() error {
 		panic(&Trap{Comp: "inner", Kind: KindInjected})
 	})
 	tr, _ := As(err)
@@ -111,11 +116,11 @@ func TestContainKeepsExplicitComp(t *testing.T) {
 
 func TestContainClassifiesReturns(t *testing.T) {
 	mpkErr := &mpk.Fault{Addr: 0x2000, Key: 2}
-	err := Contain("nw", "pc", func() error { return mpkErr })
+	err := contain("nw", "pc", func() error { return mpkErr })
 	if tr, ok := As(err); !ok || tr.Kind != KindMPK {
 		t.Fatalf("err = %v, want KindMPK trap", err)
 	}
-	if err := Contain("nw", "pc", func() error { return nil }); err != nil {
+	if err := contain("nw", "pc", func() error { return nil }); err != nil {
 		t.Fatalf("clean call returned %v", err)
 	}
 }
@@ -126,7 +131,7 @@ func TestContainRepanicsNonTrap(t *testing.T) {
 			t.Fatal("simulator-bug panic was swallowed")
 		}
 	}()
-	_ = Contain("nw", "pc", func() error { panic("simulator bug") })
+	_ = contain("nw", "pc", func() error { panic("simulator bug") })
 }
 
 func TestPolicyRoundTrip(t *testing.T) {
@@ -160,7 +165,7 @@ func injectorPool(t *testing.T) *mem.SharedPool {
 }
 
 func containedCall(in *Injector, lib, comp, fn string) error {
-	return Contain(comp, lib+":"+fn, func() error {
+	return contain(comp, lib+":"+fn, func() error {
 		in.OnCall(lib, comp, fn)
 		return nil
 	})

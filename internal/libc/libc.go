@@ -1,12 +1,13 @@
 // Package libc is FlexOS's standard C library micro-library.
 //
-// It provides the bulk memory and string operations (memcpy and
-// friends — the instrumentation hot spot when LibC is hardened, see
-// Table 1 of the paper), the semaphores and mutexes used by the rest
-// of the system (the paper's Fig. 5 hinges on semaphores being LibC
-// objects: blocking socket operations cross netstack -> LibC ->
+// It provides the calls its [API] metadata declares: the bulk memory
+// operations memcpy and memset (the instrumentation hot spot when LibC
+// is hardened, see Table 1 of the paper), the semaphores used by the
+// rest of the system (the paper's Fig. 5 hinges on semaphores being
+// LibC objects: blocking socket operations cross netstack -> LibC ->
 // scheduler regardless of whether netstack and scheduler share a
-// compartment), and the POSIX-ish socket shims applications call.
+// compartment), and the POSIX-ish socket shims applications call, plus
+// the pool-buffer allocation of the zero-copy data path.
 package libc
 
 import (
@@ -27,9 +28,6 @@ type LibC struct {
 // New creates the library over its runtime environment (library name
 // "libc").
 func New(env *rt.Env) *LibC { return &LibC{env: env} }
-
-// Env exposes the library's environment.
-func (l *LibC) Env() *rt.Env { return l.env }
 
 // --- bulk memory operations -----------------------------------------
 
@@ -85,73 +83,7 @@ func (l *LibC) Memset(dst mem.Addr, c byte, n int) error {
 	return nil
 }
 
-// Memcmp compares n bytes, returning -1, 0 or 1.
-func (l *LibC) Memcmp(a, b mem.Addr, n int) (int, error) {
-	if n <= 0 {
-		return 0, nil
-	}
-	l.env.Charge(clock.CopyCycles(n))
-	l.env.Hard.OnFrame()
-	l.env.Hard.OnBulk(n)
-	if err := l.env.Hard.OnAccess(a, n, false); err != nil {
-		return 0, err
-	}
-	if err := l.env.Hard.OnAccess(b, n, false); err != nil {
-		return 0, err
-	}
-	ab, err := l.env.Bytes(a, n)
-	if err != nil {
-		return 0, err
-	}
-	bb, err := l.env.Bytes(b, n)
-	if err != nil {
-		return 0, err
-	}
-	for i := 0; i < n; i++ {
-		if ab[i] < bb[i] {
-			return -1, nil
-		}
-		if ab[i] > bb[i] {
-			return 1, nil
-		}
-	}
-	return 0, nil
-}
-
-// Strlen reports the length of the NUL-terminated string at addr,
-// scanning at most limit bytes.
-func (l *LibC) Strlen(addr mem.Addr, limit int) (int, error) {
-	l.env.Hard.OnFrame()
-	for i := 0; i < limit; i++ {
-		if err := l.env.Hard.OnAccess(addr+mem.Addr(i), 1, false); err != nil {
-			return 0, err
-		}
-		b, err := l.env.Bytes(addr+mem.Addr(i), 1)
-		if err != nil {
-			return 0, err
-		}
-		l.env.Charge(1)
-		if b[0] == 0 {
-			return i, nil
-		}
-	}
-	return limit, fmt.Errorf("libc: unterminated string at %#x", addr)
-}
-
 // --- allocation ------------------------------------------------------
-
-// Malloc allocates from the compartment's allocator through the alloc
-// gate.
-func (l *LibC) Malloc(n int) (mem.Addr, error) {
-	l.env.Hard.OnFrame()
-	return l.env.Malloc(n)
-}
-
-// Free releases a Malloc'd buffer.
-func (l *LibC) Free(addr mem.Addr) error {
-	l.env.Hard.OnFrame()
-	return l.env.Free(addr)
-}
 
 // BufAlloc allocates a ref-counted I/O buffer from the shared pool —
 // the application entry point of the zero-copy data path.
@@ -166,19 +98,7 @@ func (l *LibC) BufFree(b mem.BufRef) error {
 	return l.env.PoolRelease(b)
 }
 
-// Calloc allocates zeroed memory.
-func (l *LibC) Calloc(n int) (mem.Addr, error) {
-	addr, err := l.Malloc(n)
-	if err != nil {
-		return mem.NilAddr, err
-	}
-	if err := l.Memset(addr, 0, n); err != nil {
-		return mem.NilAddr, err
-	}
-	return addr, nil
-}
-
-// --- semaphores and mutexes ------------------------------------------
+// --- semaphores -----------------------------------------------------
 
 // Semaphore is a counting semaphore implemented in LibC. Blocking and
 // waking go through the libc -> scheduler gate: a crossing on every
@@ -191,9 +111,6 @@ type Semaphore struct {
 
 // NewSem creates a semaphore with an initial count.
 func (l *LibC) NewSem(n int) net.Sem { return &Semaphore{l: l, count: n} }
-
-// NewSemaphore is the concretely-typed variant of NewSem.
-func (l *LibC) NewSemaphore(n int) *Semaphore { return &Semaphore{l: l, count: n} }
 
 // Down decrements the semaphore, parking t while the count is zero.
 func (s *Semaphore) Down(t *sched.Thread) {
@@ -239,17 +156,5 @@ func (s *Semaphore) HasWaiters() bool { return s.wq.Len() > 0 }
 
 // Count reports the current count (diagnostics).
 func (s *Semaphore) Count() int { return s.count }
-
-// Mutex is a binary semaphore.
-type Mutex struct{ sem *Semaphore }
-
-// NewMutex creates an unlocked mutex.
-func (l *LibC) NewMutex() *Mutex { return &Mutex{sem: l.NewSemaphore(1)} }
-
-// Lock acquires the mutex, blocking if held.
-func (m *Mutex) Lock(t *sched.Thread) { m.sem.Down(t) }
-
-// Unlock releases the mutex.
-func (m *Mutex) Unlock() { m.sem.Up() }
 
 var _ net.Support = (*LibC)(nil)

@@ -17,6 +17,7 @@ type fixture struct {
 	arena *mem.Arena
 	heap  *mem.Heap
 	reg   *gate.Registry
+	env   *rt.Env
 	libc  *LibC
 	asan  *sh.ASAN
 }
@@ -54,16 +55,16 @@ func newFixture(t *testing.T, split bool, profile sh.Profile) *fixture {
 		Gates: reg, Arena: arena, Alloc: alloc,
 		Hard: sh.NewHardener(clock.CompLibC, profile, asan, cpu),
 	}
-	return &fixture{cpu: cpu, arena: arena, heap: heap, reg: reg, libc: New(env), asan: asan}
+	return &fixture{cpu: cpu, arena: arena, heap: heap, reg: reg, env: env, libc: New(env), asan: asan}
 }
 
 func TestMemcpyMovesBytesAndCharges(t *testing.T) {
 	f := newFixture(t, false, sh.None)
-	src, err := f.libc.Malloc(256)
+	src, err := f.env.Malloc(256)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dst, err := f.libc.Malloc(256)
+	dst, err := f.env.Malloc(256)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,11 +96,11 @@ func TestMemcpyMovesBytesAndCharges(t *testing.T) {
 
 func TestMemcpyASANCatchesOverflow(t *testing.T) {
 	f := newFixture(t, false, sh.Profile{ASAN: true})
-	src, err := f.libc.Malloc(64)
+	src, err := f.env.Malloc(64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dst, err := f.libc.Malloc(32)
+	dst, err := f.env.Malloc(32)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,79 +118,22 @@ func TestMemcpyASANCatchesOverflow(t *testing.T) {
 
 func TestMemsetAndMemcmp(t *testing.T) {
 	f := newFixture(t, false, sh.None)
-	a, _ := f.libc.Malloc(128)
-	b, _ := f.libc.Malloc(128)
+	a, _ := f.env.Malloc(128)
 	if err := f.libc.Memset(a, 0xAB, 128); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.libc.Memset(b, 0xAB, 128); err != nil {
-		t.Fatal(err)
-	}
-	if c, err := f.libc.Memcmp(a, b, 128); err != nil || c != 0 {
-		t.Fatalf("Memcmp equal = %d, %v", c, err)
-	}
-	bb, _ := f.arena.Bytes(b, 128)
-	bb[100] = 0xFF
-	if c, _ := f.libc.Memcmp(a, b, 128); c != -1 {
-		t.Fatalf("Memcmp = %d, want -1", c)
-	}
-	if c, _ := f.libc.Memcmp(b, a, 128); c != 1 {
-		t.Fatalf("Memcmp = %d, want 1", c)
-	}
-	if c, err := f.libc.Memcmp(a, b, 0); err != nil || c != 0 {
-		t.Fatal("zero-length memcmp")
-	}
-}
-
-func TestStrlen(t *testing.T) {
-	f := newFixture(t, false, sh.None)
-	s, _ := f.libc.Malloc(32)
-	b, _ := f.arena.Bytes(s, 32)
-	copy(b, "flexos\x00garbage")
-	n, err := f.libc.Strlen(s, 32)
-	if err != nil || n != 6 {
-		t.Fatalf("Strlen = %d, %v", n, err)
-	}
-	// Unterminated within limit.
-	for i := range b {
-		b[i] = 'x'
-	}
-	if _, err := f.libc.Strlen(s, 16); err == nil {
-		t.Fatal("unterminated string accepted")
-	}
-}
-
-func TestCallocZeroes(t *testing.T) {
-	f := newFixture(t, false, sh.None)
-	p, err := f.libc.Calloc(512)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, _ := f.arena.Bytes(p, 512)
-	for i, v := range b {
-		if v != 0 {
-			t.Fatalf("byte %d = %d", i, v)
+	ab, _ := f.arena.Bytes(a, 128)
+	for i, v := range ab {
+		if v != 0xAB {
+			t.Fatalf("byte %d = %#x after Memset", i, v)
 		}
-	}
-	if err := f.libc.Free(p); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestMallocChargesAllocComponent(t *testing.T) {
-	f := newFixture(t, false, sh.None)
-	if _, err := f.libc.Malloc(64); err != nil {
-		t.Fatal(err)
-	}
-	if f.cpu.Component(clock.CompAlloc) < clock.CostMalloc {
-		t.Fatal("allocator cost not charged to alloc component")
 	}
 }
 
 func TestSemaphoreProducerConsumer(t *testing.T) {
 	f := newFixture(t, false, sh.None)
 	s := sched.NewCScheduler()
-	sem := f.libc.NewSemaphore(0)
+	sem := f.libc.NewSem(0).(*Semaphore)
 	var order []string
 	s.Spawn("consumer", f.cpu.CPU(0), func(th *sched.Thread) {
 		sem.Down(th)
@@ -212,7 +156,7 @@ func TestSemaphoreProducerConsumer(t *testing.T) {
 
 func TestSemaphoreTryDown(t *testing.T) {
 	f := newFixture(t, false, sh.None)
-	sem := f.libc.NewSemaphore(1)
+	sem := f.libc.NewSem(1)
 	if !sem.TryDown() {
 		t.Fatal("TryDown on count 1 failed")
 	}
@@ -227,7 +171,7 @@ func TestSemaphoreCrossesIntoSchedulerCompartment(t *testing.T) {
 	// the boundary.
 	f := newFixture(t, true, sh.None)
 	s := sched.NewCScheduler()
-	sem := f.libc.NewSemaphore(0)
+	sem := f.libc.NewSem(0)
 	s.Spawn("sleeper", f.cpu.CPU(0), func(th *sched.Thread) { sem.Down(th) })
 	s.Spawn("waker", f.cpu.CPU(0), func(th *sched.Thread) { sem.Up() })
 	if err := s.Run(); err != nil {
@@ -243,7 +187,7 @@ func TestUncontendedSemaphoreStaysLocal(t *testing.T) {
 	// not cross into the scheduler.
 	f := newFixture(t, true, sh.None)
 	s := sched.NewCScheduler()
-	sem := f.libc.NewSemaphore(1)
+	sem := f.libc.NewSem(1)
 	s.Spawn("solo", f.cpu.CPU(0), func(th *sched.Thread) {
 		sem.Down(th)
 		sem.Up()
@@ -256,37 +200,9 @@ func TestUncontendedSemaphoreStaysLocal(t *testing.T) {
 	}
 }
 
-func TestMutexMutualExclusion(t *testing.T) {
-	f := newFixture(t, false, sh.None)
-	s := sched.NewCScheduler()
-	mu := f.libc.NewMutex()
-	inside := 0
-	maxInside := 0
-	body := func(th *sched.Thread) {
-		for i := 0; i < 5; i++ {
-			mu.Lock(th)
-			inside++
-			if inside > maxInside {
-				maxInside = inside
-			}
-			th.Yield() // try to provoke interleaving inside the section
-			inside--
-			mu.Unlock()
-		}
-	}
-	s.Spawn("a", f.cpu.CPU(0), body)
-	s.Spawn("b", f.cpu.CPU(0), body)
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if maxInside != 1 {
-		t.Fatalf("max threads in critical section = %d", maxInside)
-	}
-}
-
 func TestSemOpCharges(t *testing.T) {
 	f := newFixture(t, false, sh.None)
-	sem := f.libc.NewSemaphore(1)
+	sem := f.libc.NewSem(1)
 	before := f.cpu.Component(clock.CompLibC)
 	sem.TryDown()
 	if got := f.cpu.Component(clock.CompLibC) - before; got != clock.CostSemOp {

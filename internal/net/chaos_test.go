@@ -192,8 +192,7 @@ func TestNetDeathTypedCause(t *testing.T) {
 	// returns once bytes are handed to the wire, so only a parked
 	// sender is still around to observe the rtx death. Keepalive lets
 	// the server notice its peer vanished and exit cleanly.
-	cfg := Config{RecvBuf: 4096, MaxInflight: 4096,
-		RtxDelayTicks: 10, RtxLimit: 3, KeepaliveTicks: 2_000}
+	cfg := Config{RecvBuf: 4096, RtxDelayTicks: 10, RtxLimit: 3, KeepaliveTicks: 2_000}
 	s, server, client, w := world(t, cfg)
 	const port = 5001
 	l, err := server.stack.Listen(port, 4)
@@ -272,8 +271,7 @@ func TestNetDeathTypedCause(t *testing.T) {
 // a scheduler livelock: before the cap, a crashed receiver kept the
 // probe timer re-arming forever and the run never drained.
 func TestZeroWindowDeathTypedCause(t *testing.T) {
-	cfg := Config{RecvBuf: 2048, MaxInflight: 64 << 10,
-		RtxDelayTicks: 10, RtxLimit: 3}
+	cfg := Config{RecvBuf: 2048, RtxDelayTicks: 10, RtxLimit: 3}
 	s, server, client, _ := world(t, cfg)
 	const port = 5001
 	l, err := server.stack.Listen(port, 4)
@@ -394,8 +392,7 @@ func TestPermanentPartitionIsDeath(t *testing.T) {
 	// Small window + keepalive for the same reasons as
 	// TestNetDeathTypedCause: the sender must park to see the death,
 	// and the server must notice the silence to exit.
-	cfg := Config{RecvBuf: 4096, MaxInflight: 4096,
-		RtxDelayTicks: 10, RtxLimit: 3, KeepaliveTicks: 2_000}
+	cfg := Config{RecvBuf: 4096, RtxDelayTicks: 10, RtxLimit: 3, KeepaliveTicks: 2_000}
 	s, server, client, w := world(t, cfg)
 	const port = 5001
 	l, err := server.stack.Listen(port, 4)

@@ -237,3 +237,79 @@ func TestTCPIPMailboxAbandonsUnwoundRequests(t *testing.T) {
 		}
 	})
 }
+
+// TestTCPIPThreadEndsOnFailedWait pins what a trap on the tcpip
+// thread's own mailbox wait does: the wait never parked, so the thread
+// ends instead of spinning, and every later posted call returns that
+// trap instead of parking for a thread that is gone.
+func TestTCPIPThreadEndsOnFailedWait(t *testing.T) {
+	const port, size = 5001, 512
+	s, server, client := tcpipWorld(t)
+	reg := gate.NewRegistry(client.env.CPU, gate.NewFuncCall(client.env.CPU), gate.NewVMRPC(client.env.CPU), nil)
+	reg.AddCompartment(gate.NewDomain("nw"))
+	reg.AddCompartment(gate.NewDomain("rest"))
+	for lib, comp := range map[string]string{"netstack": "nw", "libc": "rest", "alloc": "rest", "app": "rest", "sched": "rest"} {
+		if err := reg.Assign(lib, comp); err != nil {
+			t.Fatal(err)
+		}
+	}
+	client.env.Gates = reg
+	// The server reads the one Send that reaches the wire: the Close
+	// fails too, so no FIN ever comes.
+	l, err := server.stack.Listen(port, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	received := 0
+	s.Spawn("receiver", server.cpu, func(th *sched.Thread) {
+		conn, err := l.Accept(th)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		buf := server.buf(t, size, 0)
+		for received < size {
+			n, err := conn.Recv(th, buf, size)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			received += n
+		}
+	})
+	s.Spawn("sender", client.cpu, func(th *sched.Thread) {
+		conn, err := client.stack.Connect(th, server.stack.IP(), port)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		out := client.buf(t, size, 1)
+		// The Send's own wait is the first sem_down crossing; the second
+		// is the tcpip thread's next mailbox wait, after it served the
+		// Send.
+		in := fault.NewInjector()
+		in.Arm(fault.Injection{Lib: "libc", Fn: "sem_down", After: 2})
+		reg.SetInjector(in)
+		if n, err := conn.Send(th, out, size); n != size || err != nil {
+			t.Errorf("first Send = %d, %v", n, err)
+			return
+		}
+		trap, ok := fault.As(client.stack.tcpip.err)
+		if !ok || in.Fired() != 1 {
+			t.Errorf("tcpip thread ended with %v after %d injections; want the sem_down trap", client.stack.tcpip.err, in.Fired())
+			return
+		}
+		if n, err := conn.Send(th, out, size); n != 0 || err != error(trap) {
+			t.Errorf("Send after the thread ended = %d, %v; want 0 and %v", n, err, trap)
+		}
+		if err := conn.Close(th); err != error(trap) {
+			t.Errorf("Close after the thread ended = %v; want %v", err, trap)
+		}
+	})
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if received != size {
+		t.Fatalf("received %d bytes, want %d", received, size)
+	}
+}

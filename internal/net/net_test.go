@@ -377,7 +377,7 @@ func TestConnectToClosedPortResets(t *testing.T) {
 func TestFlowControlBlocksSender(t *testing.T) {
 	// Small receive buffer and inflight cap: the sender must block
 	// until the receiver drains.
-	s, server, client, _ := world(t, Config{RecvBuf: 4096, MaxInflight: 4096})
+	s, server, client, _ := world(t, Config{RecvBuf: 4096})
 	const port, total = 5001, 40_000
 	l, _ := server.stack.Listen(port, 4)
 	var received int

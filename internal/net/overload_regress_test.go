@@ -46,7 +46,7 @@ func (f *flakySup) Memcpy(dst, src mem.Addr, n int) error {
 // it: the sender kept believing a full window while the queue sat
 // half-empty, and a stalled sender never woke.
 func TestRecvErrorStillAdvertisesWindow(t *testing.T) {
-	cfg := Config{RecvBuf: 4096, MaxInflight: 4096}
+	cfg := Config{RecvBuf: 4096}
 	sc := sched.NewCScheduler()
 	flaky := &flakySup{}
 	server := newMachineWith(t, sc, IP4(10, 0, 0, 1), cfg, func(a *mem.Arena) Support {
@@ -184,7 +184,7 @@ func splitMachine(t *testing.T, s *sched.CScheduler, ip IPAddr, cfg Config) *mac
 // wake-up left the receiver parked and the transfer wedged in a
 // deadlock.
 func TestWireDeadlineDoesNotLeak(t *testing.T) {
-	cfg := Config{RecvBuf: 8192, MaxInflight: 8192}
+	cfg := Config{RecvBuf: 8192}
 	sc := sched.NewCScheduler()
 	server := splitMachine(t, sc, IP4(10, 0, 0, 1), cfg)
 	client := newMachine(t, sc, IP4(10, 0, 0, 2), cfg)

@@ -261,7 +261,9 @@ func (s *Socket) Recv(t *sched.Thread, dst mem.Addr, n int) (int, error) {
 		if s.rcvEOF {
 			return 0, io.EOF
 		}
-		st.semDown(t, s.rcvSem)
+		if err := st.semDown(t, s.rcvSem); err != nil {
+			return 0, err
+		}
 	}
 	// Drain under a single netstack -> libc crossing: the per-segment
 	// copies are LibC's memcpy (the instrumented hot loop of Table 1),
@@ -410,11 +412,7 @@ func (s *Socket) doSend(t *sched.Thread, src mem.Addr, n int) (int, error) {
 		if s.state != stEstablished && s.state != stCloseWait {
 			return sent, ErrConnClosed
 		}
-		window := s.sndWnd
-		if window > st.maxInflight {
-			window = st.maxInflight
-		}
-		avail := window - s.inflight()
+		avail := s.sndWnd - s.inflight()
 		if avail <= 0 {
 			// A peer advertising a zero window may reopen it with an
 			// ACK the drop model eats — probe so the reopened window is
@@ -422,7 +420,9 @@ func (s *Socket) doSend(t *sched.Thread, src mem.Addr, n int) (int, error) {
 			if s.sndWnd == 0 {
 				st.armZwp(s)
 			}
-			st.semDown(t, s.sndSem)
+			if err := st.semDown(t, s.sndSem); err != nil {
+				return sent, err
+			}
 			continue
 		}
 		chunk := n - sent
@@ -492,7 +492,9 @@ func (s *Socket) Accept(t *sched.Thread) (*Socket, error) {
 		return nil, ErrNotListening
 	}
 	for len(s.acceptQ) == 0 {
-		st.semDown(t, s.acceptSem)
+		if err := st.semDown(t, s.acceptSem); err != nil {
+			return nil, err
+		}
 	}
 	conn := s.acceptQ[0]
 	s.acceptQ = s.acceptQ[1:]

@@ -69,9 +69,6 @@ type Config struct {
 	Platform Platform
 	// RecvBuf is the per-socket receive buffer capacity (default 64 KiB).
 	RecvBuf int
-	// MaxInflight caps unacknowledged bytes per connection
-	// (default 64 KiB).
-	MaxInflight int
 	// RtxDelayTicks is the retransmission timeout in virtual timer
 	// ticks (default 1000).
 	RtxDelayTicks uint64
@@ -137,11 +134,10 @@ type Stack struct {
 	listeners map[uint16]*Socket
 	conns     map[connKey]*Socket
 
-	recvBuf     int
-	maxInflight int
-	rtxDelay    uint64
-	rtxLimit    int
-	keepalive   uint64
+	recvBuf   int
+	rtxDelay  uint64
+	rtxLimit  int
+	keepalive uint64
 
 	restHard   *sh.Hardener
 	mode       SocketMode
@@ -182,9 +178,6 @@ func NewStack(env *rt.Env, sup Support, s sched.Scheduler, cfg Config) *Stack {
 	if cfg.RecvBuf <= 0 {
 		cfg.RecvBuf = 64 << 10
 	}
-	if cfg.MaxInflight <= 0 {
-		cfg.MaxInflight = 64 << 10
-	}
 	if cfg.RtxDelayTicks == 0 {
 		cfg.RtxDelayTicks = 1000
 	}
@@ -203,7 +196,6 @@ func NewStack(env *rt.Env, sup Support, s sched.Scheduler, cfg Config) *Stack {
 		listeners:     make(map[uint16]*Socket),
 		conns:         make(map[connKey]*Socket),
 		recvBuf:       cfg.RecvBuf,
-		maxInflight:   cfg.MaxInflight,
 		rtxDelay:      cfg.RtxDelayTicks,
 		rtxLimit:      cfg.RtxLimit,
 		keepalive:     cfg.KeepaliveTicks,
@@ -509,7 +501,9 @@ func (st *Stack) doConnect(t *sched.Thread, ip IPAddr, port uint16) (*Socket, er
 		return nil, err
 	}
 	for s.state == stSynSent {
-		st.semDown(t, s.connSem)
+		if err := st.semDown(t, s.connSem); err != nil {
+			return nil, err
+		}
 	}
 	if s.sockErr != nil {
 		return nil, s.takeErr()
@@ -599,8 +593,9 @@ func (st *Stack) memcpyIn(dst, src mem.Addr, n int, own rxOwn) error {
 // window update) must never sit in the queue while both ends park —
 // and since delivery is inline, the kick itself may produce the wake
 // this thread was about to sleep for, hence the second TryDown. It
-// returns the error of the sem_down crossing: a trapped crossing
-// returns before t ever parked.
+// returns the error of the sem_down crossing: a trapped crossing, or
+// one into a degraded libc compartment, returns before t ever parked,
+// so a caller that waited again would spin without yielding.
 func (st *Stack) semDown(t *sched.Thread, sem Sem) error {
 	if sem.TryDown() {
 		return nil

@@ -73,6 +73,9 @@ type tcpipState struct {
 	// free holds the requests whose callers have returned, each with
 	// its semaphore at count 0, ready for the next post.
 	free []*apiReq
+	// err is the failed wait that ended the thread; every later post
+	// returns it rather than queue for a thread that is gone.
+	err error
 }
 
 // StartTCPIP spawns the stack's tcpip thread as a daemon on the given
@@ -90,7 +93,12 @@ func (st *Stack) StartTCPIP(s sched.Scheduler) {
 	// per-CPU by design, so work stealing must never migrate it.
 	ts.thread = s.Spawn("tcpip:"+st.ip.String(), st.env.CPU.CPU(0), func(t *sched.Thread) {
 		for {
-			st.semDown(t, ts.reqSem)
+			// A failed wait never parked, and waiting again would spin:
+			// the thread ends, leaving the error to later posts.
+			if err := st.semDown(t, ts.reqSem); err != nil {
+				ts.err = err
+				return
+			}
 			if len(ts.reqs) == 0 {
 				continue
 			}
@@ -144,8 +152,13 @@ func (st *Stack) request() *apiReq {
 // half-run, is abandoned rather than handed to a later post. A wait
 // that traps never parked, so the tcpip thread has not run r: it comes
 // off the mailbox unrun, is abandoned too, and the trap is returned.
+// Once a failed wait has ended the tcpip thread, r is abandoned unqueued
+// and that failure is returned.
 func (st *Stack) post(t *sched.Thread, r *apiReq) (int, error) {
 	ts := st.tcpip
+	if ts.err != nil {
+		return 0, ts.err
+	}
 	r.pending = true
 	ts.reqs = append(ts.reqs, r)
 	st.semUp(ts.reqSem)

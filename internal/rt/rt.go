@@ -96,14 +96,9 @@ func (e *Env) resolve(to string) (callee, error) {
 // Charge attributes cycles to this library.
 func (e *Env) Charge(cycles uint64) { e.CPU.Charge(e.Comp, cycles) }
 
-// Call routes a call from this library to a function in lib `to`,
-// through the gate the builder instantiated for the pair.
-func (e *Env) Call(to string, argWords int, fn func() error) error {
-	return e.route(to, "", gate.CallFrame{ArgWords: argWords, RetWords: 1}, fn)
-}
-
-// CallFn is Call with the callee function named, so that dynamic
-// metadata generation can record the call edge.
+// CallFn routes a call from this library to function fnName in lib
+// `to`, through the gate the builder instantiated for the pair. The
+// name lets dynamic metadata generation record the call edge.
 func (e *Env) CallFn(to, fnName string, argWords int, fn func() error) error {
 	return e.route(to, fnName, gate.CallFrame{ArgWords: argWords, RetWords: 1}, fn)
 }

@@ -79,7 +79,7 @@ func TestGlobalAllocRoutesThroughGate(t *testing.T) {
 func TestCallRoutesFromOwnLib(t *testing.T) {
 	env, reg, _ := newEnv(t, true, true)
 	called := false
-	if err := env.Call("alloc", 1, func() error { called = true; return nil }); err != nil {
+	if err := env.CallFn("alloc", "malloc", 1, func() error { called = true; return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if !called || reg.Crossings("c0", "c1") != 1 {
@@ -114,7 +114,7 @@ func TestUnassignedCalleeSameError(t *testing.T) {
 		}
 		called := false
 		fn := func() error { called = true; return nil }
-		if err := env.Call("ghost", 1, fn); err == nil || err.Error() != want {
+		if err := env.CallFn("ghost", "recv", 1, fn); err == nil || err.Error() != want {
 			t.Errorf("supervised=%v: Call error %v, want %q", supervised, err, want)
 		}
 		calls := []BatchCall{{Fn: fn}, {Fn: fn}}
