@@ -113,8 +113,9 @@ type Route struct {
 	// Crosses reports whether the route crosses a compartment boundary.
 	Crosses bool
 
-	reg  *Registry
-	rows []*LedgerRow // per vCPU: the row this route's crossings book
+	reg    *Registry
+	shares bool         // payload buffers reach the callee by reference
+	rows   []*LedgerRow // per vCPU: the row this route's crossings book
 }
 
 // Resolve binds a caller and a callee library to their route. A pair
@@ -134,7 +135,8 @@ func (r *Registry) Resolve(fromLib, toLib string) (*Route, error) {
 	}
 	from, to := r.domains[cf], r.domains[ct]
 	ro := &Route{FromLib: fromLib, ToLib: toLib, From: from, To: to, Crosses: from != to,
-		reg: r, rows: make([]*LedgerRow, r.clk.NCPU())}
+		reg: r, shares: from == to || r.cross.Backend().Transfer() == TransferShare,
+		rows: make([]*LedgerRow, r.clk.NCPU())}
 	r.routes[key] = ro
 	return ro, nil
 }
@@ -142,10 +144,8 @@ func (r *Registry) Resolve(fromLib, toLib string) (*Route, error) {
 // SharesByReference reports whether payload buffers attached to a call
 // on the route reach the callee without being copied: either both
 // libraries live in the same compartment, or the crossing backend's
-// transfer policy is by-reference.
-func (ro *Route) SharesByReference() bool {
-	return !ro.Crosses || ro.reg.cross.Backend().Transfer() == TransferShare
-}
+// transfer policy is by-reference. Resolve decides it once.
+func (ro *Route) SharesByReference() bool { return ro.shares }
 
 // CallWithFrame routes a cross-library call: the uk_gate placeholder
 // at run time. fromLib is the calling library, toLib the callee; the

@@ -16,6 +16,11 @@ type BufRef struct {
 	Addr Addr
 	Len  int
 	Cap  int
+	// slab is the 1-based index of the slab's record in the issuing
+	// pool's table, 0 for none. It is the simulator's host-side handle
+	// on the record, not part of the simulated descriptor: it occupies
+	// no frame word and costs no cycle.
+	slab uint32
 }
 
 // Valid reports whether b describes a plausible buffer. It does not prove
@@ -53,10 +58,12 @@ func classOf(n int) int {
 	return len(poolClasses)
 }
 
-// poolSlab is one live buffer's record, kept by value in the live map:
-// a Get, Ref or Release writes the record back instead of allocating
-// one per buffer.
+// poolSlab is one slab's record in the pool's table. A class slab
+// keeps its record for the pool's lifetime, live or on its free list;
+// an oversize carve's record is reused by the next carve once the carve
+// goes back to the allocator. refs is 0 while the slab is not live.
 type poolSlab struct {
+	addr Addr
 	cap  int
 	refs int
 	seq  uint64 // allocation sequence number, for PoolMark windows
@@ -72,9 +79,11 @@ type poolSlab struct {
 // a workload has drained.
 type SharedPool struct {
 	alloc Allocator
-	free  [len(poolClasses)][]Addr // per-class free lists
-	live  map[Addr]poolSlab
-	seq   uint64 // next allocation sequence number
+	slabs []poolSlab                 // slab records; BufRef.slab indexes it from 1
+	free  [len(poolClasses)][]uint32 // per-class free lists of record indices
+	spare []uint32                   // records of released oversize carves
+	live  int                        // live slabs
+	seq   uint64                     // next allocation sequence number
 	stats PoolStats
 	sink  *trace.Sink
 }
@@ -84,11 +93,7 @@ type SharedPool struct {
 // boundaries. Lifecycle events (buf-alloc, buf-ref, buf-release) go to
 // sink, which may be nil.
 func NewSharedPool(a Allocator, sink *trace.Sink) *SharedPool {
-	return &SharedPool{
-		alloc: a,
-		live:  make(map[Addr]poolSlab),
-		sink:  sink,
-	}
+	return &SharedPool{alloc: a, sink: sink}
 }
 
 func (p *SharedPool) emit(kind string, addr Addr, n int) {
@@ -105,39 +110,65 @@ func (p *SharedPool) Get(n int) (BufRef, error) {
 	}
 	size := max(n, 1)
 	ci := classOf(size)
+	var id uint32
 	if ci < len(poolClasses) {
 		size = poolClasses[ci] // an oversize request is carved exactly
+		if fl := p.free[ci]; len(fl) > 0 {
+			id = fl[len(fl)-1]
+			p.free[ci] = fl[:len(fl)-1]
+			p.stats.Recycles++
+		}
 	}
-	var addr Addr
-	if ci < len(poolClasses) && len(p.free[ci]) > 0 {
-		fl := p.free[ci]
-		addr = fl[len(fl)-1]
-		p.free[ci] = fl[:len(fl)-1]
-		p.stats.Recycles++
-	} else {
-		var err error
-		addr, err = p.alloc.Alloc(size)
+	if id == 0 {
+		addr, err := p.alloc.Alloc(size)
 		if err != nil {
 			p.stats.FailedGets++
 			return BufRef{}, err
 		}
+		id = p.record(addr, size)
 	}
-	p.live[addr] = poolSlab{cap: size, refs: 1, seq: p.seq}
+	s := &p.slabs[id-1]
+	s.refs, s.seq = 1, p.seq
 	p.seq++
+	p.live++
 	p.stats.Gets++
-	p.emit("buf-alloc", addr, size)
-	return BufRef{Addr: addr, Len: n, Cap: size}, nil
+	p.emit("buf-alloc", s.addr, size)
+	return BufRef{Addr: s.addr, Len: n, Cap: size, slab: id}, nil
+}
+
+// record files a freshly carved slab in the table, in a released
+// oversize carve's record when there is one, and returns its index.
+func (p *SharedPool) record(addr Addr, size int) uint32 {
+	if n := len(p.spare); n > 0 {
+		id := p.spare[n-1]
+		p.spare = p.spare[:n-1]
+		p.slabs[id-1] = poolSlab{addr: addr, cap: size}
+		return id
+	}
+	p.slabs = append(p.slabs, poolSlab{addr: addr, cap: size})
+	return uint32(len(p.slabs))
+}
+
+// slab returns b's record if b names a live slab at b.Addr, else nil.
+func (p *SharedPool) slab(b BufRef) *poolSlab {
+	i := int(b.slab) - 1
+	if i < 0 || i >= len(p.slabs) {
+		return nil
+	}
+	if s := &p.slabs[i]; s.refs > 0 && s.addr == b.Addr {
+		return s
+	}
+	return nil
 }
 
 // Ref takes an additional reference on b, pinning it across a handoff
 // (e.g. while a descriptor sits in the tcpip thread's mailbox).
 func (p *SharedPool) Ref(b BufRef) error {
-	s, ok := p.live[b.Addr]
-	if !ok {
+	s := p.slab(b)
+	if s == nil {
 		return fmt.Errorf("mem: ref of non-live buffer %#x", uint64(b.Addr))
 	}
 	s.refs++
-	p.live[b.Addr] = s
 	p.stats.Refs++
 	p.emit("buf-ref", b.Addr, s.cap)
 	return nil
@@ -147,29 +178,30 @@ func (p *SharedPool) Ref(b BufRef) error {
 // is recycled onto its class free list (or returned to the allocator for
 // oversize carves) and recycled=true is reported.
 func (p *SharedPool) Release(b BufRef) (recycled bool, err error) {
-	s, ok := p.live[b.Addr]
-	if !ok {
+	s := p.slab(b)
+	if s == nil {
 		return false, fmt.Errorf("mem: release of non-live buffer %#x", uint64(b.Addr))
 	}
 	s.refs--
 	p.stats.Releases++
 	p.emit("buf-release", b.Addr, s.cap)
 	if s.refs > 0 {
-		p.live[b.Addr] = s
 		return false, nil
 	}
-	delete(p.live, b.Addr)
-	return true, p.recycle(b.Addr, s.cap)
+	return true, p.recycle(b.slab)
 }
 
-// recycle puts a dead slab back on its class free list, or hands an
-// oversize carve back to the allocator.
-func (p *SharedPool) recycle(addr Addr, size int) error {
-	if ci := classOf(size); ci < len(poolClasses) {
-		p.free[ci] = append(p.free[ci], addr)
+// recycle retires the dead slab of record id: a class slab goes back
+// on its class free list, an oversize carve back to the allocator.
+func (p *SharedPool) recycle(id uint32) error {
+	p.live--
+	s := &p.slabs[id-1]
+	if ci := classOf(s.cap); ci < len(poolClasses) {
+		p.free[ci] = append(p.free[ci], id)
 		return nil
 	}
-	return p.alloc.Free(addr)
+	p.spare = append(p.spare, id)
+	return p.alloc.Free(s.addr)
 }
 
 // PoolMark is a point in the pool's allocation sequence (see Mark).
@@ -188,41 +220,38 @@ func (p *SharedPool) Mark() PoolMark { return PoolMark(p.seq) }
 // lists, so Outstanding/OutstandingRefs drop accordingly — the leak
 // accounting a recovered run must still pass.
 func (p *SharedPool) ReleaseSince(mark PoolMark) (bufs, refs int) {
-	var addrs []Addr
-	for addr, s := range p.live {
-		if s.seq >= uint64(mark) {
-			addrs = append(addrs, addr)
+	var ids []uint32
+	for i, s := range p.slabs {
+		if s.refs > 0 && s.seq >= uint64(mark) {
+			ids = append(ids, uint32(i+1))
 		}
 	}
-	// Deterministic teardown order, independent of map iteration.
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
-	for _, addr := range addrs {
-		s := p.live[addr]
+	// Deterministic teardown order: ascending address.
+	sort.Slice(ids, func(i, j int) bool { return p.slabs[ids[i]-1].addr < p.slabs[ids[j]-1].addr })
+	for _, id := range ids {
+		s := &p.slabs[id-1]
 		bufs++
 		refs += s.refs
+		s.refs = 0
 		p.stats.Reclaims++
-		p.emit("buf-release", addr, s.cap)
-		delete(p.live, addr)
+		p.emit("buf-release", s.addr, s.cap)
 		// An error here would mean the pool's own bookkeeping is
 		// corrupt.
-		_ = p.recycle(addr, s.cap)
+		_ = p.recycle(id)
 	}
 	return bufs, refs
 }
 
-// Owns reports whether addr names a live pool buffer.
-func (p *SharedPool) Owns(addr Addr) bool {
-	_, ok := p.live[addr]
-	return ok
-}
+// Owns reports whether b names a live pool buffer.
+func (p *SharedPool) Owns(b BufRef) bool { return p.slab(b) != nil }
 
 // Outstanding is the number of live (not yet fully released) buffers.
-func (p *SharedPool) Outstanding() int { return len(p.live) }
+func (p *SharedPool) Outstanding() int { return p.live }
 
 // OutstandingRefs is the total reference count across live buffers.
 func (p *SharedPool) OutstandingRefs() int {
 	n := 0
-	for _, s := range p.live {
+	for _, s := range p.slabs {
 		n += s.refs
 	}
 	return n

@@ -28,7 +28,7 @@ func TestPoolReleaseSinceWindow(t *testing.T) {
 		t.Fatalf("ReleaseSince = (%d bufs, %d refs), want (3, 4)", bufs, refs)
 	}
 	// The pre-mark buffer survives the teardown untouched.
-	if p.Outstanding() != 1 || !p.Owns(before.Addr) {
+	if p.Outstanding() != 1 || !p.Owns(before) {
 		t.Fatalf("pre-mark buffer lost: outstanding=%d", p.Outstanding())
 	}
 	if st := p.Stats(); st.Reclaims != 3 {
@@ -63,7 +63,7 @@ func TestPoolReleaseSinceEmptyWindow(t *testing.T) {
 	if bufs, refs := p.ReleaseSince(p.Mark()); bufs != 0 || refs != 0 {
 		t.Fatalf("empty window reclaimed (%d, %d)", bufs, refs)
 	}
-	if !p.Owns(b.Addr) {
+	if !p.Owns(b) {
 		t.Fatal("pre-mark buffer force-released by empty window")
 	}
 }

@@ -1,6 +1,9 @@
 package mem
 
 import (
+	"fmt"
+	"slices"
+	"strings"
 	"testing"
 
 	"flexos/internal/clock"
@@ -26,7 +29,7 @@ func TestPoolGetReleaseRecycles(t *testing.T) {
 	if !b.Valid() || b.Len != 1500 || b.Cap != 2<<10 {
 		t.Fatalf("bad descriptor: %+v", b)
 	}
-	if !p.Owns(b.Addr) || p.Outstanding() != 1 || p.OutstandingRefs() != 1 {
+	if !p.Owns(b) || p.Outstanding() != 1 || p.OutstandingRefs() != 1 {
 		t.Fatalf("accounting off after get: out=%d refs=%d", p.Outstanding(), p.OutstandingRefs())
 	}
 	recycled, err := p.Release(b)
@@ -66,7 +69,7 @@ func TestPoolRefPinsBuffer(t *testing.T) {
 	if recycled, _ := p.Release(b); recycled {
 		t.Fatal("buffer recycled while pinned")
 	}
-	if !p.Owns(b.Addr) {
+	if !p.Owns(b) {
 		t.Fatal("pinned buffer no longer live")
 	}
 	if recycled, _ := p.Release(b); !recycled {
@@ -119,6 +122,185 @@ func TestPoolTracerSeesLifecycle(t *testing.T) {
 	for i := range want {
 		if kinds[i] != want[i] {
 			t.Fatalf("event %d = %q want %q (all: %v)", i, kinds[i], want[i], kinds)
+		}
+	}
+}
+
+// TestPoolWarmCycleAllocatesNothing: once a size class has a recycled
+// slab, a Get, Ref, Release, Release cycle finds its record by the
+// descriptor's index and allocates nothing.
+func TestPoolWarmCycleAllocatesNothing(t *testing.T) {
+	p, _ := poolArena(t)
+	b, err := p.Get(1500)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Release(b); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		b, err := p.Get(1500)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := p.Ref(b); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := p.Release(b); err != nil {
+			t.Fatal(err)
+		}
+		if recycled, err := p.Release(b); err != nil || !recycled {
+			t.Fatalf("final release: recycled=%v err=%v", recycled, err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("warm pool cycle allocates %.1f objects, want 0", allocs)
+	}
+}
+
+// TestPoolRejectsNonLiveDescriptors: a descriptor that names no live
+// slab fails Ref and Release with the non-live error, Owns reports it
+// dead, and neither call moves the leak accounting.
+func TestPoolRejectsNonLiveDescriptors(t *testing.T) {
+	p, _ := poolArena(t)
+	live, err := p.Get(64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	twice, err := p.Get(1500)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Release(twice); err != nil {
+		t.Fatal(err)
+	}
+	oversize, err := p.Get(200 << 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Release(oversize); err != nil {
+		t.Fatal(err)
+	}
+	// A released carve whose record the next carve takes over: the
+	// live neighbour keeps the freed span too small for it, so the new
+	// carve lands at another address.
+	moved, err := p.Get(200 << 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	neighbour, err := p.Get(200 << 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Release(moved); err != nil {
+		t.Fatal(err)
+	}
+	taker, err := p.Get(300 << 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if taker.Addr == moved.Addr {
+		t.Fatalf("larger carve reused the freed span at %#x", uint64(moved.Addr))
+	}
+	for _, b := range []BufRef{live, neighbour, taker} {
+		if !p.Owns(b) {
+			t.Fatalf("Owns is false for the live descriptor %#x", uint64(b.Addr))
+		}
+	}
+	out, refs := p.Outstanding(), p.OutstandingRefs()
+	for _, tc := range []struct {
+		name string
+		b    BufRef
+	}{
+		{"zero descriptor", BufRef{}},
+		{"released twice", twice},
+		{"oversize carve after its release", oversize},
+		{"oversize carve whose record moved to another address", moved},
+	} {
+		if p.Owns(tc.b) {
+			t.Errorf("%s: Owns is true", tc.name)
+		}
+		if err := p.Ref(tc.b); err == nil || !strings.Contains(err.Error(), "ref of non-live buffer") {
+			t.Errorf("%s: Ref err = %v, want the non-live error", tc.name, err)
+		}
+		if _, err := p.Release(tc.b); err == nil || !strings.Contains(err.Error(), "release of non-live buffer") {
+			t.Errorf("%s: Release err = %v, want the non-live error", tc.name, err)
+		}
+		if p.Outstanding() != out || p.OutstandingRefs() != refs {
+			t.Errorf("%s: accounting moved: out=%d refs=%d, want %d/%d",
+				tc.name, p.Outstanding(), p.OutstandingRefs(), out, refs)
+		}
+	}
+}
+
+// TestPoolReleaseSinceAscendingAddresses: teardown reclaims every
+// buffer allocated since the mark with all its references, and emits
+// their releases in ascending address order even where the pool's
+// table lists them in another order (a carve that took over a
+// released carve's record lies past a later slab).
+func TestPoolReleaseSinceAscendingAddresses(t *testing.T) {
+	_, h := poolArena(t)
+	sink := trace.NewSink(clock.NewMachine(1))
+	ring := trace.NewRing(64)
+	sink.Attach(ring)
+	p := NewSharedPool(h, sink)
+	pre, err := p.Get(64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mark := p.Mark()
+	low, err := p.Get(256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	carve, err := p.Get(200 << 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mid, err := p.Get(256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Release(carve); err != nil {
+		t.Fatal(err)
+	}
+	high, err := p.Get(300 << 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !(low.Addr < mid.Addr && mid.Addr < high.Addr) {
+		t.Fatalf("addresses %#x %#x %#x, want the new carve past the later slab",
+			uint64(low.Addr), uint64(mid.Addr), uint64(high.Addr))
+	}
+	if err := p.Ref(mid); err != nil {
+		t.Fatal(err)
+	}
+	before := len(ring.Events())
+	bufs, refs := p.ReleaseSince(mark)
+	if bufs != 3 || refs != 4 {
+		t.Fatalf("ReleaseSince = (%d bufs, %d refs), want (3, 4)", bufs, refs)
+	}
+	var notes []string
+	for _, e := range ring.Events()[before:] {
+		if e.Kind != "buf-release" {
+			t.Fatalf("teardown emitted %q", e.Kind)
+		}
+		notes = append(notes, e.Note)
+	}
+	want := []string{
+		fmt.Sprintf("%#x+256", low.Addr),
+		fmt.Sprintf("%#x+256", mid.Addr),
+		fmt.Sprintf("%#x+%d", high.Addr, 300<<10),
+	}
+	if !slices.Equal(notes, want) {
+		t.Fatalf("teardown events %v, want ascending addresses %v", notes, want)
+	}
+	if p.Outstanding() != 1 || p.OutstandingRefs() != 1 || !p.Owns(pre) {
+		t.Fatalf("pre-mark buffer lost: out=%d refs=%d", p.Outstanding(), p.OutstandingRefs())
+	}
+	for _, b := range []BufRef{low, mid, high} {
+		if p.Owns(b) {
+			t.Fatalf("reclaimed descriptor %#x still owned", uint64(b.Addr))
 		}
 	}
 }

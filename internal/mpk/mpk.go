@@ -166,19 +166,20 @@ func (s SealPolicy) sealExtraCycles() uint64 {
 // domain switch on one vCPU must never change what another vCPU may
 // touch.
 type Unit struct {
-	arena  *mem.Arena
-	clk    *clock.Machine
-	pkru   []PKRU // indexed by vCPU id
-	policy SealPolicy
-	sealed map[PKRU]bool // registered values when sealing is active
-	writes uint64
-	faults uint64
+	arena   *mem.Arena
+	clk     *clock.Machine
+	pkru    []PKRU // indexed by vCPU id
+	policy  SealPolicy
+	sealed  [mem.NumKeys]PKRU // registered values, sealed[:nsealed]
+	nsealed int               // sealing is active once nonzero
+	writes  uint64
+	faults  uint64
 }
 
 // New creates an MPK unit over the arena, charging gate costs to clk.
 // Every vCPU's initial PKRU permits everything (the boot state).
 func New(a *mem.Arena, clk *clock.Machine) *Unit {
-	return &Unit{arena: a, clk: clk, pkru: make([]PKRU, clk.NCPU()), sealed: make(map[PKRU]bool)}
+	return &Unit{arena: a, clk: clk, pkru: make([]PKRU, clk.NCPU())}
 }
 
 // cur returns a pointer to the current vCPU's PKRU register.
@@ -190,9 +191,31 @@ func (u *Unit) SetPolicy(p SealPolicy) { u.policy = p }
 // Policy reports the active PKRU-integrity policy.
 func (u *Unit) Policy() SealPolicy { return u.policy }
 
-// RegisterDomain records a legitimate PKRU value; under SealStatic and
-// SealPageTable only registered values may be written.
-func (u *Unit) RegisterDomain(p PKRU) { u.sealed[p] = true }
+// RegisterDomain records a legitimate PKRU value; once one is
+// registered, every policy rejects a write of an unregistered value.
+// A machine registers one value per compartment, and an MPK image has
+// at most mem.NumKeys-1 compartments, so a distinct value beyond the
+// table's mem.NumKeys slots is a builder bug and panics.
+func (u *Unit) RegisterDomain(p PKRU) {
+	if u.registered(p) {
+		return
+	}
+	if u.nsealed == len(u.sealed) {
+		panic(fmt.Sprintf("mpk: more than %d sealed domains", len(u.sealed)))
+	}
+	u.sealed[u.nsealed] = p
+	u.nsealed++
+}
+
+// registered reports whether p was registered with RegisterDomain.
+func (u *Unit) registered(p PKRU) bool {
+	for _, q := range u.sealed[:u.nsealed] {
+		if q == p {
+			return true
+		}
+	}
+	return false
+}
 
 // PKRU reports the current vCPU's register value.
 func (u *Unit) PKRU() PKRU { return *u.cur() }
@@ -215,11 +238,11 @@ func (u *Unit) Faults() uint64 { return u.faults }
 func (u *Unit) WritePKRU(p PKRU) error {
 	u.clk.Charge(clock.CompGate, clock.CostWRPKRU+u.policy.sealExtraCycles())
 	u.writes++
-	if u.policy != SealRuntime && len(u.sealed) > 0 && !u.sealed[p] {
+	if u.nsealed > 0 && !u.registered(p) {
+		if u.policy == SealRuntime {
+			return fmt.Errorf("mpk: %v rejected by runtime check", p)
+		}
 		return fmt.Errorf("mpk: %v rejected by %v sealing", p, u.policy)
-	}
-	if u.policy == SealRuntime && len(u.sealed) > 0 && !u.sealed[p] {
-		return fmt.Errorf("mpk: %v rejected by runtime check", p)
 	}
 	*u.cur() = p
 	return nil

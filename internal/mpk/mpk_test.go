@@ -219,6 +219,30 @@ func TestSealingPolicies(t *testing.T) {
 	}
 }
 
+// TestSealedTableHoldsEveryKeyDomain registers one single-key domain
+// per protection key, each twice (a repeat takes no slot), and checks
+// every policy still admits exactly the registered values.
+func TestSealedTableHoldsEveryKeyDomain(t *testing.T) {
+	for _, pol := range []SealPolicy{SealStatic, SealRuntime, SealPageTable} {
+		u, _, _ := newUnit(t)
+		u.SetPolicy(pol)
+		for k := mem.Key(0); k < mem.NumKeys; k++ {
+			u.RegisterDomain(DomainPKRU(k))
+			u.RegisterDomain(DomainPKRU(k))
+		}
+		for k := mem.Key(0); k < mem.NumKeys; k++ {
+			if err := u.WritePKRU(DomainPKRU(k)); err != nil {
+				t.Fatalf("%v: registered domain of key %d rejected: %v", pol, k, err)
+			}
+		}
+		for _, evil := range []PKRU{PermitAll, DomainPKRU(1, 2), DenyAll().AllowRead(3)} {
+			if err := u.WritePKRU(evil); err == nil {
+				t.Fatalf("%v: unregistered %v accepted", pol, evil)
+			}
+		}
+	}
+}
+
 func TestNoSealingWithoutRegistration(t *testing.T) {
 	// Before any domain is registered, boot code may write PKRU freely.
 	u, _, _ := newUnit(t)

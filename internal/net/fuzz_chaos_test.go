@@ -3,6 +3,7 @@ package net
 import (
 	"testing"
 
+	"flexos/internal/mem"
 	"flexos/internal/sched"
 )
 
@@ -67,7 +68,7 @@ func FuzzEstablishedSegments(f *testing.F) {
 		// Handshake by hand: SYN in, then ACK the stack's SYN-ACK using
 		// the white-box initial send sequence.
 		m.stack.input(mkFrame(peerISS, 0, flagSYN, 0))
-		sock := m.stack.conns[connKey{80, peerIP, peerPort}]
+		sock := m.stack.conns[keyOf(80, peerIP, peerPort)]
 		if sock == nil {
 			t.Fatal("SYN produced no connection")
 		}
@@ -75,7 +76,7 @@ func FuzzEstablishedSegments(f *testing.F) {
 		if sock.state != stEstablished {
 			t.Fatalf("handshake left state %v", sock.state)
 		}
-		dst := m.buf(t, 4096, 0)
+		dst := mem.BufRef{Addr: m.buf(t, 4096, 0), Len: 4096, Cap: 4096}
 		baseline := m.heap.Stats().LiveBytes
 		streamStart := sock.rcvNxt
 		ackNo := sock.sndNxt
@@ -115,11 +116,11 @@ func FuzzEstablishedSegments(f *testing.F) {
 		// at its stream offset.
 		delivered := uint32(0)
 		for {
-			n, err := sock.TryRecv(nil, dst, 4096)
+			n, err := sock.TryRecvRef(nil, dst)
 			if err != nil || n == 0 {
 				break
 			}
-			got, err := m.arena.Bytes(dst, n)
+			got, err := m.arena.Bytes(dst.Addr, n)
 			if err != nil {
 				t.Fatal(err)
 			}

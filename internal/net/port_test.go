@@ -144,3 +144,78 @@ func TestAllocPortExhaustion(t *testing.T) {
 		t.Fatalf("got %v, want ErrNoPorts", err)
 	}
 }
+
+// TestPortHeldByAcceptedConnections: accepted connections share their
+// listener's local port, each under its own demux key, and keep it in
+// use after the listener closes — until the last of them leaves the
+// demux table. allocPort skips the port exactly as long as portInUse
+// reports it held.
+func TestPortHeldByAcceptedConnections(t *testing.T) {
+	s, server, client, _ := world(t, Config{})
+	const port = 50000 // inside the dynamic range allocPort hands out
+	const conns = 3
+	l, err := server.stack.Listen(port, conns)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var accepted []*Socket
+	s.Spawn("server", server.cpu, func(th *sched.Thread) {
+		for i := 0; i < conns; i++ {
+			conn, err := l.Accept(th)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			accepted = append(accepted, conn)
+		}
+		if err := l.Close(th); err != nil {
+			t.Error(err)
+		}
+	})
+	s.Spawn("client", client.cpu, func(th *sched.Thread) {
+		for i := 0; i < conns; i++ {
+			if _, err := client.stack.Connect(th, server.stack.IP(), port); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	})
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	st := server.stack
+	if len(accepted) != conns || len(st.conns) != conns {
+		t.Fatalf("accepted %d connections, %d in the demux table, want %d", len(accepted), len(st.conns), conns)
+	}
+	for _, c := range accepted {
+		if c.localPort != port || c.key().localPort() != port {
+			t.Fatalf("accepted connection on local port %d (key %d), want the listener's %d",
+				c.localPort, c.key().localPort(), port)
+		}
+		if st.conns[c.key()] != c {
+			t.Fatalf("connection from remote port %d missing from the demux table", c.remotePort)
+		}
+	}
+	if _, ok := st.listeners[port]; ok {
+		t.Fatal("closed listener still registered")
+	}
+	for _, c := range accepted {
+		if !st.portInUse(port) || st.portInUse(port+1) {
+			t.Fatalf("with %d connections on %d: portInUse(%d)=%v portInUse(%d)=%v",
+				len(st.conns), port, port, st.portInUse(port), port+1, st.portInUse(port+1))
+		}
+		st.nextEphemeral = port
+		if p, err := st.allocPort(); err != nil || p != port+1 {
+			t.Fatalf("with %d connections on %d: allocPort = %d, %v, want %d",
+				len(st.conns), port, p, err, port+1)
+		}
+		delete(st.conns, c.key())
+	}
+	if st.portInUse(port) {
+		t.Fatal("port still in use with no connection on it")
+	}
+	st.nextEphemeral = port
+	if p, err := st.allocPort(); err != nil || p != port {
+		t.Fatalf("free port: allocPort = %d, %v, want %d", p, err, port)
+	}
+}

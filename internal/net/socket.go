@@ -339,26 +339,11 @@ func dropSegs(q []seg, k int) []seg {
 	return q[:n]
 }
 
-// TryRecv is Recv without blocking: it drains whatever payload is
-// already queued and returns 0 (with a nil error) when nothing is.
+// TryRecvRef is RecvRef without blocking: it drains whatever payload
+// is already queued and returns 0 (with a nil error) when nothing is.
 // The vectored recv path uses it for the frames after the first — one
 // blocking call establishes that a burst arrived, the rest of the
 // batch takes only what that burst already delivered.
-func (s *Socket) TryRecv(t *sched.Thread, dst mem.Addr, n int) (int, error) {
-	if s.sockErr != nil {
-		return 0, s.takeErr()
-	}
-	if len(s.rcvQ) == 0 {
-		if s.rcvEOF {
-			return 0, io.EOF
-		}
-		return 0, nil
-	}
-	return s.Recv(t, dst, n)
-}
-
-// TryRecvRef is TryRecv with the destination described by a pool
-// buffer descriptor (see RecvRef).
 func (s *Socket) TryRecvRef(t *sched.Thread, b mem.BufRef) (int, error) {
 	if s.sockErr != nil {
 		return 0, s.takeErr()
@@ -379,7 +364,7 @@ func (s *Socket) TryRecvRef(t *sched.Thread, b mem.BufRef) (int, error) {
 // counter, like the semaphore fast paths.
 func (s *Socket) RecvRef(t *sched.Thread, b mem.BufRef) (int, error) {
 	st := s.stack
-	if p := st.env.Pool; p != nil && p.Owns(b.Addr) {
+	if p := st.env.Pool; p != nil && p.Owns(b) {
 		if err := p.Ref(b); err != nil {
 			return 0, err
 		}
@@ -446,7 +431,7 @@ func (s *Socket) doSend(t *sched.Thread, src mem.Addr, n int) (int, error) {
 // the lifetime problem descriptor passing introduces and the refcount
 // solves.
 func (s *Socket) SendRef(t *sched.Thread, b mem.BufRef, n int) (int, error) {
-	if p := s.stack.env.Pool; p != nil && b.Valid() && p.Owns(b.Addr) {
+	if p := s.stack.env.Pool; p != nil && b.Valid() && p.Owns(b) {
 		if err := p.Ref(b); err != nil {
 			return 0, err
 		}

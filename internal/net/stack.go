@@ -54,12 +54,20 @@ type Stats struct {
 	NetDeaths uint64
 }
 
-// connKey demultiplexes established connections.
-type connKey struct {
-	localPort  uint16
-	remoteIP   IPAddr
-	remotePort uint16
+// connKey demultiplexes established connections: the local port,
+// remote IP and remote port packed into one word, so the demux map
+// hashes a uint64.
+type connKey uint64
+
+func keyOf(localPort uint16, remoteIP IPAddr, remotePort uint16) connKey {
+	return connKey(localPort)<<48 | connKey(remoteIP)<<16 | connKey(remotePort)
 }
+
+// localPort is the local port packed into k.
+func (k connKey) localPort() uint16 { return uint16(k >> 48) }
+
+// key is s's demux key.
+func (s *Socket) key() connKey { return keyOf(s.localPort, s.remoteIP, s.remotePort) }
 
 // Config tunes a Stack.
 type Config struct {
@@ -496,7 +504,7 @@ func (st *Stack) doConnect(t *sched.Thread, ip IPAddr, port uint16) (*Socket, er
 	s.iss = st.nextISN()
 	s.sndUna = s.iss
 	s.sndNxt = s.iss
-	st.conns[connKey{s.localPort, ip, port}] = s
+	st.conns[s.key()] = s
 	if err := st.sendFlags(s, flagSYN); err != nil {
 		return nil, err
 	}
@@ -552,7 +560,7 @@ func (st *Stack) portInUse(p uint16) bool {
 		return true
 	}
 	for k := range st.conns {
-		if k.localPort == p {
+		if k.localPort() == p {
 			return true
 		}
 	}
@@ -961,7 +969,7 @@ func (st *Stack) abort(s *Socket, err error) {
 	st.semUp(s.rcvSem)
 	st.semUp(s.sndSem)
 	st.semUp(s.connSem)
-	delete(st.conns, connKey{s.localPort, s.remoteIP, s.remotePort})
+	delete(st.conns, s.key())
 }
 
 // releaseOOO returns every buffered out-of-order segment to its
@@ -1031,8 +1039,7 @@ func (st *Stack) input(frame []byte) {
 		return
 	}
 	st.stats.SegsIn++
-	key := connKey{h.DstPort, h.SrcIP, h.SrcPort}
-	if s, ok := st.conns[key]; ok {
+	if s, ok := st.conns[keyOf(h.DstPort, h.SrcIP, h.SrcPort)]; ok {
 		retained = st.process(s, &h, len(payload), own)
 		return
 	}
@@ -1066,7 +1073,7 @@ func (st *Stack) acceptSYN(l *Socket, h *header) {
 	s.sndNxt = s.iss
 	s.sndWnd = int(h.Wnd)
 	s.listener = l
-	st.conns[connKey{s.localPort, s.remoteIP, s.remotePort}] = s
+	st.conns[s.key()] = s
 	if err := st.sendFlags(s, flagSYN|flagACK); err != nil {
 		st.abort(s, err)
 	}
@@ -1145,7 +1152,7 @@ func (st *Stack) process(s *Socket, h *header, payloadLen int, own rxOwn) bool {
 			s.state = stCloseWait
 		} else if s.state == stFinSent {
 			s.state = stClosed
-			delete(st.conns, connKey{s.localPort, s.remoteIP, s.remotePort})
+			delete(st.conns, s.key())
 		}
 		_ = st.sendFlags(s, flagACK)
 		st.semUp(s.rcvSem)
@@ -1197,7 +1204,7 @@ func (st *Stack) processAck(s *Socket, h *header, payloadLen int) {
 			// received: the connection is fully closed.
 			s.state = stClosed
 			st.releaseOOO(s)
-			delete(st.conns, connKey{s.localPort, s.remoteIP, s.remotePort})
+			delete(st.conns, s.key())
 		}
 	case h.Ack == s.sndUna && payloadLen == 0 && len(s.rtx) > 0 &&
 		int(h.Wnd) == prevWnd && prevWnd > 0 && !h.has(flagSYN) && !h.has(flagFIN):

@@ -68,7 +68,7 @@ func TestBatchBreakerOpenFailsEveryFrameFast(t *testing.T) {
 	var ran []int
 	calls := batchOf(3, &ran, nil)
 	before := cpu.Component(clock.CompFault)
-	s.SuperviseBatch(ro, "recv", calls)
+	s.superviseBatch(s.comp("nw"), ro, "recv", calls)
 
 	if len(ran) != 0 || reg.TotalCrossings() != 0 {
 		t.Fatalf("batch crossed an open breaker (ran %v, %d crossings)", ran, reg.TotalCrossings())
@@ -104,7 +104,7 @@ func TestBatchTrapContainsToOneFrame(t *testing.T) {
 		}
 		return nil
 	})
-	s.SuperviseBatch(ro, "recv", calls)
+	s.superviseBatch(s.comp("nw"), ro, "recv", calls)
 
 	if !slices.Equal(ran, []int{0, 1, 2}) {
 		t.Fatalf("frames run = %v, want all 3 once each (no replay under abort)", ran)
@@ -138,7 +138,7 @@ func TestBatchRestartRetriesOneFrameSolo(t *testing.T) {
 		}
 		return nil
 	})
-	s.SuperviseBatch(ro, "recv", calls)
+	s.superviseBatch(s.comp("nw"), ro, "recv", calls)
 
 	if !slices.Equal(ran, []int{0, 1, 2, 1}) {
 		t.Fatalf("frames run = %v, want the batch [0 1 2] then frame 1 replayed", ran)
@@ -175,7 +175,7 @@ func TestBatchDeadlineExpiryShedsOneFrame(t *testing.T) {
 		calls[i].Frame.Deadline = dl
 	}
 	before := cpu.Component(clock.CompFault)
-	s.SuperviseBatch(ro, "recv", calls)
+	s.superviseBatch(s.comp("nw"), ro, "recv", calls)
 
 	if !slices.Equal(ran, []int{0, 2}) {
 		t.Fatalf("frames run = %v, want [0 2]", ran)
@@ -217,7 +217,7 @@ func TestBatchDegradedFailsWholeBatch(t *testing.T) {
 
 	var ran []int
 	calls := batchOf(2, &ran, nil)
-	s.SuperviseBatch(ro, "recv", calls)
+	s.superviseBatch(s.comp("nw"), ro, "recv", calls)
 	if len(ran) != 0 || reg.TotalCrossings() != 0 {
 		t.Fatalf("batch crossed into a degraded compartment (ran %v, %d crossings)", ran, reg.TotalCrossings())
 	}

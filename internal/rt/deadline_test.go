@@ -91,7 +91,7 @@ func TestBudgetRefusesExpensiveCrossing(t *testing.T) {
 	// refusing late work must stay far cheaper than doing it.
 	ran := false
 	before := cpu.Cycles()
-	err := env.WithBudget(th, 10, func() error {
+	err := env.WithDeadline(th, env.CPU.Cycles()+10, func() error {
 		return env.CallFn("alloc", "malloc", 1, func() error { ran = true; return nil })
 	})
 	tr, ok := fault.As(err)
@@ -108,7 +108,7 @@ func TestBudgetRefusesExpensiveCrossing(t *testing.T) {
 
 	// An ample budget admits the same crossing.
 	ran = false
-	if err := env.WithBudget(th, 1_000_000, func() error {
+	if err := env.WithDeadline(th, env.CPU.Cycles()+1_000_000, func() error {
 		return env.CallFn("alloc", "malloc", 1, func() error { ran = true; return nil })
 	}); err != nil || !ran {
 		t.Fatalf("ample budget: err = %v, ran = %v", err, ran)
@@ -123,7 +123,7 @@ func TestDeadlinePropagatesToNestedCrossings(t *testing.T) {
 	// the same absolute deadline and is refused.
 	var nestedErr error
 	nested := false
-	err := env.WithBudget(th, 200_000, func() error {
+	err := env.WithDeadline(th, env.CPU.Cycles()+200_000, func() error {
 		return env.CallFn("alloc", "malloc", 1, func() error {
 			cpu.Charge(clock.CompAlloc, 300_000)
 			nestedErr = env.CallFn("alloc", "free", 1, func() error { nested = true; return nil })
@@ -147,7 +147,7 @@ func TestDirectGateIgnoresDeadline(t *testing.T) {
 	env, th, _ := deadlineEnv(t)
 	ran := false
 	// netstack->netstack stays on the direct gate.
-	if err := env.WithBudget(th, 1, func() error {
+	if err := env.WithDeadline(th, env.CPU.Cycles()+1, func() error {
 		return env.CallFn("netstack", "input", 1, func() error { ran = true; return nil })
 	}); err != nil || !ran {
 		t.Fatalf("direct gate: err = %v, ran = %v", err, ran)

@@ -85,6 +85,11 @@ func (s *Supervisor) BreakerState(comp string) string {
 	}
 }
 
+// admits reports whether c arms admission at all: deadline shedding or
+// a circuit breaker. A crossing into a compartment that arms neither
+// skips admit and release, which would do nothing for it.
+func (c *compState) admits() bool { return c.overload || c.breaker.Threshold != 0 }
+
 // admit applies c's circuit breaker, then its admission, to one
 // crossing carrying the given absolute deadline (0 = none). An
 // admitted call must release; a rejected one gets the typed error to

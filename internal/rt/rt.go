@@ -54,7 +54,7 @@ type Env struct {
 	// Cur, when non-nil, reports the scheduler's currently-running
 	// thread. Routed calls inherit that thread's Deadline onto their
 	// gate frame, which is how a budget set at the top of a request
-	// (WithBudget) propagates through nested cross-compartment calls.
+	// (WithDeadline) propagates through nested cross-compartment calls.
 	Cur func() *sched.Thread
 	// Batching maps compartment name -> configured batch depth (the
 	// `batch <comp> <depth>` configfile directive): calls crossing into
@@ -67,12 +67,14 @@ type Env struct {
 }
 
 // callee is one library this library has called: the gate route the
-// registry resolved for the pair and the batch depth of the callee's
-// compartment. Libraries never move after boot, so both hold for the
-// image's lifetime.
+// registry resolved for the pair, the batch depth of the callee's
+// compartment and, on a supervised machine, the supervisor's record of
+// that compartment. Libraries never move after boot, so all three hold
+// for the image's lifetime.
 type callee struct {
 	route *gate.Route
 	depth int
+	sup   *compState
 }
 
 // resolve returns the callee entry for lib `to`, resolving its route on
@@ -89,6 +91,9 @@ func (e *Env) resolve(to string) (callee, error) {
 		return callee{}, err
 	}
 	c := callee{route: ro, depth: max(e.Batching[ro.To.Name], 1)}
+	if e.Sup != nil {
+		c.sup = e.Sup.comp(ro.To.Name)
+	}
 	e.callees = append(e.callees, c)
 	return c, nil
 }
@@ -112,24 +117,21 @@ func (e *Env) CallFrame(to, fnName string, frame gate.CallFrame, fn func() error
 // route dispatches through the callee's gate route, under the
 // machine's fault supervisor when one is attached: the supervisor
 // applies the callee compartment's admission and breaker before the
-// gate and its fault policy to any trap the call raises. The frame inherits the
-// current thread's deadline, so nested calls stay under the original
-// budget.
+// gate and its fault policy to any trap the call raises. The frame
+// inherits the current thread's deadline, so nested calls stay under
+// the original budget.
 func (e *Env) route(to, fnName string, frame gate.CallFrame, fn func() error) error {
 	c, err := e.resolve(to)
 	if err != nil {
 		return err
 	}
-	ro := c.route
 	if frame.Deadline == 0 {
 		frame.Deadline = e.currentDeadline()
 	}
 	if e.Sup == nil {
-		return ro.Call(fnName, frame, fn)
+		return c.route.Call(fnName, frame, fn)
 	}
-	return e.Sup.SuperviseCall(ro.To.Name, frame.Deadline, ro.Crosses, func() error {
-		return ro.Call(fnName, frame, fn)
-	})
+	return e.Sup.supervise(c.sup, c.route.Crosses, c.route, fnName, frame, fn)
 }
 
 // BatchDepth reports how many frames a call from this library into lib
@@ -185,7 +187,7 @@ func (e *Env) CallBatch(to, fnName string, calls []BatchCall) {
 		c.route.CallBatch(fnName, calls)
 		return
 	}
-	e.Sup.SuperviseBatch(c.route, fnName, calls)
+	e.Sup.superviseBatch(c.sup, c.route, fnName, calls)
 }
 
 // currentDeadline reports the running thread's deadline (0 if no
@@ -200,18 +202,12 @@ func (e *Env) currentDeadline() uint64 {
 	return 0
 }
 
-// WithBudget runs fn with thread t's deadline tightened to at most
-// budget cycles from now. Every gate call fn issues (directly or
-// nested) carries the resulting absolute deadline; isolating gates
-// refuse crossings past it with a KindDeadline trap.
-func (e *Env) WithBudget(t *sched.Thread, budget uint64, fn func() error) error {
-	return e.WithDeadline(t, e.CPU.Cycles()+budget, fn)
-}
-
 // WithDeadline runs fn with thread t's absolute deadline set; the
 // tightest of the new and any enclosing deadline wins, and the
 // previous deadline is restored on return (including panic unwind).
-// A nil thread runs fn without a deadline.
+// A nil thread runs fn without a deadline. Every gate call fn issues
+// (directly or nested) carries the deadline; isolating gates refuse
+// crossings past it with a KindDeadline trap.
 func (e *Env) WithDeadline(t *sched.Thread, deadline uint64, fn func() error) error {
 	if t == nil {
 		return fn()

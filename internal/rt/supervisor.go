@@ -48,7 +48,7 @@ type SupervisorStats struct {
 }
 
 // Supervisor drives per-compartment fault policy on one machine. Every
-// Env routes its gate calls through SuperviseCall; when a call comes
+// Env routes its gate calls through the supervisor; when a call comes
 // back with a fault.Trap raised by the callee compartment, the
 // supervisor applies the compartment's configured policy: propagate
 // (abort), tear down and replay (restart), or fail the compartment fast
@@ -65,8 +65,10 @@ type Supervisor struct {
 }
 
 // compState is everything the supervisor holds for one compartment.
-// A compartment with nothing configured has no record: its calls skip
-// admission and breaker feedback, and its traps abort.
+// Configuration makes the record, or else the first route resolved
+// into the compartment does; an Env's callee keeps a pointer to it. A
+// record nothing configured has policy abort, no admission and no
+// breaker.
 type compState struct {
 	name     string
 	policy   fault.Policy
@@ -89,7 +91,7 @@ func NewSupervisor(cpu *clock.Machine, pool *mem.SharedPool, sink *trace.Sink) *
 	return &Supervisor{cpu: cpu, pool: pool, sink: sink, comps: make(map[string]*compState)}
 }
 
-// comp returns comp's record, creating it on first configuration.
+// comp returns comp's record, creating it on first use.
 func (s *Supervisor) comp(name string) *compState {
 	c := s.comps[name]
 	if c == nil {
@@ -143,39 +145,62 @@ func (s *Supervisor) mark() mem.PoolMark {
 	return s.pool.Mark()
 }
 
-// SuperviseCall runs one gate call into compartment toComp, carrying
-// the routed frame's absolute deadline (0 = none), and applies toComp's
-// fault policy to any trap the callee raised. Traps from deeper
-// compartments (already handled by a nested SuperviseCall closer to the
-// fault) pass through untouched. Admission and circuit breakers sit
-// in front of *isolating* gates, so intra-compartment calls
-// (crossing=false) skip them — a compartment cannot shed calls from
-// itself — while the fault-policy machinery still applies.
-func (s *Supervisor) SuperviseCall(toComp string, deadline uint64, crossing bool, call func() error) error {
-	c := s.comps[toComp]
-	if c != nil && c.degraded != nil {
-		return &fault.DegradedError{Comp: toComp, Cause: c.degraded}
+// supervise runs one call into the compartment of record c — through
+// route ro, or fn alone when ro is nil — carrying the frame's absolute
+// deadline (0 = none), and applies c's fault policy to any trap the
+// callee raised. Traps from deeper compartments (already handled by a
+// nested supervised call closer to the fault) pass through untouched.
+// Admission and circuit breakers sit in front of *isolating* gates, so
+// intra-compartment calls (crossing=false) skip them — a compartment
+// cannot shed calls from itself — while the fault-policy machinery
+// still applies. A clean call runs admission only when c arms it and
+// gives breaker feedback only on a crossing; only a failed call builds
+// its retry and enters settle.
+func (s *Supervisor) supervise(c *compState, crossing bool, ro *gate.Route, fnName string, frame gate.CallFrame, fn func() error) error {
+	if c.degraded != nil {
+		return &fault.DegradedError{Comp: c.name, Cause: c.degraded}
 	}
-	if crossing && c != nil {
-		if err := s.admit(c, deadline); err != nil {
+	if crossing && c.admits() {
+		if err := s.admit(c, frame.Deadline); err != nil {
 			return err
 		}
 		defer s.release(c)
 	}
 	mark := s.mark()
-	return s.settle(c, toComp, crossing, mark, call(), call)
+	if err := invoke(ro, fnName, frame, fn); err != nil {
+		return s.settle(c, crossing, mark, err, func() error { return invoke(ro, fnName, frame, fn) })
+	}
+	if crossing {
+		s.breakerOK(c)
+	}
+	return nil
 }
 
-// settle classifies one supervised call's outcome and applies toComp's
-// fault policy: breaker feedback on success, the cheap rejection path
-// for deadline misses, and the abort/restart/degrade machinery for
-// traps. c is toComp's record (nil when nothing is configured); retry
-// replays the call for the restart policy; mark bounds what teardown
-// may reclaim. SuperviseCall settles every call through here, and
-// SuperviseBatch settles each frame of a batch — which is what makes
-// containment per-frame: one trapped frame reaches its own settle with
-// its own retry, the rest of the batch settles clean.
-func (s *Supervisor) settle(c *compState, toComp string, crossing bool, mark mem.PoolMark, err error, retry func() error) error {
+// invoke runs fn through route ro, or alone when ro is nil.
+func invoke(ro *gate.Route, fnName string, frame gate.CallFrame, fn func() error) error {
+	if ro == nil {
+		return fn()
+	}
+	return ro.Call(fnName, frame, fn)
+}
+
+// SuperviseCall runs call as one supervised call into compartment
+// toComp (see supervise), for a caller that holds no route.
+func (s *Supervisor) SuperviseCall(toComp string, deadline uint64, crossing bool, call func() error) error {
+	return s.supervise(s.comp(toComp), crossing, nil, "", gate.CallFrame{Deadline: deadline}, call)
+}
+
+// settle classifies one supervised call's outcome and applies the
+// fault policy of c's compartment: breaker feedback on success, the
+// cheap rejection path for deadline misses, and the
+// abort/restart/degrade machinery for traps. retry replays the call
+// for the restart policy; mark bounds what teardown may reclaim.
+// supervise settles every failed call through here, and superviseBatch
+// settles each frame of a batch — which is what makes containment
+// per-frame: one trapped frame reaches its own settle with its own
+// retry, the rest of the batch settles clean.
+func (s *Supervisor) settle(c *compState, crossing bool, mark mem.PoolMark, err error, retry func() error) error {
+	toComp := c.name
 	// Only crossings feed the breaker, as only crossings are admitted.
 	var brk *compState
 	if crossing {
@@ -202,11 +227,7 @@ func (s *Supervisor) settle(c *compState, toComp string, crossing bool, mark mem
 	s.cpu.Charge(clock.CompFault, clock.CostFaultTrap)
 	s.emitTrap("fault", toComp, t)
 	s.breakerFail(brk)
-	policy := fault.PolicyAbort
-	if c != nil {
-		policy = c.policy
-	}
-	switch policy {
+	switch c.policy {
 	case fault.PolicyRestart:
 		for attempt := 1; attempt <= maxRestartAttempts; attempt++ {
 			start := s.cpu.Cycles()
@@ -253,21 +274,20 @@ func (s *Supervisor) settle(c *compState, toComp string, crossing bool, mark mem
 	}
 }
 
-// SuperviseBatch applies the supervisor's whole surface — degradation,
+// superviseBatch applies the supervisor's whole surface — degradation,
 // admission, circuit breakers, fault policy — *per frame* around one
-// batched crossing of route ro. The calls arrive with Err nil and
-// leave with one outcome each. A frame admission or the breaker
-// rejects carries its typed ShedError/BreakerOpenError into the batch
-// (charged per frame, exactly as if each had been a separate call), and
-// the gate skips it. Every admitted frame's outcome is settled
-// individually, so one trapped frame aborts or restarts alone; a
-// restart replays that frame solo through the route.
-func (s *Supervisor) SuperviseBatch(ro *gate.Route, fnName string, calls []gate.BatchCall) {
-	toComp := ro.To.Name
-	c := s.comps[toComp]
-	if c != nil && c.degraded != nil {
+// batched crossing of route ro into the compartment of record c. The
+// calls arrive with Err nil and leave with one outcome each. A frame
+// admission or the breaker rejects carries its typed
+// ShedError/BreakerOpenError into the batch (charged per frame, exactly
+// as if each had been a separate call), and the gate skips it. Every
+// admitted frame's outcome is settled individually, so one trapped
+// frame aborts or restarts alone; a restart replays that frame solo
+// through the route.
+func (s *Supervisor) superviseBatch(c *compState, ro *gate.Route, fnName string, calls []gate.BatchCall) {
+	if c.degraded != nil {
 		for i := range calls {
-			calls[i].Err = &fault.DegradedError{Comp: toComp, Cause: c.degraded}
+			calls[i].Err = &fault.DegradedError{Comp: c.name, Cause: c.degraded}
 		}
 		return
 	}
@@ -275,7 +295,7 @@ func (s *Supervisor) SuperviseBatch(ro *gate.Route, fnName string, calls []gate.
 	// first refusal, so a fully admitted batch allocates nothing.
 	var refused []bool
 	admitted := len(calls)
-	if ro.Crosses && c != nil {
+	if ro.Crosses && c.admits() {
 		for i := range calls {
 			if err := s.admit(c, calls[i].Frame.Deadline); err != nil {
 				if refused == nil {
@@ -302,7 +322,7 @@ func (s *Supervisor) SuperviseBatch(ro *gate.Route, fnName string, calls []gate.
 		// ran: teardown of one trapped frame must never reclaim buffers
 		// that surviving frames of the same batch handed to their
 		// callers.
-		calls[i].Err = s.settle(c, toComp, ro.Crosses, s.mark(), calls[i].Err, func() error {
+		calls[i].Err = s.settle(c, ro.Crosses, s.mark(), calls[i].Err, func() error {
 			return ro.Call(fnName, calls[i].Frame, calls[i].Fn)
 		})
 	}

@@ -117,7 +117,7 @@ func TestSuperviseRestartPreservesPreCallBuffers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !pool.Owns(pre.Addr) {
+	if !pool.Owns(pre) {
 		t.Fatal("teardown reclaimed a pre-call buffer")
 	}
 }
@@ -260,5 +260,40 @@ func TestSupervisorTracerSeesLifecycle(t *testing.T) {
 	want := []string{"fault", "recover"}
 	if len(kinds) != len(want) || kinds[0] != want[0] || kinds[1] != want[1] {
 		t.Fatalf("tracer events = %v, want %v", kinds, want)
+	}
+}
+
+// TestRouteRecordFollowsLaterConfiguration: a route resolved into a
+// compartment nothing configured makes the compartment's record, which
+// behaves like no configuration (the trap aborts), and policy set
+// after that reaches the same record, so the route's next trap
+// restarts.
+func TestRouteRecordFollowsLaterConfiguration(t *testing.T) {
+	env, _, cpu := deadlineEnv(t)
+	s := NewSupervisor(cpu, nil, nil)
+	env.Sup = s
+	trap := func() error { return &fault.Trap{Comp: "c1", Kind: fault.KindMPK, PC: "c0->c1"} }
+	if err := env.CallFn("alloc", "malloc", 1, trap); err == nil {
+		t.Fatal("trapped call returned nil")
+	}
+	if st := s.Stats(); st.Traps != 1 || st.Aborts != 1 || st.Retries != 0 {
+		t.Fatalf("unconfigured compartment: stats = %+v, want one aborted trap", st)
+	}
+	if _, degraded := s.Degraded("c1"); degraded || s.BreakerState("c1") != "" {
+		t.Fatal("unconfigured record reports a degradation or a breaker")
+	}
+	s.SetPolicy("c1", fault.PolicyRestart)
+	attempt := 0
+	if err := env.CallFn("alloc", "malloc", 1, func() error {
+		attempt++
+		if attempt == 1 {
+			return trap()
+		}
+		return nil
+	}); err != nil {
+		t.Fatalf("restart policy set after the route resolved did not recover: %v", err)
+	}
+	if st := s.Stats(); st.Recoveries != 1 || attempt != 2 {
+		t.Fatalf("recoveries = %d after %d attempts, want 1 after 2", st.Recoveries, attempt)
 	}
 }

@@ -72,7 +72,7 @@ func TestContractViolationBeatsDeadlock(t *testing.T) {
 func TestTimerCallbackPanicReturnsError(t *testing.T) {
 	s := NewCScheduler()
 	tr := &fault.Trap{Comp: "nw", Kind: fault.KindInjected}
-	s.Timers().After(10, func() { panic(tr) })
+	armAfter(s.Timers(), 10, func() { panic(tr) })
 	err := s.Run()
 	var crash *ThreadCrash
 	if !errors.As(err, &crash) || crash.Thread != "timer" {
@@ -91,7 +91,7 @@ func TestTimerCallbackContractViolation(t *testing.T) {
 	cpu := clock.New()
 	var sleeper *Thread
 	sleeper = s.Spawn("sleeper", cpu, func(th *Thread) { th.Park() })
-	s.Timers().After(10, func() {
+	armAfter(s.Timers(), 10, func() {
 		s.CorruptQueueForDemo(sleeper) // queues a Blocked thread
 		sleeper.Wake()                 // wake(post) invariant check fires
 	})

@@ -220,8 +220,12 @@ func TestWaitQueueFIFO(t *testing.T) {
 		q.Signal()
 		q.Signal()
 		th.Yield()
-		if n := q.Broadcast(); n != 1 {
-			t.Errorf("Broadcast woke %d, want 1", n)
+		n := 0
+		for q.Signal() {
+			n++
+		}
+		if n != 1 {
+			t.Errorf("draining Signal woke %d, want 1", n)
 		}
 	})
 	if err := s.Run(); err != nil {
@@ -243,9 +247,9 @@ func TestTimersFireInOrder(t *testing.T) {
 	cpu := clock.New()
 	var fired []uint64
 	s.Spawn("main", cpu, func(th *Thread) {
-		s.Timers().After(30, func() { fired = append(fired, 30) })
-		s.Timers().After(10, func() { fired = append(fired, 10) })
-		s.Timers().After(20, func() { fired = append(fired, 20) })
+		armAfter(s.Timers(), 30, func() { fired = append(fired, 30) })
+		armAfter(s.Timers(), 10, func() { fired = append(fired, 10) })
+		armAfter(s.Timers(), 20, func() { fired = append(fired, 20) })
 	})
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
@@ -263,7 +267,7 @@ func TestTimerStop(t *testing.T) {
 	cpu := clock.New()
 	fired := false
 	s.Spawn("main", cpu, func(th *Thread) {
-		tm := s.Timers().After(5, func() { fired = true })
+		tm := armAfter(s.Timers(), 5, func() { fired = true })
 		tm.Stop()
 	})
 	if err := s.Run(); err != nil {
@@ -283,7 +287,7 @@ func TestTimerWakesParkedThread(t *testing.T) {
 	woke := false
 	var sleeper *Thread
 	sleeper = s.Spawn("sleeper", cpu, func(th *Thread) {
-		s.Timers().After(100, func() { sleeper.Wake() })
+		armAfter(s.Timers(), 100, func() { sleeper.Wake() })
 		th.Park()
 		woke = true
 	})

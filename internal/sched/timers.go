@@ -39,13 +39,6 @@ func (ts *Timers) NewTimer(fn func()) *Timer {
 	return &Timer{fn: fn, ts: ts, idx: -1}
 }
 
-// After schedules fn to run delay ticks from now.
-func (ts *Timers) After(delay uint64, fn func()) *Timer {
-	t := ts.NewTimer(fn)
-	t.Reset(delay)
-	return t
-}
-
 // Pending reports the number of live pending timers.
 func (ts *Timers) Pending() int { return len(ts.heap) }
 
@@ -63,9 +56,9 @@ func (t *Timer) Stop() {
 
 // Reset (re-)arms t to fire delay ticks from now, whether it is
 // pending, fired or stopped. It orders exactly like a Stop followed by
-// an After with the same callback: the timer takes a fresh arming
-// sequence number, so it fires after every timer already due on the
-// same tick.
+// arming a new timer with the same callback: the timer takes a fresh
+// arming sequence number, so it fires after every timer already due on
+// the same tick.
 func (t *Timer) Reset(delay uint64) {
 	t.Stop()
 	ts := t.ts

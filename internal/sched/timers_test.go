@@ -6,6 +6,13 @@ import (
 	"testing"
 )
 
+// armAfter makes a timer on ts that runs fn delay ticks from now.
+func armAfter(ts *Timers, delay uint64, fn func()) *Timer {
+	t := ts.NewTimer(fn)
+	t.Reset(delay)
+	return t
+}
+
 // timerModel is the reference the heap must agree with: the live
 // timers, kept as a plain list and fired by sorting on (At, seq), which
 // is the rule the wheel has always documented.
@@ -54,7 +61,7 @@ func cmpU64(a, b uint64) int {
 	return 0
 }
 
-// TestTimersMatchModel drives seeded random sequences of After, Stop,
+// TestTimersMatchModel drives seeded random sequences of arming, Stop,
 // Reset and fires (some callbacks re-arming their own timer, as the
 // network stack's retransmission timer does) through the heap and the
 // reference model side by side: every fire must pick the same timer,
@@ -72,7 +79,7 @@ func TestTimersMatchModel(t *testing.T) {
 			if rng.Intn(4) == 0 {
 				rearm[id] = uint64(1 + rng.Intn(20))
 			}
-			timers = append(timers, ts.After(delay, func() {
+			timers = append(timers, armAfter(ts, delay, func() {
 				fired = append(fired, id)
 				if d, ok := rearm[id]; ok && rng.Intn(2) == 0 {
 					timers[id].Reset(d)
@@ -135,7 +142,7 @@ func TestTimersStopFreesAtOnce(t *testing.T) {
 	ts := newTimers()
 	fn := func() { t.Error("a stopped timer fired") }
 	for i := 0; i < 10_000; i++ {
-		ts.After(uint64(i%97), fn).Stop()
+		armAfter(ts, uint64(i%97), fn).Stop()
 	}
 	if ts.Pending() != 0 || len(ts.heap) != 0 {
 		t.Fatalf("after 10000 arm/stop cycles: pending %d, heap %d entries", ts.Pending(), len(ts.heap))

@@ -30,13 +30,3 @@ func (q *WaitQueue) Signal() bool {
 	t.Wake()
 	return true
 }
-
-// Broadcast wakes every waiter and reports how many were woken.
-func (q *WaitQueue) Broadcast() int {
-	n := len(q.waiters)
-	for _, t := range q.waiters {
-		t.Wake()
-	}
-	q.waiters = nil
-	return n
-}
