@@ -119,11 +119,12 @@ func FuzzChecksum(f *testing.F) {
 	})
 }
 
-// BenchmarkTransportChecksum sums a short segment (a header plus a
-// small request) and a full-MSS segment, the two sizes the bulk and
+// BenchmarkTransportChecksum sums a bare header (the IPv4 header every
+// frame verifies, and a pure ACK), a short segment (a header plus a
+// small request) and a full-MSS segment, the sizes the bulk and
 // request/response workloads put on the wire.
 func BenchmarkTransportChecksum(b *testing.B) {
-	for _, n := range []int{40, TCPHdrLen + MSS} {
+	for _, n := range []int{20, 40, TCPHdrLen + MSS} {
 		seg := make([]byte, n)
 		rand.New(rand.NewSource(int64(n))).Read(seg)
 		b.Run(fmt.Sprintf("%dB", n), func(b *testing.B) {

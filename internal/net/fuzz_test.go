@@ -165,3 +165,79 @@ func TestInputDropsUDPAsMalformed(t *testing.T) {
 		t.Fatalf("rx buffer leaked: %d live bytes, want %d", got, baseline)
 	}
 }
+
+// TestInputDropsTCPOptions: the stack sends no TCP options and takes
+// none. An in-sequence segment with a valid checksum whose data offset
+// is 6 (four option bytes before the data) must be dropped as
+// malformed on an established connection, counted in DroppedIn and not
+// as a checksum failure, leaving the receive sequence and queue as
+// they were and releasing its rx buffer: the option bytes are never
+// delivered as data. Every other offset is malformed too.
+func TestInputDropsTCPOptions(t *testing.T) {
+	s, server, client, _ := world(t, Config{})
+	const port = 5001
+	l, err := server.stack.Listen(port, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Spawn("server", server.cpu, func(th *sched.Thread) {
+		conn, err := l.Accept(th)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		h := header{
+			SrcIP: conn.remoteIP, DstIP: server.stack.IP(),
+			SrcPort: conn.remotePort, DstPort: port,
+			Seq: conn.rcvNxt, Ack: conn.sndNxt, Flags: flagACK | flagPSH, Wnd: 4096,
+		}
+		opts := []byte{1, 1, 1, 0} // NOP, NOP, NOP, end of option list
+		seg := append(opts, "data after the options"...)
+		frame := make([]byte, HdrLen+len(seg))
+		if _, err := encodeFrame(frame, h, seg); err != nil {
+			t.Error(err)
+			return
+		}
+		tcp := frame[EtherHdrLen+IPHdrLen:]
+		withOffset := func(off byte) {
+			tcp[12] = off << 4
+			binary.BigEndian.PutUint16(tcp[16:18], 0)
+			binary.BigEndian.PutUint16(tcp[16:18], transportChecksum(h.SrcIP, h.DstIP, protoTCP, tcp))
+		}
+		for off := byte(0); off < 16; off++ {
+			withOffset(off)
+			_, _, err := decodeFrame(frame)
+			if off == 5 && err != nil || off != 5 && !errors.Is(err, ErrMalformed) {
+				t.Errorf("data offset %d: decodeFrame err = %v", off, err)
+			}
+		}
+		withOffset(6)
+		before := server.stack.Stats()
+		rcvNxt, queued, segs := conn.rcvNxt, conn.rcvQueued, len(conn.rcvQ)
+		live := server.heap.Stats().LiveBytes
+		server.stack.input(frame)
+		after := server.stack.Stats()
+		if after.DroppedIn != before.DroppedIn+1 {
+			t.Errorf("DroppedIn %d -> %d, want one drop", before.DroppedIn, after.DroppedIn)
+		}
+		if after.ChecksumDrops != before.ChecksumDrops {
+			t.Errorf("ChecksumDrops %d -> %d: a valid segment counted as corrupt",
+				before.ChecksumDrops, after.ChecksumDrops)
+		}
+		if conn.rcvNxt != rcvNxt || conn.rcvQueued != queued || len(conn.rcvQ) != segs {
+			t.Errorf("receive side moved: rcvNxt %d -> %d, queued %d -> %d, segments %d -> %d",
+				rcvNxt, conn.rcvNxt, queued, conn.rcvQueued, segs, len(conn.rcvQ))
+		}
+		if got := server.heap.Stats().LiveBytes; got != live {
+			t.Errorf("rx buffer leaked: %d live bytes, want %d", got, live)
+		}
+	})
+	s.Spawn("client", client.cpu, func(th *sched.Thread) {
+		if _, err := client.stack.Connect(th, server.stack.IP(), port); err != nil {
+			t.Error(err)
+		}
+	})
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -84,46 +84,56 @@ func (h *header) has(flag uint8) bool { return h.Flags&flag != 0 }
 
 // encodeFrame writes a full Ethernet+IPv4+TCP frame into buf, which
 // must be at least HdrLen+len(payload) long, and returns the frame
-// length. Checksums over the IP header and the TCP segment are
-// computed for real.
+// length. Both checksums are real RFC 1071 sums of what goes on the
+// wire, but the encoder takes the headers' share from the values it
+// writes rather than reading the bytes back: the IPv4 checksum is
+// summed from its fields alone, and the TCP sum starts from the
+// pseudo-header plus the TCP header's fields, so onesSum reads only
+// the payload.
 func encodeFrame(buf []byte, h header, payload []byte) (int, error) {
 	total := HdrLen + len(payload)
 	if len(buf) < total {
 		return 0, fmt.Errorf("%w: frame buffer too small (%d < %d)", ErrMalformed, len(buf), total)
 	}
-	// Ethernet: synthetic MACs derived from IPs.
-	copy(buf[0:6], macFor(h.DstIP))
-	copy(buf[6:12], macFor(h.SrcIP))
+	// Ethernet: synthetic MACs, 02:00 followed by the IP address.
+	buf[0], buf[1] = 0x02, 0x00
+	binary.BigEndian.PutUint32(buf[2:6], uint32(h.DstIP))
+	buf[6], buf[7] = 0x02, 0x00
+	binary.BigEndian.PutUint32(buf[8:12], uint32(h.SrcIP))
 	binary.BigEndian.PutUint16(buf[12:14], etherTypeIPv4)
 
-	// IPv4.
+	// IPv4: version 4, IHL 5, no TOS, id 0, don't-fragment, TTL 64.
+	// Each 32-bit address counts as its two 16-bit halves (see onesSum).
+	const verIHL, flagsDF, ttlProto = 0x4500, 0x4000, 64<<8 | protoTCP
 	ip := buf[EtherHdrLen:]
-	ip[0] = 0x45 // version 4, IHL 5
-	ip[1] = 0
-	binary.BigEndian.PutUint16(ip[2:4], uint16(IPHdrLen+TCPHdrLen+len(payload)))
-	binary.BigEndian.PutUint16(ip[4:6], 0) // id
-	binary.BigEndian.PutUint16(ip[6:8], 0x4000)
-	ip[8] = 64 // TTL
-	ip[9] = protoTCP
-	binary.BigEndian.PutUint16(ip[10:12], 0) // checksum placeholder
+	ipLen := uint16(IPHdrLen + TCPHdrLen + len(payload))
+	binary.BigEndian.PutUint16(ip[0:2], verIHL)
+	binary.BigEndian.PutUint16(ip[2:4], ipLen)
+	binary.BigEndian.PutUint16(ip[4:6], 0)
+	binary.BigEndian.PutUint16(ip[6:8], flagsDF)
+	binary.BigEndian.PutUint16(ip[8:10], ttlProto)
 	binary.BigEndian.PutUint32(ip[12:16], uint32(h.SrcIP))
 	binary.BigEndian.PutUint32(ip[16:20], uint32(h.DstIP))
-	binary.BigEndian.PutUint16(ip[10:12], checksum(ip[:IPHdrLen]))
+	ipSum := uint64(verIHL+flagsDF+ttlProto) + uint64(ipLen) + uint64(h.SrcIP) + uint64(h.DstIP)
+	binary.BigEndian.PutUint16(ip[10:12], ^fold(ipSum))
 
-	// TCP.
+	// TCP: data offset 5 (no options), urgent pointer 0.
 	tcp := ip[IPHdrLen:]
+	offFlags := uint16(5<<12) | uint16(h.Flags)
 	binary.BigEndian.PutUint16(tcp[0:2], h.SrcPort)
 	binary.BigEndian.PutUint16(tcp[2:4], h.DstPort)
 	binary.BigEndian.PutUint32(tcp[4:8], h.Seq)
 	binary.BigEndian.PutUint32(tcp[8:12], h.Ack)
-	tcp[12] = 5 << 4 // data offset
-	tcp[13] = h.Flags
+	binary.BigEndian.PutUint16(tcp[12:14], offFlags)
 	binary.BigEndian.PutUint16(tcp[14:16], h.Wnd)
-	binary.BigEndian.PutUint16(tcp[16:18], 0) // checksum placeholder
-	binary.BigEndian.PutUint16(tcp[18:20], 0) // urgent
+	binary.BigEndian.PutUint16(tcp[18:20], 0)
 	copy(tcp[TCPHdrLen:], payload)
-	binary.BigEndian.PutUint16(tcp[16:18],
-		transportChecksum(h.SrcIP, h.DstIP, protoTCP, tcp[:TCPHdrLen+len(payload)]))
+	// The pseudo-header (addresses, protocol, segment length) plus the
+	// header fields; the checksum field itself counts as zero.
+	tcpSum := uint64(h.SrcIP) + uint64(h.DstIP) + protoTCP + uint64(ipLen-IPHdrLen) +
+		uint64(h.SrcPort) + uint64(h.DstPort) + uint64(h.Seq) + uint64(h.Ack) +
+		uint64(offFlags) + uint64(h.Wnd)
+	binary.BigEndian.PutUint16(tcp[16:18], ^fold(onesSum(tcpSum, tcp[TCPHdrLen:TCPHdrLen+len(payload)])))
 	return total, nil
 }
 
@@ -158,6 +168,12 @@ func decodeFrame(frame []byte) (header, []byte, error) {
 	if transportChecksum(h.SrcIP, h.DstIP, protoTCP, tcp) != 0 {
 		return header{}, nil, fmt.Errorf("%w: TCP segment", ErrBadChecksum)
 	}
+	// The stack sends no TCP options, so it takes none: any data offset
+	// but 5 is dropped, never read as payload. Checked after the
+	// checksum, so a corrupted offset still counts as a checksum drop.
+	if tcp[12]>>4 != TCPHdrLen/4 {
+		return header{}, nil, fmt.Errorf("%w: TCP data offset %d", ErrMalformed, tcp[12]>>4)
+	}
 	h.SrcPort = binary.BigEndian.Uint16(tcp[0:2])
 	h.DstPort = binary.BigEndian.Uint16(tcp[2:4])
 	h.Seq = binary.BigEndian.Uint32(tcp[4:8])
@@ -182,41 +198,59 @@ func transportChecksum(src, dst IPAddr, proto uint8, seg []byte) uint16 {
 	return ^fold(onesSum(pseudo, seg))
 }
 
-// onesSum adds b to the ones-complement accumulator sum. RFC 1071 §2:
-// the sum does not depend on the word width as long as carries wrap
-// around, so it adds 64-bit big-endian words (four per iteration while
-// they last) with an end-around carry and leaves the reduction to 16
-// bits to fold. Because 2^16 ≡ 1 modulo 0xffff, a 32-bit tail word
-// counts the same as its two 16-bit halves; every tail word starts at
-// an even offset, and an odd last byte is the high byte of a word
-// padded with zero.
+// onesSum adds b to the ones-complement accumulator sum, whose 16-bit
+// words are big-endian (network order). By RFC 1071 §2(B) the sum does
+// not depend on byte order, so onesSum adds native little-endian
+// 64-bit words (eight per iteration, then four, then one) on one
+// end-around carry chain, byte-swaps that total once and adds it into
+// sum. Because 2^16 ≡ 1 modulo 0xffff, where a 16-bit lane sits in a
+// word does not change the sum: the swap, which also reverses the order
+// of the four lanes, turns every little-endian lane into its big-endian
+// value, and a 32-bit or 16-bit tail word counts the same as its 16-bit
+// halves. Every tail word starts at an even offset, and an odd last
+// byte is the low byte of a little-endian word padded with zero. The
+// reduction to 16 bits is left to fold.
 func onesSum(sum uint64, b []byte) uint64 {
-	var carry uint64
-	for len(b) >= 32 {
-		sum, carry = bits.Add64(sum, binary.BigEndian.Uint64(b[0:8]), carry)
-		sum, carry = bits.Add64(sum, binary.BigEndian.Uint64(b[8:16]), carry)
-		sum, carry = bits.Add64(sum, binary.BigEndian.Uint64(b[16:24]), carry)
-		sum, carry = bits.Add64(sum, binary.BigEndian.Uint64(b[24:32]), carry)
+	var acc, carry uint64
+	for len(b) >= 64 {
+		acc, carry = bits.Add64(acc, binary.LittleEndian.Uint64(b[0:8]), carry)
+		acc, carry = bits.Add64(acc, binary.LittleEndian.Uint64(b[8:16]), carry)
+		acc, carry = bits.Add64(acc, binary.LittleEndian.Uint64(b[16:24]), carry)
+		acc, carry = bits.Add64(acc, binary.LittleEndian.Uint64(b[24:32]), carry)
+		acc, carry = bits.Add64(acc, binary.LittleEndian.Uint64(b[32:40]), carry)
+		acc, carry = bits.Add64(acc, binary.LittleEndian.Uint64(b[40:48]), carry)
+		acc, carry = bits.Add64(acc, binary.LittleEndian.Uint64(b[48:56]), carry)
+		acc, carry = bits.Add64(acc, binary.LittleEndian.Uint64(b[56:64]), carry)
+		b = b[64:]
+	}
+	if len(b) >= 32 {
+		acc, carry = bits.Add64(acc, binary.LittleEndian.Uint64(b[0:8]), carry)
+		acc, carry = bits.Add64(acc, binary.LittleEndian.Uint64(b[8:16]), carry)
+		acc, carry = bits.Add64(acc, binary.LittleEndian.Uint64(b[16:24]), carry)
+		acc, carry = bits.Add64(acc, binary.LittleEndian.Uint64(b[24:32]), carry)
 		b = b[32:]
 	}
 	for len(b) >= 8 {
-		sum, carry = bits.Add64(sum, binary.BigEndian.Uint64(b), carry)
+		acc, carry = bits.Add64(acc, binary.LittleEndian.Uint64(b), carry)
 		b = b[8:]
 	}
 	var tail uint64
 	if len(b) >= 4 {
-		tail = uint64(binary.BigEndian.Uint32(b))
+		tail = uint64(binary.LittleEndian.Uint32(b))
 		b = b[4:]
 	}
 	if len(b) >= 2 {
-		tail += uint64(binary.BigEndian.Uint16(b))
+		tail += uint64(binary.LittleEndian.Uint16(b))
 		b = b[2:]
 	}
 	if len(b) == 1 {
-		tail += uint64(b[0]) << 8
+		tail += uint64(b[0])
 	}
-	sum, carry = bits.Add64(sum, tail, carry)
-	sum, carry = bits.Add64(sum, 0, carry)
+	// A carry out of the last addition leaves a small low word, so
+	// adding it back cannot carry again; the same holds below.
+	acc, carry = bits.Add64(acc, tail, carry)
+	acc += carry
+	sum, carry = bits.Add64(sum, bits.ReverseBytes64(acc), 0)
 	return sum + carry
 }
 
@@ -229,11 +263,6 @@ func fold(sum uint64) uint16 {
 	sum = sum&0xffff + sum>>16
 	sum = sum&0xffff + sum>>16
 	return uint16(sum)
-}
-
-// macFor derives a stable synthetic MAC from an IP.
-func macFor(ip IPAddr) []byte {
-	return []byte{0x02, 0x00, byte(ip >> 24), byte(ip >> 16), byte(ip >> 8), byte(ip)}
 }
 
 // seqLess reports a < b in sequence space (RFC 1982 style).

@@ -1,7 +1,5 @@
 package sched
 
-import "container/heap"
-
 // Timers is a virtual-time timer wheel. Deadlines are expressed in
 // scheduler ticks — an abstract monotonic counter advanced when the
 // run queue drains and the earliest timer fires (the classic
@@ -50,7 +48,7 @@ func (t *Timer) Armed() bool { return t.idx >= 0 }
 // no-op.
 func (t *Timer) Stop() {
 	if t.idx >= 0 {
-		heap.Remove(&t.ts.heap, t.idx)
+		t.ts.heap.remove(t.idx)
 	}
 }
 
@@ -65,7 +63,7 @@ func (t *Timer) Reset(delay uint64) {
 	t.At = ts.now + delay
 	t.seq = ts.seq
 	ts.seq++
-	heap.Push(&ts.heap, t)
+	ts.heap.push(t)
 }
 
 // fireEarliest advances virtual time to the earliest live timer and
@@ -74,7 +72,7 @@ func (ts *Timers) fireEarliest() bool {
 	if len(ts.heap) == 0 {
 		return false
 	}
-	t := heap.Pop(&ts.heap).(*Timer)
+	t := ts.heap.remove(0)
 	if t.At > ts.now {
 		ts.now = t.At
 	}
@@ -82,36 +80,79 @@ func (ts *Timers) fireEarliest() bool {
 	return true
 }
 
-// timerHeap implements heap.Interface over pending timers, keeping
-// each timer's idx current.
+// timerHeap is a binary min-heap of pending timers on (At, seq),
+// keeping each timer's idx current. push, remove, up and down take the
+// steps of container/heap's Push, Remove and sifts, typed to *Timer so
+// that no comparison or swap is an interface call.
 type timerHeap []*Timer
 
-func (h timerHeap) Len() int { return len(h) }
-
-func (h timerHeap) Less(i, j int) bool {
+func (h timerHeap) less(i, j int) bool {
 	if h[i].At != h[j].At {
 		return h[i].At < h[j].At
 	}
 	return h[i].seq < h[j].seq
 }
 
-func (h timerHeap) Swap(i, j int) {
+func (h timerHeap) swap(i, j int) {
 	h[i], h[j] = h[j], h[i]
 	h[i].idx = i
 	h[j].idx = j
 }
 
-func (h *timerHeap) Push(x any) {
-	t := x.(*Timer)
+// push adds t and restores the heap order.
+func (h *timerHeap) push(t *Timer) {
 	t.idx = len(*h)
 	*h = append(*h, t)
+	h.up(t.idx)
 }
 
-func (h *timerHeap) Pop() any {
+// remove takes out the timer at index i and returns it; remove(0) pops
+// the earliest.
+func (h *timerHeap) remove(i int) *Timer {
 	old := *h
-	t := old[len(old)-1]
-	old[len(old)-1] = nil
-	*h = old[:len(old)-1]
+	n := len(old) - 1
+	if n != i {
+		old.swap(i, n)
+		if !old.down(i, n) {
+			old.up(i)
+		}
+	}
+	t := old[n]
+	old[n] = nil
+	*h = old[:n]
 	t.idx = -1
 	return t
+}
+
+func (h timerHeap) up(j int) {
+	for {
+		i := (j - 1) / 2 // parent
+		if i == j || !h.less(j, i) {
+			break
+		}
+		h.swap(i, j)
+		j = i
+	}
+}
+
+// down sifts the timer at i0 down within h[:n] and reports whether it
+// moved.
+func (h timerHeap) down(i0, n int) bool {
+	i := i0
+	for {
+		j1 := 2*i + 1
+		if j1 >= n || j1 < 0 { // j1 < 0 after int overflow
+			break
+		}
+		j := j1 // left child
+		if j2 := j1 + 1; j2 < n && h.less(j2, j1) {
+			j = j2 // right child
+		}
+		if !h.less(j, i) {
+			break
+		}
+		h.swap(i, j)
+		i = j
+	}
+	return i > i0
 }
