@@ -450,7 +450,7 @@ func BenchmarkGateCallBatch(b *testing.B) {
 // crossing ledger), so allocs/op catches a per-call allocation anywhere
 // on that path.
 func BenchmarkRegistryCall(b *testing.B) {
-	benchBootedCall(b, func(w *build.World, frame gate.CallFrame, nop func() error) func() error {
+	benchBootedCall(b, build.NWOnly(), func(w *build.World, frame gate.CallFrame, nop func() error) func() error {
 		reg := w.Server.Registry
 		return func() error { return reg.CallWithFrame("app", "netstack", "bench", frame, nop) }
 	})
@@ -464,7 +464,7 @@ func BenchmarkRegistryCall(b *testing.B) {
 // BenchmarkRegistryCall's, and allocs/op catches a per-call allocation
 // on the supervision path or a callee body escaping to the heap.
 func BenchmarkSupervisedCall(b *testing.B) {
-	benchBootedCall(b, func(w *build.World, frame gate.CallFrame, _ func() error) func() error {
+	benchBootedCall(b, build.NWOnly(), func(w *build.World, frame gate.CallFrame, _ func() error) func() error {
 		env := w.Server.Env("app")
 		return func() error {
 			got := 0
@@ -480,15 +480,36 @@ func BenchmarkSupervisedCall(b *testing.B) {
 	})
 }
 
-// benchBootedCall boots an NW-only image per backend and times the call
-// that prepare builds on it, an app -> netstack frame of three argument
-// words. One untimed warm-up call adds the crossing's ledger row first,
-// so even a -benchtime=1x run times the steady state.
-func benchBootedCall(b *testing.B, prepare func(w *build.World, frame gate.CallFrame, nop func() error) func() error) {
+// BenchmarkNestedCall times the shape of a socket call on the tcpip
+// thread: four nested supervised calls through rt.Env on a booted
+// NW/Sched/Rest image, app -> libc -> netstack -> libc -> sched, the
+// last three of them crossings. BenchmarkSupervisedCall times one
+// level; this one shows what call depth costs. sim-cycles/call is per
+// outermost call.
+func BenchmarkNestedCall(b *testing.B) {
+	benchBootedCall(b, build.NWSchedRest(), func(w *build.World, frame gate.CallFrame, nop func() error) func() error {
+		app, libc, netstack := w.Server.Env("app"), w.Server.Env("libc"), w.Server.Env("netstack")
+		return func() error {
+			return app.CallFrame("libc", "bench", frame, func() error {
+				return libc.CallFrame("netstack", "bench", frame, func() error {
+					return netstack.CallFrame("libc", "bench", frame, func() error {
+						return libc.CallFrame("sched", "bench", frame, nop)
+					})
+				})
+			})
+		}
+	})
+}
+
+// benchBootedCall boots an image of the given compartments per backend
+// and times the call that prepare builds on it, with frames of three
+// argument words. One untimed warm-up call adds the crossings' ledger
+// rows first, so even a -benchtime=1x run times the steady state.
+func benchBootedCall(b *testing.B, comps []build.Compartment, prepare func(w *build.World, frame gate.CallFrame, nop func() error) func() error) {
 	for _, backend := range gateBenchBackends {
 		b.Run(backend.String(), func(b *testing.B) {
 			w, err := build.NewWorld(build.Config{Name: "booted-call",
-				Compartments: build.NWOnly(), Backend: backend, Alloc: build.AllocPerCompartment})
+				Compartments: comps, Backend: backend, Alloc: build.AllocPerCompartment})
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -108,7 +108,7 @@ func TestCompare(t *testing.T) {
 }
 
 // TestBenchPatternIsTheGatedSet pins the derived -bench regex to the
-// committed baseline: exactly the thirteen gated benchmarks, so the gate
+// committed baseline: exactly the fourteen gated benchmarks, so the gate
 // runs neither more nor fewer than it checks.
 func TestBenchPatternIsTheGatedSet(t *testing.T) {
 	base, err := loadBaseline("../../BENCH_gate.json")
@@ -116,7 +116,7 @@ func TestBenchPatternIsTheGatedSet(t *testing.T) {
 		t.Fatal(err)
 	}
 	const want = "^(BenchmarkAutotune|BenchmarkBatching|BenchmarkChaosnet|BenchmarkContextSwitch|BenchmarkExplore|" +
-		"BenchmarkFig3DataPath|BenchmarkGateCall|BenchmarkGateCallBatch|BenchmarkNewWorld|BenchmarkOverload|" +
+		"BenchmarkFig3DataPath|BenchmarkGateCall|BenchmarkGateCallBatch|BenchmarkNestedCall|BenchmarkNewWorld|BenchmarkOverload|" +
 		"BenchmarkRegistryCall|BenchmarkSmp|BenchmarkSupervisedCall)$"
 	if got := benchPattern(base); got != want {
 		t.Fatalf("bench pattern\n got %s\nwant %s", got, want)

@@ -119,7 +119,7 @@ func main() {
 		}
 	}
 	if *traceN > 0 {
-		printRing(res.Trace)
+		printRing(res.Trace, *traceN)
 	}
 	writeProfile(*profile, res.Trace, res.VCPUs)
 }
@@ -143,14 +143,17 @@ func writeProfile(path string, ring *flexos.TraceRing, ncpu int) {
 	}
 }
 
-// printRing dumps a crossing trace (each line shows the vCPU the event
-// ran on) with its per-kind drop accounting.
-func printRing(ring *flexos.TraceRing) {
+// printRing dumps the last n events of a crossing trace (each line
+// shows the vCPU the event ran on) with the ring's per-kind drop
+// accounting. -profile deepens the ring, so it may hold more than n.
+func printRing(ring *flexos.TraceRing, n int) {
 	if ring == nil {
 		return
 	}
-	fmt.Printf("  last %d of %d events:\n", ring.Len(), ring.Total())
-	for _, e := range ring.Events() {
+	events := ring.Events()
+	events = events[max(len(events)-n, 0):]
+	fmt.Printf("  last %d of %d events:\n", len(events), ring.Total())
+	for _, e := range events {
 		fmt.Printf("    %s\n", e)
 	}
 	if d := ring.Dropped(); d > 0 {

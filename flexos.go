@@ -222,8 +222,6 @@ type (
 	// Result is one measured run.
 	Result  = harness.Result
 	RedisOp = harness.RedisOp
-	// ExperimentOptions sizes an experiment's sweep.
-	ExperimentOptions = harness.Options
 )
 
 // Applications and Redis operations.
@@ -254,17 +252,7 @@ type (
 	// counters and histograms (gate crossings, NIC queues, pool,
 	// supervisor).
 	MetricsSnapshot = metrics.Snapshot
-	// Observation bundles one instrumented run's attribution, metrics
-	// snapshot and crossing trace.
-	Observation = harness.Observation
 )
-
-// ObserveFor runs one instrumented measurement per image of the named
-// experiment (or "all") and returns the observability bundles, each
-// conservation-checked.
-func ObserveFor(exp string, o ExperimentOptions) ([]Observation, error) {
-	return harness.ObserveFor(exp, o)
-}
 
 // ExportChrome writes events as a Chrome trace-event JSON document
 // (load in chrome://tracing or Perfetto); one timeline row per vCPU.

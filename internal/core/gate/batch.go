@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"flexos/internal/clock"
+	"flexos/internal/fault"
 )
 
 // Batched gate calls: the crossing-amortization ABI.
@@ -95,6 +96,18 @@ func (g *mpkGate) CallBatch(from, to *Domain, calls []BatchCall, enter func()) {
 		trapLive(calls, err)
 		return
 	}
+	retWords := dispatch(g.clk, clock.CompGate, from, to, calls, enter)
+	if err := g.pass(from, to, from.PKRU, retWords, "gate %s<-%s return: %w"); err != nil {
+		trapLive(calls, err)
+	}
+}
+
+// dispatch runs every live frame of a batch in the callee domain,
+// charging comp the dispatch cost of each, and returns the return
+// words of the frames that ran. Each frame gets its own trap boundary,
+// entered after enter when one is given: one trapped frame aborts only
+// itself, the rest of the batch completes.
+func dispatch(clk *clock.Machine, comp clock.Component, from, to *Domain, calls []BatchCall, enter func()) int {
 	retWords := 0
 	for i := range calls {
 		c := &calls[i]
@@ -103,31 +116,22 @@ func (g *mpkGate) CallBatch(from, to *Domain, calls []BatchCall, enter func()) {
 		}
 		// Per-frame deadline: earlier frames' work advances the clock,
 		// so a late frame in the batch can still be refused here.
-		if err := deadlineCheck(g.clk, clock.CostBatchDispatch, from, to, c.Frame); err != nil {
-			c.Err = err
-			continue
+		if c.Frame.Deadline != 0 {
+			if c.Err = deadlineCheck(clk, clock.CostBatchDispatch, from, to, c.Frame.Deadline); c.Err != nil {
+				continue
+			}
 		}
-		g.clk.Charge(clock.CompGate, clock.CostBatchDispatch)
-		// Each frame gets its own trap boundary: one trapped frame
-		// aborts only itself, the rest of the batch completes.
-		c.Err = containFrame(from, to, enter, c.Fn)
+		clk.Charge(comp, clock.CostBatchDispatch)
+		fn := c.Fn
+		if enter != nil {
+			fn = func() error { enter(); return c.Fn() }
+		}
+		if c.Err = fault.Catch(to.Name, fn); c.Err != nil {
+			c.Err = fault.Classify(to.Name, pcOf(from, to), c.Err)
+		}
 		retWords += c.Frame.RetWords
 	}
-	if err := g.pass(from, to, from.PKRU, retWords, "gate %s<-%s return: %w"); err != nil {
-		trapLive(calls, err)
-	}
-}
-
-// containFrame runs one batch frame's body inside its own trap
-// boundary, after enter when one is given.
-func containFrame(from, to *Domain, enter func(), fn func() error) error {
-	if enter == nil {
-		return contain(from, to, fn)
-	}
-	return contain(from, to, func() error {
-		enter()
-		return fn()
-	})
+	return retWords
 }
 
 // trapLive fails every frame of a batch that has not failed yet with
@@ -156,20 +160,7 @@ func (g *rpcGate) CallBatch(from, to *Domain, calls []BatchCall, enter func()) {
 	}
 	g.clk.Charge(clock.CompVMM, clock.CostVMNotify+clock.CostVMRPCFixed+
 		uint64(words)*clock.CostParamCopyPerWord)
-	retWords := 0
-	for i := range calls {
-		c := &calls[i]
-		if c.Err != nil {
-			continue
-		}
-		if err := deadlineCheck(g.clk, clock.CostBatchDispatch, from, to, c.Frame); err != nil {
-			c.Err = err
-			continue
-		}
-		g.clk.Charge(clock.CompVMM, clock.CostBatchDispatch)
-		c.Err = containFrame(from, to, enter, c.Fn)
-		retWords += c.Frame.RetWords
-	}
+	retWords := dispatch(g.clk, clock.CompVMM, from, to, calls, enter)
 	g.clk.Charge(clock.CompVMM, clock.CostVMNotify+
 		uint64(retWords)*clock.CostParamCopyPerWord)
 	g.busyUntil = g.clk.Cycles()

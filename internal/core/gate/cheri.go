@@ -51,8 +51,10 @@ func (*CHERIGate) sealed() {}
 // receives (bounded) capabilities for them, so only the descriptor
 // words are marshalled.
 func (g *CHERIGate) Call(from, to *Domain, frame CallFrame, fn func() error) error {
-	if err := deadlineCheck(g.cpu, CrossingCost(CHERI), from, to, frame); err != nil {
-		return err
+	if frame.Deadline != 0 {
+		if err := deadlineCheck(g.cpu, CrossingCost(CHERI), from, to, frame.Deadline); err != nil {
+			return err
+		}
 	}
 	g.cpu.Charge(clock.CompGate, clock.CostRegisterClear+
 		uint64(frame.EntryWords())*clock.CostParamCopyPerWord)
@@ -67,7 +69,10 @@ func (g *CHERIGate) Call(from, to *Domain, frame CallFrame, fn func() error) err
 	// violations (and injected corruption) in the target compartment
 	// come back as typed fault.Trap errors, and the return CInvoke
 	// below still reinstalls the caller's domain.
-	callErr := contain(from, to, fn)
+	callErr := fault.Catch(to.Name, fn)
+	if callErr != nil {
+		callErr = fault.Classify(to.Name, pcOf(from, to), callErr)
+	}
 	g.cpu.Charge(clock.CompGate, clock.CostRegisterClear)
 	ret, ok := g.entries[from.Name]
 	if !ok {

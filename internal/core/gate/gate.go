@@ -165,37 +165,24 @@ type CallFrame struct {
 }
 
 // deadlineCheck refuses work costing cost cycles that cannot complete
-// within the frame's deadline, with a KindDeadline trap. Gates call it
-// with the crossing's fixed cost before charging any of it (refusing
-// late work must stay far cheaper than doing it), and batches again
-// with the dispatch cost at each frame.
-func deadlineCheck(clk *clock.Machine, cost uint64, from, to *Domain, frame CallFrame) error {
-	if frame.Deadline == 0 {
-		return nil
-	}
+// by deadline (nonzero), with a KindDeadline trap. Gates call it, for
+// a frame that has a deadline, with the crossing's fixed cost before
+// charging any of it (refusing late work must stay far cheaper than
+// doing it), and batches again with the dispatch cost at each frame.
+func deadlineCheck(clk *clock.Machine, cost uint64, from, to *Domain, deadline uint64) error {
 	now := clk.Cycles()
-	if now+cost <= frame.Deadline {
+	if now+cost <= deadline {
 		return nil
 	}
 	clk.Charge(clock.CompGate, clock.CostDeadlineRefuse)
 	pc := pcOf(from, to)
 	return fault.Classify(to.Name, pc,
-		&fault.DeadlineExceeded{PC: pc, Deadline: frame.Deadline, Now: now})
+		&fault.DeadlineExceeded{PC: pc, Deadline: deadline, Now: now})
 }
 
 // pcOf is a crossing's symbolic trap PC. Gates build it only on a trap
 // or refusal path, so a clean crossing allocates nothing.
 func pcOf(from, to *Domain) string { return from.Name + "->" + to.Name }
-
-// contain runs fn inside the fault.Catch trap boundary and classifies
-// its failure with fault.Classify at the crossing's PC, built only
-// when fn fails.
-func contain(from, to *Domain, fn func() error) error {
-	if err := fault.Catch(to.Name, fn); err != nil {
-		return fault.Classify(to.Name, pcOf(from, to), err)
-	}
-	return nil
-}
 
 // EntryWords is the number of scalar words marshalled on entry: the
 // arguments plus one descriptor (address + length/capacity word) per
@@ -292,15 +279,16 @@ func (g *mpkGate) checkSharedBufs(frame CallFrame) error {
 }
 
 // pass is one direction of a crossing: clear registers, switch stacks
-// copying words across (switched only), install pkru. A sealed-WRPKRU
-// rejection is a protection fault of the callee, worded by format.
+// copying words across (switched only), install pkru. The register
+// clear and the stack switch ride on the WRPKRU's charge, so a
+// direction is one charge, rejected or not. A sealed-WRPKRU rejection
+// is a protection fault of the callee, worded by format.
 func (g *mpkGate) pass(from, to *Domain, pkru mpk.PKRU, words int, format string) error {
-	g.clk.Charge(clock.CompGate, clock.CostRegisterClear)
+	extra := uint64(clock.CostRegisterClear)
 	if g.switched {
-		g.clk.Charge(clock.CompGate,
-			clock.CostStackSwitch+uint64(words)*clock.CostParamCopyPerWord)
+		extra += clock.CostStackSwitch + uint64(words)*clock.CostParamCopyPerWord
 	}
-	if err := g.unit.WritePKRU(pkru); err != nil {
+	if err := g.unit.WritePKRU(pkru, extra); err != nil {
 		return &fault.Trap{Comp: to.Name, Kind: fault.KindSealedPKRU, PC: pcOf(from, to),
 			Cause: fmt.Errorf(format, from.Name, to.Name, err)}
 	}
@@ -308,8 +296,10 @@ func (g *mpkGate) pass(from, to *Domain, pkru mpk.PKRU, words int, format string
 }
 
 func (g *mpkGate) Call(from, to *Domain, frame CallFrame, fn func() error) error {
-	if err := deadlineCheck(g.clk, CrossingCost(g.Backend()), from, to, frame); err != nil {
-		return err
+	if frame.Deadline != 0 {
+		if err := deadlineCheck(g.clk, CrossingCost(g.Backend()), from, to, frame.Deadline); err != nil {
+			return err
+		}
 	}
 	if !g.switched {
 		// By-reference transfer: descriptors must land in the shared
@@ -327,7 +317,10 @@ func (g *mpkGate) Call(from, to *Domain, frame CallFrame, fn func() error) error
 	// in its domain (pkey faults, ASAN violations, injected corruption)
 	// come back as typed fault.Trap errors, and the return path below
 	// still restores the caller's PKRU.
-	callErr := contain(from, to, fn)
+	callErr := fault.Catch(to.Name, fn)
+	if callErr != nil {
+		callErr = fault.Classify(to.Name, pcOf(from, to), callErr)
+	}
 	// Return path: restore caller domain (and stack), copying the
 	// declared return words back.
 	if err := g.pass(from, to, from.PKRU, frame.RetWords, "gate %s<-%s return: %w"); err != nil {
@@ -364,8 +357,10 @@ func (g *rpcGate) Backend() Backend { return VMRPC }
 func (*rpcGate) sealed() {}
 
 func (g *rpcGate) Call(from, to *Domain, frame CallFrame, fn func() error) error {
-	if err := deadlineCheck(g.clk, CrossingCost(VMRPC), from, to, frame); err != nil {
-		return err
+	if frame.Deadline != 0 {
+		if err := deadlineCheck(g.clk, CrossingCost(VMRPC), from, to, frame.Deadline); err != nil {
+			return err
+		}
 	}
 	// Request: marshal descriptor + args — and, since the VMs share no
 	// address space, the payload bytes themselves — into the shared
@@ -377,7 +372,10 @@ func (g *rpcGate) Call(from, to *Domain, frame CallFrame, fn func() error) error
 	// The callee VM's work runs inside a trap boundary: a protection
 	// fault in the callee costs that VM, not the caller — the caller
 	// sees a typed error on its response ring.
-	callErr := contain(from, to, fn)
+	callErr := fault.Catch(to.Name, fn)
+	if callErr != nil {
+		callErr = fault.Classify(to.Name, pcOf(from, to), callErr)
+	}
 	// Response: notification back to the caller VM, return words
 	// marshalled through the ring.
 	g.clk.Charge(clock.CompVMM, clock.CostVMNotify+

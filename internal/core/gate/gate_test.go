@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"flexos/internal/clock"
+	"flexos/internal/fault"
 	"flexos/internal/mem"
 	"flexos/internal/mpk"
 )
@@ -67,7 +68,7 @@ func TestMPKGateSwitchesDomains(t *testing.T) {
 	mustNoErr(t, a.SetKeyRange(2*mem.PageSize, mem.PageSize, 2))
 	app := NewDomain("app", 1)
 	net := NewDomain("net", 2)
-	mustNoErr(t, u.WritePKRU(app.PKRU))
+	mustNoErr(t, u.WritePKRU(app.PKRU, 0))
 	cpu.Reset()
 
 	g := NewMPKShared(u, cpu)
@@ -135,6 +136,88 @@ func TestMPKGateSealingViolation(t *testing.T) {
 	g := NewMPKShared(u, cpu)
 	if err := g.Call(a, b, CallFrame{RetWords: 1}, func() error { return nil }); err == nil {
 		t.Fatal("unregistered target domain accepted")
+	}
+}
+
+// TestMPKGateSealedRejection drives a sealed-WRPKRU rejection through
+// both MPK gates, single calls and batches. With only the caller's
+// PKRU registered, entry is refused with a KindSealedPKRU trap of the
+// callee and no callee body runs; with only the callee's registered,
+// the bodies run and the return is refused. Either way each pass the
+// gate attempted is charged in full: register clear, the switched
+// stack and its parameter words, WRPKRU and the seal surcharge.
+func TestMPKGateSealedRejection(t *testing.T) {
+	const (
+		sealRuntimeExtra = 14 // mpk.SealRuntime's surcharge per WRPKRU
+		depth            = 4
+	)
+	frame := CallFrame{ArgWords: 3, RetWords: 2}
+	for _, stack := range []string{"shared", "switched"} {
+		switched := stack == "switched"
+		// pass is the charge of one direction moving words across.
+		pass := func(words int) uint64 {
+			c := uint64(clock.CostRegisterClear + clock.CostWRPKRU + sealRuntimeExtra)
+			if switched {
+				c += clock.CostStackSwitch + uint64(words)*clock.CostParamCopyPerWord
+			}
+			return c
+		}
+		for _, refused := range []string{"entry", "return"} {
+			onReturn := refused == "return"
+			for _, shape := range []string{"call", "batch"} {
+				batch := shape == "batch"
+				t.Run(stack+"/"+refused+"/"+shape, func(t *testing.T) {
+					u, _, cpu := newMPKWorld(t)
+					u.SetPolicy(mpk.SealRuntime)
+					a, b := NewDomain("a", 1), NewDomain("b", 2)
+					if onReturn {
+						u.RegisterDomain(b.PKRU)
+					} else {
+						u.RegisterDomain(a.PKRU)
+					}
+					g := NewMPKShared(u, cpu)
+					if switched {
+						g = NewMPKSwitched(u, cpu)
+					}
+					ran := 0
+					body := func() error { ran++; return nil }
+					var errs []error
+					if batch {
+						calls := make([]BatchCall, depth)
+						for i := range calls {
+							calls[i] = BatchCall{Frame: frame, Fn: body}
+						}
+						g.(BatchGate).CallBatch(a, b, calls, nil)
+						for _, c := range calls {
+							errs = append(errs, c.Err)
+						}
+					} else {
+						errs = append(errs, g.Call(a, b, frame, body))
+					}
+					n := len(errs)
+					want, wantRan := pass(n*frame.EntryWords()), 0
+					if onReturn {
+						want += pass(n * frame.RetWords)
+						wantRan = n
+						if batch {
+							want += uint64(n) * clock.CostBatchDispatch
+						}
+					}
+					for i, err := range errs {
+						tr, ok := fault.As(err)
+						if !ok || tr.Kind != fault.KindSealedPKRU || tr.Comp != b.Name {
+							t.Fatalf("frame %d: err = %v, want a KindSealedPKRU trap of %q", i, err, b.Name)
+						}
+					}
+					if ran != wantRan {
+						t.Fatalf("%d callee bodies ran, want %d", ran, wantRan)
+					}
+					if got := cpu.Component(clock.CompGate); got != want || cpu.Cycles() != want {
+						t.Fatalf("gate charged %d cycles (%d in all), want %d", got, cpu.Cycles(), want)
+					}
+				})
+			}
+		}
 	}
 }
 

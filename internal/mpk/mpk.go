@@ -231,12 +231,14 @@ func (u *Unit) Writes() uint64 { return u.writes }
 func (u *Unit) Faults() uint64 { return u.faults }
 
 // WritePKRU executes WRPKRU on the current vCPU: it charges the
-// domain-switch cost (plus the sealing policy's surcharge) and
-// installs the new value in that vCPU's register only. Under sealing
-// policies, loading an unregistered value is an integrity violation
-// and returns an error without changing the register.
-func (u *Unit) WritePKRU(p PKRU) error {
-	u.clk.Charge(clock.CompGate, clock.CostWRPKRU+u.policy.sealExtraCycles())
+// domain-switch cost, the sealing policy's surcharge and extra, the
+// cycles of the gate code around the instruction (register clearing,
+// a stack switch), in one charge, and installs the new value in that
+// vCPU's register only. Under sealing policies, loading an
+// unregistered value is an integrity violation and returns an error
+// without changing the register; the charge stands.
+func (u *Unit) WritePKRU(p PKRU, extra uint64) error {
+	u.clk.Charge(clock.CompGate, clock.CostWRPKRU+u.policy.sealExtraCycles()+extra)
 	u.writes++
 	if u.nsealed > 0 && !u.registered(p) {
 		if u.policy == SealRuntime {

@@ -82,7 +82,7 @@ func TestLoadStoreWithinDomain(t *testing.T) {
 	if err := a.SetKeyRange(mem.PageSize, mem.PageSize, 2); err != nil {
 		t.Fatal(err)
 	}
-	if err := u.WritePKRU(DomainPKRU(2)); err != nil {
+	if err := u.WritePKRU(DomainPKRU(2), 0); err != nil {
 		t.Fatal(err)
 	}
 	addr := mem.Addr(mem.PageSize + 64)
@@ -103,7 +103,7 @@ func TestCrossDomainFault(t *testing.T) {
 	u, a, _ := newUnit(t)
 	mustNoErr(t, a.SetKeyRange(mem.PageSize, mem.PageSize, 2))
 	mustNoErr(t, a.SetKeyRange(2*mem.PageSize, mem.PageSize, 3))
-	mustNoErr(t, u.WritePKRU(DomainPKRU(2)))
+	mustNoErr(t, u.WritePKRU(DomainPKRU(2), 0))
 
 	// Write into the foreign domain faults.
 	err := u.Store(mem.Addr(2*mem.PageSize+8), []byte{1})
@@ -134,7 +134,7 @@ func TestReadOnlyDomain(t *testing.T) {
 	// memory (the paper's Requires example).
 	u, a, _ := newUnit(t)
 	mustNoErr(t, a.SetKeyRange(mem.PageSize, mem.PageSize, 4))
-	mustNoErr(t, u.WritePKRU(DenyAll().AllowRead(4)))
+	mustNoErr(t, u.WritePKRU(DenyAll().AllowRead(4), 0))
 	if _, err := u.Load(mem.PageSize, 8); err != nil {
 		t.Fatalf("read-only read failed: %v", err)
 	}
@@ -147,7 +147,7 @@ func TestAccessSpanningDomains(t *testing.T) {
 	u, a, _ := newUnit(t)
 	mustNoErr(t, a.SetKeyRange(mem.PageSize, mem.PageSize, 2))
 	mustNoErr(t, a.SetKeyRange(2*mem.PageSize, mem.PageSize, 3))
-	mustNoErr(t, u.WritePKRU(DomainPKRU(2)))
+	mustNoErr(t, u.WritePKRU(DomainPKRU(2), 0))
 	// A load straddling the 2->3 boundary must fault.
 	if _, err := u.Load(mem.Addr(2*mem.PageSize-4), 8); err == nil {
 		t.Fatal("straddling load allowed")
@@ -159,11 +159,11 @@ func TestCopyChecksBothSides(t *testing.T) {
 	mustNoErr(t, a.SetKeyRange(mem.PageSize, mem.PageSize, 2))
 	mustNoErr(t, a.SetKeyRange(2*mem.PageSize, mem.PageSize, 3))
 	src, dst := mem.Addr(mem.PageSize), mem.Addr(2*mem.PageSize)
-	mustNoErr(t, u.WritePKRU(DomainPKRU(2)))
+	mustNoErr(t, u.WritePKRU(DomainPKRU(2), 0))
 	if err := u.Copy(dst, src, 16); err == nil {
 		t.Fatal("copy into foreign domain allowed")
 	}
-	mustNoErr(t, u.WritePKRU(DomainPKRU(2, 3)))
+	mustNoErr(t, u.WritePKRU(DomainPKRU(2, 3), 0))
 	b, _ := a.Bytes(src, 3)
 	copy(b, "abc")
 	if err := u.Copy(dst, src, 3); err != nil {
@@ -178,7 +178,7 @@ func TestCopyChecksBothSides(t *testing.T) {
 
 func TestWRPKRUCost(t *testing.T) {
 	u, _, cpu := newUnit(t)
-	mustNoErr(t, u.WritePKRU(DomainPKRU(1)))
+	mustNoErr(t, u.WritePKRU(DomainPKRU(1), 0))
 	if got := cpu.Component(clock.CompGate); got != clock.CostWRPKRU {
 		t.Fatalf("WRPKRU cost = %d, want %d", got, clock.CostWRPKRU)
 	}
@@ -193,11 +193,11 @@ func TestSealingPolicies(t *testing.T) {
 		u.SetPolicy(pol)
 		good := DomainPKRU(1)
 		u.RegisterDomain(good)
-		if err := u.WritePKRU(good); err != nil {
+		if err := u.WritePKRU(good, 0); err != nil {
 			t.Fatalf("%v: registered value rejected: %v", pol, err)
 		}
 		evil := DomainPKRU(1, 2, 3)
-		if err := u.WritePKRU(evil); err == nil {
+		if err := u.WritePKRU(evil, 0); err == nil {
 			t.Fatalf("%v: unregistered PKRU accepted", pol)
 		}
 		if u.PKRU() != good {
@@ -211,11 +211,28 @@ func TestSealingPolicies(t *testing.T) {
 	for _, pol := range []SealPolicy{SealStatic, SealRuntime, SealPageTable} {
 		u, _, cpu := newUnit(t)
 		u.SetPolicy(pol)
-		mustNoErr(t, u.WritePKRU(PermitAll))
+		mustNoErr(t, u.WritePKRU(PermitAll, 0))
 		costs[pol] = cpu.Component(clock.CompGate)
 	}
 	if !(costs[SealStatic] < costs[SealRuntime] && costs[SealRuntime] < costs[SealPageTable]) {
 		t.Fatalf("sealing cost ordering wrong: %v", costs)
+	}
+}
+
+// TestWritePKRUChargesExtra pins that the gate cycles a caller hands
+// WritePKRU land in its one charge, on an accepted and a rejected
+// write alike.
+func TestWritePKRUChargesExtra(t *testing.T) {
+	u, _, cpu := newUnit(t)
+	u.SetPolicy(SealRuntime)
+	u.RegisterDomain(DomainPKRU(1))
+	mustNoErr(t, u.WritePKRU(DomainPKRU(1), 7))
+	if err := u.WritePKRU(DomainPKRU(2), 7); err == nil {
+		t.Fatal("unregistered PKRU accepted")
+	}
+	want := 2 * (clock.CostWRPKRU + SealRuntime.sealExtraCycles() + 7)
+	if got := cpu.Component(clock.CompGate); got != want || cpu.Cycles() != want {
+		t.Fatalf("two writes charged %d cycles (%d in all), want %d", got, cpu.Cycles(), want)
 	}
 }
 
@@ -231,12 +248,12 @@ func TestSealedTableHoldsEveryKeyDomain(t *testing.T) {
 			u.RegisterDomain(DomainPKRU(k))
 		}
 		for k := mem.Key(0); k < mem.NumKeys; k++ {
-			if err := u.WritePKRU(DomainPKRU(k)); err != nil {
+			if err := u.WritePKRU(DomainPKRU(k), 0); err != nil {
 				t.Fatalf("%v: registered domain of key %d rejected: %v", pol, k, err)
 			}
 		}
 		for _, evil := range []PKRU{PermitAll, DomainPKRU(1, 2), DenyAll().AllowRead(3)} {
-			if err := u.WritePKRU(evil); err == nil {
+			if err := u.WritePKRU(evil, 0); err == nil {
 				t.Fatalf("%v: unregistered %v accepted", pol, evil)
 			}
 		}
@@ -247,7 +264,7 @@ func TestNoSealingWithoutRegistration(t *testing.T) {
 	// Before any domain is registered, boot code may write PKRU freely.
 	u, _, _ := newUnit(t)
 	u.SetPolicy(SealStatic)
-	if err := u.WritePKRU(DomainPKRU(5)); err != nil {
+	if err := u.WritePKRU(DomainPKRU(5), 0); err != nil {
 		t.Fatalf("boot-time PKRU write rejected: %v", err)
 	}
 }

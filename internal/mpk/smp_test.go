@@ -27,11 +27,11 @@ func TestPKRUPerVCPU(t *testing.T) {
 
 	// vCPU 0 enters domain 2, vCPU 1 enters domain 3.
 	m.CPU(0).MakeCurrent()
-	if err := u.WritePKRU(DomainPKRU(2)); err != nil {
+	if err := u.WritePKRU(DomainPKRU(2), 0); err != nil {
 		t.Fatal(err)
 	}
 	m.CPU(1).MakeCurrent()
-	if err := u.WritePKRU(DomainPKRU(3)); err != nil {
+	if err := u.WritePKRU(DomainPKRU(3), 0); err != nil {
 		t.Fatal(err)
 	}
 

@@ -10,12 +10,13 @@ import (
 	"flexos/internal/fault"
 )
 
-// batchRoute resolves the route from library "app" in compartment
-// "core" into library "netstack" in compartment "nw", across a VM-RPC
-// gate, which carries a batch through one crossing.
-func batchRoute(t *testing.T, cpu *clock.Machine) (*gate.Route, *gate.Registry) {
+// nwRoute resolves the route from library "app" in compartment "core"
+// into library "netstack" in compartment "nw", across cross. The batch
+// tests cross a VM-RPC gate, which carries a batch through one
+// crossing.
+func nwRoute(t *testing.T, cpu *clock.Machine, cross gate.Gate) (*gate.Route, *gate.Registry) {
 	t.Helper()
-	reg := gate.NewRegistry(cpu, gate.NewFuncCall(cpu), gate.NewVMRPC(cpu), nil)
+	reg := gate.NewRegistry(cpu, gate.NewFuncCall(cpu), cross, nil)
 	reg.AddCompartment(gate.NewDomain("core"))
 	reg.AddCompartment(gate.NewDomain("nw"))
 	for lib, comp := range map[string]string{"app": "core", "netstack": "nw"} {
@@ -54,11 +55,11 @@ func TestBatchBreakerOpenFailsEveryFrameFast(t *testing.T) {
 	cpu := clock.NewMachine(1)
 	s := NewSupervisor(cpu, nil, nil)
 	s.SetBreaker("nw", BreakerSpec{Threshold: 1, Window: 4, Cooldown: 1 << 40})
-	ro, reg := batchRoute(t, cpu)
+	ro, reg := nwRoute(t, cpu, gate.NewVMRPC(cpu))
 
 	// One trapped call opens the threshold-1 breaker.
 	trap := &fault.Trap{Comp: "nw", Kind: fault.KindMPK, PC: "core->nw"}
-	if err := s.SuperviseCall("nw", 0, true, func() error { return trap }); err == nil {
+	if err := superviseCall(t, s, func() error { return trap }); err == nil {
 		t.Fatal("trapped call returned nil")
 	}
 	if got := s.BreakerState("nw"); got != "open" {
@@ -94,7 +95,7 @@ func TestBatchBreakerOpenFailsEveryFrameFast(t *testing.T) {
 func TestBatchTrapContainsToOneFrame(t *testing.T) {
 	cpu := clock.NewMachine(1)
 	s := NewSupervisor(cpu, nil, nil)
-	ro, _ := batchRoute(t, cpu)
+	ro, _ := nwRoute(t, cpu, gate.NewVMRPC(cpu))
 
 	trap := &fault.Trap{Comp: "nw", Kind: fault.KindMPK, PC: "core->nw"}
 	var ran []int
@@ -128,7 +129,7 @@ func TestBatchRestartRetriesOneFrameSolo(t *testing.T) {
 	cpu := clock.NewMachine(1)
 	s := NewSupervisor(cpu, nil, nil)
 	s.SetPolicy("nw", fault.PolicyRestart)
-	ro, reg := batchRoute(t, cpu)
+	ro, reg := nwRoute(t, cpu, gate.NewVMRPC(cpu))
 
 	trap := &fault.Trap{Comp: "nw", Kind: fault.KindMPK, PC: "core->nw"}
 	var ran []int
@@ -166,7 +167,7 @@ func TestBatchDeadlineExpiryShedsOneFrame(t *testing.T) {
 	cpu := clock.NewMachine(1)
 	s := NewSupervisor(cpu, nil, nil)
 	s.SetOverload("nw")
-	ro, reg := batchRoute(t, cpu)
+	ro, reg := nwRoute(t, cpu, gate.NewVMRPC(cpu))
 	cpu.Charge(clock.CompApp, 100)
 
 	var ran []int
@@ -205,10 +206,10 @@ func TestBatchDegradedFailsWholeBatch(t *testing.T) {
 	cpu := clock.NewMachine(1)
 	s := NewSupervisor(cpu, nil, nil)
 	s.SetPolicy("nw", fault.PolicyDegrade)
-	ro, reg := batchRoute(t, cpu)
+	ro, reg := nwRoute(t, cpu, gate.NewVMRPC(cpu))
 
 	trap := &fault.Trap{Comp: "nw", Kind: fault.KindMPK, PC: "core->nw"}
-	if err := s.SuperviseCall("nw", 0, true, func() error { return trap }); err == nil {
+	if err := superviseCall(t, s, func() error { return trap }); err == nil {
 		t.Fatal("degrading call returned nil")
 	}
 	if _, down := s.Degraded("nw"); !down {

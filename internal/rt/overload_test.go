@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"flexos/internal/clock"
+	"flexos/internal/core/gate"
 	"flexos/internal/fault"
 	"flexos/internal/trace"
 )
@@ -66,7 +67,7 @@ func TestBreakerLifecycle(t *testing.T) {
 	}
 
 	fail := func() error {
-		return s.SuperviseCall("nw", 0, true, func() error { return nwTrap() })
+		return superviseCall(t, s, func() error { return nwTrap() })
 	}
 	// Threshold failures within the window open the breaker.
 	for i := 0; i < spec.Threshold; i++ {
@@ -82,7 +83,7 @@ func TestBreakerLifecycle(t *testing.T) {
 	// than a shed.
 	ran := false
 	before := cpu.Component(clock.CompFault)
-	err := s.SuperviseCall("nw", 0, true, func() error { ran = true; return nil })
+	err := superviseCall(t, s, func() error { ran = true; return nil })
 	var be *fault.BreakerOpenError
 	if !errors.As(err, &be) || be.Comp != "nw" {
 		t.Fatalf("open breaker: err = %v, want BreakerOpenError", err)
@@ -131,6 +132,63 @@ func TestBreakerLifecycle(t *testing.T) {
 	}
 }
 
+// TestBreakerProbePanicFreesItsSlot pins the deferred release on the
+// call path: a half-open probe that unwinds past the trap boundary (a
+// direct-call gate catches nothing) reports no outcome but frees its
+// probe slot, so the next call probes instead of failing fast.
+func TestBreakerProbePanicFreesItsSlot(t *testing.T) {
+	cpu := clock.NewMachine(1)
+	s := NewSupervisor(cpu, nil, nil)
+	spec := BreakerSpec{Threshold: 1, Window: 4, Cooldown: 1000}
+	s.SetBreaker("nw", spec)
+	superviseCall(t, s, func() error { return nwTrap() })
+	cpu.Charge(clock.CompApp, spec.Cooldown)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("the probe did not unwind")
+			}
+		}()
+		superviseCall(t, s, func() error { panic("callee crashed") })
+	}()
+	if got := s.BreakerState("nw"); got != "half-open" {
+		t.Fatalf("state after the unwound probe = %q, want half-open", got)
+	}
+	ran := false
+	if err := superviseCall(t, s, func() error { ran = true; return nil }); err != nil || !ran {
+		t.Fatalf("next probe: err = %v, ran = %v; want it admitted", err, ran)
+	}
+	if got := s.BreakerState("nw"); got != "closed" {
+		t.Fatalf("state after the next probe = %q, want closed", got)
+	}
+}
+
+// TestBreakerGuardsOnlyCrossings pins that the breaker sits in front
+// of isolating gates only: while nw's breaker is open, a call between
+// two libraries of nw still runs, as a compartment cannot shed calls
+// from itself.
+func TestBreakerGuardsOnlyCrossings(t *testing.T) {
+	cpu := clock.NewMachine(1)
+	s := NewSupervisor(cpu, nil, nil)
+	s.SetBreaker("nw", BreakerSpec{Threshold: 1, Window: 4, Cooldown: 1 << 40})
+	superviseCall(t, s, func() error { return nwTrap() })
+	if got := s.BreakerState("nw"); got != "open" {
+		t.Fatalf("state after the trap = %q, want open", got)
+	}
+	_, reg := nwRoute(t, cpu, gate.NewFuncCall(cpu))
+	if err := reg.Assign("tcp", "nw"); err != nil {
+		t.Fatal(err)
+	}
+	netstack := &Env{Lib: "netstack", CPU: cpu, Gates: reg, Sup: s}
+	ran := false
+	if err := netstack.CallFn("tcp", "input", 0, func() error { ran = true; return nil }); err != nil || !ran {
+		t.Fatalf("call within nw: err = %v, ran = %v", err, ran)
+	}
+	if st := s.Stats(); st.BreakerFastFails != 0 {
+		t.Fatalf("BreakerFastFails = %d, want 0", st.BreakerFastFails)
+	}
+}
+
 func TestBreakerWindowReset(t *testing.T) {
 	cpu := clock.NewMachine(1)
 	s := NewSupervisor(cpu, nil, nil)
@@ -139,9 +197,9 @@ func TestBreakerWindowReset(t *testing.T) {
 	// One failure per window never accumulates to the threshold: the
 	// tumbling window resets the failure count.
 	for round := 0; round < 3; round++ {
-		s.SuperviseCall("nw", 0, true, func() error { return nwTrap() })
+		superviseCall(t, s, func() error { return nwTrap() })
 		for i := 0; i < 3; i++ {
-			if err := s.SuperviseCall("nw", 0, true, func() error { return nil }); err != nil {
+			if err := superviseCall(t, s, func() error { return nil }); err != nil {
 				t.Fatalf("round %d: %v", round, err)
 			}
 		}

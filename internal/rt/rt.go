@@ -13,6 +13,7 @@ package rt
 import (
 	"flexos/internal/clock"
 	"flexos/internal/core/gate"
+	"flexos/internal/fault"
 	"flexos/internal/mem"
 	"flexos/internal/sched"
 	"flexos/internal/sh"
@@ -115,11 +116,17 @@ func (e *Env) CallFrame(to, fnName string, frame gate.CallFrame, fn func() error
 }
 
 // route dispatches through the callee's gate route, under the
-// machine's fault supervisor when one is attached: the supervisor
-// applies the callee compartment's admission and breaker before the
-// gate and its fault policy to any trap the call raises. The frame
-// inherits the current thread's deadline, so nested calls stay under
-// the original budget.
+// machine's fault supervisor when one is attached. The frame inherits
+// the current thread's deadline, so nested calls stay under the
+// original budget. A supervised call into a degraded compartment fails
+// fast without crossing. Admission and the circuit breaker sit in
+// front of *isolating* gates, so only a crossing into a compartment
+// that arms them is admitted and feeds its breaker: a compartment
+// cannot shed calls from itself. Every call takes a pool mark, and a
+// failed one goes to the supervisor's settle, which applies the callee
+// compartment's fault policy to its trap; traps from deeper
+// compartments (already handled by a nested supervised call closer to
+// the fault) pass through untouched.
 func (e *Env) route(to, fnName string, frame gate.CallFrame, fn func() error) error {
 	c, err := e.resolve(to)
 	if err != nil {
@@ -128,10 +135,27 @@ func (e *Env) route(to, fnName string, frame gate.CallFrame, fn func() error) er
 	if frame.Deadline == 0 {
 		frame.Deadline = e.currentDeadline()
 	}
-	if e.Sup == nil {
-		return c.route.Call(fnName, frame, fn)
+	s, ro, cs := e.Sup, c.route, c.sup
+	if s == nil {
+		return ro.Call(fnName, frame, fn)
 	}
-	return e.Sup.supervise(c.sup, c.route.Crosses, c.route, fnName, frame, fn)
+	if cs.degraded != nil {
+		return &fault.DegradedError{Comp: cs.name, Cause: cs.degraded}
+	}
+	if ro.Crosses && cs.admits() {
+		if err := s.admit(cs, frame.Deadline); err != nil {
+			return err
+		}
+		defer s.release(cs)
+	}
+	mark := s.mark()
+	if err := ro.Call(fnName, frame, fn); err != nil {
+		return s.settle(cs, ro, mark, err, fnName, frame, fn)
+	}
+	if ro.Crosses {
+		s.breakerOK(cs)
+	}
+	return nil
 }
 
 // BatchDepth reports how many frames a call from this library into lib

@@ -145,65 +145,20 @@ func (s *Supervisor) mark() mem.PoolMark {
 	return s.pool.Mark()
 }
 
-// supervise runs one call into the compartment of record c — through
-// route ro, or fn alone when ro is nil — carrying the frame's absolute
-// deadline (0 = none), and applies c's fault policy to any trap the
-// callee raised. Traps from deeper compartments (already handled by a
-// nested supervised call closer to the fault) pass through untouched.
-// Admission and circuit breakers sit in front of *isolating* gates, so
-// intra-compartment calls (crossing=false) skip them — a compartment
-// cannot shed calls from itself — while the fault-policy machinery
-// still applies. A clean call runs admission only when c arms it and
-// gives breaker feedback only on a crossing; only a failed call builds
-// its retry and enters settle.
-func (s *Supervisor) supervise(c *compState, crossing bool, ro *gate.Route, fnName string, frame gate.CallFrame, fn func() error) error {
-	if c.degraded != nil {
-		return &fault.DegradedError{Comp: c.name, Cause: c.degraded}
-	}
-	if crossing && c.admits() {
-		if err := s.admit(c, frame.Deadline); err != nil {
-			return err
-		}
-		defer s.release(c)
-	}
-	mark := s.mark()
-	if err := invoke(ro, fnName, frame, fn); err != nil {
-		return s.settle(c, crossing, mark, err, func() error { return invoke(ro, fnName, frame, fn) })
-	}
-	if crossing {
-		s.breakerOK(c)
-	}
-	return nil
-}
-
-// invoke runs fn through route ro, or alone when ro is nil.
-func invoke(ro *gate.Route, fnName string, frame gate.CallFrame, fn func() error) error {
-	if ro == nil {
-		return fn()
-	}
-	return ro.Call(fnName, frame, fn)
-}
-
-// SuperviseCall runs call as one supervised call into compartment
-// toComp (see supervise), for a caller that holds no route.
-func (s *Supervisor) SuperviseCall(toComp string, deadline uint64, crossing bool, call func() error) error {
-	return s.supervise(s.comp(toComp), crossing, nil, "", gate.CallFrame{Deadline: deadline}, call)
-}
-
-// settle classifies one supervised call's outcome and applies the
-// fault policy of c's compartment: breaker feedback on success, the
-// cheap rejection path for deadline misses, and the
-// abort/restart/degrade machinery for traps. retry replays the call
-// for the restart policy; mark bounds what teardown may reclaim.
-// supervise settles every failed call through here, and superviseBatch
-// settles each frame of a batch — which is what makes containment
-// per-frame: one trapped frame reaches its own settle with its own
-// retry, the rest of the batch settles clean.
-func (s *Supervisor) settle(c *compState, crossing bool, mark mem.PoolMark, err error, retry func() error) error {
+// settle classifies the outcome err of one call through route ro into
+// the compartment of record c and applies c's fault policy: breaker
+// feedback on success, the cheap rejection path for deadline misses,
+// and the abort/restart/degrade machinery for traps. A restart replays
+// the call, fn under frame through ro; mark bounds what teardown may
+// reclaim. Every failed supervised call settles through here, and
+// superviseBatch settles each frame of a batch, which is what makes
+// containment per-frame: one trapped frame reaches its own settle and
+// replays alone, the rest of the batch settles clean.
+func (s *Supervisor) settle(c *compState, ro *gate.Route, mark mem.PoolMark, err error, fnName string, frame gate.CallFrame, fn func() error) error {
 	toComp := c.name
 	// Only crossings feed the breaker, as only crossings are admitted.
 	var brk *compState
-	if crossing {
+	if ro.Crosses {
 		brk = c
 	}
 	t, ok := fault.As(err)
@@ -240,7 +195,7 @@ func (s *Supervisor) settle(c *compState, crossing bool, mark mem.PoolMark, err 
 				s.emit("recover", toComp, fmt.Sprintf("restart attempt %d after %v", attempt, t.Kind))
 			}
 			mark = s.mark()
-			err = retry()
+			err = ro.Call(fnName, frame, fn)
 			if t2, again := fault.As(err); again && t2.Comp == toComp {
 				s.breakerFail(brk)
 				if t2.Kind == fault.KindDeadline {
@@ -322,9 +277,7 @@ func (s *Supervisor) superviseBatch(c *compState, ro *gate.Route, fnName string,
 		// ran: teardown of one trapped frame must never reclaim buffers
 		// that surviving frames of the same batch handed to their
 		// callers.
-		calls[i].Err = s.settle(c, ro.Crosses, s.mark(), calls[i].Err, func() error {
-			return ro.Call(fnName, calls[i].Frame, calls[i].Fn)
-		})
+		calls[i].Err = s.settle(c, ro, s.mark(), calls[i].Err, fnName, calls[i].Frame, calls[i].Fn)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"flexos/internal/clock"
+	"flexos/internal/core/gate"
 	"flexos/internal/fault"
 	"flexos/internal/mem"
 	"flexos/internal/trace"
@@ -20,6 +21,14 @@ func supPool(t *testing.T) *mem.SharedPool {
 	return mem.NewSharedPool(h, nil)
 }
 
+// superviseCall runs call as one supervised call from library app's
+// Env into compartment nw, across a direct-call gate.
+func superviseCall(t *testing.T, s *Supervisor, call func() error) error {
+	_, reg := nwRoute(t, s.cpu, gate.NewFuncCall(s.cpu))
+	env := &Env{Lib: "app", CPU: s.cpu, Gates: reg, Sup: s}
+	return env.CallFrame("netstack", "", gate.CallFrame{}, call)
+}
+
 func nwTrap() *fault.Trap {
 	return &fault.Trap{Comp: "nw", Kind: fault.KindMPK, PC: "netstack:recv", Addr: 0x5000}
 }
@@ -27,7 +36,7 @@ func nwTrap() *fault.Trap {
 func TestSuperviseCleanCall(t *testing.T) {
 	s := NewSupervisor(clock.NewMachine(1), nil, nil)
 	calls := 0
-	if err := s.SuperviseCall("nw", 0, true, func() error { calls++; return nil }); err != nil {
+	if err := superviseCall(t, s, func() error { calls++; return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if calls != 1 {
@@ -42,7 +51,7 @@ func TestSuperviseAbortByDefault(t *testing.T) {
 	s := NewSupervisor(clock.NewMachine(1), nil, nil)
 	tr := nwTrap()
 	calls := 0
-	err := s.SuperviseCall("nw", 0, true, func() error { calls++; return tr })
+	err := superviseCall(t, s, func() error { calls++; return tr })
 	if got, ok := fault.As(err); !ok || got != tr {
 		t.Fatalf("err = %v, want the trap propagated", err)
 	}
@@ -61,7 +70,7 @@ func TestSuperviseRestartRecovers(t *testing.T) {
 	s := NewSupervisor(cpu, pool, nil)
 	s.SetPolicy("nw", fault.PolicyRestart)
 	attempt := 0
-	err := s.SuperviseCall("nw", 0, true, func() error {
+	err := superviseCall(t, s, func() error {
 		attempt++
 		if attempt == 1 {
 			// The trapped attempt strands two in-flight buffers, as a
@@ -107,7 +116,7 @@ func TestSuperviseRestartPreservesPreCallBuffers(t *testing.T) {
 		t.Fatal(err)
 	}
 	attempt := 0
-	err = s.SuperviseCall("nw", 0, true, func() error {
+	err = superviseCall(t, s, func() error {
 		attempt++
 		if attempt == 1 {
 			return nwTrap()
@@ -126,7 +135,7 @@ func TestSuperviseRestartExhaustion(t *testing.T) {
 	s := NewSupervisor(clock.NewMachine(1), nil, nil)
 	s.SetPolicy("nw", fault.PolicyRestart)
 	calls := 0
-	err := s.SuperviseCall("nw", 0, true, func() error { calls++; return nwTrap() })
+	err := superviseCall(t, s, func() error { calls++; return nwTrap() })
 	if _, ok := fault.As(err); !ok {
 		t.Fatalf("exhausted restart returned %v, want trap", err)
 	}
@@ -143,7 +152,7 @@ func TestSuperviseDegradeFailsFast(t *testing.T) {
 	s := NewSupervisor(clock.NewMachine(1), nil, nil)
 	s.SetPolicy("nw", fault.PolicyDegrade)
 	calls := 0
-	err := s.SuperviseCall("nw", 0, true, func() error { calls++; return nwTrap() })
+	err := superviseCall(t, s, func() error { calls++; return nwTrap() })
 	var de *fault.DegradedError
 	if !errors.As(err, &de) || de.Comp != "nw" {
 		t.Fatalf("err = %v, want DegradedError", err)
@@ -152,7 +161,7 @@ func TestSuperviseDegradeFailsFast(t *testing.T) {
 		t.Fatal("compartment not marked degraded")
 	}
 	// Later calls fail fast without crossing into the compartment.
-	err = s.SuperviseCall("nw", 0, true, func() error { calls++; return nil })
+	err = superviseCall(t, s, func() error { calls++; return nil })
 	if !errors.As(err, &de) {
 		t.Fatalf("second call = %v, want DegradedError", err)
 	}
@@ -168,11 +177,11 @@ func TestSuperviseForeignTrapPassesThrough(t *testing.T) {
 	s := NewSupervisor(clock.NewMachine(1), nil, nil)
 	s.SetPolicy("nw", fault.PolicyRestart)
 	// A trap attributed to a deeper compartment was already handled by
-	// the nested SuperviseCall closer to the fault: it must pass through
+	// a nested supervised call closer to the fault: it must pass through
 	// without a restart here.
 	deep := &fault.Trap{Comp: "lc", Kind: fault.KindASAN}
 	calls := 0
-	err := s.SuperviseCall("nw", 0, true, func() error { calls++; return deep })
+	err := superviseCall(t, s, func() error { calls++; return deep })
 	if got, ok := fault.As(err); !ok || got != deep {
 		t.Fatalf("err = %v, want foreign trap unchanged", err)
 	}
@@ -185,7 +194,7 @@ func TestSupervisePlainErrorPassesThrough(t *testing.T) {
 	s := NewSupervisor(clock.NewMachine(1), nil, nil)
 	s.SetPolicy("nw", fault.PolicyRestart)
 	plain := errors.New("connection reset")
-	err := s.SuperviseCall("nw", 0, true, func() error { return plain })
+	err := superviseCall(t, s, func() error { return plain })
 	if err != plain {
 		t.Fatalf("err = %v, want plain error unchanged", err)
 	}
@@ -219,7 +228,7 @@ func TestTeardownResetsDrainedHeapOnly(t *testing.T) {
 	s.RegisterHeap("nw", drained)
 	s.RegisterHeap("nw", live)
 	attempt := 0
-	err = s.SuperviseCall("nw", 0, true, func() error {
+	err = superviseCall(t, s, func() error {
 		attempt++
 		if attempt == 1 {
 			return nwTrap()
@@ -244,7 +253,7 @@ func TestSupervisorTracerSeesLifecycle(t *testing.T) {
 	s := NewSupervisor(clock.NewMachine(1), nil, sink)
 	s.SetPolicy("nw", fault.PolicyRestart)
 	attempt := 0
-	_ = s.SuperviseCall("nw", 0, true, func() error {
+	_ = superviseCall(t, s, func() error {
 		attempt++
 		if attempt == 1 {
 			return nwTrap()
