@@ -41,8 +41,8 @@ type paperCase struct {
 }
 
 // paperCases lists every case of BenchmarkFig3, BenchmarkTable1,
-// BenchmarkFig4, BenchmarkFig5 and the seal-policy, allocator-policy,
-// delayed-ack and socket-mode ablations.
+// BenchmarkFig4, BenchmarkFig5 and the seal-policy, allocator-policy
+// and socket-mode ablations.
 func paperCases() []paperCase {
 	iperfAt := func(recvBuf int) harness.Load {
 		return harness.Load{App: harness.Iperf, Bytes: 512 << 10, RecvBuf: recvBuf}
@@ -131,9 +131,8 @@ func paperCases() []paperCase {
 	// Ablations: design choices DESIGN.md calls out. The seal policy is
 	// the MPK backend's PKRU-integrity guard (static analysis, runtime
 	// checks or page-table sealing); the allocator policy isolates the
-	// Fig. 4 mechanism under hardening; delayed acks are RFC 1122's on
-	// the iperf receive path; the socket mode compares direct socket
-	// calls with the tcpip-thread (netconn) handoff.
+	// Fig. 4 mechanism under hardening; the socket mode compares direct
+	// socket calls with the tcpip-thread (netconn) handoff.
 	for _, pol := range []mpk.SealPolicy{mpk.SealStatic, mpk.SealRuntime, mpk.SealPageTable} {
 		cfg := build.Config{Compartments: build.NWOnly(), Backend: gate.MPKShared,
 			Alloc: build.AllocPerCompartment, Seal: pol, Net: tcpipThread}
@@ -142,15 +141,6 @@ func paperCases() []paperCase {
 	for _, pol := range []build.AllocPolicy{build.AllocGlobal, build.AllocPerCompartment, build.AllocPerLibrary} {
 		cfg := build.Config{SH: shNet, Alloc: pol, Net: tcpipThread}
 		cs = append(cs, paperCase{"AblationAllocatorPolicy", pol.String(), cfg, redisOf(harness.OpSET, 50)})
-	}
-	for _, delayed := range []bool{false, true} {
-		cfg := build.Config{Net: tcpipThread}
-		cfg.Net.DelayedAck = delayed
-		name := "ack-per-segment"
-		if delayed {
-			name = "delayed-ack"
-		}
-		cs = append(cs, paperCase{"AblationDelayedAck", name, cfg, iperfAt(8 << 10)})
 	}
 	for _, mode := range []flexnet.SocketMode{flexnet.DirectMode, flexnet.TCPIPThreadMode} {
 		cfg := build.Config{Net: flexnet.Config{SocketMode: mode}}
@@ -188,7 +178,6 @@ func BenchmarkFig4(b *testing.B)                    { benchPaper(b, "Fig4") }
 func BenchmarkFig5(b *testing.B)                    { benchPaper(b, "Fig5") }
 func BenchmarkAblationSealPolicy(b *testing.B)      { benchPaper(b, "AblationSealPolicy") }
 func BenchmarkAblationAllocatorPolicy(b *testing.B) { benchPaper(b, "AblationAllocatorPolicy") }
-func BenchmarkAblationDelayedAck(b *testing.B)      { benchPaper(b, "AblationDelayedAck") }
 func BenchmarkAblationSocketMode(b *testing.B)      { benchPaper(b, "AblationSocketMode") }
 
 // --- Fig. 3 extension: copy vs shared data path ----------------------
@@ -317,13 +306,6 @@ func BenchmarkContextSwitch(b *testing.B) {
 func BenchmarkAblationColoring(b *testing.B) {
 	m := compat.BuildMatrix(spec.DefaultImage())
 	g := coloring.FromMatrix(m)
-	b.Run("greedy", func(b *testing.B) {
-		var colors int
-		for i := 0; i < b.N; i++ {
-			colors = coloring.Greedy(g).NumColors
-		}
-		b.ReportMetric(float64(colors), "compartments")
-	})
 	b.Run("dsatur", func(b *testing.B) {
 		var colors int
 		for i := 0; i < b.N; i++ {

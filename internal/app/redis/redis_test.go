@@ -238,68 +238,6 @@ func TestLargeValue(t *testing.T) {
 	})
 }
 
-func TestMultipleConcurrentClients(t *testing.T) {
-	// Two clients served by two server threads share one store.
-	w, err := build.NewWorld(build.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := NewServer(w.Server.Env("app"), w.Server.LibC, w.Server.Stack, 6379)
-	listener, err := srv.Listen()
-	if err != nil {
-		t.Fatal(err)
-	}
-	const clients = 3
-	for i := 0; i < clients; i++ {
-		w.Sched.Spawn(fmt.Sprintf("server-worker-%d", i), w.Server.CPU, func(th *sched.Thread) {
-			conn, err := srv.Accept(th, listener)
-			if err != nil {
-				t.Errorf("accept: %v", err)
-				return
-			}
-			if err := srv.ServeConn(th, conn); err != nil {
-				t.Errorf("serve: %v", err)
-			}
-		})
-	}
-	for i := 0; i < clients; i++ {
-		i := i
-		w.Sched.Spawn(fmt.Sprintf("client-%d", i), w.Client.CPU, func(th *sched.Thread) {
-			c := NewClient(w.Client.Env("app"), w.Client.LibC, w.Client.Stack,
-				w.Server.Stack.IP(), 6379)
-			if err := c.Connect(th); err != nil {
-				t.Errorf("client %d connect: %v", i, err)
-				return
-			}
-			key := fmt.Sprintf("client:%d", i)
-			for round := 0; round < 10; round++ {
-				val := []byte(fmt.Sprintf("v-%d-%d", i, round))
-				if err := c.Set(th, key, val); err != nil {
-					t.Errorf("client %d set: %v", i, err)
-					return
-				}
-				got, ok, err := c.Get(th, key)
-				if err != nil || !ok || !bytes.Equal(got, val) {
-					t.Errorf("client %d get = %q, %v, %v", i, got, ok, err)
-					return
-				}
-				th.Yield() // interleave with the other clients
-			}
-			_ = c.Close(th)
-		})
-	}
-	if err := w.Sched.Run(); err != nil {
-		t.Fatal(err)
-	}
-	// One key per client, all in the shared store.
-	if srv.Store().Len() != clients {
-		t.Fatalf("store len = %d, want %d", srv.Store().Len(), clients)
-	}
-	if srv.Commands != clients*20 {
-		t.Fatalf("Commands = %d, want %d", srv.Commands, clients*20)
-	}
-}
-
 func TestRedisOverMPKIsolation(t *testing.T) {
 	cfg := build.Config{
 		Compartments: build.NWSchedRest(),

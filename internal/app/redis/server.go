@@ -18,7 +18,7 @@ import (
 // defaultBufSize is the request/reply buffer size.
 const defaultBufSize = 16 << 10
 
-// Server is the RESP server: one connection at a time, loop until EOF.
+// Server is the RESP server: one connection, served until EOF.
 type Server struct {
 	env   *rt.Env
 	lc    *libc.LibC
@@ -72,52 +72,23 @@ func (s *Server) call(fnName string, words int, fn func() error) error {
 	return s.env.CallFn("libc", fnName, words, fn)
 }
 
-// Listen binds the server's listening socket.
-func (s *Server) Listen() (*net.Socket, error) {
-	var listener *net.Socket
-	err := s.call("listen", 2, func() error {
+// Run listens on Port, accepts one connection and serves it until EOF.
+func (s *Server) Run(t *sched.Thread) error {
+	var listener, conn *net.Socket
+	if err := s.call("listen", 2, func() error {
 		var err error
 		listener, err = s.lc.Listen(s.stack, s.Port, 4)
 		return err
-	})
-	if err != nil {
-		return nil, fmt.Errorf("redis server: %w", err)
+	}); err != nil {
+		return fmt.Errorf("redis server: %w", err)
 	}
-	return listener, nil
-}
-
-// Accept blocks for the next client connection.
-func (s *Server) Accept(t *sched.Thread, listener *net.Socket) (*net.Socket, error) {
-	var conn *net.Socket
-	err := s.call("accept", 1, func() error {
+	if err := s.call("accept", 1, func() error {
 		var err error
 		conn, err = s.lc.Accept(t, listener)
 		return err
-	})
-	if err != nil {
-		return nil, fmt.Errorf("redis server accept: %w", err)
+	}); err != nil {
+		return fmt.Errorf("redis server accept: %w", err)
 	}
-	return conn, nil
-}
-
-// Run serves one connection to EOF (listen + accept + serve), the
-// single-client convenience used by the benchmarks.
-func (s *Server) Run(t *sched.Thread) error {
-	listener, err := s.Listen()
-	if err != nil {
-		return err
-	}
-	conn, err := s.Accept(t, listener)
-	if err != nil {
-		return err
-	}
-	return s.ServeConn(t, conn)
-}
-
-// ServeConn serves one established connection until EOF. Connections
-// share the server's store but use per-connection buffers, so multiple
-// ServeConn threads may run concurrently.
-func (s *Server) ServeConn(t *sched.Thread, conn *net.Socket) error {
 	c := &connState{srv: s, depth: 1}
 	// Pipelined mode: with a batch depth on the compartment holding
 	// libc, bulk-reply payload copies defer and ride one batched

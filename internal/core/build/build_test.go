@@ -144,7 +144,7 @@ func TestConfigRoundTrip(t *testing.T) {
 		},
 		Sched:    SchedVerified,
 		Platform: net.Xen,
-		Net:      net.Config{SocketMode: net.TCPIPThreadMode, DelayedAck: true, RecvBuf: 1 << 16},
+		Net:      net.Config{SocketMode: net.TCPIPThreadMode, RecvBuf: 1 << 16},
 	}
 	text := FormatConfig(cfg)
 	parsed, err := ParseConfig(text)
@@ -178,6 +178,11 @@ func TestParseConfigDiagnostics(t *testing.T) {
 	}
 	if len(cfg.SH) != 0 {
 		t.Errorf("sh none left a profile behind: %+v", cfg.SH)
+	}
+	// No experiment sets delayed ACKs, so no directive does either.
+	if _, err := ParseConfig("delayed-ack on\n"); err == nil ||
+		!strings.Contains(err.Error(), `unknown directive "delayed-ack"`) {
+		t.Errorf("delayed-ack on: got %v, want an unknown-directive error", err)
 	}
 }
 

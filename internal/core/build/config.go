@@ -138,8 +138,8 @@ type Config struct {
 	// descriptors across gates; DataPathCopy charges a boundary copy at
 	// every cross-compartment hop (the pre-pool behaviour).
 	DataPath net.DataPath
-	// Net tunes the network stack (recv buffer, socket mode, delayed
-	// acks, ...). The builder wires IP, Platform, DataPath, RestHard,
+	// Net tunes the network stack (recv buffer, socket mode,
+	// keepalive). The builder wires IP, Platform, DataPath, RestHard,
 	// TxBatch, RxBudget and NumQueues from the image's own knobs;
 	// normalize rejects a config that sets them.
 	Net net.Config

@@ -26,7 +26,6 @@ import (
 //	platform <kvm|xen>
 //	datapath <shared|copy>
 //	socket-mode <direct|tcpip-thread>
-//	delayed-ack <on|off>
 //	recv-buf <bytes>
 //	sh <library> <none|full|asan[,cfi][,ssp][,ubsan]>
 //	compartment <name> <library> [library...]
@@ -146,18 +145,6 @@ func applyDirective(cfg *Config, fields []string) error {
 			cfg.Net.SocketMode = net.TCPIPThreadMode
 		default:
 			return fmt.Errorf("unknown socket mode %q", args[0])
-		}
-	case "delayed-ack":
-		if err := need(1); err != nil {
-			return err
-		}
-		switch args[0] {
-		case "on":
-			cfg.Net.DelayedAck = true
-		case "off":
-			cfg.Net.DelayedAck = false
-		default:
-			return fmt.Errorf("delayed-ack wants on or off, got %q", args[0])
 		}
 	case "recv-buf":
 		if err := need(1); err != nil {
@@ -348,9 +335,6 @@ func FormatConfig(cfg Config) string {
 		fmt.Fprintf(&b, "socket-mode tcpip-thread\n")
 	} else {
 		fmt.Fprintf(&b, "socket-mode direct\n")
-	}
-	if cfg.Net.DelayedAck {
-		fmt.Fprintf(&b, "delayed-ack on\n")
 	}
 	if cfg.Net.RecvBuf > 0 {
 		fmt.Fprintf(&b, "recv-buf %d\n", cfg.Net.RecvBuf)

@@ -10,7 +10,7 @@ import "testing"
 func FuzzParseConfig(f *testing.F) {
 	f.Add("backend mpk-shared\ncompartment nw netstack\ncompartment core sched alloc libc app rest\n")
 	f.Add("name img\nbackend vm-rpc\nalloc per-compartment\nsched verified\nseal runtime\n" +
-		"platform xen\ndatapath copy\nsocket-mode tcpip-thread\ndelayed-ack on\nrecv-buf 16384\n" +
+		"platform xen\ndatapath copy\nsocket-mode tcpip-thread\nrecv-buf 16384\n" +
 		"sh libc asan,cfi\ncompartment lc libc\ncompartment core sched alloc netstack app rest\n" +
 		"onfault lc restart\n")
 	f.Add("backend cheri\nonfault all degrade\n# comment\n\n")

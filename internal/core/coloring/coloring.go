@@ -8,10 +8,9 @@
 // color becomes one compartment. In the worst case — all libraries
 // conflict — every library lands in its own compartment.
 //
-// Three algorithms are provided: greedy in Welsh–Powell order (fast,
-// no quality guarantee), DSATUR (better in practice), and an exact
-// branch-and-bound (optimal, for the small graphs a LibOS image
-// actually has). Minimal picks Exact, falling back to DSATUR beyond
+// Two algorithms are provided: DSATUR (fast, no quality guarantee)
+// and an exact branch-and-bound (optimal, for the small graphs a LibOS
+// image actually has). Minimal picks Exact, falling back to DSATUR beyond
 // ExactLimit; the explore package runs it over every SH-variant
 // combination.
 package coloring
@@ -124,18 +123,6 @@ func Validate(g *Graph, a Assignment) error {
 		}
 	}
 	return nil
-}
-
-// Greedy colors in Welsh–Powell order (descending degree).
-func Greedy(g *Graph) Assignment {
-	order := make([]int, g.n)
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return g.Degree(order[a]) > g.Degree(order[b])
-	})
-	return colorInOrder(g, order)
 }
 
 // DSATUR colors by descending saturation degree with degree
@@ -269,22 +256,6 @@ func tryColor(g *Graph, order, colors []int, idx, k int) bool {
 		colors[v] = -1
 	}
 	return false
-}
-
-func colorInOrder(g *Graph, order []int) Assignment {
-	colors := make([]int, g.n)
-	for i := range colors {
-		colors[i] = -1
-	}
-	numColors := 0
-	for _, v := range order {
-		c := lowestFree(g, colors, v)
-		colors[v] = c
-		if c+1 > numColors {
-			numColors = c + 1
-		}
-	}
-	return Assignment{Colors: colors, NumColors: numColors}
 }
 
 func lowestFree(g *Graph, colors []int, v int) int {

@@ -11,11 +11,8 @@ import (
 
 func TestEmptyAndSingleton(t *testing.T) {
 	g := NewGraph(0)
-	for _, algo := range []func(*Graph) Assignment{Greedy, DSATUR} {
-		a := algo(g)
-		if a.NumColors != 0 {
-			t.Fatalf("empty graph colored with %d", a.NumColors)
-		}
+	if a := DSATUR(g); a.NumColors != 0 {
+		t.Fatalf("empty graph colored with %d", a.NumColors)
 	}
 	a, err := Exact(g)
 	if err != nil || a.NumColors != 0 {
@@ -30,14 +27,12 @@ func TestEmptyAndSingleton(t *testing.T) {
 
 func TestEdgelessGraphOneColor(t *testing.T) {
 	g := NewGraph(6)
-	for _, algo := range []func(*Graph) Assignment{Greedy, DSATUR} {
-		a := algo(g)
-		if a.NumColors != 1 {
-			t.Fatalf("edgeless graph colored with %d", a.NumColors)
-		}
-		if err := Validate(g, a); err != nil {
-			t.Fatal(err)
-		}
+	a := DSATUR(g)
+	if a.NumColors != 1 {
+		t.Fatalf("edgeless graph colored with %d", a.NumColors)
+	}
+	if err := Validate(g, a); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -51,14 +46,12 @@ func TestCompleteGraphNColors(t *testing.T) {
 			g.AddEdge(i, j)
 		}
 	}
-	for _, algo := range []func(*Graph) Assignment{Greedy, DSATUR} {
-		a := algo(g)
-		if a.NumColors != n {
-			t.Fatalf("K%d colored with %d", n, a.NumColors)
-		}
-		if err := Validate(g, a); err != nil {
-			t.Fatal(err)
-		}
+	a := DSATUR(g)
+	if a.NumColors != n {
+		t.Fatalf("K%d colored with %d", n, a.NumColors)
+	}
+	if err := Validate(g, a); err != nil {
+		t.Fatal(err)
 	}
 	a, err := Exact(g)
 	if err != nil || a.NumColors != n {
@@ -177,9 +170,8 @@ func TestDegreeAndEdges(t *testing.T) {
 	}
 }
 
-// Property: on random graphs, all three algorithms produce valid
-// colorings and Exact <= DSATUR <= some bound; Exact is minimal among
-// the three.
+// Property: on random graphs, both algorithms produce valid colorings
+// and Exact uses no more colors than DSATUR.
 func TestAlgorithmsProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -192,15 +184,15 @@ func TestAlgorithmsProperty(t *testing.T) {
 				}
 			}
 		}
-		gr, ds := Greedy(g), DSATUR(g)
+		ds := DSATUR(g)
 		ex, err := Exact(g)
 		if err != nil {
 			return false
 		}
-		if Validate(g, gr) != nil || Validate(g, ds) != nil || Validate(g, ex) != nil {
+		if Validate(g, ds) != nil || Validate(g, ex) != nil {
 			return false
 		}
-		return ex.NumColors <= ds.NumColors && ex.NumColors <= gr.NumColors
+		return ex.NumColors <= ds.NumColors
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)

@@ -98,8 +98,6 @@ func runNetDeath(t *testing.T, onFault map[string]fault.Policy, budget uint64) (
 		OnFault:      onFault,
 	}
 	cfg.Net.SocketMode = net.TCPIPThreadMode
-	cfg.Net.RtxDelayTicks = 50
-	cfg.Net.RtxLimit = 3
 	cfg.Net.KeepaliveTicks = 20_000
 	w, err := build.NewWorld(cfg)
 	if err != nil {

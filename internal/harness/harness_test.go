@@ -275,6 +275,7 @@ func TestRunRedisUnknownOp(t *testing.T) {
 		{"iperf-budget", Load{App: Iperf, Bytes: 1 << 10, RecvBuf: 1 << 10, Budget: 1000}},
 		{"conns-pipeline", Load{App: Redis, Conns: 2, Payload: 5, Ops: 8, Pipeline: 4}},
 		{"conns-budget", Load{App: Redis, Conns: 2, Payload: 5, Ops: 8, Budget: 1000}},
+		{"redis-conns", Load{App: Redis, Conns: 2, Payload: 5, Ops: 8}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if _, err := Run(build.Config{}, tc.load); err == nil {

@@ -318,16 +318,22 @@ func iperfOverloadRows(img overloadImage) ([]OverloadRow, uint64, error) {
 	return rows, budget, nil
 }
 
-// runBreakerDemo runs the breaker leg on the MPK-switched iperf image:
-// a budget below the unloaded drain cost guarantees sheds, the sheds
-// trip the breaker, and the run must still complete — the recovery
-// drain carries the half-open probe that closes it again.
-func runBreakerDemo(calibratedBudget uint64) (*BreakerDemo, error) {
-	img := overloadImage{name: "mpk-switched", backend: gate.MPKSwitched}
-	cfg := iperfOverloadConfig(img, true)
+// breakerDemoConfig is the breaker leg's image: the MPK-switched iperf
+// image in shed mode, with a circuit breaker on its network stack.
+func breakerDemoConfig() build.Config {
+	cfg := iperfOverloadConfig(overloadImage{name: "mpk-switched", backend: gate.MPKSwitched}, true)
 	cfg.Breaker = map[string]rt.BreakerSpec{
 		"nw": {Threshold: breakerThreshold, Window: breakerWindow, Cooldown: breakerCooldown},
 	}
+	return cfg
+}
+
+// runBreakerDemo runs the breaker leg on breakerDemoConfig: a budget
+// below the unloaded drain cost guarantees sheds, the sheds trip the
+// breaker, and the run must still complete — the recovery drain
+// carries the half-open probe that closes it again.
+func runBreakerDemo(calibratedBudget uint64) (*BreakerDemo, error) {
+	cfg := breakerDemoConfig()
 	// A fraction of the *unloaded* per-drain cost: even fresh data
 	// cannot be served in budget, so the deadlined path sheds every
 	// time it is tried.
@@ -340,7 +346,7 @@ func runBreakerDemo(calibratedBudget uint64) (*BreakerDemo, error) {
 		return nil, err
 	}
 	return &BreakerDemo{
-		Image:      img.name,
+		Image:      cfg.Name,
 		Opens:      m.stats.BreakerOpens,
 		Closes:     m.stats.BreakerCloses,
 		FastFails:  m.stats.BreakerFastFails,

@@ -60,21 +60,20 @@ const RedisPipeline = 8
 // Load is the workload a Run drives against the server image.
 type Load struct {
 	App App
-	// Conns is the number of client connections (iperf -P, redis
-	// clients). One connection runs the classic server; several run
-	// the RSS multi-server, one worker per connection on the vCPU of
-	// the NIC queue its flow is steered to.
+	// Conns is the number of iperf client connections (iperf -P). One
+	// connection runs the classic server; several run the RSS
+	// multi-server, one worker per connection on the vCPU of the NIC
+	// queue its flow is steered to. A redis load runs one connection.
 	Conns int
 	// Bytes is the iperf transfer, split evenly over the connections;
 	// RecvBuf is the iperf server's receive buffer.
 	Bytes, RecvBuf int
-	// Op is the measured operation of a single redis connection.
-	// Several connections each alternate SET and GET on their own key.
+	// Op is the measured redis operation.
 	Op RedisOp
-	// Payload is the redis value size in bytes. Ops is the measured
-	// requests of a single connection, or each connection's requests.
+	// Payload is the redis value size in bytes and Ops the measured
+	// requests.
 	Payload, Ops int
-	// Pipeline is a single redis connection's depth (0 means
+	// Pipeline is the redis connection's depth (0 means
 	// RedisPipeline). Budget is its server's per-command budget in
 	// cycles from wire arrival: commands answered within it count Good,
 	// later Late. An image that arms admission control (cfg.Overload)
@@ -100,7 +99,7 @@ type Result struct {
 	// KReqPerSec their rate.
 	Ops        uint64
 	KReqPerSec float64
-	// Good, Late and Shed split a single redis connection's window by
+	// Good, Late and Shed split the redis window by
 	// Load.Budget: answered within it, past it, or refused -BUSY by the
 	// overload-control plane. MaxAge is the window's worst command age
 	// (completion minus wire arrival); SupSheds and SupDeadlineTraps are
@@ -108,8 +107,8 @@ type Result struct {
 	Good, Late, Shed, MaxAge   uint64
 	SupSheds, SupDeadlineTraps uint64
 	// ServerCycles is the measured server time: the window after
-	// warmup for a single redis connection, the machine's makespan
-	// (its furthest-ahead vCPU) otherwise. Crossings and ByComponent
+	// warmup for redis, the machine's makespan (its furthest-ahead
+	// vCPU) for iperf. Crossings and ByComponent
 	// cover the same window.
 	ServerCycles uint64
 	Crossings    uint64
@@ -149,8 +148,11 @@ func Run(cfg build.Config, load Load) (*Result, error) {
 		return nil, fmt.Errorf("harness: unknown app %q", load.App)
 	}
 	conns := max(load.Conns, 1)
-	if (load.Pipeline != 0 || load.Budget != 0) && (load.App != Redis || conns > 1) {
-		return nil, fmt.Errorf("harness: Pipeline and Budget apply to a single redis connection, not %d %s", conns, load.App)
+	if load.App == Redis && conns > 1 {
+		return nil, fmt.Errorf("harness: redis runs one connection, not %d", conns)
+	}
+	if (load.Pipeline != 0 || load.Budget != 0) && load.App != Redis {
+		return nil, fmt.Errorf("harness: Pipeline and Budget apply to redis, not %s", load.App)
 	}
 	r := &Result{}
 	w, err := runWorld(cfg, func(w *build.World, spawn spawnFunc) func() error {
@@ -160,20 +162,16 @@ func Run(cfg build.Config, load Load) (*Result, error) {
 		if load.Prep != nil {
 			load.Prep(w)
 		}
-		switch {
-		case load.App == Iperf:
+		if load.App == Iperf {
 			return spawnIperf(w, load, conns, cfg.Link.Seed, r, spawn)
-		case conns == 1:
-			return spawnRedis(w, load, r, spawn)
-		default:
-			return spawnRedisConns(w, load, conns, r, spawn)
 		}
+		return spawnRedis(w, load, r, spawn)
 	})
 	if err != nil {
 		return nil, fmt.Errorf("harness %s: %w", load.App, err)
 	}
 	srv := w.Server
-	if load.App == Iperf || conns > 1 {
+	if load.App == Iperf {
 		r.ServerCycles = srv.Cycles()
 		r.Crossings = srv.Registry.TotalCrossings()
 		r.ByComponent = srv.Clock.ByComponent()
@@ -367,64 +365,6 @@ func spawnRedis(w *build.World, load Load, r *Result, spawn spawnFunc) func() er
 		if busy != r.Shed {
 			return fmt.Errorf("client read %d -BUSY replies, server shed %d", busy, r.Shed)
 		}
-		return nil
-	}
-}
-
-// spawnRedisConns starts an accept loop that spawns each connection's
-// serve worker on the vCPU of the RSS queue the NIC steers its flow
-// to, so independent connections execute commands on different cores
-// against the shared store. Each client alternates SET and GET on its
-// own key.
-func spawnRedisConns(w *build.World, load Load, conns int, r *Result, spawn spawnFunc) func() error {
-	srv := redis.NewServer(w.Server.Env("app"), w.Server.LibC, w.Server.Stack, 6379)
-	payload := redisPayload(load.Payload)
-	spawn("redis-accept", w.Server.CPU, func(th *sched.Thread) error {
-		// The backlog must hold every connection: the clients all
-		// connect before the accept loop drains the first handshake.
-		var listener *net.Socket
-		if err := w.Server.Env("app").CallFn("libc", "listen", 2, func() error {
-			var err error
-			listener, err = w.Server.LibC.Listen(w.Server.Stack, 6379, conns)
-			return err
-		}); err != nil {
-			return err
-		}
-		for i := 0; i < conns; i++ {
-			conn, err := srv.Accept(th, listener)
-			if err != nil {
-				return err
-			}
-			spawn(fmt.Sprintf("redis-server-%d", i), w.Server.Stack.SpawnCPU(w.Server.Stack.QueueCPUOf(conn)),
-				func(th *sched.Thread) error { return srv.ServeConn(th, conn) })
-		}
-		return nil
-	})
-	nCli := w.Client.Clock.NCPU()
-	for i := 0; i < conns; i++ {
-		spawn(fmt.Sprintf("redis-client-%d", i), w.Client.Clock.CPU(i%nCli), func(th *sched.Thread) error {
-			c := redis.NewClient(w.Client.Env("app"), w.Client.LibC, w.Client.Stack,
-				w.Server.Stack.IP(), 6379)
-			if err := c.Connect(th); err != nil {
-				return err
-			}
-			key := fmt.Sprintf("key:%d", i)
-			for op := 0; op < load.Ops; op++ {
-				var err error
-				if op%2 == 0 {
-					err = c.Set(th, key, payload)
-				} else {
-					_, _, err = c.Get(th, key)
-				}
-				if err != nil {
-					return err
-				}
-			}
-			return c.Close(th)
-		})
-	}
-	return func() error {
-		r.Ops = srv.Commands
 		return nil
 	}
 }

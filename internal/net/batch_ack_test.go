@@ -8,17 +8,17 @@ import (
 	"flexos/internal/sched"
 )
 
-// TestAckPiggybacksOnEchoData is the flushAck regression test: on an
-// echo workload with the tx doorbell active, the acknowledgement for
-// each received request must ride the echoed data segment instead of
-// paying a frame — one NIC crossing per round trip in steady state,
-// not two. flushAck used to emit a standalone ACK frame even when the
-// reply was already queued behind the doorbell.
+// TestAckPiggybacksOnEchoData: on an echo workload with the tx
+// doorbell active, the acknowledgement for each received request must
+// ride the echoed data segment instead of paying a frame — one NIC
+// crossing per round trip in steady state, not two. The stack used to
+// emit a standalone ACK frame even when the reply was already queued
+// behind the doorbell.
 func TestAckPiggybacksOnEchoData(t *testing.T) {
 	const port, rounds, reqSize = 5001, 8, 512
 
 	run := func(txBatch int) (segsOut, acksElided uint64) {
-		s, server, client, _ := world(t, Config{TxBatch: txBatch, RtxDelayTicks: 100000})
+		s, server, client, _ := world(t, Config{TxBatch: txBatch})
 		l, err := server.stack.Listen(port, 4)
 		if err != nil {
 			t.Fatal(err)

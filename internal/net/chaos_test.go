@@ -190,10 +190,8 @@ func TestChaosReplayBitIdentical(t *testing.T) {
 func TestNetDeathTypedCause(t *testing.T) {
 	// A small window makes the sender park on flow control: Send
 	// returns once bytes are handed to the wire, so only a parked
-	// sender is still around to observe the rtx death. Keepalive lets
-	// the server notice its peer vanished and exit cleanly.
-	cfg := Config{RecvBuf: 4096, RtxDelayTicks: 10, RtxLimit: 3, KeepaliveTicks: 2_000}
-	s, server, client, w := world(t, cfg)
+	// sender is still around to observe the rtx death.
+	s, server, client, w := world(t, Config{RecvBuf: 4096})
 	const port = 5001
 	l, err := server.stack.Listen(port, 4)
 	if err != nil {
@@ -203,16 +201,8 @@ func TestNetDeathTypedCause(t *testing.T) {
 	var cut bool
 	w.ArmBoth(LinkFaults{DropFn: func(frame []byte) bool { return cut }})
 	s.Spawn("server", server.cpu, func(th *sched.Thread) {
-		conn, err := l.Accept(th)
-		if err != nil {
+		if _, err := l.Accept(th); err != nil {
 			t.Error(err)
-			return
-		}
-		buf := server.buf(t, 4096, 0)
-		for {
-			if _, err := conn.Recv(th, buf, 4096); err != nil {
-				return
-			}
 		}
 	})
 	s.Spawn("client", client.cpu, func(th *sched.Thread) {
@@ -236,7 +226,7 @@ func TestNetDeathTypedCause(t *testing.T) {
 		if nt.Retransmits == 0 {
 			t.Errorf("NetTimeout reports no retransmits: %+v", nt)
 		}
-		checkDeath(t, nt, s, "connection dead after 3 retransmits")
+		checkDeath(t, nt, s, "connection dead after 8 retransmits")
 		// The gate boundary turns the typed error into a containable trap
 		// attributed to the owning compartment.
 		var trap *fault.Trap
@@ -266,13 +256,12 @@ func TestNetDeathTypedCause(t *testing.T) {
 
 // TestZeroWindowDeathTypedCause: a peer whose transport keeps ACKing
 // but whose application never drains — the receive window stays
-// closed — is declared dead after RtxLimit persist probes, with the
+// closed — is declared dead after rtxLimit persist probes, with the
 // same typed NetTimeout as retransmission exhaustion. Regression for
 // a scheduler livelock: before the cap, a crashed receiver kept the
 // probe timer re-arming forever and the run never drained.
 func TestZeroWindowDeathTypedCause(t *testing.T) {
-	cfg := Config{RecvBuf: 2048, RtxDelayTicks: 10, RtxLimit: 3}
-	s, server, client, _ := world(t, cfg)
+	s, server, client, _ := world(t, Config{RecvBuf: 2048})
 	const port = 5001
 	l, err := server.stack.Listen(port, 4)
 	if err != nil {
@@ -305,7 +294,7 @@ func TestZeroWindowDeathTypedCause(t *testing.T) {
 		if nt.PC != "netstack:zwp" {
 			t.Errorf("NetTimeout PC = %q, want netstack:zwp", nt.PC)
 		}
-		checkDeath(t, nt, s, "peer dead after 3 zero-window probes")
+		checkDeath(t, nt, s, "peer dead after 8 zero-window probes")
 		// One-shot delivery, like every other net death.
 		if _, err := conn.Send(th, src, 1); !errors.Is(err, ErrConnClosed) {
 			t.Errorf("second error after zwp death = %v, want ErrConnClosed", err)
@@ -326,8 +315,7 @@ func TestZeroWindowDeathTypedCause(t *testing.T) {
 // whose peer vanished behind a link flap is declared dead instead of
 // parking forever.
 func TestKeepaliveKillsDeadPeer(t *testing.T) {
-	cfg := Config{RtxDelayTicks: 10, RtxLimit: 3, KeepaliveTicks: 5_000}
-	s, server, client, w := world(t, cfg)
+	s, server, client, w := world(t, Config{KeepaliveTicks: 5_000})
 	const port = 5001
 	l, err := server.stack.Listen(port, 4)
 	if err != nil {
@@ -389,27 +377,17 @@ func TestLinkFlapPartition(t *testing.T) {
 // TestPermanentPartitionIsDeath: a down-window that never lifts
 // exhausts retransmission and kills the sender's connection.
 func TestPermanentPartitionIsDeath(t *testing.T) {
-	// Small window + keepalive for the same reasons as
-	// TestNetDeathTypedCause: the sender must park to see the death,
-	// and the server must notice the silence to exit.
-	cfg := Config{RecvBuf: 4096, RtxDelayTicks: 10, RtxLimit: 3, KeepaliveTicks: 2_000}
-	s, server, client, w := world(t, cfg)
+	// A small window for the same reason as TestNetDeathTypedCause:
+	// the sender must park to see the death.
+	s, server, client, w := world(t, Config{RecvBuf: 4096})
 	const port = 5001
 	l, err := server.stack.Listen(port, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	s.Spawn("server", server.cpu, func(th *sched.Thread) {
-		conn, err := l.Accept(th)
-		if err != nil {
+		if _, err := l.Accept(th); err != nil {
 			t.Error(err)
-			return
-		}
-		buf := server.buf(t, 4096, 0)
-		for {
-			if _, err := conn.Recv(th, buf, 4096); err != nil {
-				return
-			}
 		}
 	})
 	var sendErr error

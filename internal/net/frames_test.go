@@ -14,7 +14,7 @@ import (
 
 // frameConfigs are the tx paths a reused frame can take: handed to the
 // NIC per frame, queued on a doorbell ring and delivered as an rx
-// batch, acknowledged by the delayed-ack timer, and a deep ring polled
+// batch, and a deep ring polled
 // in short budgets, so that the peer's replies run this stack's input
 // while the rest of one of its batches is still being delivered.
 var frameConfigs = []struct {
@@ -23,7 +23,6 @@ var frameConfigs = []struct {
 }{
 	{"per-frame", Config{}},
 	{"doorbell", Config{TxBatch: 4, RxBudget: 4}},
-	{"delayed-ack", Config{DelayedAck: true}},
 	{"deep-ring", Config{TxBatch: 4, RxBudget: 2}},
 }
 

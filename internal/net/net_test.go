@@ -424,7 +424,7 @@ func TestFlowControlBlocksSender(t *testing.T) {
 }
 
 func TestRetransmissionRecoversLoss(t *testing.T) {
-	s, server, client, w := world(t, Config{RtxDelayTicks: 10})
+	s, server, client, w := world(t, Config{})
 	const port, total = 5001, 6000
 	// Drop the first data segment once.
 	dropped := false

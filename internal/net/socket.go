@@ -169,10 +169,6 @@ type Socket struct {
 	connSem Sem
 	sockErr error
 
-	// Delayed-ack state.
-	delAckPending int
-	delAckTimer   *sched.Timer
-
 	// ackQueued marks a pending pure-ACK intent on the stack's doorbell
 	// queue (crossing amortization): resolved to one cumulative ACK at
 	// the next kick, or absorbed by an outgoing data segment.

@@ -77,20 +77,9 @@ type Config struct {
 	Platform Platform
 	// RecvBuf is the per-socket receive buffer capacity (default 64 KiB).
 	RecvBuf int
-	// RtxDelayTicks is the retransmission timeout in virtual timer
-	// ticks (default 1000).
-	RtxDelayTicks uint64
-	// RtxLimit bounds consecutive retransmissions of the same data —
-	// and consecutive zero-window probes answered without progress —
-	// before the connection is reset (default 8).
-	RtxLimit int
 	// SocketMode selects direct execution or the tcpip-thread
 	// (netconn) handoff for socket operations.
 	SocketMode SocketMode
-	// DelayedAck enables RFC 1122 delayed acknowledgements: ACK every
-	// second data segment, or after delAckTicks of silence. Off by
-	// default (the paper's evaluation acks per segment).
-	DelayedAck bool
 	// DataPath selects copy or shared (descriptor-passing) payload
 	// movement between compartments; see the DataPath type.
 	DataPath DataPath
@@ -130,6 +119,23 @@ type Config struct {
 // connection is declared dead.
 const keepaliveProbes = 3
 
+// rtxDelayTicks is the initial retransmission timeout in timer ticks
+// and the floor of the adaptive one (see rto). rtxLimit bounds
+// consecutive retransmissions of the same data, and consecutive
+// zero-window probes answered without progress, before the connection
+// is declared dead.
+//
+// The timeout mixes two clock domains. Its RTT samples are CPU cycles
+// (processAck), but it arms a scheduler timer in ticks, which advance
+// only when the run queue drains. So once a connection has a sample,
+// its timeout is a cycle count used as ticks, clamped to
+// [rtxDelayTicks, rtxDelayTicks<<rtxLimit]. Measuring RTT in ticks
+// would mend this and move every lossy-link number.
+const (
+	rtxDelayTicks = 1000
+	rtxLimit      = 8
+)
+
 // Stack is one machine's TCP/IP stack instance.
 type Stack struct {
 	env       *rt.Env
@@ -143,15 +149,12 @@ type Stack struct {
 	conns     map[connKey]*Socket
 
 	recvBuf   int
-	rtxDelay  uint64
-	rtxLimit  int
 	keepalive uint64
 
-	restHard   *sh.Hardener
-	mode       SocketMode
-	tcpip      *tcpipState
-	delayedAck bool
-	dataPath   DataPath
+	restHard *sh.Hardener
+	mode     SocketMode
+	tcpip    *tcpipState
+	dataPath DataPath
 
 	// Crossing-amortization state (tx doorbell + rx coalescing).
 	txBatch   int
@@ -186,12 +189,6 @@ func NewStack(env *rt.Env, sup Support, s sched.Scheduler, cfg Config) *Stack {
 	if cfg.RecvBuf <= 0 {
 		cfg.RecvBuf = 64 << 10
 	}
-	if cfg.RtxDelayTicks == 0 {
-		cfg.RtxDelayTicks = 1000
-	}
-	if cfg.RtxLimit == 0 {
-		cfg.RtxLimit = 8
-	}
 	if cfg.NumQueues < 1 {
 		cfg.NumQueues = 1
 	}
@@ -204,12 +201,9 @@ func NewStack(env *rt.Env, sup Support, s sched.Scheduler, cfg Config) *Stack {
 		listeners:     make(map[uint16]*Socket),
 		conns:         make(map[connKey]*Socket),
 		recvBuf:       cfg.RecvBuf,
-		rtxDelay:      cfg.RtxDelayTicks,
-		rtxLimit:      cfg.RtxLimit,
 		keepalive:     cfg.KeepaliveTicks,
 		restHard:      cfg.RestHard,
 		mode:          cfg.SocketMode,
-		delayedAck:    cfg.DelayedAck,
 		dataPath:      cfg.DataPath,
 		txBatch:       cfg.TxBatch,
 		rxBudget:      cfg.RxBudget,
@@ -449,7 +443,6 @@ func (st *Stack) newSocket() *Socket {
 	s.rtxTimer = ts.NewTimer(func() { st.rtxExpire(s) })
 	s.zwpTimer = ts.NewTimer(func() { st.zwpExpire(s) })
 	s.kaTimer = ts.NewTimer(func() { st.kaExpire(s) })
-	s.delAckTimer = ts.NewTimer(func() { st.delAckExpire(s) })
 	_ = st.env.CallFn("libc", "sem_init", 1, func() error {
 		s.rcvSem = st.sup.NewSem(0)
 		s.sndSem = st.sup.NewSem(0)
@@ -668,10 +661,8 @@ func (st *Stack) sendData(s *Socket, src mem.Addr, n int) error {
 		return err
 	}
 	st.chargeTx(len(frame), n)
-	// Outgoing data piggybacks the acknowledgement: delayed-ack state
-	// and any doorbell ack intent are absorbed by this segment's Ack.
-	s.delAckTimer.Stop()
-	s.delAckPending = 0
+	// Outgoing data piggybacks the acknowledgement: any doorbell ack
+	// intent is absorbed by this segment's Ack.
 	st.ackCancel(s)
 	s.sndNxt += uint32(n)
 	s.rtx = append(s.rtx, rtxSeg{seq: h.Seq, flags: h.Flags, frame: frame,
@@ -736,20 +727,20 @@ func (st *Stack) chargeTx(frameLen, payloadLen int) {
 }
 
 // rto is the socket's current retransmission timeout: the Jacobson
-// estimate srtt + 4*rttvar once samples exist, floored at the
-// configured RtxDelayTicks (which keeps fault-free timer schedules
-// identical to the fixed-timeout stack — inline delivery yields RTT
-// samples far below the floor) and capped so exhaustion is reached in
+// estimate srtt + 4*rttvar once samples exist, floored at
+// rtxDelayTicks (which keeps fault-free timer schedules identical to
+// the fixed-timeout stack — inline delivery yields RTT samples far
+// below the floor) and capped so exhaustion is reached in
 // bounded virtual time even on a high-RTT path.
 func (st *Stack) rto(s *Socket) uint64 {
 	if !s.rttValid {
-		return st.rtxDelay
+		return rtxDelayTicks
 	}
 	rto := s.srtt + 4*s.rttvar
-	if rto < st.rtxDelay {
-		rto = st.rtxDelay
+	if rto < rtxDelayTicks {
+		rto = rtxDelayTicks
 	}
-	if hi := st.rtxDelay << uint(st.rtxLimit); rto > hi {
+	if hi := uint64(rtxDelayTicks) << rtxLimit; rto > hi {
 		rto = hi
 	}
 	return rto
@@ -776,7 +767,7 @@ func (s *Socket) rttSample(m uint64) {
 
 // armRtx starts the retransmission timer if not running. The timeout
 // adapts to the measured RTT (see rto) and doubles per consecutive
-// expiry — Karn's backoff — until RtxLimit, where the connection is
+// expiry — Karn's backoff — until rtxLimit, where the connection is
 // declared dead with a typed NetTimeout the containment layer can
 // classify.
 func (st *Stack) armRtx(s *Socket) {
@@ -795,8 +786,8 @@ func (st *Stack) rtxExpire(s *Socket) {
 		return
 	}
 	s.rtxCount++
-	if s.rtxCount > st.rtxLimit {
-		st.netDeath(s, "netstack:rtx", st.rtxLimit, 0, st.scheduler.Timers().Now()-s.rtxStart)
+	if s.rtxCount > rtxLimit {
+		st.netDeath(s, "netstack:rtx", rtxLimit, 0, st.scheduler.Timers().Now()-s.rtxStart)
 		return
 	}
 	if st.env.Sink.On() {
@@ -855,7 +846,7 @@ func (st *Stack) sendProbe(s *Socket) {
 //
 // Probing is not indefinite: a peer whose window never reopens — its
 // application is dead but its transport still answers — is as gone as
-// one that stops ACKing, so after RtxLimit unanswered-by-progress
+// one that stops ACKing, so after rtxLimit unanswered-by-progress
 // probes the connection dies with the same typed NetTimeout as
 // retransmission exhaustion. Without the cap a crashed receiver would
 // keep the probe clock ticking forever and the scheduler could never
@@ -874,7 +865,7 @@ func (st *Stack) zwpExpire(s *Socket) {
 	if s.sockErr != nil || s.state == stClosed || s.sndWnd > 0 {
 		return
 	}
-	if s.zwpCount >= st.rtxLimit {
+	if s.zwpCount >= rtxLimit {
 		st.netDeath(s, "netstack:zwp", 0, s.zwpCount,
 			st.scheduler.Timers().Now()-s.zwpStart)
 		return
@@ -959,7 +950,6 @@ func (st *Stack) abort(s *Socket, err error) {
 	s.rtxTimer.Stop()
 	s.zwpTimer.Stop()
 	s.kaTimer.Stop()
-	s.delAckTimer.Stop()
 	for _, sg := range s.rcvQ {
 		_ = st.releaseRx(sg.own)
 	}
@@ -1280,7 +1270,7 @@ func (st *Stack) processData(s *Socket, h *header, n int, own rxOwn) bool {
 	if len(s.oooQ) > 0 {
 		st.oooDrain(s)
 	}
-	st.ackData(s)
+	st.sendAck(s)
 	st.semUp(s.rcvSem)
 	return true
 }
@@ -1328,46 +1318,4 @@ func (st *Stack) oooDrain(s *Socket) {
 		keep = append(keep, sg)
 	}
 	s.oooQ = keep
-}
-
-// delAckTicks is the delayed-ack timeout in virtual timer ticks.
-const delAckTicks = 50
-
-// ackData acknowledges accepted payload: immediately by default, or
-// every second segment / after delAckTicks under delayed acks.
-// Either way the acknowledgement goes through sendAck, so batching
-// stacks coalesce it with the rest of the burst.
-func (st *Stack) ackData(s *Socket) {
-	if !st.delayedAck {
-		st.sendAck(s)
-		return
-	}
-	s.delAckPending++
-	if s.delAckPending >= 2 {
-		st.flushAck(s)
-		return
-	}
-	if !s.delAckTimer.Armed() {
-		s.delAckTimer.Reset(delAckTicks)
-	}
-}
-
-// delAckExpire is the delayed-ack timer's body.
-func (st *Stack) delAckExpire(s *Socket) {
-	if s.delAckPending > 0 {
-		st.flushAck(s)
-		// Timer context: nothing downstream will kick for us.
-		st.txKick()
-	}
-}
-
-// flushAck resolves the pending acknowledgement. It used to always
-// emit a standalone ACK frame; now it raises an ack intent whenever
-// batching is active, so an outgoing data segment queued before the
-// next doorbell kick carries the acknowledgement for free (piggyback)
-// and only a socket with no outgoing data pays a frame of its own.
-func (st *Stack) flushAck(s *Socket) {
-	s.delAckTimer.Stop()
-	s.delAckPending = 0
-	st.sendAck(s)
 }

@@ -138,90 +138,3 @@ func TestSocketModeString(t *testing.T) {
 		t.Fatal("mode strings wrong")
 	}
 }
-
-func TestDelayedAckReducesAckTraffic(t *testing.T) {
-	run := func(delayed bool) (uint64, int) {
-		s, server, client, _ := world(t, Config{DelayedAck: delayed, RtxDelayTicks: 100000})
-		const port, total = 5001, 60_000
-		l, _ := server.stack.Listen(port, 4)
-		received := 0
-		s.Spawn("server", server.cpu, func(th *sched.Thread) {
-			conn, err := l.Accept(th)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			buf := server.buf(t, 8192, 0)
-			for {
-				n, err := conn.Recv(th, buf, 8192)
-				if err != nil {
-					return
-				}
-				received += n
-			}
-		})
-		s.Spawn("client", client.cpu, func(th *sched.Thread) {
-			conn, err := client.stack.Connect(th, server.stack.IP(), port)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			out := client.buf(t, total, 7)
-			if _, err := conn.Send(th, out, total); err != nil {
-				t.Error(err)
-			}
-			_ = conn.Close(th)
-		})
-		if err := s.Run(); err != nil {
-			t.Fatal(err)
-		}
-		return server.stack.Stats().SegsOut, received
-	}
-	acksImmediate, rx1 := run(false)
-	acksDelayed, rx2 := run(true)
-	if rx1 != 60_000 || rx2 != 60_000 {
-		t.Fatalf("data incomplete: %d / %d", rx1, rx2)
-	}
-	// Delayed acks should roughly halve the server's outgoing segment
-	// count on a receive-only workload.
-	if float64(acksDelayed) > 0.7*float64(acksImmediate) {
-		t.Fatalf("delayed acks did not reduce traffic: %d vs %d", acksDelayed, acksImmediate)
-	}
-}
-
-func TestDelayedAckTimerFlushes(t *testing.T) {
-	// A single segment (odd count) must still be acknowledged — by the
-	// delayed-ack timer — so the sender's rtx queue drains.
-	s, server, client, _ := world(t, Config{DelayedAck: true})
-	const port = 5001
-	l, _ := server.stack.Listen(port, 4)
-	s.Spawn("server", server.cpu, func(th *sched.Thread) {
-		conn, err := l.Accept(th)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		buf := server.buf(t, 1024, 0)
-		if _, err := conn.Recv(th, buf, 1024); err != nil {
-			t.Error(err)
-		}
-	})
-	s.Spawn("client", client.cpu, func(th *sched.Thread) {
-		conn, err := client.stack.Connect(th, server.stack.IP(), port)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		out := client.buf(t, 100, 3)
-		if _, err := conn.Send(th, out, 100); err != nil {
-			t.Error(err)
-		}
-	})
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if client.stack.Stats().Retransmits != 0 {
-		t.Fatalf("unacked data retransmitted %d times despite delack timer",
-			client.stack.Stats().Retransmits)
-	}
-}

@@ -220,50 +220,3 @@ func TestSmpSingleQueueUnchanged(t *testing.T) {
 		t.Fatalf("1-vCPU makespan %d != cpu0 cycles %v", r.ServerCycles, r.PerCPU)
 	}
 }
-
-// TestSmpRedisParallel shards 8 redis connections across a 4-vCPU
-// machine's RSS queues: each connection's serve worker executes
-// commands on its queue's vCPU against the shared store, and the
-// spread-out machine finishes faster than one core doing the same
-// work.
-func TestSmpRedisParallel(t *testing.T) {
-	const (
-		conns      = 8
-		opsPerConn = 64
-		payload    = 256
-	)
-	base := build.Config{
-		Compartments: build.NWOnly(),
-		Backend:      gate.MPKShared,
-		Alloc:        build.AllocPerCompartment,
-	}
-	load := harness.Load{App: harness.Redis, Conns: conns, Ops: opsPerConn, Payload: payload}
-	uni, err := harness.Run(base, load)
-	if err != nil {
-		t.Fatal(err)
-	}
-	smp := base
-	smp.Smp = 4
-	par, err := harness.Run(smp, load)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range []*harness.Result{uni, par} {
-		if want := uint64(conns * opsPerConn); r.Ops != want {
-			t.Fatalf("%d vCPUs: executed %d commands, want %d", r.VCPUs, r.Ops, want)
-		}
-	}
-	if uni.VCPUs != 1 || par.VCPUs != 4 {
-		t.Fatalf("vCPU counts = %d/%d, want 1/4", uni.VCPUs, par.VCPUs)
-	}
-	for i, c := range par.PerCPU {
-		if c == 0 {
-			t.Fatalf("vCPU %d idle: RSS left a queue's core unused (per-cpu %v)", i, par.PerCPU)
-		}
-	}
-	speedup := float64(uni.ServerCycles) / float64(par.ServerCycles)
-	if speedup < 1.7 {
-		t.Fatalf("4-vCPU redis speedup = %.2fx (makespan %d -> %d), want >= 1.7x",
-			speedup, uni.ServerCycles, par.ServerCycles)
-	}
-}
