@@ -18,6 +18,7 @@ import (
 	"flexos/internal/mem"
 	"flexos/internal/mpk"
 	flexnet "flexos/internal/net"
+	"flexos/internal/rt"
 	"flexos/internal/sched"
 )
 
@@ -439,7 +440,7 @@ func BenchmarkRegistryCall(b *testing.B) {
 }
 
 // BenchmarkSupervisedCall times the same call the way a library makes
-// it: through rt.Env, so the supervisor's admission, breaker and fault
+// it: through an rt.Callee binding, so the supervisor's admission, breaker and fault
 // policy run around the registry call, with a callee body made per call
 // that captures a caller local, as Env.Malloc's does. A clean
 // supervised call charges nothing, so sim-cycles/call equals
@@ -447,10 +448,10 @@ func BenchmarkRegistryCall(b *testing.B) {
 // on the supervision path or a callee body escaping to the heap.
 func BenchmarkSupervisedCall(b *testing.B) {
 	benchBootedCall(b, build.NWOnly(), func(w *build.World, frame gate.CallFrame, _ func() error) func() error {
-		env := w.Server.Env("app")
+		ns := rt.Bind(w.Server.Env("app"), "netstack")
 		return func() error {
 			got := 0
-			err := env.CallFrame("netstack", "bench", frame, func() error {
+			err := ns.CallFrame("bench", frame, func() error {
 				got = frame.ArgWords
 				return nil
 			})
@@ -463,19 +464,21 @@ func BenchmarkSupervisedCall(b *testing.B) {
 }
 
 // BenchmarkNestedCall times the shape of a socket call on the tcpip
-// thread: four nested supervised calls through rt.Env on a booted
+// thread: four nested supervised calls through rt.Callee bindings on a booted
 // NW/Sched/Rest image, app -> libc -> netstack -> libc -> sched, the
 // last three of them crossings. BenchmarkSupervisedCall times one
 // level; this one shows what call depth costs. sim-cycles/call is per
 // outermost call.
 func BenchmarkNestedCall(b *testing.B) {
 	benchBootedCall(b, build.NWSchedRest(), func(w *build.World, frame gate.CallFrame, nop func() error) func() error {
-		app, libc, netstack := w.Server.Env("app"), w.Server.Env("libc"), w.Server.Env("netstack")
+		appLibc := rt.Bind(w.Server.Env("app"), "libc")
+		libcNet, libcSched := rt.Bind(w.Server.Env("libc"), "netstack"), rt.Bind(w.Server.Env("libc"), "sched")
+		netLibc := rt.Bind(w.Server.Env("netstack"), "libc")
 		return func() error {
-			return app.CallFrame("libc", "bench", frame, func() error {
-				return libc.CallFrame("netstack", "bench", frame, func() error {
-					return netstack.CallFrame("libc", "bench", frame, func() error {
-						return libc.CallFrame("sched", "bench", frame, nop)
+			return appLibc.CallFrame("bench", frame, func() error {
+				return libcNet.CallFrame("bench", frame, func() error {
+					return netLibc.CallFrame("bench", frame, func() error {
+						return libcSched.CallFrame("bench", frame, nop)
 					})
 				})
 			})

@@ -16,10 +16,10 @@
 //	libs, _ := flexos.ParseLibraries(src)      // metadata language
 //	plan, _ := flexos.PlanCompartments(libs)   // compat + coloring
 //	cands, _ := flexos.Explore(libs, flexos.MPKShared) // design space
-//	world, _ := flexos.NewWorld(flexos.Config{ // runnable image
+//	res, _ := flexos.Run(flexos.Config{ // boot an image, measure a load
 //	    Compartments: flexos.NWOnly(),
 //	    Backend:      flexos.MPKShared,
-//	})
+//	}, flexos.Load{App: flexos.Redis, Op: flexos.OpGET, Payload: 64, Ops: 1000})
 //
 // Everything below is a thin facade over the internal packages; see
 // DESIGN.md for the system inventory and EXPERIMENTS.md for the
@@ -197,10 +197,6 @@ type (
 	// leak accounting.
 	SharedPool = mem.SharedPool
 )
-
-// NewWorld builds a server from cfg plus a default client, connected
-// by a virtual wire and sharing one deterministic event loop.
-func NewWorld(cfg Config) (*World, error) { return build.NewWorld(cfg) }
 
 // SocketMode selects how application threads reach the network stack
 // (Config.Net.SocketMode): direct calls, or the tcpip-thread (netconn)

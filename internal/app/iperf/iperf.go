@@ -27,6 +27,7 @@ const appWorkPerRecv = 12
 type Server struct {
 	env   *rt.Env
 	libc  *libc.LibC
+	lc    rt.Callee // app -> libc
 	stack *net.Stack
 
 	// Port is the listening port.
@@ -69,18 +70,13 @@ type Server struct {
 
 // NewServer builds an iperf server for the app library environment.
 func NewServer(env *rt.Env, lc *libc.LibC, st *net.Stack, port uint16, recvBuf int) *Server {
-	return &Server{env: env, libc: lc, stack: st, Port: port, RecvBuf: recvBuf}
-}
-
-// call routes a named app -> libc gate crossing.
-func (s *Server) call(fnName string, words int, fn func() error) error {
-	return s.env.CallFn("libc", fnName, words, fn)
+	return &Server{env: env, libc: lc, lc: rt.Bind(env, "libc"), stack: st, Port: port, RecvBuf: recvBuf}
 }
 
 // recv drains up to len(buf) bytes through the app -> libc gate.
 func (s *Server) recv(t *sched.Thread, conn *net.Socket, buf mem.BufRef) (int, error) {
 	var n int
-	err := s.call("recv", 3, func() error {
+	err := s.lc.Call("recv", 3, func() error {
 		var err error
 		n, err = s.libc.RecvBuf(t, conn, buf)
 		return err
@@ -91,7 +87,7 @@ func (s *Server) recv(t *sched.Thread, conn *net.Socket, buf mem.BufRef) (int, e
 // Run listens, accepts one connection and serves it to EOF.
 func (s *Server) Run(t *sched.Thread) error {
 	var listener *net.Socket
-	err := s.call("listen", 2, func() error {
+	err := s.lc.Call("listen", 2, func() error {
 		var err error
 		listener, err = s.libc.Listen(s.stack, s.Port, 4)
 		return err
@@ -100,7 +96,7 @@ func (s *Server) Run(t *sched.Thread) error {
 		return fmt.Errorf("iperf server: %w", err)
 	}
 	var conn *net.Socket
-	if err := s.call("accept", 1, func() error {
+	if err := s.lc.Call("accept", 1, func() error {
 		var err error
 		conn, err = s.libc.Accept(t, listener)
 		return err
@@ -125,7 +121,7 @@ func (s *Server) Run(t *sched.Thread) error {
 // the undeadlined drain doubles as the half-open probe that lets it
 // re-close) and without the processing cost.
 func (s *Server) drainConn(t *sched.Thread, conn *net.Socket, buf mem.BufRef) error {
-	if depth := s.env.BatchDepth("netstack"); depth > 1 {
+	if depth := s.libc.MsgBatchDepth(); depth > 1 {
 		return s.runBatched(t, conn, buf, depth)
 	}
 	recovering := false
@@ -194,7 +190,7 @@ func (s *Server) drainConn(t *sched.Thread, conn *net.Socket, buf mem.BufRef) er
 // connection to a worker running this on its own thread.
 func (s *Server) ServeConn(t *sched.Thread, conn *net.Socket) error {
 	var buf mem.BufRef
-	if err := s.call("malloc", 1, func() error {
+	if err := s.lc.Call("malloc", 1, func() error {
 		var err error
 		buf, err = s.libc.BufAlloc(s.RecvBuf)
 		return err
@@ -204,7 +200,7 @@ func (s *Server) ServeConn(t *sched.Thread, conn *net.Socket) error {
 	drainErr := s.drainConn(t, conn, buf)
 	// The buffer goes back even when the drain dies: a net-dead
 	// connection must not leak the receive buffer.
-	freeErr := s.call("free", 1, func() error { return s.libc.BufFree(buf) })
+	freeErr := s.lc.Call("free", 1, func() error { return s.libc.BufFree(buf) })
 	if drainErr != nil {
 		return drainErr
 	}
@@ -226,7 +222,7 @@ func (s *Server) runBatched(t *sched.Thread, conn *net.Socket, buf mem.BufRef, d
 	bufs := make([]mem.BufRef, depth)
 	bufs[0] = buf
 	for i := 1; i < depth; i++ {
-		if err := s.call("malloc", 1, func() error {
+		if err := s.lc.Call("malloc", 1, func() error {
 			var err error
 			bufs[i], err = s.libc.BufAlloc(s.RecvBuf)
 			return err
@@ -240,7 +236,7 @@ func (s *Server) runBatched(t *sched.Thread, conn *net.Socket, buf mem.BufRef, d
 		for i := range msgs {
 			msgs[i] = libc.Msg{Buf: bufs[i]}
 		}
-		if err := s.call("recvmmsg", 3, func() error {
+		if err := s.lc.Call("recvmmsg", 3, func() error {
 			s.libc.RecvMsgBatch(t, conn, msgs)
 			return nil
 		}); err != nil {
@@ -264,7 +260,7 @@ func (s *Server) runBatched(t *sched.Thread, conn *net.Socket, buf mem.BufRef, d
 		}
 	}
 	for i := 1; i < depth; i++ {
-		if err := s.call("free", 1, func() error { return s.libc.BufFree(bufs[i]) }); err != nil {
+		if err := s.lc.Call("free", 1, func() error { return s.libc.BufFree(bufs[i]) }); err != nil {
 			return err
 		}
 	}
@@ -297,6 +293,7 @@ func (s *Server) account(n int, good bool) {
 type Client struct {
 	env   *rt.Env
 	libc  *libc.LibC
+	lc    rt.Callee // app -> libc
 	stack *net.Stack
 
 	ServerIP   net.IPAddr
@@ -318,7 +315,7 @@ func NewClient(env *rt.Env, lc *libc.LibC, st *net.Stack, ip net.IPAddr, port ui
 	if writeSize <= 0 {
 		writeSize = 64 << 10
 	}
-	return &Client{env: env, libc: lc, stack: st, ServerIP: ip, ServerPort: port, Total: total, WriteSize: writeSize}
+	return &Client{env: env, libc: lc, lc: rt.Bind(env, "libc"), stack: st, ServerIP: ip, ServerPort: port, Total: total, WriteSize: writeSize}
 }
 
 // Run connects, sends Total bytes, and closes the connection. With a
@@ -328,7 +325,7 @@ func NewClient(env *rt.Env, lc *libc.LibC, st *net.Stack, ip net.IPAddr, port ui
 func (c *Client) Run(t *sched.Thread) error {
 	var conn *net.Socket
 	err := c.Retry.Do(c.env, func() error {
-		err := c.env.CallFn("libc", "connect", 3, func() error {
+		err := c.lc.Call("connect", 3, func() error {
 			var err error
 			conn, err = c.libc.Connect(t, c.stack, c.ServerIP, c.ServerPort)
 			return err
@@ -341,10 +338,7 @@ func (c *Client) Run(t *sched.Thread) error {
 	if err != nil {
 		return fmt.Errorf("iperf client connect: %w", err)
 	}
-	depth := c.env.BatchDepth("netstack")
-	if depth < 1 {
-		depth = 1
-	}
+	depth := c.libc.MsgBatchDepth()
 	// A vectored send's frames run in order and SendRef consumes its
 	// buffer before returning (the payload is serialized into segments,
 	// parking on the window if needed), so deep pipelines can cycle a
@@ -356,7 +350,7 @@ func (c *Client) Run(t *sched.Thread) error {
 	}
 	bufs := make([]mem.BufRef, nbufs)
 	for i := range bufs {
-		if err := c.env.CallFn("libc", "malloc", 1, func() error {
+		if err := c.lc.Call("malloc", 1, func() error {
 			var err error
 			bufs[i], err = c.libc.BufAlloc(c.WriteSize)
 			return err
@@ -364,7 +358,7 @@ func (c *Client) Run(t *sched.Thread) error {
 			return err
 		}
 		// Fill the payload pattern once per buffer.
-		if err := c.env.CallFn("libc", "memset", 3, func() error {
+		if err := c.lc.Call("memset", 3, func() error {
 			return c.libc.Memset(bufs[i].Addr, 'x', c.WriteSize)
 		}); err != nil {
 			return err
@@ -384,7 +378,7 @@ func (c *Client) Run(t *sched.Thread) error {
 				msgs = append(msgs, libc.Msg{Buf: bufs[i%nbufs], N: chunk})
 				budget -= chunk
 			}
-			if err := c.env.CallFn("libc", "sendmmsg", 3, func() error {
+			if err := c.lc.Call("sendmmsg", 3, func() error {
 				c.libc.SendMsgBatch(t, conn, msgs)
 				return nil
 			}); err != nil {
@@ -410,7 +404,7 @@ func (c *Client) Run(t *sched.Thread) error {
 				chunk = remaining
 			}
 			var n int
-			err := c.env.CallFn("libc", "send", 3, func() error {
+			err := c.lc.Call("send", 3, func() error {
 				var err error
 				n, err = c.libc.SendBuf(t, conn, bufs[0], chunk)
 				return err
@@ -423,9 +417,9 @@ func (c *Client) Run(t *sched.Thread) error {
 		}
 	}
 	for i := range bufs {
-		if err := c.env.CallFn("libc", "free", 1, func() error { return c.libc.BufFree(bufs[i]) }); err != nil {
+		if err := c.lc.Call("free", 1, func() error { return c.libc.BufFree(bufs[i]) }); err != nil {
 			return err
 		}
 	}
-	return c.env.CallFn("libc", "close", 1, func() error { return c.libc.Close(t, conn) })
+	return c.lc.Call("close", 1, func() error { return c.libc.Close(t, conn) })
 }

@@ -45,11 +45,11 @@ func NewMultiServer(env *rt.Env, lc *libc.LibC, st *net.Stack, port uint16, recv
 // accepted and handed off; the workers finish under the scheduler run,
 // and Finish gathers their results.
 func (ms *MultiServer) Run(s sched.Scheduler, t *sched.Thread) error {
-	proto := NewServer(ms.env, ms.libc, ms.stack, ms.Port, ms.RecvBuf)
+	lc := rt.Bind(ms.env, "libc")
 	var listener *net.Socket
 	// The backlog must hold every stream: the clients all connect
 	// before the accept loop has drained the first handshake.
-	err := proto.call("listen", 2, func() error {
+	err := lc.Call("listen", 2, func() error {
 		var err error
 		listener, err = ms.libc.Listen(ms.stack, ms.Port, ms.Streams)
 		return err
@@ -61,7 +61,7 @@ func (ms *MultiServer) Run(s sched.Scheduler, t *sched.Thread) error {
 	ms.errs = make([]error, ms.Streams)
 	for i := 0; i < ms.Streams; i++ {
 		var conn *net.Socket
-		if err := proto.call("accept", 1, func() error {
+		if err := lc.Call("accept", 1, func() error {
 			var err error
 			conn, err = ms.libc.Accept(t, listener)
 			return err

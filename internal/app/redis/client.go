@@ -17,7 +17,8 @@ import (
 // redis-benchmark with pipeline=1).
 type Client struct {
 	env   *rt.Env
-	lc    *libc.LibC
+	libc  *libc.LibC
+	lc    rt.Callee // app -> libc
 	stack *net.Stack
 
 	ServerIP   net.IPAddr
@@ -47,16 +48,16 @@ type Client struct {
 // NewClient builds a client for the app environment of the client
 // machine.
 func NewClient(env *rt.Env, lc *libc.LibC, st *net.Stack, ip net.IPAddr, port uint16) *Client {
-	return &Client{env: env, lc: lc, stack: st, ServerIP: ip, ServerPort: port, bufSize: defaultBufSize}
+	return &Client{env: env, libc: lc, lc: rt.Bind(env, "libc"), stack: st, ServerIP: ip, ServerPort: port, bufSize: defaultBufSize}
 }
 
 // Connect opens the connection and allocates buffers, retrying with
 // jittered exponential backoff when a Retry policy is set.
 func (c *Client) Connect(t *sched.Thread) error {
 	err := c.Retry.Do(c.env, func() error {
-		err := c.env.CallFn("libc", "connect", 3, func() error {
+		err := c.lc.Call("connect", 3, func() error {
 			var err error
-			c.conn, err = c.lc.Connect(t, c.stack, c.ServerIP, c.ServerPort)
+			c.conn, err = c.libc.Connect(t, c.stack, c.ServerIP, c.ServerPort)
 			return err
 		})
 		if err != nil {
@@ -67,11 +68,11 @@ func (c *Client) Connect(t *sched.Thread) error {
 	if err != nil {
 		return fmt.Errorf("redis client: %w", err)
 	}
-	return c.env.CallFn("libc", "malloc", 1, func() error {
-		if c.rxBuf, err = c.lc.BufAlloc(c.bufSize); err != nil {
+	return c.lc.Call("malloc", 1, func() error {
+		if c.rxBuf, err = c.libc.BufAlloc(c.bufSize); err != nil {
 			return err
 		}
-		if c.txBuf, err = c.lc.BufAlloc(c.bufSize); err != nil {
+		if c.txBuf, err = c.libc.BufAlloc(c.bufSize); err != nil {
 			return err
 		}
 		c.rx, c.tx = c.rxBuf.Addr, c.txBuf.Addr
@@ -85,14 +86,14 @@ func (c *Client) Close(t *sched.Thread) error {
 		return nil
 	}
 	if c.rx != mem.NilAddr {
-		_ = c.env.CallFn("libc", "free", 1, func() error {
-			_ = c.lc.BufFree(c.rxBuf)
-			_ = c.lc.BufFree(c.txBuf)
+		_ = c.lc.Call("free", 1, func() error {
+			_ = c.libc.BufFree(c.rxBuf)
+			_ = c.libc.BufFree(c.txBuf)
 			c.rx, c.tx = mem.NilAddr, mem.NilAddr
 			return nil
 		})
 	}
-	return c.env.CallFn("libc", "close", 1, func() error { return c.lc.Close(t, c.conn) })
+	return c.lc.Call("close", 1, func() error { return c.libc.Close(t, c.conn) })
 }
 
 // Do issues one command and returns a copy of the raw RESP reply,
@@ -129,8 +130,8 @@ func (c *Client) DoPipelined(t *sched.Thread, cmds [][][]byte) ([][]byte, error)
 	c.env.Charge(clock.RESPParseCycles(len(req)))
 	c.env.Hard.OnTouch(len(req))
 	copy(dst, req)
-	if err := c.env.CallFn("libc", "send", 3, func() error {
-		_, err := c.lc.Send(t, c.conn, c.tx, len(req))
+	if err := c.lc.Call("send", 3, func() error {
+		_, err := c.libc.Send(t, c.conn, c.tx, len(req))
 		return err
 	}); err != nil {
 		return nil, fmt.Errorf("redis client send: %w", err)
@@ -164,9 +165,9 @@ func (c *Client) DoPipelined(t *sched.Thread, cmds [][][]byte) ([][]byte, error)
 			break
 		}
 		var n int
-		err = c.env.CallFn("libc", "recv", 3, func() error {
+		err = c.lc.Call("recv", 3, func() error {
 			var err error
-			n, err = c.lc.Recv(t, c.conn, c.rx+mem.Addr(c.rxLen), c.bufSize-c.rxLen)
+			n, err = c.libc.Recv(t, c.conn, c.rx+mem.Addr(c.rxLen), c.bufSize-c.rxLen)
 			return err
 		})
 		if err != nil {

@@ -21,7 +21,8 @@ const defaultBufSize = 16 << 10
 // Server is the RESP server: one connection, served until EOF.
 type Server struct {
 	env   *rt.Env
-	lc    *libc.LibC
+	libc  *libc.LibC
+	lc    rt.Callee // app -> libc
 	stack *net.Stack
 
 	Port  uint16
@@ -59,7 +60,7 @@ type Server struct {
 
 // NewServer builds a Redis server for the app environment.
 func NewServer(env *rt.Env, lc *libc.LibC, st *net.Stack, port uint16) *Server {
-	s := &Server{env: env, lc: lc, stack: st, Port: port, bufSize: defaultBufSize}
+	s := &Server{env: env, libc: lc, lc: rt.Bind(env, "libc"), stack: st, Port: port, bufSize: defaultBufSize}
 	s.store = NewStore(env, lc)
 	return s
 }
@@ -67,24 +68,19 @@ func NewServer(env *rt.Env, lc *libc.LibC, st *net.Stack, port uint16) *Server {
 // Store exposes the dictionary (tests and examples).
 func (s *Server) Store() *Store { return s.store }
 
-// call routes a named app -> libc gate crossing.
-func (s *Server) call(fnName string, words int, fn func() error) error {
-	return s.env.CallFn("libc", fnName, words, fn)
-}
-
 // Run listens on Port, accepts one connection and serves it until EOF.
 func (s *Server) Run(t *sched.Thread) error {
 	var listener, conn *net.Socket
-	if err := s.call("listen", 2, func() error {
+	if err := s.lc.Call("listen", 2, func() error {
 		var err error
-		listener, err = s.lc.Listen(s.stack, s.Port, 4)
+		listener, err = s.libc.Listen(s.stack, s.Port, 4)
 		return err
 	}); err != nil {
 		return fmt.Errorf("redis server: %w", err)
 	}
-	if err := s.call("accept", 1, func() error {
+	if err := s.lc.Call("accept", 1, func() error {
 		var err error
-		conn, err = s.lc.Accept(t, listener)
+		conn, err = s.libc.Accept(t, listener)
 		return err
 	}); err != nil {
 		return fmt.Errorf("redis server accept: %w", err)
@@ -94,7 +90,7 @@ func (s *Server) Run(t *sched.Thread) error {
 	// libc, bulk-reply payload copies defer and ride one batched
 	// crossing per pipeline instead of one crossing per reply. Enforce
 	// keeps per-command copies so the deadline covers each reply.
-	if d := s.env.BatchDepth("libc"); d > 1 && !s.Enforce {
+	if d := s.lc.Depth(); d > 1 && !s.Enforce {
 		c.depth = d
 		c.newBatch()
 	}
@@ -159,8 +155,8 @@ func (c *connState) flushCopies() error {
 		chunk := pend[start:end]
 		if len(chunk) == 1 {
 			p := chunk[0]
-			if err := s.call("memcpy", 3, func() error {
-				return s.lc.Memcpy(p.dst, p.src, p.n)
+			if err := s.lc.Call("memcpy", 3, func() error {
+				return s.libc.Memcpy(p.dst, p.src, p.n)
 			}); err != nil {
 				return err
 			}
@@ -171,7 +167,7 @@ func (c *connState) flushCopies() error {
 		for i := range calls {
 			calls[i].Frame = gate.CallFrame{ArgWords: 3}
 		}
-		s.env.CallBatch("libc", "memcpy", calls)
+		s.lc.CallBatch("memcpy", calls)
 		for _, c := range calls {
 			if c.Err != nil {
 				return c.Err
@@ -189,7 +185,7 @@ func (c *connState) newBatch() {
 	for i := range c.batch {
 		c.batch[i].Fn = func() error {
 			p := c.chunk[i]
-			return c.srv.lc.Memcpy(p.dst, p.src, p.n)
+			return c.srv.libc.Memcpy(p.dst, p.src, p.n)
 		}
 	}
 }
@@ -221,8 +217,8 @@ func (c *connState) serve(t *sched.Thread, conn *net.Socket) error {
 		}
 		n := txOff
 		txOff = 0
-		return s.call("send", 3, func() error {
-			_, err := s.lc.Send(t, conn, c.tx, n)
+		return s.lc.Call("send", 3, func() error {
+			_, err := s.libc.Send(t, conn, c.tx, n)
 			return err
 		})
 	}
@@ -330,9 +326,9 @@ func (c *connState) serve(t *sched.Thread, conn *net.Socket) error {
 			return fmt.Errorf("redis server: request exceeds %d bytes", s.bufSize)
 		}
 		var n int
-		rerr := s.call("recv", 3, func() error {
+		rerr := s.lc.Call("recv", 3, func() error {
 			var err error
-			n, err = s.lc.Recv(t, conn, c.rx+mem.Addr(c.rxLen), s.bufSize-c.rxLen)
+			n, err = s.libc.Recv(t, conn, c.rx+mem.Addr(c.rxLen), s.bufSize-c.rxLen)
 			return err
 		})
 		if rerr == io.EOF {
@@ -348,12 +344,12 @@ func (c *connState) serve(t *sched.Thread, conn *net.Socket) error {
 
 func (c *connState) allocBuffers() error {
 	s := c.srv
-	return s.call("malloc", 1, func() error {
+	return s.lc.Call("malloc", 1, func() error {
 		var err error
-		if c.rxBuf, err = s.lc.BufAlloc(s.bufSize); err != nil {
+		if c.rxBuf, err = s.libc.BufAlloc(s.bufSize); err != nil {
 			return err
 		}
-		if c.txBuf, err = s.lc.BufAlloc(s.bufSize); err != nil {
+		if c.txBuf, err = s.libc.BufAlloc(s.bufSize); err != nil {
 			return err
 		}
 		c.rx, c.tx = c.rxBuf.Addr, c.txBuf.Addr
@@ -363,12 +359,12 @@ func (c *connState) allocBuffers() error {
 
 func (c *connState) freeBuffers() {
 	s := c.srv
-	_ = s.call("free", 1, func() error {
+	_ = s.lc.Call("free", 1, func() error {
 		if c.rx != mem.NilAddr {
-			_ = s.lc.BufFree(c.rxBuf)
+			_ = s.libc.BufFree(c.rxBuf)
 		}
 		if c.tx != mem.NilAddr {
-			_ = s.lc.BufFree(c.txBuf)
+			_ = s.libc.BufFree(c.txBuf)
 		}
 		c.rx, c.tx = mem.NilAddr, mem.NilAddr
 		return nil
@@ -408,8 +404,8 @@ func (c *connState) writeVal(off int, addr mem.Addr, n int) (int, error) {
 		c.pending = append(c.pending, pendingCopy{dst: c.tx + mem.Addr(off), src: addr, n: n, off: off})
 		return off + n, nil
 	}
-	err := s.call("memcpy", 3, func() error {
-		return s.lc.Memcpy(c.tx+mem.Addr(off), addr, n)
+	err := s.lc.Call("memcpy", 3, func() error {
+		return s.libc.Memcpy(c.tx+mem.Addr(off), addr, n)
 	})
 	return off + n, err
 }

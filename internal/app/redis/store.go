@@ -20,14 +20,15 @@ type valueRef struct {
 // a write to an existing key updates in place: only a new key converts
 // the key to a string and allocates.
 type Store struct {
-	env *rt.Env
-	lc  *libc.LibC
-	m   map[string]*valueRef
+	env  *rt.Env
+	libc *libc.LibC
+	lc   rt.Callee // app -> libc
+	m    map[string]*valueRef
 }
 
 // NewStore builds an empty dictionary for the app environment.
 func NewStore(env *rt.Env, lc *libc.LibC) *Store {
-	return &Store{env: env, lc: lc, m: make(map[string]*valueRef)}
+	return &Store{env: env, libc: lc, lc: rt.Bind(env, "libc"), m: make(map[string]*valueRef)}
 }
 
 // chargeOp accounts one dict operation on a key.
@@ -77,7 +78,7 @@ func (s *Store) Get(key []byte) (mem.Addr, int, bool) {
 
 // memcpy routes the bulk copy through the app -> libc gate.
 func (s *Store) memcpy(dst, src mem.Addr, n int) error {
-	return s.env.CallFn("libc", "memcpy", 3, func() error {
-		return s.lc.Memcpy(dst, src, n)
+	return s.lc.Call("memcpy", 3, func() error {
+		return s.libc.Memcpy(dst, src, n)
 	})
 }

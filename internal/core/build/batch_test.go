@@ -3,6 +3,8 @@ package build
 import (
 	"strings"
 	"testing"
+
+	"flexos/internal/rt"
 )
 
 func TestBatchDirectiveRoundTrip(t *testing.T) {
@@ -91,7 +93,7 @@ func TestBatchValidation(t *testing.T) {
 func TestBatchWiringReachesNetAndEnv(t *testing.T) {
 	// A depth on the compartment holding "rest" batches tx doorbells, a
 	// depth on the netstack compartment sets the NAPI rx budget, and
-	// every library env resolves depths for its callees.
+	// every binding reads the depth of its callee's compartment.
 	src := "backend mpk-switched\n" +
 		"compartment nw netstack\n" +
 		"compartment core sched alloc libc app rest\n" +
@@ -105,14 +107,17 @@ func TestBatchWiringReachesNetAndEnv(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := w.Server.Env("libc").BatchDepth("netstack"); d != 16 {
-		t.Fatalf("BatchDepth(netstack) = %d, want 16", d)
+	ns := rt.Bind(w.Server.Env("libc"), "netstack")
+	sc := rt.Bind(w.Server.Env("app"), "sched")
+	clientNS := rt.Bind(w.Client.Env("libc"), "netstack")
+	if d := ns.Depth(); d != 16 {
+		t.Fatalf("libc -> netstack Depth = %d, want 16", d)
 	}
-	if d := w.Server.Env("app").BatchDepth("sched"); d != 8 {
-		t.Fatalf("BatchDepth(sched) = %d, want 8", d)
+	if d := sc.Depth(); d != 8 {
+		t.Fatalf("app -> sched Depth = %d, want 8", d)
 	}
 	// The client shares the batch plan so pipelined sends batch there too.
-	if d := w.Client.Env("libc").BatchDepth("netstack"); d != 16 {
-		t.Fatalf("client BatchDepth(netstack) = %d, want 16", d)
+	if d := clientNS.Depth(); d != 16 {
+		t.Fatalf("client libc -> netstack Depth = %d, want 16", d)
 	}
 }

@@ -61,7 +61,7 @@ func TestCrossingDoesNotAllocate(t *testing.T) {
 }
 
 // TestSupervisedCallDoesNotAllocate pins that a library call routed the
-// way the OS issues it — rt.Env, then the supervisor's admission,
+// way the OS issues it — an rt.Callee binding, then the supervisor's admission,
 // breaker and fault policy, then the registry — allocates nothing on
 // any backend, across a compartment boundary (app -> netstack) or
 // within one (app -> libc). A clean call takes no release closure and
@@ -79,9 +79,10 @@ func TestSupervisedCallDoesNotAllocate(t *testing.T) {
 			frame := gate.CallFrame{ArgWords: 3, RetWords: 1}
 			nop := func() error { return nil }
 			for _, to := range []string{"netstack", "libc"} {
+				callee := rt.Bind(env, to)
 				var callErr error
 				if n := testing.AllocsPerRun(100, func() {
-					if err := env.CallFrame(to, "bench", frame, nop); err != nil {
+					if err := callee.CallFrame("bench", frame, nop); err != nil {
 						callErr = err
 					}
 				}); n != 0 {
@@ -99,7 +100,7 @@ func TestSupervisedCallDoesNotAllocate(t *testing.T) {
 }
 
 // TestRoutedCallsDoNotAllocate pins that a routed call made the way a
-// library makes it — through rt.Env and the supervisor — keeps its
+// library makes it — through an rt.Callee binding and the supervisor — keeps its
 // callee body on the caller's stack on every backend. A body that
 // captures a caller local, as Env.Malloc's does, allocates nothing
 // (each gate is reached by a static call, so the body never escapes),
@@ -116,11 +117,12 @@ func TestRoutedCallsDoNotAllocate(t *testing.T) {
 				t.Fatal("image booted without a supervisor")
 			}
 			env := w.Server.Env("app")
+			ns := rt.Bind(env, "netstack")
 			var callErr error
 			sum := 0
 			capturing := func() {
 				got := 0
-				if err := env.CallFn("netstack", "recv", 3, func() error {
+				if err := ns.Call("recv", 3, func() error {
 					got = len(env.Lib)
 					return nil
 				}); err != nil {
@@ -130,7 +132,7 @@ func TestRoutedCallsDoNotAllocate(t *testing.T) {
 			}
 			capturing() // adds the crossing's ledger row
 			if n := testing.AllocsPerRun(100, capturing); n != 0 {
-				t.Errorf("a capturing CallFn body allocates %.1f times per call", n)
+				t.Errorf("a capturing Call body allocates %.1f times per call", n)
 			}
 
 			calls := make([]rt.BatchCall, 8)
@@ -139,7 +141,7 @@ func TestRoutedCallsDoNotAllocate(t *testing.T) {
 				for i := range calls {
 					calls[i] = rt.BatchCall{Frame: gate.CallFrame{ArgWords: 3, RetWords: 1}, Fn: nop}
 				}
-				env.CallBatch("netstack", "recv", calls)
+				ns.CallBatch("recv", calls)
 				for _, c := range calls {
 					if c.Err != nil {
 						callErr = c.Err
@@ -175,11 +177,11 @@ func TestNestedCallPanicSurfacesThreadCrash(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			app, libc := w.Server.Env("app"), w.Server.Env("libc")
+			lc, ns := rt.Bind(w.Server.Env("app"), "libc"), rt.Bind(w.Server.Env("libc"), "netstack")
 			w.Sched.Spawn("victim", w.Server.CPU, func(th *sched.Thread) {
 				th.Yield()
-				_ = app.CallFn("libc", "send", 1, func() error {
-					return libc.CallFn("netstack", "send", 1, func() error { panic(boom) })
+				_ = lc.Call("send", 1, func() error {
+					return ns.Call("send", 1, func() error { panic(boom) })
 				})
 			})
 			err = w.Sched.Run()

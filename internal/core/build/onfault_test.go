@@ -8,6 +8,8 @@ import (
 	"time"
 
 	"flexos/internal/fault"
+	"flexos/internal/net"
+	"flexos/internal/rt"
 	"flexos/internal/sched"
 )
 
@@ -93,7 +95,8 @@ func TestDegradedLibcFailsSocketWaits(t *testing.T) {
 		in := fault.NewInjector()
 		in.Arm(fault.Injection{Lib: "libc", Fn: "memcpy"})
 		m.Registry.SetInjector(in)
-		err := m.Env("app").CallFn("libc", "memcpy", 3, func() error { return nil })
+		lc := rt.Bind(m.Env("app"), "libc")
+		err := lc.Call("memcpy", 3, func() error { return nil })
 		if _, ok := m.Sup.Degraded("lc"); !ok {
 			return fmt.Errorf("trapped call returned %v and left lc in service", err)
 		}
@@ -146,20 +149,114 @@ func TestDegradedLibcFailsSocketWaits(t *testing.T) {
 					}
 				})
 			}
-			done := make(chan error, 1)
-			go func() { done <- w.Sched.Run() }()
-			select {
-			case err := <-done:
-				if err != nil {
-					t.Fatal(err)
-				}
-			case <-time.After(3 * time.Second):
-				t.Fatalf("%s on the degraded compartment still spinning after 3s", op)
-			}
+			runWatched(t, w, op+" on the degraded compartment")
 			var de *fault.DegradedError
 			if !errors.As(waitErr, &de) || de.Comp != "lc" {
 				t.Fatalf("%s = %v, want the lc DegradedError", op, waitErr)
 			}
 		})
+	}
+}
+
+// TestFailedSchedWaitEndsSocketWait pins that a socket wait whose
+// libc -> sched wait crossing fails returns that failure instead of
+// waiting again. The failed crossing returned before the thread parked,
+// so another wait would spin without ever yielding to the cooperative
+// scheduler; the watchdog turns that hang into a failure. Both images
+// give the scheduler a compartment of its own, and Accept waits on an
+// empty backlog.
+func TestFailedSchedWaitEndsSocketWait(t *testing.T) {
+	const port = 7000
+	for _, c := range []struct {
+		name, cfg string
+		accept    func(m *Machine, th *sched.Thread, l *net.Socket) error
+		want      string
+		ok        func(err error) bool
+	}{
+		{
+			// One injected trap on the wait degrades sc, and every later
+			// crossing into sc fails fast.
+			name: "degraded",
+			cfg: "backend mpk-switched\n" +
+				"compartment nw netstack\n" +
+				"compartment sc sched\n" +
+				"compartment core alloc libc app rest\n" +
+				"onfault sc degrade\n",
+			accept: func(m *Machine, th *sched.Thread, l *net.Socket) error {
+				in := fault.NewInjector()
+				in.Arm(fault.Injection{Lib: "sched", Fn: "wait"})
+				m.Registry.SetInjector(in)
+				_, err := l.Accept(th)
+				return err
+			},
+			want: "the sc DegradedError",
+			ok: func(err error) bool {
+				var de *fault.DegradedError
+				return errors.As(err, &de) && de.Comp == "sc"
+			},
+		},
+		{
+			// No fault policy. With netstack and libc in one compartment,
+			// the first crossing the expired deadline refuses is
+			// libc -> sched, and every retry is refused again.
+			name: "deadline",
+			cfg: "backend mpk-switched\n" +
+				"compartment nw netstack libc\n" +
+				"compartment sc sched\n" +
+				"compartment core alloc app rest\n",
+			accept: func(m *Machine, th *sched.Thread, l *net.Socket) error {
+				return m.Env("app").WithDeadline(th, m.Clock.Cycles()+1, func() error {
+					_, err := l.Accept(th)
+					return err
+				})
+			},
+			want: "the sc deadline trap",
+			ok: func(err error) bool {
+				tr, ok := fault.As(err)
+				return ok && tr.Kind == fault.KindDeadline && tr.Comp == "sc"
+			},
+		},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			cfg, err := ParseConfig(c.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w, err := NewWorld(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m := w.Server
+			var waitErr error
+			w.Sched.Spawn("server", m.CPU, func(th *sched.Thread) {
+				listener, err := m.Stack.Listen(port, 4)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				waitErr = c.accept(m, th, listener)
+			})
+			runWatched(t, w, "accept after a failed sched wait")
+			if !c.ok(waitErr) {
+				t.Fatalf("accept = %v, want %s", waitErr, c.want)
+			}
+		})
+	}
+}
+
+// runWatched runs the world's scheduler and fails the test if the run
+// is still going after 3 s: a wait that spins without yielding never
+// returns to the cooperative scheduler.
+func runWatched(t *testing.T, w *World, what string) {
+	t.Helper()
+	done := make(chan error, 1)
+	go func() { done <- w.Sched.Run() }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(3 * time.Second):
+		t.Fatalf("%s still spinning after 3s", what)
 	}
 }

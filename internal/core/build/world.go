@@ -64,7 +64,6 @@ type Machine struct {
 	Sink *trace.Sink
 
 	envs   map[string]*rt.Env
-	comps  []Compartment
 	compOf map[clock.Component]string // component -> owning compartment
 }
 
@@ -147,7 +146,6 @@ func newMachine(cfg Config, comps []Compartment, s sched.Scheduler, ip net.IPAdd
 		Config: cfg,
 		Clock:  clock.NewMachine(cfg.Smp),
 		envs:   make(map[string]*rt.Env, len(DefaultLibraries)),
-		comps:  comps,
 	}
 	m.CPU = m.Clock.CPU(0)
 	m.Sink = trace.NewSink(m.Clock)
@@ -331,21 +329,24 @@ func newMachine(cfg Config, comps []Compartment, s sched.Scheduler, ip net.IPAdd
 		if p, ok := cfg.SH[l]; ok && p.Enabled() {
 			hard = sh.NewHardener(libComponents[l], p, asan, m.Clock)
 		}
-		m.envs[l] = &rt.Env{
-			Lib:        l,
-			Comp:       libComponents[l],
-			CPU:        m.Clock,
-			Gates:      m.Registry,
-			Arena:      m.Arena,
-			Alloc:      allocOf[l],
-			AllocLocal: cfg.Alloc != AllocGlobal || l == "alloc",
-			Pool:       m.Pool,
-			Hard:       hard,
-			Sink:       m.Sink,
-			Sup:        m.Sup,
-			Cur:        s.Current,
-			Batching:   cfg.Batch,
+		env := &rt.Env{
+			Lib:      l,
+			Comp:     libComponents[l],
+			CPU:      m.Clock,
+			Gates:    m.Registry,
+			Arena:    m.Arena,
+			Alloc:    allocOf[l],
+			Pool:     m.Pool,
+			Hard:     hard,
+			Sink:     m.Sink,
+			Sup:      m.Sup,
+			Cur:      s.Current,
+			Batching: cfg.Batch,
 		}
+		if cfg.Alloc == AllocGlobal && l != "alloc" {
+			env.AllocGate = rt.Bind(env, "alloc")
+		}
+		m.envs[l] = env
 	}
 
 	// --- libraries -------------------------------------------------
@@ -380,9 +381,6 @@ func (m *Machine) Env(lib string) *rt.Env {
 	}
 	return e
 }
-
-// Compartments returns the machine's effective compartment list.
-func (m *Machine) Compartments() []Compartment { return m.comps }
 
 // EnableTracing attaches a ring of up to capacity events to the
 // machine's sink and returns it: crossings, buffer lifecycle and copies

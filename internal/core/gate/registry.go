@@ -85,12 +85,6 @@ func (r *Registry) Assign(lib, compartment string) error {
 	return nil
 }
 
-// Domain returns a compartment's protection domain.
-func (r *Registry) Domain(compartment string) (*Domain, bool) {
-	d, ok := r.domains[compartment]
-	return d, ok
-}
-
 // Libraries lists the assigned libraries, sorted.
 func (r *Registry) Libraries() []string {
 	out := make([]string, 0, len(r.libs))

@@ -35,23 +35,23 @@ library alloc {
 library libc {
   [Memory access] Read(*); Write(*)
   [Call] *
-  [API] memcpy(...); memset(...); sem_up(...); sem_down(...); recv(...); send(...)
-  [Analysis] calls(sched::wait, sched::wake, alloc::malloc, alloc::free, netstack::recv, netstack::send); writes(Own,Shared); reads(Own,Shared)
+  [API] memcpy(...); memset(...); sem_init(...); sem_up(...); sem_down(...); malloc(...); free(...); listen(...); accept(...); connect(...); recv(...); send(...); recvmmsg(...); sendmmsg(...); close(...)
+  [Analysis] calls(sched::wait, sched::wake, alloc::malloc, alloc::free, netstack::listen, netstack::accept, netstack::connect, netstack::recv, netstack::send, netstack::close); writes(Own,Shared); reads(Own,Shared)
 }
 
 # The network stack: parses attacker-controlled input.
 library netstack {
   [Memory access] Read(*); Write(*)
   [Call] *
-  [API] listen(...); accept(...); connect(...); recv(...); send(...)
-  [Analysis] calls(libc::memcpy, libc::sem_up, libc::sem_down, alloc::malloc, alloc::free); writes(Own,Shared); reads(Own,Shared)
+  [API] listen(...); accept(...); connect(...); recv(...); send(...); close(...)
+  [Analysis] calls(libc::memcpy, libc::sem_init, libc::sem_up, libc::sem_down, alloc::malloc, alloc::free); writes(Own,Shared); reads(Own,Shared)
 }
 
 # The application.
 library app {
   [Memory access] Read(*); Write(*)
   [Call] *
-  [Analysis] calls(libc::memcpy, libc::recv, libc::send, alloc::malloc, alloc::free); writes(Own,Shared); reads(Own,Shared)
+  [Analysis] calls(libc::memcpy, libc::memset, libc::malloc, libc::free, libc::listen, libc::accept, libc::connect, libc::recv, libc::send, libc::recvmmsg, libc::sendmmsg, libc::close, alloc::malloc, alloc::free); writes(Own,Shared); reads(Own,Shared)
 }
 
 # Everything else in the kernel (platform code, drivers, boot).

@@ -63,19 +63,6 @@ type blastScenario struct {
 	inject   fault.Injection
 }
 
-// kindFor picks the trap flavour the backend would raise for a wild
-// write inside the faulted compartment.
-func kindFor(b gate.Backend) fault.Kind {
-	switch b {
-	case gate.MPKShared, gate.MPKSwitched:
-		return fault.KindMPK
-	case gate.CHERI:
-		return fault.KindCHERI
-	default:
-		return fault.KindInjected
-	}
-}
-
 // lcIsolated is the {libc | rest} model used by the Redis rows: the
 // store's bulk value path crosses into the libc compartment on every
 // memcpy, which is where the fault is injected.

@@ -23,11 +23,20 @@ import (
 // LibC is one machine's C library instance.
 type LibC struct {
 	env *rt.Env
+	ns  rt.Callee // the network stack, behind the socket shims
+	sc  rt.Callee // the scheduler, behind the semaphores
 }
 
 // New creates the library over its runtime environment (library name
 // "libc").
-func New(env *rt.Env) *LibC { return &LibC{env: env} }
+func New(env *rt.Env) *LibC {
+	return &LibC{env: env, ns: rt.Bind(env, "netstack"), sc: rt.Bind(env, "sched")}
+}
+
+// MsgBatchDepth reports how many messages one vectored socket call
+// (RecvMsgBatch, SendMsgBatch) carries per libc -> netstack crossing:
+// the batch depth of the network stack's compartment.
+func (l *LibC) MsgBatchDepth() int { return l.ns.Depth() }
 
 // --- bulk memory operations -----------------------------------------
 
@@ -112,19 +121,25 @@ type Semaphore struct {
 // NewSem creates a semaphore with an initial count.
 func (l *LibC) NewSem(n int) net.Sem { return &Semaphore{l: l, count: n} }
 
-// Down decrements the semaphore, parking t while the count is zero.
-func (s *Semaphore) Down(t *sched.Thread) {
+// Down decrements the semaphore, parking t while the count is zero. It
+// returns the error of a failed wait crossing: a refused or trapped
+// crossing returns before t parked, so waiting again would spin
+// without ever yielding to the cooperative scheduler.
+func (s *Semaphore) Down(t *sched.Thread) error {
 	s.l.env.Charge(clock.CostSemOp)
 	s.l.env.Hard.OnFrame()
 	for s.count == 0 {
 		// Park through the scheduler's wait queue: a gate crossing
 		// into the scheduler compartment.
-		_ = s.l.env.CallFn("sched", "wait", 2, func() error {
+		if err := s.l.sc.Call("wait", 2, func() error {
 			s.wq.Wait(t)
 			return nil
-		})
+		}); err != nil {
+			return err
+		}
 	}
 	s.count--
+	return nil
 }
 
 // TryDown decrements without blocking; it reports success.
@@ -143,7 +158,7 @@ func (s *Semaphore) Up() {
 	s.l.env.Hard.OnFrame()
 	s.count++
 	if s.wq.Len() > 0 {
-		_ = s.l.env.CallFn("sched", "wake", 1, func() error {
+		_ = s.l.sc.Call("wake", 1, func() error {
 			s.wq.Signal()
 			return nil
 		})

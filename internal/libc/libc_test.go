@@ -17,6 +17,7 @@ type fixture struct {
 	arena *mem.Arena
 	heap  *mem.Heap
 	reg   *gate.Registry
+	sched *sched.CScheduler
 	env   *rt.Env
 	libc  *LibC
 	asan  *sh.ASAN
@@ -50,12 +51,14 @@ func newFixture(t *testing.T, split bool, profile sh.Profile) *fixture {
 	if profile.ASAN {
 		alloc = sh.NewAllocator(heap, asan, cpu)
 	}
+	s := sched.NewCScheduler()
 	env := &rt.Env{
 		Lib: "libc", Comp: clock.CompLibC, CPU: cpu,
 		Gates: reg, Arena: arena, Alloc: alloc,
 		Hard: sh.NewHardener(clock.CompLibC, profile, asan, cpu),
+		Sup:  rt.NewSupervisor(cpu, nil, nil), Cur: s.Current,
 	}
-	return &fixture{cpu: cpu, arena: arena, heap: heap, reg: reg, env: env, libc: New(env), asan: asan}
+	return &fixture{cpu: cpu, arena: arena, heap: heap, reg: reg, sched: s, env: env, libc: New(env), asan: asan}
 }
 
 func TestMemcpyMovesBytesAndCharges(t *testing.T) {
@@ -132,7 +135,7 @@ func TestMemsetAndMemcmp(t *testing.T) {
 
 func TestSemaphoreProducerConsumer(t *testing.T) {
 	f := newFixture(t, false, sh.None)
-	s := sched.NewCScheduler()
+	s := f.sched
 	sem := f.libc.NewSem(0).(*Semaphore)
 	var order []string
 	s.Spawn("consumer", f.cpu.CPU(0), func(th *sched.Thread) {
@@ -170,7 +173,7 @@ func TestSemaphoreCrossesIntoSchedulerCompartment(t *testing.T) {
 	// different compartments, a contended semaphore Down/Up crosses
 	// the boundary.
 	f := newFixture(t, true, sh.None)
-	s := sched.NewCScheduler()
+	s := f.sched
 	sem := f.libc.NewSem(0)
 	s.Spawn("sleeper", f.cpu.CPU(0), func(th *sched.Thread) { sem.Down(th) })
 	s.Spawn("waker", f.cpu.CPU(0), func(th *sched.Thread) { sem.Up() })
@@ -186,7 +189,7 @@ func TestUncontendedSemaphoreStaysLocal(t *testing.T) {
 	// Fast path: Down with a positive count and Up with no waiter must
 	// not cross into the scheduler.
 	f := newFixture(t, true, sh.None)
-	s := sched.NewCScheduler()
+	s := f.sched
 	sem := f.libc.NewSem(1)
 	s.Spawn("solo", f.cpu.CPU(0), func(th *sched.Thread) {
 		sem.Down(th)

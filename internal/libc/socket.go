@@ -19,7 +19,7 @@ func (l *LibC) Listen(st *net.Stack, port uint16, backlog int) (*net.Socket, err
 	l.env.Charge(clock.CostSyscallish)
 	l.env.Hard.OnFrame()
 	var s *net.Socket
-	err := l.env.CallFn("netstack", "listen", 2, func() error {
+	err := l.ns.Call("listen", 2, func() error {
 		var err error
 		s, err = st.Listen(port, backlog)
 		return err
@@ -32,7 +32,7 @@ func (l *LibC) Accept(t *sched.Thread, listener *net.Socket) (*net.Socket, error
 	l.env.Charge(clock.CostSyscallish)
 	l.env.Hard.OnFrame()
 	var s *net.Socket
-	err := l.env.CallFn("netstack", "accept", 1, func() error {
+	err := l.ns.Call("accept", 1, func() error {
 		var err error
 		s, err = listener.Accept(t)
 		return err
@@ -45,7 +45,7 @@ func (l *LibC) Connect(t *sched.Thread, st *net.Stack, ip net.IPAddr, port uint1
 	l.env.Charge(clock.CostSyscallish)
 	l.env.Hard.OnFrame()
 	var s *net.Socket
-	err := l.env.CallFn("netstack", "connect", 3, func() error {
+	err := l.ns.Call("connect", 3, func() error {
 		var err error
 		s, err = st.Connect(t, ip, port)
 		return err
@@ -58,7 +58,7 @@ func (l *LibC) Recv(t *sched.Thread, s *net.Socket, buf mem.Addr, n int) (int, e
 	l.env.Charge(clock.CostSyscallish)
 	l.env.Hard.OnFrame()
 	var got int
-	err := l.env.CallFn("netstack", "recv", 3, func() error {
+	err := l.ns.Call("recv", 3, func() error {
 		var err error
 		got, err = s.Recv(t, buf, n)
 		return err
@@ -81,11 +81,11 @@ func (l *LibC) RecvBuf(t *sched.Thread, s *net.Socket, b mem.BufRef) (int, error
 		return err
 	}
 	var err error
-	if l.env.SharesBufs("netstack") {
+	if l.ns.SharesBufs() {
 		frame := gate.CallFrame{ArgWords: 3, RetWords: 1, Bufs: []mem.BufRef{b}}
-		err = l.env.CallFrame("netstack", "recv", frame, do)
+		err = l.ns.CallFrame("recv", frame, do)
 	} else {
-		err = l.env.CallFn("netstack", "recv", 3, do)
+		err = l.ns.Call("recv", 3, do)
 	}
 	return got, err
 }
@@ -95,7 +95,7 @@ func (l *LibC) Send(t *sched.Thread, s *net.Socket, buf mem.Addr, n int) (int, e
 	l.env.Charge(clock.CostSyscallish)
 	l.env.Hard.OnFrame()
 	var sent int
-	err := l.env.CallFn("netstack", "send", 3, func() error {
+	err := l.ns.Call("send", 3, func() error {
 		var err error
 		sent, err = s.Send(t, buf, n)
 		return err
@@ -116,11 +116,11 @@ func (l *LibC) SendBuf(t *sched.Thread, s *net.Socket, b mem.BufRef, n int) (int
 		return err
 	}
 	var err error
-	if l.env.SharesBufs("netstack") {
+	if l.ns.SharesBufs() {
 		frame := gate.CallFrame{ArgWords: 3, RetWords: 1, Bufs: []mem.BufRef{b}}
-		err = l.env.CallFrame("netstack", "send", frame, do)
+		err = l.ns.CallFrame("send", frame, do)
 	} else {
-		err = l.env.CallFn("netstack", "send", 3, do)
+		err = l.ns.Call("send", 3, do)
 	}
 	return sent, err
 }
@@ -149,7 +149,7 @@ func (l *LibC) RecvMsgBatch(t *sched.Thread, s *net.Socket, msgs []Msg) {
 	if len(msgs) == 0 {
 		return
 	}
-	share := l.env.SharesBufs("netstack")
+	share := l.ns.SharesBufs()
 	stop := false
 	calls := make([]rt.BatchCall, len(msgs))
 	for i := range msgs {
@@ -177,7 +177,7 @@ func (l *LibC) RecvMsgBatch(t *sched.Thread, s *net.Socket, msgs []Msg) {
 			return err
 		}}
 	}
-	l.env.CallBatch("netstack", "recv", calls)
+	l.ns.CallBatch("recv", calls)
 	// A frame the supervisor rejected (shed, open breaker, deadline)
 	// never ran its Fn; surface the typed error on the message.
 	for i, c := range calls {
@@ -195,7 +195,7 @@ func (l *LibC) SendMsgBatch(t *sched.Thread, s *net.Socket, msgs []Msg) {
 	if len(msgs) == 0 {
 		return
 	}
-	share := l.env.SharesBufs("netstack")
+	share := l.ns.SharesBufs()
 	stop := false
 	calls := make([]rt.BatchCall, len(msgs))
 	for i := range msgs {
@@ -220,7 +220,7 @@ func (l *LibC) SendMsgBatch(t *sched.Thread, s *net.Socket, msgs []Msg) {
 			return err
 		}}
 	}
-	l.env.CallBatch("netstack", "send", calls)
+	l.ns.CallBatch("send", calls)
 	for i, c := range calls {
 		if c.Err != nil && msgs[i].Err == nil {
 			// The frame was rejected before dispatch: nothing was sent.
@@ -234,7 +234,7 @@ func (l *LibC) SendMsgBatch(t *sched.Thread, s *net.Socket, msgs []Msg) {
 func (l *LibC) Close(t *sched.Thread, s *net.Socket) error {
 	l.env.Charge(clock.CostSyscallish)
 	l.env.Hard.OnFrame()
-	return l.env.CallFn("netstack", "close", 1, func() error {
+	return l.ns.Call("close", 1, func() error {
 		return s.Close(t)
 	})
 }

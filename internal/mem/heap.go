@@ -59,20 +59,11 @@ func NewHeap(a *Arena, base Addr, size int, key Key) (*Heap, error) {
 	}, nil
 }
 
-// Key reports the protection key of the heap's pages.
-func (h *Heap) Key() Key { return h.key }
-
-// Base reports the heap's first address.
-func (h *Heap) Base() Addr { return h.base }
-
 // Size reports the heap's total capacity in bytes.
 func (h *Heap) Size() uint64 { return uint64(h.limit - h.base) }
 
 // Stats returns a copy of the allocator counters.
 func (h *Heap) Stats() HeapStats { return h.stats }
-
-// Owns reports whether addr lies within the heap region.
-func (h *Heap) Owns(addr Addr) bool { return addr >= h.base && addr < h.limit }
 
 // SizeOf reports the size of a live allocation, or 0 if addr is not a
 // live allocation start.

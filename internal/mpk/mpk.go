@@ -188,9 +188,6 @@ func (u *Unit) cur() *PKRU { return &u.pkru[u.clk.CurID()] }
 // SetPolicy selects the PKRU-integrity policy.
 func (u *Unit) SetPolicy(p SealPolicy) { u.policy = p }
 
-// Policy reports the active PKRU-integrity policy.
-func (u *Unit) Policy() SealPolicy { return u.policy }
-
 // RegisterDomain records a legitimate PKRU value; once one is
 // registered, every policy rejects a write of an unregistered value.
 // A machine registers one value per compartment, and an MPK image has

@@ -5,6 +5,7 @@ import (
 
 	"flexos/internal/clock"
 	"flexos/internal/mem"
+	"flexos/internal/rt"
 	"flexos/internal/trace"
 )
 
@@ -95,28 +96,31 @@ func (st *Stack) releaseRx(o rxOwn) error {
 // legacy private-buffer path — the knob degrades, it does not charge
 // payload words at every gate.
 func (st *Stack) sharedRx() bool {
-	return st.dataPath == DataPathShared && st.env.Pool != nil && st.env.SharesBufs("libc")
+	return st.dataPath == DataPathShared && st.env.Pool != nil && st.lc.SharesBufs()
 }
 
+// Directions of a boundary copy, relative to the stack.
+const (
+	copyIn  = true  // from the peer into the stack
+	copyOut = false // from the stack to the peer
+)
+
 // crossCopy charges the boundary-copy cost of moving n payload bytes
-// from library `from` to library `to` under copy semantics. It is a
-// no-op on the shared data path and within a compartment — the charge
-// exists exactly where a copy-semantics deployment would really copy.
-// Each charged copy is a "buf-copy" event on the machine's sink.
-func (st *Stack) crossCopy(from, to string, n int) {
-	if st.dataPath != DataPathCopy || n <= 0 {
-		return
-	}
-	// One end is always the stack itself.
-	peer := from
-	if peer == st.env.Lib {
-		peer = to
-	}
-	if !st.env.Crosses(peer) {
+// between the stack and the library peer binds, in direction in (copyIn
+// or copyOut), under copy semantics. It is a no-op on the shared data
+// path and within a compartment — the charge exists exactly where a
+// copy-semantics deployment would really copy. Each charged copy is a
+// "buf-copy" event on the machine's sink.
+func (st *Stack) crossCopy(peer *rt.Callee, in bool, n int) {
+	if st.dataPath != DataPathCopy || n <= 0 || !peer.Crosses() {
 		return
 	}
 	st.env.CPU.Charge(clock.CompCopy, clock.CrossCopyCycles(n))
 	if st.env.Sink.On() {
+		from, to := st.env.Lib, peer.Lib()
+		if in {
+			from, to = to, from
+		}
 		st.env.Sink.Emit(trace.Event{Kind: "buf-copy", From: from, To: to, Note: fmt.Sprintf("%d bytes", n)})
 	}
 }

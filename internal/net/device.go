@@ -1,9 +1,6 @@
 package net
 
-import (
-	"flexos/internal/clock"
-	"flexos/internal/sched"
-)
+import "flexos/internal/clock"
 
 // Platform selects the virtualization platform the image runs on,
 // which determines the fixed per-packet driver/plat cost. The paper's
@@ -120,14 +117,13 @@ type DownWindow struct {
 
 // LinkFaults is the adversarial policy for one direction of a Wire:
 // independent per-frame drop/duplicate/reorder/bit-corruption
-// probabilities driven by a seeded PRNG, a Gilbert–Elliott two-state
-// burst-loss channel, timed link flaps on the virtual clock, and a
-// deterministic per-frame predicate for tests (the successor of the
-// old boolean Wire.Filter hook).
+// probabilities driven by a seeded PRNG, timed link flaps on the
+// virtual clock, and a deterministic per-frame predicate for tests
+// (the successor of the old boolean Wire.Filter hook).
 //
 // Everything is deterministic: the PRNG is seeded xorshift64*, each
 // enabled probability consumes exactly one roll per frame in a fixed
-// order (burst, drop, corrupt, duplicate, reorder), and flap windows
+// order (drop, corrupt, duplicate, reorder), and flap windows
 // compare against the deterministic virtual clock — so the same seed
 // replays the same fault pattern bit for bit, under smp N included.
 type LinkFaults struct {
@@ -137,11 +133,6 @@ type LinkFaults struct {
 	// Drop, Dup, Reorder, Corrupt are independent per-frame
 	// probabilities in [0, 1]. A zero rate consumes no randomness.
 	Drop, Dup, Reorder, Corrupt float64
-	// Gilbert–Elliott burst loss: the channel flips from its good state
-	// to the bad state with probability BurstEnter per frame, back with
-	// BurstExit, and while bad drops each frame with probability
-	// BurstDrop. All three zero disables the channel.
-	BurstEnter, BurstExit, BurstDrop float64
 	// Down lists link-flap windows in virtual cycles.
 	Down []DownWindow
 	// DropFn is a deterministic per-frame predicate: returning true
@@ -152,7 +143,6 @@ type LinkFaults struct {
 // active reports whether any fault mechanism is configured.
 func (lf LinkFaults) active() bool {
 	return lf.Drop > 0 || lf.Dup > 0 || lf.Reorder > 0 || lf.Corrupt > 0 ||
-		lf.BurstEnter > 0 || lf.BurstExit > 0 || lf.BurstDrop > 0 ||
 		len(lf.Down) > 0 || lf.DropFn != nil
 }
 
@@ -168,7 +158,6 @@ func splitmix64(x uint64) uint64 {
 type linkState struct {
 	cfg  LinkFaults
 	rng  uint64 // xorshift64* state, never zero
-	bad  bool   // Gilbert–Elliott bad (bursty) state
 	held []byte // frame held back by a reorder, delivered after the next
 }
 
@@ -244,22 +233,6 @@ func (w *Wire) conduct(ls *linkState, now uint64, frame []byte) [][]byte {
 	if ls.cfg.DropFn != nil && ls.cfg.DropFn(frame) {
 		w.Dropped++
 		return nil
-	}
-	// Gilbert–Elliott: one transition roll, then (in the bad state) one
-	// loss roll. Enabled by any nonzero burst parameter so the stream of
-	// PRNG draws is a pure function of the policy and the frame count.
-	if ls.cfg.BurstEnter > 0 || ls.cfg.BurstExit > 0 || ls.cfg.BurstDrop > 0 {
-		if ls.bad {
-			if ls.roll() < ls.cfg.BurstExit {
-				ls.bad = false
-			}
-		} else if ls.roll() < ls.cfg.BurstEnter {
-			ls.bad = true
-		}
-		if ls.bad && ls.roll() < ls.cfg.BurstDrop {
-			w.Dropped++
-			return nil
-		}
 	}
 	if ls.cfg.Drop > 0 && ls.roll() < ls.cfg.Drop {
 		w.Dropped++
@@ -409,12 +382,10 @@ func (n *NIC) receiveBatch(frames [][]byte) {
 	}
 	// Same deadline quarantine as receive: input processing is the
 	// interrupt analogue, never the transmitting caller's deadlined work.
-	var cur *sched.Thread
 	var saved uint64
-	if n.stack.env.Cur != nil {
-		if cur = n.stack.env.Cur(); cur != nil {
-			saved, cur.Deadline = cur.Deadline, 0
-		}
+	cur := n.stack.env.Cur()
+	if cur != nil {
+		saved, cur.Deadline = cur.Deadline, 0
 	}
 	// RSS: demux the wire batch onto the rx rings, then poll each ring
 	// on its own vCPU. With one queue this is the whole batch on ring 0
@@ -483,12 +454,10 @@ func (n *NIC) receive(frame []byte) {
 	// could refuse the input path's internal crossings — and a refused
 	// semaphore wake-up (the ACK that reopens a stalled sender's flow
 	// control, swallowed on the rx path) wedges the connection forever.
-	var cur *sched.Thread
 	var saved uint64
-	if n.stack.env.Cur != nil {
-		if cur = n.stack.env.Cur(); cur != nil {
-			saved, cur.Deadline = cur.Deadline, 0
-		}
+	cur := n.stack.env.Cur()
+	if cur != nil {
+		saved, cur.Deadline = cur.Deadline, 0
 	}
 	n.stack.input(frame)
 	if cur != nil {

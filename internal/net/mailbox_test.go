@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"testing"
 
-	"flexos/internal/core/gate"
 	"flexos/internal/fault"
 	"flexos/internal/sched"
 )
@@ -35,6 +34,20 @@ func sinkServer(t *testing.T, s *sched.CScheduler, m *machine, port uint16, conn
 			}
 		})
 	}
+}
+
+// splitTCPIPWorld is tcpipWorld with the client's netstack behind a
+// VM-RPC gate from the rest of its image (splitMachine).
+func splitTCPIPWorld(t *testing.T) (*sched.CScheduler, *machine, *machine) {
+	t.Helper()
+	cfg := Config{SocketMode: TCPIPThreadMode}
+	s := sched.NewCScheduler()
+	server := newMachine(t, s, IP4(10, 0, 0, 1), cfg)
+	client := splitMachine(t, s, IP4(10, 0, 0, 2), cfg)
+	Connect(server.stack, client.stack)
+	server.stack.StartTCPIP(s)
+	client.stack.StartTCPIP(s)
+	return s, server, client
 }
 
 // checkFree fails unless every request on the stack's free list is
@@ -185,16 +198,8 @@ func TestTCPIPMailboxAbandonsUnwoundRequests(t *testing.T) {
 	// trap, the request comes off the mailbox unrun and is never
 	// recycled, and the next Send takes a fresh one.
 	t.Run("early-return", func(t *testing.T) {
-		s, server, client := tcpipWorld(t)
-		reg := gate.NewRegistry(client.env.CPU, gate.NewFuncCall(client.env.CPU), gate.NewVMRPC(client.env.CPU), nil)
-		reg.AddCompartment(gate.NewDomain("nw"))
-		reg.AddCompartment(gate.NewDomain("rest"))
-		for lib, comp := range map[string]string{"netstack": "nw", "libc": "rest", "alloc": "rest", "app": "rest", "sched": "rest"} {
-			if err := reg.Assign(lib, comp); err != nil {
-				t.Fatal(err)
-			}
-		}
-		client.env.Gates = reg
+		s, server, client := splitTCPIPWorld(t)
+		reg := client.env.Gates
 		received := 0
 		sinkServer(t, s, server, port, 1, &received)
 		s.Spawn("sender", client.cpu, func(th *sched.Thread) {
@@ -244,16 +249,8 @@ func TestTCPIPMailboxAbandonsUnwoundRequests(t *testing.T) {
 // trap instead of parking for a thread that is gone.
 func TestTCPIPThreadEndsOnFailedWait(t *testing.T) {
 	const port, size = 5001, 512
-	s, server, client := tcpipWorld(t)
-	reg := gate.NewRegistry(client.env.CPU, gate.NewFuncCall(client.env.CPU), gate.NewVMRPC(client.env.CPU), nil)
-	reg.AddCompartment(gate.NewDomain("nw"))
-	reg.AddCompartment(gate.NewDomain("rest"))
-	for lib, comp := range map[string]string{"netstack": "nw", "libc": "rest", "alloc": "rest", "app": "rest", "sched": "rest"} {
-		if err := reg.Assign(lib, comp); err != nil {
-			t.Fatal(err)
-		}
-	}
-	client.env.Gates = reg
+	s, server, client := splitTCPIPWorld(t)
+	reg := client.env.Gates
 	// The server reads the one Send that reaches the wire: the Close
 	// fails too, so no FIN ever comes.
 	l, err := server.stack.Listen(port, 1)

@@ -21,11 +21,12 @@ type testSem struct {
 	wq    sched.WaitQueue
 }
 
-func (s *testSem) Down(t *sched.Thread) {
+func (s *testSem) Down(t *sched.Thread) error {
 	for s.count == 0 {
 		s.wq.Wait(t)
 	}
 	s.count--
+	return nil
 }
 
 func (s *testSem) TryDown() bool {
@@ -96,6 +97,7 @@ func newMachineWith(t *testing.T, s sched.Scheduler, ip IPAddr, cfg Config,
 	env := &rt.Env{
 		Lib: "netstack", Comp: clock.CompNet, CPU: clk,
 		Gates: reg, Arena: arena, Alloc: heap,
+		Sup: rt.NewSupervisor(clk, nil, nil), Cur: s.Current,
 	}
 	cfg.IP = ip
 	m := &machine{cpu: clk.CPU(0), arena: arena, heap: heap, env: env}

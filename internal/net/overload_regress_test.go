@@ -141,9 +141,10 @@ func TestRecvErrorStillAdvertisesWindow(t *testing.T) {
 }
 
 // splitMachine builds a machine whose netstack sits in its own
-// compartment behind a VM-RPC gate, the only fixture gate that
-// enforces frame deadlines — so a deadline leaking into the input
-// path's internal crossings would actually refuse them.
+// compartment "nw", behind a VM-RPC gate from every other library's
+// compartment "rest". VM-RPC is the only fixture gate that enforces
+// frame deadlines — so a deadline leaking into the input path's
+// internal crossings would actually refuse them.
 func splitMachine(t *testing.T, s *sched.CScheduler, ip IPAddr, cfg Config) *machine {
 	t.Helper()
 	clk := clock.NewMachine(1)
@@ -154,19 +155,19 @@ func splitMachine(t *testing.T, s *sched.CScheduler, ip IPAddr, cfg Config) *mac
 	}
 	reg := gate.NewRegistry(clk, gate.NewFuncCall(clk), gate.NewVMRPC(clk), nil)
 	reg.AddCompartment(gate.NewDomain("nw"))
-	reg.AddCompartment(gate.NewDomain("core"))
+	reg.AddCompartment(gate.NewDomain("rest"))
 	if err := reg.Assign("netstack", "nw"); err != nil {
 		t.Fatal(err)
 	}
 	for _, lib := range []string{"libc", "alloc", "app", "sched"} {
-		if err := reg.Assign(lib, "core"); err != nil {
+		if err := reg.Assign(lib, "rest"); err != nil {
 			t.Fatal(err)
 		}
 	}
 	env := &rt.Env{
 		Lib: "netstack", Comp: clock.CompNet, CPU: clk,
 		Gates: reg, Arena: arena, Alloc: heap,
-		Cur: s.Current,
+		Sup: rt.NewSupervisor(clk, nil, nil), Cur: s.Current,
 	}
 	cfg.IP = ip
 	m := &machine{cpu: clk.CPU(0), arena: arena, heap: heap, env: env}

@@ -19,8 +19,9 @@ import (
 // fast paths — TryDown, and Up with no waiters — are inlined at the
 // call site and cross nothing.
 type Sem interface {
-	// Down decrements, parking t while the count is zero.
-	Down(t *sched.Thread)
+	// Down decrements, parking t while the count is zero. An error
+	// means t never parked: the wait failed and the count is untouched.
+	Down(t *sched.Thread) error
 	// TryDown decrements without blocking and reports success.
 	TryDown() bool
 	// Up increments and wakes one waiter.
@@ -185,9 +186,6 @@ func (s *Socket) State() string { return s.state.String() }
 // LocalPort reports the bound local port.
 func (s *Socket) LocalPort() uint16 { return s.localPort }
 
-// Err reports a fatal socket error (reset), if any.
-func (s *Socket) Err() error { return s.sockErr }
-
 // takeErr returns the socket's fatal error for delivery to an API
 // caller. A typed *fault.NetTimeout is delivered exactly once — the
 // first call carries it upward so the owning compartment's gate can
@@ -281,7 +279,7 @@ func (s *Socket) Recv(t *sched.Thread, dst mem.Addr, n int) (int, error) {
 	}
 	s.lastDrainAt = s.rcvQ[0].at
 	copied := 0
-	err := st.env.CallFrame("libc", "memcpy", frame, func() error {
+	err := st.lc.CallFrame("memcpy", frame, func() error {
 		// Fully drained head segments leave the queue together, in
 		// place, however the drain ends.
 		drained := 0
@@ -295,7 +293,7 @@ func (s *Socket) Recv(t *sched.Thread, dst mem.Addr, n int) (int, error) {
 			if err := st.sup.Memcpy(dst+mem.Addr(copied), sg.addr+mem.Addr(sg.off), chunk); err != nil {
 				return err
 			}
-			st.crossCopy(st.env.Lib, "libc", chunk)
+			st.crossCopy(&st.lc, copyOut, chunk)
 			sg.off += chunk
 			copied += chunk
 			if sg.off == sg.n {

@@ -139,6 +139,8 @@ const (
 // Stack is one machine's TCP/IP stack instance.
 type Stack struct {
 	env       *rt.Env
+	lc        rt.Callee // libc: memcpy and the semaphores behind Support
+	rest      rt.Callee // the NIC drivers' library ("rest")
 	sup       Support
 	scheduler sched.Scheduler
 	nic       *NIC
@@ -194,6 +196,8 @@ func NewStack(env *rt.Env, sup Support, s sched.Scheduler, cfg Config) *Stack {
 	}
 	return &Stack{
 		env:           env,
+		lc:            rt.Bind(env, "libc"),
+		rest:          rt.Bind(env, "rest"),
 		sup:           sup,
 		scheduler:     s,
 		ip:            cfg.IP,
@@ -227,10 +231,6 @@ func (st *Stack) emit(kind, note string) {
 		st.env.Sink.Emit(trace.Event{Kind: kind, From: "netstack", Note: note})
 	}
 }
-
-// Env exposes the stack's runtime environment (used by LibC shims to
-// route gates correctly in tests).
-func (st *Stack) Env() *rt.Env { return st.env }
 
 func (st *Stack) attachNIC(n *NIC) { st.nic = n }
 
@@ -443,7 +443,7 @@ func (st *Stack) newSocket() *Socket {
 	s.rtxTimer = ts.NewTimer(func() { st.rtxExpire(s) })
 	s.zwpTimer = ts.NewTimer(func() { st.zwpExpire(s) })
 	s.kaTimer = ts.NewTimer(func() { st.kaExpire(s) })
-	_ = st.env.CallFn("libc", "sem_init", 1, func() error {
+	_ = st.lc.Call("sem_init", 1, func() error {
 		s.rcvSem = st.sup.NewSem(0)
 		s.sndSem = st.sup.NewSem(0)
 		s.acceptSem = st.sup.NewSem(0)
@@ -569,7 +569,7 @@ func (st *Stack) nextISN() uint32 {
 
 // memcpy performs a bulk copy in LibC through the netstack->libc gate.
 func (st *Stack) memcpy(dst, src mem.Addr, n int) error {
-	return st.env.CallFn("libc", "memcpy", 3, func() error {
+	return st.lc.Call("memcpy", 3, func() error {
 		return st.sup.Memcpy(dst, src, n)
 	})
 }
@@ -582,7 +582,7 @@ func (st *Stack) memcpyIn(dst, src mem.Addr, n int, own rxOwn) error {
 		return st.memcpy(dst, src, n)
 	}
 	frame := gate.CallFrame{ArgWords: 3, RetWords: 1, Bufs: []mem.BufRef{own.ref}}
-	return st.env.CallFrame("libc", "memcpy", frame, func() error {
+	return st.lc.CallFrame("memcpy", frame, func() error {
 		return st.sup.Memcpy(dst, src, n)
 	})
 }
@@ -607,9 +607,8 @@ func (st *Stack) semDown(t *sched.Thread, sem Sem) error {
 			return nil
 		}
 	}
-	return st.env.CallFn("libc", "sem_down", 2, func() error {
-		sem.Down(t)
-		return nil
+	return st.lc.Call("sem_down", 2, func() error {
+		return sem.Down(t)
 	})
 }
 
@@ -620,7 +619,7 @@ func (st *Stack) semUp(sem Sem) {
 		sem.Up()
 		return
 	}
-	_ = st.env.CallFn("libc", "sem_up", 1, func() error {
+	_ = st.lc.Call("sem_up", 1, func() error {
 		sem.Up()
 		return nil
 	})
@@ -644,7 +643,7 @@ func (st *Stack) sendData(s *Socket, src mem.Addr, n int) error {
 	}
 	// Under copy semantics the payload was pulled across the app/libc
 	// boundary into netstack memory.
-	st.crossCopy("libc", st.env.Lib, n)
+	st.crossCopy(&st.lc, copyIn, n)
 	payload, err := st.env.Bytes(mbuf+HdrLen, n)
 	if err != nil {
 		return err
@@ -722,7 +721,7 @@ func (st *Stack) chargeTx(frameLen, payloadLen int) {
 	st.env.Charge(clock.CostPacketFixed + clock.ChecksumCycles(frameLen))
 	st.env.Hard.OnFrame()
 	st.env.Hard.OnTouch(HdrLen)
-	st.crossCopy(st.env.Lib, "rest", frameLen)
+	st.crossCopy(&st.rest, copyOut, frameLen)
 	_ = payloadLen
 }
 
@@ -1003,7 +1002,7 @@ func (st *Stack) input(frame []byte) {
 	copy(dma, frame)
 	// Under copy semantics the driver hands the frame bytes from the
 	// rest compartment's rx ring into netstack memory.
-	st.crossCopy("rest", st.env.Lib, len(frame))
+	st.crossCopy(&st.rest, copyIn, len(frame))
 
 	st.env.Charge(clock.CostPacketFixed + clock.ChecksumCycles(len(frame)))
 	st.env.Hard.OnFrame()

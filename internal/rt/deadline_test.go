@@ -12,7 +12,7 @@ import (
 
 // deadlineEnv builds an env whose netstack->alloc crossings go through
 // a VM-RPC gate (deadline-enforcing) while a thread accessor supplies
-// the deadline that route() stamps onto every frame.
+// the deadline that Callee.CallFrame stamps onto every frame.
 func deadlineEnv(t *testing.T) (*Env, *sched.Thread, *clock.Machine) {
 	t.Helper()
 	cpu := clock.NewMachine(1)
@@ -34,6 +34,7 @@ func deadlineEnv(t *testing.T) (*Env, *sched.Thread, *clock.Machine) {
 	env := &Env{
 		Lib: "netstack", Comp: clock.CompNet, CPU: cpu,
 		Gates: reg, Arena: arena, Alloc: heap,
+		Sup: NewSupervisor(cpu, nil, nil),
 		Cur: func() *sched.Thread { return th },
 	}
 	return env, th, cpu
@@ -88,11 +89,13 @@ func TestBudgetRefusesExpensiveCrossing(t *testing.T) {
 
 	// A budget smaller than the VM-RPC crossing cost: the gate refuses
 	// entry with a KindDeadline trap before charging the crossing —
-	// refusing late work must stay far cheaper than doing it.
+	// refusing late work must stay far cheaper than doing it. The
+	// supervisor then books the refusal at its own cheap rejection cost.
 	ran := false
-	before := cpu.Cycles()
+	alloc := Bind(env, "alloc")
+	before, beforeGate := cpu.Cycles(), cpu.Component(clock.CompGate)
 	err := env.WithDeadline(th, env.CPU.Cycles()+10, func() error {
-		return env.CallFn("alloc", "malloc", 1, func() error { ran = true; return nil })
+		return alloc.Call("malloc", 1, func() error { ran = true; return nil })
 	})
 	tr, ok := fault.As(err)
 	if !ok || tr.Kind != fault.KindDeadline {
@@ -101,15 +104,21 @@ func TestBudgetRefusesExpensiveCrossing(t *testing.T) {
 	if ran {
 		t.Fatal("refused crossing still ran the callee")
 	}
-	if got := cpu.Cycles() - before; got != clock.CostDeadlineRefuse {
-		t.Fatalf("refusal charged %d cycles, want CostDeadlineRefuse (%d)",
+	// Nothing but the two rejections is charged: not the crossing, which
+	// the VM-RPC gate would book to CompVMM.
+	if got := cpu.Cycles() - before; got != clock.CostDeadlineRefuse+clock.CostOverloadShed {
+		t.Fatalf("refusal charged %d cycles, want CostDeadlineRefuse (%d) + CostOverloadShed (%d)",
+			got, clock.CostDeadlineRefuse, clock.CostOverloadShed)
+	}
+	if got := cpu.Component(clock.CompGate) - beforeGate; got != clock.CostDeadlineRefuse {
+		t.Fatalf("refusal charged the gate %d cycles, want CostDeadlineRefuse (%d)",
 			got, clock.CostDeadlineRefuse)
 	}
 
 	// An ample budget admits the same crossing.
 	ran = false
 	if err := env.WithDeadline(th, env.CPU.Cycles()+1_000_000, func() error {
-		return env.CallFn("alloc", "malloc", 1, func() error { ran = true; return nil })
+		return alloc.Call("malloc", 1, func() error { ran = true; return nil })
 	}); err != nil || !ran {
 		t.Fatalf("ample budget: err = %v, ran = %v", err, ran)
 	}
@@ -123,10 +132,11 @@ func TestDeadlinePropagatesToNestedCrossings(t *testing.T) {
 	// the same absolute deadline and is refused.
 	var nestedErr error
 	nested := false
+	alloc := Bind(env, "alloc")
 	err := env.WithDeadline(th, env.CPU.Cycles()+200_000, func() error {
-		return env.CallFn("alloc", "malloc", 1, func() error {
+		return alloc.Call("malloc", 1, func() error {
 			cpu.Charge(clock.CompAlloc, 300_000)
-			nestedErr = env.CallFn("alloc", "free", 1, func() error { nested = true; return nil })
+			nestedErr = alloc.Call("free", 1, func() error { nested = true; return nil })
 			return nil
 		})
 	})
@@ -147,8 +157,9 @@ func TestDirectGateIgnoresDeadline(t *testing.T) {
 	env, th, _ := deadlineEnv(t)
 	ran := false
 	// netstack->netstack stays on the direct gate.
+	self := Bind(env, "netstack")
 	if err := env.WithDeadline(th, env.CPU.Cycles()+1, func() error {
-		return env.CallFn("netstack", "input", 1, func() error { ran = true; return nil })
+		return self.Call("input", 1, func() error { ran = true; return nil })
 	}); err != nil || !ran {
 		t.Fatalf("direct gate: err = %v, ran = %v", err, ran)
 	}

@@ -179,9 +179,10 @@ func TestBreakerGuardsOnlyCrossings(t *testing.T) {
 	if err := reg.Assign("tcp", "nw"); err != nil {
 		t.Fatal(err)
 	}
-	netstack := &Env{Lib: "netstack", CPU: cpu, Gates: reg, Sup: s}
+	netstack := &Env{Lib: "netstack", CPU: cpu, Gates: reg, Sup: s, Cur: noThread}
+	tcp := Bind(netstack, "tcp")
 	ran := false
-	if err := netstack.CallFn("tcp", "input", 0, func() error { ran = true; return nil }); err != nil || !ran {
+	if err := tcp.Call("input", 0, func() error { ran = true; return nil }); err != nil || !ran {
 		t.Fatalf("call within nw: err = %v, ran = %v", err, ran)
 	}
 	if st := s.Stats(); st.BreakerFastFails != 0 {

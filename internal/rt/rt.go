@@ -11,6 +11,8 @@
 package rt
 
 import (
+	"fmt"
+
 	"flexos/internal/clock"
 	"flexos/internal/core/gate"
 	"flexos/internal/fault"
@@ -20,7 +22,9 @@ import (
 	"flexos/internal/trace"
 )
 
-// Env is one library's view of the image it was linked into.
+// Env is one library's view of the image it was linked into. An Env is
+// wired as build.newMachine wires it: with a supervisor, which every
+// routed call passes, and a current-thread accessor.
 type Env struct {
 	// Lib is the library name used in gate routing (e.g. "netstack").
 	Lib string
@@ -34,11 +38,12 @@ type Env struct {
 	Arena *mem.Arena
 	// Alloc is the allocator backing this library's compartment.
 	Alloc mem.Allocator
-	// AllocLocal marks the allocator as linked into this library's own
-	// compartment (per-compartment or per-library ukalloc instance):
-	// allocation calls are then direct, with no gate crossing. A
-	// global allocator is reached through the "alloc" library's gate.
-	AllocLocal bool
+	// AllocGate binds the "alloc" library when the image links one
+	// global allocator: allocation calls then go through its gate. Its
+	// zero value means the allocator is linked into this library's own
+	// compartment (a per-compartment or per-library ukalloc instance,
+	// or the alloc library itself), and allocation calls are direct.
+	AllocGate Callee
 	// Pool is the machine's shared-window buffer pool (key 0, mapped
 	// in every compartment at the same address), backing the zero-copy
 	// data path: buffers passed across micro-library boundaries are
@@ -48,14 +53,15 @@ type Env struct {
 	Hard *sh.Hardener
 	// Sink is the machine's observation sink (nil-safe).
 	Sink *trace.Sink
-	// Sup, when non-nil, applies per-compartment fault policy to every
-	// routed call: traps raised by the callee compartment are handled
+	// Sup applies per-compartment fault policy to every routed call:
+	// traps raised by the callee compartment are handled
 	// (abort/restart/degrade) before the error reaches this library.
 	Sup *Supervisor
-	// Cur, when non-nil, reports the scheduler's currently-running
-	// thread. Routed calls inherit that thread's Deadline onto their
-	// gate frame, which is how a budget set at the top of a request
-	// (WithDeadline) propagates through nested cross-compartment calls.
+	// Cur reports the scheduler's currently-running thread (nil outside
+	// any thread). Routed calls inherit that thread's Deadline onto
+	// their gate frame, which is how a budget set at the top of a
+	// request (WithDeadline) propagates through nested
+	// cross-compartment calls.
 	Cur func() *sched.Thread
 	// Batching maps compartment name -> configured batch depth (the
 	// `batch <comp> <depth>` configfile directive): calls crossing into
@@ -63,81 +69,81 @@ type Env struct {
 	// Absent entries (and any image without the directive) mean depth 1,
 	// i.e. no batching.
 	Batching map[string]int
-
-	callees []callee // resolved on first call, in first-call order
-}
-
-// callee is one library this library has called: the gate route the
-// registry resolved for the pair, the batch depth of the callee's
-// compartment and, on a supervised machine, the supervisor's record of
-// that compartment. Libraries never move after boot, so all three hold
-// for the image's lifetime.
-type callee struct {
-	route *gate.Route
-	depth int
-	sup   *compState
-}
-
-// resolve returns the callee entry for lib `to`, resolving its route on
-// the first call. A steady-state call scans the few callees this
-// library has, with no lookup keyed by a library or compartment name.
-func (e *Env) resolve(to string) (callee, error) {
-	for _, c := range e.callees {
-		if c.route.ToLib == to {
-			return c, nil
-		}
-	}
-	ro, err := e.Gates.Resolve(e.Lib, to)
-	if err != nil {
-		return callee{}, err
-	}
-	c := callee{route: ro, depth: max(e.Batching[ro.To.Name], 1)}
-	if e.Sup != nil {
-		c.sup = e.Sup.comp(ro.To.Name)
-	}
-	e.callees = append(e.callees, c)
-	return c, nil
 }
 
 // Charge attributes cycles to this library.
 func (e *Env) Charge(cycles uint64) { e.CPU.Charge(e.Comp, cycles) }
 
-// CallFn routes a call from this library to function fnName in lib
-// `to`, through the gate the builder instantiated for the pair. The
-// name lets dynamic metadata generation record the call edge.
-func (e *Env) CallFn(to, fnName string, argWords int, fn func() error) error {
-	return e.route(to, fnName, gate.CallFrame{ArgWords: argWords, RetWords: 1}, fn)
+// Callee is a library's binding to one library it calls: the uk_gate
+// placeholder of its call sites into that library, bound once, when the
+// calling library is constructed. The binding resolves at its first
+// use, once the image has placed every library, and from then on
+// holds the gate route, the batch depth of the callee's compartment and
+// the supervisor's record of that compartment, so a call looks nothing
+// up by name. Libraries never move after boot, so all three hold for
+// the image's lifetime. The function names stay constants at the call
+// sites, where the call recorder and the fault injector read them.
+//
+// Keep a binding in the struct of the library that calls through it:
+// it resolves in place.
+type Callee struct {
+	env   *Env
+	to    string
+	route *gate.Route // nil until the first use
+	depth int
+	sup   *compState
 }
 
-// CallFrame routes a call carrying a full gate frame — argument and
-// return word counts plus payload buffers attached by descriptor.
-func (e *Env) CallFrame(to, fnName string, frame gate.CallFrame, fn func() error) error {
-	return e.route(to, fnName, frame, fn)
+// Bind binds the calls of e's library into library to.
+func Bind(e *Env, to string) Callee { return Callee{env: e, to: to} }
+
+// Lib names the library the binding calls.
+func (c *Callee) Lib() string { return c.to }
+
+// resolved returns the binding's route, resolving it at first use.
+func (c *Callee) resolved() *gate.Route {
+	if c.route == nil {
+		c.resolve()
+	}
+	return c.route
 }
 
-// route dispatches through the callee's gate route, under the
-// machine's fault supervisor when one is attached. The frame inherits
-// the current thread's deadline, so nested calls stay under the
-// original budget. A supervised call into a degraded compartment fails
-// fast without crossing. Admission and the circuit breaker sit in
-// front of *isolating* gates, so only a crossing into a compartment
-// that arms them is admitted and feeds its breaker: a compartment
-// cannot shed calls from itself. Every call takes a pool mark, and a
-// failed one goes to the supervisor's settle, which applies the callee
+// resolve binds the route into the callee's compartment. A callee the
+// image never assigned is a build bug, so resolving it panics naming
+// the pair, as build.Machine.Env does for an unknown library.
+func (c *Callee) resolve() {
+	e := c.env
+	ro, err := e.Gates.Resolve(e.Lib, c.to)
+	if err != nil {
+		panic(fmt.Sprintf("rt: binding %s -> %s: %v", e.Lib, c.to, err))
+	}
+	c.route, c.depth, c.sup = ro, max(e.Batching[ro.To.Name], 1), e.Sup.comp(ro.To.Name)
+}
+
+// Call calls function fnName of the bound library with argWords
+// argument words and one return word. The name lets dynamic metadata
+// generation record the call edge.
+func (c *Callee) Call(fnName string, argWords int, fn func() error) error {
+	return c.CallFrame(fnName, gate.CallFrame{ArgWords: argWords, RetWords: 1}, fn)
+}
+
+// CallFrame calls fnName with a full gate frame — argument and return
+// word counts plus payload buffers attached by descriptor — through
+// the bound route, under the machine's fault supervisor. The frame
+// inherits the current thread's deadline, so nested calls stay under
+// the original budget. A call into a degraded compartment fails fast
+// without crossing. Admission and the circuit breaker sit in front of
+// *isolating* gates, so only a crossing into a compartment that arms
+// them is admitted and feeds its breaker: a compartment cannot shed
+// calls from itself. Every call takes a pool mark, and a failed one
+// goes to the supervisor's settle, which applies the callee
 // compartment's fault policy to its trap; traps from deeper
 // compartments (already handled by a nested supervised call closer to
 // the fault) pass through untouched.
-func (e *Env) route(to, fnName string, frame gate.CallFrame, fn func() error) error {
-	c, err := e.resolve(to)
-	if err != nil {
-		return err
-	}
+func (c *Callee) CallFrame(fnName string, frame gate.CallFrame, fn func() error) error {
+	ro, cs, s := c.resolved(), c.sup, c.env.Sup
 	if frame.Deadline == 0 {
-		frame.Deadline = e.currentDeadline()
-	}
-	s, ro, cs := e.Sup, c.route, c.sup
-	if s == nil {
-		return ro.Call(fnName, frame, fn)
+		frame.Deadline = c.env.currentDeadline()
 	}
 	if cs.degraded != nil {
 		return &fault.DegradedError{Comp: cs.name, Cause: cs.degraded}
@@ -158,33 +164,32 @@ func (e *Env) route(to, fnName string, frame gate.CallFrame, fn func() error) er
 	return nil
 }
 
-// BatchDepth reports how many frames a call from this library into lib
-// `to` may carry per crossing: the `batch` directive's depth for the
-// callee's compartment, 1 (no batching) when unconfigured or when `to`
-// is not assigned. Callers use it to size their vectored operations, so
-// an image built without the directive runs the exact unbatched code
-// path.
-func (e *Env) BatchDepth(to string) int {
-	c, err := e.resolve(to)
-	if err != nil {
-		return 1
-	}
+// Depth reports how many frames a call into the bound library may
+// carry per crossing: the `batch` directive's depth for the callee's
+// compartment, 1 (no batching) when unconfigured. Callers use it to
+// size their vectored operations, so an image built without the
+// directive runs the exact unbatched code path.
+func (c *Callee) Depth() int {
+	c.resolved()
 	return c.depth
 }
 
-// Crosses reports whether a call from this library into lib `to`
-// crosses a compartment boundary. A library that is not assigned counts
-// as crossing.
-func (e *Env) Crosses(to string) bool {
-	c, err := e.resolve(to)
-	return err != nil || c.route.Crosses
-}
+// Crosses reports whether a call into the bound library crosses a
+// compartment boundary.
+func (c *Callee) Crosses() bool { return c.resolved().Crosses }
+
+// SharesBufs reports whether buffers attached to a call into the bound
+// library reach the callee by reference (same compartment, or a
+// share-policy backend). When false, callers should stay on the scalar
+// ABI: attaching buffers to a copy-policy gate charges the full payload
+// at the crossing.
+func (c *Callee) SharesBufs() bool { return c.resolved().SharesByReference() }
 
 // BatchCall is one frame of a vectored gate call: the gate frame, the
 // function it dispatches to in the callee, and the frame's outcome.
 type BatchCall = gate.BatchCall
 
-// CallBatch routes N calls to functions in lib `to` through one
+// CallBatch makes N calls to fnName of the bound library through one
 // crossing where the backend amortizes (MPK, VM-RPC; direct and CHERI
 // loop). Each call's outcome lands in its Err, and a frame with no
 // deadline is stamped in place with the running thread's, so the one
@@ -192,34 +197,21 @@ type BatchCall = gate.BatchCall
 // Supervision — admission, breakers, fault policy — applies per frame:
 // a shed, broken or trapped frame fails alone while the rest of the
 // batch completes.
-func (e *Env) CallBatch(to, fnName string, calls []BatchCall) {
-	c, err := e.resolve(to)
-	if err != nil {
-		for i := range calls {
-			calls[i].Err = err
-		}
-		return
-	}
-	deadline := e.currentDeadline()
+func (c *Callee) CallBatch(fnName string, calls []BatchCall) {
+	ro := c.resolved()
+	deadline := c.env.currentDeadline()
 	for i := range calls {
 		calls[i].Err = nil
 		if calls[i].Frame.Deadline == 0 {
 			calls[i].Frame.Deadline = deadline
 		}
 	}
-	if e.Sup == nil {
-		c.route.CallBatch(fnName, calls)
-		return
-	}
-	e.Sup.superviseBatch(c.sup, c.route, fnName, calls)
+	c.env.Sup.superviseBatch(c.sup, ro, fnName, calls)
 }
 
-// currentDeadline reports the running thread's deadline (0 if no
-// thread accessor is wired or no deadline is set).
+// currentDeadline reports the running thread's deadline (0 outside any
+// thread or when no deadline is set).
 func (e *Env) currentDeadline() uint64 {
-	if e.Cur == nil {
-		return 0
-	}
 	if t := e.Cur(); t != nil {
 		return t.Deadline
 	}
@@ -245,26 +237,21 @@ func (e *Env) WithDeadline(t *sched.Thread, deadline uint64, fn func() error) er
 	return fn()
 }
 
-// SharesBufs reports whether buffers attached to a call from this
-// library to lib `to` reach the callee by reference (same compartment,
-// or a share-policy backend). When false, callers should stay on the
-// scalar ABI: attaching buffers to a copy-policy gate charges the full
-// payload at the crossing.
-func (e *Env) SharesBufs(to string) bool {
-	c, err := e.resolve(to)
-	return err == nil && c.route.SharesByReference()
+// viaAlloc runs the allocator call fn: directly when the allocator is
+// linked into this library's compartment, through the alloc gate when
+// it is global.
+func (e *Env) viaAlloc(fnName string, fn func() error) error {
+	if e.AllocGate.env == nil {
+		return fn()
+	}
+	return e.AllocGate.Call(fnName, 1, fn)
 }
 
-// Malloc allocates n bytes. With a local allocator the call is direct;
-// with a global allocator it routes through the "alloc" library's gate
-// (which may cross a compartment boundary).
+// Malloc allocates n bytes from this library's allocator (see
+// AllocGate for routing).
 func (e *Env) Malloc(n int) (mem.Addr, error) {
-	if e.AllocLocal {
-		e.CPU.Charge(clock.CompAlloc, clock.CostMalloc)
-		return e.Alloc.Alloc(n)
-	}
 	var addr mem.Addr
-	err := e.CallFn("alloc", "malloc", 1, func() error {
+	err := e.viaAlloc("malloc", func() error {
 		e.CPU.Charge(clock.CompAlloc, clock.CostMalloc)
 		var err error
 		addr, err = e.Alloc.Alloc(n)
@@ -273,13 +260,9 @@ func (e *Env) Malloc(n int) (mem.Addr, error) {
 	return addr, err
 }
 
-// Free releases an allocation (see Malloc for routing).
+// Free releases an allocation (see AllocGate for routing).
 func (e *Env) Free(addr mem.Addr) error {
-	if e.AllocLocal {
-		e.CPU.Charge(clock.CompAlloc, clock.CostFree)
-		return e.Alloc.Free(addr)
-	}
-	return e.CallFn("alloc", "free", 1, func() error {
+	return e.viaAlloc("free", func() error {
 		e.CPU.Charge(clock.CompAlloc, clock.CostFree)
 		return e.Alloc.Free(addr)
 	})
@@ -311,20 +294,14 @@ func (e *Env) PoolRelease(b mem.BufRef) error {
 // from the private heap into the shared pool without shifting a single
 // cycle of allocation cost between configurations.
 func (e *Env) PoolGetOwned(n int) (mem.BufRef, error) {
-	alloc := func() (mem.BufRef, error) {
+	var b mem.BufRef
+	err := e.viaAlloc("malloc", func() error {
 		e.CPU.Charge(clock.CompAlloc, clock.CostMalloc)
 		if _, ok := e.Alloc.(*sh.Allocator); ok {
 			e.CPU.Charge(clock.CompSH, clock.CostASANMallocExtra)
 		}
-		return e.Pool.Get(n)
-	}
-	if e.AllocLocal {
-		return alloc()
-	}
-	var b mem.BufRef
-	err := e.CallFn("alloc", "malloc", 1, func() error {
 		var err error
-		b, err = alloc()
+		b, err = e.Pool.Get(n)
 		return err
 	})
 	return b, err
@@ -333,18 +310,14 @@ func (e *Env) PoolGetOwned(n int) (mem.BufRef, error) {
 // PoolReleaseOwned releases a PoolGetOwned buffer with Free's charging
 // (alloc-gate routing and ASAN free surcharge included).
 func (e *Env) PoolReleaseOwned(b mem.BufRef) error {
-	release := func() error {
+	return e.viaAlloc("free", func() error {
 		e.CPU.Charge(clock.CompAlloc, clock.CostFree)
 		if _, ok := e.Alloc.(*sh.Allocator); ok {
 			e.CPU.Charge(clock.CompSH, clock.CostASANFreeExtra)
 		}
 		_, err := e.Pool.Release(b)
 		return err
-	}
-	if e.AllocLocal {
-		return release()
-	}
-	return e.CallFn("alloc", "free", 1, release)
+	})
 }
 
 // Bytes returns the raw backing bytes of an arena range. It checks no

@@ -6,6 +6,7 @@ import (
 	"flexos/internal/clock"
 	"flexos/internal/core/gate"
 	"flexos/internal/mem"
+	"flexos/internal/sched"
 )
 
 func newEnv(t *testing.T, local bool, split bool) (*Env, *gate.Registry, *clock.Machine) {
@@ -31,10 +32,18 @@ func newEnv(t *testing.T, local bool, split bool) (*Env, *gate.Registry, *clock.
 	}
 	env := &Env{
 		Lib: "netstack", Comp: clock.CompNet, CPU: cpu,
-		Gates: reg, Arena: arena, Alloc: heap, AllocLocal: local,
+		Gates: reg, Arena: arena, Alloc: heap,
+		Sup: NewSupervisor(cpu, nil, nil), Cur: noThread,
+	}
+	if !local {
+		env.AllocGate = Bind(env, "alloc")
 	}
 	return env, reg, cpu
 }
+
+// noThread is the current-thread accessor of an Env whose calls run
+// outside any scheduler thread.
+func noThread() *sched.Thread { return nil }
 
 func TestChargeAttributesToComponent(t *testing.T) {
 	env, _, cpu := newEnv(t, true, false)
@@ -79,7 +88,8 @@ func TestGlobalAllocRoutesThroughGate(t *testing.T) {
 func TestCallRoutesFromOwnLib(t *testing.T) {
 	env, reg, _ := newEnv(t, true, true)
 	called := false
-	if err := env.CallFn("alloc", "malloc", 1, func() error { called = true; return nil }); err != nil {
+	alloc := Bind(env, "alloc")
+	if err := alloc.Call("malloc", 1, func() error { called = true; return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if !called || reg.Crossings("c0", "c1") != 1 {
@@ -102,33 +112,41 @@ func TestBytesBoundsChecked(t *testing.T) {
 	}
 }
 
-// TestUnassignedCalleeSameError pins that a call into a library the
-// image never assigned fails with the registry's error whether or not a
-// supervisor wraps the call, single or batched, and reaches no gate.
-func TestUnassignedCalleeSameError(t *testing.T) {
-	const want = `gate: callee library "ghost" not assigned`
-	for _, supervised := range []bool{false, true} {
-		env, reg, cpu := newEnv(t, true, true)
-		if supervised {
-			env.Sup = NewSupervisor(cpu, nil, nil)
-		}
-		called := false
-		fn := func() error { called = true; return nil }
-		if err := env.CallFn("ghost", "recv", 1, fn); err == nil || err.Error() != want {
-			t.Errorf("supervised=%v: Call error %v, want %q", supervised, err, want)
-		}
-		calls := []BatchCall{{Fn: fn}, {Fn: fn}}
-		env.CallBatch("ghost", "recv", calls)
-		for i, c := range calls {
-			if c.Err == nil || c.Err.Error() != want {
-				t.Errorf("supervised=%v: batch frame %d error %v, want %q", supervised, i, c.Err, want)
+// TestBindingUnassignedLibraryPanics pins that a binding into a
+// library the image never assigned panics when it resolves, naming the
+// pair, whichever use resolves it first, and reaches no gate: an
+// unassigned callee is a build bug, as an unknown library is to
+// build.Machine.Env.
+func TestBindingUnassignedLibraryPanics(t *testing.T) {
+	const want = `rt: binding netstack -> ghost: gate: callee library "ghost" not assigned`
+	body := func() error {
+		t.Error("the callee body ran")
+		return nil
+	}
+	for _, use := range []struct {
+		name string
+		fn   func(c *Callee)
+	}{
+		{"Call", func(c *Callee) { _ = c.Call("recv", 1, body) }},
+		{"CallBatch", func(c *Callee) { c.CallBatch("recv", []BatchCall{{Fn: body}}) }},
+		{"Depth", func(c *Callee) { c.Depth() }},
+		{"Crosses", func(c *Callee) { c.Crosses() }},
+		{"SharesBufs", func(c *Callee) { c.SharesBufs() }},
+	} {
+		t.Run(use.name, func(t *testing.T) {
+			env, reg, cpu := newEnv(t, true, true)
+			ghost := Bind(env, "ghost")
+			func() {
+				defer func() {
+					if r := recover(); r != want {
+						t.Errorf("panic = %v, want %q", r, want)
+					}
+				}()
+				use.fn(&ghost)
+			}()
+			if reg.TotalCrossings() != 0 || cpu.Cycles() != 0 {
+				t.Error("an unassigned callee reached a gate")
 			}
-		}
-		if called || reg.TotalCrossings() != 0 || cpu.Cycles() != 0 {
-			t.Errorf("supervised=%v: unassigned callee reached a gate", supervised)
-		}
-		if env.BatchDepth("ghost") != 1 || env.SharesBufs("ghost") || !env.Crosses("ghost") {
-			t.Errorf("supervised=%v: unassigned callee answered as if routed", supervised)
-		}
+		})
 	}
 }

@@ -25,8 +25,9 @@ func supPool(t *testing.T) *mem.SharedPool {
 // Env into compartment nw, across a direct-call gate.
 func superviseCall(t *testing.T, s *Supervisor, call func() error) error {
 	_, reg := nwRoute(t, s.cpu, gate.NewFuncCall(s.cpu))
-	env := &Env{Lib: "app", CPU: s.cpu, Gates: reg, Sup: s}
-	return env.CallFrame("netstack", "", gate.CallFrame{}, call)
+	env := &Env{Lib: "app", CPU: s.cpu, Gates: reg, Sup: s, Cur: noThread}
+	ns := Bind(env, "netstack")
+	return ns.CallFrame("", gate.CallFrame{}, call)
 }
 
 func nwTrap() *fault.Trap {
@@ -282,7 +283,8 @@ func TestRouteRecordFollowsLaterConfiguration(t *testing.T) {
 	s := NewSupervisor(cpu, nil, nil)
 	env.Sup = s
 	trap := func() error { return &fault.Trap{Comp: "c1", Kind: fault.KindMPK, PC: "c0->c1"} }
-	if err := env.CallFn("alloc", "malloc", 1, trap); err == nil {
+	alloc := Bind(env, "alloc")
+	if err := alloc.Call("malloc", 1, trap); err == nil {
 		t.Fatal("trapped call returned nil")
 	}
 	if st := s.Stats(); st.Traps != 1 || st.Aborts != 1 || st.Retries != 0 {
@@ -293,7 +295,7 @@ func TestRouteRecordFollowsLaterConfiguration(t *testing.T) {
 	}
 	s.SetPolicy("c1", fault.PolicyRestart)
 	attempt := 0
-	if err := env.CallFn("alloc", "malloc", 1, func() error {
+	if err := alloc.Call("malloc", 1, func() error {
 		attempt++
 		if attempt == 1 {
 			return trap()

@@ -97,15 +97,11 @@ type Thread struct {
 	next    func() (struct{}, bool) // runs the coroutine to its next suspension
 	suspend func(struct{}) bool     // inside the coroutine: back to the dispatcher
 	killed  bool
-	fault   error  // panic captured from the thread body
 	seq     uint64 // enqueue stamp: FIFO order within and across queues
 }
 
 // State reports the thread's current state.
 func (t *Thread) State() State { return t.state }
-
-// Fault reports the error a thread body panicked with, if any.
-func (t *Thread) Fault() error { return t.fault }
 
 // Yield gives up the CPU; the thread stays runnable.
 func (t *Thread) Yield() { t.sched.yield(t) }
@@ -536,9 +532,8 @@ func (s *coop) coroutine(t *Thread) iter.Seq[struct{}] {
 		t.suspend = suspend
 		defer func() {
 			if r := recover(); r != nil && r != error(errThreadKilled) {
-				t.fault = &ThreadCrash{Thread: t.Name, Cause: causeFromPanic(r)}
 				if s.firstFault == nil {
-					s.firstFault = t.fault
+					s.firstFault = &ThreadCrash{Thread: t.Name, Cause: causeFromPanic(r)}
 				}
 			}
 			t.state = Exited

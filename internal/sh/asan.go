@@ -68,7 +68,6 @@ type ASAN struct {
 	arena  *mem.Arena
 	cpu    *clock.Machine
 	shadow *mem.DemandZero
-	checks uint64
 	caught uint64
 }
 
@@ -91,9 +90,6 @@ func (s *ASAN) poison(addr mem.Addr, n int, code byte) {
 // Unpoison marks [addr, addr+n) addressable.
 func (s *ASAN) unpoison(addr mem.Addr, n int) { s.poison(addr, n, shadowOK) }
 
-// Checks reports how many shadow checks have run.
-func (s *ASAN) Checks() uint64 { return s.checks }
-
 // Caught reports how many violations were detected.
 func (s *ASAN) Caught() uint64 { return s.caught }
 
@@ -101,7 +97,6 @@ func (s *ASAN) Caught() uint64 { return s.caught }
 // charging the per-granule check cost to comp. It returns a *Violation
 // if any byte is poisoned.
 func (s *ASAN) Check(comp clock.Component, addr mem.Addr, n int, write bool) error {
-	s.checks++
 	s.cpu.Charge(clock.CompSH, clock.ASANCheckCycles(n))
 	if !s.arena.Contains(addr, n) {
 		s.caught++

@@ -115,7 +115,6 @@ func (h *Hardener) OnTouch(n int) {
 	if h == nil || !h.profile.ASAN || h.asan == nil {
 		return
 	}
-	h.asan.checks++
 	h.cpu.Charge(clock.CompSH, clock.ASANCheckCycles(n))
 }
 
